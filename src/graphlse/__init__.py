@@ -57,12 +57,10 @@ from .exppoly import (
 )
 from .kernels import (
     EtaProfile,
-    KernelAtom,
     QuadratureDomainError,
     SourceAtom,
     eta_profile,
     free_kernel,
-    h_atoms,
     kernel_h,
     kernel_p1k,
     solve_negative_halfline,
@@ -100,5 +98,4 @@ from .carleman import (
     carleman_sides,
     membership_residual,
     sample_zcomp,
-    write_margin_csv,
 )

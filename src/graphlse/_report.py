@@ -18,10 +18,11 @@ def config_hash(text: str) -> str:
 
 
 def format_value(v) -> str:
+    # numpy scalars first: np.float64 is a float whose repr is "np.float64(...)"
+    if hasattr(v, "item") and not isinstance(v, (str, bytes)):
+        v = v.item()
     if isinstance(v, float):
         return repr(v)
-    if hasattr(v, "item") and not isinstance(v, (str, bytes)):
-        return repr(v.item())
     return str(v)
 
 

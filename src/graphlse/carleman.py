@@ -30,7 +30,6 @@ __all__ = [
     "sample_zcomp",
     "membership_residual",
     "carleman_sides",
-    "write_margin_csv",
 ]
 
 
@@ -340,12 +339,3 @@ def carleman_sides(
     lhs_c, rhs_c = both(t[::2], x[::2], q2[:, ::2, ::2], d2[:, ::2, ::2])
     err = (abs(lhs - lhs_c) + abs(rhs - rhs_c)) / 3.0
     return CarlemanMargin(lhs=lhs, rhs=rhs, quad_error=err)
-
-
-def write_margin_csv(rows, path) -> None:
-    """rows of (N, seed, mu, eps, R, lhs, rhs, margin)."""
-    lines = ["N,seed,mu,eps,R,lhs,rhs,margin"]
-    for r in rows:
-        lines.append(",".join(repr(v) for v in r))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

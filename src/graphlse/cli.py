@@ -3,7 +3,8 @@
 Experiments are described by INI files (flat sections, hand-editable) and
 produce CSV artifacts with provenance headers plus an optional plotting
 script.  Exit codes: 0 success, 1 invalid configuration or missing inputs,
-2 a numerical guard tripped (overflow, wavefront reached the boundary).
+2 a numerical guard tripped (overflow, wavefront reached the boundary,
+initial data not small at the ends of the kernel quadrature domain).
 
     graphlse --config exp.ini [--out DIR] [--seed N] [--jobs N] [--verify]
 
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as _verify
-from ._report import config_hash, read_csv, write_csv
+from ._report import config_hash, write_csv
 from .carleman import CarlemanWeight, WeightOverflowError, alpha_vectors, carleman_sides, sample_zcomp
 from .evolution import (
     EvolutionConfig,
@@ -36,7 +37,7 @@ from .evolution import (
 )
 from .exppoly import invert_E, layer_params, write_series_csv
 from .graphs import GraphState, NormOverflowError, build_regular_tree, build_star, kirchhoff_residual, weighted_l2_norm
-from .kernels import solve_negative_halfline
+from .kernels import QuadratureDomainError, solve_negative_halfline
 from .reduction import averaged_sums, fold_to_line, reduction_map, write_reduction_report
 from .uncertainty import (
     appell_transform,
@@ -218,7 +219,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
         final = evolve_graph(state, t_final, ecfg)
         res = kirchhoff_residual(final)
         ck = out / "checkpoint.csv"
-        write_checkpoint(final, ck, ecfg)
+        write_checkpoint(final, ck, ecfg, _meta(cfg))
         written.append(ck)
         rows = [
             ("norm_initial", weighted_l2_norm(state)),
@@ -273,7 +274,7 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path) -> list[Path]:
         _meta(cfg),
     )
     series_path = out / "wiener_series.csv"
-    write_series_csv(series, series_path)
+    write_series_csv(series, series_path, _meta(cfg))
     summary = out / "summary.csv"
     write_csv(
         summary,
@@ -366,7 +367,7 @@ def _run_reduce_tree(cfg: ExperimentConfig, out: Path) -> list[Path]:
     diff = np.abs(folded1.values - w1)
     rel = float(np.sqrt(np.trapezoid(diff**2, folded0.nodes)) / (folded1.norm() or 1.0))
     rep = out / "reduction_report.csv"
-    write_reduction_report(rmap, rep)
+    write_reduction_report(rmap, rep, _meta(cfg))
     diag = out / "diagram.csv"
     write_csv(
         diag,
@@ -624,12 +625,12 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     try:
         written = run_config(cfg, out_dir, jobs=max(1, args.jobs))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (TruncationGuardError, WeightOverflowError, NormOverflowError) as exc:
+    except (TruncationGuardError, WeightOverflowError, NormOverflowError, QuadratureDomainError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # ConfigError, and inputs the library refuses
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     emit_plots(out_dir)
     for p in written:
         print(p)

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ._report import read_csv, write_csv
 from .graphs import GraphGrid, GraphState, MetricGraph
 
 __all__ = [
@@ -98,7 +99,6 @@ class EvolutionConfig:
     """
 
     dt: float
-    scheme: str = "crank-nicolson"
     potential: object = None
     boundary_guard: float | None = 0.8
     guard_tol: float = 1e-6
@@ -106,8 +106,6 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme != "crank-nicolson":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
         if self.boundary_guard is not None and not 0.0 < self.boundary_guard < 1.0:
             raise ValueError("boundary_guard must lie in (0, 1)")
 
@@ -361,7 +359,7 @@ def evolve_graph_potential(
 
     potential = [combined(e) for e in range(n_edges)]
     return evolve_graph(u0, t_final, EvolutionConfig(
-        dt=cfg.dt, scheme=cfg.scheme, potential=potential,
+        dt=cfg.dt, potential=potential,
         boundary_guard=cfg.boundary_guard, guard_tol=cfg.guard_tol,
     ))
 
@@ -449,41 +447,33 @@ def evolve_line_sigma(
 # ---------------------------------------------------------------------------
 
 
-def write_checkpoint(state: GraphState, path, cfg: EvolutionConfig | None = None) -> None:
-    """CSV checkpoint: header line with (t, h, dt, L), then edge_id, x, re_u, im_u."""
-    h = float(state.grid.spacings[0])
-    L = float(max(state.grid.lengths))
-    dt = float(cfg.dt) if cfg is not None else float("nan")
-    lines = [f"# t={float(state.time)!r} h={h!r} dt={dt!r} L={L!r}", "edge_id,x,re_u,im_u"]
-    for eid in range(state.graph.n_edges):
-        x = state.grid.x(eid)
-        v = state.values[eid]
-        for xi, vi in zip(x, v):
-            lines.append(f"{eid},{float(xi)!r},{float(vi.real)!r},{float(vi.imag)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_checkpoint(state: GraphState, path, cfg: EvolutionConfig | None = None, meta: dict | None = None) -> None:
+    """CSV checkpoint: meta lines t, h, dt, L (after ``meta``), then edge_id, x, re_u, im_u."""
+    header = dict(meta or {})
+    header["t"] = float(state.time)
+    header["h"] = float(state.grid.spacings[0])
+    header["dt"] = float(cfg.dt) if cfg is not None else float("nan")
+    header["L"] = float(max(state.grid.lengths))
+    rows = (
+        (eid, xi, vi.real, vi.imag)
+        for eid in range(state.graph.n_edges)
+        for xi, vi in zip(state.grid.x(eid), state.values[eid])
+    )
+    write_csv(path, ["edge_id", "x", "re_u", "im_u"], rows, header)
 
 
 def read_checkpoint(path) -> tuple[dict, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Inverse of write_checkpoint; returns (meta, {edge_id: (x, u)})."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise ValueError("missing checkpoint header")
-        meta = {}
-        for tok in header[2:].split():
-            key, val = tok.split("=")
-            meta[key] = float(val)
-        cols = fh.readline().strip().split(",")
-        if cols != ["edge_id", "x", "re_u", "im_u"]:
-            raise ValueError("unexpected checkpoint columns")
-        per_edge: dict[int, list[tuple[float, complex]]] = {}
-        for line in fh:
-            eid, x, re, im = line.strip().split(",")
-            per_edge.setdefault(int(eid), []).append((float(x), float(re) + 1j * float(im)))
+    """Inverse of write_checkpoint; returns ({t, h, dt, L}, {edge_id: (x, u)})."""
+    meta, cols, rows = read_csv(path)
+    if cols != ["edge_id", "x", "re_u", "im_u"]:
+        raise ValueError("unexpected checkpoint columns")
+    try:
+        times = {key: float(meta[key]) for key in ("t", "h", "dt", "L")}
+    except KeyError as exc:
+        raise ValueError(f"checkpoint lacks meta line {exc}") from exc
+    data = np.array(rows, dtype=float).reshape(-1, 4)
     out = {}
-    for eid, rows in per_edge.items():
-        xs = np.array([r[0] for r in rows])
-        us = np.array([r[1] for r in rows])
-        out[eid] = (xs, us)
-    return meta, out
+    for eid in np.unique(data[:, 0]).astype(int):
+        sel = data[:, 0] == eid
+        out[int(eid)] = (data[sel, 1], data[sel, 2] + 1j * data[sel, 3])
+    return times, out

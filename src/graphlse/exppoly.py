@@ -19,6 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ._report import write_csv
+
 __all__ = [
     "LayerParams",
     "ExpPolynomial",
@@ -426,16 +428,16 @@ def invert_E(params: LayerParams, K: int, xi_grid: np.ndarray | None = None) -> 
     return WienerSeries(poly=inv, order=K, rho=rho, tail_bound=tail, params=params)
 
 
-def write_series_csv(series: WienerSeries, path) -> None:
-    """Dump: header with (N, a, l, K, rho), then rows n_2..n_{N-1}, re_c, im_c."""
+def write_series_csv(series: WienerSeries, path, meta: dict | None = None) -> None:
+    """Dump: meta lines N, a, l, K, rho (after ``meta``), then rows n_2..n_{N-1}, re_c, im_c."""
     p = series.params
-    a_txt = " ".join(repr(v) for v in p.a)
-    lines = [
-        f"# N={p.n_layers} a=[{a_txt}] l={p.l!r} K={series.order} rho={series.rho!r}",
-        ",".join([f"n_{m}" for m in range(2, p.n_layers)] + ["re_c", "im_c"]),
-    ]
+    header = dict(meta or {})
+    header.update(
+        N=p.n_layers, a="[" + " ".join(repr(float(v)) for v in p.a) + "]", l=float(p.l),
+        K=series.order, rho=float(series.rho),
+    )
+    rows = []
     for idx in sorted(series.poly.terms):
         c = complex(series.poly.terms[idx])
-        lines.append(",".join([str(i) for i in idx] + [repr(c.real), repr(c.imag)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append((*idx, c.real, c.imag))
+    write_csv(path, [f"n_{m}" for m in range(2, p.n_layers)] + ["re_c", "im_c"], rows, header)

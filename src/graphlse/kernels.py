@@ -5,16 +5,16 @@ Everything here is built from the free kernel
     k_t(z) = exp(i z^2 / 4t) / sqrt(4 pi i t),
 
 the layered kernel h_t (a Wiener-series combination of shifted copies of k_t)
-and finite atom sums over them.  The observation point stays on the leftmost
-layer (x <= 0); the solution there is a sum of integrals of first-row kernels
-p_t^{1,k} against the initial data on each layer, or equivalently a single
-free convolution (k_t * eta)(a_1 x) against a transported source profile eta.
+and the first-row kernels p_t^{1,k} built from it.  The observation point
+stays on the leftmost layer (x <= 0); the solution there is the single free
+convolution (k_t * eta)(a_1 x) against a transported source profile eta,
+evaluated on a uniform lattice with one FFT.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,18 +22,21 @@ from .evolution import PiecewiseCoefficient
 from .exppoly import LayerParams, WienerSeries, alpha_prefactor, ef_recursion, layer_params
 
 __all__ = [
-    "KernelAtom",
     "SourceAtom",
     "EtaProfile",
     "QuadratureDomainError",
     "free_kernel",
     "kernel_h",
-    "h_atoms",
     "kernel_p1k",
     "eta_profile",
     "solve_negative_halfline",
     "two_step_psi",
 ]
+
+
+# largest tail estimate of the sampled initial data, relative to its peak,
+# that solve_negative_halfline accepts
+GUARD_TOL = 1e-6
 
 
 class QuadratureDomainError(ValueError):
@@ -50,38 +53,18 @@ def free_kernel(t: float, z) -> np.ndarray:
     return np.conj(np.exp(1j * z**2 / (-4.0 * t)) / np.sqrt(-4j * math.pi * t))
 
 
-@dataclass(frozen=True)
-class KernelAtom:
-    """One weighted, shifted copy of the free kernel: weight * k_t(scale * x + shift)."""
-
-    weight: complex
-    scale: float
-    shift: float
-
-    def __post_init__(self):
-        if self.scale == 0:
-            raise ValueError("atom scale must be nonzero")
-
-    def __call__(self, t: float, x) -> np.ndarray:
-        return self.weight * free_kernel(t, self.scale * np.asarray(x, dtype=float) + self.shift)
-
-
-def h_atoms(series: WienerSeries) -> tuple[KernelAtom, ...]:
-    """h_t(x) = sum_m c_m k_t(x - 2 l (m . a_mid)) as kernel atoms."""
-    p = series.params
-    out = []
-    for idx, c in series.coefficients.items():
-        shift = 2.0 * p.l * sum(n * am for n, am in zip(idx, p.a_mid))
-        out.append(KernelAtom(c, 1.0, -shift))
-    return tuple(out)
+def _lattice_shift(params: LayerParams, idx: tuple[int, ...]) -> float:
+    """Shift 2 l (m . a_mid) of the Wiener lattice point with multi-index m."""
+    return 2.0 * params.l * sum(n * am for n, am in zip(idx, params.a_mid))
 
 
 def kernel_h(t: float, x, series: WienerSeries) -> np.ndarray:
-    """Layered kernel h_t(x); reduces to the free kernel when there are two layers."""
+    """Layered kernel h_t(x) = sum_m c_m k_t(x - 2 l (m . a_mid)); reduces to
+    the free kernel when there are two layers."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
-    for atom in h_atoms(series):
-        out += atom(t, x)
+    for idx, c in series.coefficients.items():
+        out += c * free_kernel(t, x - _lattice_shift(series.params, idx))
     return out
 
 
@@ -114,8 +97,7 @@ def _p_terms(params: LayerParams, k: int) -> list[tuple[complex, float, float]]:
     if k == 1:
         _, F = ef_recursion(N - 1, 1, params)
         for idx, c in F.terms.items():
-            shift = 2.0 * l * sum(n * am for n, am in zip(idx, params.a_mid))
-            terms.append((-a1 * c, +a1, -shift))
+            terms.append((-a1 * c, +a1, -_lattice_shift(params, idx)))
         return terms
     if k == N:
         al = alpha_prefactor(N, params)
@@ -126,10 +108,10 @@ def _p_terms(params: LayerParams, k: int) -> list[tuple[complex, float, float]]:
     base = -l * sum(a[1:k])
     E, F = ef_recursion(N - 1, k, params)
     for idx, c in E.terms.items():
-        shift = 2.0 * l * sum(n * am for n, am in zip(idx, params.a_mid))
+        shift = _lattice_shift(params, idx)
         terms.append((a1 * al * c, -a[k - 1], a[k - 1] * (k - 1) * l + base - shift))
     for idx, c in F.terms.items():
-        shift = 2.0 * l * sum(n * am for n, am in zip(idx, params.a_mid))
+        shift = _lattice_shift(params, idx)
         terms.append((-a1 * al * c, +a[k - 1], -a[k - 1] * (k - 1) * l + base - shift))
     return terms
 
@@ -239,18 +221,50 @@ class EtaProfile:
         return out
 
     def convolve(self, t: float, x, u0_nodes: np.ndarray, u0_values: np.ndarray) -> np.ndarray:
-        """(k_t * eta)(front_scale * x) by transporting each atom back to the
-        u0 sample grid (trapezoid in the source variable)."""
+        """(k_t * eta)(front_scale * x) on an increasing uniform grid x, as one lattice convolution.
+
+        eta is sampled once on the lattice z_j = front_scale * x[0] + j dz with
+        dz = front_scale * dx / m, where dx is the spacing of x and
+        m = ceil(dx / smallest node spacing), so every m-th lattice point is an
+        observation point.  u0 is the linear interpolant of its samples and 0
+        outside the nodes; infinite source intervals end at the outer nodes.
+        The rectangle sum dz * sum_j k_t(X - z_j) eta(z_j) is one FFT product.
+        """
         x = np.asarray(x, dtype=float)
-        X = self.front_scale * x
-        out = np.zeros(x.shape, dtype=complex)
+        xs = x.ravel()
+        nodes = np.asarray(u0_nodes, dtype=float)
+        values = np.asarray(u0_values, dtype=complex)
+        if xs.size == 0:
+            raise ValueError("no observation points")
+        h = float(np.min(np.diff(nodes)))
+        dx = (xs[-1] - xs[0]) / (len(xs) - 1) if len(xs) > 1 else h
+        if not dx > 0 or np.any(np.abs(np.diff(xs) - dx) > 1e-9 * dx):
+            raise ValueError("observation points must be increasing and uniformly spaced")
+        m = math.ceil(dx / h - 1e-9)
+        dz = self.front_scale * dx / m
+        z0 = self.front_scale * xs[0]
+
+        def u0(y):
+            return np.interp(y, nodes, values.real, 0.0, 0.0) + 1j * np.interp(y, nodes, values.imag, 0.0, 0.0)
+
+        spans = []  # (atom, first, last lattice index of its clipped image)
         for atom in self.atoms:
-            ys, vals = _restrict(u0_nodes, u0_values, atom.y_lo, atom.y_hi)
-            if len(ys) < 2:
-                continue
-            kern = free_kernel(t, X[:, None] - (atom.scale * ys + atom.shift)[None, :])
-            out += atom.weight * np.trapezoid(kern * vals[None, :], ys, axis=1)
-        return out
+            y_lo, y_hi = max(atom.y_lo, nodes[0]), min(atom.y_hi, nodes[-1])
+            if y_lo < y_hi:
+                za, zb = sorted((atom.scale * y_lo + atom.shift, atom.scale * y_hi + atom.shift))
+                spans.append((atom, math.floor((za - z0) / dz), math.ceil((zb - z0) / dz)))
+        j0 = min(first for _, first, _ in spans)
+        j1 = max(last for _, _, last in spans)
+        eta = np.zeros(j1 - j0 + 1, dtype=complex)
+        for atom, first, last in spans:
+            eta[first - j0 : last - j0 + 1] += atom.eta_values(u0, z0 + dz * np.arange(first, last + 1))
+        # output i is dz * sum_j k_t((i m - j) dz) eta_j, entry len(eta) - 1 + i m
+        # of the linear convolution of eta with k_t on lags -j1 .. (len(xs) - 1) m - j0
+        n_out = (len(xs) - 1) * m + 1
+        kern = free_kernel(t, dz * np.arange(-j1, n_out - j0))
+        size = 1 << (len(kern) - 1).bit_length()
+        full = np.fft.ifft(np.fft.fft(eta, size) * np.fft.fft(kern, size))
+        return dz * full[len(eta) - 1 : len(eta) - 1 + n_out : m].reshape(x.shape)
 
 
 def eta_profile(params: LayerParams, series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
@@ -259,17 +273,12 @@ def eta_profile(params: LayerParams, series: WienerSeries, u0: Callable | None =
     atoms = [SourceAtom(a1, a1, 0.0, -math.inf, 0.0)]
     psi = _psi_source_atoms(params)
     for idx, c in series.coefficients.items():
-        lattice = 2.0 * params.l * sum(n * am for n, am in zip(idx, params.a_mid))
+        lattice = _lattice_shift(params, idx)
         for atom in psi:
             atoms.append(
                 SourceAtom(c * atom.weight, atom.scale, atom.shift + lattice, atom.y_lo, atom.y_hi)
             )
     return EtaProfile(tuple(atoms), front_scale=a1, u0=u0)
-
-
-def _restrict(nodes: np.ndarray, values: np.ndarray, lo: float, hi: float):
-    mask = (nodes >= lo - 1e-12) & (nodes <= hi + 1e-12)
-    return nodes[mask], values[mask]
 
 
 def _tail_estimate(nodes, values, t, weight_sum) -> float:
@@ -283,14 +292,14 @@ def solve_negative_halfline(
     t: float,
     x_grid: np.ndarray,
     series: WienerSeries,
-    guard_tol: float = 1e-6,
 ) -> np.ndarray:
     """Solution of the layered line problem at time t on observation points x <= 0.
 
     ``u0`` is (nodes, values) sampling the initial data on a grid that covers
-    its support; the integrals over each layer use trapezoid quadrature on the
-    given nodes.  Fails when the sampled data is visibly truncated (boundary
-    samples too large for the requested accuracy).
+    its support, and ``x_grid`` is uniformly spaced.  The solution is the
+    single lattice convolution (k_t * eta)(a_1 x) of ``EtaProfile.convolve``.
+    Fails when the sampled data is visibly truncated (boundary samples too
+    large for the requested accuracy).
     """
     if t == 0:
         raise ValueError("representation is for t != 0")
@@ -303,24 +312,11 @@ def solve_negative_halfline(
     params = layer_params(sigma.values, sigma.spacing)
     weight_sum = sum(abs(c) for c in series.coefficients.values()) + 1.0
     scale = float(np.max(np.abs(values))) or 1.0
-    if _tail_estimate(nodes, values, t, weight_sum) > guard_tol * scale:
+    if _tail_estimate(nodes, values, t, weight_sum) > GUARD_TOL * scale:
         raise QuadratureDomainError(
             "initial data is not small at the sampled domain ends; enlarge the grid"
         )
-    a1 = params.a[0]
-    out = np.zeros(x_grid.shape, dtype=complex)
-    for k in range(1, params.n_layers + 1):
-        lo, hi = _layer_interval(params, k)
-        ys, vals = _restrict(nodes, values, lo, hi)
-        if len(ys) < 2:
-            continue
-        if k == 1:
-            kern = free_kernel(t, a1 * x_grid[:, None] - a1 * ys[None, :])
-            out += a1 * np.trapezoid(kern * vals[None, :], ys, axis=1)
-        for w, ycoef, const in _p_terms(params, k):
-            args = a1 * x_grid[:, None] + ycoef * ys[None, :] + const
-            out += w * np.trapezoid(kernel_h(t, args, series) * vals[None, :], ys, axis=1)
-    return out
+    return eta_profile(params, series).convolve(t, x_grid, nodes, values)
 
 
 def two_step_psi(u0: Callable, a1: float, a2: float) -> tuple[EtaProfile, EtaProfile]:

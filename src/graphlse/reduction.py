@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._report import write_csv
 from .graphs import GraphGrid, GraphState, MetricGraph, edge_derivative_at_end, edge_derivative_at_start
 
 __all__ = [
@@ -199,12 +200,6 @@ class ReductionMap:
     def sigma_plus(self) -> float:
         return self.sigma[-1]
 
-    def map_point(self, x: float) -> float:
-        k = int(np.searchsorted(self.tilde_breakpoints, x, side="right"))
-        if k == 0:
-            return self.targets[0] + self.slopes[0] * (x - self.tilde_breakpoints[0])
-        return self.targets[k - 1] + self.slopes[k] * (x - self.tilde_breakpoints[k - 1])
-
 
 def reduction_map(graph: MetricGraph) -> ReductionMap:
     """Rectifying maps for a regular tree, built from the branching degrees.
@@ -328,14 +323,8 @@ def _affine(rmap: ReductionMap, k: int, x: float, n: int) -> float:
     return b[k - 1] + rmap.slopes[k] * (x - tilde[k - 1])
 
 
-def write_reduction_report(rmap: ReductionMap, path) -> None:
-    """CSV audit table: k, tilde_a_k, b_k, slope_k, sigma_k."""
-    lines = ["k,tilde_a,b,slope,sigma"]
-    for k in range(len(rmap.slopes)):
-        if k == 0:
-            ta, b = "-inf", "-inf"
-        else:
-            ta, b = repr(rmap.tilde_breakpoints[k - 1]), repr(rmap.targets[k - 1])
-        lines.append(f"{k},{ta},{b},{rmap.slopes[k]!r},{rmap.sigma[k]!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_reduction_report(rmap: ReductionMap, path, meta: dict | None = None) -> None:
+    """CSV audit table: k, tilde_a_k, b_k, slope_k, sigma_k (-inf ends for k = 0)."""
+    ends = [(-math.inf, -math.inf)] + list(zip(rmap.tilde_breakpoints, rmap.targets))
+    rows = ((k, *ends[k], rmap.slopes[k], rmap.sigma[k]) for k in range(len(rmap.slopes)))
+    write_csv(path, ["k", "tilde_a", "b", "slope", "sigma"], rows, meta)

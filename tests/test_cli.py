@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphlse.cli import ConfigError, emit_plots, main, parse_config, run_config
+from graphlse._report import read_csv
+from graphlse.cli import KINDS, ConfigError, emit_plots, main, parse_config, run_config
 
 
 SHARPNESS_INI = """
@@ -58,6 +59,82 @@ eps = 0.5
 r = 4.0
 nt = 101
 nx = 301
+"""
+
+STAR_SIMULATE_INI = """
+[experiment]
+kind = simulate
+
+[graph]
+type = star
+n_edges = 3
+length = 30.0
+spacing = 0.05
+
+[initial]
+alpha = 1.0
+
+[time]
+t_final = 0.1
+dt = 0.01
+"""
+
+KERNEL_INI = """
+[experiment]
+kind = kernel-compare
+
+[sigma]
+values = 1.0, 2.0, 1.0
+spacing = 1.0
+length = 30.0
+grid_spacing = 0.05
+
+[initial]
+alpha = 1.0
+center = -3.0
+
+[time]
+t_final = 1.0
+dt = 0.002
+
+[kernel]
+order = 16
+x_min = -12.0
+"""
+
+TREE_INI = """
+[experiment]
+kind = reduce-tree
+seed = 2
+
+[graph]
+type = regular_tree
+lengths = 1.0
+degrees = 2, 2
+length = 20.0
+spacing = 0.05
+
+[time]
+t_final = 0.2
+dt = 0.002
+"""
+
+LINE_SIMULATE_INI = """
+[experiment]
+kind = simulate
+
+[sigma]
+values = 1.0, 2.0
+spacing = 1.0
+length = 30.0
+grid_spacing = 0.05
+
+[initial]
+alpha = 1.0
+
+[time]
+t_final = 0.2
+dt = 0.005
 """
 
 
@@ -193,86 +270,30 @@ dt = 0.01
 
 
 def test_simulate_writes_checkpoint(tmp_path):
-    text = """
-[experiment]
-kind = simulate
-
-[graph]
-type = star
-n_edges = 3
-length = 30.0
-spacing = 0.05
-
-[initial]
-alpha = 1.0
-
-[time]
-t_final = 0.1
-dt = 0.01
-"""
-    code, out = run_main(tmp_path, text)
+    code, out = run_main(tmp_path, STAR_SIMULATE_INI)
     assert code == 0
-    ck = (out / "checkpoint.csv").read_text().splitlines()
-    assert re.match(r"# t=0\.1\d* h=0\.05 dt=0\.01 L=30\.0", ck[0])
-    assert ck[1] == "edge_id,x,re_u,im_u"
+    meta, columns, _ = read_csv(out / "checkpoint.csv")
+    assert re.fullmatch(r"0\.1\d*", meta["t"])
+    assert (meta["h"], meta["dt"], meta["L"]) == ("0.05", "0.01", "30.0")
+    assert columns == ["edge_id", "x", "re_u", "im_u"]
 
 
 def test_kernel_compare_runs(tmp_path):
-    text = """
-[experiment]
-kind = kernel-compare
-
-[sigma]
-values = 1.0, 2.0, 1.0
-spacing = 1.0
-length = 30.0
-grid_spacing = 0.05
-
-[initial]
-alpha = 1.0
-center = -3.0
-
-[time]
-t_final = 1.0
-dt = 0.002
-
-[kernel]
-order = 16
-x_min = -12.0
-"""
-    code, out = run_main(tmp_path, text)
+    code, out = run_main(tmp_path, KERNEL_INI)
     assert code == 0
     lines = [l for l in (out / "summary.csv").read_text().splitlines() if l.startswith("relative_l2_error")]
     assert float(lines[0].split(",")[1]) <= 2e-2
-    series = (out / "wiener_series.csv").read_text()
-    assert series.startswith("# N=3")
+    assert read_csv(out / "wiener_series.csv")[0]["N"] == "3"
     plot = (out / "plot_results.py").read_text()
     assert "kernel_compare.csv" in plot
 
 
 def test_reduce_tree_runs(tmp_path):
-    text = """
-[experiment]
-kind = reduce-tree
-seed = 2
-
-[graph]
-type = regular_tree
-lengths = 1.0
-degrees = 2, 2
-length = 20.0
-spacing = 0.05
-
-[time]
-t_final = 0.2
-dt = 0.002
-"""
-    code, out = run_main(tmp_path, text)
+    code, out = run_main(tmp_path, TREE_INI)
     assert code == 0
     lines = [l for l in (out / "summary.csv").read_text().splitlines() if l.startswith("diagram_rel_l2")]
     assert float(lines[0].split(",")[1]) <= 2e-2
-    rep = (out / "reduction_report.csv").read_text().splitlines()
-    assert rep[0] == "k,tilde_a,b,slope,sigma"
+    assert read_csv(out / "reduction_report.csv")[1] == ["k", "tilde_a", "b", "slope", "sigma"]
 
 
 def test_emit_plots_missing_results(tmp_path):
@@ -298,24 +319,7 @@ def test_jobs_parallel_carleman(tmp_path):
 
 
 def test_simulate_line_sigma(tmp_path):
-    text = """
-[experiment]
-kind = simulate
-
-[sigma]
-values = 1.0, 2.0
-spacing = 1.0
-length = 30.0
-grid_spacing = 0.05
-
-[initial]
-alpha = 1.0
-
-[time]
-t_final = 0.2
-dt = 0.005
-"""
-    code, out = run_main(tmp_path, text)
+    code, out = run_main(tmp_path, LINE_SIMULATE_INI)
     assert code == 0
     lines = [l for l in (out / "summary.csv").read_text().splitlines() if not l.startswith("#")]
     vals = {r.split(",")[0]: float(r.split(",")[1]) for r in lines[1:]}
@@ -343,3 +347,54 @@ dt = 0.001
     assert vals["family"] == "two-step"
     assert float(vals["solver_vs_closed_rel_l2"]) <= 5e-3
     assert abs(float(vals["product"]) - 1.0 / 16.0) <= 0.10 / 16.0
+
+
+# one config per kind, and both simulate variants; every CSV must carry the
+# provenance header, and the array tables must hold plain numbers
+CONTRACT_CONFIGS = {
+    "simulate-star": STAR_SIMULATE_INI,
+    "simulate-line": LINE_SIMULATE_INI,
+    "kernel-compare": KERNEL_INI,
+    "sharpness": SHARPNESS_INI,
+    "reduce-tree": TREE_INI,
+    "carleman": CARLEMAN_INI,
+    "appell": APPELL_INI,
+    "threshold-sweep": SWEEP_INI,
+}
+NUMERIC_CSVS = {"kernel_compare.csv", "line_state.csv", "diagram.csv", "decay_profile.csv"}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_CONFIGS))
+def test_output_contract(tmp_path, name):
+    assert {parse_config(text).kind for text in CONTRACT_CONFIGS.values()} == set(KINDS)
+    code, out = run_main(tmp_path, CONTRACT_CONFIGS[name])
+    assert code == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert path.read_text().startswith("# tool=graphlse "), path.name
+        if path.name in NUMERIC_CSVS:
+            _, _, rows = read_csv(path)
+            assert rows, path.name
+            for row in rows:
+                for cell in row:
+                    float(cell)
+
+
+@pytest.mark.parametrize(
+    "change, code, message",
+    [
+        (("length = 30.0", "length = 4.0"), 2, "numerical guard:"),  # data not small at the ends
+        (("dt = 0.002", "dt = 0.003"), 1, "config error:"),  # dt does not divide t_final
+        (("spacing = 1.0\n", "spacing = 1.01\n"), 1, "config error:"),  # breakpoint off the grid
+        (("x_min = -12.0", "x_min = 1.0"), 1, "config error:"),  # no observation point x <= 0
+    ],
+    ids=["short-length", "dt-not-dividing", "breakpoint-off-grid", "no-observation-points"],
+)
+def test_kernel_compare_bad_inputs_exit_codes(tmp_path, capsys, change, code, message):
+    text = KERNEL_INI.replace(*change)
+    assert text != KERNEL_INI
+    assert run_main(tmp_path, text)[0] == code
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(message)
+    assert "\n" not in err

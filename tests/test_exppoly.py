@@ -17,6 +17,7 @@ from graphlse import (
     transfer_matrix,
     write_series_csv,
 )
+from graphlse._report import read_csv
 from graphlse.exppoly import default_xi_grid
 
 configs = st.tuples(
@@ -284,7 +285,9 @@ def test_series_csv_dump(tmp_path):
     s = invert_E(p, 6)
     path = tmp_path / "series.csv"
     write_series_csv(s, path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# N=3 a=[1.0 2.0 1.0] l=1.0 K=6 rho=")
-    assert text[1] == "n_2,re_c,im_c"
-    assert len(text) == 2 + len(s.poly.terms)
+    assert path.read_text().startswith("# tool=graphlse")
+    meta, columns, rows = read_csv(path)
+    assert (meta["N"], meta["a"], meta["l"], meta["K"]) == ("3", "[1.0 2.0 1.0]", "1.0", "6")
+    assert float(meta["rho"]) == s.rho
+    assert columns == ["n_2", "re_c", "im_c"]
+    assert len(rows) == len(s.poly.terms)

@@ -15,6 +15,7 @@ from graphlse import (
     star_sum,
     write_reduction_report,
 )
+from graphlse._report import read_csv
 
 
 def rel_l2(u, v, x):
@@ -280,7 +281,8 @@ def test_reduction_report(tmp_path, binary_tree):
     graph, _ = binary_tree
     path = tmp_path / "report.csv"
     write_reduction_report(reduction_map(graph), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,tilde_a,b,slope,sigma"
-    assert len(lines) == 5  # 4 intervals for n = 1
-    assert lines[1].startswith("0,-inf,-inf,")
+    assert path.read_text().startswith("# tool=graphlse")
+    _, columns, rows = read_csv(path)
+    assert columns == ["k", "tilde_a", "b", "slope", "sigma"]
+    assert len(rows) == 4  # 4 intervals for n = 1
+    assert rows[0][:3] == ["0", "-inf", "-inf"]
