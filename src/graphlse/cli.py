@@ -395,6 +395,11 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]
     rs = cfg.get("carleman", "r", [2.0, 4.0, 8.0])
     nt = int(cfg.get("carleman", "nt", 201))
     nx = int(cfg.get("carleman", "nx", 801))
+    if n_seeds < 1:
+        raise ConfigError("[carleman] n_seeds must be at least 1")
+    for key, values in (("n_edges", ns), ("mu", mus), ("eps", epss), ("r", rs)):
+        if not values:
+            raise ConfigError(f"[carleman] {key} lists no value")
     base = int(cfg.seed)
     tasks = [
         (int(N), base + s, float(mu), float(eps), float(R), nt, nx)

@@ -289,13 +289,13 @@ def _evolve_packed(u, stepper, nsteps, t0, dt_signed, phase_fn=None):
     return u
 
 
-def evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig) -> GraphState:
-    """Evolve i u_t + Laplacian_Gamma u = 0 (plus cfg.potential if set) to t_final.
+def _evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig, static, dynamic) -> GraphState:
+    """Cayley steps wrapped in the potential's phase half-steps.
 
-    The L2 norm of the result equals the initial norm to round-off for a real
-    (or absent) potential.  Negative t_final runs the reversed group.
+    ``static`` is sampled once, ``dynamic`` at every half-step; a number
+    stands for the constant potential.  Without a dynamic part the phase
+    exp(i dt/2 v) is computed once.
     """
-    potential = cfg.potential
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
     packing = _pack_graph(u0.graph, u0.grid)
     pairs, weights, hs = _graph_cells(u0.graph, u0.grid, packing)
@@ -303,16 +303,35 @@ def evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig) -> GraphS
     dt_signed = math.copysign(cfg.dt, t_final - u0.time) if t_final != u0.time else cfg.dt
     stepper = _cayley_stepper(mass, K, dt_signed, packing.dirichlet)
     u = _pack_state(u0, packing)
+
+    def sample(f, t):
+        if isinstance(f, (int, float, complex)):
+            f = lambda t, x, c=f: c
+        return _sample_potential(f, t, packing, u0.graph, u0.grid)
+
+    v1 = None if static is None else sample(static, u0.time)
     phase_fn = None
-    if potential is not None:
-        def phase_fn(t, _p=potential):
-            v = _sample_potential(_p, t, packing, u0.graph, u0.grid)
-            return np.exp(1j * (dt_signed / 2.0) * v)
+    if dynamic is not None:
+        def phase_fn(t):
+            v = sample(dynamic, t)
+            return np.exp(1j * (dt_signed / 2.0) * (v if v1 is None else v1 + v))
+    elif v1 is not None:
+        phase = np.exp(1j * (dt_signed / 2.0) * v1)
+        phase_fn = lambda t: phase
     u = _evolve_packed(u, stepper, nsteps, u0.time, dt_signed, phase_fn)
     out = _unpack_state(u, u0, packing, u0.time + nsteps * dt_signed)
     if cfg.boundary_guard is not None:
         _guard_graph(out, cfg.boundary_guard, cfg.guard_tol)
     return out
+
+
+def evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig) -> GraphState:
+    """Evolve i u_t + Laplacian_Gamma u = 0 (plus cfg.potential if set) to t_final.
+
+    The L2 norm of the result equals the initial norm to round-off for a real
+    (or absent) potential.  Negative t_final runs the reversed group.
+    """
+    return _evolve_graph(u0, t_final, cfg, None, cfg.potential)
 
 
 def evolve_graph_potential(
@@ -324,44 +343,13 @@ def evolve_graph_potential(
 ) -> GraphState:
     """Evolve u_t = i (Laplacian_Gamma + V1(x) + V2(t, x)) u.
 
-    V1 is time independent (real for a unitary flow); V2 may be complex, in
-    which case the norm drifts like exp(-t * Im V2) for constant V2.  Either
-    may be a single callable used on every edge or one callable per edge;
-    callables receive (t, x).
+    V1 is time independent (real for a unitary flow) and is sampled once, at
+    t = u0.time; V2 may be complex, in which case the norm drifts like
+    exp(-t * Im V2) for constant V2.  Either may be a single callable used on
+    every edge or one callable per edge; callables receive (t, x).
+    ``cfg.potential`` is not used.
     """
-    def lift_static(f):
-        if f is None:
-            return None
-        if isinstance(f, (int, float, complex)):
-            return lambda t, x, _c=f: np.full_like(np.asarray(x, dtype=float), _c, dtype=complex)
-        if callable(f):
-            return f
-        return [(lambda t, x, _g=g: np.asarray(_g(t, x), dtype=complex)) for g in f]
-
-    V1f, V2f = lift_static(V1), lift_static(V2)
-    n_edges = u0.graph.n_edges
-
-    def per_edge(f, eid):
-        if f is None:
-            return None
-        return f[eid] if isinstance(f, list) else f
-
-    def combined(eid):
-        f1, f2 = per_edge(V1f, eid), per_edge(V2f, eid)
-        def V(t, x):
-            out = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-            if f1 is not None:
-                out = out + np.asarray(f1(t, x), dtype=complex)
-            if f2 is not None:
-                out = out + np.asarray(f2(t, x), dtype=complex)
-            return out
-        return V
-
-    potential = [combined(e) for e in range(n_edges)]
-    return evolve_graph(u0, t_final, EvolutionConfig(
-        dt=cfg.dt, potential=potential,
-        boundary_guard=cfg.boundary_guard, guard_tol=cfg.guard_tol,
-    ))
+    return _evolve_graph(u0, t_final, cfg, V1, V2)
 
 
 # ---------------------------------------------------------------------------

@@ -361,23 +361,23 @@ def default_xi_grid(params: LayerParams, n: int = 2048) -> np.ndarray:
     return np.linspace(-2.0 * span, 2.0 * span, n)
 
 
-def invert_E(params: LayerParams, K: int, xi_grid: np.ndarray | None = None) -> WienerSeries:
+def invert_E(params: LayerParams, K: int) -> WienerSeries:
     """Constructive Wiener inversion of E_{N-1,1}, truncated at total weight K.
 
     Follows the level-by-level geometric expansion: with
     G_j = e^{2 i xi l (a_2+...+a_{j-1})} F_{j-1,1} / E_{j-1,1} mapping into the
     unit disk, 1/E_{j,1} = (1/E_{j-1,1}) sum_n (-gamma_j e^{2 i xi l a_j} G_j)^n.
-    Every retained multi-index is componentwise >= 0.  The empirical
-    contraction ratio rho is measured on ``xi_grid`` and certifies the
-    truncation tail as rho^(K+1)/(1-rho).
+    Every retained multi-index is componentwise >= 0.  The contraction ratio
+    rho is the maximum of |F_{j,1} / E_{j,1}| over the sampled frequencies of
+    ``default_xi_grid(params)``, and ``tail_bound`` = rho^(K+1)/(1-rho) is an
+    estimate of the truncation tail, not a certified bound.
     """
     if K < 0:
         raise ValueError("truncation order must be >= 0")
     N = params.n_layers
     zero = _zero_index(params)
     width = len(zero)
-    if xi_grid is None:
-        xi_grid = default_xi_grid(params)
+    xi_grid = default_xi_grid(params)
 
     def prune_weight(p: ExpPolynomial) -> ExpPolynomial:
         kept = {idx: c for idx, c in p.terms.items() if sum(idx) <= K}

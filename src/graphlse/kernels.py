@@ -68,11 +68,6 @@ def kernel_h(t: float, x, series: WienerSeries) -> np.ndarray:
     return out
 
 
-def h_magnitude_bound(t: float, series: WienerSeries) -> float:
-    """sup_x |h_t(x)| <= (sum |c_m|) / sqrt(4 pi |t|) since the phases are unimodular."""
-    return sum(abs(c) for c in series.coefficients.values()) / math.sqrt(4.0 * math.pi * abs(t))
-
-
 def _layer_interval(params: LayerParams, k: int) -> tuple[float, float]:
     N = params.n_layers
     l = params.l
@@ -281,7 +276,7 @@ def eta_profile(params: LayerParams, series: WienerSeries, u0: Callable | None =
     return EtaProfile(tuple(atoms), front_scale=a1, u0=u0)
 
 
-def _tail_estimate(nodes, values, t, weight_sum) -> float:
+def _tail_estimate(values, t, weight_sum) -> float:
     mag = abs(values[0]) + abs(values[-1])
     return mag * weight_sum / math.sqrt(4.0 * math.pi * abs(t))
 
@@ -312,7 +307,7 @@ def solve_negative_halfline(
     params = layer_params(sigma.values, sigma.spacing)
     weight_sum = sum(abs(c) for c in series.coefficients.values()) + 1.0
     scale = float(np.max(np.abs(values))) or 1.0
-    if _tail_estimate(nodes, values, t, weight_sum) > GUARD_TOL * scale:
+    if _tail_estimate(values, t, weight_sum) > GUARD_TOL * scale:
         raise QuadratureDomainError(
             "initial data is not small at the sampled domain ends; enlarge the grid"
         )

@@ -142,24 +142,45 @@ def test_sides_scale_quadratically_in_amplitude():
     assert m2.rhs == pytest.approx(9.0 * m1.rhs, rel=1e-12)
 
 
+def _n2_oracle(sample, weight, alphas, nt, nx):
+    """Both sides and the stride-2 error estimate from the N^2 weights
+    e^{2 phi_j^k}, each integrated against its own edge and re-evaluated on the
+    coarse grid."""
+    alpha = alphas.as_array()
+
+    def both(t, x):
+        q2 = np.abs(sample.values(t, x)) ** 2
+        d2 = np.abs(sample.defect(t, x)) ** 2
+        mass = rhs = 0.0
+        for k in range(alphas.n_edges):
+            for j in range(alphas.n_edges):
+                w = np.exp(2.0 * weight.phi(alpha[k][j], t[:, None], x[None, :]))
+                mass += np.trapezoid(np.trapezoid(w * q2[j], x, axis=-1), t)
+                rhs += np.trapezoid(np.trapezoid(w * d2[j], x, axis=-1), t)
+        return weight.lhs_prefactor * float(mass), float(rhs)
+
+    t = np.linspace(0.0, 1.0, nt)
+    x = np.linspace(0.0, sample.support_x, nx)
+    lhs, rhs = both(t, x)
+    lhs_c, rhs_c = both(t[::2], x[::2])
+    return lhs, rhs, (abs(lhs - lhs_c) + abs(rhs - rhs_c)) / 3.0
+
+
 def test_lhs_prefactor_identity():
-    # lhs equals (R^2 eps / 8 mu) times the weighted mass of q by construction
-    s = sample_zcomp(3, 1)
-    av = alpha_vectors(3)
-    w1 = CarlemanWeight(1.0, 0.5, 2.0)
-    m1 = carleman_sides(s, w1, av, nt=101, nx=301)
-    assert w1.lhs_prefactor == pytest.approx(0.25)
-    # recompute the weighted mass independently and compare
-    t = np.linspace(0, 1, 101)
-    x = np.linspace(0, s.support_x, 301)
-    q2 = np.abs(s.values(t, x)) ** 2
-    alpha = av.as_array()
-    mass = 0.0
-    for k in range(3):
-        for j in range(3):
-            phi = w1.phi(alpha[k][j], t[:, None], x[None, :])
-            mass += np.trapezoid(np.trapezoid(np.exp(2 * phi) * q2[j], x, axis=-1), t)
-    assert m1.lhs == pytest.approx(w1.lhs_prefactor * float(mass), rel=1e-12)
+    # the single-weight sides equal the N^2 sums over (k, j) of the weighted
+    # edge integrals, lhs carrying the prefactor R^2 eps / 8 mu
+    assert CarlemanWeight(1.0, 0.5, 2.0).lhs_prefactor == pytest.approx(0.25)
+    for n in range(2, 9):
+        av = alpha_vectors(n)
+        s = sample_zcomp(n, n)
+        for mu, eps, R in [(1.0, 0.5, 2.0), (0.5, 0.25, 8.0), (2.0, 0.5, 4.0)]:
+            w = CarlemanWeight(mu, eps, R)
+            m = carleman_sides(s, w, av, nt=101, nx=301)
+            lhs, rhs, err = _n2_oracle(s, w, av, nt=101, nx=301)
+            assert m.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+            assert m.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+            assert m.margin == pytest.approx(rhs - lhs, rel=1e-12, abs=0.0)
+            assert abs(m.quad_error - err) <= 1e-12 * (lhs + rhs)
 
 
 def test_overflow_guard():

@@ -392,9 +392,34 @@ def test_output_contract(tmp_path, name):
     ids=["short-length", "dt-not-dividing", "breakpoint-off-grid", "no-observation-points"],
 )
 def test_kernel_compare_bad_inputs_exit_codes(tmp_path, capsys, change, code, message):
-    text = KERNEL_INI.replace(*change)
-    assert text != KERNEL_INI
-    assert run_main(tmp_path, text)[0] == code
+    _check_bad_input(tmp_path, capsys, KERNEL_INI, change, code, message)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        ("nt = 101", "nt = 2"),  # no interior time sample
+        ("nx = 301", "nx = 2"),  # one-point coarse grid
+        ("n_seeds = 2", "n_seeds = 0"),
+        ("n_edges = 3", "n_edges ="),
+        ("mu = 1.0", "mu ="),
+        ("eps = 0.5", "eps ="),
+        ("r = 4.0", "r ="),
+    ],
+    ids=["nt-2", "nx-2", "no-seeds", "no-edge-counts", "no-mu", "no-eps", "no-r"],
+)
+def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change):
+    out = _check_bad_input(tmp_path, capsys, CARLEMAN_INI, change, 1, "config error:")
+    assert not list(out.glob("*.csv"))
+
+
+def _check_bad_input(tmp_path, capsys, base, change, code, message):
+    """Run ``base`` with one line changed; expect ``code`` and one stderr line."""
+    text = base.replace(*change)
+    assert text != base
+    got, out = run_main(tmp_path, text)
+    assert got == code
     err = capsys.readouterr().err.strip()
     assert err.startswith(message)
     assert "\n" not in err
+    return out

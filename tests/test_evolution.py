@@ -161,6 +161,22 @@ def test_constant_imaginary_potential_decays_exactly(star3):
     assert abs(weighted_l2_norm(out) - expected) <= 1e-6 * expected
 
 
+def test_static_potential_sampled_once_per_edge(star3):
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, gaussian())
+    calls = []
+
+    def V1(t, x):
+        calls.append(t)
+        return np.cos(x) / (1 + x**2)
+
+    V2 = lambda t, x: 0.1 * t + 0.0 * x
+    for v2 in (None, V2):
+        calls.clear()
+        evolve_graph_potential(st, V1, v2, 0.1, EvolutionConfig(dt=1e-2))
+        assert len(calls) == graph.n_edges
+
+
 def test_nan_potential_rejected(star3):
     graph, grid = star3
     st = GraphState.sample(graph, grid, gaussian())

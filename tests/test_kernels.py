@@ -19,7 +19,6 @@ from graphlse import (
     two_step_psi,
 )
 from graphlse.exppoly import ef_recursion
-from graphlse.kernels import h_magnitude_bound
 
 
 def rel_l2(u, v, x):
@@ -67,12 +66,6 @@ def test_h_equals_free_kernel_for_two_layers():
     s = invert_E(p, 10)
     x = np.linspace(-5, 5, 101)
     np.testing.assert_allclose(kernel_h(0.7, x, s), free_kernel(0.7, x), atol=1e-15)
-
-
-def test_h_magnitude_bound(s121):
-    x = np.linspace(-30, 30, 301)
-    for t in (0.5, 1.0, -2.0):
-        assert np.max(np.abs(kernel_h(t, x, s121))) <= h_magnitude_bound(t, s121) + 1e-12
 
 
 def test_h_against_regularized_quadrature_oracle(p121, s121):
