@@ -12,6 +12,7 @@ evaluates both sides by tensor trapezoid quadrature.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -292,14 +293,24 @@ class CarlemanMargin:
 _EXP_LIMIT = 700.0
 
 
+def _trapezoid_weights(s: np.ndarray) -> np.ndarray:
+    """Weights w with w @ f equal to the trapezoid rule for f sampled on s."""
+    w = np.zeros(len(s))
+    h = np.diff(s) / 2.0
+    w[:-1] += h
+    w[1:] += h
+    return w
+
+
 def carleman_sides(
     sample: ZcompSample,
-    weight: CarlemanWeight,
+    weights: Sequence[CarlemanWeight],
     alphas: AlphaVectors,
     nt: int = 201,
     nx: int = 801,
-) -> CarlemanMargin:
-    """Evaluate both sides of the inequality by tensor trapezoid quadrature.
+) -> list[CarlemanMargin]:
+    """Evaluate both sides of the inequality for each weight, by tensor
+    trapezoid quadrature; the margins come back in the order of ``weights``.
 
     The family is cyclic, so on every edge j the column {alpha_j^k}_k is the
     base vector in some order and sum_k e^{2 phi_j^k} is one weight
@@ -307,10 +318,14 @@ def carleman_sides(
     their multiplicities.  Both sides integrate W against the edge sums
     sum_j |q_j|^2 and sum_j |(d_t + i d_xx) q_j|^2.
 
+    The sample, its edge sums and the trapezoid weights are evaluated once
+    per call and shared by every weight: they form one (nt nx, 4) matrix B,
+    so a weight costs its (at most two) exp grids and one product W @ B.
+
     The quadrature error is estimated by re-integrating on the stride-2
-    subgrid (second-order quadrature, so a third of the difference bounds the
-    fine-grid error); a negative margin smaller than that estimate is noise,
-    anything beyond it is a genuine violation.
+    subgrid t[::2], x[::2] (second-order quadrature, so a third of the
+    difference bounds the fine-grid error); a negative margin smaller than
+    that estimate is noise, anything beyond it is a genuine violation.
     """
     if alphas.n_edges != sample.n_edges:
         raise ValueError("alpha vectors and sample disagree on the edge count")
@@ -318,22 +333,22 @@ def carleman_sides(
         raise ValueError("the stride-2 error estimate needs nt >= 3 and nx >= 3")
     t = np.linspace(0.0, 1.0, nt)
     x = np.linspace(0.0, sample.support_x, nx)
+    fine = np.outer(_trapezoid_weights(t), _trapezoid_weights(x))
+    coarse = np.zeros((nt, nx))
+    coarse[::2, ::2] = np.outer(_trapezoid_weights(t[::2]), _trapezoid_weights(x[::2]))
+    mass = np.sum(np.abs(sample.values(t, x)) ** 2, axis=0)
+    defect = np.sum(np.abs(sample.defect(t, x)) ** 2, axis=0)
+    B = np.stack([mass * fine, defect * fine, mass * coarse, defect * coarse], axis=-1).reshape(nt * nx, 4)
     entries, counts = np.unique(alphas.as_array()[0], return_counts=True)
-    phis = [weight.phi(b, t[:, None], x[None, :]) for b in entries]
-    peak = max(float(np.max(phi)) for phi in phis)
-    if 2.0 * peak > _EXP_LIMIT:
-        raise WeightOverflowError(f"max phi = {peak:.1f} would overflow exp; reduce mu, R or the support")
-    W = sum(m * np.exp(2.0 * phi) for m, phi in zip(counts, phis))
-    mass = W * np.sum(np.abs(sample.values(t, x)) ** 2, axis=0)
-    defect = W * np.sum(np.abs(sample.defect(t, x)) ** 2, axis=0)
-
-    def sides(step):
-        tt, xx = t[::step], x[::step]
-        lhs = np.trapezoid(np.trapezoid(mass[::step, ::step], xx, axis=-1), tt)
-        rhs = np.trapezoid(np.trapezoid(defect[::step, ::step], xx, axis=-1), tt)
-        return weight.lhs_prefactor * float(lhs), float(rhs)
-
-    lhs, rhs = sides(1)
-    lhs_c, rhs_c = sides(2)
-    err = (abs(lhs - lhs_c) + abs(rhs - rhs_c)) / 3.0
-    return CarlemanMargin(lhs=lhs, rhs=rhs, quad_error=err)
+    margins = []
+    for weight in weights:
+        phis = [weight.phi(b, t[:, None], x[None, :]) for b in entries]
+        peak = max(float(np.max(phi)) for phi in phis)
+        if 2.0 * peak > _EXP_LIMIT:
+            raise WeightOverflowError(f"max phi = {peak:.1f} would overflow exp; reduce mu, R or the support")
+        W = sum(m * np.exp(2.0 * phi) for m, phi in zip(counts, phis))
+        lhs, rhs, lhs_c, rhs_c = W.ravel() @ B
+        lhs, lhs_c = weight.lhs_prefactor * lhs, weight.lhs_prefactor * lhs_c
+        err = (abs(lhs - lhs_c) + abs(rhs - rhs_c)) / 3.0
+        margins.append(CarlemanMargin(lhs=float(lhs), rhs=float(rhs), quad_error=float(err)))
+    return margins

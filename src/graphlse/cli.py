@@ -380,11 +380,16 @@ def _run_reduce_tree(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [rep, diag, summary]
 
 
-def _carleman_cell(args):
-    n_edges, seed, mu, eps, R, nt, nx = args
+def _carleman_rows(args):
+    """Margin rows for one (N, seed) sample over its whole (mu, eps, R) list."""
+    n_edges, seed, cells, nt, nx = args
     sample = sample_zcomp(n_edges, seed)
-    margin = carleman_sides(sample, CarlemanWeight(mu, eps, R), alpha_vectors(n_edges), nt=nt, nx=nx)
-    return (n_edges, seed, mu, eps, R, margin.lhs, margin.rhs, margin.margin, margin.quad_error)
+    weights = [CarlemanWeight(mu, eps, R) for mu, eps, R in cells]
+    margins = carleman_sides(sample, weights, alpha_vectors(n_edges), nt=nt, nx=nx)
+    return [
+        (n_edges, seed, mu, eps, R, m.lhs, m.rhs, m.margin, m.quad_error)
+        for (mu, eps, R), m in zip(cells, margins)
+    ]
 
 
 def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]:
@@ -401,19 +406,14 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]
         if not values:
             raise ConfigError(f"[carleman] {key} lists no value")
     base = int(cfg.seed)
-    tasks = [
-        (int(N), base + s, float(mu), float(eps), float(R), nt, nx)
-        for N in ns
-        for s in range(n_seeds)
-        for mu in mus
-        for eps in epss
-        for R in rs
-    ]
+    cells = [(float(mu), float(eps), float(R)) for mu in mus for eps in epss for R in rs]
+    tasks = [(int(N), base + s, cells, nt, nx) for N in ns for s in range(n_seeds)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_carleman_cell, tasks, chunksize=4))
+            per_task = list(pool.map(_carleman_rows, tasks))
     else:
-        rows = [_carleman_cell(t) for t in tasks]
+        per_task = [_carleman_rows(t) for t in tasks]
+    rows = [row for task_rows in per_task for row in task_rows]
     path = out / "margins.csv"
     write_csv(
         path,

@@ -242,17 +242,16 @@ def test_c09_carleman_inequality_sweep():
     t0 = time.time()
     failures = []
     worst = math.inf
+    cells = [(mu, eps, R) for mu in (0.5, 1.0, 2.0) for eps in (0.25, 0.5) for R in (2.0, 4.0, 8.0)]
+    weights = [CarlemanWeight(mu, eps, R) for mu, eps, R in cells]
     for n_edges in (3, 4, 5):
         av = alpha_vectors(n_edges)
         for seed in range(20):
-            sample = sample_zcomp(n_edges, seed)
-            for mu in (0.5, 1.0, 2.0):
-                for eps in (0.25, 0.5):
-                    for R in (2.0, 4.0, 8.0):
-                        m = carleman_sides(sample, CarlemanWeight(mu, eps, R), av)
-                        worst = min(worst, m.margin / max(m.rhs, 1e-300))
-                        if m.margin < -m.quad_error:
-                            failures.append((n_edges, seed, mu, eps, R, m.margin))
+            margins = carleman_sides(sample_zcomp(n_edges, seed), weights, av)
+            for (mu, eps, R), m in zip(cells, margins, strict=True):
+                worst = min(worst, m.margin / max(m.rhs, 1e-300))
+                if m.margin < -m.quad_error:
+                    failures.append((n_edges, seed, mu, eps, R, m.margin))
     record_acceptance(
         "test_c09_carleman_inequality_sweep",
         f"(1080 cells, worst relative margin {worst:.3f}, {time.time()-t0:.0f}s)",

@@ -102,7 +102,7 @@ def test_sample_membership(n, seed):
 def test_zero_sample_gives_zero_sides():
     s = sample_zcomp(3, 0)
     zero = type(s)(s.n_edges, (), s.support_x, s.seed)
-    m = carleman_sides(zero, CarlemanWeight(1.0, 0.5, 4.0), alpha_vectors(3), nt=51, nx=101)
+    [m] = carleman_sides(zero, (CarlemanWeight(1.0, 0.5, 4.0),), alpha_vectors(3), nt=51, nx=101)
     assert m.lhs == 0.0 and m.rhs == 0.0
 
 
@@ -121,7 +121,7 @@ def test_inequality_holds_sampled():
     av3 = alpha_vectors(3)
     for seed in range(3):
         s = sample_zcomp(3, seed)
-        m = carleman_sides(s, CarlemanWeight(1.0, 0.5, 4.0), av3)
+        [m] = carleman_sides(s, (CarlemanWeight(1.0, 0.5, 4.0),), av3)
         assert m.rhs >= m.lhs - m.quad_error
         assert m.margin > 0  # comfortably positive in practice
 
@@ -136,8 +136,8 @@ def test_sides_scale_quadratically_in_amplitude():
     )
     w = CarlemanWeight(0.5, 0.25, 2.0)
     av = alpha_vectors(4)
-    m1 = carleman_sides(s, w, av, nt=101, nx=301)
-    m2 = carleman_sides(scaled, w, av, nt=101, nx=301)
+    [m1] = carleman_sides(s, (w,), av, nt=101, nx=301)
+    [m2] = carleman_sides(scaled, (w,), av, nt=101, nx=301)
     assert m2.lhs == pytest.approx(9.0 * m1.lhs, rel=1e-12)
     assert m2.rhs == pytest.approx(9.0 * m1.rhs, rel=1e-12)
 
@@ -167,15 +167,17 @@ def _n2_oracle(sample, weight, alphas, nt, nx):
 
 
 def test_lhs_prefactor_identity():
-    # the single-weight sides equal the N^2 sums over (k, j) of the weighted
-    # edge integrals, lhs carrying the prefactor R^2 eps / 8 mu
+    # one call over several weights gives, weight by weight and in order, the
+    # N^2 sums over (k, j) of the weighted edge integrals, lhs carrying the
+    # prefactor R^2 eps / 8 mu
     assert CarlemanWeight(1.0, 0.5, 2.0).lhs_prefactor == pytest.approx(0.25)
+    weights = [CarlemanWeight(mu, eps, R) for mu, eps, R in [(1.0, 0.5, 2.0), (0.5, 0.25, 8.0), (2.0, 0.5, 4.0)]]
     for n in range(2, 9):
         av = alpha_vectors(n)
         s = sample_zcomp(n, n)
-        for mu, eps, R in [(1.0, 0.5, 2.0), (0.5, 0.25, 8.0), (2.0, 0.5, 4.0)]:
-            w = CarlemanWeight(mu, eps, R)
-            m = carleman_sides(s, w, av, nt=101, nx=301)
+        margins = carleman_sides(s, weights, av, nt=101, nx=301)
+        assert len(margins) == len(weights)
+        for w, m in zip(weights, margins):
             lhs, rhs, err = _n2_oracle(s, w, av, nt=101, nx=301)
             assert m.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
             assert m.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
@@ -186,4 +188,4 @@ def test_lhs_prefactor_identity():
 def test_overflow_guard():
     s = sample_zcomp(3, 0, x_max=12.0)
     with pytest.raises(WeightOverflowError, match="phi"):
-        carleman_sides(s, CarlemanWeight(4.0, 0.5, 8.0), alpha_vectors(3), nt=51, nx=201)
+        carleman_sides(s, (CarlemanWeight(4.0, 0.5, 8.0),), alpha_vectors(3), nt=51, nx=201)

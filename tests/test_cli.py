@@ -311,11 +311,17 @@ def test_verify_flag(tmp_path, capsys):
 
 
 def test_jobs_parallel_carleman(tmp_path):
+    # n_seeds = 2, so the pool gets two (N, seed) tasks; the output must not
+    # depend on how they were spread
     cfg = tmp_path / "exp.ini"
     cfg.write_text(CARLEMAN_INI)
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
-    assert (out / "margins.csv").exists()
+    texts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+        text = (out / "margins.csv").read_text()
+        texts.append([l for l in text.splitlines() if not l.startswith("# timestamp=")])
+    assert texts[0] == texts[1]
 
 
 def test_simulate_line_sigma(tmp_path):
@@ -396,20 +402,22 @@ def test_kernel_compare_bad_inputs_exit_codes(tmp_path, capsys, change, code, me
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, code, message",
     [
-        ("nt = 101", "nt = 2"),  # no interior time sample
-        ("nx = 301", "nx = 2"),  # one-point coarse grid
-        ("n_seeds = 2", "n_seeds = 0"),
-        ("n_edges = 3", "n_edges ="),
-        ("mu = 1.0", "mu ="),
-        ("eps = 0.5", "eps ="),
-        ("r = 4.0", "r ="),
+        (("nt = 101", "nt = 2"), 1, "config error:"),  # no interior time sample
+        (("nx = 301", "nx = 2"), 1, "config error:"),  # one-point coarse grid
+        (("n_seeds = 2", "n_seeds = 0"), 1, "config error:"),
+        (("n_edges = 3", "n_edges ="), 1, "config error:"),
+        (("mu = 1.0", "mu ="), 1, "config error:"),
+        (("eps = 0.5", "eps ="), 1, "config error:"),
+        (("r = 4.0", "r ="), 1, "config error:"),
+        # only the second cell overflows: 2 * 8 * (2 * 4 + 1)^2 > 700
+        (("mu = 1.0", "mu = 1.0, 8.0"), 2, "numerical guard:"),
     ],
-    ids=["nt-2", "nx-2", "no-seeds", "no-edge-counts", "no-mu", "no-eps", "no-r"],
+    ids=["nt-2", "nx-2", "no-seeds", "no-edge-counts", "no-mu", "no-eps", "no-r", "overflow-in-sweep"],
 )
-def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change):
-    out = _check_bad_input(tmp_path, capsys, CARLEMAN_INI, change, 1, "config error:")
+def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message):
+    out = _check_bad_input(tmp_path, capsys, CARLEMAN_INI, change, code, message)
     assert not list(out.glob("*.csv"))
 
 
