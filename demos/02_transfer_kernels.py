@@ -29,8 +29,8 @@ print(f"|A|^2 - |B|^2 at xi=0.7: {abs(M[0,0])**2 - abs(M[1,0])**2:.12f}"
       f"  (layer product {determinant_product(2, 1, params):.12f})")
 
 series = invert_E(params, K=24)
-print(f"Wiener inversion: {len(series.poly.terms)} terms, rho = {series.rho:.3f}, "
-      f"tail bound {series.tail_bound:.2e}")
+print(f"Wiener inversion: {len(series.poly.terms)} terms, certified contraction rho = {series.rho:.12f}, "
+      f"tail bound rho^(K+1)/(1-rho) = {series.tail_bound:.2e}")
 grid = np.linspace(-12, 12, 2048)
 print(f"residual |S * conj(E) - 1| on a frequency grid: {series.residual_on(grid):.2e}")
 

@@ -39,8 +39,6 @@ from .evolution import (
     write_checkpoint,
 )
 from .exppoly import (
-    ContractionError,
-    DegenerateDenominatorError,
     ExpPolynomial,
     LayerParams,
     WienerSeries,

@@ -8,8 +8,11 @@ matrix.  Products of those matrices have entries that are finite sums
 
 with integer multi-indices m, which this module manipulates exactly: the
 E / F recursion that generates the entries, the scattering coefficients built
-from them, and the constructive Wiener-algebra inversion of the denominator
-entry whose coefficients define the layered propagation kernel.
+from them, and the Wiener-algebra inversion of the denominator entry
+E_{N-1,1} whose coefficients define the layered propagation kernel.  The
+inversion is a truncated Neumann series; its contraction ratio is certified
+from the determinant identity |E_{j,1}|^2 - |F_{j,1}|^2 = prod_{m<=j}
+(1 - gamma_m^2) and needs no frequency sampling.
 """
 from __future__ import annotations
 
@@ -25,8 +28,6 @@ __all__ = [
     "LayerParams",
     "ExpPolynomial",
     "WienerSeries",
-    "DegenerateDenominatorError",
-    "ContractionError",
     "layer_params",
     "transfer_matrix",
     "chain_product",
@@ -40,14 +41,6 @@ __all__ = [
 ]
 
 PRUNE_TOL = 1e-16  # coefficients below this magnitude are dropped
-
-
-class DegenerateDenominatorError(ArithmeticError):
-    """|E_{N-1,1}| fell below tolerance; the theory forbids this, so it flags a bug."""
-
-
-class ContractionError(ArithmeticError):
-    """Empirical contraction ratio reached 1; the theory forbids this."""
 
 
 @dataclass(frozen=True)
@@ -281,16 +274,16 @@ def alpha_prefactor(k: int, params: LayerParams) -> float:
     return out
 
 
+def _top_E(params: LayerParams) -> ExpPolynomial:
+    """E_{N-1,1}, or the constant 1 when N <= 2 (E_{1,1} = 1; one layer has no junction)."""
+    if params.n_layers <= 2:
+        return ExpPolynomial({_zero_index(params): 1.0}, +1, params.a_mid, params.l)
+    return ef_recursion(params.n_layers - 1, 1, params)[0]
+
+
 def _denominator(params: LayerParams, xi) -> np.ndarray:
-    """conj(E)_{N-1,1}(xi) with a degeneracy guard."""
-    N = params.n_layers
-    if N == 2:
-        return np.ones(np.shape(np.asarray(xi, dtype=float)), dtype=complex)
-    E, _ = ef_recursion(N - 1, 1, params)
-    val = np.conj(E(xi))
-    if np.min(np.abs(val)) < 1e-12:
-        raise DegenerateDenominatorError("|E_{N-1,1}| < 1e-12 on the sampled frequencies")
-    return val
+    """conj(E)_{N-1,1}(xi); its modulus is at least sqrt(prod_j (1 - gamma_j^2)) > 0."""
+    return np.conj(_top_E(params)(xi))
 
 
 def coefficients_C(k: int, xi, params: LayerParams) -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +322,10 @@ class WienerSeries:
     """Truncated nonnegative-index expansion of 1 / E_{N-1,1}.
 
     ``poly`` has sign +1 and real coefficients; the same coefficients expand
-    1 / conj(E_{N-1,1}) with sign -1.  ``rho`` is the largest |F_{j,1}/E_{j,1}|
-    seen on the sampled frequency grid (the empirical contraction ratio of the
-    constructive inversion; the true supremum over all frequencies may be
-    slightly larger) and ``tail_bound`` = rho^(order+1) / (1 - rho).
+    1 / conj(E_{N-1,1}) with sign -1.  ``rho`` is a certified upper bound on
+    sup_xi |F_{j,1}/E_{j,1}| over all frequencies and junctions j (see
+    ``invert_E``) and ``tail_bound`` = rho^(order+1) / (1 - rho) is the
+    geometric tail at that ratio.
     """
 
     poly: ExpPolynomial
@@ -352,80 +345,46 @@ class WienerSeries:
         return float(np.max(np.abs(val * denom - 1.0)))
 
 
-def default_xi_grid(params: LayerParams, n: int = 2048) -> np.ndarray:
-    """Frequencies spanning two periods of the slowest exponent (or [-8, 8])."""
-    if params.n_layers > 2 and params.a_mid:
-        span = 2.0 * math.pi / (params.l * min(params.a_mid))
-    else:
-        span = 4.0
-    return np.linspace(-2.0 * span, 2.0 * span, n)
-
-
 def invert_E(params: LayerParams, K: int) -> WienerSeries:
-    """Constructive Wiener inversion of E_{N-1,1}, truncated at total weight K.
+    """Wiener inversion of E_{N-1,1}, truncated at total multi-index weight K.
 
-    Follows the level-by-level geometric expansion: with
-    G_j = e^{2 i xi l (a_2+...+a_{j-1})} F_{j-1,1} / E_{j-1,1} mapping into the
-    unit disk, 1/E_{j,1} = (1/E_{j-1,1}) sum_n (-gamma_j e^{2 i xi l a_j} G_j)^n.
-    Every retained multi-index is componentwise >= 0.  The contraction ratio
-    rho is the maximum of |F_{j,1} / E_{j,1}| over the sampled frequencies of
-    ``default_xi_grid(params)``, and ``tail_bound`` = rho^(K+1)/(1-rho) is an
-    estimate of the truncation tail, not a certified bound.
+    E = 1 + P where every term of P has weight >= 1, so the weight-<=K part of
+    1/E is the Neumann iterate S <- prune_K(1 - P S), K times from S = 1; all
+    indices stay >= 0 and all coefficients real.  The contraction ratio is
+    certified without sampling frequencies: the phases are unimodular, so
+    |E_{j,1}| <= ||E_{j,1}||_1, and |E_{j,1}|^2 - |F_{j,1}|^2 = D_j =
+    prod_{m<=j} (1 - gamma_m^2) gives
+
+        |F_{j,1}/E_{j,1}| <= rho = max_j sqrt(1 - D_j / ||E_{j,1}||_1^2) < 1,
+
+    with equality for up to three layers.  ``tail_bound`` = rho^(K+1)/(1-rho).
+    Raises ValueError when the layer contrast is so large that rho rounds to 1.
     """
     if K < 0:
         raise ValueError("truncation order must be >= 0")
-    N = params.n_layers
-    zero = _zero_index(params)
-    width = len(zero)
-    xi_grid = default_xi_grid(params)
-
-    def prune_weight(p: ExpPolynomial) -> ExpPolynomial:
-        kept = {idx: c for idx, c in p.terms.items() if sum(idx) <= K}
-        return ExpPolynomial(_prune(kept), p.sign, p.a_mid, p.l)
-
-    inv = ExpPolynomial({zero: 1.0}, +1, params.a_mid, params.l)
-    rho = 0.0
-    for j in range(1, N):
-        E_j, F_j = ef_recursion(j, 1, params)
-        ratio = np.abs(F_j(xi_grid) / E_j(xi_grid))
-        rho = max(rho, float(np.max(ratio)))
+    rho, D = 0.0, 1.0
+    for j in range(1, params.n_layers):
+        D *= 1.0 - params.gamma[j - 1] ** 2
+        norm = sum(abs(c) for c in ef_recursion(j, 1, params)[0].terms.values())  # >= 1
+        rho = max(rho, math.sqrt(1.0 - D / norm**2))
     if rho >= 1.0:
-        raise ContractionError(f"contraction ratio {rho} >= 1 on the frequency grid")
+        contrast = max(params.a) / min(params.a)
+        raise ValueError(
+            f"layer contrast max(a)/min(a) = {contrast:.3g} is too large: "
+            "the Wiener contraction bound rho rounds to 1 in double precision"
+        )
 
-    for j in range(2, N):
-        E_prev, F_prev = ef_recursion(j - 1, 1, params)
-        shift = [0] * width
-        for q in range(2, j):
-            shift[q - 2] = 1
-        G = prune_weight(F_prev.reflect(tuple(shift)) * inv)
-        g = params.gamma[j - 1]
-        unit = [0] * width
-        unit[j - 2] = 1
-        unit = tuple(unit)
-        term = ExpPolynomial({zero: 1.0}, +1, params.a_mid, params.l)
-        series = ExpPolynomial({zero: 1.0}, +1, params.a_mid, params.l)
-        for _ in range(K):
-            term = prune_weight(term * G)
-            term = ExpPolynomial(
-                _prune({tuple(i + u for i, u in zip(idx, unit)): -g * c for idx, c in term.terms.items()}),
-                +1,
-                params.a_mid,
-                params.l,
-            )
-            term = prune_weight(term)
-            if not term.terms:
-                break
-            series = series + term
-        inv = prune_weight(inv * series)
+    one = ExpPolynomial({_zero_index(params): 1.0}, +1, params.a_mid, params.l)
 
-    bad = [idx for idx in inv.terms if min(idx, default=0) < 0]
-    if bad:
-        raise AssertionError(f"negative multi-index in inversion output: {bad[:3]}")
-    imag = max((abs(c.imag) for c in inv.terms.values()), default=0.0)
-    if imag > 1e-12:
-        raise AssertionError("inversion coefficients should be real")
+    def prune_K(p: ExpPolynomial) -> ExpPolynomial:
+        return ExpPolynomial({i: c for i, c in p.terms.items() if sum(i) <= K}, p.sign, p.a_mid, p.l)
+
+    P = _top_E(params) + (-1.0) * one
+    S = one
+    for _ in range(K):
+        S = prune_K(one + (-1.0) * (P * S))
     tail = rho ** (K + 1) / (1.0 - rho)
-    return WienerSeries(poly=inv, order=K, rho=rho, tail_bound=tail, params=params)
+    return WienerSeries(poly=S, order=K, rho=rho, tail_bound=tail, params=params)
 
 
 def write_series_csv(series: WienerSeries, path, meta: dict | None = None) -> None:

@@ -37,6 +37,8 @@ __all__ = [
 # largest tail estimate of the sampled initial data, relative to its peak,
 # that solve_negative_halfline accepts
 GUARD_TOL = 1e-6
+# most lattice points EtaProfile.convolve samples eta on (c07 needs 2563)
+MAX_LATTICE = 2**24
 
 
 class QuadratureDomainError(ValueError):
@@ -224,6 +226,8 @@ class EtaProfile:
         observation point.  u0 is the linear interpolant of its samples and 0
         outside the nodes; infinite source intervals end at the outer nodes.
         The rectangle sum dz * sum_j k_t(X - z_j) eta(z_j) is one FFT product.
+        Raises ValueError, before any array is built, when eta's image spans
+        more than MAX_LATTICE lattice steps.
         """
         x = np.asarray(x, dtype=float)
         xs = x.ravel()
@@ -250,6 +254,11 @@ class EtaProfile:
                 spans.append((atom, math.floor((za - z0) / dz), math.ceil((zb - z0) / dz)))
         j0 = min(first for _, first, _ in spans)
         j1 = max(last for _, _, last in spans)
+        if j1 - j0 > MAX_LATTICE:
+            raise ValueError(
+                f"eta needs {j1 - j0 + 1} lattice points, more than {MAX_LATTICE}; "
+                "the layer contrast or the Wiener order spreads the source too far"
+            )
         eta = np.zeros(j1 - j0 + 1, dtype=complex)
         for atom, first, last in spans:
             eta[first - j0 : last - j0 + 1] += atom.eta_values(u0, z0 + dz * np.arange(first, last + 1))

@@ -211,10 +211,9 @@ def reduction_map(graph: MetricGraph) -> ReductionMap:
     root to 0; any other anchor is a global translation.
     """
     n, lengths, degrees = _tree_meta(graph)
-    dprod = 1.0
+    full = 1.0  # d_2 ... d_{n+1}
     for d in degrees[1:]:
-        dprod *= d
-    full = dprod  # d_2 ... d_{n+1}
+        full *= d
     slopes = []
     for k in range(0, 2 * n + 2):
         if k <= n - 1:
@@ -236,13 +235,11 @@ def reduction_map(graph: MetricGraph) -> ReductionMap:
     # b_{n+1} = 0 at tilde index n+1 (value 0); accumulate outwards
     m = len(tilde)
     b = [0.0] * m
-    centre = n
-    # tilde[centre] == 0; slopes index k matches interval (tilde[k-1], tilde[k]) shifted:
     # interval k of the fold runs (tilde_k, tilde_{k+1}) with tilde_0 = -inf; our
-    # finite list covers tilde_1..tilde_{2n+1}, i.e. list position p = k-1.
+    # finite list covers tilde_1..tilde_{2n+1}, i.e. list position p = k-1, so
+    # the interval between list positions p-1 and p is fold interval k = p.
     pos0 = n  # list position of the 0 breakpoint (= tilde_{n+1})
     for p in range(pos0 + 1, m):
-        k = p  # interval between list positions p-1 and p is fold interval k = p
         b[p] = b[p - 1] + slopes[p] * (tilde[p] - tilde[p - 1])
     for p in range(pos0 - 1, -1, -1):
         k = p + 1
@@ -285,7 +282,7 @@ def fold_to_line(avg: AveragedSums, rmap: ReductionMap) -> FoldedLine:
         m = n + 1 - k
         x_glob = avg.global_x(m)
         v = avg.root[m - 1]
-        mapped = np.array([_affine(rmap, k, -xx, n) for xx in x_glob])[::-1]
+        mapped = _affine(rmap, k, -x_glob)[::-1]
         pieces_x.append(mapped)
         pieces_v.append(v[::-1])
         pieces_s.append(rmap.sigma[k])
@@ -294,7 +291,7 @@ def fold_to_line(avg: AveragedSums, rmap: ReductionMap) -> FoldedLine:
         m = k - n
         x_glob = avg.global_x(m)
         v = avg.root[m - 1]
-        mapped = np.array([_affine(rmap, k, xx, n) for xx in x_glob])
+        mapped = _affine(rmap, k, x_glob)
         pieces_x.append(mapped)
         pieces_v.append(v)
         pieces_s.append(rmap.sigma[k])
@@ -314,13 +311,11 @@ def fold_to_line(avg: AveragedSums, rmap: ReductionMap) -> FoldedLine:
     )
 
 
-def _affine(rmap: ReductionMap, k: int, x: float, n: int) -> float:
-    """T_k(x) for fold interval k; finite breakpoint list starts at tilde_1 = -a_n."""
-    tilde = rmap.tilde_breakpoints
-    b = rmap.targets
-    if k == 0:
-        return b[0] + rmap.slopes[0] * (x - tilde[0])
-    return b[k - 1] + rmap.slopes[k] * (x - tilde[k - 1])
+def _affine(rmap: ReductionMap, k: int, x: np.ndarray) -> np.ndarray:
+    """T_k(x) for fold interval k; finite breakpoint list starts at tilde_1 = -a_n,
+    which also anchors the unbounded interval k = 0."""
+    p = max(k - 1, 0)
+    return rmap.targets[p] + rmap.slopes[k] * (x - rmap.tilde_breakpoints[p])
 
 
 def write_reduction_report(rmap: ReductionMap, path, meta: dict | None = None) -> None:

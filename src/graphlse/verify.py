@@ -10,7 +10,7 @@ import numpy as np
 
 from .carleman import alpha_vectors, membership_residual, sample_zcomp
 from .evolution import EvolutionConfig, evolve_graph
-from .exppoly import chain_lower_entries, chain_product, determinant_product, invert_E, layer_params
+from .exppoly import chain_lower_entries, chain_product, determinant_product, ef_recursion, invert_E, layer_params
 from .graphs import GraphState, build_regular_tree, build_star, weighted_l2_norm
 from .kernels import free_kernel, kernel_h
 from .reduction import reduction_map
@@ -46,7 +46,15 @@ def check_wiener() -> bool:
     p = layer_params((1.0, 2.0, 1.0), 1.0)
     s = invert_E(p, 20)
     grid = np.linspace(-8, 8, 512)
-    return s.residual_on(grid) <= max(s.tail_bound, 1e-10)
+    sampled = 0.0
+    for j in (1, 2):
+        E, F = ef_recursion(j, 1, p)
+        sampled = max(sampled, float(np.max(np.abs(F(grid) / E(grid)))))
+    return (
+        s.residual_on(grid) <= max(s.tail_bound, 1e-10)
+        and sampled <= s.rho + 1e-14
+        and abs(s.rho - 0.6) <= 1e-12  # the certificate is exact for three layers
+    )
 
 
 def check_kernel_free_limit() -> bool:

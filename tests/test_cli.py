@@ -394,8 +394,13 @@ def test_output_contract(tmp_path, name):
         (("dt = 0.002", "dt = 0.003"), 1, "config error:"),  # dt does not divide t_final
         (("spacing = 1.0\n", "spacing = 1.01\n"), 1, "config error:"),  # breakpoint off the grid
         (("x_min = -12.0", "x_min = 1.0"), 1, "config error:"),  # no observation point x <= 0
+        (("values = 1.0, 2.0, 1.0", "values = 1.0, 1e8, 1.0"), 1, "config error:"),  # eta lattice > MAX_LATTICE
+        (("values = 1.0, 2.0, 1.0", "values = 1.0, 1e17, 1.0"), 1, "config error:"),  # rho rounds to 1
     ],
-    ids=["short-length", "dt-not-dividing", "breakpoint-off-grid", "no-observation-points"],
+    ids=[
+        "short-length", "dt-not-dividing", "breakpoint-off-grid", "no-observation-points",
+        "lattice-cap", "contrast-rho-one",
+    ],
 )
 def test_kernel_compare_bad_inputs_exit_codes(tmp_path, capsys, change, code, message):
     _check_bad_input(tmp_path, capsys, KERNEL_INI, change, code, message)

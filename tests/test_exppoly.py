@@ -18,7 +18,6 @@ from graphlse import (
     write_series_csv,
 )
 from graphlse._report import read_csv
-from graphlse.exppoly import default_xi_grid
 
 configs = st.tuples(
     st.lists(st.floats(0.3, 3.0), min_size=2, max_size=6),
@@ -234,10 +233,58 @@ def test_invert_two_layers_is_one():
     assert s.residual_on(np.linspace(-10, 10, 101)) == 0.0
 
 
+def test_invert_one_layer_is_one():
+    s = invert_E(layer_params((1.3,), 1.0), 6)
+    assert s.coefficients == {(): 1.0}
+    assert (s.rho, s.tail_bound) == (0.0, 0.0)
+
+
 def test_invert_equal_layers_is_one():
     p = layer_params((1.0, 1.0, 1.0), 1.0)
     s = invert_E(p, 8)
     assert s.coefficients == {(0,): 1.0}
+
+
+def _level_oracle(params, K):
+    """1/E_{N-1,1} by the level-by-level geometric expansion
+    1/E_{j,1} = (1/E_{j-1,1}) sum_n (-gamma_j e^{2 i xi l a_j} G_j)^n with
+    G_j = e^{2 i xi l (a_2+...+a_{j-1})} F_{j-1,1}/E_{j-1,1}, truncated at weight K."""
+    zero = (0,) * max(params.n_layers - 2, 0)
+    width = len(zero)
+
+    def prune(p):
+        return ExpPolynomial({i: c for i, c in p.terms.items() if sum(i) <= K}, p.sign, p.a_mid, p.l)
+
+    one = ExpPolynomial({zero: 1.0}, +1, params.a_mid, params.l)
+    inv = one
+    for j in range(2, params.n_layers):
+        _, F_prev = ef_recursion(j - 1, 1, params)
+        G = prune(F_prev.reflect(tuple(1 if q < j - 2 else 0 for q in range(width))) * inv)
+        unit = tuple(1 if q == j - 2 else 0 for q in range(width))
+        step = ExpPolynomial({unit: -params.gamma[j - 1]}, +1, params.a_mid, params.l) * G
+        term, series = one, one
+        for _ in range(K):
+            term = prune(term * step)
+            series = series + term
+        inv = prune(inv * series)
+    return inv
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_invert_matches_level_oracle_and_truncated_identity(n):
+    rng = np.random.default_rng(100 + n)
+    K = 10
+    p = layer_params(rng.uniform(0.4, 2.5, size=n), float(rng.uniform(0.4, 1.5)))
+    s = invert_E(p, K)
+    oracle = _level_oracle(p, K)
+    for idx in set(s.poly.terms) | set(oracle.terms):
+        assert abs(s.poly.terms.get(idx, 0.0) - oracle.terms.get(idx, 0.0)) <= 1e-14
+    # S * E = 1 up to weight K
+    E = ef_recursion(n - 1, 1, p)[0] if n > 2 else ExpPolynomial({(): 1.0}, +1, (), p.l)
+    zero = (0,) * max(n - 2, 0)
+    for idx, c in (s.poly * E).terms.items():
+        if sum(idx) <= K:
+            assert abs(c - (1.0 if idx == zero else 0.0)) <= 1e-13
 
 
 def test_invert_121_residual_and_bound():
@@ -247,7 +294,8 @@ def test_invert_121_residual_and_bound():
     resid = s.residual_on(grid)
     assert resid <= 1e-6
     assert resid <= s.tail_bound
-    assert 0 < s.rho < 1
+    assert s.rho == pytest.approx(0.6, abs=1e-12)  # the certificate is exact for three layers
+    assert s.tail_bound == pytest.approx(0.6**21 / 0.4, rel=1e-12)
 
 
 def test_invert_nonnegative_indices_and_real_coeffs():
@@ -259,15 +307,28 @@ def test_invert_nonnegative_indices_and_real_coeffs():
         assert abs(complex(c).imag) < 1e-12
 
 
-@given(st.lists(st.floats(0.4, 2.5), min_size=3, max_size=5), st.floats(0.3, 1.5))
+@given(st.lists(st.floats(0.4, 2.5), min_size=3, max_size=6), st.floats(0.3, 1.5))
 @settings(max_examples=15, deadline=None)
 def test_contraction_below_one_random(a, l):
+    # |E_j|^2 - |F_j|^2 = D_j on a dense grid, and the sampled |F_j / E_j|
+    # never exceeds the certified rho < 1 (up to the rounding of the samples:
+    # rho is attained for three layers)
     p = layer_params(a, l)
-    grid = default_xi_grid(p, 512)
+    s = invert_E(p, 2)
+    assert s.rho < 1.0
+    grid = np.linspace(-40.0, 40.0, 8001)
+    D = 1.0
     for j in range(1, p.n_layers):
+        D *= 1.0 - p.gamma[j - 1] ** 2
         E, F = ef_recursion(j, 1, p)
-        ratio = np.max(np.abs(F(grid) / E(grid)))
-        assert ratio < 1.0
+        e, f = E(grid), F(grid)
+        np.testing.assert_allclose(np.abs(e) ** 2 - np.abs(f) ** 2, D, rtol=1e-10)
+        assert np.max(np.abs(f / e)) <= s.rho + 1e-14
+
+
+def test_invert_rejects_contrast_beyond_double_precision():
+    with pytest.raises(ValueError, match="layer contrast"):
+        invert_E(layer_params((1.0, 1e17, 1.0), 1.0), 4)
 
 
 def test_invert_residual_within_bound_random_configs():
@@ -276,7 +337,8 @@ def test_invert_residual_within_bound_random_configs():
         n = int(rng.integers(3, 6))
         p = layer_params(rng.uniform(0.4, 2.5, size=n), float(rng.uniform(0.4, 1.5)))
         s = invert_E(p, 18)
-        grid = default_xi_grid(p, 1024)
+        span = 2.0 * math.pi / (p.l * min(p.a_mid))
+        grid = np.linspace(-2.0 * span, 2.0 * span, 1024)
         assert s.residual_on(grid) <= max(s.tail_bound, 1e-12)
 
 
