@@ -107,11 +107,12 @@ class CarlemanWeight:
 
     def phi(self, alpha_jk: float, t, x):
         t = np.asarray(t, dtype=float)
+        return self._phi_tau(alpha_jk, t * (1.0 - t), x)
+
+    def _phi_tau(self, alpha_jk: float, tau, x):
+        """phi with t entering only through tau = t(1-t), so phi(t) = phi(1-t)."""
         x = np.asarray(x, dtype=float)
-        drift = self.R * t * (1.0 - t)
-        return self.mu * (alpha_jk * x + drift) ** 2 - (1.0 + self.eps) * self.R**2 * t * (
-            1.0 - t
-        ) / (16.0 * self.mu)
+        return self.mu * (alpha_jk * x + self.R * tau) ** 2 - (1.0 + self.eps) * self.R**2 * tau / (16.0 * self.mu)
 
     @property
     def lhs_prefactor(self) -> float:
@@ -214,6 +215,27 @@ class ZcompSample:
             out += coeffs[:, None, None] * block[None, :, :]
         return out
 
+    def edge_sums(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_j |q_j|^2, sum_j |(d_t + i d_xx) q_j|^2) on the tensor grid, shape (nt, nx) each.
+
+        q_j = sum_a C_ja T_a(t) X_a(x) is a sum of K tensor-product terms, so
+        sum_j |q_j|^2 = sum_{a,a'} Re(G)_{aa'} (T_a T_a')(t) (X_a X_a')(x) with
+        G = C^H C; the defect is the same form over the 2K terms T'_a X_a,
+        T_a X''_a with coefficients [C, iC].  No (n_edges, nt, nx) array is built.
+        """
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        K = len(self.terms)
+        C = np.array([term.coeffs for term in self.terms], dtype=complex).reshape(K, self.n_edges).T
+        T, Tp = np.zeros((K, len(t))), np.zeros((K, len(t)))
+        X, Xpp = np.zeros((K, len(x))), np.zeros((K, len(x)))
+        for a, term in enumerate(self.terms):
+            T[a], Tp[a] = term.time.eval(t)
+            X[a], _, Xpp[a] = term.space.eval(x)
+        mass = _gram_sum(C, T, X)
+        defect = _gram_sum(np.hstack([C, 1j * C]), np.vstack([Tp, T]), np.vstack([X, Xpp]))
+        return mass, defect
+
     def vertex_trace(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values (n_edges, nt), x-derivatives (n_edges, nt)) at x = 0."""
         t = np.asarray(t, dtype=float)
@@ -227,6 +249,16 @@ class ZcompSample:
             vals += coeffs[:, None] * T[None, :] * X[0]
             ders += coeffs[:, None] * T[None, :] * Xp[0]
         return vals, ders
+
+
+def _gram_sum(C: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sum_j |sum_a C_ja U_a(t) V_a(x)|^2 for real U (M, nt), V (M, nx): one
+    (nt, M^2) @ (M^2, nx) product weighted by Re(C^H C)."""
+    M = C.shape[1]
+    G = (C.conj().T @ C).real
+    UU = (U[:, None, :] * U[None, :, :]).reshape(M * M, U.shape[1])
+    VV = (G[:, :, None] * V[:, None, :] * V[None, :, :]).reshape(M * M, V.shape[1])
+    return UU.T @ VV
 
 
 def _draw_time(rng) -> _TimeEnvelope:
@@ -316,11 +348,15 @@ def carleman_sides(
     base vector in some order and sum_k e^{2 phi_j^k} is one weight
     W = sum_b m_b e^{2 phi(b)}, with b the distinct base entries and m_b
     their multiplicities.  Both sides integrate W against the edge sums
-    sum_j |q_j|^2 and sum_j |(d_t + i d_xx) q_j|^2.
+    sum_j |q_j|^2 and sum_j |(d_t + i d_xx) q_j|^2, which come from the
+    sample's Gram form (``ZcompSample.edge_sums``).
 
-    The sample, its edge sums and the trapezoid weights are evaluated once
-    per call and shared by every weight: they form one (nt nx, 4) matrix B,
-    so a weight costs its (at most two) exp grids and one product W @ B.
+    The edge sums and the trapezoid weights are evaluated once per call and
+    shared by every weight: they form one (nt, nx, 4) array B.  W depends on
+    t only through tau = t(1-t), which is symmetric under t <-> 1-t, so the
+    rows of B are folded once (B[i] + B[nt-1-i], the middle row alone when nt
+    is odd) and each weight builds its (at most two) exp grids on (nt+1)//2
+    rows, from tau_i = i (nt-1-i) / (nt-1)^2, and costs one product W @ B.
 
     The quadrature error is estimated by re-integrating on the stride-2
     subgrid t[::2], x[::2] (second-order quadrature, so a third of the
@@ -336,13 +372,17 @@ def carleman_sides(
     fine = np.outer(_trapezoid_weights(t), _trapezoid_weights(x))
     coarse = np.zeros((nt, nx))
     coarse[::2, ::2] = np.outer(_trapezoid_weights(t[::2]), _trapezoid_weights(x[::2]))
-    mass = np.sum(np.abs(sample.values(t, x)) ** 2, axis=0)
-    defect = np.sum(np.abs(sample.defect(t, x)) ** 2, axis=0)
-    B = np.stack([mass * fine, defect * fine, mass * coarse, defect * coarse], axis=-1).reshape(nt * nx, 4)
+    mass, defect = sample.edge_sums(t, x)
+    B = np.stack([mass * fine, defect * fine, mass * coarse, defect * coarse], axis=-1)
+    half = (nt + 1) // 2
+    B[: nt // 2] += B[::-1][: nt // 2]
+    B = B[:half].reshape(half * nx, 4)
+    i = np.arange(half)
+    tau = (i * (nt - 1 - i) / (nt - 1) ** 2)[:, None]
     entries, counts = np.unique(alphas.as_array()[0], return_counts=True)
     margins = []
     for weight in weights:
-        phis = [weight.phi(b, t[:, None], x[None, :]) for b in entries]
+        phis = [weight._phi_tau(b, tau, x[None, :]) for b in entries]
         peak = max(float(np.max(phi)) for phi in phis)
         if 2.0 * peak > _EXP_LIMIT:
             raise WeightOverflowError(f"max phi = {peak:.1f} would overflow exp; reduce mu, R or the support")

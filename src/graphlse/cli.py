@@ -408,8 +408,10 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]
     base = int(cfg.seed)
     cells = [(float(mu), float(eps), float(R)) for mu in mus for eps in epss for R in rs]
     tasks = [(int(N), base + s, cells, nt, nx) for N in ns for s in range(n_seeds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers up front, so never ask for more than there are tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_carleman_rows, tasks))
     else:
         per_task = [_carleman_rows(t) for t in tasks]
@@ -422,8 +424,14 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]
         _meta(cfg),
     )
     worst = min(r[7] + r[8] for r in rows)
+    health = max(r[8] / r[7] if r[7] > 0 else np.inf for r in rows)
     summary = out / "summary.csv"
-    write_csv(summary, ["quantity", "value"], [("worst_margin_plus_tol", worst)], _meta(cfg))
+    write_csv(
+        summary,
+        ["quantity", "value"],
+        [("worst_margin_plus_tol", worst), ("max_quad_error_over_margin", health)],
+        _meta(cfg),
+    )
     return [path, summary]
 
 

@@ -106,6 +106,23 @@ def test_zero_sample_gives_zero_sides():
     assert m.lhs == 0.0 and m.rhs == 0.0
 
 
+def test_edge_sums_match_values_and_defect():
+    # the Gram form against the (n_edges, nt, nx) arrays it replaces, and the
+    # sample with no terms, whose sums must be exactly zero
+    t = np.linspace(0.0, 1.0, 101)
+    x = np.linspace(0.0, 4.0, 301)
+    samples = [sample_zcomp(n, seed) for n in range(2, 9) for seed in range(3)]
+    s = samples[0]
+    samples.append(type(s)(s.n_edges, (), s.support_x, s.seed))
+    for s in samples:
+        mass, defect = s.edge_sums(t, x)
+        mass_ref = np.sum(np.abs(s.values(t, x)) ** 2, axis=0)
+        defect_ref = np.sum(np.abs(s.defect(t, x)) ** 2, axis=0)
+        assert mass.shape == defect.shape == (len(t), len(x))
+        assert np.max(np.abs(mass - mass_ref)) <= 1e-13 * np.max(mass_ref)
+        assert np.max(np.abs(defect - defect_ref)) <= 1e-13 * np.max(defect_ref)
+
+
 def test_defect_matches_finite_differences():
     s = sample_zcomp(3, 5)
     t = np.linspace(0.2, 0.8, 7)
@@ -179,6 +196,21 @@ def test_lhs_prefactor_identity():
         assert len(margins) == len(weights)
         for w, m in zip(weights, margins):
             lhs, rhs, err = _n2_oracle(s, w, av, nt=101, nx=301)
+            assert m.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+            assert m.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+            assert m.margin == pytest.approx(rhs - lhs, rel=1e-12, abs=0.0)
+            assert abs(m.quad_error - err) <= 1e-12 * (lhs + rhs)
+
+
+def test_folded_time_grid_even_nt():
+    # nt even: the fold pairs every row and leaves no middle row
+    weights = [CarlemanWeight(mu, eps, R) for mu, eps, R in [(1.0, 0.5, 2.0), (0.5, 0.25, 8.0), (2.0, 0.5, 4.0)]]
+    for n in range(2, 9):
+        av = alpha_vectors(n)
+        s = sample_zcomp(n, n)
+        margins = carleman_sides(s, weights, av, nt=100, nx=300)
+        for w, m in zip(weights, margins, strict=True):
+            lhs, rhs, err = _n2_oracle(s, w, av, nt=100, nx=300)
             assert m.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
             assert m.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
             assert m.margin == pytest.approx(rhs - lhs, rel=1e-12, abs=0.0)

@@ -324,6 +324,46 @@ def test_jobs_parallel_carleman(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_jobs_pool_capped_at_task_count(tmp_path, monkeypatch):
+    # the pool forks all its workers up front, so it must not be larger than
+    # the task list; a recording stand-in runs the tasks without forking
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("graphlse.cli.ProcessPoolExecutor", RecordingPool)
+    for name, text, expected in (
+        ("two", CARLEMAN_INI, [2]),
+        ("one", CARLEMAN_INI.replace("n_seeds = 2", "n_seeds = 1"), []),
+    ):
+        pools.clear()
+        (tmp_path / name).mkdir()
+        code, _ = run_main(tmp_path / name, text, ("--jobs", "8"))
+        assert code == 0 and pools == expected
+
+
+def test_carleman_summary_health(tmp_path):
+    code, out = run_main(tmp_path, CARLEMAN_INI)
+    assert code == 0
+    _, columns, rows = read_csv(out / "margins.csv")
+    cells = [dict(zip(columns, map(float, row))) for row in rows]
+    _, _, summary = read_csv(out / "summary.csv")
+    values = {q: float(v) for q, v in summary}
+    assert values["max_quad_error_over_margin"] == max(c["quad_error"] / c["margin"] for c in cells)
+    assert 0.0 < values["max_quad_error_over_margin"] < 1.0
+
+
 def test_simulate_line_sigma(tmp_path):
     code, out = run_main(tmp_path, LINE_SIMULATE_INI)
     assert code == 0
