@@ -7,10 +7,20 @@ non-uniform) grid with a lumped trapezoid mass matrix, so the Cayley step
 
     (i M - dt/2 K) u_next = (i M + dt/2 K) u
 
-conserves the trapezoid L2 norm to round-off whenever K is Hermitian.
+conserves the trapezoid L2 norm to round-off whenever K is Hermitian.  Lines
+and graphs share one stepper, written with the single matrix
+A = i M - dt/2 K as u_next = A^{-1}(2 i M u) - u (Dirichlet rows: identity
+and 2).  Vertex dofs come first and every edge is one contiguous chain, so
+the chain block of A is tridiagonal and strictly diagonally dominant: it is
+factored once without pivoting, each step makes two banded BLAS solves, and
+the vertices solve a small dense Schur complement.
+
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
-potential act as an exact gauge factor.
+potential act as an exact gauge factor; the half-steps of a static potential
+merge into one multiply between steps.  One guard, on the share of the mass
+beyond ``boundary_guard`` of each truncated ray or line end, rejects runs
+whose wavefront has reached the artificial boundary.
 """
 from __future__ import annotations
 
@@ -20,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.blas import ztbsv
 
 from ._report import read_csv, write_csv
 from .graphs import GraphGrid, GraphState, MetricGraph
@@ -215,19 +225,107 @@ def _unpack_state(u, state, packing, time) -> GraphState:
     return GraphState(state.graph, state.grid, values, time)
 
 
-def _cayley_stepper(mass, K, dt, dirichlet):
-    Md = sp.diags(mass)
-    A = (1j * Md - (dt / 2.0) * K).tolil()
-    B = (1j * Md + (dt / 2.0) * K).tolil()
-    for d in dirichlet:
-        A.rows[d] = [d]
-        A.data[d] = [1.0]
-        B.rows[d] = [d]
-        B.data[d] = [1.0]
-    A = A.tocsc()
-    B = B.tocsc()
-    solve = spla.factorized(A)
-    return lambda u: solve(B @ u)
+def _factor_chains(T):
+    """Banded factors of the tridiagonal T = L diag(p) U, with no pivoting.
+
+    Returns the unit-lower band of L, 1/p and the unit-upper band of U, each
+    band in the (2, m) Fortran layout that BLAS ``ztbsv`` reads (the unit
+    diagonal row is stored but not referenced).  Strict row diagonal dominance
+    of T keeps every pivot p_i away from zero.
+    """
+    sub, diag, sup = (T.diagonal(k) for k in (-1, 0, 1))
+    piv = diag.tolist()
+    for i, q in enumerate((sub * sup).tolist(), start=1):
+        piv[i] -= q / piv[i - 1]
+    piv = np.asarray(piv, dtype=complex)
+    lower = np.ones((2, len(diag)), dtype=complex, order="F")
+    upper = np.ones((2, len(diag)), dtype=complex, order="F")
+    lower[1, :-1] = sub / piv[:-1]
+    upper[0, 1:] = sup / piv[:-1]
+    return lower, 1.0 / piv, upper
+
+
+def _solve_chains(factors, x, off=0, trans=0):
+    """x[off:] <- T^{-1} x[off:] (T^{-T} x[off:] when ``trans``), in place, from _factor_chains(T)."""
+    lower, rp, upper = factors
+    if len(rp):
+        x = ztbsv(1, upper if trans else lower, x, offx=off, lower=1 - trans, trans=trans, diag=1, overwrite_x=1)
+        x[off:] *= rp
+        x = ztbsv(1, lower if trans else upper, x, offx=off, lower=trans, trans=trans, diag=1, overwrite_x=1)
+    return x
+
+
+# Entries of F T^{-1} below this fraction of the largest are dropped: a
+# backward perturbation of eps^2 relative cannot show in a double-precision
+# step, and the decayed tail of T^{-1} would otherwise be summed in
+# subnormal numbers.
+_NEGLIGIBLE = np.finfo(float).eps ** 2
+
+
+def _chain_rows(F, T, factors):
+    """W = F T^{-1} as a sparse matrix, from a few transposed solves in total.
+
+    Solves on different chains (runs of rows of T with no coupling between
+    runs) do not mix.  So each vertex that meets a chain is ranked among the
+    vertices meeting that chain, and the rows of F of one rank share a solve.
+    """
+    cut = (T.diagonal(-1) == 0) & (T.diagonal(1) == 0)
+    chain_of = np.concatenate([[0], np.cumsum(cut)])
+    meets, pair = np.unique(np.stack([chain_of[F.col], F.row]), axis=1, return_inverse=True)
+    pair_rank = np.arange(meets.shape[1]) - np.searchsorted(meets[0], meets[0])
+    rank = pair_rank[pair.ravel()]
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+    for r in range(rank.max(initial=-1) + 1):
+        w = np.zeros(T.shape[0], dtype=complex)
+        w[F.col[rank == r]] = F.data[rank == r]
+        w = _solve_chains(factors, w, trans=1)
+        owner = np.full(len(chain_of), -1)
+        owner[meets[0, pair_rank == r]] = meets[1, pair_rank == r]
+        nz = np.flatnonzero(np.abs(w) > _NEGLIGIBLE * np.max(np.abs(w)))
+        rows.append(owner[chain_of[nz]])
+        cols.append(nz)
+        vals.append(w[nz])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=F.shape)
+
+
+def _cayley_stepper(mass, K, dt, dirichlet, nv=0):
+    """The Crank-Nicolson step u -> A^{-1}(c u) - u, factored once.
+
+    A = iM - (dt/2)K with identity rows at the Dirichlet dofs and c = 2i mass
+    (2 on Dirichlet rows): since iM + (dt/2)K = 2iM - A, this is the Cayley
+    step.  The first ``nv`` dofs are graph vertices and the rest are edge
+    chains, so T = A[nv:, nv:] is tridiagonal with no coupling between chains
+    (the line is nv = 0).  T is strictly row diagonally dominant for either
+    sign of dt, |A_ii| = hypot(M_ii, dt K_ii / 2) > |dt| K_ii / 2 =
+    sum_{j != i} |A_ij|, so it factors without pivoting and each step makes
+    two banded triangular solves.  With A = [[D, F], [E, T]] the vertices
+    solve the dense Schur complement S = D - W E, W = F T^{-1}, and then
+    x_I = T^{-1}(r_I - E x_V).  Row v of W is nonzero only on the chains that
+    meet vertex v, so W is stored sparse.
+    """
+    keep = np.ones(len(mass))
+    keep[dirichlet] = 0.0
+    A = (sp.diags(keep) @ (sp.diags(1j * mass) - (dt / 2.0) * K) + sp.diags(1.0 - keep)).tocsr()
+    c = np.where(keep > 0, 2j * mass, 2.0)
+    T = A[nv:, nv:]
+    factors = _factor_chains(T)
+    if nv:
+        W = _chain_rows(A[:nv, nv:].tocoo(), T, factors)
+        E = A[nv:, :nv].tocoo()
+        e_rows, e_cols, e_vals = E.row + nv, E.col, E.data
+        s_inv = np.linalg.inv(A[:nv, :nv].toarray() - (W @ E).toarray())
+
+    def step(u):
+        x = c * u
+        if nv:
+            xv = s_inv @ (x[:nv] - W @ x[nv:])
+            np.subtract.at(x, e_rows, e_vals * xv[e_cols])
+            x[:nv] = xv
+        x = _solve_chains(factors, x, nv)
+        x -= u
+        return x
+
+    return step
 
 
 def _sample_potential(fn, t, packing: _GraphPacking, graph, grid):
@@ -255,38 +353,42 @@ def _sample_potential(fn, t, packing: _GraphPacking, graph, grid):
     return out
 
 
-def _guard_graph(state: GraphState, guard: float, tol: float):
-    total = 0.0
-    tail = 0.0
-    worst = 0.0
-    for eid, e in enumerate(state.graph.edges):
-        x = state.grid.x(eid)
-        w = np.abs(state.values[eid]) ** 2
-        total += float(np.trapezoid(w, x))
-        if e.infinite:
-            cut = guard * state.grid.lengths[eid]
-            mask = x >= cut
-            if np.count_nonzero(mask) > 1:
-                tail += float(np.trapezoid(w[mask], x[mask]))
-    if total > 0:
-        worst = tail / total
-    if worst > tol:
+def _guard_tail(pieces, cfg: EvolutionConfig) -> float:
+    """Share of the trapezoid mass in the cut region, the truncation guard.
+
+    ``pieces`` holds (x, w, cut) per edge or line: sample points, weights
+    |u|^2 and the cut mask; a cell counts when both of its ends are cut.
+    Raises TruncationGuardError when the share exceeds ``cfg.guard_tol``.
+    """
+    total = tail = 0.0
+    for x, w, cut in pieces:
+        cells = np.diff(x) * (w[:-1] + w[1:]) / 2.0
+        total += float(np.sum(cells))
+        tail += float(np.sum(cells[cut[:-1] & cut[1:]]))
+    fraction = tail / total if total > 0 else 0.0
+    if fraction > cfg.guard_tol:
         raise TruncationGuardError(
-            f"fraction {worst:.3e} of the mass lies beyond {guard:.2f} of the truncated length"
+            f"fraction {fraction:.3e} of the mass lies beyond {cfg.boundary_guard:.2f} of the truncated domain"
         )
-    return worst
+    return fraction
 
 
-def _evolve_packed(u, stepper, nsteps, t0, dt_signed, phase_fn=None):
-    t = t0
-    for _ in range(nsteps):
-        if phase_fn is not None:
-            u = phase_fn(t + dt_signed / 4.0) * u
+def _steps(u, stepper, nsteps, phase=None):
+    """``nsteps`` Cayley steps between static phase half-steps.
+
+    The half-steps of consecutive steps merge: ``phase`` before the first
+    step, ``phase**2`` between steps and ``phase`` after the last.
+    """
+    if phase is None or nsteps == 0:
+        for _ in range(nsteps):
+            u = stepper(u)
+        return u
+    phase2 = phase * phase
+    u = phase * u
+    for _ in range(nsteps - 1):
         u = stepper(u)
-        if phase_fn is not None:
-            u = phase_fn(t + 3.0 * dt_signed / 4.0) * u
-        t += dt_signed
-    return u
+        u *= phase2
+    return phase * stepper(u)
 
 
 def _evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig, static, dynamic) -> GraphState:
@@ -294,34 +396,42 @@ def _evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig, static, 
 
     ``static`` is sampled once, ``dynamic`` at every half-step; a number
     stands for the constant potential.  Without a dynamic part the phase
-    exp(i dt/2 v) is computed once.
+    exp(i dt/2 v) is computed once and the half-steps merge (``_steps``).
     """
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
-    packing = _pack_graph(u0.graph, u0.grid)
-    pairs, weights, hs = _graph_cells(u0.graph, u0.grid, packing)
+    graph, grid = u0.graph, u0.grid
+    packing = _pack_graph(graph, grid)
+    pairs, weights, hs = _graph_cells(graph, grid, packing)
     mass, K = _assemble(packing.n_dof, pairs, weights, hs)
     dt_signed = math.copysign(cfg.dt, t_final - u0.time) if t_final != u0.time else cfg.dt
-    stepper = _cayley_stepper(mass, K, dt_signed, packing.dirichlet)
+    stepper = _cayley_stepper(mass, K, dt_signed, packing.dirichlet, len(graph.vertices))
     u = _pack_state(u0, packing)
 
     def sample(f, t):
         if isinstance(f, (int, float, complex)):
             f = lambda t, x, c=f: c
-        return _sample_potential(f, t, packing, u0.graph, u0.grid)
+        return _sample_potential(f, t, packing, graph, grid)
 
     v1 = None if static is None else sample(static, u0.time)
-    phase_fn = None
     if dynamic is not None:
-        def phase_fn(t):
+        def phase(t):
             v = sample(dynamic, t)
             return np.exp(1j * (dt_signed / 2.0) * (v if v1 is None else v1 + v))
-    elif v1 is not None:
-        phase = np.exp(1j * (dt_signed / 2.0) * v1)
-        phase_fn = lambda t: phase
-    u = _evolve_packed(u, stepper, nsteps, u0.time, dt_signed, phase_fn)
+
+        t = u0.time
+        for _ in range(nsteps):
+            u = stepper(phase(t + dt_signed / 4.0) * u)
+            u = phase(t + 3.0 * dt_signed / 4.0) * u
+            t += dt_signed
+    else:
+        u = _steps(u, stepper, nsteps, None if v1 is None else np.exp(1j * (dt_signed / 2.0) * v1))
     out = _unpack_state(u, u0, packing, u0.time + nsteps * dt_signed)
     if cfg.boundary_guard is not None:
-        _guard_graph(out, cfg.boundary_guard, cfg.guard_tol)
+        pieces = []
+        for eid, e in enumerate(graph.edges):
+            x = grid.x(eid)
+            pieces.append((x, np.abs(out.values[eid]) ** 2, e.infinite & (x >= cfg.boundary_guard * grid.lengths[eid])))
+        _guard_tail(pieces, cfg)
     return out
 
 
@@ -412,21 +522,11 @@ def evolve_line_sigma(
     mass, K = _assemble(n, pairs, cells / dx, dx)
     dt_signed = math.copysign(cfg.dt, t_final) if t_final != 0 else cfg.dt
     stepper = _cayley_stepper(mass, K, dt_signed, np.array([0, n - 1]))
-    u = _evolve_packed(u0.copy(), stepper, nsteps, 0.0, dt_signed)
+    u = _steps(u0.copy(), stepper, nsteps)
     if cfg.boundary_guard is not None:
-        w = np.abs(u) ** 2
-        total = float(np.trapezoid(w, nodes))
-        if total > 0:
-            cutL = nodes[0] * cfg.boundary_guard if nodes[0] < 0 else nodes[0]
-            cutR = nodes[-1] * cfg.boundary_guard if nodes[-1] > 0 else nodes[-1]
-            mask = (nodes <= cutL) | (nodes >= cutR)
-            if np.count_nonzero(mask) > 1:
-                tail = float(np.trapezoid(np.where(mask, w, 0.0), nodes))
-                if tail / total > cfg.guard_tol:
-                    raise TruncationGuardError(
-                        f"fraction {tail / total:.3e} of the mass lies beyond "
-                        f"{cfg.boundary_guard:.2f} of the truncated line"
-                    )
+        cutL = nodes[0] * cfg.boundary_guard if nodes[0] < 0 else nodes[0]
+        cutR = nodes[-1] * cfg.boundary_guard if nodes[-1] > 0 else nodes[-1]
+        _guard_tail([(nodes, np.abs(u) ** 2, (nodes <= cutL) | (nodes >= cutR))], cfg)
     return u
 
 

@@ -1,21 +1,33 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from graphlse import (
+    Edge,
     EvolutionConfig,
+    GraphGrid,
     GraphState,
+    MetricGraph,
     PiecewiseCoefficient,
     TruncationGuardError,
+    averaged_sums,
+    build_regular_tree,
     build_star,
     evolve_graph,
     evolve_graph_potential,
     evolve_line_sigma,
+    fold_to_line,
     kirchhoff_residual,
     line_grid,
     read_checkpoint,
+    reduction_map,
     weighted_l2_norm,
     write_checkpoint,
 )
+from graphlse.evolution import _assemble, _cayley_stepper, _factor_chains, _graph_cells, _guard_tail, _pack_graph
 
 
 def gaussian(alpha=1.0, center=0.0, chirp=0.0):
@@ -290,3 +302,158 @@ def test_per_edge_potentials_must_agree_at_vertex(star3):
     mismatched = [lambda t, x, c=c: c + 0.0 * x for c in (0.0, 0.0, 1.0)]
     with pytest.raises(ValueError, match="disagree"):
         evolve_graph_potential(st, mismatched, None, 0.1, EvolutionConfig(dt=1e-2))
+
+
+# ---------------------------------------------------------------------------
+# the Cayley core against the two-matrix SuperLU step
+# ---------------------------------------------------------------------------
+
+
+def superlu_stepper(mass, K, dt, dirichlet):
+    """Oracle: (iM - dt/2 K) u' = (iM + dt/2 K) u with identity Dirichlet rows, by SuperLU."""
+    Md = sp.diags(mass)
+    A = (1j * Md - (dt / 2.0) * K).tolil()
+    B = (1j * Md + (dt / 2.0) * K).tolil()
+    for d in dirichlet:
+        A.rows[d] = [d]
+        A.data[d] = [1.0]
+        B.rows[d] = [d]
+        B.data[d] = [1.0]
+    solve = spla.factorized(A.tocsc())
+    B = B.tocsc()
+    return lambda u: solve(B @ u)
+
+
+def line_system(nodes, cells):
+    n = len(nodes)
+    dx = np.diff(nodes)
+    mass, K = _assemble(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1), cells / dx, dx)
+    return mass, K, np.array([0, n - 1]), 0, float(np.min(dx))
+
+
+def graph_system(graph, grid):
+    packing = _pack_graph(graph, grid)
+    mass, K = _assemble(packing.n_dof, *_graph_cells(graph, grid, packing))
+    return mass, K, packing.dirichlet, len(graph.vertices), min(grid.spacings)
+
+
+def folded_tree_line():
+    graph, grid = build_regular_tree([1.0], [2, 2], 4.0, 0.05)
+    state = GraphState.sample(graph, grid, lambda x: np.exp(-(x**2)))
+    folded = fold_to_line(averaged_sums(state), reduction_map(graph))
+    return folded.nodes, folded.cell_sigma
+
+
+def mixed_graph():
+    """A triangle 0-1-2, a loop at 1, a two-sample edge 0-2, a ray at 0 and a two-sample ray at 2."""
+    h = 0.05
+    edges = (
+        Edge(0, 1, 1.0),
+        Edge(1, 2, 0.5),
+        Edge(2, 0, 0.75),
+        Edge(1, 1, 1.0),
+        Edge(0, 2, h),
+        Edge(0, None, math.inf),
+        Edge(2, None, math.inf),
+    )
+    lengths = (1.0, 0.5, 0.75, 1.0, h, 3.0, h)
+    counts = tuple(round(L / h) + 1 for L in lengths)
+    return MetricGraph((0, 1, 2), edges), GraphGrid((h,) * len(edges), lengths, counts)
+
+
+def vertices_only_graph():
+    """A triangle and a loop, every edge with two samples: no chain at all."""
+    h = 0.05
+    edges = (Edge(0, 1, h), Edge(1, 2, h), Edge(2, 0, h), Edge(1, 1, h))
+    return MetricGraph((0, 1, 2), edges), GraphGrid((h,) * 4, (h,) * 4, (2,) * 4)
+
+
+CORE_CASES = {
+    "line": lambda: line_system(line_grid(5.0, 5.0, 0.05), np.ones(200)),
+    "folded-tree-line": lambda: line_system(*folded_tree_line()),
+    "star3": lambda: graph_system(*build_star(3, 4.0, 0.05)),
+    "tree": lambda: graph_system(*build_regular_tree([1.0], [2, 2], 4.0, 0.05)),
+    "cycle-loop-short-edge": lambda: graph_system(*mixed_graph()),
+    "vertices-only": lambda: graph_system(*vertices_only_graph()),
+}
+
+
+@pytest.mark.parametrize("dt_over_h", [0.02, -0.02, 10.0])
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_cayley_core_matches_superlu_oracle(case, dt_over_h):
+    mass, K, dirichlet, nv, h = CORE_CASES[case]()
+    dt = dt_over_h * h
+    rng = np.random.default_rng(7)
+    u0 = rng.normal(size=len(mass)) + 1j * rng.normal(size=len(mass))
+    new, old = _cayley_stepper(mass, K, dt, dirichlet, nv), superlu_stepper(mass, K, dt, dirichlet)
+    u, v = u0, u0
+    for _ in range(200):
+        u, v = new(u), old(v)
+    assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+    np.testing.assert_array_equal(u[dirichlet], u0[dirichlet])
+
+
+@pytest.mark.parametrize("case", sorted(set(CORE_CASES) - {"vertices-only"}))
+def test_chain_factor_is_unit_banded_and_certified(case):
+    mass, K, dirichlet, nv, h = CORE_CASES[case]()
+    dt = -10.0 * h
+    keep = np.ones(len(mass))
+    keep[dirichlet] = 0.0
+    A = sp.diags(keep) @ (sp.diags(1j * mass) - (dt / 2.0) * K) + sp.diags(1.0 - keep)
+    T = sp.csr_matrix(A)[nv:, nv:]
+    # the certificate: strict row diagonal dominance of every chain row
+    off = np.abs(T).sum(axis=1).A1 - np.abs(T.diagonal())
+    assert np.all(np.abs(T.diagonal()) > off)
+    assert sp.triu(T, 2).nnz == 0 and sp.tril(T, -2).nnz == 0
+    lower, rp, upper = _factor_chains(T)
+    assert lower.flags.f_contiguous and upper.flags.f_contiguous
+    np.testing.assert_array_equal(lower[0], 1.0)
+    np.testing.assert_array_equal(upper[1], 1.0)
+    assert np.all(np.isfinite(rp)) and np.all(rp != 0)
+    m = len(rp)
+    L = sp.eye(m) + sp.diags(lower[1, :-1], -1, shape=(m, m))
+    U = sp.eye(m) + sp.diags(upper[0, 1:], 1, shape=(m, m))
+    LDU = (L @ sp.diags(1.0 / rp) @ U).toarray()
+    np.testing.assert_allclose(LDU, T.toarray(), rtol=0, atol=1e-12 * np.max(np.abs(T.data), initial=0.0))
+
+
+@pytest.mark.parametrize("t_final", [0.3, -0.3])
+def test_static_phase_merge_matches_half_steps(star3, t_final):
+    # a static V1 multiplies by phase, phase**2 between steps, phase at the end;
+    # the same V given as V2 runs one phase half-step on each side of every step
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, gaussian())
+    V = lambda t, x: np.cos(x) / (1 + x**2)
+    cfg = EvolutionConfig(dt=1e-2)
+    merged = evolve_graph_potential(st, V, None, t_final, cfg)
+    halves = evolve_graph_potential(st, None, V, t_final, cfg)
+    scale = max(np.max(np.abs(v)) for v in halves.values)
+    for e in range(3):
+        assert np.max(np.abs(merged.values[e] - halves.values[e])) <= 1e-12 * scale
+
+
+def test_guard_tail_counts_cells_inside_the_cut():
+    x = np.arange(11.0)
+    w = np.ones(11)
+    loose = EvolutionConfig(dt=1.0, guard_tol=1.0)
+    assert _guard_tail([(x, w, x >= 8.0)], loose) == pytest.approx(0.2)
+    assert _guard_tail([(x, w, (x <= 1.0) | (x >= 8.0))], loose) == pytest.approx(0.3)
+    assert _guard_tail([(x, w, x >= 8.0), (x, w, np.zeros(11, bool))], loose) == pytest.approx(0.1)
+    assert _guard_tail([(x, w, x >= 10.0)], loose) == 0.0
+    with pytest.raises(TruncationGuardError):
+        _guard_tail([(x, w, x >= 8.0)], EvolutionConfig(dt=1.0, guard_tol=0.1))
+
+
+def test_line_guard_trips():
+    nodes = line_grid(8.0, 8.0, 0.05)
+    with pytest.raises(TruncationGuardError):
+        evolve_line_sigma(gaussian(alpha=0.25)(nodes), np.ones(len(nodes) - 1), nodes, 2.0, EvolutionConfig(dt=1e-2))
+
+
+def test_line_guard_disabled_lets_run_finish():
+    nodes = line_grid(8.0, 8.0, 0.05)
+    u0 = gaussian(alpha=0.25)(nodes)
+    cfg = EvolutionConfig(dt=1e-2, boundary_guard=None)
+    u1 = evolve_line_sigma(u0, np.ones(len(nodes) - 1), nodes, 2.0, cfg)
+    assert u1.shape == nodes.shape and np.all(np.isfinite(u1))
+    assert np.max(np.abs(u1[np.abs(nodes) >= 0.8 * 8.0])) > 1e-2  # the wavefront is in the cut
