@@ -26,6 +26,15 @@ def format_value(v) -> str:
     return str(v)
 
 
+def from_columns(*data) -> Iterable[tuple]:
+    """Rows from whole columns, each numpy column converted to Python values once.
+
+    ``tolist`` per column in place of a numpy-scalar conversion per value
+    leaves ``format_value`` one ``repr`` per float, with the same text.
+    """
+    return zip(*(col.tolist() if hasattr(col, "tolist") else col for col in data))
+
+
 def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], meta: dict | None = None) -> None:
     lines = [f"# tool=graphlse {__version__}"]
     for key, val in (meta or {}).items():
@@ -33,7 +42,7 @@ def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], meta: dict
     lines.append(f"# timestamp={datetime.datetime.now(datetime.timezone.utc).isoformat()}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(map(format_value, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

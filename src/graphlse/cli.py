@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as _verify
-from ._report import config_hash, write_csv
+from ._report import config_hash, from_columns, write_csv
 from .carleman import CarlemanWeight, WeightOverflowError, alpha_vectors, carleman_sides, sample_zcomp
 from .evolution import (
     EvolutionConfig,
@@ -235,7 +235,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
         u0 = _initial_fn(cfg)(nodes)
         u1 = evolve_line_sigma(u0, sigma, nodes, t_final, ecfg)
         ck = out / "line_state.csv"
-        write_csv(ck, ["x", "re_u", "im_u"], zip(nodes, u1.real, u1.imag), _meta(cfg))
+        write_csv(ck, ["x", "re_u", "im_u"], from_columns(nodes, u1.real, u1.imag), _meta(cfg))
         written.append(ck)
         rows = [
             ("norm_initial", float(np.sqrt(np.trapezoid(np.abs(u0) ** 2, nodes)))),
@@ -270,7 +270,7 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path) -> list[Path]:
     write_csv(
         cmp_path,
         ["x", "re_kernel", "im_kernel", "re_fd", "im_fd", "abs_err"],
-        zip(xs, u_kernel.real, u_kernel.imag, u_fd.real, u_fd.imag, err),
+        from_columns(xs, u_kernel.real, u_kernel.imag, u_fd.real, u_fd.imag, err),
         _meta(cfg),
     )
     series_path = out / "wiener_series.csv"
@@ -340,7 +340,9 @@ def _run_sharpness(cfg: ExperimentConfig, out: Path) -> list[Path]:
     meta["beta_hat"] = rows[0][2]
     meta["intercept0"] = fit0.intercept
     meta["intercept1"] = fit1.intercept
-    write_csv(prof_path, ["x", "abs_u0", "abs_u1"], zip(*profile), meta)
+    meta["residual_rms0"] = fit0.residual_rms
+    meta["residual_rms1"] = fit1.residual_rms
+    write_csv(prof_path, ["x", "abs_u0", "abs_u1"], from_columns(*profile), meta)
     return [path, prof_path]
 
 
@@ -372,7 +374,7 @@ def _run_reduce_tree(cfg: ExperimentConfig, out: Path) -> list[Path]:
     write_csv(
         diag,
         ["x", "re_fold_then_evolve", "im_fold_then_evolve", "re_evolve_then_fold", "im_evolve_then_fold"],
-        zip(folded0.nodes, w1.real, w1.imag, folded1.values.real, folded1.values.imag),
+        from_columns(folded0.nodes, w1.real, w1.imag, folded1.values.real, folded1.values.imag),
         _meta(cfg),
     )
     summary = out / "summary.csv"

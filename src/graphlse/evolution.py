@@ -11,9 +11,13 @@ conserves the trapezoid L2 norm to round-off whenever K is Hermitian.  Lines
 and graphs share one stepper, written with the single matrix
 A = i M - dt/2 K as u_next = A^{-1}(2 i M u) - u (Dirichlet rows: identity
 and 2).  Vertex dofs come first and every edge is one contiguous chain, so
-the chain block of A is tridiagonal and strictly diagonally dominant: it is
-factored once without pivoting, each step makes two banded BLAS solves, and
-the vertices solve a small dense Schur complement.
+the chain block of A is tridiagonal and strictly diagonally dominant.  A is
+never formed as a matrix: its pieces come straight from the cell list (the
+three bands of the chain block, the dense vertex block and the few
+vertex-chain entries).  The chain block is factored once without pivoting,
+each step makes two banded BLAS solves, and the vertices solve a small dense
+Schur complement.  The BLAS routine is scipy's, imported when the first
+stepper is built, so the rest of the package loads without scipy.
 
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
@@ -29,10 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import ztbsv
 
-from ._report import read_csv, write_csv
+from ._report import from_columns, read_csv, write_csv
 from .graphs import GraphGrid, GraphState, MetricGraph
 
 __all__ = [
@@ -180,18 +182,46 @@ def _pack_graph(graph: MetricGraph, grid: GraphGrid) -> _GraphPacking:
     )
 
 
-def _assemble(n_dof, cell_pairs, cell_weights, cell_h):
-    """Lumped mass + stiffness from the Dirichlet form sum w_c |u_i - u_j|^2."""
-    mass = np.zeros(n_dof)
-    i = cell_pairs[:, 0]
-    j = cell_pairs[:, 1]
-    np.add.at(mass, i, cell_h / 2.0)
-    np.add.at(mass, j, cell_h / 2.0)
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    vals = np.concatenate([cell_weights, cell_weights, -cell_weights, -cell_weights])
-    K = sp.csc_matrix((vals, (rows, cols)), shape=(n_dof, n_dof))
-    return mass, K
+def _assemble(n_dof, cells, dt, dirichlet, nv):
+    """The pieces of A = iM - (dt/2)K and c, straight from the cell list.
+
+    ``cells`` = (pairs, weights, h) of the Dirichlet form sum_c w_c |u_i - u_j|^2
+    with the lumped mass M = sum_c (h_c / 2)(e_i + e_j), so A_ii = i M_ii -
+    (dt/2) sum of w_c over the cells at i (a cell with i = j adds nothing)
+    and A_ij = (dt/2) w_c.  Dirichlet rows are the identity, with c = 2 there
+    and c = 2i M elsewhere.  Returns c, the bands (sub, diag, sup) of the
+    chain block T = A[nv:, nv:], the dense vertex block D = A[:nv, :nv], and
+    F = A[:nv, nv:] and E = A[nv:, :nv] as (row, col, value) arrays in dof
+    numbering, duplicates not summed.
+    """
+    pairs, weights, hs = cells
+    rows = pairs.T.ravel()  # i of every cell, then j
+    cols = pairs[:, ::-1].T.ravel()
+    keep = np.ones(n_dof)
+    keep[dirichlet] = 0.0
+    mass = np.bincount(rows, np.concatenate([hs, hs]) / 2.0, n_dof)
+    w = np.concatenate([weights, weights]) * (rows != cols)
+    diag = np.where(keep > 0, 1j * mass - (dt / 2.0) * np.bincount(rows, w, n_dof), 1.0)
+    c = np.where(keep > 0, 2j * mass, 2.0)
+    vals = keep[rows] * ((dt / 2.0) * w)
+    live = vals != 0  # drops Dirichlet rows and cells with i = j
+    rows, cols, vals = rows[live], cols[live], vals[live]
+    m = n_dof - nv
+    sub = np.zeros(max(m - 1, 0), dtype=complex)
+    sup = np.zeros(max(m - 1, 0), dtype=complex)
+    chain = (rows >= nv) & (cols >= nv)  # consecutive dofs of one chain
+    up = chain & (cols > rows)
+    sup[rows[up] - nv] = vals[up]
+    down = chain & (cols < rows)
+    sub[cols[down] - nv] = vals[down]
+    D = np.diag(diag[:nv])
+    at = (rows < nv) & (cols < nv)
+    np.add.at(D, (rows[at], cols[at]), vals[at])
+    to_f = (rows < nv) & (cols >= nv)
+    to_e = (rows >= nv) & (cols < nv)
+    F = (rows[to_f], cols[to_f], vals[to_f])
+    E = (rows[to_e], cols[to_e], vals[to_e])
+    return c, (sub, diag[nv:], sup), D, F, E
 
 
 def _graph_cells(graph: MetricGraph, grid: GraphGrid, packing: _GraphPacking):
@@ -225,15 +255,14 @@ def _unpack_state(u, state, packing, time) -> GraphState:
     return GraphState(state.graph, state.grid, values, time)
 
 
-def _factor_chains(T):
+def _factor_chains(sub, diag, sup):
     """Banded factors of the tridiagonal T = L diag(p) U, with no pivoting.
 
-    Returns the unit-lower band of L, 1/p and the unit-upper band of U, each
-    band in the (2, m) Fortran layout that BLAS ``ztbsv`` reads (the unit
-    diagonal row is stored but not referenced).  Strict row diagonal dominance
-    of T keeps every pivot p_i away from zero.
+    T is given by its bands.  Returns the unit-lower band of L, 1/p and the
+    unit-upper band of U, each band in the (2, m) Fortran layout that BLAS
+    ``ztbsv`` reads (the unit diagonal row is stored but not referenced).
+    Strict row diagonal dominance of T keeps every pivot p_i away from zero.
     """
-    sub, diag, sup = (T.diagonal(k) for k in (-1, 0, 1))
     piv = diag.tolist()
     for i, q in enumerate((sub * sup).tolist(), start=1):
         piv[i] -= q / piv[i - 1]
@@ -245,13 +274,13 @@ def _factor_chains(T):
     return lower, 1.0 / piv, upper
 
 
-def _solve_chains(factors, x, off=0, trans=0):
+def _solve_chains(tbsv, factors, x, off=0, trans=0):
     """x[off:] <- T^{-1} x[off:] (T^{-T} x[off:] when ``trans``), in place, from _factor_chains(T)."""
     lower, rp, upper = factors
     if len(rp):
-        x = ztbsv(1, upper if trans else lower, x, offx=off, lower=1 - trans, trans=trans, diag=1, overwrite_x=1)
+        x = tbsv(1, upper if trans else lower, x, offx=off, lower=1 - trans, trans=trans, diag=1, overwrite_x=1)
         x[off:] *= rp
-        x = ztbsv(1, lower if trans else upper, x, offx=off, lower=trans, trans=trans, diag=1, overwrite_x=1)
+        x = tbsv(1, lower if trans else upper, x, offx=off, lower=trans, trans=trans, diag=1, overwrite_x=1)
     return x
 
 
@@ -262,66 +291,87 @@ def _solve_chains(factors, x, off=0, trans=0):
 _NEGLIGIBLE = np.finfo(float).eps ** 2
 
 
-def _chain_rows(F, T, factors):
-    """W = F T^{-1} as a sparse matrix, from a few transposed solves in total.
+def _chain_rows(F, nv, sub, sup, solve_t):
+    """W = F T^{-1} as (row, col, value) triplets sorted by row, then column.
 
-    Solves on different chains (runs of rows of T with no coupling between
-    runs) do not mix.  So each vertex that meets a chain is ranked among the
-    vertices meeting that chain, and the rows of F of one rank share a solve.
+    ``F`` holds (vertex, dof, value) triplets, T = A[nv:, nv:] has the bands
+    ``sub`` and ``sup``, and ``solve_t`` applies T^{-T} in place; W is in dof
+    numbering like F.  Solves on different chains (runs of rows of T with no
+    coupling between runs) do not mix.  So each vertex that meets a chain is
+    ranked among the vertices meeting that chain, and the rows of F of one
+    rank share a solve: a few solves in total, whatever the number of vertices.
     """
-    cut = (T.diagonal(-1) == 0) & (T.diagonal(1) == 0)
-    chain_of = np.concatenate([[0], np.cumsum(cut)])
-    meets, pair = np.unique(np.stack([chain_of[F.col], F.row]), axis=1, return_inverse=True)
+    f_rows, f_cols, f_vals = F[0], F[1] - nv, F[2]
+    chain_of = np.concatenate([[0], np.cumsum((sub == 0) & (sup == 0))])
+    meets, pair = np.unique(np.stack([chain_of[f_cols], f_rows]), axis=1, return_inverse=True)
     pair_rank = np.arange(meets.shape[1]) - np.searchsorted(meets[0], meets[0])
     rank = pair_rank[pair.ravel()]
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
     for r in range(rank.max(initial=-1) + 1):
-        w = np.zeros(T.shape[0], dtype=complex)
-        w[F.col[rank == r]] = F.data[rank == r]
-        w = _solve_chains(factors, w, trans=1)
+        w = np.zeros(len(chain_of), dtype=complex)
+        np.add.at(w, f_cols[rank == r], f_vals[rank == r])
+        w = solve_t(w)
         owner = np.full(len(chain_of), -1)
         owner[meets[0, pair_rank == r]] = meets[1, pair_rank == r]
         nz = np.flatnonzero(np.abs(w) > _NEGLIGIBLE * np.max(np.abs(w)))
         rows.append(owner[chain_of[nz]])
-        cols.append(nz)
+        cols.append(nz + nv)
         vals.append(w[nz])
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=F.shape)
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
 
 
-def _cayley_stepper(mass, K, dt, dirichlet, nv=0):
+def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
     """The Crank-Nicolson step u -> A^{-1}(c u) - u, factored once.
 
     A = iM - (dt/2)K with identity rows at the Dirichlet dofs and c = 2i mass
-    (2 on Dirichlet rows): since iM + (dt/2)K = 2iM - A, this is the Cayley
-    step.  The first ``nv`` dofs are graph vertices and the rest are edge
-    chains, so T = A[nv:, nv:] is tridiagonal with no coupling between chains
-    (the line is nv = 0).  T is strictly row diagonally dominant for either
-    sign of dt, |A_ii| = hypot(M_ii, dt K_ii / 2) > |dt| K_ii / 2 =
-    sum_{j != i} |A_ij|, so it factors without pivoting and each step makes
-    two banded triangular solves.  With A = [[D, F], [E, T]] the vertices
-    solve the dense Schur complement S = D - W E, W = F T^{-1}, and then
-    x_I = T^{-1}(r_I - E x_V).  Row v of W is nonzero only on the chains that
-    meet vertex v, so W is stored sparse.
+    (2 on Dirichlet rows), assembled from ``cells`` by ``_assemble``: since
+    iM + (dt/2)K = 2iM - A, this is the Cayley step.  The first ``nv`` dofs
+    are graph vertices and the rest are edge chains, so T = A[nv:, nv:] is
+    tridiagonal with no coupling between chains (the line is nv = 0).  T is
+    strictly row diagonally dominant for either sign of dt, |A_ii| =
+    hypot(M_ii, dt K_ii / 2) > |dt| K_ii / 2 = sum_{j != i} |A_ij|, so it
+    factors without pivoting and each step makes two banded triangular
+    solves.  With A = [[D, F], [E, T]] the vertices solve the dense Schur
+    complement S = D - W E, W = F T^{-1}, and then x_I = T^{-1}(r_I - E x_V).
+    Row v of W is nonzero only on the chains that meet vertex v, so W is kept
+    as row-sorted triplets and applied by one gather, one multiply and a
+    segmented sum.
     """
-    keep = np.ones(len(mass))
-    keep[dirichlet] = 0.0
-    A = (sp.diags(keep) @ (sp.diags(1j * mass) - (dt / 2.0) * K) + sp.diags(1.0 - keep)).tocsr()
-    c = np.where(keep > 0, 2j * mass, 2.0)
-    T = A[nv:, nv:]
-    factors = _factor_chains(T)
+    # Importing scipy's BLAS wrappers costs more than numpy itself (0.1-0.15 s
+    # and about 28 MB on a 2-core x86 VM) and only stepping needs them, so
+    # ztbsv is bound here: runs that never evolve never load scipy.
+    from scipy.linalg.blas import ztbsv
+
+    c, bands, D, F, E = _assemble(n_dof, cells, dt, dirichlet, nv)
+    factors = _factor_chains(*bands)
     if nv:
-        W = _chain_rows(A[:nv, nv:].tocoo(), T, factors)
-        E = A[nv:, :nv].tocoo()
-        e_rows, e_cols, e_vals = E.row + nv, E.col, E.data
-        s_inv = np.linalg.inv(A[:nv, :nv].toarray() - (W @ E).toarray())
+        solve_t = lambda w: _solve_chains(ztbsv, factors, w, trans=1)
+        w_rows, w_cols, w_vals = _chain_rows(F, nv, bands[0], bands[2], solve_t)
+        starts = np.flatnonzero(np.diff(w_rows, prepend=-1))
+        w_hit = w_rows[starts]
+        e_rows, e_cols, e_vals = E
+        # S = D - W E, with W and E cut down to the few chain dofs that E touches
+        touched = np.unique(e_rows)
+        pos = np.full(n_dof, -1)
+        pos[touched] = np.arange(len(touched))
+        E_t = np.zeros((len(touched), nv), dtype=complex)
+        np.add.at(E_t, (pos[e_rows], e_cols), e_vals)
+        hit = pos[w_cols] >= 0
+        W_t = np.zeros((nv, len(touched)), dtype=complex)
+        np.add.at(W_t, (w_rows[hit], pos[w_cols[hit]]), w_vals[hit])
+        s_inv = np.linalg.inv(D - W_t @ E_t)
 
     def step(u):
         x = c * u
         if nv:
-            xv = s_inv @ (x[:nv] - W @ x[nv:])
+            r = x[:nv].copy()
+            r[w_hit] -= np.add.reduceat(w_vals * x[w_cols], starts)
+            xv = s_inv @ r
             np.subtract.at(x, e_rows, e_vals * xv[e_cols])
             x[:nv] = xv
-        x = _solve_chains(factors, x, nv)
+        x = _solve_chains(ztbsv, factors, x, nv)
         x -= u
         return x
 
@@ -401,10 +451,9 @@ def _evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig, static, 
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
     graph, grid = u0.graph, u0.grid
     packing = _pack_graph(graph, grid)
-    pairs, weights, hs = _graph_cells(graph, grid, packing)
-    mass, K = _assemble(packing.n_dof, pairs, weights, hs)
     dt_signed = math.copysign(cfg.dt, t_final - u0.time) if t_final != u0.time else cfg.dt
-    stepper = _cayley_stepper(mass, K, dt_signed, packing.dirichlet, len(graph.vertices))
+    cells = _graph_cells(graph, grid, packing)
+    stepper = _cayley_stepper(packing.n_dof, cells, dt_signed, packing.dirichlet, len(graph.vertices))
     u = _pack_state(u0, packing)
 
     def sample(f, t):
@@ -519,9 +568,8 @@ def evolve_line_sigma(
     dx = np.diff(nodes)
     n = len(nodes)
     pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-    mass, K = _assemble(n, pairs, cells / dx, dx)
     dt_signed = math.copysign(cfg.dt, t_final) if t_final != 0 else cfg.dt
-    stepper = _cayley_stepper(mass, K, dt_signed, np.array([0, n - 1]))
+    stepper = _cayley_stepper(n, (pairs, cells / dx, dx), dt_signed, np.array([0, n - 1]))
     u = _steps(u0.copy(), stepper, nsteps)
     if cfg.boundary_guard is not None:
         cutL = nodes[0] * cfg.boundary_guard if nodes[0] < 0 else nodes[0]
@@ -542,12 +590,11 @@ def write_checkpoint(state: GraphState, path, cfg: EvolutionConfig | None = None
     header["h"] = float(state.grid.spacings[0])
     header["dt"] = float(cfg.dt) if cfg is not None else float("nan")
     header["L"] = float(max(state.grid.lengths))
-    rows = (
-        (eid, xi, vi.real, vi.imag)
-        for eid in range(state.graph.n_edges)
-        for xi, vi in zip(state.grid.x(eid), state.values[eid])
-    )
-    write_csv(path, ["edge_id", "x", "re_u", "im_u"], rows, header)
+    edges = range(state.graph.n_edges)
+    edge_id = np.concatenate([np.full(len(state.values[eid]), eid) for eid in edges])
+    x = np.concatenate([state.grid.x(eid) for eid in edges])
+    u = np.concatenate(state.values)
+    write_csv(path, ["edge_id", "x", "re_u", "im_u"], from_columns(edge_id, x, u.real, u.imag), header)
 
 
 def read_checkpoint(path) -> tuple[dict, dict[int, tuple[np.ndarray, np.ndarray]]]:

@@ -7,6 +7,7 @@ import pytest
 
 from graphlse._report import read_csv
 from graphlse.cli import KINDS, ConfigError, emit_plots, main, parse_config, run_config
+from graphlse.uncertainty import fit_gaussian_decay, magnitude_window
 
 
 SHARPNESS_INI = """
@@ -215,6 +216,19 @@ def test_sharpness_runs_boundary_verdict(tmp_path):
     vals = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert vals["regime"] == "boundary"
     assert abs(float(vals["product"]) - 1.0 / 16.0) <= 0.05 / 16.0
+
+
+def test_decay_profile_meta_carries_fit_residuals(tmp_path):
+    # the residual RMS of each decay fit, refitted here from the written profile
+    code, out = run_main(tmp_path, SHARPNESS_INI)
+    assert code == 0
+    meta, _, rows = read_csv(out / "decay_profile.csv")
+    x, abs_u0, abs_u1 = np.array(rows, dtype=float).T
+    for key, u in (("residual_rms0", abs_u0), ("residual_rms1", abs_u1)):
+        fit = fit_gaussian_decay(x, u, side="+inf", window=magnitude_window(x, u, 1e-5))
+        assert float(meta[key]) == pytest.approx(fit.residual_rms, rel=1e-12, abs=1e-300)
+    assert float(meta["residual_rms0"]) < 1e-12  # the initial profile is an exact Gaussian
+    assert 0.0 < float(meta["residual_rms1"]) < 1e-2
 
 
 def test_determinism_excluding_timestamp(tmp_path):

@@ -309,8 +309,30 @@ def test_per_edge_potentials_must_agree_at_vertex(star3):
 # ---------------------------------------------------------------------------
 
 
-def superlu_stepper(mass, K, dt, dirichlet):
+def sparse_form(n_dof, cells):
+    """Lumped mass and sparse stiffness K of sum_c w_c |u_i - u_j|^2, apart from the program's assembly."""
+    pairs, weights, hs = cells
+    i, j = pairs[:, 0], pairs[:, 1]
+    mass = np.zeros(n_dof)
+    np.add.at(mass, i, hs / 2.0)
+    np.add.at(mass, j, hs / 2.0)
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([i, j, j, i])
+    vals = np.concatenate([weights, weights, -weights, -weights])
+    return mass, sp.csc_matrix((vals, (rows, cols)), shape=(n_dof, n_dof))
+
+
+def sparse_A(n_dof, cells, dt, dirichlet):
+    """A = iM - dt/2 K with identity Dirichlet rows, as a sparse matrix."""
+    mass, K = sparse_form(n_dof, cells)
+    keep = np.ones(n_dof)
+    keep[dirichlet] = 0.0
+    return sp.csr_matrix(sp.diags(keep) @ (sp.diags(1j * mass) - (dt / 2.0) * K) + sp.diags(1.0 - keep))
+
+
+def superlu_stepper(n_dof, cells, dt, dirichlet):
     """Oracle: (iM - dt/2 K) u' = (iM + dt/2 K) u with identity Dirichlet rows, by SuperLU."""
+    mass, K = sparse_form(n_dof, cells)
     Md = sp.diags(mass)
     A = (1j * Md - (dt / 2.0) * K).tolil()
     B = (1j * Md + (dt / 2.0) * K).tolil()
@@ -327,14 +349,13 @@ def superlu_stepper(mass, K, dt, dirichlet):
 def line_system(nodes, cells):
     n = len(nodes)
     dx = np.diff(nodes)
-    mass, K = _assemble(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1), cells / dx, dx)
-    return mass, K, np.array([0, n - 1]), 0, float(np.min(dx))
+    pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    return n, (pairs, cells / dx, dx), np.array([0, n - 1]), 0, float(np.min(dx))
 
 
 def graph_system(graph, grid):
     packing = _pack_graph(graph, grid)
-    mass, K = _assemble(packing.n_dof, *_graph_cells(graph, grid, packing))
-    return mass, K, packing.dirichlet, len(graph.vertices), min(grid.spacings)
+    return packing.n_dof, _graph_cells(graph, grid, packing), packing.dirichlet, len(graph.vertices), min(grid.spacings)
 
 
 def folded_tree_line():
@@ -345,18 +366,20 @@ def folded_tree_line():
 
 
 def mixed_graph():
-    """A triangle 0-1-2, a loop at 1, a two-sample edge 0-2, a ray at 0 and a two-sample ray at 2."""
+    """A triangle 0-1-2, a loop at 1, a three-sample loop at 0, a two-sample edge 0-2,
+    a ray at 0 and a two-sample ray at 2."""
     h = 0.05
     edges = (
         Edge(0, 1, 1.0),
         Edge(1, 2, 0.5),
         Edge(2, 0, 0.75),
         Edge(1, 1, 1.0),
+        Edge(0, 0, 2 * h),
         Edge(0, 2, h),
         Edge(0, None, math.inf),
         Edge(2, None, math.inf),
     )
-    lengths = (1.0, 0.5, 0.75, 1.0, h, 3.0, h)
+    lengths = (1.0, 0.5, 0.75, 1.0, 2 * h, h, 3.0, h)
     counts = tuple(round(L / h) + 1 for L in lengths)
     return MetricGraph((0, 1, 2), edges), GraphGrid((h,) * len(edges), lengths, counts)
 
@@ -381,11 +404,11 @@ CORE_CASES = {
 @pytest.mark.parametrize("dt_over_h", [0.02, -0.02, 10.0])
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
 def test_cayley_core_matches_superlu_oracle(case, dt_over_h):
-    mass, K, dirichlet, nv, h = CORE_CASES[case]()
+    n_dof, cells, dirichlet, nv, h = CORE_CASES[case]()
     dt = dt_over_h * h
     rng = np.random.default_rng(7)
-    u0 = rng.normal(size=len(mass)) + 1j * rng.normal(size=len(mass))
-    new, old = _cayley_stepper(mass, K, dt, dirichlet, nv), superlu_stepper(mass, K, dt, dirichlet)
+    u0 = rng.normal(size=n_dof) + 1j * rng.normal(size=n_dof)
+    new, old = _cayley_stepper(n_dof, cells, dt, dirichlet, nv), superlu_stepper(n_dof, cells, dt, dirichlet)
     u, v = u0, u0
     for _ in range(200):
         u, v = new(u), old(v)
@@ -393,19 +416,37 @@ def test_cayley_core_matches_superlu_oracle(case, dt_over_h):
     np.testing.assert_array_equal(u[dirichlet], u0[dirichlet])
 
 
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_assembled_blocks_match_sparse_form(case):
+    n_dof, cells, dirichlet, nv, h = CORE_CASES[case]()
+    dt = -10.0 * h
+    A = sparse_A(n_dof, cells, dt, dirichlet).toarray()
+    mass, _ = sparse_form(n_dof, cells)
+    c, (sub, diag, sup), D, F, E = _assemble(n_dof, cells, dt, dirichlet, nv)
+    tol = 1e-14 * np.max(np.abs(A))
+    np.testing.assert_array_equal(c, np.where(np.isin(np.arange(n_dof), dirichlet), 2.0, 2j * mass))
+    T = A[nv:, nv:]
+    for band, k in ((sub, -1), (diag, 0), (sup, 1)):
+        np.testing.assert_allclose(band, np.diagonal(T, k), rtol=0, atol=tol)
+    np.testing.assert_allclose(D, A[:nv, :nv], rtol=0, atol=tol)
+    for (rows, cols, vals), block in ((F, np.s_[:nv, nv:]), (E, np.s_[nv:, :nv])):
+        assert np.all(vals != 0)
+        got, want = np.zeros_like(A), np.zeros_like(A)
+        np.add.at(got, (rows, cols), vals)
+        want[block] = A[block]
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
 @pytest.mark.parametrize("case", sorted(set(CORE_CASES) - {"vertices-only"}))
 def test_chain_factor_is_unit_banded_and_certified(case):
-    mass, K, dirichlet, nv, h = CORE_CASES[case]()
+    n_dof, cells, dirichlet, nv, h = CORE_CASES[case]()
     dt = -10.0 * h
-    keep = np.ones(len(mass))
-    keep[dirichlet] = 0.0
-    A = sp.diags(keep) @ (sp.diags(1j * mass) - (dt / 2.0) * K) + sp.diags(1.0 - keep)
-    T = sp.csr_matrix(A)[nv:, nv:]
+    T = sparse_A(n_dof, cells, dt, dirichlet)[nv:, nv:]
     # the certificate: strict row diagonal dominance of every chain row
     off = np.abs(T).sum(axis=1).A1 - np.abs(T.diagonal())
     assert np.all(np.abs(T.diagonal()) > off)
     assert sp.triu(T, 2).nnz == 0 and sp.tril(T, -2).nnz == 0
-    lower, rp, upper = _factor_chains(T)
+    lower, rp, upper = _factor_chains(T.diagonal(-1), T.diagonal(), T.diagonal(1))
     assert lower.flags.f_contiguous and upper.flags.f_contiguous
     np.testing.assert_array_equal(lower[0], 1.0)
     np.testing.assert_array_equal(upper[1], 1.0)
