@@ -29,7 +29,6 @@ from .graphs import (
 )
 from .evolution import (
     EvolutionConfig,
-    PiecewiseCoefficient,
     TruncationGuardError,
     evolve_graph,
     evolve_graph_potential,
@@ -40,7 +39,7 @@ from .evolution import (
 )
 from .exppoly import (
     ExpPolynomial,
-    LayerParams,
+    PiecewiseCoefficient,
     WienerSeries,
     alpha_prefactor,
     chain_lower_entries,
@@ -49,7 +48,6 @@ from .exppoly import (
     determinant_product,
     ef_recursion,
     invert_E,
-    layer_params,
     transfer_matrix,
     write_series_csv,
 )
@@ -62,7 +60,6 @@ from .kernels import (
     kernel_h,
     kernel_p1k,
     solve_negative_halfline,
-    two_step_psi,
 )
 from .reduction import (
     AveragedSums,

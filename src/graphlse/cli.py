@@ -28,14 +28,13 @@ from ._report import config_hash, from_columns, write_csv
 from .carleman import CarlemanWeight, WeightOverflowError, alpha_vectors, carleman_sides, sample_zcomp
 from .evolution import (
     EvolutionConfig,
-    PiecewiseCoefficient,
     TruncationGuardError,
     evolve_graph,
     evolve_line_sigma,
     line_grid,
     write_checkpoint,
 )
-from .exppoly import invert_E, layer_params, write_series_csv
+from .exppoly import PiecewiseCoefficient, invert_E, write_series_csv
 from .graphs import GraphState, NormOverflowError, build_regular_tree, build_star, kirchhoff_residual, weighted_l2_norm
 from .kernels import QuadratureDomainError, solve_negative_halfline
 from .reduction import averaged_sums, fold_to_line, reduction_map, write_reduction_report
@@ -257,10 +256,9 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path) -> list[Path]:
     x_min = float(cfg.get("kernel", "x_min", -20.0))
     nodes = line_grid(L, L, h)
     u0 = _initial_fn(cfg)(nodes)
-    params = layer_params(sigma.values, sigma.spacing)
-    series = invert_E(params, order)
+    series = invert_E(sigma, order)
     xs = nodes[(nodes >= x_min) & (nodes <= 0.0)]
-    u_kernel = solve_negative_halfline((nodes, u0), sigma, t_final, xs, series)
+    u_kernel = solve_negative_halfline((nodes, u0), t_final, xs, series)
     u_fd_full = evolve_line_sigma(u0, sigma, nodes, t_final, ecfg)
     sel = (nodes >= x_min) & (nodes <= 0.0)
     u_fd = u_fd_full[sel]

@@ -2,8 +2,10 @@
 
 Solves i u_t + Lu = 0 where L is either the graph Laplacian with Kirchhoff
 vertex conditions or d/dx(sigma du/dx) on the line with a piecewise-constant
-coefficient.  The operator is assembled from the Dirichlet form on a (possibly
-non-uniform) grid with a lumped trapezoid mass matrix, so the Cayley step
+coefficient (a ``PiecewiseCoefficient``, the object the transfer-matrix
+kernels read, or one sigma per grid cell).  The operator is assembled from
+the Dirichlet form on a (possibly non-uniform) grid with a lumped trapezoid
+mass matrix, so the Cayley step
 
     (i M - dt/2 K) u_next = (i M + dt/2 K) u
 
@@ -35,11 +37,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._report import from_columns, read_csv, write_csv
+from .exppoly import PiecewiseCoefficient
 from .graphs import GraphGrid, GraphState, MetricGraph
 
 __all__ = [
     "EvolutionConfig",
-    "PiecewiseCoefficient",
     "TruncationGuardError",
     "evolve_graph",
     "evolve_graph_potential",
@@ -55,52 +57,6 @@ class TruncationGuardError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PiecewiseCoefficient:
-    """Step coefficient sigma = a_i^{-2} on I_i with breakpoints (j-1)*l.
-
-    I_1 = (-inf, 0), I_j = ((j-2) l, (j-1) l) for 2 <= j <= N-1 and
-    I_N = ((N-2) l, inf).  ``values`` are the a_i, all positive.
-    """
-
-    values: tuple[float, ...]
-    spacing: float = 1.0
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("need at least one layer value")
-        if any(a <= 0 for a in self.values):
-            raise ValueError("layer values a_i must be positive")
-        if self.spacing <= 0:
-            raise ValueError("breakpoint spacing must be positive")
-        object.__setattr__(self, "values", tuple(float(a) for a in self.values))
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.values)
-
-    @property
-    def sigma_minus(self) -> float:
-        return self.values[0] ** -2
-
-    @property
-    def sigma_plus(self) -> float:
-        return self.values[-1] ** -2
-
-    def breakpoints(self) -> np.ndarray:
-        """Finite breakpoints 0, l, ..., (N-2) l (empty when N = 1)."""
-        return self.spacing * np.arange(self.n_layers - 1, dtype=float)
-
-    def layer_of(self, x: np.ndarray) -> np.ndarray:
-        """0-based layer index of each point."""
-        x = np.asarray(x, dtype=float)
-        return np.clip(np.searchsorted(self.breakpoints(), x, side="right"), 0, self.n_layers - 1)
-
-    def sigma_at(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.values, dtype=float)
-        return a[self.layer_of(x)] ** -2.0
-
-
-@dataclass(frozen=True)
 class EvolutionConfig:
     """Time stepping parameters.
 
@@ -111,7 +67,6 @@ class EvolutionConfig:
     """
 
     dt: float
-    potential: object = None
     boundary_guard: float | None = 0.8
     guard_tol: float = 1e-6
 
@@ -485,12 +440,12 @@ def _evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig, static, 
 
 
 def evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig) -> GraphState:
-    """Evolve i u_t + Laplacian_Gamma u = 0 (plus cfg.potential if set) to t_final.
+    """Evolve i u_t + Laplacian_Gamma u = 0 to t_final, with no potential.
 
-    The L2 norm of the result equals the initial norm to round-off for a real
-    (or absent) potential.  Negative t_final runs the reversed group.
+    The L2 norm of the result equals the initial norm to round-off.  Negative
+    t_final runs the reversed group.
     """
-    return _evolve_graph(u0, t_final, cfg, None, cfg.potential)
+    return _evolve_graph(u0, t_final, cfg, None, None)
 
 
 def evolve_graph_potential(
@@ -506,7 +461,7 @@ def evolve_graph_potential(
     t = u0.time; V2 may be complex, in which case the norm drifts like
     exp(-t * Im V2) for constant V2.  Either may be a single callable used on
     every edge or one callable per edge; callables receive (t, x).
-    ``cfg.potential`` is not used.
+    ``evolve_graph`` is the case V1 = V2 = None.
     """
     return _evolve_graph(u0, t_final, cfg, V1, V2)
 

@@ -1,8 +1,10 @@
-"""Layer transfer matrices and almost-periodic exponential polynomials.
+"""The step coefficient, layer transfer matrices and almost-periodic exponential polynomials.
 
-A coefficient line with N layers sigma = a_i^{-2} couples left- and
-right-moving plane-wave amplitudes across each jump through a 2x2 transfer
-matrix.  Products of those matrices have entries that are finite sums
+``PiecewiseCoefficient`` is the one description of a line with N layers
+sigma = a_k^{-2}: its layout and its jump data, read both by the transfer
+matrices here and by the finite-difference solver.  The line couples left-
+and right-moving plane-wave amplitudes across each jump through a 2x2
+transfer matrix.  Products of those matrices have entries that are finite sums
 
     sum_m  c_m  exp(+-2 i xi l (m . a_mid)),   a_mid = (a_2, ..., a_{N-1}),
 
@@ -17,7 +19,7 @@ from the determinant identity |E_{j,1}|^2 - |F_{j,1}|^2 = prod_{m<=j}
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -25,10 +27,9 @@ import numpy as np
 from ._report import write_csv
 
 __all__ = [
-    "LayerParams",
+    "PiecewiseCoefficient",
     "ExpPolynomial",
     "WienerSeries",
-    "layer_params",
     "transfer_matrix",
     "chain_product",
     "ef_recursion",
@@ -44,18 +45,34 @@ PRUNE_TOL = 1e-16  # coefficients below this magnitude are dropped
 
 
 @dataclass(frozen=True)
-class LayerParams:
-    """Layer amplitudes a_1..a_N with breakpoint spacing l and derived jump data.
+class PiecewiseCoefficient:
+    """Step coefficient sigma = a_k^{-2} on the layers I_k, breakpoints spaced by l.
 
-    delta_j = a_j - a_{j+1}, eps_j = a_j + a_{j+1}, gamma_j = delta_j / eps_j
-    for junctions j = 1..N-1; |gamma_j| < 1 always since the a_i are positive.
+    I_1 = (-inf, 0), I_k = ((k-2) l, (k-1) l) for 2 <= k <= N-1 and
+    I_N = ((N-2) l, inf); the a_k are positive.  The jump data of the
+    junctions j = 1..N-1 are derived from them: delta_j = a_j - a_{j+1},
+    eps_j = a_j + a_{j+1} and gamma_j = delta_j / eps_j, so |gamma_j| < 1.
     """
 
     a: tuple[float, ...]
-    l: float
-    delta: tuple[float, ...]
-    eps: tuple[float, ...]
-    gamma: tuple[float, ...]
+    l: float = 1.0
+    delta: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    eps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    gamma: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = tuple(float(v) for v in self.a)
+        if not a:
+            raise ValueError("need at least one layer")
+        if any(v <= 0 for v in a):
+            raise ValueError("layer amplitudes a_k must be positive")
+        if self.l <= 0:
+            raise ValueError("breakpoint spacing must be positive")
+        delta = tuple(a[j] - a[j + 1] for j in range(len(a) - 1))
+        eps = tuple(a[j] + a[j + 1] for j in range(len(a) - 1))
+        gamma = tuple(d / e for d, e in zip(delta, eps))
+        for name, value in (("a", a), ("l", float(self.l)), ("delta", delta), ("eps", eps), ("gamma", gamma)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_layers(self) -> int:
@@ -65,6 +82,31 @@ class LayerParams:
     def a_mid(self) -> tuple[float, ...]:
         """The contraction vector (a_2, ..., a_{N-1}) of the exponent lattice."""
         return self.a[1:-1]
+
+    @property
+    def sigma_minus(self) -> float:
+        return self.a[0] ** -2
+
+    @property
+    def sigma_plus(self) -> float:
+        return self.a[-1] ** -2
+
+    def interval(self, k: int) -> tuple[float, float]:
+        """Ends of the layer I_k, k in 1..N; the outer layers are half-lines."""
+        if not 1 <= k <= self.n_layers:
+            raise ValueError(f"layer index {k} outside 1..{self.n_layers}")
+        lo = -math.inf if k == 1 else (k - 2) * self.l
+        hi = math.inf if k == self.n_layers else (k - 1) * self.l
+        return lo, hi
+
+    def breakpoints(self) -> np.ndarray:
+        """Finite breakpoints 0, l, ..., (N-2) l: the inner ends of the layers (empty when N = 1)."""
+        return np.array([self.interval(k)[1] for k in range(1, self.n_layers)], dtype=float)
+
+    def sigma_at(self, x: np.ndarray) -> np.ndarray:
+        """sigma at each point; a breakpoint counts to the layer on its right."""
+        layer = np.searchsorted(self.breakpoints(), np.asarray(x, dtype=float), side="right")
+        return np.asarray(self.a, dtype=float)[layer] ** -2.0
 
     def lam(self, j: int, xi) -> np.ndarray:
         """Unimodular phase exp(-i xi delta_j (j-1) l), j in 1..N-1."""
@@ -81,20 +123,6 @@ class LayerParams:
     def _check_j(self, j: int) -> None:
         if not 1 <= j <= self.n_layers - 1:
             raise ValueError(f"junction index {j} outside 1..{self.n_layers - 1}")
-
-
-def layer_params(a, l: float = 1.0) -> LayerParams:
-    a = tuple(float(v) for v in a)
-    if len(a) < 1:
-        raise ValueError("need at least one layer")
-    if any(v <= 0 for v in a):
-        raise ValueError("layer amplitudes must be positive")
-    if l <= 0:
-        raise ValueError("breakpoint spacing must be positive")
-    delta = tuple(a[j] - a[j + 1] for j in range(len(a) - 1))
-    eps = tuple(a[j] + a[j + 1] for j in range(len(a) - 1))
-    gamma = tuple(d / e for d, e in zip(delta, eps))
-    return LayerParams(a, float(l), delta, eps, gamma)
 
 
 @dataclass(frozen=True)
@@ -180,11 +208,11 @@ def _prune(terms: dict) -> dict:
     return {k: complex(v) for k, v in terms.items() if abs(v) > PRUNE_TOL}
 
 
-def _zero_index(params: LayerParams) -> tuple[int, ...]:
+def _zero_index(params: PiecewiseCoefficient) -> tuple[int, ...]:
     return (0,) * max(params.n_layers - 2, 0)
 
 
-def transfer_matrix(j: int, xi: float, params: LayerParams) -> np.ndarray:
+def transfer_matrix(j: int, xi: float, params: PiecewiseCoefficient) -> np.ndarray:
     """Conjugated transfer matrix across junction j at frequency xi.
 
     (eps_j / 2 a_j) [[lam_j, conj(mu_j)], [mu_j, conj(lam_j)]]; its determinant
@@ -197,7 +225,7 @@ def transfer_matrix(j: int, xi: float, params: LayerParams) -> np.ndarray:
     return pref * np.array([[lam, np.conj(mu)], [mu, np.conj(lam)]])
 
 
-def chain_product(j: int, k: int, xi: float, params: LayerParams) -> np.ndarray:
+def chain_product(j: int, k: int, xi: float, params: PiecewiseCoefficient) -> np.ndarray:
     """Brute-force product T_j(xi) ... T_k(xi) (left multiplication), k <= j."""
     if k > j:
         raise ValueError("chain product needs k <= j")
@@ -209,7 +237,7 @@ def chain_product(j: int, k: int, xi: float, params: LayerParams) -> np.ndarray:
     return M
 
 
-def ef_recursion(j: int, k: int, params: LayerParams) -> tuple[ExpPolynomial, ExpPolynomial]:
+def ef_recursion(j: int, k: int, params: PiecewiseCoefficient) -> tuple[ExpPolynomial, ExpPolynomial]:
     """Exact E_{j,k} (sign +1) and F_{j,k} (sign -1) polynomials, 1 <= k <= j <= N-1.
 
     Seeds E_{k,k} = 1, F_{k,k} = gamma_k; each junction m in (k, j] updates
@@ -238,7 +266,7 @@ def ef_recursion(j: int, k: int, params: LayerParams) -> tuple[ExpPolynomial, Ex
     return E, F
 
 
-def chain_lower_entries(j: int, k: int, xi, params: LayerParams) -> tuple[np.ndarray, np.ndarray]:
+def chain_lower_entries(j: int, k: int, xi, params: PiecewiseCoefficient) -> tuple[np.ndarray, np.ndarray]:
     """Closed forms of entries (2,1) and (2,2) of T_j ... T_k from the E/F polynomials."""
     E, F = ef_recursion(j, k, params)
     xi = np.asarray(xi, dtype=float)
@@ -253,7 +281,7 @@ def chain_lower_entries(j: int, k: int, xi, params: LayerParams) -> tuple[np.nda
     return entry_21, entry_22
 
 
-def determinant_product(j: int, k: int, params: LayerParams) -> float:
+def determinant_product(j: int, k: int, params: PiecewiseCoefficient) -> float:
     """|A_{j,k}|^2 - |B_{j,k}|^2, which is xi independent:
     prod_{m=k..j} (eps_m / 2 a_m)^2 (1 - gamma_m^2)."""
     if not 1 <= k <= j <= params.n_layers - 1:
@@ -264,7 +292,7 @@ def determinant_product(j: int, k: int, params: LayerParams) -> float:
     return out
 
 
-def alpha_prefactor(k: int, params: LayerParams) -> float:
+def alpha_prefactor(k: int, params: PiecewiseCoefficient) -> float:
     """Transmission prefactor alpha_k = prod_{m<k} (eps_m / 2 a_m)(1 - gamma_m^2); alpha_1 = 1."""
     if not 1 <= k <= params.n_layers:
         raise ValueError("index out of range")
@@ -274,19 +302,19 @@ def alpha_prefactor(k: int, params: LayerParams) -> float:
     return out
 
 
-def _top_E(params: LayerParams) -> ExpPolynomial:
+def _top_E(params: PiecewiseCoefficient) -> ExpPolynomial:
     """E_{N-1,1}, or the constant 1 when N <= 2 (E_{1,1} = 1; one layer has no junction)."""
     if params.n_layers <= 2:
         return ExpPolynomial({_zero_index(params): 1.0}, +1, params.a_mid, params.l)
     return ef_recursion(params.n_layers - 1, 1, params)[0]
 
 
-def _denominator(params: LayerParams, xi) -> np.ndarray:
+def _denominator(params: PiecewiseCoefficient, xi) -> np.ndarray:
     """conj(E)_{N-1,1}(xi); its modulus is at least sqrt(prod_j (1 - gamma_j^2)) > 0."""
     return np.conj(_top_E(params)(xi))
 
 
-def coefficients_C(k: int, xi, params: LayerParams) -> tuple[np.ndarray, np.ndarray]:
+def coefficients_C(k: int, xi, params: PiecewiseCoefficient) -> tuple[np.ndarray, np.ndarray]:
     """Scattering coefficients (C^-_{1k}(xi), C^+_{1k}(xi)) of the first-row kernels.
 
     C^-_{11} = a_1 / 2 pi and C^+_{1N} = 0 always; the rest are quotients of
@@ -332,7 +360,7 @@ class WienerSeries:
     order: int
     rho: float
     tail_bound: float
-    params: LayerParams
+    params: PiecewiseCoefficient
 
     @property
     def coefficients(self) -> dict[tuple[int, ...], float]:
@@ -345,7 +373,7 @@ class WienerSeries:
         return float(np.max(np.abs(val * denom - 1.0)))
 
 
-def invert_E(params: LayerParams, K: int) -> WienerSeries:
+def invert_E(params: PiecewiseCoefficient, K: int) -> WienerSeries:
     """Wiener inversion of E_{N-1,1}, truncated at total multi-index weight K.
 
     E = 1 + P where every term of P has weight >= 1, so the weight-<=K part of

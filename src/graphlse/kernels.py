@@ -8,7 +8,10 @@ the layered kernel h_t (a Wiener-series combination of shifted copies of k_t)
 and the first-row kernels p_t^{1,k} built from it.  The observation point
 stays on the leftmost layer (x <= 0); the solution there is the single free
 convolution (k_t * eta)(a_1 x) against a transported source profile eta,
-evaluated on a uniform lattice with one FFT.
+evaluated on a uniform lattice with one FFT.  The coefficient is the
+``PiecewiseCoefficient`` a Wiener series was inverted for (``series.params``).
+The right ray x >= (N-2) l is the left ray of the reversed coefficient
+under x' = (N-2) l - x, so the same solve serves it on reflected data.
 """
 from __future__ import annotations
 
@@ -18,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .evolution import PiecewiseCoefficient
-from .exppoly import LayerParams, WienerSeries, alpha_prefactor, ef_recursion, layer_params
+from .exppoly import PiecewiseCoefficient, WienerSeries, alpha_prefactor, ef_recursion
 
 __all__ = [
     "SourceAtom",
@@ -30,7 +32,6 @@ __all__ = [
     "kernel_p1k",
     "eta_profile",
     "solve_negative_halfline",
-    "two_step_psi",
 ]
 
 
@@ -55,7 +56,7 @@ def free_kernel(t: float, z) -> np.ndarray:
     return np.conj(np.exp(1j * z**2 / (-4.0 * t)) / np.sqrt(-4j * math.pi * t))
 
 
-def _lattice_shift(params: LayerParams, idx: tuple[int, ...]) -> float:
+def _lattice_shift(params: PiecewiseCoefficient, idx: tuple[int, ...]) -> float:
     """Shift 2 l (m . a_mid) of the Wiener lattice point with multi-index m."""
     return 2.0 * params.l * sum(n * am for n, am in zip(idx, params.a_mid))
 
@@ -70,17 +71,7 @@ def kernel_h(t: float, x, series: WienerSeries) -> np.ndarray:
     return out
 
 
-def _layer_interval(params: LayerParams, k: int) -> tuple[float, float]:
-    N = params.n_layers
-    l = params.l
-    if k == 1:
-        return (-math.inf, 0.0)
-    if k == N:
-        return ((N - 2) * l, math.inf)
-    return ((k - 2) * l, (k - 1) * l)
-
-
-def _p_terms(params: LayerParams, k: int) -> list[tuple[complex, float, float]]:
+def _p_terms(params: PiecewiseCoefficient, k: int) -> list[tuple[complex, float, float]]:
     """Terms (weight, y_coeff, const) with kernel argument a_1 x + y_coeff * y + const.
 
     The k = 1 direct term is special: it rides on k_t instead of h_t and is
@@ -113,7 +104,7 @@ def _p_terms(params: LayerParams, k: int) -> list[tuple[complex, float, float]]:
     return terms
 
 
-def kernel_p1k(k: int, t: float, x, y, params: LayerParams, series: WienerSeries) -> np.ndarray:
+def kernel_p1k(k: int, t: float, x, y, params: PiecewiseCoefficient, series: WienerSeries) -> np.ndarray:
     """First-row kernel p_t^{1,k}(x, y) for observation x <= 0 and source y in layer k."""
     N = params.n_layers
     if not 1 <= k <= N:
@@ -122,7 +113,7 @@ def kernel_p1k(k: int, t: float, x, y, params: LayerParams, series: WienerSeries
     y = np.asarray(y, dtype=float)
     if np.any(x > 1e-12):
         raise ValueError("first-row kernels are defined for observation points x <= 0")
-    lo, hi = _layer_interval(params, k)
+    lo, hi = params.interval(k)
     if np.any(y < lo - 1e-9) or np.any(y > hi + 1e-9):
         raise ValueError(f"source points outside layer {k} = ({lo}, {hi})")
     a1 = params.a[0]
@@ -173,7 +164,7 @@ class SourceAtom:
         return out
 
 
-def _psi_source_atoms(params: LayerParams) -> tuple[SourceAtom, ...]:
+def _psi_source_atoms(params: PiecewiseCoefficient) -> tuple[SourceAtom, ...]:
     """Atoms of the positively supported profile psi (the h_t part of the solution).
 
     Obtained by the changes of variables that turn every h_t integral over a
@@ -183,7 +174,7 @@ def _psi_source_atoms(params: LayerParams) -> tuple[SourceAtom, ...]:
     N = params.n_layers
     atoms: list[SourceAtom] = []
     for k in range(1, N + 1):
-        lo, hi = _layer_interval(params, k)
+        lo, hi = params.interval(k)
         for w, ycoef, const in _p_terms(params, k):
             # kernel argument a1 x + ycoef y + const = X - z with z = -ycoef y - const
             atoms.append(SourceAtom(w, -ycoef, -const, lo, hi))
@@ -271,7 +262,7 @@ class EtaProfile:
         return dz * full[len(eta) - 1 : len(eta) - 1 + n_out : m].reshape(x.shape)
 
 
-def eta_profile(params: LayerParams, series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
+def eta_profile(params: PiecewiseCoefficient, series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
     """Assemble eta = direct copy of u0 on y <= 0 plus the Wiener-shifted psi atoms."""
     a1 = params.a[0]
     atoms = [SourceAtom(a1, a1, 0.0, -math.inf, 0.0)]
@@ -292,13 +283,13 @@ def _tail_estimate(values, t, weight_sum) -> float:
 
 def solve_negative_halfline(
     u0: tuple[np.ndarray, np.ndarray],
-    sigma: PiecewiseCoefficient,
     t: float,
     x_grid: np.ndarray,
     series: WienerSeries,
 ) -> np.ndarray:
     """Solution of the layered line problem at time t on observation points x <= 0.
 
+    The coefficient is the one ``series`` was inverted for, ``series.params``.
     ``u0`` is (nodes, values) sampling the initial data on a grid that covers
     its support, and ``x_grid`` is uniformly spaced.  The solution is the
     single lattice convolution (k_t * eta)(a_1 x) of ``EtaProfile.convolve``.
@@ -313,43 +304,10 @@ def solve_negative_halfline(
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid > 1e-12):
         raise ValueError("observation points must satisfy x <= 0")
-    params = layer_params(sigma.values, sigma.spacing)
     weight_sum = sum(abs(c) for c in series.coefficients.values()) + 1.0
     scale = float(np.max(np.abs(values))) or 1.0
     if _tail_estimate(values, t, weight_sum) > GUARD_TOL * scale:
         raise QuadratureDomainError(
             "initial data is not small at the sampled domain ends; enlarge the grid"
         )
-    return eta_profile(params, series).convolve(t, x_grid, nodes, values)
-
-
-def two_step_psi(u0: Callable, a1: float, a2: float) -> tuple[EtaProfile, EtaProfile]:
-    """The two transported profiles of a two-layer line.
-
-    psi solves the x < 0 side through (k_t * psi)(a_1 x); psi_tilde the x > 0
-    side through (k_t * psi_tilde)(a_2 x).  The reflection and transmission
-    weights (a_2 - a_1)/(a_1 + a_2) and 2 a_1/(a_1 + a_2) sum to one, so equal
-    layers collapse psi to the plain rescaled copy of u0.
-    """
-    if a1 <= 0 or a2 <= 0:
-        raise ValueError("layer amplitudes must be positive")
-    refl = (a2 - a1) / (a1 + a2)
-    psi = EtaProfile(
-        (
-            SourceAtom(a1, a1, 0.0, -math.inf, 0.0),
-            SourceAtom(refl * a1, -a1, 0.0, -math.inf, 0.0),
-            SourceAtom((2.0 * a1 / (a1 + a2)) * a2, a2, 0.0, 0.0, math.inf),
-        ),
-        front_scale=a1,
-        u0=u0,
-    )
-    psit = EtaProfile(
-        (
-            SourceAtom((2.0 * a2 / (a1 + a2)) * a1, a1, 0.0, -math.inf, 0.0),
-            SourceAtom(a2, a2, 0.0, 0.0, math.inf),
-            SourceAtom(-refl * a2, -a2, 0.0, 0.0, math.inf),
-        ),
-        front_scale=a2,
-        u0=u0,
-    )
-    return psi, psit
+    return eta_profile(series.params, series).convolve(t, x_grid, nodes, values)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .evolution import PiecewiseCoefficient
+from .exppoly import PiecewiseCoefficient
 
 __all__ = [
     "DecayFit",
@@ -147,7 +147,7 @@ def classify_threshold(
     alpha: float,
     beta: float,
     rule: str,
-    sigma: PiecewiseCoefficient | tuple[float, float] | None = None,
+    sigma: PiecewiseCoefficient | None = None,
     n_edges: int | None = None,
     boundary_tol: float = 0.05,
 ) -> ThresholdVerdict:
@@ -167,10 +167,7 @@ def classify_threshold(
     if rule.startswith("line-sigma"):
         if sigma is None:
             raise ValueError("line rules need the coefficient")
-        if isinstance(sigma, PiecewiseCoefficient):
-            sm, sp = sigma.sigma_minus, sigma.sigma_plus
-        else:
-            sm, sp = sigma
+        sm, sp = sigma.sigma_minus, sigma.sigma_plus
         if rule.endswith("-i"):
             thr = 1.0 / (16.0 * sm**2)
         elif rule.endswith("-ii"):
@@ -256,7 +253,7 @@ class TwoStepSharpness:
 
     @property
     def sigma(self) -> PiecewiseCoefficient:
-        return PiecewiseCoefficient((self.a1, self.a2), spacing=1.0)
+        return PiecewiseCoefficient((self.a1, self.a2), 1.0)
 
     def u0(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .carleman import alpha_vectors, membership_residual, sample_zcomp
 from .evolution import EvolutionConfig, evolve_graph
-from .exppoly import chain_lower_entries, chain_product, determinant_product, ef_recursion, invert_E, layer_params
+from .exppoly import PiecewiseCoefficient, chain_lower_entries, chain_product, determinant_product, ef_recursion, invert_E
 from .graphs import GraphState, build_regular_tree, build_star, weighted_l2_norm
 from .kernels import free_kernel, kernel_h
 from .reduction import reduction_map
@@ -28,7 +28,7 @@ def check_chain_identities() -> bool:
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = int(rng.integers(2, 6))
-        p = layer_params(rng.uniform(0.3, 3.0, size=n), 0.7)
+        p = PiecewiseCoefficient(rng.uniform(0.3, 3.0, size=n), 0.7)
         xi = float(rng.uniform(-5, 5))
         for k in range(1, n):
             for j in range(k, n):
@@ -43,7 +43,7 @@ def check_chain_identities() -> bool:
 
 
 def check_wiener() -> bool:
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     s = invert_E(p, 20)
     grid = np.linspace(-8, 8, 512)
     sampled = 0.0
@@ -58,7 +58,7 @@ def check_wiener() -> bool:
 
 
 def check_kernel_free_limit() -> bool:
-    p = layer_params((1.0, 2.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0), 1.0)
     s = invert_E(p, 4)
     x = np.linspace(-3, 3, 11)
     return float(np.max(np.abs(kernel_h(0.7, x, s) - free_kernel(0.7, x)))) < 1e-14

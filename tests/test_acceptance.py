@@ -15,6 +15,7 @@ from graphlse import (
     CarlemanWeight,
     EvolutionConfig,
     GraphState,
+    PiecewiseCoefficient,
     alpha_vectors,
     appell_transform,
     averaged_sums,
@@ -30,7 +31,6 @@ from graphlse import (
     fold_to_line,
     gamma_star,
     invert_E,
-    layer_params,
     line_grid,
     reduction_map,
     sample_zcomp,
@@ -63,7 +63,7 @@ def _random_params(rng):
     n = int(rng.integers(2, 7))
     a = rng.uniform(0.5, 2.0, size=n)
     l = float(rng.uniform(0.5, 1.5))
-    return layer_params(a, l)
+    return PiecewiseCoefficient(a, l)
 
 
 def test_c02_closed_form_vs_chain_product():
@@ -119,7 +119,7 @@ def test_c04_wiener_inversion_residual():
     """Truncated inversion of the denominator entry: residual below 1e-6 and
     below the reported contraction tail bound on a 2048-point grid."""
     t0 = time.time()
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     series = invert_E(p, 20)
     grid = np.linspace(-2 * math.pi / (1.0 * 2.0) * 4, 2 * math.pi / (1.0 * 2.0) * 4, 2048)
     resid = series.residual_on(grid)
@@ -143,11 +143,10 @@ def test_c05_two_step_sharpness():
     closed = ex.u1(nodes)
     rel_fd = rel_l2(fd, closed, nodes)
 
-    params = layer_params((ex.a1, ex.a2), 1.0)
-    series = invert_E(params, 8)
+    series = invert_E(ex.sigma, 8)
     quad = line_grid(40.0, 40.0, 0.005)
     xs = np.arange(-20.0, 0.0 + 1e-12, 0.0125)
-    half = solve_negative_halfline((quad, ex.u0(quad)), ex.sigma, 1.0, xs, series)
+    half = solve_negative_halfline((quad, ex.u0(quad)), 1.0, xs, series)
     rel_half = rel_l2(half, ex.u1(xs), xs)
 
     # fit windows stop where the scheme's dispersive noise floor (~1e-7 of
@@ -192,18 +191,14 @@ def test_c07_representation_cross_check():
     """Three-layer line: transfer-kernel solution equals the independent
     finite-difference solution on [-20, 0] at t=1 to 1e-2 relative L2."""
     t0 = time.time()
-    sigma_vals = (1.0, 2.0, 1.0)
-    from graphlse import PiecewiseCoefficient
-
-    sigma = PiecewiseCoefficient(sigma_vals, 1.0)
+    sigma = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     u0 = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
-    params = layer_params(sigma_vals, 1.0)
-    series = invert_E(params, 24)
+    series = invert_E(sigma, 24)
     nodes = line_grid(40.0, 40.0, 0.02)
     fd = evolve_line_sigma(u0(nodes), sigma, nodes, 1.0, EvolutionConfig(dt=5e-4))
     sel = (nodes >= -20.0) & (nodes <= 0.0)
     xs = nodes[sel]
-    kernel = solve_negative_halfline((nodes, u0(nodes)), sigma, 1.0, xs, series)
+    kernel = solve_negative_halfline((nodes, u0(nodes)), 1.0, xs, series)
     rel = rel_l2(kernel, fd[sel], xs)
     record_acceptance("test_c07_representation_cross_check", f"(rel {rel:.2e}, {time.time()-t0:.1f}s)")
     assert rel <= 1e-2

@@ -203,18 +203,36 @@ def test_nan_potential_rejected(star3):
 
 
 def test_piecewise_coefficient_fields():
-    sig = PiecewiseCoefficient((1.0, 2.0), spacing=1.0)
+    sig = PiecewiseCoefficient((1.0, 2.0), l=1.0)
     assert sig.sigma_minus == 1.0
     assert sig.sigma_plus == 0.25
     np.testing.assert_allclose(sig.breakpoints(), [0.0])
     np.testing.assert_allclose(sig.sigma_at(np.array([-1.0, 0.5])), [1.0, 0.25])
-    with pytest.raises(ValueError):
-        PiecewiseCoefficient((1.0, -2.0))
+    assert sig == PiecewiseCoefficient([1, 2])  # positional (values, spacing), floats stored
+    # one layout: I_k holds a_k^{-2}, and the breakpoints are the finite ends of the I_k
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        sig = PiecewiseCoefficient(rng.uniform(0.3, 3.0, size=n), float(rng.uniform(0.2, 2.0)))
+        ends = [sig.interval(k) for k in range(1, n + 1)]
+        assert ends[0][0] == -math.inf and ends[-1][1] == math.inf
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ends[:-1], ends[1:]))
+        np.testing.assert_array_equal(sig.breakpoints(), [hi for _, hi in ends[:-1]])
+        # midpoints, with the outer half-lines cut to one spacing
+        mids = [(max(lo, -sig.l) + min(hi, (n - 1) * sig.l)) / 2 for lo, hi in ends]
+        np.testing.assert_array_equal(sig.sigma_at(np.array(mids)), np.array(sig.a) ** -2.0)
+    with pytest.raises(ValueError, match="layer index"):
+        sig.interval(0)
+    with pytest.raises(TypeError):
+        PiecewiseCoefficient((1.0, 2.0), 1.0, gamma=(0.5,))  # jump data are derived, not passed
+    for bad in (((1.0, -2.0), 1.0), ((1.0, 0.0), 1.0), ((1.0, 2.0), 0.0), ((1.0, 2.0), -1.0), ((), 1.0)):
+        with pytest.raises(ValueError):
+            PiecewiseCoefficient(*bad)
 
 
 def test_constant_sigma_equals_free_evolution():
     nodes = line_grid(40.0, 40.0, 0.02)
-    sig = PiecewiseCoefficient((1.0, 1.0, 1.0), spacing=1.0)
+    sig = PiecewiseCoefficient((1.0, 1.0, 1.0), l=1.0)
     u0 = gaussian(alpha=0.5)(nodes)
     cfg = EvolutionConfig(dt=1e-3)
     a = evolve_line_sigma(u0, sig, nodes, 0.5, cfg)
@@ -224,7 +242,7 @@ def test_constant_sigma_equals_free_evolution():
 
 def test_line_sigma_norm_preserved_1000_steps():
     nodes = line_grid(40.0, 40.0, 0.02)
-    sig = PiecewiseCoefficient((1.0, 2.0), spacing=1.0)
+    sig = PiecewiseCoefficient((1.0, 2.0), l=1.0)
     u0 = gaussian(alpha=1.0)(nodes)
     u1 = evolve_line_sigma(u0, sig, nodes, 1.0, EvolutionConfig(dt=1e-3))
     n0 = np.sqrt(np.trapezoid(np.abs(u0) ** 2, nodes))
@@ -234,7 +252,7 @@ def test_line_sigma_norm_preserved_1000_steps():
 
 def test_breakpoint_off_grid_rejected():
     nodes = line_grid(40.0, 40.0, 0.02) + 0.007
-    sig = PiecewiseCoefficient((1.0, 2.0), spacing=1.0)
+    sig = PiecewiseCoefficient((1.0, 2.0), l=1.0)
     with pytest.raises(ValueError, match="breakpoint"):
         evolve_line_sigma(np.exp(-nodes**2), sig, nodes, 0.1, EvolutionConfig(dt=1e-2))
 
@@ -243,7 +261,7 @@ def test_discrete_flux_continuity_across_breakpoint():
     # sigma u_x should be continuous across the jump: compare one-sided
     # difference quotients scaled by sigma on both sides of x = 0
     nodes = line_grid(40.0, 40.0, 0.01)
-    sig = PiecewiseCoefficient((1.0, 2.0), spacing=1.0)
+    sig = PiecewiseCoefficient((1.0, 2.0), l=1.0)
     u0 = gaussian(alpha=1.0, center=-2.0)(nodes)
     u1 = evolve_line_sigma(u0, sig, nodes, 0.5, EvolutionConfig(dt=5e-4))
     i0 = int(np.argmin(np.abs(nodes)))

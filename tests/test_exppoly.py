@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphlse import (
     ExpPolynomial,
+    PiecewiseCoefficient,
     alpha_prefactor,
     chain_lower_entries,
     chain_product,
@@ -13,7 +14,6 @@ from graphlse import (
     determinant_product,
     ef_recursion,
     invert_E,
-    layer_params,
     transfer_matrix,
     write_series_csv,
 )
@@ -27,7 +27,7 @@ configs = st.tuples(
 
 
 def test_layer_params_basic():
-    p = layer_params((1.0, 2.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0), 1.0)
     assert p.delta == (-1.0,)
     assert p.eps == (3.0,)
     assert p.gamma == (-1.0 / 3.0,)
@@ -36,19 +36,19 @@ def test_layer_params_basic():
 
 
 def test_layer_params_equal_layers_trivial():
-    p = layer_params((1.7, 1.7, 1.7), 0.5)
+    p = PiecewiseCoefficient((1.7, 1.7, 1.7), 0.5)
     assert p.gamma == (0.0, 0.0)
 
 
 def test_layer_params_rejects_nonpositive():
     with pytest.raises(ValueError):
-        layer_params((1.0, -2.0), 1.0)
+        PiecewiseCoefficient((1.0, -2.0), 1.0)
 
 
 @given(st.lists(st.floats(0.1, 5.0), min_size=2, max_size=8), st.floats(-20, 20))
 @settings(max_examples=60, deadline=None)
 def test_gamma_magnitude_below_one_and_phases(a, xi):
-    p = layer_params(a, 1.0)
+    p = PiecewiseCoefficient(a, 1.0)
     for j in range(1, p.n_layers):
         assert abs(p.gamma[j - 1]) < 1.0
         assert abs(abs(complex(p.lam(j, xi))) - 1.0) < 1e-12
@@ -56,26 +56,26 @@ def test_gamma_magnitude_below_one_and_phases(a, xi):
 
 
 def test_transfer_matrix_values_at_zero():
-    p = layer_params((1.0, 2.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0), 1.0)
     M = transfer_matrix(1, 0.0, p)
     np.testing.assert_allclose(M, 1.5 * np.array([[1.0, -1.0 / 3.0], [-1.0 / 3.0, 1.0]]))
 
 
 def test_transfer_matrix_determinant_oracle():
     # direct 2x2 determinant: det T_j = a_{j+1} / a_j at every frequency
-    p = layer_params((1.0, 2.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0), 1.0)
     for xi in (0.0, 0.3, -2.7):
         det = np.linalg.det(transfer_matrix(1, xi, p))
         assert det == pytest.approx(2.0, abs=1e-13)
 
 
 def test_transfer_matrix_equal_layers_identity():
-    p = layer_params((0.9, 0.9), 1.0)
+    p = PiecewiseCoefficient((0.9, 0.9), 1.0)
     np.testing.assert_allclose(transfer_matrix(1, 1.3, p), np.eye(2), atol=1e-15)
 
 
 def test_transfer_matrix_index_range():
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     with pytest.raises(ValueError):
         transfer_matrix(0, 0.0, p)
     with pytest.raises(ValueError):
@@ -83,21 +83,21 @@ def test_transfer_matrix_index_range():
 
 
 def test_chain_product_single():
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     np.testing.assert_allclose(chain_product(1, 1, 0.4, p), transfer_matrix(1, 0.4, p))
     with pytest.raises(ValueError):
         chain_product(1, 2, 0.4, p)
 
 
 def test_chain_conjugate_structure():
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     M = chain_product(2, 1, 0.7, p)
     assert abs(M[0, 0] - np.conj(M[1, 1])) < 1e-14
     assert abs(M[0, 1] - np.conj(M[1, 0])) < 1e-14
 
 
 def test_chain_determinant_121():
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     for xi in (0.0, 0.9, 5.2):
         M = chain_product(2, 1, xi, p)
         val = abs(M[0, 0]) ** 2 - abs(M[1, 0]) ** 2
@@ -109,7 +109,7 @@ def test_chain_determinant_121():
 @settings(max_examples=80, deadline=None)
 def test_chain_structure_and_determinant_random(cfg):
     a, xi, l = cfg
-    p = layer_params(a, l)
+    p = PiecewiseCoefficient(a, l)
     n = p.n_layers
     for k in range(1, n):
         for j in range(k, n):
@@ -121,7 +121,7 @@ def test_chain_structure_and_determinant_random(cfg):
 
 
 def test_ef_seed_values():
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     E, F = ef_recursion(1, 1, p)
     assert E.coefficient_sum == 1.0
     assert F.coefficient_sum == pytest.approx(p.gamma[0])
@@ -130,7 +130,7 @@ def test_ef_seed_values():
 
 
 def test_ef_equal_layers_trivial():
-    p = layer_params((1.3, 1.3, 1.3, 1.3), 1.0)
+    p = PiecewiseCoefficient((1.3, 1.3, 1.3, 1.3), 1.0)
     E, F = ef_recursion(3, 1, p)
     xi = np.linspace(-4, 4, 64)
     np.testing.assert_allclose(E(xi), 1.0)
@@ -138,7 +138,7 @@ def test_ef_equal_layers_trivial():
 
 
 def test_ef_closed_form_reproduces_chain_121():
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     rng = np.random.default_rng(0)
     for xi in rng.uniform(-10, 10, size=50):
         M = chain_product(2, 1, xi, p)
@@ -151,7 +151,7 @@ def test_ef_closed_form_reproduces_chain_121():
 @settings(max_examples=60, deadline=None)
 def test_ef_closed_form_random(cfg):
     a, xi, l = cfg
-    p = layer_params(a, l)
+    p = PiecewiseCoefficient(a, l)
     n = p.n_layers
     for k in range(1, n):
         for j in range(k, n):
@@ -162,7 +162,7 @@ def test_ef_closed_form_random(cfg):
 
 
 def test_exppoly_algebra():
-    p = layer_params((1.0, 2.0, 0.5, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 0.5, 1.0), 1.0)
     E, F = ef_recursion(3, 1, p)
     xi = np.linspace(-3, 3, 11)
     np.testing.assert_allclose(E.conj()(xi), np.conj(E(xi)), atol=1e-15)
@@ -174,7 +174,7 @@ def test_exppoly_algebra():
 
 
 def test_coefficients_c11_constant():
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     xi = np.linspace(-5, 5, 33)
     cm, cp = coefficients_C(1, xi, p)
     np.testing.assert_allclose(cm, 1.0 / (2 * math.pi))
@@ -182,7 +182,7 @@ def test_coefficients_c11_constant():
 
 
 def test_coefficients_equal_layers():
-    p = layer_params((0.8, 0.8, 0.8), 1.0)
+    p = PiecewiseCoefficient((0.8, 0.8, 0.8), 1.0)
     xi = np.linspace(-5, 5, 17)
     cm1, cp1 = coefficients_C(1, xi, p)
     np.testing.assert_allclose(cp1, 0.0, atol=1e-16)
@@ -194,7 +194,7 @@ def test_coefficients_equal_layers():
 
 def test_coefficients_two_layer_value():
     # oracle: solve the 2x2 linear system from the matrix relation directly
-    p = layer_params((1.0, 2.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0), 1.0)
     xi = 0.0
     cm1, cp1 = coefficients_C(1, xi, p)
     T = chain_product(1, 1, xi, p)
@@ -210,7 +210,7 @@ def test_coefficients_satisfy_matrix_relation(cfg):
     # push [C-_{11}; C+_{11}] through the full chain: row 2 must vanish and
     # row 1 must equal C-_{1N}
     a, xi, l = cfg
-    p = layer_params(a, l)
+    p = PiecewiseCoefficient(a, l)
     N = p.n_layers
     cm1, cp1 = coefficients_C(1, xi, p)
     vec = np.array([complex(cm1), complex(cp1)])
@@ -227,20 +227,20 @@ def test_coefficients_satisfy_matrix_relation(cfg):
 
 
 def test_invert_two_layers_is_one():
-    p = layer_params((1.0, 2.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0), 1.0)
     s = invert_E(p, 5)
     assert s.coefficients == {(): 1.0}
     assert s.residual_on(np.linspace(-10, 10, 101)) == 0.0
 
 
 def test_invert_one_layer_is_one():
-    s = invert_E(layer_params((1.3,), 1.0), 6)
+    s = invert_E(PiecewiseCoefficient((1.3,), 1.0), 6)
     assert s.coefficients == {(): 1.0}
     assert (s.rho, s.tail_bound) == (0.0, 0.0)
 
 
 def test_invert_equal_layers_is_one():
-    p = layer_params((1.0, 1.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 1.0, 1.0), 1.0)
     s = invert_E(p, 8)
     assert s.coefficients == {(0,): 1.0}
 
@@ -274,7 +274,7 @@ def _level_oracle(params, K):
 def test_invert_matches_level_oracle_and_truncated_identity(n):
     rng = np.random.default_rng(100 + n)
     K = 10
-    p = layer_params(rng.uniform(0.4, 2.5, size=n), float(rng.uniform(0.4, 1.5)))
+    p = PiecewiseCoefficient(rng.uniform(0.4, 2.5, size=n), float(rng.uniform(0.4, 1.5)))
     s = invert_E(p, K)
     oracle = _level_oracle(p, K)
     for idx in set(s.poly.terms) | set(oracle.terms):
@@ -288,7 +288,7 @@ def test_invert_matches_level_oracle_and_truncated_identity(n):
 
 
 def test_invert_121_residual_and_bound():
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     s = invert_E(p, 20)
     grid = np.linspace(-8, 8, 2048)
     resid = s.residual_on(grid)
@@ -299,7 +299,7 @@ def test_invert_121_residual_and_bound():
 
 
 def test_invert_nonnegative_indices_and_real_coeffs():
-    p = layer_params((0.7, 1.3, 2.1, 0.9, 1.1), 0.7)
+    p = PiecewiseCoefficient((0.7, 1.3, 2.1, 0.9, 1.1), 0.7)
     s = invert_E(p, 12)
     for idx in s.poly.terms:
         assert min(idx) >= 0
@@ -313,7 +313,7 @@ def test_contraction_below_one_random(a, l):
     # |E_j|^2 - |F_j|^2 = D_j on a dense grid, and the sampled |F_j / E_j|
     # never exceeds the certified rho < 1 (up to the rounding of the samples:
     # rho is attained for three layers)
-    p = layer_params(a, l)
+    p = PiecewiseCoefficient(a, l)
     s = invert_E(p, 2)
     assert s.rho < 1.0
     grid = np.linspace(-40.0, 40.0, 8001)
@@ -328,14 +328,14 @@ def test_contraction_below_one_random(a, l):
 
 def test_invert_rejects_contrast_beyond_double_precision():
     with pytest.raises(ValueError, match="layer contrast"):
-        invert_E(layer_params((1.0, 1e17, 1.0), 1.0), 4)
+        invert_E(PiecewiseCoefficient((1.0, 1e17, 1.0), 1.0), 4)
 
 
 def test_invert_residual_within_bound_random_configs():
     rng = np.random.default_rng(11)
     for _ in range(5):
         n = int(rng.integers(3, 6))
-        p = layer_params(rng.uniform(0.4, 2.5, size=n), float(rng.uniform(0.4, 1.5)))
+        p = PiecewiseCoefficient(rng.uniform(0.4, 2.5, size=n), float(rng.uniform(0.4, 1.5)))
         s = invert_E(p, 18)
         span = 2.0 * math.pi / (p.l * min(p.a_mid))
         grid = np.linspace(-2.0 * span, 2.0 * span, 1024)
@@ -343,7 +343,7 @@ def test_invert_residual_within_bound_random_configs():
 
 
 def test_series_csv_dump(tmp_path):
-    p = layer_params((1.0, 2.0, 1.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     s = invert_E(p, 6)
     path = tmp_path / "series.csv"
     write_series_csv(s, path)

@@ -1,9 +1,13 @@
-"""What a fresh process imports: no scipy until the first evolution, and never scipy.sparse."""
+"""What a fresh process imports (no scipy until the first evolution, and never scipy.sparse), and the public surface."""
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import graphlse
 from test_cli import CARLEMAN_INI
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -47,3 +51,9 @@ print(json.dumps({m: m in sys.modules for m in ("scipy.linalg.blas", "scipy.spar
 """,
     )
     assert got == {"scipy.linalg.blas": True, "scipy.sparse": False}
+
+
+@pytest.mark.parametrize("module", ["graphlse", *(f"graphlse.{m.name}" for m in pkgutil.iter_modules(graphlse.__path__))])
+def test_star_import_names_exist(module):
+    # a stale __all__ entry (a deleted function still listed) fails the star import
+    exec(f"from {module} import *", {})

@@ -13,10 +13,8 @@ from graphlse import (
     invert_E,
     kernel_h,
     kernel_p1k,
-    layer_params,
     line_grid,
     solve_negative_halfline,
-    two_step_psi,
 )
 from graphlse.exppoly import ef_recursion
 
@@ -33,18 +31,17 @@ def dense_oracle(u0f, sigma, t, xs, series, h, reach):
     fall; the outer layers stop at |y| = reach.  It builds a dense
     len(xs) x n_y kernel matrix per layer.
     """
-    params = layer_params(sigma.values, sigma.spacing)
-    ends = [-reach, *(j * sigma.spacing for j in range(len(sigma.values) - 1)), reach]
+    ends = [-reach, *sigma.breakpoints(), reach]
     out = np.zeros(len(xs), dtype=complex)
     for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), start=1):
         ys = np.linspace(lo, hi, round((hi - lo) / h) + 1)
-        out += np.trapezoid(kernel_p1k(k, t, xs[:, None], ys[None, :], params, series) * u0f(ys), ys, axis=1)
+        out += np.trapezoid(kernel_p1k(k, t, xs[:, None], ys[None, :], sigma, series) * u0f(ys), ys, axis=1)
     return out
 
 
 @pytest.fixture(scope="module")
 def p121():
-    return layer_params((1.0, 2.0, 1.0), 1.0)
+    return PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +59,7 @@ def test_free_kernel_values_and_symmetry():
 
 
 def test_h_equals_free_kernel_for_two_layers():
-    p = layer_params((1.0, 2.0), 1.0)
+    p = PiecewiseCoefficient((1.0, 2.0), 1.0)
     s = invert_E(p, 10)
     x = np.linspace(-5, 5, 101)
     np.testing.assert_allclose(kernel_h(0.7, x, s), free_kernel(0.7, x), atol=1e-15)
@@ -88,7 +85,7 @@ def test_h_against_regularized_quadrature_oracle(p121, s121):
 def test_p11_reflected_weight_two_layers():
     # two layers: p^{1,1}(x,y) = a1 k(a1 x - a1 y) - a1 gamma_1 k(a1 x + a1 y)
     a1, a2 = 1.0, 2.0
-    p = layer_params((a1, a2), 1.0)
+    p = PiecewiseCoefficient((a1, a2), 1.0)
     s = invert_E(p, 10)
     gamma = (a1 - a2) / (a1 + a2)
     x, y = -1.3, -0.4
@@ -98,7 +95,7 @@ def test_p11_reflected_weight_two_layers():
 
 
 def test_p11_equal_layers_is_pure_translation():
-    p = layer_params((1.5, 1.5, 1.5), 1.0)
+    p = PiecewiseCoefficient((1.5, 1.5, 1.5), 1.0)
     s = invert_E(p, 6)
     x, y = -0.7, -2.0
     val = kernel_p1k(1, 0.8, x, y, p, s)
@@ -132,72 +129,79 @@ def test_eta_matches_u0_on_negative_axis(p121, s121):
     np.testing.assert_allclose(eta(y), u0(y / p121.a[0]), rtol=0, atol=1e-14)
 
 
-def test_eta_reduces_to_two_step_psi_for_two_layers():
-    a1, a2 = 1.0, 2.0
-    p = layer_params((a1, a2), 1.0)
-    s = invert_E(p, 8)
+@pytest.mark.parametrize("a1, a2", [(1.0, 2.0), (2.0, 1.0)])
+def test_eta_two_layers_reflection_and_transmission(a1, a2):
+    # two layers: eta is u0(y / a1) on y <= 0 and, on y > 0, the reflected
+    # copy with weight (a2 - a1)/(a1 + a2) plus the transmitted copy with
+    # weight 2 a1/(a1 + a2); the weights sum to one.  The order (2, 1) is the
+    # reversed coefficient whose left ray is the right ray of (1, 2).
+    s = invert_E(PiecewiseCoefficient((a1, a2), 1.0), 8)
     u0 = lambda y: np.exp(-((np.asarray(y) - 0.3) ** 2))
-    eta = eta_profile(p, s, u0)
-    psi, _ = two_step_psi(u0, a1, a2)
-    y = np.linspace(-6, 6, 501)
-    np.testing.assert_allclose(eta(y), psi(y), atol=1e-13)
-
-
-def test_two_step_psi_weights_sum_to_one():
-    a1, a2 = 1.0, 2.0
-    u0 = lambda y: np.exp(-np.asarray(y) ** 2)
-    psi, psit = two_step_psi(u0, a1, a2)
+    eta = eta_profile(s.params, s, u0)
     refl, trans = (a2 - a1) / (a1 + a2), 2 * a1 / (a1 + a2)
     assert refl + trans == pytest.approx(1.0)
-    y = np.linspace(0.01, 4, 100)
-    np.testing.assert_allclose(psi(y), refl * u0(-y / a1) + trans * u0(y / a2), atol=1e-14)
-    np.testing.assert_allclose(psi(-y), u0(-y / a1), atol=1e-14)
+    y = np.linspace(0.01, 6, 300)
+    np.testing.assert_allclose(eta(y), refl * u0(-y / a1) + trans * u0(y / a2), atol=1e-14)
+    np.testing.assert_allclose(eta(-y), u0(-y / a1), atol=1e-14)
 
 
-def test_two_step_psi_equal_layers_identity():
+@pytest.mark.parametrize("n", [2, 3])
+def test_eta_equal_layers_identity(n):
     u0 = lambda y: np.exp(-((np.asarray(y) - 0.5) ** 2)) * (1 + 2j)
-    psi, psit = two_step_psi(u0, 1.3, 1.3)
+    s = invert_E(PiecewiseCoefficient((1.3,) * n, 1.0), 6)
     y = np.linspace(-5, 5, 201)
-    np.testing.assert_allclose(psi(y), u0(y / 1.3), atol=1e-14)
-    np.testing.assert_allclose(psit(y), u0(y / 1.3), atol=1e-14)
+    np.testing.assert_allclose(eta_profile(s.params, s, u0)(y), u0(y / 1.3), atol=1e-14)
 
 
-def test_two_step_solution_vs_fd_both_sides():
-    a1, a2 = 1.0, 2.0
-    u0 = lambda y: np.exp(-(np.asarray(y) ** 2))
-    psi, psit = two_step_psi(u0, a1, a2)
+def right_ray(u0f, t, x, quad, sigma, order):
+    """The solution on x >= (N-2) l, by reflection: x' = (N-2) l - x maps the
+    right ray onto the left ray of the reversed coefficient, with data
+    u0((N-2) l - y)."""
+    edge = (sigma.n_layers - 2) * sigma.l
+    series = invert_E(PiecewiseCoefficient(sigma.a[::-1], sigma.l), order)
+    return solve_negative_halfline((quad, u0f(edge - quad)), t, edge - x[::-1], series)[::-1]
+
+
+@pytest.mark.parametrize(
+    "a, center, sides",
+    [((1.0, 2.0), 0.0, ("left", "right")), ((1.0, 2.0, 1.0), 4.0, ("right",))],
+    ids=["two-layer", "three-layer"],
+)
+def test_right_ray_by_reflection_vs_fd(a, center, sides):
+    sigma = PiecewiseCoefficient(a, 1.0)
+    u0 = lambda y: np.exp(-((np.asarray(y) - center) ** 2))
     nodes = line_grid(40.0, 40.0, 0.01)
-    fd = evolve_line_sigma(u0(nodes), PiecewiseCoefficient((a1, a2), 1.0), nodes, 1.0, EvolutionConfig(dt=5e-4))
+    fd = evolve_line_sigma(u0(nodes), sigma, nodes, 1.0, EvolutionConfig(dt=5e-4))
     # finer source sampling for the oscillatory convolution quadrature
     quad = line_grid(40.0, 40.0, 0.005)
-    xneg = nodes[(nodes <= 0) & (nodes >= -12)]
-    xpos = nodes[(nodes >= 0) & (nodes <= 12)]
-    uneg = psi.convolve(1.0, xneg, quad, u0(quad))
-    upos = psit.convolve(1.0, xpos, quad, u0(quad))
-    assert rel_l2(uneg, fd[(nodes <= 0) & (nodes >= -12)], xneg) <= 1e-3
-    assert rel_l2(upos, fd[(nodes >= 0) & (nodes <= 12)], xpos) <= 1e-3
+    edge = (sigma.n_layers - 2) * sigma.l
+    if "right" in sides:
+        sel = (nodes >= edge) & (nodes <= edge + 12)
+        upos = right_ray(u0, 1.0, nodes[sel], quad, sigma, 24)
+        assert rel_l2(upos, fd[sel], nodes[sel]) <= 1e-3
+    if "left" in sides:
+        sel = (nodes <= 0) & (nodes >= -12)
+        uneg = solve_negative_halfline((quad, u0(quad)), 1.0, nodes[sel], invert_E(sigma, 24))
+        assert rel_l2(uneg, fd[sel], nodes[sel]) <= 1e-3
 
 
 def test_solve_constant_coefficient_matches_closed_form():
-    p = PiecewiseCoefficient((1.0, 1.0, 1.0), 1.0)
-    params = layer_params(p.values, p.spacing)
-    s = invert_E(params, 8)
+    s = invert_E(PiecewiseCoefficient((1.0, 1.0, 1.0), 1.0), 8)
     nodes = line_grid(30.0, 30.0, 0.01)
     alpha = 1.0
     u0 = np.exp(-alpha * nodes**2)
     xs = np.linspace(-8.0, 0.0, 81)
-    val = solve_negative_halfline((nodes, u0), p, 1.0, xs, s)
+    val = solve_negative_halfline((nodes, u0), 1.0, xs, s)
     exact = np.exp(-alpha * xs**2 / (1 + 4j * alpha)) / np.sqrt(1 + 4j * alpha)
     assert rel_l2(val, exact, xs) <= 1e-6
 
 
 def test_solve_halfline_vs_fd_three_layers(p121, s121):
-    sigma = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
     nodes = line_grid(40.0, 40.0, 0.02)
     xs = nodes[(nodes >= -20.0) & (nodes <= 0.0)]
-    u_rep = solve_negative_halfline((nodes, u0f(nodes)), sigma, 1.0, xs, s121)
-    fd = evolve_line_sigma(u0f(nodes), sigma, nodes, 1.0, EvolutionConfig(dt=5e-4))
+    u_rep = solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121)
+    fd = evolve_line_sigma(u0f(nodes), p121, nodes, 1.0, EvolutionConfig(dt=5e-4))
     assert rel_l2(u_rep, fd[(nodes >= -20.0) & (nodes <= 0.0)], xs) <= 1e-2
 
 
@@ -206,26 +210,24 @@ def test_p_route_equals_eta_route(p121, s121):
     # convolution; the oracle at h = 0.01 moves by 8e-6 from h = 0.02 and is
     # second order, so it is ~10x closer to the solution than the lattice
     # path on its h = 0.05 nodes, which errs by 2.2e-5
-    sigma = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     u0f = lambda y: np.exp(-((np.asarray(y) + 2.0) ** 2) * 0.8)
     nodes = line_grid(30.0, 30.0, 0.05)
     xs = np.linspace(-12.0, 0.0, 61)
     route_eta = eta_profile(p121, s121, u0f).convolve(1.0, xs, nodes, u0f(nodes))
-    np.testing.assert_array_equal(solve_negative_halfline((nodes, u0f(nodes)), sigma, 1.0, xs, s121), route_eta)
-    route_p = dense_oracle(u0f, sigma, 1.0, xs, s121, h=0.01, reach=12.0)
+    np.testing.assert_array_equal(solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121), route_eta)
+    route_p = dense_oracle(u0f, p121, 1.0, xs, s121, h=0.01, reach=12.0)
     assert rel_l2(route_eta, route_p, xs) <= 5e-5
 
 
-def test_lattice_path_matches_dense_oracle_c07(s121):
+def test_lattice_path_matches_dense_oracle_c07(p121, s121):
     # the c07 problem, breakpoints on the h = 0.02 nodes: the oracle uses the
     # same nodes and the lattice path the same z-spacing (every 10th
     # observation point keeps the oracle cheap and the lattice unchanged)
-    sigma = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
     nodes = line_grid(40.0, 40.0, 0.02)
     xs = nodes[(nodes >= -20.0) & (nodes <= 0.0)][::10]
-    lattice = solve_negative_halfline((nodes, u0f(nodes)), sigma, 1.0, xs, s121)
-    oracle = dense_oracle(u0f, sigma, 1.0, xs, s121, h=0.02, reach=40.0)
+    lattice = solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121)
+    oracle = dense_oracle(u0f, p121, 1.0, xs, s121, h=0.02, reach=40.0)
     assert rel_l2(lattice, oracle, xs) <= 1e-6
 
 
@@ -243,21 +245,19 @@ def test_convolve_grid_rules(p121, s121):
             eta.convolve(1.0, bad, nodes, u0f(nodes))
 
 
-def test_solve_rejects_truncated_data(p121, s121):
-    sigma = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
+def test_solve_rejects_truncated_data(s121):
     nodes = line_grid(2.0, 2.0, 0.05)
     u0 = np.exp(-((nodes + 1.0) ** 2))  # visibly nonzero at the ends
     with pytest.raises(QuadratureDomainError):
-        solve_negative_halfline((nodes, u0), sigma, 1.0, np.array([-1.0]), s121)
+        solve_negative_halfline((nodes, u0), 1.0, np.array([-1.0]), s121)
 
 
-def test_solve_rejects_positive_observation(p121, s121):
-    sigma = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
+def test_solve_rejects_positive_observation(s121):
     nodes = line_grid(30.0, 30.0, 0.05)
     with pytest.raises(ValueError, match="x <= 0"):
-        solve_negative_halfline((nodes, np.exp(-nodes**2)), sigma, 1.0, np.array([1.0]), s121)
+        solve_negative_halfline((nodes, np.exp(-nodes**2)), 1.0, np.array([1.0]), s121)
     with pytest.raises(ValueError, match="t != 0"):
-        solve_negative_halfline((nodes, np.exp(-nodes**2)), sigma, 0.0, np.array([-1.0]), s121)
+        solve_negative_halfline((nodes, np.exp(-nodes**2)), 0.0, np.array([-1.0]), s121)
 
 
 def test_p1k_rejects_positive_observation(p121, s121):
@@ -269,15 +269,14 @@ def test_solve_halfline_vs_fd_four_layers():
     # exercises the multi-index machinery beyond one middle layer
     a = (1.0, 1.6, 0.7, 1.2)
     sigma = PiecewiseCoefficient(a, 0.8)
-    params = layer_params(a, 0.8)
-    series = invert_E(params, 20)
+    series = invert_E(sigma, 20)
     assert series.tail_bound <= 5e-3
     u0 = lambda y: np.exp(-0.8 * (np.asarray(y) + 2.0) ** 2)
     nodes = line_grid(40.0, 40.0, 0.02)
     fd = evolve_line_sigma(u0(nodes), sigma, nodes, 1.0, EvolutionConfig(dt=1e-3))
     xs = np.linspace(-10.0, 0.0, 41)
     quad = line_grid(16.0, 12.0, 0.02)
-    ker = solve_negative_halfline((quad, u0(quad)), sigma, 1.0, xs, series)
+    ker = solve_negative_halfline((quad, u0(quad)), 1.0, xs, series)
     fd_xs = np.interp(xs, nodes, fd.real) + 1j * np.interp(xs, nodes, fd.imag)
     assert rel_l2(ker, fd_xs, xs) <= 1e-2
 
@@ -288,9 +287,8 @@ def test_eta_support_and_route_consistency_random_configs():
         n = int(rng.integers(2, 5))
         a = tuple(rng.uniform(0.6, 1.8, size=n))
         l = float(rng.uniform(0.6, 1.2))
-        params = layer_params(a, l)
+        params = PiecewiseCoefficient(a, l)
         series = invert_E(params, 10)
-        sg = PiecewiseCoefficient(a, l)
         u0f = lambda y: np.exp(-0.7 * (np.asarray(y) + 1.5) ** 2)
         qnodes = line_grid(24.0, 24.0, 0.1)
         xs = np.linspace(-8.0, 0.0, 17)
@@ -298,7 +296,7 @@ def test_eta_support_and_route_consistency_random_configs():
         route_eta = eta.convolve(1.0, xs, qnodes, u0f(qnodes))
         # breakpoints fall between the h = 0.1 nodes: the lattice path errs by
         # 1.6e-4 to 2.0e-4, the oracle at h = 0.01 by about 2e-6
-        route_p = dense_oracle(u0f, sg, 1.0, xs, series, h=0.01, reach=10.0)
+        route_p = dense_oracle(u0f, params, 1.0, xs, series, h=0.01, reach=10.0)
         assert rel_l2(route_eta, route_p, xs) <= 5e-4
         y = np.linspace(-8.0, -1e-9, 201)
         np.testing.assert_array_equal(eta(y), u0f(y / params.a[0]))
