@@ -129,20 +129,44 @@ def test_eta_matches_u0_on_negative_axis(p121, s121):
     np.testing.assert_allclose(eta(y), u0(y / p121.a[0]), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("a1, a2", [(1.0, 2.0), (2.0, 1.0)])
-def test_eta_two_layers_reflection_and_transmission(a1, a2):
-    # two layers: eta is u0(y / a1) on y <= 0 and, on y > 0, the reflected
-    # copy with weight (a2 - a1)/(a1 + a2) plus the transmitted copy with
-    # weight 2 a1/(a1 + a2); the weights sum to one.  The order (2, 1) is the
-    # reversed coefficient whose left ray is the right ray of (1, 2).
-    s = invert_E(PiecewiseCoefficient((a1, a2), 1.0), 8)
-    u0 = lambda y: np.exp(-((np.asarray(y) - 0.3) ** 2))
-    eta = eta_profile(s.params, s, u0)
+def two_layer_eta(u0, a1, a2):
+    """The closed-form two-layer profile: u0(y / a1) on y <= 0 and, on y > 0,
+    the reflected copy with weight (a2 - a1)/(a1 + a2) plus the transmitted
+    copy with weight 2 a1/(a1 + a2)."""
     refl, trans = (a2 - a1) / (a1 + a2), 2 * a1 / (a1 + a2)
-    assert refl + trans == pytest.approx(1.0)
-    y = np.linspace(0.01, 6, 300)
-    np.testing.assert_allclose(eta(y), refl * u0(-y / a1) + trans * u0(y / a2), atol=1e-14)
-    np.testing.assert_allclose(eta(-y), u0(-y / a1), atol=1e-14)
+    return lambda y: np.where(y <= 0, u0(y / a1), refl * u0(-y / a1) + trans * u0(y / a2))
+
+
+# The order (2, 1) is the reversed coefficient, whose left ray is the right
+# ray of (1, 2).
+TWO_LAYER_ORDERS = [(1.0, 2.0), (2.0, 1.0)]
+
+
+def test_eta_reduces_to_two_step_psi_for_two_layers():
+    u0 = lambda y: np.exp(-((np.asarray(y) - 0.3) ** 2))
+    y = np.linspace(-6, 6, 501)
+    for a1, a2 in TWO_LAYER_ORDERS:
+        s = invert_E(PiecewiseCoefficient((a1, a2), 1.0), 8)
+        eta = eta_profile(s.params, s, u0)
+        np.testing.assert_allclose(eta(y), two_layer_eta(u0, a1, a2)(y), atol=1e-13)
+
+
+def test_two_step_psi_weights_sum_to_one():
+    y = np.linspace(0.01, 4, 100)
+    for a1, a2 in TWO_LAYER_ORDERS:
+        s = invert_E(PiecewiseCoefficient((a1, a2), 1.0), 8)
+        refl, trans = (a2 - a1) / (a1 + a2), 2 * a1 / (a1 + a2)
+        assert refl + trans == pytest.approx(1.0)
+        u0 = lambda y: np.exp(-np.asarray(y) ** 2)
+        eta = eta_profile(s.params, s, u0)
+        np.testing.assert_allclose(eta(y), refl * u0(-y / a1) + trans * u0(y / a2), atol=1e-14)
+        np.testing.assert_allclose(eta(-y), u0(-y / a1), atol=1e-14)
+        # a bump far from the interface: the reflected and transmitted copies
+        # are apart, so eta reads each weight at its copy's peak
+        bump = lambda y: np.exp(-((np.asarray(y) + 6.0) ** 2)) + np.exp(-((np.asarray(y) - 6.0) ** 2))
+        eta = eta_profile(s.params, s, bump)
+        assert eta(np.array([6.0 * a1]))[0] == pytest.approx(refl + trans * bump(6.0 * a1 / a2), abs=1e-14)
+        assert eta(np.array([6.0 * a2]))[0] == pytest.approx(trans + refl * bump(-6.0 * a2 / a1), abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3])
