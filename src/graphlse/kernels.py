@@ -104,8 +104,12 @@ def _p_terms(params: PiecewiseCoefficient, k: int) -> list[tuple[complex, float,
     return terms
 
 
-def kernel_p1k(k: int, t: float, x, y, params: PiecewiseCoefficient, series: WienerSeries) -> np.ndarray:
-    """First-row kernel p_t^{1,k}(x, y) for observation x <= 0 and source y in layer k."""
+def kernel_p1k(k: int, t: float, x, y, series: WienerSeries) -> np.ndarray:
+    """First-row kernel p_t^{1,k}(x, y) for observation x <= 0 and source y in layer k.
+
+    The coefficient is the one ``series`` was inverted for, ``series.params``.
+    """
+    params = series.params
     N = params.n_layers
     if not 1 <= k <= N:
         raise ValueError("layer index out of range")
@@ -262,8 +266,12 @@ class EtaProfile:
         return dz * full[len(eta) - 1 : len(eta) - 1 + n_out : m].reshape(x.shape)
 
 
-def eta_profile(params: PiecewiseCoefficient, series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
-    """Assemble eta = direct copy of u0 on y <= 0 plus the Wiener-shifted psi atoms."""
+def eta_profile(series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
+    """Assemble eta = direct copy of u0 on y <= 0 plus the Wiener-shifted psi atoms.
+
+    The coefficient is the one ``series`` was inverted for, ``series.params``.
+    """
+    params = series.params
     a1 = params.a[0]
     atoms = [SourceAtom(a1, a1, 0.0, -math.inf, 0.0)]
     psi = _psi_source_atoms(params)
@@ -310,4 +318,4 @@ def solve_negative_halfline(
         raise QuadratureDomainError(
             "initial data is not small at the sampled domain ends; enlarge the grid"
         )
-    return eta_profile(series.params, series).convolve(t, x_grid, nodes, values)
+    return eta_profile(series).convolve(t, x_grid, nodes, values)

@@ -10,6 +10,7 @@ import numpy as np
 
 from .carleman import alpha_vectors, membership_residual, sample_zcomp
 from .evolution import EvolutionConfig, evolve_graph
+from .evolution import _cayley_stepper, _graph_cells, _pack_graph, _Window
 from .exppoly import PiecewiseCoefficient, chain_lower_entries, chain_product, determinant_product, ef_recursion, invert_E
 from .graphs import GraphState, build_regular_tree, build_star, weighted_l2_norm
 from .kernels import free_kernel, kernel_h
@@ -22,6 +23,33 @@ def check_unitarity() -> bool:
     st = GraphState.sample(graph, grid, lambda x: np.exp(-(x**2)))
     out = evolve_graph(st, 0.1, EvolutionConfig(dt=1e-3))
     return abs(weighted_l2_norm(out) - weighted_l2_norm(st)) < 1e-10 * weighted_l2_norm(st)
+
+
+def check_windowed_core() -> bool:
+    """The windowed Cayley core against a dense Cayley step, on a localized Gaussian."""
+    graph, grid = build_star(3, 6.65, 0.05)  # 400 dofs
+    packing = _pack_graph(graph, grid)
+    pairs, weights, hs = _graph_cells(graph, grid, packing)
+    n, nv, dt = packing.n_dof, len(graph.vertices), 1e-3
+    M = np.zeros((n, n))
+    K = np.zeros((n, n))
+    for (i, j), w, h in zip(pairs, weights, hs):
+        M[i, i] += h / 2
+        M[j, j] += h / 2
+        K[np.ix_([i, j], [i, j])] += w * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    A, B = 1j * M - dt / 2 * K, 1j * M + dt / 2 * K
+    A[packing.dirichlet], B[packing.dirichlet] = 0.0, 0.0
+    A[packing.dirichlet, packing.dirichlet] = B[packing.dirichlet, packing.dirichlet] = 1.0
+    dense = np.linalg.solve(A, B)
+    step = _cayley_stepper(n, (pairs, weights, hs), dt, packing.dirichlet, nv)
+    u = np.exp(-25.0 * (packing.x_of_dof - 1.5) ** 2) * (packing.edge_of_dof == 0)
+    u[:nv] = 0.0
+    live = _Window()
+    u, v = step(u, live), dense @ u
+    narrow = live.rows < n - nv  # the first step left quiet rows out
+    for _ in range(99):
+        u, v = step(u, live), dense @ v
+    return narrow and float(np.max(np.abs(u - v))) <= 1e-12 * float(np.max(np.abs(v)))
 
 
 def check_chain_identities() -> bool:
@@ -91,10 +119,10 @@ def check_alpha_vectors() -> bool:
 
 
 _CHECKS = {
-    "simulate": [check_unitarity],
-    "kernel-compare": [check_chain_identities, check_wiener, check_kernel_free_limit],
-    "sharpness": [check_unitarity, check_decay_fit],
-    "reduce-tree": [check_unitarity, check_reduction_sigma],
+    "simulate": [check_unitarity, check_windowed_core],
+    "kernel-compare": [check_chain_identities, check_wiener, check_kernel_free_limit, check_windowed_core],
+    "sharpness": [check_unitarity, check_windowed_core, check_decay_fit],
+    "reduce-tree": [check_unitarity, check_windowed_core, check_reduction_sigma],
     "carleman": [check_alpha_vectors],
     "appell": [check_appell_roundtrip],
     "threshold-sweep": [check_decay_fit],

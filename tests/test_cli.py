@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphlse import verify as _verify
 from graphlse._report import read_csv
 from graphlse.cli import KINDS, ConfigError, emit_plots, main, parse_config, run_config
 from graphlse.uncertainty import fit_gaussian_decay, magnitude_window
@@ -324,6 +325,15 @@ def test_verify_flag(tmp_path, capsys):
     assert "PASS check_appell_roundtrip" in captured.out
 
 
+def test_verify_checks_windowed_core_for_evolving_kinds(tmp_path, capsys):
+    for kind in ("simulate", "sharpness", "reduce-tree", "kernel-compare"):
+        assert _verify.check_windowed_core in _verify._CHECKS[kind]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(STAR_SIMULATE_INI)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
+    assert "PASS check_windowed_core" in capsys.readouterr().out
+
+
 def test_jobs_parallel_carleman(tmp_path):
     # n_seeds = 2, so the pool gets two (N, seed) tasks; the output must not
     # depend on how they were spread
@@ -477,6 +487,21 @@ def test_kernel_compare_bad_inputs_exit_codes(tmp_path, capsys, change, code, me
 )
 def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message):
     out = _check_bad_input(tmp_path, capsys, CARLEMAN_INI, change, code, message)
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        ("dt = 0.01", "dt = inf"),
+        ("dt = 0.01", "dt = nan"),
+        ("t_final = 0.1", "t_final = inf"),
+        ("t_final = 0.1", "t_final = nan"),
+    ],
+    ids=["dt-inf", "dt-nan", "t-final-inf", "t-final-nan"],
+)
+def test_simulate_non_finite_time_exit_codes(tmp_path, capsys, change):
+    out = _check_bad_input(tmp_path, capsys, STAR_SIMULATE_INI, change, 1, "config error:")
     assert not list(out.glob("*.csv"))
 
 

@@ -27,7 +27,17 @@ from graphlse import (
     weighted_l2_norm,
     write_checkpoint,
 )
-from graphlse.evolution import _assemble, _cayley_stepper, _factor_chains, _graph_cells, _guard_tail, _pack_graph
+from graphlse import evolution
+from graphlse.evolution import (
+    _assemble,
+    _cayley_stepper,
+    _factor_chains,
+    _graph_cells,
+    _guard_tail,
+    _pack_graph,
+    _pack_state,
+    _Window,
+)
 
 
 def gaussian(alpha=1.0, center=0.0, chirp=0.0):
@@ -118,6 +128,42 @@ def test_dt_must_divide_t_final(star3):
     st = GraphState.sample(graph, grid, gaussian())
     with pytest.raises(ValueError, match="integer multiple"):
         evolve_graph(st, 0.35, EvolutionConfig(dt=0.1))
+
+
+@pytest.mark.parametrize("t_final", [math.inf, -math.inf, math.nan])
+def test_non_finite_t_final_rejected(star3, t_final):
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, gaussian())
+    with pytest.raises(ValueError, match="finite"):
+        evolve_graph(st, t_final, EvolutionConfig(dt=1e-2))
+    nodes = line_grid(8.0, 8.0, 0.05)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_line_sigma(np.exp(-(nodes**2)), np.ones(len(nodes) - 1), nodes, t_final, EvolutionConfig(dt=1e-2))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"dt": math.inf},
+        {"dt": math.nan},
+        {"dt": 0.0},
+        {"dt": 1e-2, "guard_tol": math.nan},  # would switch the guard off
+        {"dt": 1e-2, "guard_tol": -1e-6},
+        {"dt": 1e-2, "guard_tol": math.inf},
+    ],
+)
+def test_evolution_config_rejects_bad_numbers(bad):
+    with pytest.raises(ValueError):
+        EvolutionConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_line_data_rejected(bad):
+    # the window would find no value above a NaN or infinite cut and return zeros
+    nodes = line_grid(8.0, 8.0, 0.05)
+    u0 = np.where(nodes > 1.0, bad, np.exp(-(nodes**2)))
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        evolve_line_sigma(u0, np.ones(len(nodes) - 1), nodes, 0.1, EvolutionConfig(dt=1e-2))
 
 
 def test_wavefront_guard_trips():
@@ -432,6 +478,104 @@ def test_cayley_core_matches_superlu_oracle(case, dt_over_h):
         u, v = new(u), old(v)
     assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
     np.testing.assert_array_equal(u[dirichlet], u0[dirichlet])
+
+
+def localized(graph, grid, fns):
+    """Graph system with data ``fns`` (one callable per edge) packed on its dofs."""
+    system = graph_system(graph, grid)
+    u0 = _pack_state(GraphState.sample(graph, grid, fns), _pack_graph(graph, grid))
+    return system, u0
+
+
+def narrow(center=0.0, alpha=25.0):
+    """A complex Gaussian bump of width about 0.2."""
+    return lambda x: np.exp(-alpha * (np.asarray(x) - center) ** 2) * (1.0 + 0.5j * np.asarray(x))
+
+
+def quiet(x):
+    return np.zeros_like(np.asarray(x), dtype=complex)
+
+
+def line_121_gaussian():
+    nodes = line_grid(40.0, 40.0, 0.02)
+    sigma = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
+    cells = sigma.sigma_at(0.5 * (nodes[:-1] + nodes[1:]))
+    return line_system(nodes, cells), narrow(-3.0)(nodes)
+
+
+# Localized data, so that a step solves a narrow window of the chain rows.
+WINDOW_CASES = {
+    "line-121-gaussian": line_121_gaussian,
+    "star3-vertex-data": lambda: localized(*build_star(3, 10.0, 0.05), narrow()),
+    "star3-far-bump": lambda: localized(*build_star(3, 10.0, 0.05), [narrow(4.0), quiet, quiet]),
+    "tree-leaf-ray": lambda: localized(
+        *build_regular_tree([1.0], [2, 2], 6.0, 0.05), [quiet] * 3 + [narrow(2.5)] + [quiet] * 2
+    ),
+}
+
+
+@pytest.mark.parametrize("dt_over_h", [0.02, -0.02])
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_windowed_core_matches_superlu_oracle_on_localized_data(case, dt_over_h):
+    (n_dof, cells, dirichlet, nv, h), u0 = WINDOW_CASES[case]()
+    dt = dt_over_h * h
+    new, old = _cayley_stepper(n_dof, cells, dt, dirichlet, nv), superlu_stepper(n_dof, cells, dt, dirichlet)
+    live = _Window()
+    u, v = new(u0, live), old(u0)
+    assert 0 < live.rows < n_dof - nv  # the first step already swept fewer rows than this
+    for _ in range(199):
+        u, v = new(u, live), old(v)
+    assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize(
+    "V2",
+    [
+        lambda t, x: (0.3 + t) * np.cos(x) + 0.5j * np.exp(-(x**2)),
+        lambda t, x: 500j + 0.0 * x,  # damps the state by e^-100, far below eps^2
+    ],
+    ids=["mixed", "absorbing"],
+)
+def test_windowed_core_matches_superlu_oracle_with_complex_v2(monkeypatch, V2):
+    # the window travels through the dynamic-potential loop: the same run with
+    # the SuperLU step in place of the Cayley core is the oracle
+    graph, grid = build_star(3, 10.0, 0.05)
+    st = GraphState.sample(graph, grid, [narrow(3.0), quiet, quiet])
+    cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
+    narrower = []
+
+    def windowed(n_dof, cells, dt, dirichlet, nv):
+        step = _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+
+        def spied(u, live):
+            out = step(u, live)
+            narrower.append(live.rows < n_dof - nv)
+            return out
+
+        return spied
+
+    def oracle(n_dof, cells, dt, dirichlet, nv):
+        step = superlu_stepper(n_dof, cells, dt, dirichlet)
+        return lambda u, live: step(u)
+
+    monkeypatch.setattr(evolution, "_cayley_stepper", windowed)
+    got = evolve_graph_potential(st, None, V2, 0.2, cfg)
+    monkeypatch.setattr(evolution, "_cayley_stepper", oracle)
+    want = evolve_graph_potential(st, None, V2, 0.2, cfg)
+    assert len(narrower) == 200 and narrower[0]
+    scale = max(np.max(np.abs(w)) for w in want.values)
+    for e in range(3):
+        assert np.max(np.abs(got.values[e] - want.values[e])) <= 1e-12 * scale
+
+
+def test_windowed_line_run_holds_no_subnormals():
+    # c07's line, data and step: a full sweep lets the far field decay row by
+    # row through the subnormal range (161 parts at step 10, 98 at step 200)
+    nodes = line_grid(40.0, 40.0, 0.02)
+    u0 = np.exp(-((nodes + 3.0) ** 2))
+    u = evolve_line_sigma(u0, PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0), nodes, 0.1, EvolutionConfig(dt=5e-4))
+    parts = np.abs(u.view(float))
+    assert np.all((parts == 0) | (parts >= np.finfo(float).tiny))
 
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES))

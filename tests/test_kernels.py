@@ -23,7 +23,7 @@ def rel_l2(u, v, x):
     return float(np.sqrt(np.trapezoid(np.abs(u - v) ** 2, x) / np.trapezoid(np.abs(v) ** 2, x)))
 
 
-def dense_oracle(u0f, sigma, t, xs, series, h, reach):
+def dense_oracle(u0f, t, xs, series, h, reach):
     """The layered solution as a trapezoid sum of p_t^{1,k} over each layer.
 
     Every layer gets its own nodes of spacing about h, ending exactly at the
@@ -31,11 +31,11 @@ def dense_oracle(u0f, sigma, t, xs, series, h, reach):
     fall; the outer layers stop at |y| = reach.  It builds a dense
     len(xs) x n_y kernel matrix per layer.
     """
-    ends = [-reach, *sigma.breakpoints(), reach]
+    ends = [-reach, *series.params.breakpoints(), reach]
     out = np.zeros(len(xs), dtype=complex)
     for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), start=1):
         ys = np.linspace(lo, hi, round((hi - lo) / h) + 1)
-        out += np.trapezoid(kernel_p1k(k, t, xs[:, None], ys[None, :], sigma, series) * u0f(ys), ys, axis=1)
+        out += np.trapezoid(kernel_p1k(k, t, xs[:, None], ys[None, :], series) * u0f(ys), ys, axis=1)
     return out
 
 
@@ -89,7 +89,7 @@ def test_p11_reflected_weight_two_layers():
     s = invert_E(p, 10)
     gamma = (a1 - a2) / (a1 + a2)
     x, y = -1.3, -0.4
-    val = kernel_p1k(1, 1.0, x, y, p, s)
+    val = kernel_p1k(1, 1.0, x, y, s)
     expected = a1 * free_kernel(1.0, a1 * (x - y)) - a1 * gamma * free_kernel(1.0, a1 * (x + y))
     assert complex(val) == pytest.approx(complex(expected), abs=1e-14)
 
@@ -98,7 +98,7 @@ def test_p11_equal_layers_is_pure_translation():
     p = PiecewiseCoefficient((1.5, 1.5, 1.5), 1.0)
     s = invert_E(p, 6)
     x, y = -0.7, -2.0
-    val = kernel_p1k(1, 0.8, x, y, p, s)
+    val = kernel_p1k(1, 0.8, x, y, s)
     assert complex(val) == pytest.approx(complex(1.5 * free_kernel(0.8, 1.5 * (x - y))), abs=1e-14)
 
 
@@ -109,7 +109,7 @@ def test_p1N_single_atom(p121, s121):
 
     aN = p121.a[-1]
     x, y = -0.5, 2.7
-    val = kernel_p1k(3, 1.0, x, y, p121, s121)
+    val = kernel_p1k(3, 1.0, x, y, s121)
     arg = 1.0 * x - aN * (y - 1.0) - 1.0 * p121.a[1]
     expected = 1.0 * alpha_prefactor(3, p121) * kernel_h(1.0, np.array([arg]), s121)[0]
     assert complex(val) == pytest.approx(complex(expected), abs=1e-14)
@@ -117,14 +117,14 @@ def test_p1N_single_atom(p121, s121):
 
 def test_p1k_domain_validation(p121, s121):
     with pytest.raises(ValueError, match="outside layer"):
-        kernel_p1k(2, 1.0, -1.0, 5.0, p121, s121)  # layer 2 is (0, 1)
+        kernel_p1k(2, 1.0, -1.0, 5.0, s121)  # layer 2 is (0, 1)
     with pytest.raises(ValueError, match="layer index"):
-        kernel_p1k(4, 1.0, -1.0, 0.5, p121, s121)
+        kernel_p1k(4, 1.0, -1.0, 0.5, s121)
 
 
 def test_eta_matches_u0_on_negative_axis(p121, s121):
     u0 = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
-    eta = eta_profile(p121, s121, u0)
+    eta = eta_profile(s121, u0)
     y = np.linspace(-10.0, -1e-9, 401)
     np.testing.assert_allclose(eta(y), u0(y / p121.a[0]), rtol=0, atol=1e-14)
 
@@ -147,7 +147,7 @@ def test_eta_reduces_to_two_step_psi_for_two_layers():
     y = np.linspace(-6, 6, 501)
     for a1, a2 in TWO_LAYER_ORDERS:
         s = invert_E(PiecewiseCoefficient((a1, a2), 1.0), 8)
-        eta = eta_profile(s.params, s, u0)
+        eta = eta_profile(s, u0)
         np.testing.assert_allclose(eta(y), two_layer_eta(u0, a1, a2)(y), atol=1e-13)
 
 
@@ -158,13 +158,13 @@ def test_two_step_psi_weights_sum_to_one():
         refl, trans = (a2 - a1) / (a1 + a2), 2 * a1 / (a1 + a2)
         assert refl + trans == pytest.approx(1.0)
         u0 = lambda y: np.exp(-np.asarray(y) ** 2)
-        eta = eta_profile(s.params, s, u0)
+        eta = eta_profile(s, u0)
         np.testing.assert_allclose(eta(y), refl * u0(-y / a1) + trans * u0(y / a2), atol=1e-14)
         np.testing.assert_allclose(eta(-y), u0(-y / a1), atol=1e-14)
         # a bump far from the interface: the reflected and transmitted copies
         # are apart, so eta reads each weight at its copy's peak
         bump = lambda y: np.exp(-((np.asarray(y) + 6.0) ** 2)) + np.exp(-((np.asarray(y) - 6.0) ** 2))
-        eta = eta_profile(s.params, s, bump)
+        eta = eta_profile(s, bump)
         assert eta(np.array([6.0 * a1]))[0] == pytest.approx(refl + trans * bump(6.0 * a1 / a2), abs=1e-14)
         assert eta(np.array([6.0 * a2]))[0] == pytest.approx(trans + refl * bump(-6.0 * a2 / a1), abs=1e-14)
 
@@ -174,7 +174,7 @@ def test_eta_equal_layers_identity(n):
     u0 = lambda y: np.exp(-((np.asarray(y) - 0.5) ** 2)) * (1 + 2j)
     s = invert_E(PiecewiseCoefficient((1.3,) * n, 1.0), 6)
     y = np.linspace(-5, 5, 201)
-    np.testing.assert_allclose(eta_profile(s.params, s, u0)(y), u0(y / 1.3), atol=1e-14)
+    np.testing.assert_allclose(eta_profile(s, u0)(y), u0(y / 1.3), atol=1e-14)
 
 
 def right_ray(u0f, t, x, quad, sigma, order):
@@ -237,9 +237,9 @@ def test_p_route_equals_eta_route(p121, s121):
     u0f = lambda y: np.exp(-((np.asarray(y) + 2.0) ** 2) * 0.8)
     nodes = line_grid(30.0, 30.0, 0.05)
     xs = np.linspace(-12.0, 0.0, 61)
-    route_eta = eta_profile(p121, s121, u0f).convolve(1.0, xs, nodes, u0f(nodes))
+    route_eta = eta_profile(s121, u0f).convolve(1.0, xs, nodes, u0f(nodes))
     np.testing.assert_array_equal(solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121), route_eta)
-    route_p = dense_oracle(u0f, p121, 1.0, xs, s121, h=0.01, reach=12.0)
+    route_p = dense_oracle(u0f, 1.0, xs, s121, h=0.01, reach=12.0)
     assert rel_l2(route_eta, route_p, xs) <= 5e-5
 
 
@@ -251,7 +251,7 @@ def test_lattice_path_matches_dense_oracle_c07(p121, s121):
     nodes = line_grid(40.0, 40.0, 0.02)
     xs = nodes[(nodes >= -20.0) & (nodes <= 0.0)][::10]
     lattice = solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121)
-    oracle = dense_oracle(u0f, p121, 1.0, xs, s121, h=0.02, reach=40.0)
+    oracle = dense_oracle(u0f, 1.0, xs, s121, h=0.02, reach=40.0)
     assert rel_l2(lattice, oracle, xs) <= 1e-6
 
 
@@ -260,7 +260,7 @@ def test_convolve_grid_rules(p121, s121):
     # sits on; uneven and decreasing grids are refused
     u0f = lambda y: np.exp(-((np.asarray(y) + 2.0) ** 2))
     nodes = line_grid(20.0, 20.0, 0.05)
-    eta = eta_profile(p121, s121)
+    eta = eta_profile(s121)
     xs = nodes[(nodes >= -5.0) & (nodes <= 0.0)]
     full = eta.convolve(1.0, xs, nodes, u0f(nodes))
     np.testing.assert_allclose(eta.convolve(1.0, xs[[40]], nodes, u0f(nodes)), full[[40]], rtol=1e-12)
@@ -286,7 +286,7 @@ def test_solve_rejects_positive_observation(s121):
 
 def test_p1k_rejects_positive_observation(p121, s121):
     with pytest.raises(ValueError, match="x <= 0"):
-        kernel_p1k(1, 1.0, 0.5, -0.5, p121, s121)
+        kernel_p1k(1, 1.0, 0.5, -0.5, s121)
 
 
 def test_solve_halfline_vs_fd_four_layers():
@@ -316,11 +316,11 @@ def test_eta_support_and_route_consistency_random_configs():
         u0f = lambda y: np.exp(-0.7 * (np.asarray(y) + 1.5) ** 2)
         qnodes = line_grid(24.0, 24.0, 0.1)
         xs = np.linspace(-8.0, 0.0, 17)
-        eta = eta_profile(params, series, u0f)
+        eta = eta_profile(series, u0f)
         route_eta = eta.convolve(1.0, xs, qnodes, u0f(qnodes))
         # breakpoints fall between the h = 0.1 nodes: the lattice path errs by
         # 1.6e-4 to 2.0e-4, the oracle at h = 0.01 by about 2e-6
-        route_p = dense_oracle(u0f, params, 1.0, xs, series, h=0.01, reach=10.0)
+        route_p = dense_oracle(u0f, 1.0, xs, series, h=0.01, reach=10.0)
         assert rel_l2(route_eta, route_p, xs) <= 5e-4
         y = np.linspace(-8.0, -1e-9, 201)
         np.testing.assert_array_equal(eta(y), u0f(y / params.a[0]))
