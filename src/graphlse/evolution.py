@@ -33,6 +33,20 @@ joins, and a quiet chain is not swept.  Each step drops at most about
 cut (1 + 1/(1 - q)) per row, far below one rounding, and the quiet far field
 is neither swept nor filled with subnormal numbers.
 
+A star whose rays share one grid, with potentials that do not depend on the
+edge, steps the same equations in other unknowns, its modes (the reduction
+of ``reduction.star_sum``): the edge mean, whose first sample is the vertex
+dof and whose far end is Dirichlet, and the differences u_k - u_0, k >= 1,
+which vanish at the vertex and are Dirichlet at both ends.  The vertex row
+divided by N is the half-mass first row of the mean, and the Laplacian and
+the potential act on every mode as on one edge.  Data equal on every edge
+has differences exactly zero, so their chains stay quiet and a step sweeps
+one ray, not N.  The vertex stays a vertex dof: as a chain row its half
+mass would set q near 1 (0.954 at h = 0.0125, dt = 5e-4), and a margin m of
+over a thousand rows would span the whole chain.  Other graphs, and stars
+with unequal rays or per-edge potentials, step the vertex system, which
+stays the oracle of the mode system.
+
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
 potential act as an exact gauge factor; the half-steps of a static potential
@@ -219,11 +233,6 @@ def _pack_state(state: GraphState, packing: _GraphPacking) -> np.ndarray:
         u[dofs] = vals
         filled[dofs] = True
     return u
-
-
-def _unpack_state(u, state, packing, time) -> GraphState:
-    values = tuple(u[packing.edge_dofs[eid]].copy() for eid in range(state.graph.n_edges))
-    return GraphState(state.graph, state.grid, values, time)
 
 
 def _factor_chains(sub, diag, sup):
@@ -483,16 +492,21 @@ def _sample_potential(fn, t, packing: _GraphPacking, graph, grid):
     filled = np.zeros(packing.n_dof, dtype=bool)
     for eid in range(graph.n_edges):
         dofs = packing.edge_dofs[eid]
-        x = grid.x(eid)
-        vals = np.asarray(fns[eid](t, x), dtype=complex) + np.zeros_like(x, dtype=complex)
+        vals = _sample_edge(fns[eid], t, grid.x(eid))
         clash = filled[dofs] & (np.abs(out[dofs] - vals) > 1e-9 * (1.0 + np.abs(vals)))
         if np.any(clash):
             raise ValueError("per-edge potentials disagree at a shared vertex")
         out[dofs] = vals
         filled[dofs] = True
-    if not np.all(np.isfinite(out.view(float))):
-        raise ValueError("potential samples contain NaN or infinity")
     return out
+
+
+def _sample_edge(f, t, x) -> np.ndarray:
+    """f(t, x) as one complex value per point of x; NaN and infinity are refused."""
+    vals = np.asarray(f(t, x), dtype=complex) + np.zeros_like(x, dtype=complex)
+    if not np.all(np.isfinite(vals.view(float))):
+        raise ValueError("potential samples contain NaN or infinity")
+    return vals
 
 
 def _guard_tail(pieces, cfg: EvolutionConfig) -> float:
@@ -535,25 +549,85 @@ def _steps(u, stepper, nsteps, phase=None):
     return phase * stepper(u, live)
 
 
-def _evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig, static, dynamic) -> GraphState:
+def _vertex_system(u0: GraphState, dt: float):
+    """The vertex system of any graph: (stepper, packed u0, potential sampler, unpacker)."""
+    graph, grid = u0.graph, u0.grid
+    packing = _pack_graph(graph, grid)
+    cells = _graph_cells(graph, grid, packing)
+    stepper = _cayley_stepper(packing.n_dof, cells, dt, packing.dirichlet, len(graph.vertices))
+    sample = lambda f, t: _sample_potential(f, t, packing, graph, grid)
+    unpack = lambda u: tuple(u[dofs].copy() for dofs in packing.edge_dofs)
+    return stepper, _pack_state(u0, packing), sample, unpack
+
+
+def _star_modes(u0: GraphState, static, dynamic) -> bool:
+    """Whether the run may step the edge-mean/difference modes of a star.
+
+    It may when the graph is a star whose edges share one grid and neither
+    potential is given per edge, so that every edge sees the same operator.
+    """
+    grid = u0.grid
+    return (
+        u0.graph.is_star
+        and len(set(grid.spacings)) == len(set(grid.lengths)) == len(set(grid.counts)) == 1
+        and not any(isinstance(f, (list, tuple)) for f in (static, dynamic))
+    )
+
+
+def _mode_system(u0: GraphState, dt: float):
+    """The mode system of a star that ``_star_modes`` admits, laid out like ``_vertex_system``.
+
+    The modes are an (N, n) array on the shared ray grid, stepped flattened:
+    row 0 is the edge mean, whose first sample is the vertex dof (nv = 1) and
+    whose last is a Dirichlet row, and row k is u_k - u_0, with Dirichlet rows
+    at both ends.  A potential is sampled once on the ray and tiled.
+    """
+    n_edges, n, h = u0.graph.n_edges, u0.grid.counts[0], u0.grid.spacings[0]
+    x = u0.grid.x(0)
+    vals = np.stack(u0.values)
+    # the vertex path's continuity check: each edge against the one before it
+    if np.any(np.abs(np.diff(vals[:, 0])) > 1e-9 * (float(np.max(np.abs(vals))) or 1.0)):
+        raise ValueError("initial data is discontinuous at a vertex")
+    modes = np.empty_like(vals)
+    modes[0] = np.mean(vals, axis=0)
+    modes[1:] = vals[1:] - vals[0]
+    modes[:, 0] = 0.0
+    modes[0, 0] = vals[-1, 0]  # the vertex value the vertex path keeps
+    first = np.arange(n_edges) * n
+    i = (first[:, None] + np.arange(n - 1)).ravel()
+    cells = (np.stack([i, i + 1], axis=1), np.full(len(i), 1.0 / h), np.full(len(i), h))
+    stepper = _cayley_stepper(n_edges * n, cells, dt, np.sort(np.concatenate([first[1:], first + n - 1])), 1)
+    sample = lambda f, t: np.tile(_sample_edge(f, t, x), n_edges)
+
+    def unpack(u):
+        d = np.zeros((n_edges, n), dtype=complex)
+        d[1:] += u.reshape(n_edges, n)[1:]  # adding to +0 turns -0 into +0: equal edges come out bit-equal
+        return tuple(u[:n] - d.sum(axis=0) / n_edges + d)
+
+    return stepper, modes.ravel(), sample, unpack
+
+
+def _evolve_graph(
+    u0: GraphState, t_final: float, cfg: EvolutionConfig, static, dynamic, vertex_path: bool = False
+) -> GraphState:
     """Cayley steps wrapped in the potential's phase half-steps.
 
     ``static`` is sampled once, ``dynamic`` at every half-step; a number
     stands for the constant potential.  Without a dynamic part the phase
     exp(i dt/2 v) is computed once and the half-steps merge (``_steps``).
+    The steps run on the star's mode system when ``_star_modes`` admits the
+    run and ``vertex_path`` is False, and on the vertex system otherwise.
     """
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
     graph, grid = u0.graph, u0.grid
-    packing = _pack_graph(graph, grid)
     dt_signed = math.copysign(cfg.dt, t_final - u0.time) if t_final != u0.time else cfg.dt
-    cells = _graph_cells(graph, grid, packing)
-    stepper = _cayley_stepper(packing.n_dof, cells, dt_signed, packing.dirichlet, len(graph.vertices))
-    u = _pack_state(u0, packing)
+    modes = not vertex_path and _star_modes(u0, static, dynamic)
+    stepper, u, sample_dofs, unpack = (_mode_system if modes else _vertex_system)(u0, dt_signed)
 
     def sample(f, t):
         if isinstance(f, (int, float, complex)):
             f = lambda t, x, c=f: c
-        return _sample_potential(f, t, packing, graph, grid)
+        return sample_dofs(f, t)
 
     v1 = None if static is None else sample(static, u0.time)
     if dynamic is not None:
@@ -569,7 +643,7 @@ def _evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig, static, 
             t += dt_signed
     else:
         u = _steps(u, stepper, nsteps, None if v1 is None else np.exp(1j * (dt_signed / 2.0) * v1))
-    out = _unpack_state(u, u0, packing, u0.time + nsteps * dt_signed)
+    out = GraphState(graph, grid, unpack(u), u0.time + nsteps * dt_signed)
     if cfg.boundary_guard is not None:
         pieces = []
         for eid, e in enumerate(graph.edges):
@@ -613,8 +687,8 @@ def evolve_graph_potential(
 
 def line_grid(L_left: float, L_right: float, h: float) -> np.ndarray:
     """Uniform nodes on [-L_left, L_right] with 0 on the grid."""
-    if L_left <= 0 or L_right <= 0 or h <= 0:
-        raise ValueError("lengths and spacing must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (L_left, L_right, h)) or not math.isfinite(max(L_left, L_right) / h):
+        raise ValueError(f"lengths {L_left}, {L_right} and spacing {h} must be positive, finite and not overflow")
     nl = round(L_left / h)
     nr = round(L_right / h)
     if abs(nl * h - L_left) > 1e-8 or abs(nr * h - L_right) > 1e-8:

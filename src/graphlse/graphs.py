@@ -135,6 +135,8 @@ class GraphGrid:
 
 
 def _uniform_count(L: float, h: float) -> int:
+    if not (math.isfinite(L) and math.isfinite(h) and h > 0 and math.isfinite(L / h)):
+        raise ValueError(f"length {L} over spacing {h} is not a finite sample count")
     n = round(L / h)
     if n < 1 or abs(n * h - L) > 1e-8 * max(1.0, L):
         raise ValueError(f"length {L} is not an integer multiple of spacing {h}")

@@ -44,7 +44,9 @@ def star_sum(state: GraphState, mode: str, component: int | None = None):
     flux at the vertex, so the extension is a free-line solution whenever the
     state is).  mode='odd': the difference u_k - S/N of component
     ``component`` (0-based), which vanishes at the vertex, extended oddly.
-    Returns (x, values).
+    Returns (x, values).  The evolution steps a star in these modes (the
+    edge mean and the differences u_k - u_0, see ``evolution``), so that
+    data equal on every edge sweeps one ray.
     """
     graph = _require_star(state)
     counts = set(state.grid.counts)

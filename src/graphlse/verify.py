@@ -10,7 +10,14 @@ import numpy as np
 
 from .carleman import alpha_vectors, membership_residual, sample_zcomp
 from .evolution import EvolutionConfig, evolve_graph
-from .evolution import _cayley_stepper, _graph_cells, _pack_graph, _Window
+from .evolution import (
+    _cayley_stepper,
+    _evolve_graph,
+    _graph_cells,
+    _pack_graph,
+    _star_modes,
+    _Window,
+)
 from .exppoly import PiecewiseCoefficient, chain_lower_entries, chain_product, determinant_product, ef_recursion, invert_E
 from .graphs import GraphState, build_regular_tree, build_star, weighted_l2_norm
 from .kernels import free_kernel, kernel_h
@@ -50,6 +57,19 @@ def check_windowed_core() -> bool:
     for _ in range(99):
         u, v = step(u, live), dense @ v
     return narrow and float(np.max(np.abs(u - v))) <= 1e-12 * float(np.max(np.abs(v)))
+
+
+def check_star_modes() -> bool:
+    """The star's mode system against its vertex system, on different data per edge."""
+    graph, grid = build_star(3, 10.0, 0.05)
+    edge = lambda k: lambda x: np.exp(-(x**2)) * (1.0 + 0.3j * k * x) + k * x**2 * np.exp(-4.0 * (x - 2.0) ** 2)
+    st = GraphState.sample(graph, grid, [edge(k) for k in range(3)])
+    cfg = EvolutionConfig(dt=1e-3)
+    modes = _evolve_graph(st, 0.1, cfg, None, None)
+    vertex = _evolve_graph(st, 0.1, cfg, None, None, vertex_path=True)
+    scale = max(float(np.max(np.abs(v))) for v in vertex.values)
+    err = max(float(np.max(np.abs(a - b))) for a, b in zip(modes.values, vertex.values))
+    return _star_modes(st, None, None) and err <= 1e-12 * scale
 
 
 def check_chain_identities() -> bool:
@@ -119,9 +139,9 @@ def check_alpha_vectors() -> bool:
 
 
 _CHECKS = {
-    "simulate": [check_unitarity, check_windowed_core],
+    "simulate": [check_unitarity, check_windowed_core, check_star_modes],
     "kernel-compare": [check_chain_identities, check_wiener, check_kernel_free_limit, check_windowed_core],
-    "sharpness": [check_unitarity, check_windowed_core, check_decay_fit],
+    "sharpness": [check_unitarity, check_windowed_core, check_star_modes, check_decay_fit],
     "reduce-tree": [check_unitarity, check_windowed_core, check_reduction_sigma],
     "carleman": [check_alpha_vectors],
     "appell": [check_appell_roundtrip],

@@ -334,6 +334,15 @@ def test_verify_checks_windowed_core_for_evolving_kinds(tmp_path, capsys):
     assert "PASS check_windowed_core" in capsys.readouterr().out
 
 
+def test_verify_checks_star_modes_for_star_kinds(tmp_path, capsys):
+    for kind in ("simulate", "sharpness"):
+        assert _verify.check_star_modes in _verify._CHECKS[kind]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(SHARPNESS_INI)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
+    assert "PASS check_star_modes" in capsys.readouterr().out
+
+
 def test_jobs_parallel_carleman(tmp_path):
     # n_seeds = 2, so the pool gets two (N, seed) tasks; the output must not
     # depend on how they were spread
@@ -491,17 +500,31 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
 
 
 @pytest.mark.parametrize(
-    "change",
+    "base, change",
     [
-        ("dt = 0.01", "dt = inf"),
-        ("dt = 0.01", "dt = nan"),
-        ("t_final = 0.1", "t_final = inf"),
-        ("t_final = 0.1", "t_final = nan"),
+        (STAR_SIMULATE_INI, ("dt = 0.01", "dt = inf")),
+        (STAR_SIMULATE_INI, ("dt = 0.01", "dt = nan")),
+        (STAR_SIMULATE_INI, ("t_final = 0.1", "t_final = inf")),
+        (STAR_SIMULATE_INI, ("t_final = 0.1", "t_final = nan")),
+        # a non-finite length once reached round(L / h) and ended in an OverflowError
+        (STAR_SIMULATE_INI, ("length = 30.0", "length = inf")),
+        (STAR_SIMULATE_INI, ("length = 30.0", "length = nan")),
+        (LINE_SIMULATE_INI, ("length = 30.0", "length = inf")),
+        (LINE_SIMULATE_INI, ("length = 30.0", "length = nan")),
     ],
-    ids=["dt-inf", "dt-nan", "t-final-inf", "t-final-nan"],
+    ids=[
+        "dt-inf",
+        "dt-nan",
+        "t-final-inf",
+        "t-final-nan",
+        "graph-length-inf",
+        "graph-length-nan",
+        "sigma-length-inf",
+        "sigma-length-nan",
+    ],
 )
-def test_simulate_non_finite_time_exit_codes(tmp_path, capsys, change):
-    out = _check_bad_input(tmp_path, capsys, STAR_SIMULATE_INI, change, 1, "config error:")
+def test_simulate_non_finite_time_exit_codes(tmp_path, capsys, base, change):
+    out = _check_bad_input(tmp_path, capsys, base, change, 1, "config error:")
     assert not list(out.glob("*.csv"))
 
 

@@ -121,6 +121,8 @@ def test_discontinuous_initial_data_rejected(star3):
     st = GraphState(graph, grid, vals)
     with pytest.raises(ValueError, match="discontinuous"):
         evolve_graph(st, 0.1, EvolutionConfig(dt=1e-2))
+    with pytest.raises(ValueError, match="discontinuous"):  # the vertex path, which the star bypasses
+        evolution._evolve_graph(st, 0.1, EvolutionConfig(dt=1e-2), None, None, vertex_path=True)
 
 
 def test_dt_must_divide_t_final(star3):
@@ -219,20 +221,47 @@ def test_constant_imaginary_potential_decays_exactly(star3):
     assert abs(weighted_l2_norm(out) - expected) <= 1e-6 * expected
 
 
-def test_static_potential_sampled_once_per_edge(star3):
-    graph, grid = star3
-    st = GraphState.sample(graph, grid, gaussian())
+def uneven_star(lengths=(40.0, 40.0, 39.0), h=0.05):
+    """A star whose rays are cut at different lengths, so that it takes the vertex path."""
+    edges = tuple(Edge(0, None, math.inf) for _ in lengths)
+    counts = tuple(round(L / h) + 1 for L in lengths)
+    return MetricGraph((0,), edges), GraphGrid((h,) * len(lengths), tuple(lengths), counts)
+
+
+def counted_potential():
+    """A static real potential that records the time of every call."""
     calls = []
 
     def V1(t, x):
         calls.append(t)
         return np.cos(x) / (1 + x**2)
 
+    return V1, calls
+
+
+def test_static_potential_sampled_once_per_edge():
+    graph, grid = uneven_star()
+    st = GraphState.sample(graph, grid, gaussian())
+    V1, calls = counted_potential()
     V2 = lambda t, x: 0.1 * t + 0.0 * x
     for v2 in (None, V2):
+        assert not evolution._star_modes(st, V1, v2)
         calls.clear()
         evolve_graph_potential(st, V1, v2, 0.1, EvolutionConfig(dt=1e-2))
         assert len(calls) == graph.n_edges
+
+
+def test_static_potential_sampled_once_on_a_star(star3):
+    # the mode path samples the shared ray once and tiles it across the chains
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, gaussian())
+    V1, calls = counted_potential()
+    V2 = lambda t, x: 0.1 * t + 0.0 * x
+    for v2 in (None, V2):
+        assert evolution._star_modes(st, V1, v2)
+        calls.clear()
+        evolve_graph_potential(st, V1, v2, 0.1, EvolutionConfig(dt=1e-2))
+        assert len(calls) == 1
 
 
 def test_nan_potential_rejected(star3):
@@ -539,8 +568,9 @@ def test_windowed_core_matches_superlu_oracle_on_localized_data(case, dt_over_h)
 def test_windowed_core_matches_superlu_oracle_with_complex_v2(monkeypatch, V2):
     # the window travels through the dynamic-potential loop: the same run with
     # the SuperLU step in place of the Cayley core is the oracle
-    graph, grid = build_star(3, 10.0, 0.05)
+    graph, grid = uneven_star((10.0, 10.0, 9.0))
     st = GraphState.sample(graph, grid, [narrow(3.0), quiet, quiet])
+    assert not evolution._star_modes(st, None, V2)
     cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
     narrower = []
 
@@ -660,3 +690,83 @@ def test_line_guard_disabled_lets_run_finish():
     u1 = evolve_line_sigma(u0, np.ones(len(nodes) - 1), nodes, 2.0, cfg)
     assert u1.shape == nodes.shape and np.all(np.isfinite(u1))
     assert np.max(np.abs(u1[np.abs(nodes) >= 0.8 * 8.0])) > 1e-2  # the wavefront is in the cut
+
+
+# ---------------------------------------------------------------------------
+# the star's mode system against the vertex system
+# ---------------------------------------------------------------------------
+
+
+def symmetric(n_edges):
+    """The same data on every edge."""
+    return gaussian(alpha=0.8, chirp=0.3)
+
+
+def asymmetric(n_edges):
+    """Different data on every edge, continuous at the vertex."""
+    return [
+        lambda x, k=k: np.exp(-(x**2)) * (1.0 + 0.3j * k * x) + k * x**2 * np.exp(-4.0 * (x - 2.0) ** 2)
+        for k in range(n_edges)
+    ]
+
+
+MODE_CASES = {
+    "symmetric": (symmetric, None, None, 0.3),
+    "asymmetric": (asymmetric, None, None, 0.3),
+    "static-v1": (asymmetric, lambda t, x: np.cos(x) / (1 + x**2), None, 0.3),
+    "complex-v2": (asymmetric, None, lambda t, x: (0.3 + t) * np.cos(x) + 0.5j * np.exp(-(x**2)), 0.3),
+    "backwards": (asymmetric, lambda t, x: np.cos(x) / (1 + x**2), None, -0.3),
+}
+
+
+@pytest.mark.parametrize("n_edges", [2, 3, 5])
+@pytest.mark.parametrize("case", sorted(MODE_CASES))
+def test_star_modes_match_vertex_path(case, n_edges):
+    data, V1, V2, t_final = MODE_CASES[case]
+    graph, grid = build_star(n_edges, 12.0, 0.05)
+    st = GraphState.sample(graph, grid, data(n_edges))
+    cfg = EvolutionConfig(dt=1e-3)
+    assert evolution._star_modes(st, V1, V2)
+    got = evolve_graph_potential(st, V1, V2, t_final, cfg)
+    want = evolution._evolve_graph(st, t_final, cfg, V1, V2, vertex_path=True)
+    assert got.time == want.time == t_final
+    scale = max(np.max(np.abs(w)) for w in want.values)
+    for e in range(n_edges):
+        assert np.max(np.abs(got.values[e] - want.values[e])) <= 1e-12 * scale
+    if data is symmetric:  # bit-identical edges in, bit-identical edges out
+        assert all(v.tobytes() == got.values[0].tobytes() for v in got.values)
+
+
+def test_symmetric_star_sweeps_only_the_mean_chain(monkeypatch, star3):
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, symmetric(3))
+    rows = []
+
+    def spy(n_dof, cells, dt, dirichlet, nv):
+        step = _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+
+        def spied(u, live):
+            out = step(u, live)
+            rows.append(live.rows)
+            return out
+
+        return spied
+
+    monkeypatch.setattr(evolution, "_cayley_stepper", spy)
+    V2 = lambda t, x: 0.2 * np.cos(x) + 0.0 * t
+    evolve_graph(st, 0.2, EvolutionConfig(dt=1e-3))
+    evolve_graph_potential(st, None, V2, 0.2, EvolutionConfig(dt=1e-3))
+    assert len(rows) == 400
+    assert 0 < max(rows) <= grid.counts[0] - 1  # the mean chain: the ray without its vertex
+
+
+def test_unequal_rays_and_per_edge_potentials_take_the_vertex_path(star3):
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, gaussian())
+    V = lambda t, x: np.cos(x) + 0.0 * t
+    assert evolution._star_modes(st, V, 0.5)
+    assert not evolution._star_modes(st, [V] * 3, None)
+    assert not evolution._star_modes(st, None, (V, V, V))
+    tree = build_regular_tree([1.0], [2, 2], 8.0, 0.05)
+    assert not evolution._star_modes(GraphState.sample(*tree, gaussian()), None, None)
+    assert not evolution._star_modes(GraphState.sample(*uneven_star(), gaussian()), None, None)
