@@ -102,8 +102,9 @@ class CarlemanWeight:
     R: float
 
     def __post_init__(self):
-        if self.mu <= 0 or self.eps <= 0 or self.R <= 0:
-            raise ValueError("mu, eps and R must be positive")
+        # a NaN fails every comparison, so it is refused here as well
+        if not all(0.0 < v < np.inf for v in (self.mu, self.eps, self.R)):
+            raise ValueError("mu, eps and R must be positive and finite")
 
     def phi(self, alpha_jk: float, t, x):
         t = np.asarray(t, dtype=float)
@@ -112,7 +113,12 @@ class CarlemanWeight:
     def _phi_tau(self, alpha_jk: float, tau, x):
         """phi with t entering only through tau = t(1-t), so phi(t) = phi(1-t)."""
         x = np.asarray(x, dtype=float)
-        return self.mu * (alpha_jk * x + self.R * tau) ** 2 - (1.0 + self.eps) * self.R**2 * tau / (16.0 * self.mu)
+        return self.mu * (alpha_jk * x + self.R * tau) ** 2 - self.c * tau
+
+    @property
+    def c(self) -> float:
+        """The rate c = (1+eps) R^2 / (16 mu) of the term -c t(1-t) in phi."""
+        return (1.0 + self.eps) * self.R**2 / (16.0 * self.mu)
 
     @property
     def lhs_prefactor(self) -> float:
@@ -334,6 +340,16 @@ def _trapezoid_weights(s: np.ndarray) -> np.ndarray:
     return w
 
 
+def _phi_peak(weight: CarlemanWeight, entries: np.ndarray, tau: np.ndarray, x: np.ndarray) -> float:
+    """The largest phi(b) over the grid tau x x, for b in ``entries``.
+
+    mu (b x + R tau)^2 is convex in x, so on every row phi peaks at one of the
+    two end columns; rounding is monotone, so the computed row peaks there too
+    and this equals the maximum over the whole grid bit for bit.
+    """
+    return float(np.max(weight._phi_tau(entries[:, None, None], tau[:, None], x[[0, -1]])))
+
+
 def carleman_sides(
     sample: ZcompSample,
     weights: Sequence[CarlemanWeight],
@@ -352,11 +368,26 @@ def carleman_sides(
     sample's Gram form (``ZcompSample.edge_sums``).
 
     The edge sums and the trapezoid weights are evaluated once per call and
-    shared by every weight: they form one (nt, nx, 4) array B.  W depends on
-    t only through tau = t(1-t), which is symmetric under t <-> 1-t, so the
-    rows of B are folded once (B[i] + B[nt-1-i], the middle row alone when nt
-    is odd) and each weight builds its (at most two) exp grids on (nt+1)//2
-    rows, from tau_i = i (nt-1-i) / (nt-1)^2, and costs one product W @ B.
+    shared by every weight: they form one array B of four rows per time
+    sample.  W depends on t only through tau = t(1-t), which is symmetric
+    under t <-> 1-t, so the rows of B are folded once (B[i] + B[nt-1-i], the
+    middle row alone when nt is odd) into shape (half, 4, nx), with
+    half = (nt+1)//2 and tau_i = i (nt-1-i) / (nt-1)^2.
+
+    Every weight's peak of phi is checked first, in the order of ``weights``
+    and before any exp is taken; each row's peak sits at its two end columns
+    (``_phi_peak``).  A weight with 2 max phi > 700 raises
+    ``WeightOverflowError``.
+
+    phi = mu (b x + R tau)^2 - c tau with c = (1+eps) R^2 / (16 mu), so eps
+    enters e^{2 phi} only through the row factor e^{-2 c tau}.  Weights that share (mu, R)
+    form one group, taken in order of first appearance and held one at a
+    time.  A group builds W for its smallest c, c0 (its smallest eps), in
+    two reused (half, nx) buffers: at most two exp grids, one per base entry,
+    and exactly the W of that weight, which therefore cannot overflow.  One
+    batched product gives the row sums P = B @ W, of shape (half, 4); the
+    c0 weight's four sums are P.sum(0) and every other weight's are
+    exp(-2 (c - c0) tau) @ P.  A group of one weight is the single-weight case.
 
     The quadrature error is estimated by re-integrating on the stride-2
     subgrid t[::2], x[::2] (second-order quadrature, so a third of the
@@ -369,25 +400,53 @@ def carleman_sides(
         raise ValueError("the stride-2 error estimate needs nt >= 3 and nx >= 3")
     t = np.linspace(0.0, 1.0, nt)
     x = np.linspace(0.0, sample.support_x, nx)
+    half = (nt + 1) // 2
+    i = np.arange(half)
+    tau = i * (nt - 1 - i) / (nt - 1) ** 2
+    entries, counts = np.unique(alphas.as_array()[0], return_counts=True)
+    for weight in weights:
+        peak = _phi_peak(weight, entries, tau, x)
+        if 2.0 * peak > _EXP_LIMIT:
+            raise WeightOverflowError(f"max phi = {peak:.1f} would overflow exp; reduce mu, R or the support")
+
     fine = np.outer(_trapezoid_weights(t), _trapezoid_weights(x))
     coarse = np.zeros((nt, nx))
     coarse[::2, ::2] = np.outer(_trapezoid_weights(t[::2]), _trapezoid_weights(x[::2]))
     mass, defect = sample.edge_sums(t, x)
-    B = np.stack([mass * fine, defect * fine, mass * coarse, defect * coarse], axis=-1)
-    half = (nt + 1) // 2
-    B[: nt // 2] += B[::-1][: nt // 2]
-    B = B[:half].reshape(half * nx, 4)
-    i = np.arange(half)
-    tau = (i * (nt - 1 - i) / (nt - 1) ** 2)[:, None]
-    entries, counts = np.unique(alphas.as_array()[0], return_counts=True)
+    B = np.empty((half, 4, nx))
+    row = np.empty((nt // 2, nx))
+    for k, (f, g) in enumerate(((mass, fine), (defect, fine), (mass, coarse), (defect, coarse))):
+        np.multiply(f[:half], g[:half], out=B[:, k])
+        B[: nt // 2, k] += np.multiply(f[::-1][: nt // 2], g[::-1][: nt // 2], out=row)
+    del fine, coarse, mass, defect, row  # only B is used from here on
+
+    groups: dict[tuple[float, float], list[int]] = {}
+    for n, weight in enumerate(weights):
+        groups.setdefault((weight.mu, weight.R), []).append(n)
+    W = np.empty((half, nx))
+    s = np.empty((half, nx))
+    sums = np.empty((len(weights), 4))
+    for (mu, R), members in groups.items():
+        c0 = min(weights[n].c for n in members)
+        W.fill(0.0)
+        for b, m in zip(entries, counts):
+            # s = 2 phi(b) of the c0 weight, bit for bit as 2 * _phi_tau: doubling is exact
+            np.copyto(s, b * x)
+            s += (R * tau)[:, None]
+            np.square(s, out=s)
+            s *= 2.0 * mu
+            s -= (2.0 * c0 * tau)[:, None]
+            np.exp(s, out=s)
+            s *= m
+            W += s
+        P = np.matmul(B, W[:, :, None])[:, :, 0]
+        total = P.sum(0)
+        for n in members:
+            c = weights[n].c
+            sums[n] = total if c == c0 else np.exp(-2.0 * (c - c0) * tau) @ P
+
     margins = []
-    for weight in weights:
-        phis = [weight._phi_tau(b, tau, x[None, :]) for b in entries]
-        peak = max(float(np.max(phi)) for phi in phis)
-        if 2.0 * peak > _EXP_LIMIT:
-            raise WeightOverflowError(f"max phi = {peak:.1f} would overflow exp; reduce mu, R or the support")
-        W = sum(m * np.exp(2.0 * phi) for m, phi in zip(counts, phis))
-        lhs, rhs, lhs_c, rhs_c = W.ravel() @ B
+    for weight, (lhs, rhs, lhs_c, rhs_c) in zip(weights, sums):
         lhs, lhs_c = weight.lhs_prefactor * lhs, weight.lhs_prefactor * lhs_c
         err = (abs(lhs - lhs_c) + abs(rhs - rhs_c)) / 3.0
         margins.append(CarlemanMargin(lhs=float(lhs), rhs=float(rhs), quad_error=float(err)))

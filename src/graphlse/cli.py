@@ -382,13 +382,12 @@ def _run_reduce_tree(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _carleman_rows(args):
     """Margin rows for one (N, seed) sample over its whole (mu, eps, R) list."""
-    n_edges, seed, cells, nt, nx = args
+    n_edges, seed, weights, nt, nx = args
     sample = sample_zcomp(n_edges, seed)
-    weights = [CarlemanWeight(mu, eps, R) for mu, eps, R in cells]
     margins = carleman_sides(sample, weights, alpha_vectors(n_edges), nt=nt, nx=nx)
     return [
-        (n_edges, seed, mu, eps, R, m.lhs, m.rhs, m.margin, m.quad_error)
-        for (mu, eps, R), m in zip(cells, margins)
+        (n_edges, seed, w.mu, w.eps, w.R, m.lhs, m.rhs, m.margin, m.quad_error)
+        for w, m in zip(weights, margins)
     ]
 
 
@@ -406,8 +405,9 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]
         if not values:
             raise ConfigError(f"[carleman] {key} lists no value")
     base = int(cfg.seed)
-    cells = [(float(mu), float(eps), float(R)) for mu in mus for eps in epss for R in rs]
-    tasks = [(int(N), base + s, cells, nt, nx) for N in ns for s in range(n_seeds)]
+    # CarlemanWeight refuses a non-positive or non-finite value before any task runs
+    weights = [CarlemanWeight(float(mu), float(eps), float(R)) for mu in mus for eps in epss for R in rs]
+    tasks = [(int(N), base + s, weights, nt, nx) for N in ns for s in range(n_seeds)]
     # the pool forks all its workers up front, so never ask for more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:

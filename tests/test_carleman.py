@@ -12,7 +12,7 @@ from graphlse import (
     membership_residual,
     sample_zcomp,
 )
-from graphlse.carleman import _bump012
+from graphlse.carleman import _bump012, _phi_peak
 
 
 def test_alpha_vectors_n4():
@@ -67,6 +67,15 @@ def test_weight_properties():
     assert len(vals) == 1
     with pytest.raises(ValueError):
         CarlemanWeight(mu=0.0, eps=0.5, R=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("field", ["mu", "eps", "R"])
+def test_weight_rejects_non_positive_or_non_finite(field, bad):
+    # a NaN would also break the grouping of weights by (mu, R)
+    kwargs = {"mu": 1.0, "eps": 0.5, "R": 4.0, field: bad}
+    with pytest.raises(ValueError, match="positive and finite"):
+        CarlemanWeight(**kwargs)
 
 
 def test_bump_derivatives_by_finite_differences():
@@ -183,12 +192,20 @@ def _n2_oracle(sample, weight, alphas, nt, nx):
     return lhs, rhs, (abs(lhs - lhs_c) + abs(rhs - rhs_c)) / 3.0
 
 
+# two pairs share (mu, R), so that each group has a smallest-eps weight and
+# one more; (2.0, 0.5, 4.0) is a group of one
+ORACLE_WEIGHTS = [
+    CarlemanWeight(mu, eps, R)
+    for mu, eps, R in [(1.0, 0.5, 2.0), (0.5, 0.25, 8.0), (2.0, 0.5, 4.0), (1.0, 0.25, 2.0), (0.5, 1.0, 8.0)]
+]
+
+
 def test_lhs_prefactor_identity():
     # one call over several weights gives, weight by weight and in order, the
     # N^2 sums over (k, j) of the weighted edge integrals, lhs carrying the
     # prefactor R^2 eps / 8 mu
     assert CarlemanWeight(1.0, 0.5, 2.0).lhs_prefactor == pytest.approx(0.25)
-    weights = [CarlemanWeight(mu, eps, R) for mu, eps, R in [(1.0, 0.5, 2.0), (0.5, 0.25, 8.0), (2.0, 0.5, 4.0)]]
+    weights = ORACLE_WEIGHTS
     for n in range(2, 9):
         av = alpha_vectors(n)
         s = sample_zcomp(n, n)
@@ -204,7 +221,7 @@ def test_lhs_prefactor_identity():
 
 def test_folded_time_grid_even_nt():
     # nt even: the fold pairs every row and leaves no middle row
-    weights = [CarlemanWeight(mu, eps, R) for mu, eps, R in [(1.0, 0.5, 2.0), (0.5, 0.25, 8.0), (2.0, 0.5, 4.0)]]
+    weights = ORACLE_WEIGHTS
     for n in range(2, 9):
         av = alpha_vectors(n)
         s = sample_zcomp(n, n)
@@ -217,7 +234,71 @@ def test_folded_time_grid_even_nt():
             assert abs(m.quad_error - err) <= 1e-12 * (lhs + rhs)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_grouped_weights_match_one_call_per_weight(n):
+    # three eps per (mu, R), one weight twice, in a shuffled order: each margin
+    # is the one a call with that weight alone gives
+    rng = np.random.default_rng(n)
+    cells = [(mu, eps, R) for mu, R in [(0.5, 8.0), (1.0, 2.0), (2.0, 4.0)] for eps in (0.25, 0.5, 1.0)]
+    cells.append(cells[4])
+    weights = [CarlemanWeight(*cells[k]) for k in rng.permutation(len(cells))]
+    av = alpha_vectors(n)
+    s = sample_zcomp(n, n)
+    margins = carleman_sides(s, weights, av, nt=101, nx=301)
+    for w, m in zip(weights, margins, strict=True):
+        [ref] = carleman_sides(s, [w], av, nt=101, nx=301)
+        assert m.lhs == pytest.approx(ref.lhs, rel=1e-13, abs=0.0)
+        assert m.rhs == pytest.approx(ref.rhs, rel=1e-13, abs=0.0)
+        assert abs(m.quad_error - ref.quad_error) <= 1e-12 * (ref.lhs + ref.rhs)
+
+
+def _folded_grid(n, support_x, nt, nx):
+    """(entries, tau, x) as carleman_sides builds them."""
+    i = np.arange((nt + 1) // 2)
+    tau = i * (nt - 1 - i) / (nt - 1) ** 2
+    return np.unique(alpha_vectors(n).as_array()[0]), tau, np.linspace(0.0, support_x, nx)
+
+
+@pytest.mark.parametrize(
+    "n, support_x, nt, nx, cells",
+    [
+        (n, 4.0, 201, 801, [(mu, eps, R) for mu in (0.5, 1.0, 2.0) for eps in (0.25, 0.5) for R in (2.0, 4.0, 8.0)])
+        for n in (3, 4, 5)
+    ]
+    + [(3, 12.0, 51, 201, [(4.0, 0.5, 8.0)])],
+    ids=["c09-n3", "c09-n4", "c09-n5", "overflow-guard"],
+)
+def test_end_column_peak_is_grid_peak(n, support_x, nt, nx, cells):
+    entries, tau, x = _folded_grid(n, support_x, nt, nx)
+    for cell in cells:
+        w = CarlemanWeight(*cell)
+        grid_peak = max(float(np.max(w._phi_tau(b, tau[:, None], x[None, :]))) for b in entries)
+        assert _phi_peak(w, entries, tau, x) == grid_peak
+
+
 def test_overflow_guard():
     s = sample_zcomp(3, 0, x_max=12.0)
     with pytest.raises(WeightOverflowError, match="phi"):
         carleman_sides(s, (CarlemanWeight(4.0, 0.5, 8.0),), alpha_vectors(3), nt=51, nx=201)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "late",
+    [CarlemanWeight(8.0, 0.5, 4.0), CarlemanWeight(1.0, 0.25, 48.0)],
+    ids=["own-group", "shares-mu-r"],
+)
+def test_overflow_of_a_later_weight(late):
+    # every peak is checked before any exp: the first weight, and the second in
+    # the "shares-mu-r" case, pass the check, and the call raises the message a
+    # call with the late weight alone raises.  At eps = 4 the pair (1, 48)
+    # peaks at phi = 220; at eps = 0.25, at 355.
+    s = sample_zcomp(3, 0)
+    av = alpha_vectors(3)
+    with pytest.raises(WeightOverflowError) as alone:
+        carleman_sides(s, [late], av, nt=51, nx=201)
+    with pytest.raises(WeightOverflowError) as grouped:
+        carleman_sides(s, [CarlemanWeight(1.0, 4.0, 48.0), CarlemanWeight(1.0, 0.5, 4.0), late], av, nt=51, nx=201)
+    assert str(grouped.value) == str(alone.value)
+    [ok] = carleman_sides(s, [CarlemanWeight(1.0, 4.0, 48.0)], av, nt=51, nx=201)
+    assert np.isfinite(ok.lhs) and np.isfinite(ok.rhs)

@@ -386,6 +386,36 @@ def test_jobs_pool_capped_at_task_count(tmp_path, monkeypatch):
         assert code == 0 and pools == expected
 
 
+def test_carleman_repeated_eps_keeps_product_order(tmp_path):
+    # eps = 0.25 twice puts two equal weights in each (mu, R) group; the rows
+    # still follow the (mu, eps, R) product, each as a one-cell run gives it
+    mus, epss, rs = [1.0, 0.5], [0.25, 0.5, 0.25], [4.0, 2.0]
+    text = (
+        CARLEMAN_INI.replace("mu = 1.0", "mu = 1.0, 0.5")
+        .replace("eps = 0.5", "eps = 0.25, 0.5, 0.25")
+        .replace("r = 4.0", "r = 4.0, 2.0")
+    )
+    code, out = run_main(tmp_path, text)
+    assert code == 0
+    _, _, rows = read_csv(out / "margins.csv")
+    cells = [(mu, eps, R) for mu in mus for eps in epss for R in rs]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(3, 1)] * len(cells) + [(3, 2)] * len(cells)
+    assert [tuple(map(float, r[2:5])) for r in rows] == cells + cells
+    for k, (mu, eps, R) in enumerate(sorted(set(cells))):
+        one = CARLEMAN_INI.replace("mu = 1.0", f"mu = {mu}").replace("eps = 0.5", f"eps = {eps}")
+        one = one.replace("r = 4.0", f"r = {R}")
+        (tmp_path / str(k)).mkdir()
+        code, one_out = run_main(tmp_path / str(k), one)
+        assert code == 0
+        _, _, ref = read_csv(one_out / "margins.csv")
+        got = [r for r in rows if tuple(map(float, r[2:5])) == (mu, eps, R)]
+        assert len(got) == len(ref) * epss.count(eps)
+        for r in got:
+            [want] = [w for w in ref if w[1] == r[1]]
+            for col in (5, 6):
+                assert float(r[col]) == pytest.approx(float(want[col]), rel=1e-13, abs=0.0)
+
+
 def test_carleman_summary_health(tmp_path):
     code, out = run_main(tmp_path, CARLEMAN_INI)
     assert code == 0
@@ -511,6 +541,13 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         (STAR_SIMULATE_INI, ("length = 30.0", "length = nan")),
         (LINE_SIMULATE_INI, ("length = 30.0", "length = inf")),
         (LINE_SIMULATE_INI, ("length = 30.0", "length = nan")),
+        # a non-finite Carleman parameter once wrote NaN margins and exited 0
+        (CARLEMAN_INI, ("mu = 1.0", "mu = nan")),
+        (CARLEMAN_INI, ("mu = 1.0", "mu = inf")),
+        (CARLEMAN_INI, ("eps = 0.5", "eps = nan")),
+        (CARLEMAN_INI, ("eps = 0.5", "eps = inf")),
+        (CARLEMAN_INI, ("r = 4.0", "r = nan")),
+        (CARLEMAN_INI, ("r = 4.0", "r = inf")),
     ],
     ids=[
         "dt-inf",
@@ -521,6 +558,12 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         "graph-length-nan",
         "sigma-length-inf",
         "sigma-length-nan",
+        "carleman-mu-nan",
+        "carleman-mu-inf",
+        "carleman-eps-nan",
+        "carleman-eps-inf",
+        "carleman-r-nan",
+        "carleman-r-inf",
     ],
 )
 def test_simulate_non_finite_time_exit_codes(tmp_path, capsys, base, change):
