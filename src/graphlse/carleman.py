@@ -229,6 +229,13 @@ class ZcompSample:
         G = C^H C; the defect is the same form over the 2K terms T'_a X_a,
         T_a X''_a with coefficients [C, iC].  No (n_edges, nt, nx) array is built.
         """
+        (U, V), (Ud, Vd) = self.edge_factors(t, x)
+        return U.T @ V, Ud.T @ Vd
+
+    def edge_factors(self, t: np.ndarray, x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The Gram factors of ``edge_sums``: ((U, V) of the mass, (U, V) of
+        the defect), each sum being U.T @ V with U of shape (M^2, nt) and V of
+        shape (M^2, nx), M = K for the mass and 2K for the defect."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         K = len(self.terms)
@@ -238,8 +245,8 @@ class ZcompSample:
         for a, term in enumerate(self.terms):
             T[a], Tp[a] = term.time.eval(t)
             X[a], _, Xpp[a] = term.space.eval(x)
-        mass = _gram_sum(C, T, X)
-        defect = _gram_sum(np.hstack([C, 1j * C]), np.vstack([Tp, T]), np.vstack([X, Xpp]))
+        mass = _gram_factors(C, T, X)
+        defect = _gram_factors(np.hstack([C, 1j * C]), np.vstack([Tp, T]), np.vstack([X, Xpp]))
         return mass, defect
 
     def vertex_trace(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,14 +264,14 @@ class ZcompSample:
         return vals, ders
 
 
-def _gram_sum(C: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """sum_j |sum_a C_ja U_a(t) V_a(x)|^2 for real U (M, nt), V (M, nx): one
-    (nt, M^2) @ (M^2, nx) product weighted by Re(C^H C)."""
+def _gram_factors(C: np.ndarray, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(UU, VV) with UU.T @ VV = sum_j |sum_a C_ja U_a(t) V_a(x)|^2, for real
+    U (M, nt) and V (M, nx): the M^2 products U_a U_a' and Re(C^H C)_aa' V_a V_a'."""
     M = C.shape[1]
     G = (C.conj().T @ C).real
     UU = (U[:, None, :] * U[None, :, :]).reshape(M * M, U.shape[1])
     VV = (G[:, :, None] * V[:, None, :] * V[None, :, :]).reshape(M * M, V.shape[1])
-    return UU.T @ VV
+    return UU, VV
 
 
 def _draw_time(rng) -> _TimeEnvelope:
@@ -370,9 +377,13 @@ def carleman_sides(
     The edge sums and the trapezoid weights are evaluated once per call and
     shared by every weight: they form one array B of four rows per time
     sample.  W depends on t only through tau = t(1-t), which is symmetric
-    under t <-> 1-t, so the rows of B are folded once (B[i] + B[nt-1-i], the
+    under t <-> 1-t, so the rows of B are folded (B[i] + B[nt-1-i], the
     middle row alone when nt is odd) into shape (half, 4, nx), with
-    half = (nt+1)//2 and tau_i = i (nt-1-i) / (nt-1)^2.
+    half = (nt+1)//2 and tau_i = i (nt-1-i) / (nt-1)^2.  No (nt, nx) array
+    is built: the trapezoid weights are a product of a t factor and an x
+    factor, so the fold and the t weights act on the sample's (M^2, nt) Gram
+    factors (``ZcompSample.edge_factors``), the x weights on its (M^2, nx)
+    ones, and each of the four slices of B is one product of the two.
 
     Every weight's peak of phi is checked first, in the order of ``weights``
     and before any exp is taken; each row's peak sits at its two end columns
@@ -409,16 +420,15 @@ def carleman_sides(
         if 2.0 * peak > _EXP_LIMIT:
             raise WeightOverflowError(f"max phi = {peak:.1f} would overflow exp; reduce mu, R or the support")
 
-    fine = np.outer(_trapezoid_weights(t), _trapezoid_weights(x))
-    coarse = np.zeros((nt, nx))
-    coarse[::2, ::2] = np.outer(_trapezoid_weights(t[::2]), _trapezoid_weights(x[::2]))
-    mass, defect = sample.edge_sums(t, x)
+    fine = _trapezoid_weights(t), _trapezoid_weights(x)
+    coarse = np.zeros(nt), np.zeros(nx)  # the stride-2 weights, zero off the subgrid
+    coarse[0][::2], coarse[1][::2] = _trapezoid_weights(t[::2]), _trapezoid_weights(x[::2])
+    mass, defect = sample.edge_factors(t, x)
     B = np.empty((half, 4, nx))
-    row = np.empty((nt // 2, nx))
-    for k, (f, g) in enumerate(((mass, fine), (defect, fine), (mass, coarse), (defect, coarse))):
-        np.multiply(f[:half], g[:half], out=B[:, k])
-        B[: nt // 2, k] += np.multiply(f[::-1][: nt // 2], g[::-1][: nt // 2], out=row)
-    del fine, coarse, mass, defect, row  # only B is used from here on
+    for k, ((U, V), (gt, gx)) in enumerate(((mass, fine), (defect, fine), (mass, coarse), (defect, coarse))):
+        Uf = U[:, :half] * gt[:half]
+        Uf[:, : nt // 2] += U[:, ::-1][:, : nt // 2] * gt[::-1][: nt // 2]
+        np.matmul(Uf.T, V * gx, out=B[:, k])
 
     groups: dict[tuple[float, float], list[int]] = {}
     for n, weight in enumerate(weights):
@@ -431,8 +441,7 @@ def carleman_sides(
         W.fill(0.0)
         for b, m in zip(entries, counts):
             # s = 2 phi(b) of the c0 weight, bit for bit as 2 * _phi_tau: doubling is exact
-            np.copyto(s, b * x)
-            s += (R * tau)[:, None]
+            np.add.outer(R * tau, b * x, out=s)
             np.square(s, out=s)
             s *= 2.0 * mu
             s -= (2.0 * c0 * tau)[:, None]
