@@ -17,33 +17,36 @@ the chain block of A is tridiagonal and strictly diagonally dominant.  A is
 never formed as a matrix: its pieces come straight from the cell list (the
 three bands of the chain block, the dense vertex block and the few
 vertex-chain entries).  The chain block is factored once without pivoting,
-each step makes two banded BLAS solves, and the vertices solve a small dense
-Schur complement.  The BLAS routine is scipy's, imported when the first
-stepper is built, so the rest of the package loads without scipy.
+with its pivots 1/p folded into the row scale, so each step is one multiply
+and two banded BLAS solves, and the vertices solve a small dense Schur
+complement.  The BLAS routine is scipy's, imported when the first stepper is
+built, so the rest of the package loads without scipy.
 
 A run sweeps each chain only on its live window, carried from step to step
 with the state.  A value is quiet below cut = eps^2 max|u|, read from the
-first state and again every m steps.  The window first spans the rows above
-cut, widened by a margin m = ceil(log(eps^2) / log q) rows, q the largest
-entry of the unit chain factors (the decay of one sweep per row).  Rows
-outside stay exactly zero.  Windows only grow: after each step only the
-outer m rows at each window edge are read, and an edge whose band holds a
-value above cut moves out by m; a chain end next to a vertex above cut
-joins, and a quiet chain is not swept.  Each step drops at most about
-cut (1 + 1/(1 - q)) per row, far below one rounding, and the quiet far field
-is neither swept nor filled with subnormal numbers.
+first state and again every m steps.  A sweep carries the value of a row on
+scaled by the product of the unit factors' couplings it passes, so the
+margin m is the fewest rows such that every run of m couplings of either
+factor multiplies to at most eps^2: one large coupling costs one factor,
+not a slower decay over the whole block.  The window first spans the rows
+above cut, widened by m.  Rows outside stay exactly zero, and the step's
+elementwise work (row scale, - u, phase multiplies) runs only on the vertex
+rows and the window's hull, from its first live row to its last.  Windows
+only grow: after each step only the outer m rows at each window edge are
+read, and an edge whose band holds a value above cut moves out by m; a
+chain end next to a vertex above cut joins, and a quiet chain is not swept.
+Each step drops at most about m cut per row, far below one rounding, and
+the quiet far field is neither swept nor filled with subnormal numbers.
 
 A star whose rays share one grid, with potentials that do not depend on the
 edge, steps the same equations in other unknowns, its modes (the reduction
-of ``reduction.star_sum``): the edge mean, whose first sample is the vertex
-dof and whose far end is Dirichlet, and the differences u_k - u_0, k >= 1,
-which vanish at the vertex and are Dirichlet at both ends.  The vertex row
-divided by N is the half-mass first row of the mean, and the Laplacian and
-the potential act on every mode as on one edge.  Data equal on every edge
-has differences exactly zero, so their chains stay quiet and a step sweeps
-one ray, not N.  The vertex stays a vertex dof: as a chain row its half
-mass would set q near 1 (0.954 at h = 0.0125, dt = 5e-4), and a margin m of
-over a thousand rows would span the whole chain.  Other graphs, and stars
+of ``reduction.star_sum``): the edge mean, whose far end is Dirichlet, and
+the differences u_k - u_0, k >= 1, which vanish at the vertex and are
+Dirichlet at both ends.  The vertex row divided by N is the half-mass
+Neumann first row of the mean, so the modes are N plain chains with no
+vertex dof, and the Laplacian and the potential act on every mode as on one
+edge.  Data equal on every edge has differences exactly zero, so their
+chains stay quiet and a step sweeps one ray, not N.  Other graphs, and stars
 with unequal rays or per-edge potentials, step the vertex system, which
 stays the oracle of the mode system.
 
@@ -236,11 +239,14 @@ def _pack_state(state: GraphState, packing: _GraphPacking) -> np.ndarray:
 
 
 def _factor_chains(sub, diag, sup):
-    """Banded factors of the tridiagonal T = L diag(p) U, with no pivoting.
+    """Banded factors of the tridiagonal T = diag(p) L U, with no pivoting.
 
     T is given by its bands.  Returns the unit-lower band of L, 1/p and the
     unit-upper band of U, each band in the (2, m) Fortran layout that BLAS
     ``ztbsv`` reads (the unit diagonal row is stored but not referenced).
+    This L is diag(p)^{-1} L0 diag(p) for the usual T = L0 diag(p) U, with
+    couplings sub_i / p_{i+1}, so T^{-1} = U^{-1} L^{-1} diag(1/p): a solve
+    is a multiply by 1/p and then two sweeps with nothing between them.
     Strict row diagonal dominance of T keeps every pivot p_i away from zero.
     """
     piv = diag.tolist()
@@ -249,40 +255,70 @@ def _factor_chains(sub, diag, sup):
     piv = np.asarray(piv, dtype=complex)
     lower = np.ones((2, len(diag)), dtype=complex, order="F")
     upper = np.ones((2, len(diag)), dtype=complex, order="F")
-    lower[1, :-1] = sub / piv[:-1]
+    lower[1, :-1] = sub / piv[1:]
     upper[0, 1:] = sup / piv[:-1]
     return lower, 1.0 / piv, upper
 
 
-def _solve_chains(tbsv, factors, x, off=0, trans=0):
-    """x[off:off+n] <- T^{-1} x[off:off+n] (T^{-T} when ``trans``), in place, from _factor_chains(T).
+def _sweep(tbsv, factors, x, off=0, trans=0):
+    """x[off:off+n] <- (LU)^{-1} x[off:off+n] ((LU)^{-T} when ``trans``), in place, from _factor_chains(T).
 
-    ``factors`` may be the columns a:b of every factor, a slice of them: that
-    solves the rows a:b of T alone, exactly so when x is zero before them.
+    T^{-1} = (LU)^{-1} diag(1/p) and T^{-T} = diag(1/p) (LU)^{-T}.
+    ``factors`` may be the columns a:b of every factor, a slice of them:
+    that sweeps the rows a:b of T alone, exactly so when x is zero before
+    them.
     """
     lower, rp, upper = factors
     if len(rp):
         x = tbsv(1, upper if trans else lower, x, offx=off, lower=1 - trans, trans=trans, diag=1, overwrite_x=1)
-        x[off : off + len(rp)] *= rp
         x = tbsv(1, lower if trans else upper, x, offx=off, lower=trans, trans=trans, diag=1, overwrite_x=1)
     return x
 
 
-# Entries of F T^{-1} below this fraction of the largest are dropped: a
-# backward perturbation of eps^2 relative cannot show in a double-precision
-# step, and the decayed tail of T^{-1} would otherwise be summed in
-# subnormal numbers.  The same fraction of the initial data is where a state
+# Entries of W (``_chain_rows``) below this fraction of the largest are
+# dropped: a backward perturbation of eps^2 relative cannot show in a
+# double-precision step, and the decayed tail of T^{-1} would otherwise be
+# summed in subnormal numbers.  The same fraction of the initial data is where a state
 # value counts as quiet for the live window of ``_cayley_stepper``.
 _NEGLIGIBLE = np.finfo(float).eps ** 2
 
 
-def _chain_rows(F, nv, chain_of, solve_t):
-    """W = F T^{-1} as (row, col, value) triplets sorted by row, then column.
+def _margin(factors, dirichlet) -> int:
+    """The fewest rows m such that every run of m couplings of either unit factor multiplies to at most eps^2.
 
-    ``F`` holds (vertex, dof, value) triplets, row i of T = A[nv:, nv:] lies
-    on chain ``chain_of[i]``, and ``solve_t`` applies T^{-T} in place; W is in
-    dof numbering like F.  Solves on different chains (runs of rows of T with
-    no coupling between runs) do not mix.  So each vertex that meets a chain
+    With L0 = diag(p) L diag(1/p), the factor of T = L0 diag(p) U, the sweep
+    of L on diag(1/p) r is diag(1/p) L0^{-1} r, and the entries of L0^{-1}
+    and U^{-1} are exactly the products of the couplings between their row
+    and column: past m rows a sweep has carried any value below eps^2 of
+    itself.  The coupling out of a Dirichlet row (``dirichlet``, in
+    chain-row numbering) is applied once, not carried on, and is left out;
+    the others are below 1, since T is diagonally dominant and symmetric off
+    its Dirichlet rows.  Per factor this is one cumsum of logs and one
+    search: the run i..j-1 qualifies once the log sum over it reaches
+    log(1 / eps^2).  A coupling below eps^2 counts as eps^2, which decides
+    every run through it the same way.
+    """
+    lower, rp, upper = factors
+    carried = np.abs(lower[1, :-1] * rp[:-1] / rp[1:])
+    carried[dirichlet[dirichlet < len(carried)]] = 0.0
+    m = 1
+    for couplings in (carried, np.abs(upper[0, 1:])):
+        if not np.all(couplings < 1.0):  # |dt| so large against h^2 that a coupling rounds to 1
+            return len(rp)
+        logs = np.concatenate([[0.0], np.cumsum(-np.log(np.maximum(couplings, _NEGLIGIBLE)))])
+        ends = np.searchsorted(logs, logs[:-1] - math.log(_NEGLIGIBLE))
+        m = max(m, int(np.max(ends - np.arange(len(couplings)), initial=1)))
+    return m
+
+
+def _chain_rows(F, nv, chain_of, solve_t):
+    """W = F X as (row, col, value) triplets sorted by row, then column.
+
+    ``F`` holds (vertex, dof, value) triplets, X is the inverse of a block of
+    chains (the stepper's is (LU)^{-1} = T^{-1} diag(p), T = A[nv:, nv:]),
+    row i of X lies on chain ``chain_of[i]``, and ``solve_t`` applies X^T in
+    place; W is in dof numbering like F.  Solves on different chains (runs
+    of rows of X with no coupling between runs) do not mix.  So each vertex that meets a chain
     is ranked among the vertices meeting that chain, and the rows of F of one
     rank share a solve: a few solves in total, whatever the number of vertices.
     """
@@ -313,7 +349,8 @@ class _Window:
     then the level below which a value is quiet, ``age`` counts the steps)
     and afterwards only widens it, so a window travels with one run's state
     and is never shared.  The other fields are derived from ``lo`` and ``hi``
-    each time they change.
+    each time they change; ``spans`` are the vertex rows and the hull of the
+    window, outside which the state is exactly zero.
     """
 
     def __init__(self):
@@ -325,6 +362,12 @@ class _Window:
         """Number of chain rows a step solves."""
         return sum(hi - lo for lo, hi in zip(self.lo, self.hi))
 
+    def scale(self, u, f):
+        """u *= f in place, on the spans once the window is open; returns u."""
+        for s in self.spans if self.cut is not None else (slice(None),):
+            np.multiply(u[s], f[s], out=u[s])
+        return u
+
 
 def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
     """The Crank-Nicolson step u -> A^{-1}(c u) - u, factored once.
@@ -333,19 +376,24 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
     (2 on Dirichlet rows), assembled from ``cells`` by ``_assemble``: since
     iM + (dt/2)K = 2iM - A, this is the Cayley step.  The first ``nv`` dofs
     are graph vertices and the rest are edge chains, so T = A[nv:, nv:] is
-    tridiagonal with no coupling between chains (the line is nv = 0).  T is
-    strictly row diagonally dominant for either sign of dt, |A_ii| =
-    hypot(M_ii, dt K_ii / 2) > |dt| K_ii / 2 = sum_{j != i} |A_ij|, so it
-    factors without pivoting and each step makes two banded triangular
-    solves.  With A = [[D, F], [E, T]] the vertices solve the dense Schur
-    complement S = D - W E, W = F T^{-1}, and then x_I = T^{-1}(r_I - E x_V).
-    Row v of W is nonzero only on the chains that meet vertex v, so W is kept
-    as row-sorted triplets and applied by one gather, one multiply and a
+    tridiagonal with no coupling between chains (lines and the star's modes
+    are nv = 0).  T is strictly row diagonally dominant for either sign of
+    dt, |A_ii| = hypot(M_ii, dt K_ii / 2) > |dt| K_ii / 2 = sum_{j != i}
+    |A_ij|, so it factors as diag(p) L U without pivoting (``_factor_chains``)
+    and the row scale of a chain row is c / p: each step makes two banded
+    triangular solves with no multiply between them.  With A = [[D, F], [E,
+    T]] the vertices solve the dense Schur complement S = D - W E, W = F
+    T^{-1}, and then x_I = T^{-1}(r_I - E x_V).  Kept are W diag(p) = F (LU)^{-1}
+    and diag(1/p) E, which act on the scaled chain rows.  Row v of W is
+    nonzero only on the chains that meet vertex v, so W is kept as
+    row-sorted triplets and applied by one gather, one multiply and a
     segmented sum.
 
     The chains are solved only on the live window of the state (see the
     module docstring), a ``_Window`` passed as ``step(u, live)`` and carried
     from step to step by the caller; ``step(u)`` finds a fresh one from u.
+    A step on a carried window writes the next state over u and returns it
+    (a fresh window first copies u), and touches only the window's spans.
     An edge band moves out when its l2 norm exceeds cut, which it does
     whenever one of its values does.  Windows that touch share one sweep.
     Every m steps cut is read again from the whole state, one scan per m
@@ -359,27 +407,21 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
 
     c, bands, D, F, E = _assemble(n_dof, cells, dt, dirichlet, nv)
     factors = _factor_chains(*bands)
-    n_rows = len(factors[1])
+    rp = factors[1]
+    n_rows = len(rp)
+    c[nv:] *= rp  # the row scale of the chain rows: T^{-1} = (LU)^{-1} diag(1/p)
     # chain k is the rows first[k]:stop[k] of T, with no coupling between chains
     breaks = (np.flatnonzero((bands[0] == 0) & (bands[2] == 0)) + 1).tolist()
     first, stop = [0] + breaks, breaks + [n_rows]
     chain_of = np.repeat(np.arange(len(first)), np.diff(first + [n_rows]))
-    # The coupling out of a Dirichlet row is applied once, not carried on, and
-    # is left out of q; what remains is below 1 by diagonal dominance.
-    carried = np.abs(factors[0][1, :-1])
-    carried[dirichlet[(dirichlet >= nv) & (dirichlet < nv + n_rows - 1)] - nv] = 0.0
-    q = max(np.max(carried, initial=0.0), np.max(np.abs(factors[2][0, 1:]), initial=0.0))
-    if 0 < q < 1:
-        m = math.ceil(math.log(_NEGLIGIBLE) / math.log(q))
-    else:  # no coupling at all, or |dt| so large against h^2 that q rounds to 1
-        m = 1 if q == 0 else n_rows
+    m = _margin(factors, dirichlet[dirichlet >= nv] - nv)
 
     if nv:
-        solve_t = lambda w: _solve_chains(ztbsv, factors, w, trans=1)
-        w_rows, w_cols, w_vals = _chain_rows(F, nv, chain_of, solve_t)
+        solve_t = lambda w: _sweep(ztbsv, factors, w, trans=1)
+        w_rows, w_cols, w_vals = _chain_rows(F, nv, chain_of, solve_t)  # W diag(p)
         starts = np.flatnonzero(np.diff(w_rows, prepend=-1))
         w_hit = w_rows[starts]
-        e_rows, e_cols, e_vals = E
+        e_rows, e_cols, e_vals = E[0], E[1], E[2] * rp[E[0] - nv]  # diag(1/p) E
         # S = D - W E, with W and E cut down to the few chain dofs that E touches
         touched = np.unique(e_rows)
         pos = np.full(n_dof, -1)
@@ -399,7 +441,7 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
         ]
 
     def settle(live):
-        """Derive the sweeps, the edge bands and the live entries of E from live.lo, live.hi."""
+        """Derive the sweeps, spans, edge bands and live entries of E from live.lo, live.hi."""
         runs, live.edges = [], []
         for k, (a, b) in enumerate(zip(live.lo, live.hi)):
             if a == b:
@@ -413,13 +455,16 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
             if b < stop[k]:
                 live.edges.append((k, True, slice(nv + max(b - m, a), nv + b)))
         live.runs = [(nv + a, tuple(f[..., a:b] for f in factors)) for a, b in runs]
+        live.spans = [slice(0, nv)] if nv else []
+        if runs:
+            live.spans.append(slice(nv + runs[0][0], nv + runs[-1][1]))
         if nv:
             inside = (np.asarray(live.lo)[e_chain] <= e_at) & (e_at < np.asarray(live.hi)[e_chain])
             live.e_vals = np.where(inside, e_vals, 0.0)
             live.cold = np.flatnonzero(~inside)
 
     def open_window(u, live):
-        """Fill the empty ``live`` from u and return u set to zero outside it."""
+        """Fill the empty ``live`` from u and return u, as a complex copy, set to zero outside it."""
         mag = np.abs(u)
         live.cut = _NEGLIGIBLE * float(np.max(mag, initial=0.0))
         if not math.isfinite(live.cut):
@@ -432,18 +477,21 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
             for k, a, b in zip(ks.tolist(), rows[i].tolist(), rows[j].tolist()):
                 live.lo[k], live.hi[k] = max(a - m, first[k]), min(b + 1 + m, stop[k])
         settle(live)
+        live.x = np.zeros(n_dof, dtype=complex)  # scaled right-hand side; zero outside the spans
         keep = np.zeros(n_dof, dtype=bool)
         keep[:nv] = True
         for off, run in live.runs:
             keep[off : off + len(run[1])] = True
-        return np.where(keep, u, 0.0)
+        return np.where(keep, u, 0.0).astype(complex, copy=False)
 
     def step(u, live=None):
         if live is None:
             live = _Window()
         if live.cut is None:
             u = open_window(u, live)
-        x = c * u
+        x = live.x
+        for s in live.spans:
+            np.multiply(c[s], u[s], out=x[s])
         if nv:
             r = x[:nv].copy()
             r[w_hit] -= np.add.reduceat(w_vals * x[w_cols], starts)
@@ -459,14 +507,15 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
             np.subtract.at(x, e_rows, live.e_vals * xv[e_cols])
             x[:nv] = xv
         for off, run in live.runs:
-            x = _solve_chains(ztbsv, run, x, off)
-        x -= u
+            x = _sweep(ztbsv, run, x, off)
+        for s in live.spans:
+            np.subtract(x[s], u[s], out=u[s])
         live.age += 1
         if live.age % m == 0:  # a potential may have damped the whole state
-            live.cut = _NEGLIGIBLE * float(np.max(np.abs(x)))
+            live.cut = _NEGLIGIBLE * float(np.max(np.abs(u)))
         grown = False
         for k, outward, band in live.edges:
-            if np.vdot(x[band], x[band]).real > live.cut**2:
+            if np.vdot(u[band], u[band]).real > live.cut**2:
                 if outward:
                     live.hi[k] = min(live.hi[k] + m, stop[k])
                 else:
@@ -474,7 +523,7 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
                 grown = True
         if grown:
             settle(live)
-        return x
+        return u
 
     return step
 
@@ -533,8 +582,9 @@ def _steps(u, stepper, nsteps, phase=None):
     """``nsteps`` Cayley steps between static phase half-steps.
 
     The half-steps of consecutive steps merge: ``phase`` before the first
-    step, ``phase**2`` between steps and ``phase`` after the last.  The steps
-    share one live window, which starts from the state they are given.
+    step, ``phase**2`` between steps (on the window's spans only) and
+    ``phase`` after the last.  The steps share one live window, which starts
+    from the state they are given.
     """
     live = _Window()
     if phase is None or nsteps == 0:
@@ -544,20 +594,22 @@ def _steps(u, stepper, nsteps, phase=None):
     phase2 = phase * phase
     u = phase * u
     for _ in range(nsteps - 1):
-        u = stepper(u, live)
-        u *= phase2
+        u = live.scale(stepper(u, live), phase2)
     return phase * stepper(u, live)
 
 
 def _vertex_system(u0: GraphState, dt: float):
-    """The vertex system of any graph: (stepper, packed u0, potential sampler, unpacker)."""
+    """The vertex system of any graph: (stepper, packed u0, potential sampler, spread, unpacker).
+
+    The sampler returns one value per dof, so ``spread`` is the identity.
+    """
     graph, grid = u0.graph, u0.grid
     packing = _pack_graph(graph, grid)
     cells = _graph_cells(graph, grid, packing)
     stepper = _cayley_stepper(packing.n_dof, cells, dt, packing.dirichlet, len(graph.vertices))
     sample = lambda f, t: _sample_potential(f, t, packing, graph, grid)
     unpack = lambda u: tuple(u[dofs].copy() for dofs in packing.edge_dofs)
-    return stepper, _pack_state(u0, packing), sample, unpack
+    return stepper, _pack_state(u0, packing), sample, lambda a: a, unpack
 
 
 def _star_modes(u0: GraphState, static, dynamic) -> bool:
@@ -574,13 +626,27 @@ def _star_modes(u0: GraphState, static, dynamic) -> bool:
     )
 
 
+def _mode_chains(n_edges: int, n: int, h: float):
+    """(n_dof, cells, dirichlet) of the N mode chains of n samples each, spacing h.
+
+    Chain 0 is the edge mean, whose first row is the vertex (a half-mass
+    Neumann row) and whose last is Dirichlet; chains 1..N-1 are the
+    differences, Dirichlet at both ends.
+    """
+    first = np.arange(n_edges) * n
+    i = (first[:, None] + np.arange(n - 1)).ravel()
+    cells = (np.stack([i, i + 1], axis=1), np.full(len(i), 1.0 / h), np.full(len(i), h))
+    return n_edges * n, cells, np.sort(np.concatenate([first[1:], first + n - 1]))
+
+
 def _mode_system(u0: GraphState, dt: float):
     """The mode system of a star that ``_star_modes`` admits, laid out like ``_vertex_system``.
 
-    The modes are an (N, n) array on the shared ray grid, stepped flattened:
-    row 0 is the edge mean, whose first sample is the vertex dof (nv = 1) and
-    whose last is a Dirichlet row, and row k is u_k - u_0, with Dirichlet rows
-    at both ends.  A potential is sampled once on the ray and tiled.
+    The modes are an (N, n) array on the shared ray grid, stepped flattened
+    as N plain chains (``_mode_chains``, nv = 0): row 0 is the edge mean,
+    whose first sample is the vertex value, and row k is u_k - u_0.  A
+    potential is sampled once on the ray, and ``spread`` tiles a function of
+    it (its phase) over the chains.
     """
     n_edges, n, h = u0.graph.n_edges, u0.grid.counts[0], u0.grid.spacings[0]
     x = u0.grid.x(0)
@@ -593,18 +659,17 @@ def _mode_system(u0: GraphState, dt: float):
     modes[1:] = vals[1:] - vals[0]
     modes[:, 0] = 0.0
     modes[0, 0] = vals[-1, 0]  # the vertex value the vertex path keeps
-    first = np.arange(n_edges) * n
-    i = (first[:, None] + np.arange(n - 1)).ravel()
-    cells = (np.stack([i, i + 1], axis=1), np.full(len(i), 1.0 / h), np.full(len(i), h))
-    stepper = _cayley_stepper(n_edges * n, cells, dt, np.sort(np.concatenate([first[1:], first + n - 1])), 1)
-    sample = lambda f, t: np.tile(_sample_edge(f, t, x), n_edges)
+    n_dof, cells, dirichlet = _mode_chains(n_edges, n, h)
+    stepper = _cayley_stepper(n_dof, cells, dt, dirichlet, 0)
+    sample = lambda f, t: _sample_edge(f, t, x)
+    spread = lambda a: np.tile(a, n_edges)
 
     def unpack(u):
         d = np.zeros((n_edges, n), dtype=complex)
         d[1:] += u.reshape(n_edges, n)[1:]  # adding to +0 turns -0 into +0: equal edges come out bit-equal
         return tuple(u[:n] - d.sum(axis=0) / n_edges + d)
 
-    return stepper, modes.ravel(), sample, unpack
+    return stepper, modes.ravel(), sample, spread, unpack
 
 
 def _evolve_graph(
@@ -615,34 +680,37 @@ def _evolve_graph(
     ``static`` is sampled once, ``dynamic`` at every half-step; a number
     stands for the constant potential.  Without a dynamic part the phase
     exp(i dt/2 v) is computed once and the half-steps merge (``_steps``).
-    The steps run on the star's mode system when ``_star_modes`` admits the
-    run and ``vertex_path`` is False, and on the vertex system otherwise.
+    The phase is computed where the system samples (on the ray for the
+    modes) and then spread over the dofs; after the first step it multiplies
+    only the window's spans.  The steps run on the star's mode system when
+    ``_star_modes`` admits the run and ``vertex_path`` is False, and on the
+    vertex system otherwise.
     """
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
     graph, grid = u0.graph, u0.grid
     dt_signed = math.copysign(cfg.dt, t_final - u0.time) if t_final != u0.time else cfg.dt
     modes = not vertex_path and _star_modes(u0, static, dynamic)
-    stepper, u, sample_dofs, unpack = (_mode_system if modes else _vertex_system)(u0, dt_signed)
+    stepper, u, sample_at, spread, unpack = (_mode_system if modes else _vertex_system)(u0, dt_signed)
 
     def sample(f, t):
         if isinstance(f, (int, float, complex)):
             f = lambda t, x, c=f: c
-        return sample_dofs(f, t)
+        return sample_at(f, t)
 
     v1 = None if static is None else sample(static, u0.time)
     if dynamic is not None:
         def phase(t):
             v = sample(dynamic, t)
-            return np.exp(1j * (dt_signed / 2.0) * (v if v1 is None else v1 + v))
+            return spread(np.exp(1j * (dt_signed / 2.0) * (v if v1 is None else v1 + v)))
 
         t = u0.time
         live = _Window()
         for _ in range(nsteps):
-            u = stepper(phase(t + dt_signed / 4.0) * u, live)
-            u = phase(t + 3.0 * dt_signed / 4.0) * u
+            u = stepper(live.scale(u, phase(t + dt_signed / 4.0)), live)
+            live.scale(u, phase(t + 3.0 * dt_signed / 4.0))
             t += dt_signed
     else:
-        u = _steps(u, stepper, nsteps, None if v1 is None else np.exp(1j * (dt_signed / 2.0) * v1))
+        u = _steps(u, stepper, nsteps, None if v1 is None else spread(np.exp(1j * (dt_signed / 2.0) * v1)))
     out = GraphState(graph, grid, unpack(u), u0.time + nsteps * dt_signed)
     if cfg.boundary_guard is not None:
         pieces = []

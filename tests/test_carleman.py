@@ -168,15 +168,17 @@ def test_sides_scale_quadratically_in_amplitude():
     assert m2.rhs == pytest.approx(9.0 * m1.rhs, rel=1e-12)
 
 
-def _n2_oracle(sample, weight, alphas, nt, nx):
-    """Both sides and the stride-2 error estimate from the N^2 weights
-    e^{2 phi_j^k}, each integrated against its own edge and re-evaluated on the
-    coarse grid."""
+def _n2_oracle(sample, weights, alphas, nt, nx):
+    """Per weight, both sides and the stride-2 error estimate from the N^2
+    weights e^{2 phi_j^k}, each integrated against its own edge and
+    re-evaluated on the coarse grid.  The sample is evaluated once per grid
+    and shared by every weight."""
     alpha = alphas.as_array()
 
-    def both(t, x):
-        q2 = np.abs(sample.values(t, x)) ** 2
-        d2 = np.abs(sample.defect(t, x)) ** 2
+    def edge_squares(t, x):
+        return t, x, np.abs(sample.values(t, x)) ** 2, np.abs(sample.defect(t, x)) ** 2
+
+    def both(weight, t, x, q2, d2):
         mass = rhs = 0.0
         for k in range(alphas.n_edges):
             for j in range(alphas.n_edges):
@@ -187,9 +189,13 @@ def _n2_oracle(sample, weight, alphas, nt, nx):
 
     t = np.linspace(0.0, 1.0, nt)
     x = np.linspace(0.0, sample.support_x, nx)
-    lhs, rhs = both(t, x)
-    lhs_c, rhs_c = both(t[::2], x[::2])
-    return lhs, rhs, (abs(lhs - lhs_c) + abs(rhs - rhs_c)) / 3.0
+    fine, coarse = edge_squares(t, x), edge_squares(t[::2], x[::2])
+    out = []
+    for weight in weights:
+        lhs, rhs = both(weight, *fine)
+        lhs_c, rhs_c = both(weight, *coarse)
+        out.append((lhs, rhs, (abs(lhs - lhs_c) + abs(rhs - rhs_c)) / 3.0))
+    return out
 
 
 # two pairs share (mu, R), so that each group has a smallest-eps weight and
@@ -211,8 +217,7 @@ def test_lhs_prefactor_identity():
         s = sample_zcomp(n, n)
         margins = carleman_sides(s, weights, av, nt=101, nx=301)
         assert len(margins) == len(weights)
-        for w, m in zip(weights, margins):
-            lhs, rhs, err = _n2_oracle(s, w, av, nt=101, nx=301)
+        for m, (lhs, rhs, err) in zip(margins, _n2_oracle(s, weights, av, nt=101, nx=301), strict=True):
             assert m.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
             assert m.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
             assert m.margin == pytest.approx(rhs - lhs, rel=1e-12, abs=0.0)
@@ -226,8 +231,7 @@ def test_folded_time_grid_even_nt():
         av = alpha_vectors(n)
         s = sample_zcomp(n, n)
         margins = carleman_sides(s, weights, av, nt=100, nx=300)
-        for w, m in zip(weights, margins, strict=True):
-            lhs, rhs, err = _n2_oracle(s, w, av, nt=100, nx=300)
+        for m, (lhs, rhs, err) in zip(margins, _n2_oracle(s, weights, av, nt=100, nx=300), strict=True):
             assert m.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
             assert m.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
             assert m.margin == pytest.approx(rhs - lhs, rel=1e-12, abs=0.0)

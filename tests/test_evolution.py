@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from graphlse import (
     Edge,
@@ -34,6 +35,8 @@ from graphlse.evolution import (
     _factor_chains,
     _graph_cells,
     _guard_tail,
+    _margin,
+    _mode_chains,
     _pack_graph,
     _pack_state,
     _Window,
@@ -252,7 +255,7 @@ def test_static_potential_sampled_once_per_edge():
 
 
 def test_static_potential_sampled_once_on_a_star(star3):
-    # the mode path samples the shared ray once and tiles it across the chains
+    # the mode path samples the shared ray once and tiles its phase across the chains
     graph, grid = star3
     st = GraphState.sample(graph, grid, gaussian())
     V1, calls = counted_potential()
@@ -532,6 +535,18 @@ def line_121_gaussian():
     return line_system(nodes, cells), narrow(-3.0)(nodes)
 
 
+def star_modes(graph, grid, fns):
+    """The star's mode system (N plain chains, nv = 0) with data ``fns`` packed as its modes."""
+    n_dof, cells, dirichlet = _mode_chains(graph.n_edges, grid.counts[0], grid.spacings[0])
+    modes = evolution._mode_system(GraphState.sample(graph, grid, fns), 1e-3)[1]
+    return (n_dof, cells, dirichlet, 0, grid.spacings[0]), modes
+
+
+def tilted(k):
+    """The bump ``narrow()`` tilted along the edge by k, the same at the vertex for every k."""
+    return lambda x: narrow()(x) * (1.0 + 0.4 * k * np.asarray(x))
+
+
 # Localized data, so that a step solves a narrow window of the chain rows.
 WINDOW_CASES = {
     "line-121-gaussian": line_121_gaussian,
@@ -540,6 +555,9 @@ WINDOW_CASES = {
     "tree-leaf-ray": lambda: localized(
         *build_regular_tree([1.0], [2, 2], 6.0, 0.05), [quiet] * 3 + [narrow(2.5)] + [quiet] * 2
     ),
+    # the vertex is the first row of the mean chain, so data there starts its window at row 0
+    "star3-modes-vertex-data": lambda: star_modes(*build_star(3, 10.0, 0.05), narrow()),
+    "star3-modes-tilted-vertex-data": lambda: star_modes(*build_star(3, 10.0, 0.05), [tilted(k) for k in range(3)]),
 }
 
 
@@ -629,6 +647,52 @@ def test_assembled_blocks_match_sparse_form(case):
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
+def c07_line():
+    nodes = line_grid(40.0, 40.0, 0.02)
+    return line_system(nodes, PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0).sigma_at(0.5 * (nodes[:-1] + nodes[1:])))
+
+
+def fine_two_layer_line():
+    nodes = line_grid(40.0, 40.0, 0.0125)
+    return line_system(nodes, PiecewiseCoefficient((1.0, 2.0), 1.0).sigma_at(0.5 * (nodes[:-1] + nodes[1:])))
+
+
+def sharpness_star_modes():
+    h = 0.0125
+    return (*_mode_chains(3, round(10.0 / h) + 1, h), 0, h)
+
+
+# (system, dt): c07's line, the two-layer line and the three-ray mode system
+# of the sharpness runs, and the tree of reduce-tree
+MARGIN_CASES = {
+    "c07-line": (c07_line, 5e-4),
+    "line-12-h0.0125": (fine_two_layer_line, 5e-4),
+    "star3-modes-h0.0125": (sharpness_star_modes, 5e-4),
+    "tree-1-22": (lambda: graph_system(*build_regular_tree([1.0], [2, 2], 8.0, 0.05)), 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MARGIN_CASES))
+def test_margin_is_the_fewest_rows_whose_coupling_runs_reach_eps2(case):
+    make, dt = MARGIN_CASES[case]
+    n_dof, cells, dirichlet, nv, h = make()
+    factors = _factor_chains(*_assemble(n_dof, cells, dt, dirichlet, nv)[1])
+    lower, rp, upper = factors
+    chain_dirichlet = dirichlet[dirichlet >= nv] - nv
+    m = _margin(factors, chain_dirichlet)
+    # the couplings of T = L0 diag(p) U, L0 = diag(p) L diag(1/p); those out of Dirichlet rows are left out
+    coupling_l = np.abs(lower[1, :-1] * rp[:-1] / rp[1:])
+    coupling_l[chain_dirichlet[chain_dirichlet < len(coupling_l)]] = 0.0
+    coupling_u = np.abs(upper[0, 1:])
+    eps2 = np.finfo(float).eps ** 2
+    runs = lambda a, k: np.prod(sliding_window_view(a, k), axis=1)
+    assert all(np.all(runs(a, m) <= eps2) for a in (coupling_l, coupling_u))
+    assert any(np.any(runs(a, m - 1) > eps2) for a in (coupling_l, coupling_u))
+    # never more rows than the rule from the largest coupling q
+    q = max(np.max(coupling_l), np.max(coupling_u))
+    assert 0 < q < 1 and m <= math.ceil(math.log(eps2) / math.log(q))
+
+
 @pytest.mark.parametrize("case", sorted(set(CORE_CASES) - {"vertices-only"}))
 def test_chain_factor_is_unit_banded_and_certified(case):
     n_dof, cells, dirichlet, nv, h = CORE_CASES[case]()
@@ -646,8 +710,8 @@ def test_chain_factor_is_unit_banded_and_certified(case):
     m = len(rp)
     L = sp.eye(m) + sp.diags(lower[1, :-1], -1, shape=(m, m))
     U = sp.eye(m) + sp.diags(upper[0, 1:], 1, shape=(m, m))
-    LDU = (L @ sp.diags(1.0 / rp) @ U).toarray()
-    np.testing.assert_allclose(LDU, T.toarray(), rtol=0, atol=1e-12 * np.max(np.abs(T.data), initial=0.0))
+    DLU = (sp.diags(1.0 / rp) @ L @ U).toarray()
+    np.testing.assert_allclose(DLU, T.toarray(), rtol=0, atol=1e-12 * np.max(np.abs(T.data), initial=0.0))
 
 
 @pytest.mark.parametrize("t_final", [0.3, -0.3])
@@ -757,7 +821,24 @@ def test_symmetric_star_sweeps_only_the_mean_chain(monkeypatch, star3):
     evolve_graph(st, 0.2, EvolutionConfig(dt=1e-3))
     evolve_graph_potential(st, None, V2, 0.2, EvolutionConfig(dt=1e-3))
     assert len(rows) == 400
-    assert 0 < max(rows) <= grid.counts[0] - 1  # the mean chain: the ray without its vertex
+    assert 0 < max(rows) <= grid.counts[0] - 1  # rows of the mean chain (vertex row first) alone
+
+
+def test_mode_path_steps_plain_chains(monkeypatch, star3):
+    # the modes are N chains with no vertex dof; the vertex system keeps its vertex
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, asymmetric(3))
+    built = []
+
+    def spy(n_dof, cells, dt, dirichlet, nv):
+        built.append((n_dof, nv))
+        return _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+
+    monkeypatch.setattr(evolution, "_cayley_stepper", spy)
+    cfg = EvolutionConfig(dt=1e-3)
+    evolve_graph(st, 0.01, cfg)
+    evolution._evolve_graph(st, 0.01, cfg, None, None, vertex_path=True)
+    assert built == [(3 * grid.counts[0], 0), (_pack_graph(graph, grid).n_dof, 1)]
 
 
 def test_unequal_rays_and_per_edge_potentials_take_the_vertex_path(star3):
