@@ -46,9 +46,15 @@ Dirichlet at both ends.  The vertex row divided by N is the half-mass
 Neumann first row of the mean, so the modes are N plain chains with no
 vertex dof, and the Laplacian and the potential act on every mode as on one
 edge.  Data equal on every edge has differences exactly zero, so their
-chains stay quiet and a step sweeps one ray, not N.  Other graphs, and stars
-with unequal rays or per-edge potentials, step the vertex system, which
-stays the oracle of the mode system.
+chains stay quiet and a step sweeps one ray, not N.  A free run (no
+potential) takes no steps one by one: every mode is a uniform chain with
+constant coefficients, Dirichlet at both ends once the mean is reflected
+evenly about the vertex, so the product of all its Cayley steps is diagonal
+in a discrete sine basis, and the run is one FFT pair per group of chains
+(``_free_modes``).  On this path the far field holds round-off of about
+eps max|u|, not exact zeros.  Other graphs, and stars with unequal rays or
+per-edge potentials, step the vertex system, which stays the oracle of the
+mode system.
 
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
@@ -402,7 +408,7 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
     """
     # Importing scipy's BLAS wrappers costs more than numpy itself (0.1-0.15 s
     # and about 28 MB on a 2-core x86 VM) and only stepping needs them, so
-    # ztbsv is bound here: runs that never evolve never load scipy.
+    # ztbsv is bound here: runs that build no stepper never load scipy.
     from scipy.linalg.blas import ztbsv
 
     c, bands, D, F, E = _assemble(n_dof, cells, dt, dirichlet, nv)
@@ -599,17 +605,18 @@ def _steps(u, stepper, nsteps, phase=None):
 
 
 def _vertex_system(u0: GraphState, dt: float):
-    """The vertex system of any graph: (stepper, packed u0, potential sampler, spread, unpacker).
+    """The vertex system of any graph: (stepper builder, packed u0, potential sampler, spread, unpacker).
 
-    The sampler returns one value per dof, so ``spread`` is the identity.
+    The builder returns the system's ``_cayley_stepper``.  The sampler
+    returns one value per dof, so ``spread`` is the identity.
     """
     graph, grid = u0.graph, u0.grid
     packing = _pack_graph(graph, grid)
     cells = _graph_cells(graph, grid, packing)
-    stepper = _cayley_stepper(packing.n_dof, cells, dt, packing.dirichlet, len(graph.vertices))
+    build = lambda: _cayley_stepper(packing.n_dof, cells, dt, packing.dirichlet, len(graph.vertices))
     sample = lambda f, t: _sample_potential(f, t, packing, graph, grid)
     unpack = lambda u: tuple(u[dofs].copy() for dofs in packing.edge_dofs)
-    return stepper, _pack_state(u0, packing), sample, lambda a: a, unpack
+    return build, _pack_state(u0, packing), sample, lambda a: a, unpack
 
 
 def _star_modes(u0: GraphState, static, dynamic) -> bool:
@@ -639,6 +646,39 @@ def _mode_chains(n_edges: int, n: int, h: float):
     return n_edges * n, cells, np.sort(np.concatenate([first[1:], first + n - 1]))
 
 
+def _free_modes(modes, h: float, dt: float, nsteps: int) -> np.ndarray:
+    """``nsteps`` free Cayley steps of the mode chains (``_mode_chains``) at once, in a sine basis.
+
+    ``modes`` is the (N, n) array of ``_mode_system``.  A difference chain is
+    a uniform chain of n - 1 cells, Dirichlet at both ends, and so is the mean
+    chain reflected evenly about its vertex (the half-mass Neumann row is the
+    middle row of the reflection), with 2(n - 1) cells.  On such a chain of
+    C cells the linear ramp between its two end values is a fixed point of
+    the step (K ramp = 0 inside), and one step multiplies the sine mode
+    sin(pi j k / C) of the rest by exp(-2i arctan(dt lam_j / 2)), lam_j =
+    (4 / h^2) sin^2(pi j / 2C).  The sine transform of the interior is the
+    FFT of its odd extension, of length 2C, so the whole run is one FFT pair
+    per group of chains, and the Dirichlet rows keep their values.
+    """
+    if nsteps == 0:
+        return modes
+    n = modes.shape[1]
+    out = []
+    for w in (np.concatenate([modes[:1, :0:-1], modes[:1]], axis=1), modes[1:]):
+        cells = w.shape[1] - 1
+        ramp = w[:, :1] + (w[:, -1:] - w[:, :1]) * (np.arange(1, cells) / cells)
+        z = np.zeros((len(w), 2 * cells), dtype=complex)
+        z[:, 1:cells] = w[:, 1:-1] - ramp
+        z[:, cells + 1 :] = -z[:, cells - 1 : 0 : -1]
+        k = np.arange(2 * cells)
+        lam = (4.0 / h**2) * np.sin(np.pi * np.minimum(k, 2 * cells - k) / (2 * cells)) ** 2  # even in k, bit for bit
+        mu = np.exp(-2j * nsteps * np.arctan((dt / 2.0) * lam))
+        w = w.astype(complex)
+        w[:, 1:-1] = np.fft.ifft(mu * np.fft.fft(z), axis=1)[:, 1:cells] + ramp
+        out.append(w)
+    return np.concatenate([out[0][:, n - 1 :], out[1]])
+
+
 def _mode_system(u0: GraphState, dt: float):
     """The mode system of a star that ``_star_modes`` admits, laid out like ``_vertex_system``.
 
@@ -646,7 +686,8 @@ def _mode_system(u0: GraphState, dt: float):
     as N plain chains (``_mode_chains``, nv = 0): row 0 is the edge mean,
     whose first sample is the vertex value, and row k is u_k - u_0.  A
     potential is sampled once on the ray, and ``spread`` tiles a function of
-    it (its phase) over the chains.
+    it (its phase) over the chains.  A free run propagates the (N, n) modes
+    with ``_free_modes`` and builds no stepper.
     """
     n_edges, n, h = u0.graph.n_edges, u0.grid.counts[0], u0.grid.spacings[0]
     x = u0.grid.x(0)
@@ -660,7 +701,7 @@ def _mode_system(u0: GraphState, dt: float):
     modes[:, 0] = 0.0
     modes[0, 0] = vals[-1, 0]  # the vertex value the vertex path keeps
     n_dof, cells, dirichlet = _mode_chains(n_edges, n, h)
-    stepper = _cayley_stepper(n_dof, cells, dt, dirichlet, 0)
+    build = lambda: _cayley_stepper(n_dof, cells, dt, dirichlet, 0)
     sample = lambda f, t: _sample_edge(f, t, x)
     spread = lambda a: np.tile(a, n_edges)
 
@@ -669,7 +710,7 @@ def _mode_system(u0: GraphState, dt: float):
         d[1:] += u.reshape(n_edges, n)[1:]  # adding to +0 turns -0 into +0: equal edges come out bit-equal
         return tuple(u[:n] - d.sum(axis=0) / n_edges + d)
 
-    return stepper, modes.ravel(), sample, spread, unpack
+    return build, modes.ravel(), sample, spread, unpack
 
 
 def _evolve_graph(
@@ -684,13 +725,14 @@ def _evolve_graph(
     modes) and then spread over the dofs; after the first step it multiplies
     only the window's spans.  The steps run on the star's mode system when
     ``_star_modes`` admits the run and ``vertex_path`` is False, and on the
-    vertex system otherwise.
+    vertex system otherwise.  A free run on the modes (no potential at all)
+    takes all its steps at once in a sine basis (``_free_modes``).
     """
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
     graph, grid = u0.graph, u0.grid
     dt_signed = math.copysign(cfg.dt, t_final - u0.time) if t_final != u0.time else cfg.dt
     modes = not vertex_path and _star_modes(u0, static, dynamic)
-    stepper, u, sample_at, spread, unpack = (_mode_system if modes else _vertex_system)(u0, dt_signed)
+    build, u, sample_at, spread, unpack = (_mode_system if modes else _vertex_system)(u0, dt_signed)
 
     def sample(f, t):
         if isinstance(f, (int, float, complex)):
@@ -698,7 +740,10 @@ def _evolve_graph(
         return sample_at(f, t)
 
     v1 = None if static is None else sample(static, u0.time)
-    if dynamic is not None:
+    if modes and static is None and dynamic is None:
+        u = _free_modes(u.reshape(graph.n_edges, -1), grid.spacings[0], dt_signed, nsteps).ravel()
+    elif dynamic is not None:
+        stepper = build()
         def phase(t):
             v = sample(dynamic, t)
             return spread(np.exp(1j * (dt_signed / 2.0) * (v if v1 is None else v1 + v)))
@@ -710,7 +755,7 @@ def _evolve_graph(
             live.scale(u, phase(t + 3.0 * dt_signed / 4.0))
             t += dt_signed
     else:
-        u = _steps(u, stepper, nsteps, None if v1 is None else spread(np.exp(1j * (dt_signed / 2.0) * v1)))
+        u = _steps(u, build(), nsteps, None if v1 is None else spread(np.exp(1j * (dt_signed / 2.0) * v1)))
     out = GraphState(graph, grid, unpack(u), u0.time + nsteps * dt_signed)
     if cfg.boundary_guard is not None:
         pieces = []

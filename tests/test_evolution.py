@@ -816,11 +816,15 @@ def test_symmetric_star_sweeps_only_the_mean_chain(monkeypatch, star3):
 
         return spied
 
+    def unbuilt(*args):
+        raise AssertionError("a free star run built a Cayley stepper")
+
+    monkeypatch.setattr(evolution, "_cayley_stepper", unbuilt)
+    evolve_graph(st, 0.2, EvolutionConfig(dt=1e-3))  # the free run propagates its modes in a sine basis
     monkeypatch.setattr(evolution, "_cayley_stepper", spy)
     V2 = lambda t, x: 0.2 * np.cos(x) + 0.0 * t
-    evolve_graph(st, 0.2, EvolutionConfig(dt=1e-3))
     evolve_graph_potential(st, None, V2, 0.2, EvolutionConfig(dt=1e-3))
-    assert len(rows) == 400
+    assert len(rows) == 200
     assert 0 < max(rows) <= grid.counts[0] - 1  # rows of the mean chain (vertex row first) alone
 
 
@@ -836,9 +840,49 @@ def test_mode_path_steps_plain_chains(monkeypatch, star3):
 
     monkeypatch.setattr(evolution, "_cayley_stepper", spy)
     cfg = EvolutionConfig(dt=1e-3)
-    evolve_graph(st, 0.01, cfg)
-    evolution._evolve_graph(st, 0.01, cfg, None, None, vertex_path=True)
+    V1 = lambda t, x: np.cos(x)  # a free run would build no stepper at all
+    evolve_graph_potential(st, V1, None, 0.01, cfg)
+    evolution._evolve_graph(st, 0.01, cfg, V1, None, vertex_path=True)
     assert built == [(3 * grid.counts[0], 0), (_pack_graph(graph, grid).n_dof, 1)]
+
+
+@pytest.mark.parametrize("dt", [0.02, -0.02])
+@pytest.mark.parametrize("n_edges, n, nsteps", [(2, 9, 40), (3, 12, 120), (4, 7, 200)])
+def test_free_modes_match_dense_cayley_power(n_edges, n, nsteps, dt):
+    # all nsteps free steps of the mode chains at once, against the nsteps-th
+    # power of the dense Cayley step, on random data with nonzero Dirichlet values
+    h = 0.1
+    n_dof, cells, dirichlet = _mode_chains(n_edges, n, h)
+    mass, K = sparse_form(n_dof, cells)
+    A = 1j * np.diag(mass) - (dt / 2.0) * K.toarray()
+    B = 1j * np.diag(mass) + (dt / 2.0) * K.toarray()
+    A[dirichlet], B[dirichlet] = 0.0, 0.0
+    A[dirichlet, dirichlet] = B[dirichlet, dirichlet] = 1.0
+    rng = np.random.default_rng(n_edges)
+    u0 = rng.normal(size=n_dof) + 1j * rng.normal(size=n_dof)
+    assert np.all(np.abs(u0[dirichlet]) > 0)
+    want = np.linalg.matrix_power(np.linalg.solve(A, B), nsteps) @ u0
+    got = evolution._free_modes(u0.reshape(n_edges, n), h, dt, nsteps).ravel()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    np.testing.assert_array_equal(got[dirichlet], u0[dirichlet])
+
+
+def test_free_modes_zero_steps_return_the_input():
+    rng = np.random.default_rng(3)
+    modes = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
+    assert evolution._free_modes(modes, 0.1, 0.02, 0).tobytes() == modes.tobytes()
+
+
+@pytest.mark.parametrize("t_final", [1.0, -1.0])
+@pytest.mark.parametrize("data", [symmetric, asymmetric])
+def test_free_star_norm_drift_at_sharpness_size(data, t_final):
+    # the sharpness star's grid and step: 3 x 3201 samples, 2000 steps; a phase
+    # factor that is not bit-even in the frequency drifts the symmetric run by 6.9e-15
+    graph, grid = build_star(3, 40.0, 0.0125)
+    st = GraphState.sample(graph, grid, data(3))
+    out = evolve_graph(st, t_final, EvolutionConfig(dt=5e-4))
+    n0 = weighted_l2_norm(st)
+    assert abs(weighted_l2_norm(out) - n0) <= 2e-15 * n0
 
 
 def test_unequal_rays_and_per_edge_potentials_take_the_vertex_path(star3):
