@@ -23,8 +23,6 @@ from .graphs import (
     build_regular_tree,
     build_star,
     kirchhoff_residual,
-    parse_graph_spec,
-    serialize_graph_spec,
     weighted_l2_norm,
 )
 from .evolution import (

@@ -133,8 +133,6 @@ class _GraphPacking:
     n_dof: int
     edge_dofs: tuple[np.ndarray, ...]  # per edge: dof index of each sample
     dirichlet: np.ndarray
-    x_of_dof: np.ndarray  # edge coordinate of one representative sample
-    edge_of_dof: np.ndarray  # representative edge id (vertices: any incident edge)
 
 
 def _pack_graph(graph: MetricGraph, grid: GraphGrid) -> _GraphPacking:
@@ -142,38 +140,20 @@ def _pack_graph(graph: MetricGraph, grid: GraphGrid) -> _GraphPacking:
     n_dof = len(graph.vertices)
     edge_dofs = []
     dirichlet = []
-    x_rep = [0.0] * n_dof
-    e_rep = [0] * n_dof
-    for v, d in vertex_dof.items():
-        eid, end = graph.incident(v)[0]
-        e_rep[d] = eid
-        x_rep[d] = 0.0 if end == "initial" else grid.lengths[eid]
     for eid, e in enumerate(graph.edges):
         n = grid.counts[eid]
         dofs = np.empty(n, dtype=int)
         dofs[0] = vertex_dof[e.initial]
-        interior = np.arange(n_dof, n_dof + n - 2)
-        dofs[1:-1] = interior
-        x = grid.x(eid)
-        x_rep.extend(x[1:-1].tolist())
-        e_rep.extend([eid] * (n - 2))
+        dofs[1:-1] = np.arange(n_dof, n_dof + n - 2)
         n_dof += n - 2
         if e.terminal is None:
             dofs[-1] = n_dof
             dirichlet.append(n_dof)
-            x_rep.append(x[-1])
-            e_rep.append(eid)
             n_dof += 1
         else:
             dofs[-1] = vertex_dof[e.terminal]
         edge_dofs.append(dofs)
-    return _GraphPacking(
-        n_dof,
-        tuple(edge_dofs),
-        np.asarray(dirichlet, dtype=int),
-        np.asarray(x_rep, dtype=float),
-        np.asarray(e_rep, dtype=int),
-    )
+    return _GraphPacking(n_dof, tuple(edge_dofs), np.asarray(dirichlet, dtype=int))
 
 
 def _assemble(n_dof, cells, dt, dirichlet, nv):

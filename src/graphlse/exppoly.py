@@ -64,10 +64,11 @@ class PiecewiseCoefficient:
         a = tuple(float(v) for v in self.a)
         if not a:
             raise ValueError("need at least one layer")
-        if any(v <= 0 for v in a):
-            raise ValueError("layer amplitudes a_k must be positive")
-        if self.l <= 0:
-            raise ValueError("breakpoint spacing must be positive")
+        # a NaN fails every comparison, so it is refused here as well
+        if not all(0.0 < v < math.inf for v in a):
+            raise ValueError("layer amplitudes a_k must be positive and finite")
+        if not 0.0 < self.l < math.inf:
+            raise ValueError("breakpoint spacing must be positive and finite")
         delta = tuple(a[j] - a[j + 1] for j in range(len(a) - 1))
         eps = tuple(a[j] + a[j + 1] for j in range(len(a) - 1))
         gamma = tuple(d / e for d, e in zip(delta, eps))

@@ -7,9 +7,9 @@ work, with a homogeneous Dirichlet condition at the truncation point.
 """
 from __future__ import annotations
 
-import json
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,8 +27,6 @@ __all__ = [
     "weighted_l2_norm",
     "edge_derivative_at_start",
     "edge_derivative_at_end",
-    "parse_graph_spec",
-    "serialize_graph_spec",
 ]
 
 
@@ -162,6 +160,11 @@ def build_star(n_edges: int, L: float, h: float) -> tuple[MetricGraph, GraphGrid
     return graph, grid
 
 
+def _nested_indices(degrees: Sequence[int], generation: int):
+    """Multi-indices of a regular tree's generation-``generation`` edges, in nested (lexicographic) order."""
+    return itertools.product(*(range(1, d + 1) for d in degrees[:generation]))
+
+
 def build_regular_tree(
     lengths: Sequence[float],
     degrees: Sequence[int],
@@ -174,7 +177,10 @@ def build_regular_tree(
 
     ``degrees`` has one more entry than ``lengths``; ``degrees[0]`` is the root
     degree.  Edge multi-indices follow the nesting of the tree, so the edges of
-    generation k number ``degrees[0]*...*degrees[k-1]``.
+    generation k number ``degrees[0]*...*degrees[k-1]``.  The edges are stored
+    generation by generation, each generation in nested (lexicographic
+    multi-index) order, so the descendants of an edge at any later generation
+    form one contiguous block; ``reduction.averaged_sums`` relies on that.
     """
     if not degrees:
         raise ValueError("need at least one branching degree")
@@ -192,24 +198,17 @@ def build_regular_tree(
 
     vertex_of: dict[tuple[int, ...], int] = {(): 0}
     edges: list[Edge] = []
-    frontier: list[tuple[int, ...]] = [()]
-    next_vertex = 1
     for gen in range(1, n_gen + 1):
-        new_frontier = []
-        for parent in frontier:
-            for child in range(1, degrees[gen - 1] + 1):
-                idx = parent + (child,)
-                if gen < n_gen:
-                    vertex_of[idx] = next_vertex
-                    next_vertex += 1
-                    edges.append(Edge(vertex_of[parent], vertex_of[idx], lengths[gen - 1], gen, idx))
-                else:
-                    edges.append(Edge(vertex_of[parent], None, math.inf, gen, idx))
-                new_frontier.append(idx)
-        frontier = new_frontier
+        for idx in _nested_indices(degrees, gen):
+            parent = vertex_of[idx[:-1]]
+            if gen < n_gen:
+                vertex_of[idx] = len(vertex_of)
+                edges.append(Edge(parent, vertex_of[idx], lengths[gen - 1], gen, idx))
+            else:
+                edges.append(Edge(parent, None, math.inf, gen, idx))
 
     graph = MetricGraph(
-        vertices=tuple(range(next_vertex)),
+        vertices=tuple(range(len(vertex_of))),
         edges=tuple(edges),
         generation_lengths=tuple(float(l) for l in lengths),
         branching=tuple(int(d) for d in degrees),
@@ -348,61 +347,3 @@ def weighted_l2_norm(state: GraphState, gamma: float = 0.0) -> float:
                 )
         total += float(np.trapezoid(w, x))
     return math.sqrt(total)
-
-
-# ---------------------------------------------------------------------------
-# graph spec (de)serialization
-#
-# JSON documents with these exact schemas (no extra keys):
-#   {"type": "star", "N": int >= 2, "L": float, "h": float}
-#   {"type": "regular_tree", "lengths": [float...], "degrees": [int...],
-#    "L": float, "h": float}
-#   {"type": "line_sigma", "values": [float...], "l": float, "L": float,
-#    "h": float}
-# ---------------------------------------------------------------------------
-
-_SPEC_SCHEMAS: dict[str, dict[str, type | tuple]] = {
-    "star": {"N": int, "L": (int, float), "h": (int, float)},
-    "regular_tree": {"lengths": list, "degrees": list, "L": (int, float), "h": (int, float)},
-    "line_sigma": {"values": list, "l": (int, float), "L": (int, float), "h": (int, float)},
-}
-
-
-def _validate_spec(spec: dict) -> dict:
-    if not isinstance(spec, dict):
-        raise ValueError("graph spec must be a JSON object")
-    kind = spec.get("type")
-    if kind not in _SPEC_SCHEMAS:
-        raise ValueError(f"unknown graph spec type {kind!r}")
-    schema = _SPEC_SCHEMAS[kind]
-    unknown = set(spec) - set(schema) - {"type"}
-    if unknown:
-        raise ValueError(f"unknown keys in graph spec: {sorted(unknown)}")
-    missing = set(schema) - set(spec)
-    if missing:
-        raise ValueError(f"missing keys in graph spec: {sorted(missing)}")
-    for key, typ in schema.items():
-        if not isinstance(spec[key], typ) or isinstance(spec[key], bool):
-            raise ValueError(f"graph spec key {key!r} has wrong type")
-    out = {"type": kind}
-    for key in schema:
-        val = spec[key]
-        if isinstance(val, list):
-            out[key] = [int(v) if key == "degrees" else float(v) for v in val]
-        elif key == "N":
-            out[key] = int(val)
-        else:
-            out[key] = float(val)
-    return out
-
-
-def parse_graph_spec(text: str) -> dict:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"graph spec is not valid JSON: {exc}") from exc
-    return _validate_spec(raw)
-
-
-def serialize_graph_spec(spec: dict) -> str:
-    return json.dumps(_validate_spec(spec), sort_keys=True, separators=(", ", ": "))

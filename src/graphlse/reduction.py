@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import write_csv
-from .graphs import GraphGrid, GraphState, MetricGraph, edge_derivative_at_end, edge_derivative_at_start
+from .graphs import GraphState, MetricGraph, _nested_indices, edge_derivative_at_end, edge_derivative_at_start
 
 __all__ = [
     "AveragedSums",
@@ -110,46 +110,39 @@ def averaged_sums(state: GraphState) -> AveragedSums:
     """All Z^alpha and the root average of a regular-tree state.
 
     Sibling grids must be identical per generation so the averages are exact
-    sample-wise means (no interpolation).
+    sample-wise means (no interpolation).  The edges must be stored as
+    ``build_regular_tree`` stores them: generation by generation, each in
+    nested multi-index order.  Then the generation-g descendants of the j-th
+    of the n_m generation-m edges are the j-th of n_m equal blocks of
+    generation g, so every Z^alpha is one block mean.
     """
     graph = state.graph
     n, lengths, degrees = _tree_meta(graph)
-    by_gen: dict[int, list[int]] = {}
-    for eid, e in enumerate(graph.edges):
-        by_gen.setdefault(e.generation, []).append(eid)
-    grids = []
-    for gen in range(1, n + 2):
-        ids = by_gen[gen]
-        cs = {state.grid.counts[i] for i in ids}
-        hs = {state.grid.spacings[i] for i in ids}
-        if len(cs) != 1 or len(hs) != 1:
-            raise ValueError(f"generation {gen} edges do not share one grid")
+    nested = [idx for g in range(1, n + 2) for idx in _nested_indices(degrees, g)]
+    if [e.index for e in graph.edges] != nested:
+        raise ValueError("regular-tree edges must be the full index set, generation by generation in nested order")
+    starts = np.cumsum([0, *np.cumprod(degrees)])  # first edge of each generation
+    stacks, grids = [], []
+    for g in range(n + 1):
+        ids = range(starts[g], starts[g + 1])
+        if len({state.grid.counts[i] for i in ids}) != 1 or len({state.grid.spacings[i] for i in ids}) != 1:
+            raise ValueError(f"generation {g + 1} edges do not share one grid")
+        stacks.append(np.stack([state.values[i] for i in ids]))
         grids.append(state.grid.x(ids[0]))
     breakpoints = (0.0,) + tuple(np.cumsum(lengths))
-    trunc = state.grid.lengths[by_gen[n + 1][0]]
 
     pieces: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
-    for eid, e in enumerate(graph.edges):
-        alpha = e.index
-        k = e.generation
-        stack = []
-        for gen in range(k, n + 2):
-            members = [
-                state.values[i]
-                for i in by_gen[gen]
-                if graph.edges[i].index[:k] == alpha
-            ]
-            stack.append(np.mean(np.stack(members), axis=0))
-        pieces[alpha] = tuple(stack)
-    root = tuple(
-        np.mean(np.stack([state.values[i] for i in by_gen[gen]]), axis=0) for gen in range(1, n + 2)
-    )
+    for m in range(n + 1):
+        n_m = starts[m + 1] - starts[m]
+        means = [stack.reshape(n_m, -1, stack.shape[1]).mean(axis=1) for stack in stacks[m:]]
+        for j, alpha in enumerate(nested[starts[m] : starts[m + 1]]):
+            pieces[alpha] = tuple(z[j] for z in means)
     return AveragedSums(
         breakpoints=tuple(float(b) for b in breakpoints),
-        trunc_length=float(trunc),
+        trunc_length=float(state.grid.lengths[starts[n]]),
         grids=tuple(grids),
         pieces=pieces,
-        root=root,
+        root=tuple(stack.mean(axis=0) for stack in stacks),
         time=state.time,
     )
 
@@ -166,17 +159,10 @@ def difference_Z(avg: AveragedSums, alpha: tuple[int, ...], beta: int):
     child = tuple(alpha) + (beta,)
     if child not in avg.pieces:
         raise ValueError(f"no edge with index {child}")
-    parent = avg.root if len(alpha) == 0 else avg.pieces[tuple(alpha)]
-    child_pieces = avg.pieces[child]
-    k = len(alpha)
-    # parent pieces start at generation max(k,1); child pieces at k+1
-    offset = (k + 1) - max(k, 1)
-    xs, vals = [], []
-    for i, cv in enumerate(child_pieces):
-        gen = k + 1 + i
-        xs.append(avg.global_x(gen))
-        vals.append(cv - parent[i + offset])
-    return xs, vals
+    # a parent's own piece is at generation |alpha|, the child's first at |alpha|+1
+    parent = avg.pieces[tuple(alpha)][1:] if alpha else avg.root
+    xs = [avg.global_x(g) for g in range(len(alpha) + 1, avg.n_generations() + 1)]
+    return xs, [cv - pv for cv, pv in zip(avg.pieces[child], parent)]
 
 
 @dataclass(frozen=True)
@@ -213,45 +199,16 @@ def reduction_map(graph: MetricGraph) -> ReductionMap:
     root to 0; any other anchor is a global translation.
     """
     n, lengths, degrees = _tree_meta(graph)
-    full = 1.0  # d_2 ... d_{n+1}
-    for d in degrees[1:]:
-        full *= d
-    slopes = []
-    for k in range(0, 2 * n + 2):
-        if k <= n - 1:
-            num = 1.0
-            for d in degrees[1 : n + 1 - k]:
-                num *= d
-            slopes.append(num / full)
-        elif k <= n + 1:
-            slopes.append(1.0 / full)
-        else:
-            num = 1.0
-            for d in degrees[1 : k - n]:
-                num *= d
-            slopes.append(num / full)
-    a = [0.0]
-    for l in lengths:
-        a.append(a[-1] + l)
-    tilde = [-v for v in a[::-1][:-1]] + a  # -a_n..-a_1, 0, a_1..a_n
-    # b_{n+1} = 0 at tilde index n+1 (value 0); accumulate outwards
-    m = len(tilde)
-    b = [0.0] * m
-    # interval k of the fold runs (tilde_k, tilde_{k+1}) with tilde_0 = -inf; our
-    # finite list covers tilde_1..tilde_{2n+1}, i.e. list position p = k-1, so
-    # the interval between list positions p-1 and p is fold interval k = p.
-    pos0 = n  # list position of the 0 breakpoint (= tilde_{n+1})
-    for p in range(pos0 + 1, m):
-        b[p] = b[p - 1] + slopes[p] * (tilde[p] - tilde[p - 1])
-    for p in range(pos0 - 1, -1, -1):
-        k = p + 1
-        b[p] = b[p + 1] - slopes[k] * (tilde[p + 1] - tilde[p])
-    sigma = tuple(s * s for s in slopes)
+    prods = np.cumprod([1.0, *degrees[1:]])  # 1, d_2, d_2 d_3, ..., d_2...d_{n+1}
+    slopes = np.concatenate([prods[::-1], prods]) / prods[-1]
+    a = np.cumsum([0.0, *lengths])  # a_0 .. a_n
+    # b_{n+1} = 0 at the folded origin; fold interval n+1+i maps (a_i, a_{i+1})
+    b = np.cumsum(slopes[n + 1 : 2 * n + 1] * np.diff(a))
     return ReductionMap(
-        tilde_breakpoints=tuple(tilde),
-        targets=tuple(b),
-        slopes=tuple(slopes),
-        sigma=sigma,
+        tilde_breakpoints=tuple(np.concatenate([-a[:0:-1], a]).tolist()),  # -a_n..-a_1, 0, a_1..a_n
+        targets=tuple(np.concatenate([-b[::-1], [0.0], b]).tolist()),
+        slopes=tuple(slopes.tolist()),
+        sigma=tuple((slopes * slopes).tolist()),
     )
 
 
@@ -274,50 +231,28 @@ def fold_to_line(avg: AveragedSums, rmap: ReductionMap) -> FoldedLine:
     root Z; junction nodes are shared (continuity is inherited from the state)
     and each grid cell carries the sigma of its interval.
     """
-    gens = avg.n_generations()
-    n = gens - 1
-    pieces_x = []
-    pieces_v = []
-    pieces_s = []
-    # negative side: fold interval k = 0..n covers generation m = n+1-k
-    for k in range(0, n + 1):
-        m = n + 1 - k
-        x_glob = avg.global_x(m)
-        v = avg.root[m - 1]
-        mapped = _affine(rmap, k, -x_glob)[::-1]
-        pieces_x.append(mapped)
-        pieces_v.append(v[::-1])
-        pieces_s.append(rmap.sigma[k])
-    # positive side: fold interval k = n+1..2n+1 covers generation m = k-n
-    for k in range(n + 1, 2 * n + 2):
-        m = k - n
-        x_glob = avg.global_x(m)
-        v = avg.root[m - 1]
-        mapped = _affine(rmap, k, x_glob)
-        pieces_x.append(mapped)
-        pieces_v.append(v)
-        pieces_s.append(rmap.sigma[k])
-    nodes = [pieces_x[0]]
-    values = [pieces_v[0]]
-    cell_sigma = [np.full(len(pieces_x[0]) - 1, pieces_s[0])]
-    for px, pv, ps in zip(pieces_x[1:], pieces_v[1:], pieces_s[1:]):
-        if abs(px[0] - nodes[-1][-1]) > 1e-9:
+    n = avg.n_generations() - 1
+    nodes, values, cell_sigma = [], [], []
+    for k in range(2 * n + 2):
+        # interval k covers generation n+1-k mirrored (k <= n), else generation k-n
+        m = n + 1 - k if k <= n else k - n
+        x, v = avg.global_x(m), avg.root[m - 1]
+        if k <= n:
+            x, v = -x[::-1], v[::-1]
+        # T_k anchors at the finite breakpoint tilde_k, which for k = 0 is -a_n
+        p = max(k - 1, 0)
+        mapped = rmap.targets[p] + rmap.slopes[k] * (x - rmap.tilde_breakpoints[p])
+        if nodes and abs(mapped[0] - nodes[-1][-1]) > 1e-9:
             raise ValueError("folded pieces do not join continuously")
-        nodes.append(px[1:])
-        values.append(pv[1:])
-        cell_sigma.append(np.full(len(px) - 1, ps))
+        shared = 1 if nodes else 0  # junction nodes are shared with the previous piece
+        nodes.append(mapped[shared:])
+        values.append(v[shared:])
+        cell_sigma.append(np.full(len(mapped) - 1, rmap.sigma[k]))
     return FoldedLine(
         nodes=np.concatenate(nodes),
         values=np.concatenate(values),
         cell_sigma=np.concatenate(cell_sigma),
     )
-
-
-def _affine(rmap: ReductionMap, k: int, x: np.ndarray) -> np.ndarray:
-    """T_k(x) for fold interval k; finite breakpoint list starts at tilde_1 = -a_n,
-    which also anchors the unbounded interval k = 0."""
-    p = max(k - 1, 0)
-    return rmap.targets[p] + rmap.slopes[k] * (x - rmap.tilde_breakpoints[p])
 
 
 def write_reduction_report(rmap: ReductionMap, path, meta: dict | None = None) -> None:

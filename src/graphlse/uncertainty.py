@@ -160,8 +160,8 @@ def classify_threshold(
     the threshold are reported as 'boundary': the statements are strict
     inequalities and numerics cannot decide the knife edge.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("decay rates must be positive")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise ValueError("decay rates must be positive and finite")
     if rule not in _RULES:
         raise ValueError(f"unknown rule {rule!r}")
     if rule.startswith("line-sigma"):
@@ -299,8 +299,8 @@ def appell_transform(
     time map above.  'inverse' applies the transform with the roles of alpha
     and beta swapped, which undoes the forward map exactly.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("rates must be positive")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise ValueError("rates must be positive and finite")
     if A == 0 and B == 0:
         raise ValueError("A + iB must be nonzero")
     if direction == "inverse":

@@ -15,6 +15,7 @@ from .evolution import (
     _evolve_graph,
     _graph_cells,
     _pack_graph,
+    _pack_state,
     _star_modes,
     _Window,
 )
@@ -49,8 +50,8 @@ def check_windowed_core() -> bool:
     A[packing.dirichlet, packing.dirichlet] = B[packing.dirichlet, packing.dirichlet] = 1.0
     dense = np.linalg.solve(A, B)
     step = _cayley_stepper(n, (pairs, weights, hs), dt, packing.dirichlet, nv)
-    u = np.exp(-25.0 * (packing.x_of_dof - 1.5) ** 2) * (packing.edge_of_dof == 0)
-    u[:nv] = 0.0
+    gauss, zero = lambda x: np.exp(-25.0 * (x - 1.5) ** 2), lambda x: np.zeros_like(x)
+    u = _pack_state(GraphState.sample(graph, grid, [gauss, zero, zero]), packing)
     live = _Window()
     u, v = step(u, live), dense @ u
     narrow = live.rows < n - nv  # the first step left quiet rows out

@@ -548,6 +548,16 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         (CARLEMAN_INI, ("eps = 0.5", "eps = inf")),
         (CARLEMAN_INI, ("r = 4.0", "r = nan")),
         (CARLEMAN_INI, ("r = 4.0", "r = inf")),
+        # NaN passed the positivity tests of the layer data and the rates, and
+        # an infinite amplitude gave sigma = 0 cells; each exited 0
+        (LINE_SIMULATE_INI, ("values = 1.0, 2.0", "values = 1.0, nan")),
+        (LINE_SIMULATE_INI, ("values = 1.0, 2.0", "values = 1.0, inf")),
+        (LINE_SIMULATE_INI, ("spacing = 1.0", "spacing = nan")),
+        (LINE_SIMULATE_INI, ("spacing = 1.0", "spacing = inf")),
+        (SWEEP_INI, ("alphas = 0.1, 0.25, 0.5", "alphas = nan")),
+        (SWEEP_INI, ("alphas = 0.1, 0.25, 0.5", "alphas = inf")),
+        (APPELL_INI, ("alpha = 0.25", "alpha = nan")),
+        (APPELL_INI, ("alpha = 0.25", "alpha = inf")),
     ],
     ids=[
         "dt-inf",
@@ -564,6 +574,14 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         "carleman-eps-inf",
         "carleman-r-nan",
         "carleman-r-inf",
+        "sigma-values-nan",
+        "sigma-values-inf",
+        "sigma-spacing-nan",
+        "sigma-spacing-inf",
+        "sweep-alphas-nan",
+        "sweep-alphas-inf",
+        "appell-alpha-nan",
+        "appell-alpha-inf",
     ],
 )
 def test_simulate_non_finite_time_exit_codes(tmp_path, capsys, base, change):

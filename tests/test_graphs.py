@@ -10,8 +10,6 @@ from graphlse import (
     build_regular_tree,
     build_star,
     kirchhoff_residual,
-    parse_graph_spec,
-    serialize_graph_spec,
     weighted_l2_norm,
 )
 
@@ -75,6 +73,20 @@ def test_regular_tree_edge_counts_products(lengths, degrees, max_gen):
         for d in degrees[:gen]:
             expected *= d
         assert sum(1 for e in graph.edges if e.generation == gen) == expected
+
+
+def test_regular_tree_nested_edge_order():
+    # generation by generation, each in lexicographic multi-index order; the
+    # vertex ids number the finite edges' terminals in that order
+    graph, _ = build_regular_tree([1.0, 0.5], [2, 3, 2], 8.0, 0.125)
+    keys = [(e.generation, e.index) for e in graph.edges]
+    assert keys == sorted(keys) and all(len(idx) == g for g, idx in keys)
+    vertex_of = {(): 0}
+    for e in graph.edges:
+        assert e.initial == vertex_of[e.index[:-1]]
+        if not e.infinite:
+            vertex_of[e.index] = e.terminal
+    assert list(vertex_of.values()) == list(graph.vertices)
 
 
 def test_regular_tree_rejects_empty_degrees():
@@ -193,29 +205,3 @@ def test_state_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         GraphState(graph, grid, (bad, np.zeros(801)))
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        {"type": "star", "N": 3, "L": 40.0, "h": 0.05},
-        {"type": "regular_tree", "lengths": [1.0], "degrees": [2, 2], "L": 30.0, "h": 0.05},
-        {"type": "line_sigma", "values": [1.0, 2.0, 1.0], "l": 1.0, "L": 40.0, "h": 0.02},
-    ],
-)
-def test_spec_roundtrip_idempotent(spec):
-    text = serialize_graph_spec(spec)
-    again = serialize_graph_spec(parse_graph_spec(text))
-    assert text == again
-    assert parse_graph_spec(text) == parse_graph_spec(again)
-
-
-def test_spec_rejects_unknown_and_missing_keys():
-    with pytest.raises(ValueError):
-        parse_graph_spec('{"type": "star", "N": 3, "L": 40.0, "h": 0.05, "extra": 1}')
-    with pytest.raises(ValueError):
-        parse_graph_spec('{"type": "star", "N": 3, "L": 40.0}')
-    with pytest.raises(ValueError):
-        parse_graph_spec('{"type": "pentagram", "N": 3, "L": 40.0, "h": 0.05}')
-    with pytest.raises(ValueError):
-        parse_graph_spec("not json at all")

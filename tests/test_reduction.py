@@ -3,7 +3,9 @@ import pytest
 
 from graphlse import (
     EvolutionConfig,
+    GraphGrid,
     GraphState,
+    MetricGraph,
     averaged_sums,
     build_regular_tree,
     build_star,
@@ -98,6 +100,46 @@ def test_star_sum_diagram_commutes_with_free_evolution():
 @pytest.fixture(scope="module")
 def binary_tree():
     return build_regular_tree([1.0], [2, 2], 30.0, 0.02)
+
+
+def prefix_average_oracle(state):
+    """Z^alpha and the root by matching index prefixes edge by edge, in O(E^2)."""
+    edges = state.graph.edges
+    last = max(e.generation for e in edges)
+
+    def mean(k, prefix, g):
+        return np.mean(np.stack([v for v, f in zip(state.values, edges) if f.generation == g and f.index[:k] == prefix]), axis=0)
+
+    pieces = {e.index: tuple(mean(e.generation, e.index, g) for g in range(e.generation, last + 1)) for e in edges}
+    return pieces, tuple(mean(0, (), g) for g in range(1, last + 1))
+
+
+@pytest.mark.parametrize(
+    "lengths, degrees",
+    [([], [3]), ([1.0], [2, 2]), ([1.0, 0.5], [2, 3, 2]), ([0.5, 0.25, 0.25], [3, 2, 2, 3])],
+    ids=["star", "binary", "2-3-2", "3-2-2-3"],
+)
+def test_averaged_sums_block_means_match_prefix_oracle(lengths, degrees):
+    graph, grid = build_regular_tree(lengths, degrees, 4.0, 0.125)
+    rng = np.random.default_rng(graph.n_edges)
+    amps = rng.normal(size=graph.n_edges) + 1j * rng.normal(size=graph.n_edges)
+    st = GraphState.sample(graph, grid, [bump(c, 0.7, a) for c, a in zip(rng.uniform(0, 2, graph.n_edges), amps)])
+    avg = averaged_sums(st)
+    pieces, root = prefix_average_oracle(st)
+    assert list(avg.pieces) == list(pieces)
+    for alpha, expected in pieces.items():
+        assert [z.tobytes() for z in avg.pieces[alpha]] == [z.tobytes() for z in expected]
+    assert [z.tobytes() for z in avg.root] == [z.tobytes() for z in root]
+
+
+def test_averaged_sums_refuse_missing_index(binary_tree):
+    graph, grid = binary_tree
+    # drop the ray (2, 2) and keep the branching metadata
+    pruned = MetricGraph(graph.vertices, graph.edges[:-1], graph.generation_lengths, graph.branching)
+    pruned_grid = GraphGrid(grid.spacings[:-1], grid.lengths[:-1], grid.counts[:-1])
+    st = GraphState.sample(pruned, pruned_grid, lambda x: np.exp(-(x**2)))
+    with pytest.raises(ValueError, match="nested order"):
+        averaged_sums(st)
 
 
 def test_averaged_sums_identity_on_own_edge(binary_tree):
@@ -226,6 +268,15 @@ def test_reduction_map_three_generations_symmetric():
     full = 3.0 * 2.0  # d_2 d_3
     assert rmap.sigma[2] == pytest.approx(full**-2)
     assert rmap.sigma[1] == pytest.approx((3.0 / full) ** 2)
+
+
+def test_reduction_map_depth_two_uniform_fold():
+    # every generation folds to width 0.25: the layered line a = (1, 2, 4, 4, 2, 1), l = 0.25
+    graph, _ = build_regular_tree([1.0, 0.5], [2, 2, 2], 12.0, 0.125)
+    rmap = reduction_map(graph)
+    assert rmap.sigma == (1.0, 1 / 4, 1 / 16, 1 / 16, 1 / 4, 1.0)
+    assert rmap.targets == (-0.5, -0.25, 0.0, 0.25, 0.5)
+    assert rmap.tilde_breakpoints == (-1.5, -1.0, 0.0, 1.0, 1.5)
 
 
 def test_slope_compatibility_with_jump_ratios():
