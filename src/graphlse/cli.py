@@ -203,6 +203,26 @@ def _initial_fn(cfg: ExperimentConfig):
     return fn
 
 
+def _sigma(cfg: ExperimentConfig) -> PiecewiseCoefficient:
+    return PiecewiseCoefficient(tuple(cfg.require("sigma", "values")), float(cfg.get("sigma", "spacing", 1.0)))
+
+
+def _line_nodes(cfg: ExperimentConfig, h_default: float) -> np.ndarray:
+    L = float(cfg.get("sigma", "length", 40.0))
+    return line_grid(L, L, float(cfg.get("sigma", "grid_spacing", h_default)))
+
+
+def _rel_l2(u, ref, x) -> float:
+    """Trapezoid L2 norm of u - ref relative to that of ref."""
+    return float(np.sqrt(np.trapezoid(np.abs(u - ref) ** 2, x) / np.trapezoid(np.abs(ref) ** 2, x)))
+
+
+def _write_summary(cfg: ExperimentConfig, out: Path, rows) -> Path:
+    path = out / "summary.csv"
+    write_csv(path, ["quantity", "value"], rows, _meta(cfg))
+    return path
+
+
 # ---------------------------------------------------------------------------
 # runners (one per kind); each returns a list of written paths
 # ---------------------------------------------------------------------------
@@ -211,15 +231,18 @@ def _initial_fn(cfg: ExperimentConfig):
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
     t_final = float(cfg.require("time", "t_final"))
     ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
-    written = []
     if "graph" in cfg.sections:
         graph, grid = _build_graph(cfg)
-        state = GraphState.sample(graph, grid, _initial_fn(cfg))
+        if min(grid.counts) < 5:
+            raise ConfigError(f"an edge has {min(grid.counts)} samples; the Kirchhoff residual needs at least 5")
+        # the Gaussian is a function of the distance from the root (a star's centre)
+        offsets = np.cumsum([0.0, *graph.generation_lengths])
+        fn = _initial_fn(cfg)
+        state = GraphState.sample(graph, grid, [lambda x, o=offsets[e.generation - 1]: fn(x + o) for e in graph.edges])
         final = evolve_graph(state, t_final, ecfg)
         res = kirchhoff_residual(final)
         ck = out / "checkpoint.csv"
         write_checkpoint(final, ck, ecfg, _meta(cfg))
-        written.append(ck)
         rows = [
             ("norm_initial", weighted_l2_norm(state)),
             ("norm_final", weighted_l2_norm(final)),
@@ -227,43 +250,31 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
             ("kirchhoff_flux", res.flux),
         ]
     else:
-        sigma = PiecewiseCoefficient(tuple(cfg.require("sigma", "values")), float(cfg.get("sigma", "spacing", 1.0)))
-        L = float(cfg.get("sigma", "length", 40.0))
-        h = float(cfg.get("sigma", "grid_spacing", 0.02))
-        nodes = line_grid(L, L, h)
+        sigma = _sigma(cfg)
+        nodes = _line_nodes(cfg, 0.02)
         u0 = _initial_fn(cfg)(nodes)
         u1 = evolve_line_sigma(u0, sigma, nodes, t_final, ecfg)
         ck = out / "line_state.csv"
         write_csv(ck, ["x", "re_u", "im_u"], from_columns(nodes, u1.real, u1.imag), _meta(cfg))
-        written.append(ck)
-        rows = [
-            ("norm_initial", float(np.sqrt(np.trapezoid(np.abs(u0) ** 2, nodes)))),
-            ("norm_final", float(np.sqrt(np.trapezoid(np.abs(u1) ** 2, nodes)))),
-        ]
-    summary = out / "summary.csv"
-    write_csv(summary, ["quantity", "value"], rows, _meta(cfg))
-    written.append(summary)
-    return written
+        norm = lambda u: float(np.sqrt(np.trapezoid(np.abs(u) ** 2, nodes)))
+        rows = [("norm_initial", norm(u0)), ("norm_final", norm(u1))]
+    return [ck, _write_summary(cfg, out, rows)]
 
 
 def _run_kernel_compare(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    sigma = PiecewiseCoefficient(tuple(cfg.require("sigma", "values")), float(cfg.get("sigma", "spacing", 1.0)))
+    sigma = _sigma(cfg)
     t_final = float(cfg.require("time", "t_final"))
     ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
-    L = float(cfg.get("sigma", "length", 40.0))
-    h = float(cfg.get("sigma", "grid_spacing", 0.02))
     order = int(cfg.get("kernel", "order", 24))
     x_min = float(cfg.get("kernel", "x_min", -20.0))
-    nodes = line_grid(L, L, h)
+    nodes = _line_nodes(cfg, 0.02)
     u0 = _initial_fn(cfg)(nodes)
     series = invert_E(sigma, order)
-    xs = nodes[(nodes >= x_min) & (nodes <= 0.0)]
-    u_kernel = solve_negative_halfline((nodes, u0), t_final, xs, series)
-    u_fd_full = evolve_line_sigma(u0, sigma, nodes, t_final, ecfg)
     sel = (nodes >= x_min) & (nodes <= 0.0)
-    u_fd = u_fd_full[sel]
+    xs = nodes[sel]
+    u_kernel = solve_negative_halfline((nodes, u0), t_final, xs, series)
+    u_fd = evolve_line_sigma(u0, sigma, nodes, t_final, ecfg)[sel]
     err = np.abs(u_kernel - u_fd)
-    rel = float(np.sqrt(np.trapezoid(err**2, xs) / np.trapezoid(np.abs(u_fd) ** 2, xs)))
     cmp_path = out / "kernel_compare.csv"
     write_csv(
         cmp_path,
@@ -273,74 +284,58 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path) -> list[Path]:
     )
     series_path = out / "wiener_series.csv"
     write_series_csv(series, series_path, _meta(cfg))
-    summary = out / "summary.csv"
-    write_csv(
-        summary,
-        ["quantity", "value"],
-        [("relative_l2_error", rel), ("series_rho", series.rho), ("series_tail_bound", series.tail_bound)],
-        _meta(cfg),
-    )
-    return [cmp_path, series_path, summary]
+    rows = [
+        ("relative_l2_error", _rel_l2(u_kernel, u_fd, xs)),
+        ("series_rho", series.rho),
+        ("series_tail_bound", series.tail_bound),
+    ]
+    return [cmp_path, series_path, _write_summary(cfg, out, rows)]
 
 
 def _run_sharpness(cfg: ExperimentConfig, out: Path) -> list[Path]:
     ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
-    rows = []
     if "sigma" in cfg.sections:
         vals = cfg.require("sigma", "values")
         if len(vals) != 2:
             raise ConfigError("two-layer sharpness needs exactly two sigma values")
         ex = sharp_example_two_step(vals[0], vals[1])
-        L = float(cfg.get("sigma", "length", 40.0))
-        h = float(cfg.get("sigma", "grid_spacing", 0.0125))
-        nodes = line_grid(L, L, h)
-        u1 = evolve_line_sigma(ex.u0(nodes), ex.sigma, nodes, 1.0, ecfg)
-        closed = ex.u1(nodes)
-        rel = float(
-            np.sqrt(np.trapezoid(np.abs(u1 - closed) ** 2, nodes) / np.trapezoid(np.abs(closed) ** 2, nodes))
-        )
-        # solver outputs carry a dispersive noise floor well above the closed
-        # form's tail; window only where the signal dominates it
-        fit0 = fit_gaussian_decay(nodes, ex.u0(nodes), side="-inf", window=magnitude_window(nodes, ex.u0(nodes), 1e-5))
-        fit1 = fit_gaussian_decay(nodes, u1, side="-inf", window=magnitude_window(nodes, u1, 1e-5))
-        verdict = classify_threshold(fit0.rate, fit1.rate, "line-sigma-i", sigma=ex.sigma)
-        rows.append(("two-step", fit0.rate, fit1.rate, verdict.product, verdict.threshold, verdict.regime, rel))
-        profile = (nodes, np.abs(ex.u0(nodes)), np.abs(u1))
+        x = _line_nodes(cfg, 0.0125)
+        u0 = ex.u0(x)
+        u1 = evolve_line_sigma(u0, ex.sigma, x, 1.0, ecfg)
+        family, side, rule_sigma = "two-step", "-inf", ("line-sigma-i", ex.sigma)
     else:
+        gtype = cfg.get("graph", "type", "star")
+        if gtype != "star":
+            raise ConfigError(f"sharpness runs on a star or a two-layer line, not [graph] type = {gtype!r}")
         n_edges = int(cfg.get("graph", "n_edges", 3))
-        alpha = float(cfg.get("initial", "alpha", 0.25))
-        ex = sharp_example_star(alpha, n_edges)
-        L = float(cfg.get("graph", "length", 40.0))
-        h = float(cfg.get("graph", "spacing", 0.0125))
+        ex = sharp_example_star(float(cfg.get("initial", "alpha", 0.25)), n_edges)
+        L, h = float(cfg.get("graph", "length", 40.0)), float(cfg.get("graph", "spacing", 0.0125))
         graph, grid = build_star(n_edges, L, h)
         state = GraphState.sample(graph, grid, ex.u0)
-        final = evolve_graph(state, 1.0, ecfg)
-        x = grid.x(0)
-        closed = ex.u1(x)
-        rel = float(
-            np.sqrt(np.trapezoid(np.abs(final.values[0] - closed) ** 2, x) / np.trapezoid(np.abs(closed) ** 2, x))
-        )
-        fit0 = fit_gaussian_decay(x, state.values[0], side="+inf", window=magnitude_window(x, state.values[0], 1e-5))
-        fit1 = fit_gaussian_decay(x, final.values[0], side="+inf", window=magnitude_window(x, final.values[0], 1e-5))
-        verdict = classify_threshold(fit0.rate, fit1.rate, "star-free")
-        rows.append(("star", fit0.rate, fit1.rate, verdict.product, verdict.threshold, verdict.regime, rel))
-        profile = (x, np.abs(state.values[0]), np.abs(final.values[0]))
+        x, u0 = grid.x(0), state.values[0]
+        u1 = evolve_graph(state, 1.0, ecfg).values[0]
+        family, side, rule_sigma = "star", "+inf", ("star-free", None)
+    # solver outputs carry a dispersive noise floor well above the closed
+    # form's tail; window only where the signal dominates it
+    fit0 = fit_gaussian_decay(x, u0, side=side, window=magnitude_window(x, u0, 1e-5))
+    fit1 = fit_gaussian_decay(x, u1, side=side, window=magnitude_window(x, u1, 1e-5))
+    verdict = classify_threshold(fit0.rate, fit1.rate, *rule_sigma)
     path = out / "sharpness.csv"
     write_csv(
         path,
         ["family", "alpha_hat", "beta_hat", "product", "threshold", "regime", "solver_vs_closed_rel_l2"],
-        rows,
+        [(family, fit0.rate, fit1.rate, verdict.product, verdict.threshold, verdict.regime, _rel_l2(u1, ex.u1(x), x))],
         _meta(cfg),
     )
     prof_path = out / "decay_profile.csv"
     meta = _meta(cfg)
-    meta["alpha_hat"] = rows[0][1]
-    meta["beta_hat"] = rows[0][2]
+    meta["alpha_hat"] = fit0.rate
+    meta["beta_hat"] = fit1.rate
     meta["intercept0"] = fit0.intercept
     meta["intercept1"] = fit1.intercept
     meta["residual_rms0"] = fit0.residual_rms
     meta["residual_rms1"] = fit1.residual_rms
-    write_csv(prof_path, ["x", "abs_u0", "abs_u1"], from_columns(*profile), meta)
+    write_csv(prof_path, ["x", "abs_u0", "abs_u1"], from_columns(x, np.abs(u0), np.abs(u1)), meta)
     return [path, prof_path]
 
 
@@ -375,9 +370,7 @@ def _run_reduce_tree(cfg: ExperimentConfig, out: Path) -> list[Path]:
         from_columns(folded0.nodes, w1.real, w1.imag, folded1.values.real, folded1.values.imag),
         _meta(cfg),
     )
-    summary = out / "summary.csv"
-    write_csv(summary, ["quantity", "value"], [("diagram_rel_l2", rel)], _meta(cfg))
-    return [rep, diag, summary]
+    return [rep, diag, _write_summary(cfg, out, [("diagram_rel_l2", rel)])]
 
 
 def _carleman_rows(args):
@@ -425,14 +418,7 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]
     )
     worst = min(r[7] + r[8] for r in rows)
     health = max(r[8] / r[7] if r[7] > 0 else np.inf for r in rows)
-    summary = out / "summary.csv"
-    write_csv(
-        summary,
-        ["quantity", "value"],
-        [("worst_margin_plus_tol", worst), ("max_quad_error_over_margin", health)],
-        _meta(cfg),
-    )
-    return [path, summary]
+    return [path, _write_summary(cfg, out, [("worst_margin_plus_tol", worst), ("max_quad_error_over_margin", health)])]
 
 
 def _run_appell(cfg: ExperimentConfig, out: Path) -> list[Path]:

@@ -29,14 +29,16 @@ scaled by the product of the unit factors' couplings it passes, so the
 margin m is the fewest rows such that every run of m couplings of either
 factor multiplies to at most eps^2: one large coupling costs one factor,
 not a slower decay over the whole block.  The window first spans the rows
-above cut, widened by m.  Rows outside stay exactly zero, and the step's
-elementwise work (row scale, - u, phase multiplies) runs only on the vertex
-rows and the window's hull, from its first live row to its last.  Windows
-only grow: after each step only the outer m rows at each window edge are
-read, and an edge whose band holds a value above cut moves out by m; a
-chain end next to a vertex above cut joins, and a quiet chain is not swept.
-Each step drops at most about m cut per row, far below one rounding, and
-the quiet far field is neither swept nor filled with subnormal numbers.
+above cut and the rows next to a vertex, widened by m, so the chain rows
+that a vertex value enters are always in it.  Rows outside stay exactly
+zero, and the step's elementwise work (row scale, - u, phase multiplies)
+runs only on the vertex rows and the window's hull, from its first live row
+to its last.  Windows only grow, through their edge bands: after each step
+only the outer m rows at each window edge are read, and an edge whose band
+holds a value above cut moves out by m; a chain with no row in the window
+is not swept.  Each step drops at most about m cut per row, far below one
+rounding, and the quiet far field is neither swept nor filled with
+subnormal numbers.
 
 A star whose rays share one grid, with potentials that do not depend on the
 edge, steps the same equations in other unknowns, its modes (the reduction
@@ -209,19 +211,25 @@ def _graph_cells(graph: MetricGraph, grid: GraphGrid, packing: _GraphPacking):
     return np.concatenate(pairs), np.concatenate(weights), np.concatenate(hs)
 
 
-def _pack_state(state: GraphState, packing: _GraphPacking) -> np.ndarray:
-    u = np.zeros(packing.n_dof, dtype=complex)
+def _scatter(packing: _GraphPacking, edge_values, tol, message: str) -> np.ndarray:
+    """One complex value per dof from one array per edge, filled edge by edge.
+
+    Where edges meet at a vertex, a value that differs from the one already
+    there by more than ``tol(values)`` raises ValueError(``message``).
+    """
+    out = np.zeros(packing.n_dof, dtype=complex)
     filled = np.zeros(packing.n_dof, dtype=bool)
-    scale = max(float(np.max(np.abs(v))) for v in state.values) or 1.0
-    for eid in range(state.graph.n_edges):
-        dofs = packing.edge_dofs[eid]
-        vals = state.values[eid]
-        mism = np.abs(u[dofs] - vals) * filled[dofs]
-        if np.any(mism > 1e-9 * scale):
-            raise ValueError("initial data is discontinuous at a vertex")
-        u[dofs] = vals
+    for dofs, vals in zip(packing.edge_dofs, edge_values):
+        if np.any(filled[dofs] & (np.abs(out[dofs] - vals) > tol(vals))):
+            raise ValueError(message)
+        out[dofs] = vals
         filled[dofs] = True
-    return u
+    return out
+
+
+def _pack_state(state: GraphState, packing: _GraphPacking) -> np.ndarray:
+    scale = max(float(np.max(np.abs(v))) for v in state.values) or 1.0
+    return _scatter(packing, state.values, lambda v: 1e-9 * scale, "initial data is discontinuous at a vertex")
 
 
 def _factor_chains(sub, diag, sup):
@@ -261,7 +269,7 @@ def _sweep(tbsv, factors, x, off=0, trans=0):
     return x
 
 
-# Entries of W (``_chain_rows``) below this fraction of the largest are
+# Entries of W (``_chain_rows``) below this fraction of the largest of their solve are
 # dropped: a backward perturbation of eps^2 relative cannot show in a
 # double-precision step, and the decayed tail of T^{-1} would otherwise be
 # summed in subnormal numbers.  The same fraction of the initial data is where a state
@@ -297,35 +305,31 @@ def _margin(factors, dirichlet) -> int:
     return m
 
 
-def _chain_rows(F, nv, chain_of, solve_t):
+def _chain_rows(F, nv, first, stop, solve_t):
     """W = F X as (row, col, value) triplets sorted by row, then column.
 
     ``F`` holds (vertex, dof, value) triplets, X is the inverse of a block of
     chains (the stepper's is (LU)^{-1} = T^{-1} diag(p), T = A[nv:, nv:]),
-    row i of X lies on chain ``chain_of[i]``, and ``solve_t`` applies X^T in
-    place; W is in dof numbering like F.  Solves on different chains (runs
-    of rows of X with no coupling between runs) do not mix.  So each vertex that meets a chain
-    is ranked among the vertices meeting that chain, and the rows of F of one
-    rank share a solve: a few solves in total, whatever the number of vertices.
+    chain k is the rows first[k]:stop[k] of X, with no coupling between
+    chains, and ``solve_t(w, a, b)`` applies X^T to w on the rows a:b alone.
+    W is in dof numbering like F.  Row v of W is nonzero only on the chains
+    that meet vertex v, so each (vertex, chain) pair is one solve on that
+    chain's rows, taken in sorted order.
     """
     f_rows, f_cols, f_vals = F[0], F[1] - nv, F[2]
-    meets, pair = np.unique(np.stack([chain_of[f_cols], f_rows]), axis=1, return_inverse=True)
-    pair_rank = np.arange(meets.shape[1]) - np.searchsorted(meets[0], meets[0])
-    rank = pair_rank[pair.ravel()]
+    pair = f_rows * len(first) + np.searchsorted(first, f_cols, side="right") - 1
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
-    for r in range(rank.max(initial=-1) + 1):
-        w = np.zeros(len(chain_of), dtype=complex)
-        np.add.at(w, f_cols[rank == r], f_vals[rank == r])
-        w = solve_t(w)
-        owner = np.full(len(chain_of), -1)
-        owner[meets[0, pair_rank == r]] = meets[1, pair_rank == r]
+    for key in np.unique(pair).tolist():
+        v, k = divmod(key, len(first))
+        a, b = first[k], stop[k]
+        w = np.zeros(b - a, dtype=complex)
+        np.add.at(w, f_cols[pair == key] - a, f_vals[pair == key])
+        w = solve_t(w, a, b)
         nz = np.flatnonzero(np.abs(w) > _NEGLIGIBLE * np.max(np.abs(w)))
-        rows.append(owner[chain_of[nz]])
-        cols.append(nz + nv)
+        rows.append(np.full(len(nz), v))
+        cols.append(nz + a + nv)
         vals.append(w[nz])
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], vals[order]
+    return tuple(np.concatenate(t) for t in (rows, cols, vals))
 
 
 class _Window:
@@ -371,9 +375,11 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
     T]] the vertices solve the dense Schur complement S = D - W E, W = F
     T^{-1}, and then x_I = T^{-1}(r_I - E x_V).  Kept are W diag(p) = F (LU)^{-1}
     and diag(1/p) E, which act on the scaled chain rows.  Row v of W is
-    nonzero only on the chains that meet vertex v, so W is kept as
-    row-sorted triplets and applied by one gather, one multiply and a
-    segmented sum.
+    nonzero only on the chains that meet vertex v, so W is built by one
+    transposed solve per (vertex, chain) pair on that chain's rows
+    (``_chain_rows``), kept as row-sorted triplets and applied by one
+    gather, one multiply and a segmented sum.  The rows of E are next to a
+    vertex, inside every window, so E x_V is subtracted with no mask.
 
     The chains are solved only on the live window of the state (see the
     module docstring), a ``_Window`` passed as ``step(u, live)`` and carried
@@ -399,12 +405,11 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
     # chain k is the rows first[k]:stop[k] of T, with no coupling between chains
     breaks = (np.flatnonzero((bands[0] == 0) & (bands[2] == 0)) + 1).tolist()
     first, stop = [0] + breaks, breaks + [n_rows]
-    chain_of = np.repeat(np.arange(len(first)), np.diff(first + [n_rows]))
     m = _margin(factors, dirichlet[dirichlet >= nv] - nv)
 
     if nv:
-        solve_t = lambda w: _sweep(ztbsv, factors, w, trans=1)
-        w_rows, w_cols, w_vals = _chain_rows(F, nv, chain_of, solve_t)  # W diag(p)
+        solve_t = lambda w, a, b: _sweep(ztbsv, tuple(f[..., a:b] for f in factors), w, trans=1)
+        w_rows, w_cols, w_vals = _chain_rows(F, nv, first, stop, solve_t)  # W diag(p)
         starts = np.flatnonzero(np.diff(w_rows, prepend=-1))
         w_hit = w_rows[starts]
         e_rows, e_cols, e_vals = E[0], E[1], E[2] * rp[E[0] - nv]  # diag(1/p) E
@@ -418,16 +423,9 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
         W_t = np.zeros((nv, len(touched)), dtype=complex)
         np.add.at(W_t, (w_rows[hit], pos[w_cols[hit]]), w_vals[hit])
         s_inv = np.linalg.inv(D - W_t @ E_t)
-        # the chain row and chain of each entry of E, and the rows that join
-        # a window when the entry's vertex is live
-        e_at = e_rows - nv
-        e_chain = chain_of[e_at]
-        e_join = [
-            (k, max(r - m, first[k]), min(r + 1 + m, stop[k])) for r, k in zip(e_at.tolist(), e_chain.tolist())
-        ]
 
     def settle(live):
-        """Derive the sweeps, spans, edge bands and live entries of E from live.lo, live.hi."""
+        """Derive the sweeps, spans and edge bands from live.lo, live.hi."""
         runs, live.edges = [], []
         for k, (a, b) in enumerate(zip(live.lo, live.hi)):
             if a == b:
@@ -444,10 +442,6 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
         live.spans = [slice(0, nv)] if nv else []
         if runs:
             live.spans.append(slice(nv + runs[0][0], nv + runs[-1][1]))
-        if nv:
-            inside = (np.asarray(live.lo)[e_chain] <= e_at) & (e_at < np.asarray(live.hi)[e_chain])
-            live.e_vals = np.where(inside, e_vals, 0.0)
-            live.cold = np.flatnonzero(~inside)
 
     def open_window(u, live):
         """Fill the empty ``live`` from u and return u, as a complex copy, set to zero outside it."""
@@ -455,13 +449,13 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
         live.cut = _NEGLIGIBLE * float(np.max(mag, initial=0.0))
         if not math.isfinite(live.cut):
             raise ValueError("the state to evolve contains NaN or infinity")
-        rows = np.flatnonzero(mag[nv:] > live.cut)
+        hot = mag[nv:] > live.cut
+        hot[E[0] - nv] = True  # the rows next to a vertex, so that E x_V never leaves the window
         live.lo, live.hi = list(first), list(first)
-        if len(rows):
-            ks, i = np.unique(chain_of[rows], return_index=True)
-            j = np.append(i[1:], len(rows)) - 1
-            for k, a, b in zip(ks.tolist(), rows[i].tolist(), rows[j].tolist()):
-                live.lo[k], live.hi[k] = max(a - m, first[k]), min(b + 1 + m, stop[k])
+        for k, (a, b) in enumerate(zip(first, stop)):
+            on = np.flatnonzero(hot[a:b])
+            if len(on):
+                live.lo[k], live.hi[k] = max(a + int(on[0]) - m, a), min(a + int(on[-1]) + 1 + m, b)
         settle(live)
         live.x = np.zeros(n_dof, dtype=complex)  # scaled right-hand side; zero outside the spans
         keep = np.zeros(n_dof, dtype=bool)
@@ -482,15 +476,7 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
             r = x[:nv].copy()
             r[w_hit] -= np.add.reduceat(w_vals * x[w_cols], starts)
             xv = s_inv @ r
-            if len(live.cold):
-                joins = live.cold[np.abs(xv[e_cols[live.cold]]) > live.cut]
-                for k, a, b in (e_join[i] for i in joins.tolist()):
-                    quiet = live.lo[k] == live.hi[k]
-                    live.lo[k] = a if quiet else min(live.lo[k], a)
-                    live.hi[k] = b if quiet else max(live.hi[k], b)
-                if len(joins):
-                    settle(live)
-            np.subtract.at(x, e_rows, live.e_vals * xv[e_cols])
+            np.subtract.at(x, e_rows, e_vals * xv[e_cols])
             x[:nv] = xv
         for off, run in live.runs:
             x = _sweep(ztbsv, run, x, off)
@@ -523,17 +509,9 @@ def _sample_potential(fn, t, packing: _GraphPacking, graph, grid):
     fns = list(fn) if isinstance(fn, (list, tuple)) else [fn] * graph.n_edges
     if len(fns) != graph.n_edges:
         raise ValueError("need one potential per edge")
-    out = np.zeros(packing.n_dof, dtype=complex)
-    filled = np.zeros(packing.n_dof, dtype=bool)
-    for eid in range(graph.n_edges):
-        dofs = packing.edge_dofs[eid]
-        vals = _sample_edge(fns[eid], t, grid.x(eid))
-        clash = filled[dofs] & (np.abs(out[dofs] - vals) > 1e-9 * (1.0 + np.abs(vals)))
-        if np.any(clash):
-            raise ValueError("per-edge potentials disagree at a shared vertex")
-        out[dofs] = vals
-        filled[dofs] = True
-    return out
+    vals = (_sample_edge(f, t, grid.x(eid)) for eid, f in enumerate(fns))
+    message = "per-edge potentials disagree at a shared vertex"
+    return _scatter(packing, vals, lambda v: 1e-9 * (1.0 + np.abs(v)), message)
 
 
 def _sample_edge(f, t, x) -> np.ndarray:

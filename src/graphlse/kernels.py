@@ -75,13 +75,17 @@ def _p_terms(params: PiecewiseCoefficient, k: int) -> list[tuple[complex, float,
     """Terms (weight, y_coeff, const) with kernel argument a_1 x + y_coeff * y + const.
 
     The k = 1 direct term is special: it rides on k_t instead of h_t and is
-    returned by _direct_term instead.
+    added by ``kernel_p1k`` (``eta_profile``'s direct atom).  One layer has
+    no junction to reflect from, so its direct term is the whole kernel and
+    there are no terms.
     """
     N = params.n_layers
     a = params.a
     l = params.l
     a1 = a[0]
     terms: list[tuple[complex, float, float]] = []
+    if N == 1:
+        return terms
     if k == 1:
         _, F = ef_recursion(N - 1, 1, params)
         for idx, c in F.terms.items():
@@ -267,13 +271,13 @@ class EtaProfile:
 
 
 def eta_profile(series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
-    """Assemble eta = direct copy of u0 on y <= 0 plus the Wiener-shifted psi atoms.
+    """Assemble eta = direct copy of u0 on layer 1 (y <= 0, or all y for one layer) plus the Wiener-shifted psi atoms.
 
     The coefficient is the one ``series`` was inverted for, ``series.params``.
     """
     params = series.params
     a1 = params.a[0]
-    atoms = [SourceAtom(a1, a1, 0.0, -math.inf, 0.0)]
+    atoms = [SourceAtom(a1, a1, 0.0, -math.inf, params.interval(1)[1])]
     psi = _psi_source_atoms(params)
     for idx, c in series.coefficients.items():
         lattice = _lattice_shift(params, idx)

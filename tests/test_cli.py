@@ -121,6 +121,22 @@ t_final = 0.2
 dt = 0.002
 """
 
+TREE_SIMULATE_INI = """
+[experiment]
+kind = simulate
+
+[graph]
+type = regular_tree
+lengths = 1.0
+degrees = 2, 2
+length = 10.0
+spacing = 0.05
+
+[time]
+t_final = 0.1
+dt = 0.01
+"""
+
 LINE_SIMULATE_INI = """
 [experiment]
 kind = simulate
@@ -293,6 +309,16 @@ def test_simulate_writes_checkpoint(tmp_path):
     assert columns == ["edge_id", "x", "re_u", "im_u"]
 
 
+def test_simulate_runs_on_a_regular_tree(tmp_path):
+    # the Gaussian is sampled at the distance from the root, so it is continuous at every inner vertex
+    code, out = run_main(tmp_path, TREE_SIMULATE_INI)
+    assert code == 0
+    _, _, rows = read_csv(out / "summary.csv")
+    vals = {q: float(v) for q, v in rows}
+    assert vals["kirchhoff_continuity"] == 0.0
+    assert abs(vals["norm_final"] - vals["norm_initial"]) <= 1e-10 * vals["norm_initial"]
+
+
 def test_kernel_compare_runs(tmp_path):
     code, out = run_main(tmp_path, KERNEL_INI)
     assert code == 0
@@ -462,6 +488,7 @@ dt = 0.001
 # provenance header, and the array tables must hold plain numbers
 CONTRACT_CONFIGS = {
     "simulate-star": STAR_SIMULATE_INI,
+    "simulate-tree": TREE_SIMULATE_INI,
     "simulate-line": LINE_SIMULATE_INI,
     "kernel-compare": KERNEL_INI,
     "sharpness": SHARPNESS_INI,
@@ -558,6 +585,10 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         (SWEEP_INI, ("alphas = 0.1, 0.25, 0.5", "alphas = inf")),
         (APPELL_INI, ("alpha = 0.25", "alpha = nan")),
         (APPELL_INI, ("alpha = 0.25", "alpha = inf")),
+        # a finite edge of 3 samples once evolved in full and then failed the residual's 5-point stencil
+        (TREE_SIMULATE_INI, ("lengths = 1.0", "lengths = 0.1")),
+        # sharpness once ran a star whatever the graph type
+        (SHARPNESS_INI, ("type = star", "type = regular_tree")),
     ],
     ids=[
         "dt-inf",
@@ -582,6 +613,8 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         "sweep-alphas-inf",
         "appell-alpha-nan",
         "appell-alpha-inf",
+        "tree-edge-under-5-samples",
+        "sharpness-not-a-star",
     ],
 )
 def test_simulate_non_finite_time_exit_codes(tmp_path, capsys, base, change):

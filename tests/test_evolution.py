@@ -32,6 +32,7 @@ from graphlse import evolution
 from graphlse.evolution import (
     _assemble,
     _cayley_stepper,
+    _chain_rows,
     _factor_chains,
     _graph_cells,
     _guard_tail,
@@ -39,6 +40,7 @@ from graphlse.evolution import (
     _mode_chains,
     _pack_graph,
     _pack_state,
+    _sweep,
     _Window,
 )
 
@@ -547,14 +549,18 @@ def tilted(k):
     return lambda x: narrow()(x) * (1.0 + 0.4 * k * np.asarray(x))
 
 
+# (graph, grid, one callable per edge): vertex systems whose data has not reached a vertex
+VERTEX_WINDOW_CASES = {
+    "star3-far-bump": lambda: (*build_star(3, 10.0, 0.05), [narrow(4.0), quiet, quiet]),
+    "tree-leaf-ray": lambda: (*build_regular_tree([1.0], [2, 2], 6.0, 0.05), [quiet] * 3 + [narrow(2.5)] + [quiet] * 2),
+}
+
 # Localized data, so that a step solves a narrow window of the chain rows.
 WINDOW_CASES = {
     "line-121-gaussian": line_121_gaussian,
     "star3-vertex-data": lambda: localized(*build_star(3, 10.0, 0.05), narrow()),
-    "star3-far-bump": lambda: localized(*build_star(3, 10.0, 0.05), [narrow(4.0), quiet, quiet]),
-    "tree-leaf-ray": lambda: localized(
-        *build_regular_tree([1.0], [2, 2], 6.0, 0.05), [quiet] * 3 + [narrow(2.5)] + [quiet] * 2
-    ),
+    "star3-far-bump": lambda: localized(*VERTEX_WINDOW_CASES["star3-far-bump"]()),
+    "tree-leaf-ray": lambda: localized(*VERTEX_WINDOW_CASES["tree-leaf-ray"]()),
     # the vertex is the first row of the mean chain, so data there starts its window at row 0
     "star3-modes-vertex-data": lambda: star_modes(*build_star(3, 10.0, 0.05), narrow()),
     "star3-modes-tilted-vertex-data": lambda: star_modes(*build_star(3, 10.0, 0.05), [tilted(k) for k in range(3)]),
@@ -573,6 +579,59 @@ def test_windowed_core_matches_superlu_oracle_on_localized_data(case, dt_over_h)
     for _ in range(199):
         u, v = new(u, live), old(v)
     assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("case", sorted(VERTEX_WINDOW_CASES))
+def test_vertex_window_holds_the_rows_next_to_every_vertex(case):
+    # from the first step on, every chain's m rows next to a vertex are in the
+    # window, quiet chains included, so that E x_V never falls outside it
+    graph, grid, fns = VERTEX_WINDOW_CASES[case]()
+    (n_dof, cells, dirichlet, nv, h), u0 = localized(graph, grid, fns)
+    dt = 0.02 * h
+    m = _margin(_factor_chains(*_assemble(n_dof, cells, dt, dirichlet, nv)[1]), dirichlet[dirichlet >= nv] - nv)
+    live = _Window()
+    _cayley_stepper(n_dof, cells, dt, dirichlet, nv)(u0, live)
+    assert len(live.lo) == graph.n_edges and 0 < live.rows < n_dof - nv
+    for k, dofs in enumerate(_pack_graph(graph, grid).edge_dofs):  # chain k is the chain rows of edge k
+        rows = dofs[dofs >= nv] - nv
+        for at_vertex, next_to in ((dofs[0] < nv, rows[:m]), (dofs[-1] < nv, rows[-m:])):
+            if at_vertex:
+                assert live.lo[k] <= next_to[0] and next_to[-1] < live.hi[k]
+
+
+@pytest.mark.parametrize("case", ["star3", "tree", "cycle-loop-short-edge"])
+def test_chain_rows_solve_each_vertex_chain_pair_once_on_its_chain(case):
+    # W diag(p) = F (LU)^{-1}: one transposed solve per (vertex, chain) pair,
+    # in sorted order, on that chain's rows alone
+    from scipy.linalg.blas import ztbsv
+
+    n_dof, cells, dirichlet, nv, h = CORE_CASES[case]()
+    c, bands, D, F, E = _assemble(n_dof, cells, 1e-3, dirichlet, nv)
+    factors = _factor_chains(*bands)
+    n_rows = len(factors[1])
+    breaks = (np.flatnonzero((bands[0] == 0) & (bands[2] == 0)) + 1).tolist()
+    first, stop = [0] + breaks, breaks + [n_rows]
+    calls = []
+
+    def solve_t(w, a, b):
+        calls.append((a, b, len(w)))
+        return _sweep(ztbsv, tuple(f[..., a:b] for f in factors), w, trans=1)
+
+    rows, cols, vals = _chain_rows(F, nv, first, stop, solve_t)
+    chain = np.searchsorted(first, F[1] - nv, side="right") - 1
+    pairs = sorted(set(zip(F[0].tolist(), chain.tolist())))
+    assert [(a, b) for a, b, _ in calls] == [(first[k], stop[k]) for _, k in pairs]
+    assert all(n == b - a for a, b, n in calls)
+    key = rows * n_dof + cols
+    assert np.all(np.diff(key) > 0)  # sorted by row, then column, no repeats
+    lower, rp, upper = factors
+    LU = (np.eye(n_rows) + np.diag(lower[1, :-1], -1)) @ (np.eye(n_rows) + np.diag(upper[0, 1:], 1))
+    F_dense = np.zeros((nv, n_rows), dtype=complex)
+    np.add.at(F_dense, (F[0], F[1] - nv), F[2])
+    want = F_dense @ np.linalg.inv(LU)
+    got = np.zeros_like(want)
+    got[rows, cols - nv] = vals
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,24 @@ def test_solve_constant_coefficient_matches_closed_form():
     assert rel_l2(val, exact, xs) <= 1e-6
 
 
+def test_one_layer_solve_matches_closed_form():
+    # one layer has no junction, so the solve is the free flow with sigma = a^-2
+    a = 1.3
+    nodes = line_grid(30.0, 30.0, 0.02)
+    xs = nodes[(nodes >= -20.0) & (nodes <= 0.0)]
+    series = invert_E(PiecewiseCoefficient((a,), 1.0), 24)
+    val = solve_negative_halfline((nodes, np.exp(-((nodes + 3.0) ** 2))), 1.0, xs, series)
+    z = 1.0 + 4j * a**-2
+    assert np.max(np.abs(val - np.exp(-((xs + 3.0) ** 2) / z) / np.sqrt(z))) <= 1e-12
+
+
+def test_one_layer_p11_is_the_scaled_free_kernel():
+    a = 1.3
+    series = invert_E(PiecewiseCoefficient((a,), 1.0), 24)
+    x, y = np.linspace(-5.0, 0.0, 6), np.linspace(-3.0, 4.0, 6)
+    np.testing.assert_allclose(kernel_p1k(1, 0.7, x, y, series), a * free_kernel(0.7, a * (x - y)), rtol=1e-12, atol=0)
+
+
 def test_solve_halfline_vs_fd_three_layers(p121, s121):
     u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
     nodes = line_grid(40.0, 40.0, 0.02)
