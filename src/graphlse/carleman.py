@@ -330,10 +330,6 @@ class CarlemanMargin:
     def margin(self) -> float:
         return self.rhs - self.lhs
 
-    @property
-    def holds(self) -> bool:
-        return self.margin >= -self.quad_error
-
 
 _EXP_LIMIT = 700.0
 

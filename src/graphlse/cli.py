@@ -17,7 +17,6 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -240,7 +239,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
         fn = _initial_fn(cfg)
         state = GraphState.sample(graph, grid, [lambda x, o=offsets[e.generation - 1]: fn(x + o) for e in graph.edges])
         final = evolve_graph(state, t_final, ecfg)
-        res = kirchhoff_residual(final)
+        res, res0 = kirchhoff_residual(final), kirchhoff_residual(state)
         ck = out / "checkpoint.csv"
         write_checkpoint(final, ck, ecfg, _meta(cfg))
         rows = [
@@ -248,6 +247,9 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
             ("norm_final", weighted_l2_norm(final)),
             ("kirchhoff_continuity", res.continuity),
             ("kirchhoff_flux", res.flux),
+            # a tree's Gaussian in the distance from the root is not in the Kirchhoff domain at inner vertices
+            ("kirchhoff_continuity_initial", res0.continuity),
+            ("kirchhoff_flux_initial", res0.flux),
         ]
     else:
         sigma = _sigma(cfg)
@@ -404,6 +406,8 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]
     # the pool forks all its workers up front, so never ask for more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so only when a pool runs
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_carleman_rows, tasks))
     else:

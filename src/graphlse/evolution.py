@@ -142,8 +142,7 @@ def _pack_graph(graph: MetricGraph, grid: GraphGrid) -> _GraphPacking:
     n_dof = len(graph.vertices)
     edge_dofs = []
     dirichlet = []
-    for eid, e in enumerate(graph.edges):
-        n = grid.counts[eid]
+    for e, n in zip(graph.edges, grid.counts):
         dofs = np.empty(n, dtype=int)
         dofs[0] = vertex_dof[e.initial]
         dofs[1:-1] = np.arange(n_dof, n_dof + n - 2)
@@ -200,15 +199,9 @@ def _assemble(n_dof, cells, dt, dirichlet, nv):
     return c, (sub, diag[nv:], sup), D, F, E
 
 
-def _graph_cells(graph: MetricGraph, grid: GraphGrid, packing: _GraphPacking):
-    pairs, weights, hs = [], [], []
-    for eid in range(graph.n_edges):
-        dofs = packing.edge_dofs[eid]
-        h = grid.spacings[eid]
-        pairs.append(np.stack([dofs[:-1], dofs[1:]], axis=1))
-        weights.append(np.full(len(dofs) - 1, 1.0 / h))
-        hs.append(np.full(len(dofs) - 1, h))
-    return np.concatenate(pairs), np.concatenate(weights), np.concatenate(hs)
+def _graph_cells(grid: GraphGrid, packing: _GraphPacking):
+    pairs = np.concatenate([np.stack([dofs[:-1], dofs[1:]], axis=1) for dofs in packing.edge_dofs])
+    return pairs, np.full(len(pairs), 1.0 / grid.h), np.full(len(pairs), grid.h)
 
 
 def _scatter(packing: _GraphPacking, edge_values, tol, message: str) -> np.ndarray:
@@ -570,7 +563,7 @@ def _vertex_system(u0: GraphState, dt: float):
     """
     graph, grid = u0.graph, u0.grid
     packing = _pack_graph(graph, grid)
-    cells = _graph_cells(graph, grid, packing)
+    cells = _graph_cells(grid, packing)
     build = lambda: _cayley_stepper(packing.n_dof, cells, dt, packing.dirichlet, len(graph.vertices))
     sample = lambda f, t: _sample_potential(f, t, packing, graph, grid)
     unpack = lambda u: tuple(u[dofs].copy() for dofs in packing.edge_dofs)
@@ -580,13 +573,12 @@ def _vertex_system(u0: GraphState, dt: float):
 def _star_modes(u0: GraphState, static, dynamic) -> bool:
     """Whether the run may step the edge-mean/difference modes of a star.
 
-    It may when the graph is a star whose edges share one grid and neither
+    It may when the graph is a star whose edges share one length and neither
     potential is given per edge, so that every edge sees the same operator.
     """
-    grid = u0.grid
     return (
         u0.graph.is_star
-        and len(set(grid.spacings)) == len(set(grid.lengths)) == len(set(grid.counts)) == 1
+        and len(set(u0.grid.lengths)) == 1
         and not any(isinstance(f, (list, tuple)) for f in (static, dynamic))
     )
 
@@ -647,7 +639,7 @@ def _mode_system(u0: GraphState, dt: float):
     it (its phase) over the chains.  A free run propagates the (N, n) modes
     with ``_free_modes`` and builds no stepper.
     """
-    n_edges, n, h = u0.graph.n_edges, u0.grid.counts[0], u0.grid.spacings[0]
+    n_edges, n, h = u0.graph.n_edges, u0.grid.counts[0], u0.grid.h
     x = u0.grid.x(0)
     vals = np.stack(u0.values)
     # the vertex path's continuity check: each edge against the one before it
@@ -699,7 +691,7 @@ def _evolve_graph(
 
     v1 = None if static is None else sample(static, u0.time)
     if modes and static is None and dynamic is None:
-        u = _free_modes(u.reshape(graph.n_edges, -1), grid.spacings[0], dt_signed, nsteps).ravel()
+        u = _free_modes(u.reshape(graph.n_edges, -1), grid.h, dt_signed, nsteps).ravel()
     elif dynamic is not None:
         stepper = build()
         def phase(t):
@@ -827,7 +819,7 @@ def write_checkpoint(state: GraphState, path, cfg: EvolutionConfig | None = None
     """CSV checkpoint: meta lines t, h, dt, L (after ``meta``), then edge_id, x, re_u, im_u."""
     header = dict(meta or {})
     header["t"] = float(state.time)
-    header["h"] = float(state.grid.spacings[0])
+    header["h"] = float(state.grid.h)
     header["dt"] = float(cfg.dt) if cfg is not None else float("nan")
     header["L"] = float(max(state.grid.lengths))
     edges = range(state.graph.n_edges)

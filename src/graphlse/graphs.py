@@ -98,16 +98,6 @@ class MetricGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def incident(self, v: int) -> list[tuple[int, str]]:
-        """Edges touching vertex ``v`` as (edge_id, 'initial'|'terminal') pairs."""
-        out = []
-        for i, e in enumerate(self.edges):
-            if e.initial == v:
-                out.append((i, "initial"))
-            if e.terminal == v:
-                out.append((i, "terminal"))
-        return out
-
     @property
     def is_star(self) -> bool:
         return len(self.vertices) == 1 and all(e.infinite for e in self.edges)
@@ -115,25 +105,33 @@ class MetricGraph:
 
 @dataclass(frozen=True)
 class GraphGrid:
-    """Per-edge uniform sampling; infinite edges truncated at ``lengths[e]``."""
+    """Uniform sampling at one spacing ``h`` on every edge; infinite edges truncated at ``lengths[e]``.
 
-    spacings: tuple[float, ...]
+    Every length must be a whole number of steps; edge e has ``counts[e]``
+    samples, its length over h plus one.
+    """
+
+    h: float
     lengths: tuple[float, ...]
-    counts: tuple[int, ...]
 
     def __post_init__(self):
-        for h, L, n in zip(self.spacings, self.lengths, self.counts):
-            if h <= 0 or L <= 0 or n < 2:
-                raise ValueError("grid needs h > 0, L > 0 and at least two samples per edge")
-            if abs((n - 1) * h - L) > 1e-9 * max(1.0, L):
-                raise ValueError("sample count inconsistent with spacing and length")
+        for L in self.lengths:
+            _uniform_count(L, self.h)  # refuses a bad spacing or length
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(_uniform_count(L, self.h) for L in self.lengths)
 
     def x(self, edge_id: int) -> np.ndarray:
-        return np.linspace(0.0, self.lengths[edge_id], self.counts[edge_id])
+        return np.linspace(0.0, self.lengths[edge_id], _uniform_count(self.lengths[edge_id], self.h))
 
 
 def _uniform_count(L: float, h: float) -> int:
-    if not (math.isfinite(L) and math.isfinite(h) and h > 0 and math.isfinite(L / h)):
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"grid spacing must be positive and finite, got {h}")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"edge length must be positive and finite, got {L}")
+    if not math.isfinite(L / h):
         raise ValueError(f"length {L} over spacing {h} is not a finite sample count")
     n = round(L / h)
     if n < 1 or abs(n * h - L) > 1e-8 * max(1.0, L):
@@ -144,6 +142,9 @@ def _uniform_count(L: float, h: float) -> int:
 def build_star(n_edges: int, L: float, h: float) -> tuple[MetricGraph, GraphGrid]:
     """Star graph: ``n_edges`` infinite rays joined at vertex 0, truncated at L.
 
+    It is the regular tree of depth 0: no finite generation, root degree
+    ``n_edges``.
+
     L should exceed ten times the width of the data under study so the
     Dirichlet truncation error stays at the exp(-c L^2) level.
     """
@@ -153,11 +154,7 @@ def build_star(n_edges: int, L: float, h: float) -> tuple[MetricGraph, GraphGrid
         raise ValueError("L and h must be positive")
     if L / h < 16:
         raise ValueError("grid too coarse: require L/h >= 16")
-    edges = tuple(Edge(0, None, math.inf, generation=1, index=(k,)) for k in range(1, n_edges + 1))
-    graph = MetricGraph(vertices=(0,), edges=edges, generation_lengths=(), branching=(n_edges,))
-    n = _uniform_count(L, h)
-    grid = GraphGrid(spacings=(h,) * n_edges, lengths=(L,) * n_edges, counts=(n,) * n_edges)
-    return graph, grid
+    return build_regular_tree((), (n_edges,), L, h)
 
 
 def _nested_indices(degrees: Sequence[int], generation: int):
@@ -188,12 +185,6 @@ def build_regular_tree(
         raise ValueError("need exactly one more degree than generation lengths")
     if any(d < 1 for d in degrees):
         raise ValueError("branching degrees must be >= 1")
-    if any(l <= 0 for l in lengths):
-        raise ValueError("generation lengths must be positive")
-    if L <= 0 or h <= 0:
-        raise ValueError("L and h must be positive")
-    for l in lengths:
-        _uniform_count(l, h)  # breakpoints must land on the grid
     n_gen = len(degrees)
 
     vertex_of: dict[tuple[int, ...], int] = {(): 0}
@@ -213,14 +204,8 @@ def build_regular_tree(
         generation_lengths=tuple(float(l) for l in lengths),
         branching=tuple(int(d) for d in degrees),
     )
-    spacings, lens, counts = [], [], []
-    for e in graph.edges:
-        Le = L if e.infinite else e.length
-        spacings.append(h)
-        lens.append(Le)
-        counts.append(_uniform_count(Le, h))
-    grid = GraphGrid(tuple(spacings), tuple(lens), tuple(counts))
-    return graph, grid
+    # the grid refuses a length that is not a whole number of steps, so breakpoints land on it
+    return graph, GraphGrid(h, tuple(L if e.infinite else e.length for e in graph.edges))
 
 
 @dataclass(frozen=True)
@@ -233,8 +218,8 @@ class GraphState:
     time: float = 0.0
 
     def __post_init__(self):
-        if len(self.values) != self.graph.n_edges:
-            raise ValueError("one value array per edge required")
+        if not len(self.values) == len(self.grid.lengths) == self.graph.n_edges:
+            raise ValueError("one value array and one grid length per edge required")
         vals = tuple(np.asarray(v, dtype=complex) for v in self.values)
         object.__setattr__(self, "values", vals)
         for v, n in zip(vals, self.grid.counts):
@@ -256,12 +241,6 @@ class GraphState:
             raise ValueError("need one sampling function per edge")
         values = tuple(np.asarray(f(grid.x(e)), dtype=complex) for e, f in enumerate(fns))
         return cls(graph, grid, values, time)
-
-    def vertex_values(self, v: int) -> list[complex]:
-        out = []
-        for eid, end in self.graph.incident(v):
-            out.append(self.values[eid][0] if end == "initial" else self.values[eid][-1])
-        return out
 
 
 @dataclass(frozen=True)
@@ -289,27 +268,23 @@ def kirchhoff_residual(state: GraphState) -> KirchhoffResidual:
     """Continuity and flux defects of the Kirchhoff vertex conditions.
 
     Continuity is the worst pairwise mismatch of edge samples at a vertex.
-    Flux is |sum of derivatives into the vertex - sum of derivatives out of
-    it|, with derivatives estimated by one-sided 4th-order stencils so that
-    the residual of a second-order solver state is resolvable.
+    Flux is |sum of the outward derivatives at a vertex|, with derivatives
+    estimated by one-sided 4th-order stencils so that the residual of a
+    second-order solver state is resolvable.  One pass over the edges, in
+    edge order, gathers each vertex's edge ends.
     """
-    cont = 0.0
-    flux = 0.0
-    for v in state.graph.vertices:
-        inc = state.graph.incident(v)
-        if not inc:
-            continue
-        vals = state.vertex_values(v)
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                cont = max(cont, abs(vals[i] - vals[j]))
-        total = 0.0 + 0.0j
-        for eid, end in inc:
-            if end == "terminal":
-                total += edge_derivative_at_end(state.values[eid], state.grid.spacings[eid])
-            else:
-                total -= edge_derivative_at_start(state.values[eid], state.grid.spacings[eid])
-        flux = max(flux, abs(total))
+    h = state.grid.h
+    ends = {v: [] for v in state.graph.vertices}  # (value, outward derivative) per edge end
+    for e, u in zip(state.graph.edges, state.values):
+        ends[e.initial].append((u[0], edge_derivative_at_start(u, h)))
+        if not e.infinite:
+            ends[e.terminal].append((u[-1], -edge_derivative_at_end(u, h)))
+    cont = flux = 0.0
+    for at in ends.values():
+        for i, (a, _) in enumerate(at):
+            for b, _ in at[i + 1 :]:
+                cont = max(cont, abs(a - b))
+        flux = max(flux, abs(sum((d for _, d in at), 0j)))
     return KirchhoffResidual(continuity=cont, flux=flux)
 
 

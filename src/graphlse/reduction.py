@@ -49,9 +49,7 @@ def star_sum(state: GraphState, mode: str, component: int | None = None):
     data equal on every edge sweeps one ray.
     """
     graph = _require_star(state)
-    counts = set(state.grid.counts)
-    spac = set(state.grid.spacings)
-    if len(counts) != 1 or len(spac) != 1:
+    if len(set(state.grid.counts)) != 1:
         raise ValueError("star edges must share one grid")
     S = np.sum(np.stack(state.values), axis=0)
     x_half = state.grid.x(0)
@@ -87,7 +85,6 @@ class AveragedSums:
     """
 
     breakpoints: tuple[float, ...]  # a_0 .. a_n (finite)
-    trunc_length: float  # truncation of the infinite generation
     grids: tuple[np.ndarray, ...]  # local coordinates per generation 1..n+1
     pieces: dict[tuple[int, ...], tuple[np.ndarray, ...]]
     root: tuple[np.ndarray, ...]
@@ -122,10 +119,11 @@ def averaged_sums(state: GraphState) -> AveragedSums:
     if [e.index for e in graph.edges] != nested:
         raise ValueError("regular-tree edges must be the full index set, generation by generation in nested order")
     starts = np.cumsum([0, *np.cumprod(degrees)])  # first edge of each generation
+    counts = state.grid.counts
     stacks, grids = [], []
     for g in range(n + 1):
         ids = range(starts[g], starts[g + 1])
-        if len({state.grid.counts[i] for i in ids}) != 1 or len({state.grid.spacings[i] for i in ids}) != 1:
+        if len({counts[i] for i in ids}) != 1:
             raise ValueError(f"generation {g + 1} edges do not share one grid")
         stacks.append(np.stack([state.values[i] for i in ids]))
         grids.append(state.grid.x(ids[0]))
@@ -139,7 +137,6 @@ def averaged_sums(state: GraphState) -> AveragedSums:
             pieces[alpha] = tuple(z[j] for z in means)
     return AveragedSums(
         breakpoints=tuple(float(b) for b in breakpoints),
-        trunc_length=float(state.grid.lengths[starts[n]]),
         grids=tuple(grids),
         pieces=pieces,
         root=tuple(stack.mean(axis=0) for stack in stacks),

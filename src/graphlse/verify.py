@@ -37,7 +37,7 @@ def check_windowed_core() -> bool:
     """The windowed Cayley core against a dense Cayley step, on a localized Gaussian."""
     graph, grid = build_star(3, 6.65, 0.05)  # 400 dofs
     packing = _pack_graph(graph, grid)
-    pairs, weights, hs = _graph_cells(graph, grid, packing)
+    pairs, weights, hs = _graph_cells(grid, packing)
     n, nv, dt = packing.n_dof, len(graph.vertices), 1e-3
     M = np.zeros((n, n))
     K = np.zeros((n, n))

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphlse import GraphState, build_regular_tree, kirchhoff_residual
 from graphlse import verify as _verify
 from graphlse._report import read_csv
 from graphlse.cli import KINDS, ConfigError, emit_plots, main, parse_config, run_config
@@ -319,6 +320,38 @@ def test_simulate_runs_on_a_regular_tree(tmp_path):
     assert abs(vals["norm_final"] - vals["norm_initial"]) <= 1e-10 * vals["norm_initial"]
 
 
+def test_simulate_reports_the_initial_kirchhoff_residual_of_a_tree(tmp_path):
+    # a Gaussian in the distance from the root is continuous but not in the
+    # Kirchhoff domain at the inner vertices: the initial flux is the data's
+    code, out = run_main(tmp_path, TREE_SIMULATE_INI)
+    assert code == 0
+    _, _, rows = read_csv(out / "summary.csv")
+    vals = {q: float(v) for q, v in rows}
+    graph, grid = build_regular_tree([1.0], [2, 2], 10.0, 0.05)
+    offsets = (0.0, 1.0)  # distance from the root to the start of each generation
+    fns = [lambda x, o=offsets[e.generation - 1]: np.exp(-((x + o) ** 2)) for e in graph.edges]
+    res = kirchhoff_residual(GraphState.sample(graph, grid, fns))
+    assert (vals["kirchhoff_continuity_initial"], vals["kirchhoff_flux_initial"]) == (res.continuity, res.flux)
+    assert vals["kirchhoff_flux_initial"] > 0.5
+
+
+def test_simulate_reports_the_initial_kirchhoff_residual_of_a_star(tmp_path):
+    code, out = run_main(tmp_path, STAR_SIMULATE_INI)
+    assert code == 0
+    _, _, rows = read_csv(out / "summary.csv")
+    assert [q for q, _ in rows] == [
+        "norm_initial",
+        "norm_final",
+        "kirchhoff_continuity",
+        "kirchhoff_flux",
+        "kirchhoff_continuity_initial",
+        "kirchhoff_flux_initial",
+    ]
+    vals = {q: float(v) for q, v in rows}
+    assert vals["kirchhoff_continuity_initial"] == 0.0
+    assert vals["kirchhoff_flux_initial"] < 1e-4
+
+
 def test_kernel_compare_runs(tmp_path):
     code, out = run_main(tmp_path, KERNEL_INI)
     assert code == 0
@@ -401,7 +434,7 @@ def test_jobs_pool_capped_at_task_count(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr("graphlse.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     for name, text, expected in (
         ("two", CARLEMAN_INI, [2]),
         ("one", CARLEMAN_INI.replace("n_seeds = 2", "n_seeds = 1"), []),

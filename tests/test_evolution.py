@@ -106,7 +106,7 @@ def test_produced_states_satisfy_discrete_kirchhoff(star3):
     out = evolve_graph(st, 0.4, EvolutionConfig(dt=1e-3))
     res = kirchhoff_residual(out)
     assert res.continuity == 0.0  # shared vertex unknown by construction
-    assert res.flux <= 10.0 * grid.spacings[0]
+    assert res.flux <= 10.0 * grid.h
 
 
 def test_second_order_convergence():
@@ -229,8 +229,7 @@ def test_constant_imaginary_potential_decays_exactly(star3):
 def uneven_star(lengths=(40.0, 40.0, 39.0), h=0.05):
     """A star whose rays are cut at different lengths, so that it takes the vertex path."""
     edges = tuple(Edge(0, None, math.inf) for _ in lengths)
-    counts = tuple(round(L / h) + 1 for L in lengths)
-    return MetricGraph((0,), edges), GraphGrid((h,) * len(lengths), tuple(lengths), counts)
+    return MetricGraph((0,), edges), GraphGrid(h, tuple(lengths))
 
 
 def counted_potential():
@@ -453,7 +452,7 @@ def line_system(nodes, cells):
 
 def graph_system(graph, grid):
     packing = _pack_graph(graph, grid)
-    return packing.n_dof, _graph_cells(graph, grid, packing), packing.dirichlet, len(graph.vertices), min(grid.spacings)
+    return packing.n_dof, _graph_cells(grid, packing), packing.dirichlet, len(graph.vertices), grid.h
 
 
 def folded_tree_line():
@@ -478,15 +477,14 @@ def mixed_graph():
         Edge(2, None, math.inf),
     )
     lengths = (1.0, 0.5, 0.75, 1.0, 2 * h, h, 3.0, h)
-    counts = tuple(round(L / h) + 1 for L in lengths)
-    return MetricGraph((0, 1, 2), edges), GraphGrid((h,) * len(edges), lengths, counts)
+    return MetricGraph((0, 1, 2), edges), GraphGrid(h, lengths)
 
 
 def vertices_only_graph():
     """A triangle and a loop, every edge with two samples: no chain at all."""
     h = 0.05
     edges = (Edge(0, 1, h), Edge(1, 2, h), Edge(2, 0, h), Edge(1, 1, h))
-    return MetricGraph((0, 1, 2), edges), GraphGrid((h,) * 4, (h,) * 4, (2,) * 4)
+    return MetricGraph((0, 1, 2), edges), GraphGrid(h, (h,) * 4)
 
 
 CORE_CASES = {
@@ -539,9 +537,9 @@ def line_121_gaussian():
 
 def star_modes(graph, grid, fns):
     """The star's mode system (N plain chains, nv = 0) with data ``fns`` packed as its modes."""
-    n_dof, cells, dirichlet = _mode_chains(graph.n_edges, grid.counts[0], grid.spacings[0])
+    n_dof, cells, dirichlet = _mode_chains(graph.n_edges, grid.counts[0], grid.h)
     modes = evolution._mode_system(GraphState.sample(graph, grid, fns), 1e-3)[1]
-    return (n_dof, cells, dirichlet, 0, grid.spacings[0]), modes
+    return (n_dof, cells, dirichlet, 0, grid.h), modes
 
 
 def tilted(k):

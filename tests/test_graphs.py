@@ -5,13 +5,18 @@ import pytest
 from scipy.optimize import brentq
 
 from graphlse import (
+    Edge,
+    GraphGrid,
     GraphState,
+    KirchhoffResidual,
+    MetricGraph,
     NormOverflowError,
     build_regular_tree,
     build_star,
     kirchhoff_residual,
     weighted_l2_norm,
 )
+from graphlse.graphs import edge_derivative_at_end, edge_derivative_at_start
 
 
 def test_build_star_counts():
@@ -40,6 +45,37 @@ def test_build_star_rejects_bad_geometry():
         build_star(3, 40.0, 0.0)
     with pytest.raises(ValueError):
         build_star(3, 1.0, 0.5)  # L/h < 16
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_build_star_is_the_depth_0_regular_tree(n):
+    assert build_star(n, 40.0, 0.05) == build_regular_tree((), (n,), 40.0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "h,lengths,message",
+    [
+        (0.0, (1.0,), "spacing must be positive and finite"),
+        (-0.05, (1.0,), "spacing must be positive and finite"),
+        (math.nan, (1.0,), "spacing must be positive and finite"),
+        (0.05, (1.0, 0.0), "length must be positive and finite"),
+        (0.05, (-1.0,), "length must be positive and finite"),
+        (0.05, (math.inf,), "length must be positive and finite"),
+        (0.05, (math.nan,), "length must be positive and finite"),
+        (0.05, (1.0, 1.03), "not an integer multiple"),
+        (0.05, (0.02,), "not an integer multiple"),
+    ],
+)
+def test_graph_grid_refuses_bad_spacing_or_length(h, lengths, message):
+    with pytest.raises(ValueError, match=message):
+        GraphGrid(h, lengths)
+
+
+def test_graph_grid_counts_follow_lengths():
+    grid = GraphGrid(0.05, (1.0, 0.05, 40.0))
+    assert grid.counts == (21, 2, 801)
+    assert [len(grid.x(e)) for e in range(3)] == [21, 2, 801]
+    assert grid.x(0)[-1] == 1.0
 
 
 def test_regular_tree_binary_one_generation():
@@ -148,6 +184,66 @@ def test_kirchhoff_balanced_asymmetric_gaussians():
     assert res.flux <= 10.0 * h  # actual scale is O(h^4); C*h is the contract
 
 
+def _incident_scan_residual(state):
+    """The vertex-by-vertex scan that ``kirchhoff_residual`` replaced, kept as its oracle."""
+    cont = 0.0
+    flux = 0.0
+    for v in state.graph.vertices:
+        inc = []
+        for i, e in enumerate(state.graph.edges):
+            if e.initial == v:
+                inc.append((i, "initial"))
+            if e.terminal == v:
+                inc.append((i, "terminal"))
+        if not inc:
+            continue
+        vals = [state.values[eid][0] if end == "initial" else state.values[eid][-1] for eid, end in inc]
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                cont = max(cont, abs(vals[i] - vals[j]))
+        total = 0.0 + 0.0j
+        for eid, end in inc:
+            if end == "terminal":
+                total += edge_derivative_at_end(state.values[eid], state.grid.h)
+            else:
+                total -= edge_derivative_at_start(state.values[eid], state.grid.h)
+        flux = max(flux, abs(total))
+    return KirchhoffResidual(continuity=cont, flux=flux)
+
+
+def _cycle_with_loop_and_rays():
+    """A triangle 0-1-2, a loop at 1 and rays at 0 and 2, every edge with at least 5 samples."""
+    h = 0.1
+    edges = (
+        Edge(0, 1, 1.0),
+        Edge(1, 2, 0.5),
+        Edge(2, 0, 0.7),
+        Edge(1, 1, 0.4),
+        Edge(0, None, math.inf),
+        Edge(2, None, math.inf),
+    )
+    return MetricGraph((0, 1, 2), edges), GraphGrid(h, (1.0, 0.5, 0.7, 0.4, 3.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_star(4, 4.0, 0.125),
+        lambda: build_regular_tree((1.0, 0.5), (2, 3, 2), 4.0, 0.125),
+        _cycle_with_loop_and_rays,
+    ],
+    ids=["star", "tree", "cycle-loop-rays"],
+)
+def test_kirchhoff_residual_equals_incident_scan(make):
+    graph, grid = make()
+    assert min(grid.counts) >= 5
+    rng = np.random.default_rng(11)
+    for _ in range(20):  # enough draws that a change of summation order shows in the last bit
+        values = tuple(rng.normal(size=n) + 1j * rng.normal(size=n) for n in grid.counts)
+        state = GraphState(graph, grid, values)
+        assert kirchhoff_residual(state) == _incident_scan_residual(state)
+
+
 def test_weighted_norm_zero_state():
     graph, grid = build_star(2, 40.0, 0.05)
     state = GraphState.sample(graph, grid, lambda x: 0.0 * x)
@@ -201,6 +297,9 @@ def test_state_validation():
     graph, grid = build_star(2, 40.0, 0.05)
     with pytest.raises(ValueError):
         GraphState(graph, grid, (np.zeros(5), np.zeros(801)))
+    for lengths in ((40.0,), (40.0, 40.0, 20.0)):  # a grid for another number of edges
+        with pytest.raises(ValueError, match="one grid length per edge"):
+            GraphState(graph, GraphGrid(0.05, lengths), (np.zeros(801), np.zeros(801)))
     bad = np.zeros(801)
     bad[3] = np.nan
     with pytest.raises(ValueError):

@@ -36,6 +36,20 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswi
     assert got == {"rc": 0, "scipy": []}
 
 
+def test_cli_import_loads_no_multiprocessing(tmp_path):
+    # the process pool is imported only when a Carleman run asks for --jobs > 1
+    (tmp_path / "exp.ini").write_text(CARLEMAN_INI)
+    got = fresh_process(
+        tmp_path,
+        """\
+import graphlse.cli
+graphlse.cli.parse_config(open(sys.argv[1] + "/exp.ini").read())
+print(json.dumps({m: m in sys.modules for m in ("multiprocessing", "concurrent.futures.process")}))
+""",
+    )
+    assert got == {"multiprocessing": False, "concurrent.futures.process": False}
+
+
 def test_evolution_loads_blas_but_not_scipy_sparse(tmp_path):
     got = fresh_process(
         tmp_path,

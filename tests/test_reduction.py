@@ -136,7 +136,7 @@ def test_averaged_sums_refuse_missing_index(binary_tree):
     graph, grid = binary_tree
     # drop the ray (2, 2) and keep the branching metadata
     pruned = MetricGraph(graph.vertices, graph.edges[:-1], graph.generation_lengths, graph.branching)
-    pruned_grid = GraphGrid(grid.spacings[:-1], grid.lengths[:-1], grid.counts[:-1])
+    pruned_grid = GraphGrid(grid.h, grid.lengths[:-1])
     st = GraphState.sample(pruned, pruned_grid, lambda x: np.exp(-(x**2)))
     with pytest.raises(ValueError, match="nested order"):
         averaged_sums(st)
@@ -185,7 +185,7 @@ def test_averaged_sums_jump_ratio_from_solver(binary_tree):
     st = GraphState.sample(graph, grid, fns)
     out = evolve_graph(st, 0.3, EvolutionConfig(dt=1e-3))
     avg = averaged_sums(out)
-    ratio = avg.jump_ratio(1, grid.spacings[0])
+    ratio = avg.jump_ratio(1, grid.h)
     assert abs(ratio - 2.0) <= 0.05  # O(h) tolerance band
 
 
