@@ -26,23 +26,31 @@ def format_value(v) -> str:
     return str(v)
 
 
-def from_columns(*data) -> Iterable[tuple]:
-    """Rows from whole columns, each numpy column converted to Python values once.
+def from_columns(*data) -> Iterable[str]:
+    """Rows from whole columns, as the text that ``write_csv`` writes.
 
-    ``tolist`` per column in place of a numpy-scalar conversion per value
-    leaves ``format_value`` one ``repr`` per float, with the same text.
+    Each column is formatted whole: a numpy float column by ``repr`` of its
+    ``tolist``, any other numpy column by ``str``, a plain sequence by
+    ``format_value``.  The text is that of ``format_value`` on every value.
     """
-    return zip(*(col.tolist() if hasattr(col, "tolist") else col for col in data))
+    texts = []
+    for col in data:
+        if not hasattr(col, "tolist"):
+            texts.append(map(format_value, col))
+        else:
+            texts.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    return map(",".join, zip(*texts))
 
 
-def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], meta: dict | None = None) -> None:
+def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence | str], meta: dict | None = None) -> None:
+    """Write a CSV with provenance comments; a row is a sequence of values or, from ``from_columns``, its text."""
     lines = [f"# tool=graphlse {__version__}"]
     for key, val in (meta or {}).items():
         lines.append(f"# {key}={val}")
     lines.append(f"# timestamp={datetime.datetime.now(datetime.timezone.utc).isoformat()}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(map(format_value, row)))
+        lines.append(row if isinstance(row, str) else ",".join(map(format_value, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

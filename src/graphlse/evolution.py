@@ -19,8 +19,9 @@ three bands of the chain block, the dense vertex block and the few
 vertex-chain entries).  The chain block is factored once without pivoting,
 with its pivots 1/p folded into the row scale, so each step is one multiply
 and two banded BLAS solves, and the vertices solve a small dense Schur
-complement.  The BLAS routine is scipy's, imported when the first stepper is
-built, so the rest of the package loads without scipy.
+complement.  The BLAS routine is scipy's ``ztbsv``, bound when the first
+stepper is built from scipy's ``_fblas`` extension module alone
+(``_ztbsv``), so no part of the package loads the ``scipy.linalg`` package.
 
 A run sweeps each chain only on its live window, carried from step to step
 with the state.  A value is quiet below cut = eps^2 max|u|, read from the
@@ -67,7 +68,11 @@ whose wavefront has reached the artificial boundary.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -257,9 +262,45 @@ def _sweep(tbsv, factors, x, off=0, trans=0):
     """
     lower, rp, upper = factors
     if len(rp):
-        x = tbsv(1, upper if trans else lower, x, offx=off, lower=1 - trans, trans=trans, diag=1, overwrite_x=1)
-        x = tbsv(1, lower if trans else upper, x, offx=off, lower=trans, trans=trans, diag=1, overwrite_x=1)
+        # positional, as keywords cost more to parse than the call itself:
+        # tbsv(k, a, x, incx, offx, lower, trans, diag, overwrite_x)
+        x = tbsv(1, upper if trans else lower, x, 1, off, 1 - trans, trans, 1, 1)
+        x = tbsv(1, lower if trans else upper, x, 1, off, trans, trans, 1, 1)
     return x
+
+
+_FBLAS = "scipy.linalg._fblas"
+
+
+def _ztbsv():
+    """scipy's BLAS ``ztbsv``, loaded without importing the ``scipy.linalg`` package.
+
+    ``import scipy.linalg`` takes 0.3-0.4 s and about 28 MB in a fresh
+    process (2-core x86 VM), while the routine lives in scipy's ``_fblas``
+    extension module, which loads alone in about 5 ms and 3 MB.  The module
+    is found inside the scipy package without running scipy's ``__init__``
+    and is registered under its own name, so that a later ``import
+    scipy.linalg`` reuses it, and one already loaded is reused here.
+    ``_fblas`` is private to scipy: when the direct load fails, the public
+    ``scipy.linalg.blas.ztbsv``, the same routine, is bound instead.
+    """
+    fblas = sys.modules.get(_FBLAS)
+    if fblas is None:
+        try:
+            scipy = importlib.util.find_spec("scipy")  # runs no scipy code
+            where = [os.path.join(scipy.submodule_search_locations[0], "linalg")] if scipy else []
+            spec = importlib.machinery.PathFinder.find_spec(_FBLAS, where)
+            if spec is None:
+                raise ImportError(f"no {_FBLAS} extension module in scipy")
+            fblas = importlib.util.module_from_spec(spec)
+            sys.modules[_FBLAS] = fblas
+            spec.loader.exec_module(fblas)
+        except (ImportError, OSError):
+            sys.modules.pop(_FBLAS, None)
+            from scipy.linalg.blas import ztbsv
+
+            return ztbsv
+    return fblas.ztbsv
 
 
 # Entries of W (``_chain_rows``) below this fraction of the largest of their solve are
@@ -385,10 +426,7 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
     sweeps, so that a state damped by a complex potential keeps its window
     growing.
     """
-    # Importing scipy's BLAS wrappers costs more than numpy itself (0.1-0.15 s
-    # and about 28 MB on a 2-core x86 VM) and only stepping needs them, so
-    # ztbsv is bound here: runs that build no stepper never load scipy.
-    from scipy.linalg.blas import ztbsv
+    ztbsv = _ztbsv()  # bound here: runs that build no stepper load no scipy
 
     c, bands, D, F, E = _assemble(n_dof, cells, dt, dirichlet, nv)
     factors = _factor_chains(*bands)

@@ -42,6 +42,7 @@ from graphlse.evolution import (
     _pack_state,
     _sweep,
     _Window,
+    _ztbsv,
 )
 
 
@@ -630,6 +631,25 @@ def test_chain_rows_solve_each_vertex_chain_pair_once_on_its_chain(case):
     got = np.zeros_like(want)
     got[rows, cols - nv] = vals
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("trans", [0, 1])
+def test_positional_sweep_equals_keyword_sweep(trans):
+    # _sweep calls ztbsv positionally; the keyword call is the oracle, bit for bit
+    n_dof, cells, dirichlet, nv, h = CORE_CASES["tree"]()
+    factors = _factor_chains(*_assemble(n_dof, cells, 1e-3, dirichlet, nv)[1])
+    lower, rp, upper = factors
+    ztbsv = _ztbsv()
+    off = 7
+    x = np.zeros(off + len(rp) + 3, dtype=complex)
+    x[off:-3] = np.random.default_rng(5).standard_normal((len(rp), 2)) @ [1.0, 1j]
+    want = x.copy()
+    first, second = (upper, lower) if trans else (lower, upper)
+    want = ztbsv(1, first, want, offx=off, lower=1 - trans, trans=trans, diag=1, overwrite_x=1)
+    want = ztbsv(1, second, want, offx=off, lower=trans, trans=trans, diag=1, overwrite_x=1)
+    got = _sweep(ztbsv, factors, x.copy(), off, trans)
+    assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(got[off:-3], x[off:-3])
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""What a fresh process imports (no scipy until the first evolution, and never scipy.sparse), and the public surface."""
+"""What a fresh process imports (no scipy until the first stepper, then only scipy's _fblas extension module), and the public surface."""
 import json
 import pkgutil
 import subprocess
@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import graphlse
-from test_cli import CARLEMAN_INI
+from test_cli import (
+    APPELL_INI,
+    CARLEMAN_INI,
+    KERNEL_INI,
+    LINE_SIMULATE_INI,
+    SHARPNESS_INI,
+    SWEEP_INI,
+    TREE_INI,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -36,6 +44,36 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswi
     assert got == {"rc": 0, "scipy": []}
 
 
+# run the CLI on exp.ini; print the exit code and the scipy modules loaded
+CLI_RUN = """\
+import graphlse.cli
+root = sys.argv[1]
+rc = graphlse.cli.main(["--config", root + "/exp.ini", "--out", root + "/out"])
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+FBLAS = ["scipy.linalg._fblas"]
+
+
+@pytest.mark.parametrize(
+    "ini, scipy",
+    [
+        (SWEEP_INI, []),
+        (APPELL_INI, []),
+        (SHARPNESS_INI, []),  # a free star is one FFT pair and builds no stepper
+        (KERNEL_INI, FBLAS),
+        (TREE_INI, FBLAS),
+        (LINE_SIMULATE_INI, FBLAS),
+    ],
+    ids=["threshold-sweep", "appell", "sharpness-star", "kernel-compare", "reduce-tree", "simulate-line"],
+)
+def test_cli_run_loads_at_most_scipy_fblas(tmp_path, ini, scipy):
+    (tmp_path / "exp.ini").write_text(ini)
+    got = fresh_process(tmp_path, CLI_RUN)
+    assert got == {"rc": 0, "scipy": scipy}
+
+
 def test_cli_import_loads_no_multiprocessing(tmp_path):
     # the process pool is imported only when a Carleman run asks for --jobs > 1
     (tmp_path / "exp.ini").write_text(CARLEMAN_INI)
@@ -51,6 +89,8 @@ print(json.dumps({m: m in sys.modules for m in ("multiprocessing", "concurrent.f
 
 
 def test_evolution_loads_blas_but_not_scipy_sparse(tmp_path):
+    # ztbsv comes from scipy's _fblas extension module alone: neither the
+    # scipy.linalg package nor scipy.sparse is imported
     got = fresh_process(
         tmp_path,
         """\
@@ -61,10 +101,58 @@ graph, grid = build_star(3, 10.0, 0.1)
 evolve_graph(GraphState.sample(graph, grid, lambda x: np.exp(-x**2)), 0.1, cfg)
 nodes = line_grid(10.0, 10.0, 0.1)
 evolve_line_sigma(np.exp(-nodes**2), np.ones(len(nodes) - 1), nodes, 0.1, cfg)
-print(json.dumps({m: m in sys.modules for m in ("scipy.linalg.blas", "scipy.sparse")}))
+print(json.dumps({m: m in sys.modules for m in ("scipy.linalg._fblas", "scipy.linalg", "scipy.sparse")}))
 """,
     )
-    assert got == {"scipy.linalg.blas": True, "scipy.sparse": False}
+    assert got == {"scipy.linalg._fblas": True, "scipy.linalg": False, "scipy.sparse": False}
+
+
+# evolve a line and a tree (vertex system); print the digests of the results and the scipy modules loaded
+EVOLVE_DIGESTS = """\
+import hashlib
+import numpy as np
+from graphlse import EvolutionConfig, GraphState, build_regular_tree, evolve_graph, evolve_line_sigma, line_grid
+cfg = EvolutionConfig(dt=0.005)
+nodes = line_grid(8.0, 8.0, 0.05)
+sigma = np.where(nodes[1:] > 1.0, 2.0, 1.0)
+line = evolve_line_sigma(np.exp(-(nodes + 1.0) ** 2 + 2j * nodes), sigma, nodes, 0.2, cfg)
+graph, grid = build_regular_tree([1.0], [2, 2], 8.0, 0.05)
+tree = evolve_graph(GraphState.sample(graph, grid, lambda x: np.sin(np.pi * x) * np.exp(-(x**2))), 0.2, cfg)
+digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in (line, *tree.values)]
+print(json.dumps({"digests": digests, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_fallback_to_scipy_linalg_blas_gives_equal_bytes(tmp_path):
+    direct = fresh_process(tmp_path, EVOLVE_DIGESTS)
+    assert direct["scipy"] == ["scipy.linalg._fblas"]
+    # the direct load fails as a missing or broken extension module would
+    fail = """\
+import importlib.util
+module_from_spec = importlib.util.module_from_spec
+def refuse(spec):
+    if spec.name == "scipy.linalg._fblas":
+        raise ImportError("refused")
+    return module_from_spec(spec)
+importlib.util.module_from_spec = refuse
+"""
+    fallback = fresh_process(tmp_path, fail + EVOLVE_DIGESTS)
+    assert "scipy.linalg.blas" in fallback["scipy"]
+    assert fallback["digests"] == direct["digests"]
+
+
+def test_direct_ztbsv_is_scipy_linalg_blas_ztbsv(tmp_path):
+    got = fresh_process(
+        tmp_path,
+        """\
+from graphlse.evolution import _ztbsv
+ztbsv = _ztbsv()
+loaded = "scipy.linalg" in sys.modules
+import scipy.linalg.blas
+print(json.dumps({"loaded_before": loaded, "same": ztbsv is scipy.linalg.blas.ztbsv}))
+""",
+    )
+    assert got == {"loaded_before": False, "same": True}
 
 
 @pytest.mark.parametrize("module", ["graphlse", *(f"graphlse.{m.name}" for m in pkgutil.iter_modules(graphlse.__path__))])

@@ -54,3 +54,17 @@ def test_csv_floats_round_trip(tmp_path):
     back = np.array([float(r[0]) for r in rows])
     np.testing.assert_array_equal(back, x)
     assert [math.copysign(1.0, v) for v in back] == [math.copysign(1.0, v) for v in x]
+
+
+def test_from_columns_text_equals_per_value_path(tmp_path):
+    # a checkpoint's columns: an int edge_id and whole float columns, formatted column by column
+    special = np.array([-0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 5e-324, 2.2e-308, 0.1])
+    edge_id = np.concatenate([np.full(3, e) for e in range(3)])
+    cols = (edge_id, np.linspace(0.0, 1.0, 9), special, special[::-1].copy())
+    want = [",".join(map(format_value, row)) for row in zip(*cols)]
+    assert list(from_columns(*cols)) == want
+    assert want[1].startswith("0,0.125,nan,") and want[0].endswith(",-0.0,0.1")
+    by_value, by_column = tmp_path / "values.csv", tmp_path / "columns.csv"
+    write_csv(by_value, ["edge_id", "x", "re_u", "im_u"], zip(*cols))
+    write_csv(by_column, ["edge_id", "x", "re_u", "im_u"], from_columns(*cols))
+    assert data_lines(by_value) == data_lines(by_column) == want
