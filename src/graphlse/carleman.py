@@ -343,14 +343,24 @@ def _trapezoid_weights(s: np.ndarray) -> np.ndarray:
     return w
 
 
-def _phi_peak(weight: CarlemanWeight, entries: np.ndarray, tau: np.ndarray, x: np.ndarray) -> float:
-    """The largest phi(b) over the grid tau x x, for b in ``entries``.
+def _phi_peaks(weights: Sequence[CarlemanWeight], entries: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The largest phi(b) of each weight over the grid tau x x, for b in ``entries``.
 
     mu (b x + R tau)^2 is convex in x, so on every row phi peaks at one of the
     two end columns; rounding is monotone, so the computed row peaks there too
-    and this equals the maximum over the whole grid bit for bit.
+    and each peak equals the maximum over the whole grid bit for bit.  All
+    weights are evaluated in one array expression, element by element the
+    arithmetic of ``CarlemanWeight._phi_tau``.
     """
-    return float(np.max(weight._phi_tau(entries[:, None, None], tau[:, None], x[[0, -1]])))
+    mu, R, c = np.array([(w.mu, w.R, w.c) for w in weights]).reshape(-1, 3).T[:, :, None, None, None]
+    tau = tau[:, None]
+    phi = mu * (entries[:, None, None] * x[[0, -1]] + R * tau) ** 2 - c * tau
+    return phi.max(axis=(1, 2, 3))
+
+
+def _phi_peak(weight: CarlemanWeight, entries: np.ndarray, tau: np.ndarray, x: np.ndarray) -> float:
+    """``_phi_peaks`` of one weight."""
+    return float(_phi_peaks([weight], entries, tau, x)[0])
 
 
 def carleman_sides(
@@ -374,25 +384,34 @@ def carleman_sides(
     shared by every weight: they form one array B of four rows per time
     sample.  W depends on t only through tau = t(1-t), which is symmetric
     under t <-> 1-t, so the rows of B are folded (B[i] + B[nt-1-i], the
-    middle row alone when nt is odd) into shape (half, 4, nx), with
-    half = (nt+1)//2 and tau_i = i (nt-1-i) / (nt-1)^2.  No (nt, nx) array
-    is built: the trapezoid weights are a product of a t factor and an x
-    factor, so the fold and the t weights act on the sample's (M^2, nt) Gram
-    factors (``ZcompSample.edge_factors``), the x weights on its (M^2, nx)
-    ones, and each of the four slices of B is one product of the two.
+    middle row alone when nt is odd) onto half = (nt+1)//2 rows, with
+    tau_i = i (nt-1-i) / (nt-1)^2.  No (nt, nx) array is built: the
+    trapezoid weights are a product of a t factor and an x factor, so the
+    fold and the t weights act on the sample's (M^2, nt) Gram factors
+    (``ZcompSample.edge_factors``), the x weights on its (M^2, nx) ones, and
+    each of the four slices of B is one product of the two.
 
-    Every weight's peak of phi is checked first, in the order of ``weights``
-    and before any exp is taken; each row's peak sits at its two end columns
-    (``_phi_peak``).  A weight with 2 max phi > 700 raises
-    ``WeightOverflowError``.
+    Every weight's peak of phi is checked first, over the whole folded grid
+    and before any exp is taken, in one array expression; each row's peak
+    sits at its two end columns (``_phi_peaks``).  The first weight, in the
+    order of ``weights``, with 2 max phi > 700 raises ``WeightOverflowError``.
+
+    Everything after the check lives on the support box of the integrand:
+    the folded rows i where column i or nt-1-i of a time factor is nonzero,
+    crossed with the columns where a space factor is nonzero.  The sample's
+    bumps are exactly 0.0 off their supports, so B is exactly zero on every
+    dropped cell, and W, which passed the check on the whole grid, is finite
+    there: dropping those cells changes only the order of the sums.  On the
+    nine samples N = 3, 4, 5, seeds 0-2, at the default grid the box holds
+    39-66% of the folded cells; the zero sample's box is empty.
 
     phi = mu (b x + R tau)^2 - c tau with c = (1+eps) R^2 / (16 mu), so eps
     enters e^{2 phi} only through the row factor e^{-2 c tau}.  Weights that share (mu, R)
     form one group, taken in order of first appearance and held one at a
-    time.  A group builds W for its smallest c, c0 (its smallest eps), in
-    two reused (half, nx) buffers: at most two exp grids, one per base entry,
+    time.  A group builds W on the box for its smallest c, c0 (its smallest
+    eps), in two reused buffers: at most two exp grids, one per base entry,
     and exactly the W of that weight, which therefore cannot overflow.  One
-    batched product gives the row sums P = B @ W, of shape (half, 4); the
+    batched product gives the row sums P = B @ W, of shape (rows, 4); the
     c0 weight's four sums are P.sum(0) and every other weight's are
     exp(-2 (c - c0) tau) @ P.  A group of one weight is the single-weight case.
 
@@ -411,26 +430,30 @@ def carleman_sides(
     i = np.arange(half)
     tau = i * (nt - 1 - i) / (nt - 1) ** 2
     entries, counts = np.unique(alphas.as_array()[0], return_counts=True)
-    for weight in weights:
-        peak = _phi_peak(weight, entries, tau, x)
-        if 2.0 * peak > _EXP_LIMIT:
-            raise WeightOverflowError(f"max phi = {peak:.1f} would overflow exp; reduce mu, R or the support")
+    peaks = _phi_peaks(weights, entries, tau, x)
+    over = np.flatnonzero(2.0 * peaks > _EXP_LIMIT)
+    if over.size:
+        raise WeightOverflowError(f"max phi = {peaks[over[0]]:.1f} would overflow exp; reduce mu, R or the support")
 
     fine = _trapezoid_weights(t), _trapezoid_weights(x)
     coarse = np.zeros(nt), np.zeros(nx)  # the stride-2 weights, zero off the subgrid
     coarse[0][::2], coarse[1][::2] = _trapezoid_weights(t[::2]), _trapezoid_weights(x[::2])
     mass, defect = sample.edge_factors(t, x)
-    B = np.empty((half, 4, nx))
+    live_t = np.any(mass[0] != 0.0, axis=0) | np.any(defect[0] != 0.0, axis=0)
+    rows = np.flatnonzero(live_t[:half] | live_t[::-1][:half])
+    cols = np.flatnonzero(np.any(mass[1] != 0.0, axis=0) | np.any(defect[1] != 0.0, axis=0))
+    tau, x = tau[rows], x[cols]  # from here on, every grid is the support box
+    B = np.empty((len(rows), 4, len(cols)))
     for k, ((U, V), (gt, gx)) in enumerate(((mass, fine), (defect, fine), (mass, coarse), (defect, coarse))):
         Uf = U[:, :half] * gt[:half]
         Uf[:, : nt // 2] += U[:, ::-1][:, : nt // 2] * gt[::-1][: nt // 2]
-        np.matmul(Uf.T, V * gx, out=B[:, k])
+        np.matmul(Uf[:, rows].T, V[:, cols] * gx[cols], out=B[:, k])
 
     groups: dict[tuple[float, float], list[int]] = {}
     for n, weight in enumerate(weights):
         groups.setdefault((weight.mu, weight.R), []).append(n)
-    W = np.empty((half, nx))
-    s = np.empty((half, nx))
+    W = np.empty((len(rows), len(cols)))
+    s = np.empty_like(W)
     sums = np.empty((len(weights), 4))
     for (mu, R), members in groups.items():
         c0 = min(weights[n].c for n in members)

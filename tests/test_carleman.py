@@ -12,7 +12,7 @@ from graphlse import (
     membership_residual,
     sample_zcomp,
 )
-from graphlse.carleman import _bump012, _phi_peak
+from graphlse.carleman import ZcompSample, _bump012, _phi_peak, _SpaceProfile, _Term, _TimeEnvelope
 
 
 def test_alpha_vectors_n4():
@@ -108,11 +108,15 @@ def test_sample_membership(n, seed):
     assert flux <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_sample_gives_zero_sides():
+    # the support box is empty: every sum, the grouped eps factor's included,
+    # is a sum of no terms
     s = sample_zcomp(3, 0)
     zero = type(s)(s.n_edges, (), s.support_x, s.seed)
-    [m] = carleman_sides(zero, (CarlemanWeight(1.0, 0.5, 4.0),), alpha_vectors(3), nt=51, nx=101)
-    assert m.lhs == 0.0 and m.rhs == 0.0
+    weights = (CarlemanWeight(1.0, 0.5, 4.0), CarlemanWeight(1.0, 0.25, 4.0), CarlemanWeight(2.0, 0.5, 2.0))
+    for m in carleman_sides(zero, weights, alpha_vectors(3), nt=51, nx=101):
+        assert m.lhs == 0.0 and m.rhs == 0.0 and m.quad_error == 0.0
 
 
 def test_edge_sums_match_values_and_defect():
@@ -256,6 +260,48 @@ def test_grouped_weights_match_one_call_per_weight(n):
         assert abs(m.quad_error - ref.quad_error) <= 1e-12 * (ref.lhs + ref.rhs)
 
 
+def _covering_sample(n):
+    """A sample whose time and space factors are nonzero on every node of the
+    default [0, 1] x [0, 4] grid, so that its support box is the whole folded
+    grid; the corrector's coefficients sum to zero, as in ``sample_zcomp``."""
+    rng = np.random.default_rng(n)
+    corr = rng.normal(size=n) + 1j * rng.normal(size=n)
+    terms = (
+        _Term((1.0 + 0.5j,) * n, _TimeEnvelope(0.5, 0.6), _SpaceProfile("bump", 0.0, 4.5)),
+        _Term(tuple(corr - corr.mean()), _TimeEnvelope(0.45, 0.7), _SpaceProfile("xbump", 0.0, 5.0)),
+    )
+    return ZcompSample(n, terms, 4.0, seed=n)
+
+
+@pytest.mark.parametrize(
+    "sample, weights, nt, nx, covers",
+    [
+        # no space factor lives on x in about (0.9, 6.7), (7.7, 9.7) and (10.3, 12]; the
+        # weights' peaks stay below the overflow limit on the whole grid
+        (
+            sample_zcomp(3, 0, x_max=12.0),
+            [CarlemanWeight(0.25, 0.5, 2.0), CarlemanWeight(0.125, 0.25, 4.0), CarlemanWeight(0.25, 1.0, 2.0)],
+            51,
+            201,
+            False,
+        ),
+        (_covering_sample(4), ORACLE_WEIGHTS, 101, 301, True),
+    ],
+    ids=["zero-gap", "full-grid"],
+)
+def test_support_box_matches_n2_oracle(sample, weights, nt, nx, covers):
+    # the box drops the cells where the integrand is exactly zero, and only those
+    t, x = np.linspace(0.0, 1.0, nt), np.linspace(0.0, sample.support_x, nx)
+    _, (U, V) = sample.edge_factors(t, x)
+    assert bool(np.all(np.any(U != 0.0, axis=0)) and np.all(np.any(V != 0.0, axis=0))) == covers
+    av = alpha_vectors(sample.n_edges)
+    margins = carleman_sides(sample, weights, av, nt=nt, nx=nx)
+    for m, (lhs, rhs, err) in zip(margins, _n2_oracle(sample, weights, av, nt=nt, nx=nx), strict=True):
+        assert m.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        assert m.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+        assert abs(m.quad_error - err) <= 1e-12 * (lhs + rhs)
+
+
 def _folded_grid(n, support_x, nt, nx):
     """(entries, tau, x) as carleman_sides builds them."""
     i = np.arange((nt + 1) // 2)
@@ -284,6 +330,24 @@ def test_overflow_guard():
     s = sample_zcomp(3, 0, x_max=12.0)
     with pytest.raises(WeightOverflowError, match="phi"):
         carleman_sides(s, (CarlemanWeight(4.0, 0.5, 8.0),), alpha_vectors(3), nt=51, nx=201)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_off_the_support_still_raises():
+    # the terms of sample_zcomp(3, 0) on [0, 12]: nothing lives beyond x = 4,
+    # where phi stays far below the limit, but the check runs over the whole
+    # grid, so the weight is refused with the grid peak in its message
+    s = sample_zcomp(3, 0)
+    s = type(s)(s.n_edges, s.terms, 12.0, s.seed)
+    w = CarlemanWeight(1.0, 0.5, 2.0)
+    entries, tau, x = _folded_grid(3, 12.0, 51, 201)
+    assert 2.0 * _phi_peak(w, entries, tau, x[x <= 4.0]) < 700.0
+    grid_peak = max(float(np.max(w._phi_tau(b, tau[:, None], x[None, :]))) for b in entries)
+    assert 2.0 * grid_peak > 700.0
+    message = f"max phi = {grid_peak:.1f} would overflow exp; reduce mu, R or the support"
+    with pytest.raises(WeightOverflowError) as refused:
+        carleman_sides(s, (w,), alpha_vectors(3), nt=51, nx=201)
+    assert str(refused.value) == message
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
