@@ -358,11 +358,6 @@ def _phi_peaks(weights: Sequence[CarlemanWeight], entries: np.ndarray, tau: np.n
     return phi.max(axis=(1, 2, 3))
 
 
-def _phi_peak(weight: CarlemanWeight, entries: np.ndarray, tau: np.ndarray, x: np.ndarray) -> float:
-    """``_phi_peaks`` of one weight."""
-    return float(_phi_peaks([weight], entries, tau, x)[0])
-
-
 def carleman_sides(
     sample: ZcompSample,
     weights: Sequence[CarlemanWeight],

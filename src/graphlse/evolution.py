@@ -854,12 +854,17 @@ def evolve_line_sigma(
 
 
 def write_checkpoint(state: GraphState, path, cfg: EvolutionConfig | None = None, meta: dict | None = None) -> None:
-    """CSV checkpoint: meta lines t, h, dt, L (after ``meta``), then edge_id, x, re_u, im_u."""
+    """CSV checkpoint: meta lines t, h, dt, L (after ``meta``), then edge_id, x, re_u, im_u.
+
+    L is the longest ray's truncation length, nan when the graph has no ray
+    (as dt is without a config).
+    """
     header = dict(meta or {})
     header["t"] = float(state.time)
     header["h"] = float(state.grid.h)
     header["dt"] = float(cfg.dt) if cfg is not None else float("nan")
-    header["L"] = float(max(state.grid.lengths))
+    rays = [L for e, L in zip(state.graph.edges, state.grid.lengths) if e.infinite]
+    header["L"] = float(max(rays, default=math.nan))
     edges = range(state.graph.n_edges)
     edge_id = np.concatenate([np.full(len(state.values[eid]), eid) for eid in edges])
     x = np.concatenate([state.grid.x(eid) for eid in edges])

@@ -30,6 +30,7 @@ __all__ = [
     "PiecewiseCoefficient",
     "ExpPolynomial",
     "WienerSeries",
+    "lattice_point",
     "transfer_matrix",
     "chain_product",
     "ef_recursion",
@@ -126,6 +127,11 @@ class PiecewiseCoefficient:
             raise ValueError(f"junction index {j} outside 1..{self.n_layers - 1}")
 
 
+def lattice_point(idx: tuple[int, ...], a_mid: tuple[float, ...], l: float) -> float:
+    """The point 2 l (m . a_mid) of the exponent lattice with multi-index m."""
+    return 2.0 * l * sum(n * am for n, am in zip(idx, a_mid))
+
+
 @dataclass(frozen=True)
 class ExpPolynomial:
     """Finite sum  sum_m terms[m] exp(sign * 2 i xi l (m . a_mid)).
@@ -151,8 +157,7 @@ class ExpPolynomial:
         xi = np.asarray(xi, dtype=float)
         out = np.zeros(xi.shape, dtype=complex)
         for idx, c in self.terms.items():
-            s = sum(n * am for n, am in zip(idx, self.a_mid))
-            out += c * np.exp(self.sign * 2j * xi * self.l * s)
+            out += c * np.exp(self.sign * 1j * xi * lattice_point(idx, self.a_mid, self.l))
         return out
 
     @property

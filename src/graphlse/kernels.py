@@ -4,11 +4,15 @@ Everything here is built from the free kernel
 
     k_t(z) = exp(i z^2 / 4t) / sqrt(4 pi i t),
 
-the layered kernel h_t (a Wiener-series combination of shifted copies of k_t)
-and the first-row kernels p_t^{1,k} built from it.  The observation point
-stays on the leftmost layer (x <= 0); the solution there is the single free
+the layered kernel h_t (a Wiener-series combination of copies of k_t shifted
+to the lattice points 2 l (m . a_mid) of ``exppoly.lattice_point``) and the
+first-row kernels p_t^{1,k} built from it.  The observation point stays on
+the leftmost layer (x <= 0); the solution there is the single free
 convolution (k_t * eta)(a_1 x) against a transported source profile eta,
-evaluated on a uniform lattice with one FFT.  The coefficient is the
+evaluated on a uniform lattice with one FFT.  One list of source atoms per
+layer k (``_p_terms``) holds the terms of p_t^{1,k}: ``kernel_p1k`` sums h_t
+over it, and ``eta_profile`` shifts the same atoms along the lattice to
+build eta.  The coefficient is the
 ``PiecewiseCoefficient`` a Wiener series was inverted for (``series.params``).
 The right ray x >= (N-2) l is the left ray of the reversed coefficient
 under x' = (N-2) l - x, so the same solve serves it on reflected data.
@@ -21,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exppoly import PiecewiseCoefficient, WienerSeries, alpha_prefactor, ef_recursion
+from .exppoly import PiecewiseCoefficient, WienerSeries, alpha_prefactor, ef_recursion, lattice_point
 
 __all__ = [
     "SourceAtom",
@@ -56,80 +60,13 @@ def free_kernel(t: float, z) -> np.ndarray:
     return np.conj(np.exp(1j * z**2 / (-4.0 * t)) / np.sqrt(-4j * math.pi * t))
 
 
-def _lattice_shift(params: PiecewiseCoefficient, idx: tuple[int, ...]) -> float:
-    """Shift 2 l (m . a_mid) of the Wiener lattice point with multi-index m."""
-    return 2.0 * params.l * sum(n * am for n, am in zip(idx, params.a_mid))
-
-
 def kernel_h(t: float, x, series: WienerSeries) -> np.ndarray:
     """Layered kernel h_t(x) = sum_m c_m k_t(x - 2 l (m . a_mid)); reduces to
     the free kernel when there are two layers."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
     for idx, c in series.coefficients.items():
-        out += c * free_kernel(t, x - _lattice_shift(series.params, idx))
-    return out
-
-
-def _p_terms(params: PiecewiseCoefficient, k: int) -> list[tuple[complex, float, float]]:
-    """Terms (weight, y_coeff, const) with kernel argument a_1 x + y_coeff * y + const.
-
-    The k = 1 direct term is special: it rides on k_t instead of h_t and is
-    added by ``kernel_p1k`` (``eta_profile``'s direct atom).  One layer has
-    no junction to reflect from, so its direct term is the whole kernel and
-    there are no terms.
-    """
-    N = params.n_layers
-    a = params.a
-    l = params.l
-    a1 = a[0]
-    terms: list[tuple[complex, float, float]] = []
-    if N == 1:
-        return terms
-    if k == 1:
-        _, F = ef_recursion(N - 1, 1, params)
-        for idx, c in F.terms.items():
-            terms.append((-a1 * c, +a1, -_lattice_shift(params, idx)))
-        return terms
-    if k == N:
-        al = alpha_prefactor(N, params)
-        const = a[N - 1] * (N - 2) * l - l * sum(a[1 : N - 1])
-        terms.append((a1 * al, -a[N - 1], const))
-        return terms
-    al = alpha_prefactor(k, params)
-    base = -l * sum(a[1:k])
-    E, F = ef_recursion(N - 1, k, params)
-    for idx, c in E.terms.items():
-        shift = _lattice_shift(params, idx)
-        terms.append((a1 * al * c, -a[k - 1], a[k - 1] * (k - 1) * l + base - shift))
-    for idx, c in F.terms.items():
-        shift = _lattice_shift(params, idx)
-        terms.append((-a1 * al * c, +a[k - 1], -a[k - 1] * (k - 1) * l + base - shift))
-    return terms
-
-
-def kernel_p1k(k: int, t: float, x, y, series: WienerSeries) -> np.ndarray:
-    """First-row kernel p_t^{1,k}(x, y) for observation x <= 0 and source y in layer k.
-
-    The coefficient is the one ``series`` was inverted for, ``series.params``.
-    """
-    params = series.params
-    N = params.n_layers
-    if not 1 <= k <= N:
-        raise ValueError("layer index out of range")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x > 1e-12):
-        raise ValueError("first-row kernels are defined for observation points x <= 0")
-    lo, hi = params.interval(k)
-    if np.any(y < lo - 1e-9) or np.any(y > hi + 1e-9):
-        raise ValueError(f"source points outside layer {k} = ({lo}, {hi})")
-    a1 = params.a[0]
-    out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-    if k == 1:
-        out = out + a1 * free_kernel(t, a1 * x - a1 * y)
-    for w, ycoef, const in _p_terms(params, k):
-        out = out + w * kernel_h(t, a1 * x + ycoef * y + const, series)
+        out += c * free_kernel(t, x - lattice_point(idx, series.params.a_mid, series.params.l))
     return out
 
 
@@ -172,25 +109,63 @@ class SourceAtom:
         return out
 
 
-def _psi_source_atoms(params: PiecewiseCoefficient) -> tuple[SourceAtom, ...]:
-    """Atoms of the positively supported profile psi (the h_t part of the solution).
+def _p_terms(params: PiecewiseCoefficient, k: int) -> list[SourceAtom]:
+    """The psi atoms of layer k, on the source interval I_k.
 
-    Obtained by the changes of variables that turn every h_t integral over a
-    layer into an integral over (0, infinity); each image interval indeed
-    lies in z >= 0.
+    p_t^{1,k}(x, y) is the sum over them of weight * h_t(a_1 x - scale y - shift),
+    which ``kernel_p1k`` evaluates; ``eta_profile`` takes the atoms of every
+    layer as the psi part of eta, each image interval in z >= 0.  The k = 1
+    direct term is special: it rides on k_t instead of h_t and is added by
+    ``kernel_p1k`` (``eta_profile``'s direct atom).  One layer has no
+    junction to reflect from, so its direct term is the whole kernel and
+    there are no atoms.
     """
+    N, a, l = params.n_layers, params.a, params.l
+    if N == 1:
+        return []
+    a1 = a[0]
+    lo, hi = params.interval(k)
+    if k == 1:
+        _, F = ef_recursion(N - 1, 1, params)
+        return [SourceAtom(-a1 * c, -a1, lattice_point(idx, params.a_mid, l), lo, hi) for idx, c in F.terms.items()]
+    w = a1 * alpha_prefactor(k, params)
+    if k == N:
+        return [SourceAtom(w, a[N - 1], l * sum(a[1 : N - 1]) - a[N - 1] * (N - 2) * l, lo, hi)]
+    E, F = ef_recursion(N - 1, k, params)
+    # layer k's right end (k-1) l, scaled by a_k, and its depth l (a_2 + ... + a_k)
+    end, depth = a[k - 1] * (k - 1) * l, l * sum(a[1:k])
+    return [
+        SourceAtom(w * c, a[k - 1], lattice_point(idx, params.a_mid, l) - (end - depth), lo, hi)
+        for idx, c in E.terms.items()
+    ] + [
+        SourceAtom(-w * c, -a[k - 1], lattice_point(idx, params.a_mid, l) + (end + depth), lo, hi)
+        for idx, c in F.terms.items()
+    ]
+
+
+def kernel_p1k(k: int, t: float, x, y, series: WienerSeries) -> np.ndarray:
+    """First-row kernel p_t^{1,k}(x, y) for observation x <= 0 and source y in layer k.
+
+    The coefficient is the one ``series`` was inverted for, ``series.params``.
+    """
+    params = series.params
     N = params.n_layers
-    atoms: list[SourceAtom] = []
-    for k in range(1, N + 1):
-        lo, hi = params.interval(k)
-        for w, ycoef, const in _p_terms(params, k):
-            # kernel argument a1 x + ycoef y + const = X - z with z = -ycoef y - const
-            atoms.append(SourceAtom(w, -ycoef, -const, lo, hi))
-    for atom in atoms:
-        lo, _ = atom.z_interval()
-        if lo < -1e-12:
-            raise AssertionError("psi atom spills onto the negative axis")
-    return tuple(atoms)
+    if not 1 <= k <= N:
+        raise ValueError("layer index out of range")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(x > 1e-12):
+        raise ValueError("first-row kernels are defined for observation points x <= 0")
+    lo, hi = params.interval(k)
+    if np.any(y < lo - 1e-9) or np.any(y > hi + 1e-9):
+        raise ValueError(f"source points outside layer {k} = ({lo}, {hi})")
+    a1 = params.a[0]
+    out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    if k == 1:
+        out = out + a1 * free_kernel(t, a1 * x - a1 * y)
+    for atom in _p_terms(params, k):
+        out = out + atom.weight * kernel_h(t, a1 * x - atom.scale * y - atom.shift, series)
+    return out
 
 
 @dataclass(frozen=True)
@@ -278,9 +253,13 @@ def eta_profile(series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
     params = series.params
     a1 = params.a[0]
     atoms = [SourceAtom(a1, a1, 0.0, -math.inf, params.interval(1)[1])]
-    psi = _psi_source_atoms(params)
+    # the changes of variables that turn every h_t integral over a layer into
+    # one over (0, inf) put each psi image interval in z >= 0
+    psi = [atom for k in range(1, params.n_layers + 1) for atom in _p_terms(params, k)]
+    if any(atom.z_interval()[0] < -1e-12 for atom in psi):
+        raise AssertionError("psi atom spills onto the negative axis")
     for idx, c in series.coefficients.items():
-        lattice = _lattice_shift(params, idx)
+        lattice = lattice_point(idx, params.a_mid, params.l)
         for atom in psi:
             atoms.append(
                 SourceAtom(c * atom.weight, atom.scale, atom.shift + lattice, atom.y_lo, atom.y_hi)

@@ -1,4 +1,11 @@
-"""Shared test plumbing: per-criterion pass/fail lines for the acceptance suite."""
+"""Shared test plumbing: one BLAS thread, and per-criterion pass/fail lines for the acceptance suite."""
+import os
+
+# OpenBLAS reads this when numpy loads, and neither pytest nor hypothesis
+# loads numpy before this file.  With the default thread count on a 2-core
+# host, the Carleman acceptance test (c09) took 1.4-2.0 s in 3 of 11 runs
+# against 0.4-0.7 s in the others
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 

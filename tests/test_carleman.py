@@ -12,7 +12,7 @@ from graphlse import (
     membership_residual,
     sample_zcomp,
 )
-from graphlse.carleman import ZcompSample, _bump012, _phi_peak, _SpaceProfile, _Term, _TimeEnvelope
+from graphlse.carleman import ZcompSample, _bump012, _phi_peaks, _SpaceProfile, _Term, _TimeEnvelope
 
 
 def test_alpha_vectors_n4():
@@ -323,7 +323,7 @@ def test_end_column_peak_is_grid_peak(n, support_x, nt, nx, cells):
     for cell in cells:
         w = CarlemanWeight(*cell)
         grid_peak = max(float(np.max(w._phi_tau(b, tau[:, None], x[None, :]))) for b in entries)
-        assert _phi_peak(w, entries, tau, x) == grid_peak
+        assert _phi_peaks([w], entries, tau, x)[0] == grid_peak
 
 
 def test_overflow_guard():
@@ -341,7 +341,7 @@ def test_overflow_off_the_support_still_raises():
     s = type(s)(s.n_edges, s.terms, 12.0, s.seed)
     w = CarlemanWeight(1.0, 0.5, 2.0)
     entries, tau, x = _folded_grid(3, 12.0, 51, 201)
-    assert 2.0 * _phi_peak(w, entries, tau, x[x <= 4.0]) < 700.0
+    assert 2.0 * _phi_peaks([w], entries, tau, x[x <= 4.0])[0] < 700.0
     grid_peak = max(float(np.max(w._phi_tau(b, tau[:, None], x[None, :]))) for b in entries)
     assert 2.0 * grid_peak > 700.0
     message = f"max phi = {grid_peak:.1f} would overflow exp; reduce mu, R or the support"

@@ -40,6 +40,17 @@ betas = 0.25
 rule = star-free
 """
 
+LINE_SWEEP_INI = """
+[experiment]
+kind = threshold-sweep
+
+[sweep]
+alphas = 1.0
+betas = 1.0
+rule = {rule}
+sigma_values = 1.0, 2.0
+"""
+
 APPELL_INI = """
 [experiment]
 kind = appell
@@ -205,6 +216,28 @@ def test_threshold_sweep_runs(tmp_path):
     assert "above" in text
     assert text.startswith("# tool=graphlse")
     assert (out / "plot_results.py").exists()
+
+
+@pytest.mark.parametrize(
+    "rule, threshold, regime",
+    [("line-sigma-i", 1 / 16, "above"), ("line-sigma-ii", 1.0, "boundary"), ("line-sigma-iii", 1 / 16, "above")],
+)
+def test_threshold_sweep_line_rules(tmp_path, rule, threshold, regime):
+    # sigma_values are the amplitudes a = (1, 2), so sigma_- = 1 and sigma_+ = 1/4
+    code, out = run_main(tmp_path, LINE_SWEEP_INI.format(rule=rule))
+    assert code == 0
+    _, cols, rows = read_csv(out / "verdicts.csv")
+    vals = dict(zip(cols, rows[0]))
+    assert float(vals["threshold"]) == threshold
+    assert vals["regime"] == regime
+
+
+def test_threshold_sweep_line_rule_needs_sigma_values(tmp_path, capsys):
+    text = LINE_SWEEP_INI.format(rule="line-sigma-i").replace("sigma_values = 1.0, 2.0\n", "")
+    code, out = run_main(tmp_path, text)
+    assert code == 1
+    assert "config error: line rules need the coefficient" in capsys.readouterr().err
+    assert not list(out.glob("**/*.csv"))
 
 
 def test_appell_runs(tmp_path):

@@ -380,6 +380,20 @@ def test_checkpoint_roundtrip(tmp_path, star3):
     np.testing.assert_allclose(u0, out.values[0], atol=1e-15)
 
 
+def test_checkpoint_L_is_the_ray_truncation(tmp_path):
+    # the finite generation (50) is longer than the rays' truncation (30)
+    graph, grid = build_regular_tree([50.0], [2, 2], 30.0, 0.5)
+    path = tmp_path / "ck.csv"
+    write_checkpoint(GraphState.sample(graph, grid, gaussian()), path)
+    meta, _ = read_checkpoint(path)
+    assert meta["L"] == 30.0
+    assert math.isnan(meta["dt"])
+    # a graph without rays has no truncation length
+    segment = MetricGraph((0, 1), (Edge(0, 1, 2.0),)), GraphGrid(0.5, (2.0,))
+    write_checkpoint(GraphState.sample(*segment, gaussian()), path)
+    assert math.isnan(read_checkpoint(path)[0]["L"])
+
+
 def test_complex_potential_norm_drift_bounded(star3):
     # d/dt ||u||^2 = -2 Im<Vu, u> <= 2 sup|Im V| ||u||^2, so the norm can grow
     # at most like exp(t sup|Im V|); check a spatially varying complex V2

@@ -7,6 +7,7 @@ from graphlse import (
     EvolutionConfig,
     PiecewiseCoefficient,
     QuadratureDomainError,
+    SourceAtom,
     eta_profile,
     evolve_line_sigma,
     free_kernel,
@@ -16,6 +17,7 @@ from graphlse import (
     line_grid,
     solve_negative_halfline,
 )
+from graphlse import kernels
 from graphlse.exppoly import ef_recursion
 
 
@@ -149,6 +151,14 @@ def test_eta_reduces_to_two_step_psi_for_two_layers():
         s = invert_E(PiecewiseCoefficient((a1, a2), 1.0), 8)
         eta = eta_profile(s, u0)
         np.testing.assert_allclose(eta(y), two_layer_eta(u0, a1, a2)(y), atol=1e-13)
+
+
+def test_eta_refuses_a_psi_atom_on_the_negative_axis(monkeypatch, s121):
+    # every psi image interval lies in z >= 0; an atom reaching below it is refused
+    spill = SourceAtom(1.0, 1.0, -0.5, 0.0, 1.0)
+    monkeypatch.setattr(kernels, "_p_terms", lambda params, k: [spill])
+    with pytest.raises(AssertionError, match="spills onto the negative axis"):
+        eta_profile(s121)
 
 
 def test_two_step_psi_weights_sum_to_one():
