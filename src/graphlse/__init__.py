@@ -57,6 +57,7 @@ from .kernels import (
     free_kernel,
     kernel_h,
     kernel_p1k,
+    solve_line,
     solve_negative_halfline,
 )
 from .reduction import (

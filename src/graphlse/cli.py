@@ -35,7 +35,7 @@ from .evolution import (
 )
 from .exppoly import PiecewiseCoefficient, invert_E, write_series_csv
 from .graphs import GraphState, NormOverflowError, build_regular_tree, build_star, kirchhoff_residual, weighted_l2_norm
-from .kernels import QuadratureDomainError, solve_negative_halfline
+from .kernels import QuadratureDomainError, solve_line, solve_negative_halfline
 from .reduction import averaged_sums, fold_to_line, reduction_map, write_reduction_report
 from .uncertainty import (
     appell_transform,
@@ -95,7 +95,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
 _REQUIRED: dict[str, list[tuple[str, str]]] = {
     "simulate": [("time", "t_final"), ("time", "dt")],
     "kernel-compare": [("sigma", "values"), ("time", "t_final"), ("time", "dt")],
-    "sharpness": [("time", "dt")],
+    "sharpness": [],  # a star needs [time] dt; the two-step line ignores it
     "reduce-tree": [("graph", "type"), ("time", "t_final"), ("time", "dt")],
     "carleman": [],
     "appell": [("appell", "alpha"), ("appell", "beta")],
@@ -295,7 +295,6 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _run_sharpness(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
     if "sigma" in cfg.sections:
         vals = cfg.require("sigma", "values")
         if len(vals) != 2:
@@ -303,12 +302,15 @@ def _run_sharpness(cfg: ExperimentConfig, out: Path) -> list[Path]:
         ex = sharp_example_two_step(vals[0], vals[1])
         x = _line_nodes(cfg, 0.0125)
         u0 = ex.u0(x)
-        u1 = evolve_line_sigma(u0, ex.sigma, x, 1.0, ecfg)
+        # the exact solution map on the closed-form data, both rays; two
+        # layers have 1/E = 1, so the Wiener order does not matter
+        u1 = solve_line(ex.u0, (x[0], x[-1]), 1.0, x, ex.sigma, 0)
         family, side, rule_sigma = "two-step", "-inf", ("line-sigma-i", ex.sigma)
     else:
         gtype = cfg.get("graph", "type", "star")
         if gtype != "star":
             raise ConfigError(f"sharpness runs on a star or a two-layer line, not [graph] type = {gtype!r}")
+        ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
         n_edges = int(cfg.get("graph", "n_edges", 3))
         ex = sharp_example_star(float(cfg.get("initial", "alpha", 0.25)), n_edges)
         L, h = float(cfg.get("graph", "length", 40.0)), float(cfg.get("graph", "spacing", 0.0125))

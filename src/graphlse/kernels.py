@@ -6,16 +6,20 @@ Everything here is built from the free kernel
 
 the layered kernel h_t (a Wiener-series combination of copies of k_t shifted
 to the lattice points 2 l (m . a_mid) of ``exppoly.lattice_point``) and the
-first-row kernels p_t^{1,k} built from it.  The observation point stays on
-the leftmost layer (x <= 0); the solution there is the single free
-convolution (k_t * eta)(a_1 x) against a transported source profile eta,
-evaluated on a uniform lattice with one FFT.  One list of source atoms per
-layer k (``_p_terms``) holds the terms of p_t^{1,k}: ``kernel_p1k`` sums h_t
-over it, and ``eta_profile`` shifts the same atoms along the lattice to
-build eta.  The coefficient is the
-``PiecewiseCoefficient`` a Wiener series was inverted for (``series.params``).
-The right ray x >= (N-2) l is the left ray of the reversed coefficient
-under x' = (N-2) l - x, so the same solve serves it on reflected data.
+first-row kernels p_t^{1,k} built from it.  On the leftmost layer (x <= 0)
+the solution is the single free convolution (k_t * eta)(a_1 x) against a
+transported source profile eta, evaluated on a uniform lattice with one FFT;
+``EtaProfile.convolve`` samples eta from the initial data as a function with
+its support, so exact data is read at every lattice image and sampled data
+through its interpolant (``solve_negative_halfline``).  One list of source
+atoms per layer k (``_p_terms``) holds the terms of p_t^{1,k}: ``kernel_p1k``
+sums h_t over it, and ``eta_profile`` shifts the same atoms along the lattice
+to build eta.  The coefficient is the ``PiecewiseCoefficient`` a Wiener
+series was inverted for (``series.params``).  The right ray x >= (N-2) l is
+the left ray of the reversed coefficient under x' = (N-2) l - x, so
+``solve_line`` solves both rays of a whole line with the same convolution,
+the right one on reflected data; only first-row kernels exist, so points
+strictly between 0 and (N-2) l are refused.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exppoly import PiecewiseCoefficient, WienerSeries, alpha_prefactor, ef_recursion, lattice_point
+from .exppoly import PiecewiseCoefficient, WienerSeries, alpha_prefactor, ef_recursion, invert_E, lattice_point
 
 __all__ = [
     "SourceAtom",
@@ -36,11 +40,12 @@ __all__ = [
     "kernel_p1k",
     "eta_profile",
     "solve_negative_halfline",
+    "solve_line",
 ]
 
 
-# largest tail estimate of the sampled initial data, relative to its peak,
-# that solve_negative_halfline accepts
+# largest tail estimate of the initial data, relative to its peak, that
+# solve_negative_halfline and solve_line accept
 GUARD_TOL = 1e-6
 # most lattice points EtaProfile.convolve samples eta on (c07 needs 2563)
 MAX_LATTICE = 2**24
@@ -168,6 +173,14 @@ def kernel_p1k(k: int, t: float, x, y, series: WienerSeries) -> np.ndarray:
     return out
 
 
+def _grid_spacing(xs: np.ndarray, single: float) -> float:
+    """The spacing of the increasing uniform grid xs, or ``single`` when xs is one point."""
+    dx = (xs[-1] - xs[0]) / (len(xs) - 1) if len(xs) > 1 else single
+    if not dx > 0 or np.any(np.abs(np.diff(xs) - dx) > 1e-9 * dx):
+        raise ValueError("observation points must be increasing and uniformly spaced")
+    return dx
+
+
 @dataclass(frozen=True)
 class EtaProfile:
     """The transported source eta with (k_t * eta)(a_1 x) equal to the solution at x <= 0.
@@ -191,38 +204,32 @@ class EtaProfile:
             out += atom.eta_values(self.u0, y)
         return out
 
-    def convolve(self, t: float, x, u0_nodes: np.ndarray, u0_values: np.ndarray) -> np.ndarray:
+    def convolve(self, t: float, x, u0: Callable, support: tuple[float, float], spacing: float) -> np.ndarray:
         """(k_t * eta)(front_scale * x) on an increasing uniform grid x, as one lattice convolution.
 
         eta is sampled once on the lattice z_j = front_scale * x[0] + j dz with
-        dz = front_scale * dx / m, where dx is the spacing of x and
-        m = ceil(dx / smallest node spacing), so every m-th lattice point is an
-        observation point.  u0 is the linear interpolant of its samples and 0
-        outside the nodes; infinite source intervals end at the outer nodes.
-        The rectangle sum dz * sum_j k_t(X - z_j) eta(z_j) is one FFT product.
-        Raises ValueError, before any array is built, when eta's image spans
-        more than MAX_LATTICE lattice steps.
+        dz = front_scale * dx / m, where dx is the spacing of x (``spacing``
+        for a single point) and m = ceil(dx / spacing), so every m-th lattice
+        point is an observation point.  u0 is evaluated at the transported
+        lattice points and taken as 0 outside ``support`` = (lo, hi);
+        infinite source intervals end at the support ends.  The rectangle sum
+        dz * sum_j k_t(X - z_j) eta(z_j) is one FFT product.  Raises
+        ValueError, before any array is built, when eta's image spans more
+        than MAX_LATTICE lattice steps.
         """
         x = np.asarray(x, dtype=float)
         xs = x.ravel()
-        nodes = np.asarray(u0_nodes, dtype=float)
-        values = np.asarray(u0_values, dtype=complex)
+        lo, hi = support
         if xs.size == 0:
             raise ValueError("no observation points")
-        h = float(np.min(np.diff(nodes)))
-        dx = (xs[-1] - xs[0]) / (len(xs) - 1) if len(xs) > 1 else h
-        if not dx > 0 or np.any(np.abs(np.diff(xs) - dx) > 1e-9 * dx):
-            raise ValueError("observation points must be increasing and uniformly spaced")
-        m = math.ceil(dx / h - 1e-9)
+        dx = _grid_spacing(xs, spacing)
+        m = math.ceil(dx / spacing - 1e-9)
         dz = self.front_scale * dx / m
         z0 = self.front_scale * xs[0]
 
-        def u0(y):
-            return np.interp(y, nodes, values.real, 0.0, 0.0) + 1j * np.interp(y, nodes, values.imag, 0.0, 0.0)
-
         spans = []  # (atom, first, last lattice index of its clipped image)
         for atom in self.atoms:
-            y_lo, y_hi = max(atom.y_lo, nodes[0]), min(atom.y_hi, nodes[-1])
+            y_lo, y_hi = max(atom.y_lo, lo), min(atom.y_hi, hi)
             if y_lo < y_hi:
                 za, zb = sorted((atom.scale * y_lo + atom.shift, atom.scale * y_hi + atom.shift))
                 spans.append((atom, math.floor((za - z0) / dz), math.ceil((zb - z0) / dz)))
@@ -267,9 +274,17 @@ def eta_profile(series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
     return EtaProfile(tuple(atoms), front_scale=a1, u0=u0)
 
 
-def _tail_estimate(values, t, weight_sum) -> float:
-    mag = abs(values[0]) + abs(values[-1])
-    return mag * weight_sum / math.sqrt(4.0 * math.pi * abs(t))
+def _check_tail(values, t: float, series: WienerSeries) -> None:
+    """Raise QuadratureDomainError when the data's end samples, values[0] and
+    values[-1], are not small against its peak: the solve drops the data
+    beyond them."""
+    weight_sum = sum(abs(c) for c in series.coefficients.values()) + 1.0
+    scale = float(np.max(np.abs(values))) or 1.0
+    tail = (abs(values[0]) + abs(values[-1])) * weight_sum / math.sqrt(4.0 * math.pi * abs(t))
+    if tail > GUARD_TOL * scale:
+        raise QuadratureDomainError(
+            "initial data is not small at the sampled domain ends; enlarge the grid"
+        )
 
 
 def solve_negative_halfline(
@@ -283,7 +298,9 @@ def solve_negative_halfline(
     The coefficient is the one ``series`` was inverted for, ``series.params``.
     ``u0`` is (nodes, values) sampling the initial data on a grid that covers
     its support, and ``x_grid`` is uniformly spaced.  The solution is the
-    single lattice convolution (k_t * eta)(a_1 x) of ``EtaProfile.convolve``.
+    single lattice convolution (k_t * eta)(a_1 x) of ``EtaProfile.convolve``
+    on the linear interpolant of the samples, with the outer nodes as its
+    support and the smallest node spacing as the lattice spacing.
     Fails when the sampled data is visibly truncated (boundary samples too
     large for the requested accuracy).
     """
@@ -295,10 +312,62 @@ def solve_negative_halfline(
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid > 1e-12):
         raise ValueError("observation points must satisfy x <= 0")
-    weight_sum = sum(abs(c) for c in series.coefficients.values()) + 1.0
-    scale = float(np.max(np.abs(values))) or 1.0
-    if _tail_estimate(values, t, weight_sum) > GUARD_TOL * scale:
-        raise QuadratureDomainError(
-            "initial data is not small at the sampled domain ends; enlarge the grid"
-        )
-    return eta_profile(series).convolve(t, x_grid, nodes, values)
+    _check_tail(values, t, series)
+
+    def interpolant(y):
+        return np.interp(y, nodes, values.real, 0.0, 0.0) + 1j * np.interp(y, nodes, values.imag, 0.0, 0.0)
+
+    return eta_profile(series).convolve(t, x_grid, interpolant, (nodes[0], nodes[-1]), float(np.min(np.diff(nodes))))
+
+
+def solve_line(
+    u0: Callable,
+    support: tuple[float, float],
+    t: float,
+    x,
+    params: PiecewiseCoefficient,
+    order: int,
+) -> np.ndarray:
+    """Solution of the layered line problem at time t on an increasing uniform grid x, from data as a function.
+
+    ``u0(y)`` is the initial data, taken as 0 outside ``support`` = (lo, hi),
+    and is evaluated at every lattice image, so no interpolant enters.  Points
+    x <= 0 are the left ray, (k_t * eta)(a_1 x) for the series of ``params``
+    inverted to ``order``.  Points x >= (N-2) l are the right ray: under
+    x' = (N-2) l - x they are the left ray of the reversed coefficient with
+    data u0((N-2) l - y), solved the same way and flipped back.  The lattice
+    spacing is the spacing of x.  Raises ValueError for a point strictly
+    inside (0, (N-2) l), where the first-row kernels do not reach, and
+    QuadratureDomainError when |u0| at the support ends is not small against
+    its peak on the support, sampled at that spacing.
+    """
+    if t == 0:
+        raise ValueError("representation is for t != 0")
+    lo, hi = (float(v) for v in support)
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"support ({lo}, {hi}) must be a finite interval")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) < 2:
+        raise ValueError("observation points must be a grid of at least two points")
+    dx = _grid_spacing(x, math.nan)
+    edge = (params.n_layers - 2) * params.l
+    tol = 1e-9 * max(1.0, abs(edge))
+    left = x <= tol
+    right = ~left & (x >= edge - tol)
+    if not np.all(left | right):
+        raise ValueError(f"observation points strictly inside (0, {edge}) need kernels beyond the first row")
+    n_support = math.ceil((hi - lo) / dx) + 1
+    if n_support > MAX_LATTICE:
+        raise ValueError(f"the support needs {n_support} samples at the grid spacing, more than {MAX_LATTICE}")
+    values = u0(np.linspace(lo, hi, n_support))
+    out = np.empty(len(x), dtype=complex)
+    if left.any():
+        series = invert_E(params, order)
+        _check_tail(values, t, series)
+        out[left] = eta_profile(series).convolve(t, x[left], u0, (lo, hi), dx)
+    if right.any():
+        series = invert_E(PiecewiseCoefficient(params.a[::-1], params.l), order)
+        _check_tail(values, t, series)
+        reflected = eta_profile(series).convolve(t, edge - x[right][::-1], lambda y: u0(edge - y), (edge - hi, edge - lo), dx)
+        out[right] = reflected[::-1]
+    return out

@@ -30,6 +30,20 @@ alpha = 0.25
 dt = 0.002
 """
 
+# the two-layer line family: its u(1, .) is the exact kernel solve, which reads no dt
+TWO_STEP_INI = """
+[experiment]
+kind = sharpness
+
+[sigma]
+values = 1.0, 2.0
+length = 30.0
+grid_spacing = 0.025
+
+[time]
+dt = 0.001
+"""
+
 SWEEP_INI = """
 [experiment]
 kind = threshold-sweep
@@ -529,25 +543,48 @@ def test_simulate_line_sigma(tmp_path):
 
 
 def test_sharpness_two_step_kind(tmp_path):
-    text = """
-[experiment]
-kind = sharpness
-
-[sigma]
-values = 1.0, 2.0
-length = 30.0
-grid_spacing = 0.025
-
-[time]
-dt = 0.001
-"""
-    code, out = run_main(tmp_path, text)
+    code, out = run_main(tmp_path, TWO_STEP_INI)
     assert code == 0
     lines = [l for l in (out / "sharpness.csv").read_text().splitlines() if not l.startswith("#")]
     vals = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert vals["family"] == "two-step"
     assert float(vals["solver_vs_closed_rel_l2"]) <= 5e-3
     assert abs(float(vals["product"]) - 1.0 / 16.0) <= 0.10 / 16.0
+
+
+def test_sharpness_two_step_is_the_exact_solution(tmp_path):
+    # the kernel on the closed-form data leaves only round-off against u(1, .),
+    # so the fitted rate sits on its target alpha / 16 = 1/16
+    code, out = run_main(tmp_path, TWO_STEP_INI)
+    assert code == 0
+    _, columns, rows = read_csv(out / "sharpness.csv")
+    assert float(rows[0][columns.index("solver_vs_closed_rel_l2")]) <= 1e-10
+    meta, _, _ = read_csv(out / "decay_profile.csv")
+    assert abs(float(meta["beta_hat"]) - 1.0 / 16.0) <= 1e-9
+
+
+def test_sharpness_two_step_ignores_dt(tmp_path):
+    # a two-step run builds no stepper: without [time] it writes what it
+    # writes with dt, apart from the config hash and the timestamp
+    def body(path):
+        return [l for l in path.read_text().splitlines() if not l.startswith(("# config_sha256=", "# timestamp="))]
+
+    without = TWO_STEP_INI.replace("[time]\ndt = 0.001\n", "")
+    assert "[time]" not in without
+    (tmp_path / "dt").mkdir()
+    (tmp_path / "no_dt").mkdir()
+    code_dt, out_dt = run_main(tmp_path / "dt", TWO_STEP_INI)
+    code, out = run_main(tmp_path / "no_dt", without)
+    assert code_dt == code == 0
+    for name in ("sharpness.csv", "decay_profile.csv"):
+        assert body(out / name) == body(out_dt / name)
+
+
+def test_sharpness_star_needs_dt(tmp_path, capsys):
+    code, out = run_main(tmp_path, SHARPNESS_INI.replace("[time]\ndt = 0.002\n", ""))
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "config error: missing required key [time] dt"
+    assert not list(out.glob("*.csv"))
 
 
 # one config per kind, and both simulate variants; every CSV must carry the

@@ -1,4 +1,11 @@
-"""What a fresh process imports (no scipy until the first stepper, then only scipy's _fblas extension module), and the public surface."""
+"""What a fresh process imports (no scipy until the first stepper, then only scipy's _fblas extension module), and the public surface.
+
+Per kind: threshold-sweep, appell and carleman never step; a sharpness run
+on a free star is one FFT pair and on a two-step line the exact kernel
+solve, so neither builds a stepper or loads scipy.  kernel-compare,
+reduce-tree and simulate on a line step with the Cayley core and load
+scipy's _fblas alone.
+"""
 import json
 import pkgutil
 import subprocess
@@ -16,6 +23,7 @@ from test_cli import (
     SHARPNESS_INI,
     SWEEP_INI,
     TREE_INI,
+    TWO_STEP_INI,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,11 +70,15 @@ FBLAS = ["scipy.linalg._fblas"]
         (SWEEP_INI, []),
         (APPELL_INI, []),
         (SHARPNESS_INI, []),  # a free star is one FFT pair and builds no stepper
+        (TWO_STEP_INI, []),  # the exact kernel solve builds no stepper
         (KERNEL_INI, FBLAS),
         (TREE_INI, FBLAS),
         (LINE_SIMULATE_INI, FBLAS),
     ],
-    ids=["threshold-sweep", "appell", "sharpness-star", "kernel-compare", "reduce-tree", "simulate-line"],
+    ids=[
+        "threshold-sweep", "appell", "sharpness-star", "sharpness-two-step", "kernel-compare", "reduce-tree",
+        "simulate-line",
+    ],
 )
 def test_cli_run_loads_at_most_scipy_fblas(tmp_path, ini, scipy):
     (tmp_path / "exp.ini").write_text(ini)

@@ -15,14 +15,22 @@ from graphlse import (
     kernel_h,
     kernel_p1k,
     line_grid,
+    solve_line,
     solve_negative_halfline,
 )
 from graphlse import kernels
 from graphlse.exppoly import ef_recursion
+from graphlse.uncertainty import sharp_example_two_step
 
 
 def rel_l2(u, v, x):
     return float(np.sqrt(np.trapezoid(np.abs(u - v) ** 2, x) / np.trapezoid(np.abs(v) ** 2, x)))
+
+
+def interpolant(nodes, values):
+    """The linear interpolant of the samples, 0 outside the nodes: the data
+    ``solve_negative_halfline`` hands to ``EtaProfile.convolve``."""
+    return lambda y: np.interp(y, nodes, values.real, 0.0, 0.0) + 1j * np.interp(y, nodes, values.imag, 0.0, 0.0)
 
 
 def dense_oracle(u0f, t, xs, series, h, reach):
@@ -187,15 +195,6 @@ def test_eta_equal_layers_identity(n):
     np.testing.assert_allclose(eta_profile(s, u0)(y), u0(y / 1.3), atol=1e-14)
 
 
-def right_ray(u0f, t, x, quad, sigma, order):
-    """The solution on x >= (N-2) l, by reflection: x' = (N-2) l - x maps the
-    right ray onto the left ray of the reversed coefficient, with data
-    u0((N-2) l - y)."""
-    edge = (sigma.n_layers - 2) * sigma.l
-    series = invert_E(PiecewiseCoefficient(sigma.a[::-1], sigma.l), order)
-    return solve_negative_halfline((quad, u0f(edge - quad)), t, edge - x[::-1], series)[::-1]
-
-
 @pytest.mark.parametrize(
     "a, center, sides",
     [((1.0, 2.0), 0.0, ("left", "right")), ((1.0, 2.0, 1.0), 4.0, ("right",))],
@@ -211,12 +210,45 @@ def test_right_ray_by_reflection_vs_fd(a, center, sides):
     edge = (sigma.n_layers - 2) * sigma.l
     if "right" in sides:
         sel = (nodes >= edge) & (nodes <= edge + 12)
-        upos = right_ray(u0, 1.0, nodes[sel], quad, sigma, 24)
+        upos = solve_line(u0, (-40.0, 40.0), 1.0, nodes[sel], sigma, 24)
         assert rel_l2(upos, fd[sel], nodes[sel]) <= 1e-3
     if "left" in sides:
         sel = (nodes <= 0) & (nodes >= -12)
         uneg = solve_negative_halfline((quad, u0(quad)), 1.0, nodes[sel], invert_E(sigma, 24))
         assert rel_l2(uneg, fd[sel], nodes[sel]) <= 1e-3
+
+
+@pytest.mark.parametrize("a1, a2", TWO_LAYER_ORDERS)
+def test_solve_line_two_step_family_is_exact(a1, a2):
+    # the closed-form data at every lattice image leaves round-off (about
+    # 1e-14) against u(1, .) on both rays
+    ex = sharp_example_two_step(a1, a2)
+    x = line_grid(20.0, 20.0, 0.02)
+    u = solve_line(ex.u0, (x[0], x[-1]), 1.0, x, ex.sigma, 8)
+    for ray in (x <= 0, x >= 0):
+        assert rel_l2(u[ray], ex.u1(x[ray]), x[ray]) <= 1e-10
+
+
+def test_solve_line_refuses_points_between_the_rays(p121):
+    # (0, l) is the middle layer of three, where no first-row kernel reaches
+    u0 = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
+    with pytest.raises(ValueError, match=r"strictly inside \(0, 1.0\)"):
+        solve_line(u0, (-30.0, 30.0), 1.0, line_grid(5.0, 5.0, 0.25), p121, 8)
+    # a grid that steps over the middle layer, both ends on it, is solved
+    assert np.all(np.isfinite(solve_line(u0, (-30.0, 30.0), 1.0, line_grid(5.0, 5.0, 1.0), p121, 8)))
+
+
+def test_solve_line_refuses_a_support_beyond_the_lattice_cap(p121):
+    # the guard samples the support at the grid spacing; 2e8 samples are refused before any is taken
+    with pytest.raises(ValueError, match="more than"):
+        solve_line(lambda y: np.exp(-np.asarray(y) ** 2), (-1e6, 1e6), 1.0, np.linspace(-1.0, 0.0, 101), p121, 8)
+
+
+def test_solve_line_rejects_truncated_data(p121):
+    # a Gaussian cut off at its support: the data dropped beyond the ends is not small
+    u0 = lambda y: np.exp(-((np.asarray(y) + 1.0) ** 2))
+    with pytest.raises(QuadratureDomainError):
+        solve_line(u0, (-2.0, 2.0), 1.0, np.linspace(-5.0, 0.0, 101), p121, 8)
 
 
 def test_solve_constant_coefficient_matches_closed_form():
@@ -265,7 +297,7 @@ def test_p_route_equals_eta_route(p121, s121):
     u0f = lambda y: np.exp(-((np.asarray(y) + 2.0) ** 2) * 0.8)
     nodes = line_grid(30.0, 30.0, 0.05)
     xs = np.linspace(-12.0, 0.0, 61)
-    route_eta = eta_profile(s121, u0f).convolve(1.0, xs, nodes, u0f(nodes))
+    route_eta = eta_profile(s121, u0f).convolve(1.0, xs, interpolant(nodes, u0f(nodes)), (nodes[0], nodes[-1]), 0.05)
     np.testing.assert_array_equal(solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121), route_eta)
     route_p = dense_oracle(u0f, 1.0, xs, s121, h=0.01, reach=12.0)
     assert rel_l2(route_eta, route_p, xs) <= 5e-5
@@ -290,11 +322,12 @@ def test_convolve_grid_rules(p121, s121):
     nodes = line_grid(20.0, 20.0, 0.05)
     eta = eta_profile(s121)
     xs = nodes[(nodes >= -5.0) & (nodes <= 0.0)]
-    full = eta.convolve(1.0, xs, nodes, u0f(nodes))
-    np.testing.assert_allclose(eta.convolve(1.0, xs[[40]], nodes, u0f(nodes)), full[[40]], rtol=1e-12)
+    support = (nodes[0], nodes[-1])
+    full = eta.convolve(1.0, xs, u0f, support, 0.05)
+    np.testing.assert_allclose(eta.convolve(1.0, xs[[40]], u0f, support, 0.05), full[[40]], rtol=1e-12)
     for bad in (np.array([-2.0, -1.0, -0.5]), xs[::-1]):
         with pytest.raises(ValueError, match="uniformly spaced"):
-            eta.convolve(1.0, bad, nodes, u0f(nodes))
+            eta.convolve(1.0, bad, u0f, support, 0.05)
 
 
 def test_solve_rejects_truncated_data(s121):
@@ -345,7 +378,7 @@ def test_eta_support_and_route_consistency_random_configs():
         qnodes = line_grid(24.0, 24.0, 0.1)
         xs = np.linspace(-8.0, 0.0, 17)
         eta = eta_profile(series, u0f)
-        route_eta = eta.convolve(1.0, xs, qnodes, u0f(qnodes))
+        route_eta = eta.convolve(1.0, xs, interpolant(qnodes, u0f(qnodes)), (qnodes[0], qnodes[-1]), 0.1)
         # breakpoints fall between the h = 0.1 nodes: the lattice path errs by
         # 1.6e-4 to 2.0e-4, the oracle at h = 0.01 by about 2e-6
         route_p = dense_oracle(u0f, 1.0, xs, series, h=0.01, reach=10.0)
