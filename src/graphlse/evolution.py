@@ -59,6 +59,21 @@ eps max|u|, not exact zeros.  Other graphs, and stars with unequal rays or
 per-edge potentials, step the vertex system, which stays the oracle of the
 mode system.
 
+A line (always free of potentials) takes no steps one by one either when
+it has at most ``_MAX_INTERFACES`` interfaces, the nodes where the cell's
+(sigma, dx) changes.  Each layer between two interfaces is a uniform chain,
+whose steps are diagonal in its sine basis, so the only unknowns left are
+the interface values.  The rows of A at the interfaces, with each layer row
+next to one written as its free trace plus its response to the earlier
+interface values, are a recurrence with the same coefficients at every
+step.  Its solution is one FFT convolution per run of up to ``_SEGMENT``
+steps, after which each layer takes all the run's steps at once
+(``_free_line``).  Sums of powers of each layer's step factors, a few
+matrix products, replace nsteps sweeps of the whole line, so such runs
+build no stepper and load no scipy.  Lines with more interfaces, or with
+cells whose widths vary inside a layer, step the Cayley core, which stays
+the oracle of this path.
+
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
 potential act as an exact gauge factor; the half-steps of a static potential
@@ -807,9 +822,254 @@ def _cell_sigma(sigma, nodes) -> np.ndarray:
     arr = np.asarray(sigma, dtype=float)
     if arr.shape != (len(nodes) - 1,):
         raise ValueError("per-cell sigma must have one value per grid cell")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sigma must be finite")
     if np.any(arr <= 0):
         raise ValueError("sigma must be positive")
     return arr
+
+
+# A free line with more interfaces than this steps the Cayley core instead of
+# taking the whole run at once (``_free_line``), whose vertex response costs
+# about p^3 _SEGMENT^2 / 2 for p interfaces.  Measured on a 2-core x86 VM with
+# one BLAS thread, 2000 steps: on a 4001-node line the whole run took 15-30%
+# of the stepped time with 1 to 4 interfaces, 55% with 6 and 80-95% with 8;
+# on a 201-node line 78-85% with 2 and 1.4-1.5 times with 4.  c07's line has
+# 2 interfaces and the depth-2 fold of a binary tree 4.
+_MAX_INTERFACES = 4
+# Steps per segment of ``_free_line``: the vertex response is computed once
+# for this many steps, and longer runs restart from the state at each end.
+_SEGMENT = 1024
+# Entries (16 bytes each) of the largest array of powers that ``_free_line`` holds.
+_BLOCK = 16384
+
+
+def _sine(v: np.ndarray) -> np.ndarray:
+    """a_j = sum_k sin(pi j k / (m + 1)) v_k for j, k = 1..m: the FFT of the odd extension.
+
+    Its own inverse up to the factor 2 / (m + 1).
+    """
+    m = len(v)
+    z = np.zeros(2 * (m + 1), dtype=complex)
+    z[1 : m + 1] = v
+    z[m + 2 :] = -v[::-1]
+    return 0.5j * np.fft.fft(z)[1 : m + 1]
+
+
+def _powers(mu: np.ndarray, k: int) -> np.ndarray:
+    """mu^0 .. mu^(k-1), one row each, by doubling."""
+    out = np.empty((k, len(mu)), dtype=complex)
+    out[0] = 1.0
+    n = 1
+    while n < k:
+        np.multiply(out[: min(n, k - n)], mu if n == 1 else out[n - 1] * mu, out=out[n : 2 * n])
+        n *= 2
+    return out
+
+
+def _power_blocks(mu: np.ndarray, nterms: int):
+    """(cols, near, far) over blocks of columns of mu, with near[b] = mu^b and far[i] = mu^(i len(near)).
+
+    Power r < nterms is near[r % len(near)] * far[r // len(near)], both about
+    sqrt(nterms) rows, and neither holds more than ``_BLOCK`` entries.
+    """
+    inner = math.isqrt(max(nterms - 1, 0)) + 1
+    outer = -(-nterms // inner)
+    size = max(1, _BLOCK // max(inner, outer))
+    for j in range(0, len(mu), size):
+        cols = slice(j, j + size)
+        near = _powers(mu[cols], inner)
+        yield cols, near, _powers(near[-1] * mu[cols], outer)
+
+
+def _power_sums(mu: np.ndarray, weights: np.ndarray, nterms: int) -> np.ndarray:
+    """sum_j mu_j^r weights_j for r < nterms, one matrix product per block of powers."""
+    out = np.zeros(nterms, dtype=complex)
+    for cols, near, far in _power_blocks(mu, nterms):
+        out += (near @ (far.T * weights[cols, None])).T.reshape(-1)[:nterms]
+    return out
+
+
+def _power_poly(mu: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_r coeffs_r mu_j^r for every j, one matrix product per block of powers."""
+    out = np.empty(len(mu), dtype=complex)
+    for cols, near, far in _power_blocks(mu, len(coeffs)):
+        padded = np.zeros(len(near) * len(far), dtype=complex)
+        padded[: len(coeffs)] = coeffs
+        out[cols] = np.einsum("ji,ij->j", near.T @ padded.reshape(len(far), len(near)).T, far)
+    return out
+
+
+class _Layer:
+    """The interior rows of one uniform layer in its sine basis: m rows, coupling g = (dt/2) sigma / h^2.
+
+    With a = _sine(rows) and vertex values entering as q = s_next + s at
+    each end, one Cayley step is a_next = mu a + beta S_1 (q_first +- q_last),
+    + for odd j, - for even, where S_1 = sin(pi j / (m + 1)) is the sine
+    mode at the first row (at the last it is (-1)^(j+1) S_1), mu = (i + g
+    lam) / (i - g lam) = exp(-2i arctan(g lam)), beta = -g / (i - g lam) and
+    lam = 4 sin^2(pi j / 2(m + 1)).  A row next to a vertex reads 2 / (m +
+    1) S_1 a (with the sign at the last row), so every sum over the modes
+    splits into one over odd j and one over even j.
+    """
+
+    def __init__(self, rows: np.ndarray, g: float):
+        m = len(rows)
+        j = np.arange(1, m + 1)
+        lam = 4.0 * np.sin(np.pi * j / (2 * (m + 1))) ** 2
+        self.theta = np.arctan(g * lam)
+        self.mu = np.exp(-2j * self.theta)
+        self.beta = -g / (1j - g * lam)
+        self.edge = np.sin(np.pi * j / (m + 1))
+        self.coef = _sine(rows)
+
+    def _ends(self, weights, nterms):
+        """(first, last): sum_j mu_j^r (2 / (m + 1)) S_1 weights_j at the first and last row, r < nterms."""
+        w = (2.0 / (len(self.mu) + 1)) * self.edge * weights
+        odd = _power_sums(self.mu[0::2], w[0::2], nterms)
+        even = _power_sums(self.mu[1::2], w[1::2], nterms)
+        return odd + even, odd - even
+
+    def response(self, nterms):
+        """The rows next to the vertices r free steps after the step a unit q enters at the first vertex, r < nterms.
+
+        (first row, last row); by symmetry, a unit q at the last vertex gives
+        the same pair swapped.
+        """
+        return self._ends(self.edge * self.beta, nterms)
+
+    def traces(self, nterms):
+        """The rows next to the vertices after r free steps from the current state, r < nterms: (first row, last row)."""
+        return self._ends(self.coef, nterms)
+
+    def advance(self, nsteps, q=None):
+        """nsteps steps, the vertices entering as q[k] = (first, last) at step k (None: both zero)."""
+        coef = np.exp(-2j * nsteps * self.theta) * self.coef
+        if q is not None:
+            kick = np.empty(len(self.mu), dtype=complex)
+            kick[0::2] = _power_poly(self.mu[0::2], q[::-1, 0] + q[::-1, 1])
+            kick[1::2] = _power_poly(self.mu[1::2], q[::-1, 0] - q[::-1, 1])
+            coef += self.beta * self.edge * kick
+        self.coef = coef
+
+    def values(self) -> np.ndarray:
+        """The interior rows of the current state."""
+        return (2.0 / (len(self.mu) + 1)) * _sine(self.coef)
+
+
+def _series_inverse(T: np.ndarray) -> np.ndarray:
+    """Z with sum_{k <= r} T[k] Z[r - k] = (r == 0) I for r < len(T), term by term.
+
+    One (p, r p) @ (r p, p) product per term: unlike a Newton iteration on
+    FFT products, it stays within rounding of the recurrence it inverts.
+    """
+    n, p = T.shape[:2]
+    head = -np.linalg.inv(T[0])
+    scaled = head @ T.transpose(1, 0, 2).reshape(p, n * p)  # -T[0]^{-1} T[k] in columns k p .. (k + 1) p
+    back = np.zeros((n * p, p), dtype=complex)  # Z[k] in rows (n - 1 - k) p ..
+    back[(n - 1) * p :] = -head
+    for r in range(1, n):
+        back[(n - 1 - r) * p : (n - r) * p] = scaled[:, p : (r + 1) * p] @ back[(n - r) * p :]
+    return back.reshape(n, p, p)[::-1]
+
+
+def _free_line(u0: np.ndarray, cells: np.ndarray, nodes: np.ndarray, dt: float, nsteps: int) -> np.ndarray | None:
+    """``nsteps`` Cayley steps of a line with no potential, layer by layer in sine bases; None if it does not qualify.
+
+    The line splits at the interfaces, the nodes where the cell's (sigma, dx)
+    changes.  A width counts as unchanged within 8 eps of the largest |node|,
+    the rounding of the node coordinates, and each layer, a run of cells
+    between two splits, is taken as uniform with its length over its cell
+    count as spacing.  A line qualifies with at most ``_MAX_INTERFACES``
+    interfaces and no layer whose widths spread wider than that.
+
+    The harmonic ramp between the two Dirichlet values (K ramp = 0 inside) is
+    a fixed point of the step, so the rest v is stepped with zero ends.  The
+    interior rows of each layer are a ``_Layer``; the unknowns left are the
+    interface values s.  Their rows of A (u_next + u) = 2iM u, with the
+    layer row next to each written as its free trace plus its response to
+    the earlier q = s_next + s, read sum_{k <= n} R[n - k] q^k = 2iM s^n -
+    (free traces): R[0] is the interface rows of A with the layer responses
+    at lag 0, R[r] the responses at lag r.  With x^n = s^(n+1), q^n = x^n +
+    x^(n-1), this is sum_{k <= n} U[n - k] x^k = b^n with U[r] = R[r] +
+    R[r - 1] - 2iM (r == 1), the same at every step, and b^n from the free
+    traces and s^0.  The inverse Z of U (``_series_inverse``) solves a run of
+    up to ``_SEGMENT`` steps as one FFT convolution, x = Z * b; each layer
+    then takes the run's steps at once (``_Layer.advance``), and a longer run
+    restarts from there with the same Z.  Like ``_free_modes``, the rows
+    hold round-off of about eps max|u| where the stepped core keeps zeros.
+    """
+    if nsteps == 0:
+        return u0.copy()
+    n = len(nodes)
+    dx = np.diff(nodes)
+    tol = 8.0 * np.finfo(float).eps * max(abs(nodes[0]), abs(nodes[-1]))
+    splits = np.flatnonzero((cells[1:] != cells[:-1]) | (np.abs(np.diff(dx)) > tol)) + 1
+    ends = np.concatenate([[0], splits, [n - 1]])
+    p = len(splits)  # interface k sits between layers k and k + 1
+    if p > _MAX_INTERFACES or np.any(np.maximum.reduceat(dx, ends[:-1]) - np.minimum.reduceat(dx, ends[:-1]) > tol):
+        return None
+    h = np.diff(nodes[ends]) / np.diff(ends)
+    w = cells[ends[:-1]] / h  # each layer's coupling sigma / h
+    resist = np.concatenate([[0.0], np.cumsum(np.repeat(1.0 / w, np.diff(ends)))])
+    ramp = u0[0] + (u0[-1] - u0[0]) * (resist / resist[-1])
+    v = u0 - ramp
+    s = v[splits]
+    alpha = (dt / 2.0) * w  # the entry of A between a vertex and the layer row next to it
+    spans = list(zip(ends[:-1], ends[1:]))
+    layers = [_Layer(v[a + 1 : b], alpha[k] / h[k]) if b > a + 1 else None for k, (a, b) in enumerate(spans)]
+    seg = min(nsteps, _SEGMENT) if p else nsteps
+    if p:
+        mass = 0.5 * (h[:-1] + h[1:])
+        R = np.zeros((seg, p, p), dtype=complex)
+        at = np.arange(p)
+        R[0, at, at] = 1j * mass - (dt / 2.0) * (w[:-1] + w[1:])
+        for k, layer in enumerate(layers):
+            pairs = [(x, y) for x, y in ((k - 1, k), (k, k - 1)) if 0 <= x < p]  # (interface, the one across)
+            if layer is None:  # one cell: the two vertices are neighbours
+                if len(pairs) == 2:
+                    R[0, k - 1, k] = R[0, k, k - 1] = alpha[k]
+                continue
+            same, cross = layer.response(seg)
+            same[1:] += same[:-1].copy()  # the layer row at two successive steps, as q is
+            cross[1:] += cross[:-1].copy()
+            for x, y in pairs:
+                R[:, x, x] += alpha[k] * same
+                if 0 <= y < p:
+                    R[:, x, y] += alpha[k] * cross
+        U = R.copy()
+        U[1:] += R[:-1]
+        U[1, at, at] -= 2j * mass
+        Zf = np.fft.fft(_series_inverse(U), 2 * seg, axis=0)
+    done = 0
+    while done < nsteps:
+        run = min(seg, nsteps - done)
+        q = None
+        if p:
+            rhs = -(R[:run] @ s)
+            rhs[0] += 2j * mass * s
+            for k, layer in enumerate(layers):
+                if layer is not None:
+                    for x, f in zip((k - 1, k), layer.traces(run + 1)):
+                        if 0 <= x < p:
+                            rhs[:, x] -= alpha[k] * (f[1:] + f[:-1])
+            x = np.fft.ifft(np.einsum("fab,fb->fa", Zf, np.fft.fft(rhs, 2 * seg, axis=0)), axis=0)[:run]
+            q = np.zeros((run, p + 2), dtype=complex)  # column k + 1 is interface k; the Dirichlet ends keep q = 0
+            q[:, 1:-1] = x
+            q[0, 1:-1] += s
+            q[1:, 1:-1] += x[:-1]
+            s = x[-1]
+        for k, layer in enumerate(layers):
+            if layer is not None:
+                layer.advance(run, None if q is None else q[:, k : k + 2])
+        done += run
+    out = ramp.astype(complex)
+    for (a, b), layer in zip(spans, layers):
+        if layer is not None:
+            out[a + 1 : b] += layer.values()
+    out[splits] += s
+    out[0], out[-1] = u0[0], u0[-1]
+    return out
 
 
 def evolve_line_sigma(
@@ -823,24 +1083,32 @@ def evolve_line_sigma(
 
     ``nodes`` may be non-uniform; for a PiecewiseCoefficient every breakpoint
     must be a node, which keeps the discrete flux sigma u_x continuous across
-    the jumps without special cases.
+    the jumps without special cases.  A line with at most
+    ``_MAX_INTERFACES`` interfaces takes the whole run at once
+    (``_free_line``); other lines step the Cayley core.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or len(nodes) < 5:
         raise ValueError("need a 1-D grid with at least 5 nodes")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("grid nodes must be finite")
     if np.any(np.diff(nodes) <= 0):
         raise ValueError("grid nodes must be strictly increasing")
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != nodes.shape:
         raise ValueError("u0 must be sampled on the grid nodes")
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("the state to evolve contains NaN or infinity")
     cells = _cell_sigma(sigma, nodes)
     nsteps = _n_steps(t_final, cfg.dt)
-    dx = np.diff(nodes)
-    n = len(nodes)
-    pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     dt_signed = math.copysign(cfg.dt, t_final) if t_final != 0 else cfg.dt
-    stepper = _cayley_stepper(n, (pairs, cells / dx, dx), dt_signed, np.array([0, n - 1]))
-    u = _steps(u0.copy(), stepper, nsteps)
+    u = _free_line(u0, cells, nodes, dt_signed, nsteps)
+    if u is None:
+        dx = np.diff(nodes)
+        n = len(nodes)
+        pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        stepper = _cayley_stepper(n, (pairs, cells / dx, dx), dt_signed, np.array([0, n - 1]))
+        u = _steps(u0.copy(), stepper, nsteps)
     if cfg.boundary_guard is not None:
         cutL = nodes[0] * cfg.boundary_guard if nodes[0] < 0 else nodes[0]
         cutR = nodes[-1] * cfg.boundary_guard if nodes[-1] > 0 else nodes[-1]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .carleman import alpha_vectors, membership_residual, sample_zcomp
-from .evolution import EvolutionConfig, evolve_graph
+from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma, line_grid
 from .evolution import (
     _cayley_stepper,
     _evolve_graph,
@@ -17,6 +17,7 @@ from .evolution import (
     _pack_graph,
     _pack_state,
     _star_modes,
+    _steps,
     _Window,
 )
 from .exppoly import PiecewiseCoefficient, chain_lower_entries, chain_product, determinant_product, ef_recursion, invert_E
@@ -78,6 +79,19 @@ def check_star_modes() -> bool:
         err = max(float(np.max(np.abs(a - b))) for a, b in zip(modes.values, vertex.values))
         ok = ok and _star_modes(st, V1, None) and err <= 1e-12 * scale
     return ok
+
+
+def check_free_line() -> bool:
+    """A layered line's whole run at once against the stepped Cayley core, with nonzero Dirichlet ends."""
+    nodes = line_grid(5.0, 5.0, 0.05)
+    cells = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0).sigma_at(0.5 * (nodes[:-1] + nodes[1:]))
+    u0 = np.exp(-((nodes + 1.0) ** 2)) * (1.0 + 0.5j * nodes) + 0.1 * (1.0 + nodes / 5.0)
+    n = len(nodes)
+    pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    step = _cayley_stepper(n, (pairs, cells / np.diff(nodes), np.diff(nodes)), 1e-3, np.array([0, n - 1]))
+    want = _steps(u0.copy(), step, 100)
+    got = evolve_line_sigma(u0, cells, nodes, 0.1, EvolutionConfig(dt=1e-3, boundary_guard=None))
+    return float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
 
 
 def check_chain_identities() -> bool:
@@ -147,10 +161,10 @@ def check_alpha_vectors() -> bool:
 
 
 _CHECKS = {
-    "simulate": [check_unitarity, check_windowed_core, check_star_modes],
-    "kernel-compare": [check_chain_identities, check_wiener, check_kernel_free_limit, check_windowed_core],
+    "simulate": [check_unitarity, check_windowed_core, check_star_modes, check_free_line],
+    "kernel-compare": [check_chain_identities, check_wiener, check_kernel_free_limit, check_windowed_core, check_free_line],
     "sharpness": [check_unitarity, check_windowed_core, check_star_modes, check_decay_fit],
-    "reduce-tree": [check_unitarity, check_windowed_core, check_reduction_sigma],
+    "reduce-tree": [check_unitarity, check_windowed_core, check_reduction_sigma, check_free_line],
     "carleman": [check_alpha_vectors],
     "appell": [check_appell_roundtrip],
     "threshold-sweep": [check_decay_fit],

@@ -189,7 +189,9 @@ def test_c06_star_sharpness(alpha):
 
 def test_c07_representation_cross_check():
     """Three-layer line: transfer-kernel solution equals the independent
-    finite-difference solution on [-20, 0] at t=1 to 1e-2 relative L2."""
+    finite-difference solution on [-20, 0] at t=1 to 1e-2 relative L2.
+    The FD run is the free line's whole run at once, which the evolution
+    tests pin to the stepped Cayley core."""
     t0 = time.time()
     sigma = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0)
     u0 = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
@@ -207,7 +209,10 @@ def test_c07_representation_cross_check():
 
 def test_c08_tree_reduction_diagram():
     """Binary tree, one interior generation: folding commutes with evolution
-    to 2e-2 relative L2 at t=0.3, with the step coefficient (1, 1/4, 1/4, 1)."""
+    to 2e-2 relative L2 at t=0.3, with the step coefficient (1, 1/4, 1/4, 1).
+    The two sides run different implementations: fold-then-evolve is the
+    free line's whole run at once, evolve-then-fold steps the tree's vertex
+    system."""
     t0 = time.time()
     graph, grid = build_regular_tree([1.0], [2, 2], 30.0, 0.02)
     rmap = reduction_map(graph)

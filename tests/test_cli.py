@@ -449,6 +449,16 @@ def test_verify_checks_star_modes_for_star_kinds(tmp_path, capsys):
     assert "PASS check_star_modes" in capsys.readouterr().out
 
 
+def test_verify_checks_free_line_for_line_kinds(tmp_path, capsys):
+    # kernel-compare, simulate on a line and reduce-tree's folded line take the free line's whole run
+    for kind in ("simulate", "reduce-tree", "kernel-compare"):
+        assert _verify.check_free_line in _verify._CHECKS[kind]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(KERNEL_INI)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
+    assert "PASS check_free_line" in capsys.readouterr().out
+
+
 def test_jobs_parallel_carleman(tmp_path):
     # n_seeds = 2, so the pool gets two (N, seed) tasks; the output must not
     # depend on how they were spread

@@ -174,6 +174,23 @@ def test_non_finite_line_data_rejected(bad):
         evolve_line_sigma(u0, np.ones(len(nodes) - 1), nodes, 0.1, EvolutionConfig(dt=1e-2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_line_grid_and_sigma_rejected(bad):
+    # a NaN node passes the strictly-increasing check, and a NaN or infinite
+    # sigma the positivity check; both ran to NaN results with only warnings
+    nodes = line_grid(8.0, 8.0, 0.05)
+    u0 = np.exp(-(nodes**2))
+    cfg = EvolutionConfig(dt=1e-2)
+    bad_nodes = nodes.copy()
+    bad_nodes[100] = bad
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        evolve_line_sigma(u0, np.ones(len(nodes) - 1), bad_nodes, 0.1, cfg)
+    sigma = np.ones(len(nodes) - 1)
+    sigma[100] = bad
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        evolve_line_sigma(u0, sigma, nodes, 0.1, cfg)
+
+
 def test_wavefront_guard_trips():
     graph, grid = build_star(2, 8.0, 0.05)
     st = GraphState.sample(graph, grid, gaussian(alpha=0.25))
@@ -986,3 +1003,117 @@ def test_unequal_rays_and_per_edge_potentials_take_the_vertex_path(star3):
     tree = build_regular_tree([1.0], [2, 2], 8.0, 0.05)
     assert not evolution._star_modes(GraphState.sample(*tree, gaussian()), None, None)
     assert not evolution._star_modes(GraphState.sample(*uneven_star(), gaussian()), None, None)
+
+
+# ---------------------------------------------------------------------------
+# the free line's whole run against the stepped Cayley core
+# ---------------------------------------------------------------------------
+
+
+def line_cells(nodes, values, l=1.0):
+    return PiecewiseCoefficient(values, l).sigma_at(0.5 * (nodes[:-1] + nodes[1:]))
+
+
+def short_layers():
+    nodes = line_grid(5.0, 5.0, 0.05)
+    cells = np.ones(len(nodes) - 1)
+    cells[60] = 3.0  # a one-cell layer: both its nodes are interfaces, with no row between them
+    cells[120:122] = 0.5  # a two-cell layer: one row
+    return nodes, cells
+
+
+def two_spacings():
+    # test_nonuniform_grid_supported's grid: the spacing and sigma change at 0
+    nodes = np.concatenate([np.arange(-30.0, 0.0, 0.05), np.arange(0.0, 30.0 + 0.025, 0.025)])
+    return nodes, np.where(0.5 * (nodes[:-1] + nodes[1:]) < 0, 1.0, 0.25)
+
+
+FREE_LINES = {
+    "line-121": lambda: (line_grid(5.0, 5.0, 0.05), line_cells(line_grid(5.0, 5.0, 0.05), (1.0, 2.0, 1.0))),
+    "uniform": lambda: (line_grid(5.0, 5.0, 0.05), np.ones(200)),
+    "short-layers": short_layers,
+    "folded-tree-line": folded_tree_line,
+    "two-spacings": two_spacings,
+}
+
+
+def stepped_line(nodes, cells, u0, dt, nsteps):
+    """The oracle: nsteps steps of the stepped Cayley core on the line."""
+    n_dof, system, dirichlet, nv, h = line_system(nodes, cells)
+    return evolution._steps(u0.copy(), _cayley_stepper(n_dof, system, dt, dirichlet, nv), nsteps)
+
+
+def unbuilt(*args):
+    raise AssertionError("a free line built a Cayley stepper")
+
+
+def random_line_data(n, seed=7):
+    u0 = np.random.default_rng(seed).normal(size=(n, 2)) @ [1.0, 1j]
+    assert u0[0] != 0 and u0[-1] != 0  # nonzero Dirichlet ends
+    return u0
+
+
+@pytest.mark.parametrize("dt_over_h", [0.02, -0.02, 10.0])
+@pytest.mark.parametrize("case", sorted(FREE_LINES))
+def test_free_line_matches_stepped_core(monkeypatch, case, dt_over_h):
+    nodes, cells = FREE_LINES[case]()
+    dt = dt_over_h * float(np.min(np.diff(nodes)))
+    u0 = random_line_data(len(nodes))
+    want = stepped_line(nodes, cells, u0, dt, 200)
+    monkeypatch.setattr(evolution, "_cayley_stepper", unbuilt)
+    got = evolve_line_sigma(u0, cells, nodes, 200 * dt, EvolutionConfig(dt=abs(dt), boundary_guard=None))
+    assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
+    assert got[0] == u0[0] and got[-1] == u0[-1]
+
+
+def test_free_line_matches_stepped_core_on_c07():
+    nodes = line_grid(40.0, 40.0, 0.02)
+    cells = line_cells(nodes, (1.0, 2.0, 1.0))
+    u0 = np.exp(-((nodes + 3.0) ** 2)).astype(complex)
+    want = stepped_line(nodes, cells, u0, 5e-4, 2000)
+    got = evolve_line_sigma(u0, cells, nodes, 1.0, EvolutionConfig(dt=5e-4))
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("extra", [1, 300])
+def test_free_line_restarts_at_segment_ends(extra):
+    # a run one segment and some steps long restarts from the state at the segment's end
+    nodes, cells = FREE_LINES["line-121"]()
+    nsteps = evolution._SEGMENT + extra
+    u0 = random_line_data(len(nodes), seed=3)
+    dt = 1e-3
+    want = stepped_line(nodes, cells, u0, dt, nsteps)
+    got = evolve_line_sigma(u0, cells, nodes, nsteps * dt, EvolutionConfig(dt=dt, boundary_guard=None))
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_free_line_zero_steps_return_the_data():
+    nodes, cells = FREE_LINES["line-121"]()
+    u0 = random_line_data(len(nodes))
+    cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
+    assert evolve_line_sigma(u0, cells, nodes, 0.0, cfg).tobytes() == u0.tobytes()
+
+
+def test_lines_over_the_interface_cap_or_graded_step(monkeypatch):
+    nodes = line_grid(5.0, 5.0, 0.05)
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    u0 = np.exp(-(nodes**2)).astype(complex)
+    cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
+    built = []
+
+    def spy(n_dof, cells, dt, dirichlet, nv=0):
+        built.append(n_dof)
+        return _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+
+    monkeypatch.setattr(evolution, "_cayley_stepper", spy)
+    for p in range(evolution._MAX_INTERFACES + 1):
+        evolve_line_sigma(u0, 1.0 + (np.searchsorted(np.linspace(-2.0, 2.0, p), mid) % 2), nodes, 0.1, cfg)
+    assert built == []
+    over = evolution._MAX_INTERFACES + 1
+    evolve_line_sigma(u0, 1.0 + (np.searchsorted(np.linspace(-2.0, 2.0, over), mid) % 2), nodes, 0.1, cfg)
+    graded = nodes + 0.01 * nodes**2  # every cell a different width
+    evolve_line_sigma(u0, np.ones(len(nodes) - 1), graded, 0.1, cfg)
+    # each width within rounding of the one before it, the widths of the whole line not
+    creeping = np.concatenate([[0.0], np.cumsum(0.05 * (1.0 + 5e-14 * np.arange(len(nodes) - 1)))]) - 5.0
+    evolve_line_sigma(u0, np.ones(len(nodes) - 1), creeping, 0.1, cfg)
+    assert built == [len(nodes)] * 3

@@ -2,9 +2,12 @@
 
 Per kind: threshold-sweep, appell and carleman never step; a sharpness run
 on a free star is one FFT pair and on a two-step line the exact kernel
-solve, so neither builds a stepper or loads scipy.  kernel-compare,
-reduce-tree and simulate on a line step with the Cayley core and load
-scipy's _fblas alone.
+solve; kernel-compare and simulate on a line take the free line's whole run
+at once (a layered line with few interfaces and no potential).  None of
+them builds a stepper or loads scipy.  reduce-tree steps the tree's vertex
+system with the Cayley core (its folded line takes the whole run at once)
+and loads scipy's _fblas alone.  The CLI kinds run one after another in one
+fresh process, and each test reads the scipy modules loaded after its kind.
 """
 import json
 import pkgutil
@@ -29,11 +32,11 @@ from test_cli import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def fresh_process(tmp_path, body: str) -> dict:
-    """Run ``body`` in a new interpreter that imports graphlse from src; return the JSON it prints last."""
+def fresh_process(tmp_path, body: str, *args: str) -> dict:
+    """Run ``body`` in a new interpreter that imports graphlse from src, with argv tmp_path, *args; return the JSON it prints last."""
     script = tmp_path / "probe.py"
     script.write_text(f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{body}")
-    done = subprocess.run([sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, str(script), str(tmp_path), *args], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -52,38 +55,44 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswi
     assert got == {"rc": 0, "scipy": []}
 
 
-# run the CLI on exp.ini; print the exit code and the scipy modules loaded
-CLI_RUN = """\
+FBLAS = ["scipy.linalg._fblas"]
+
+# (id, config, scipy modules loaded once that run is done), in the order one
+# process runs them: the kinds that load no scipy first
+CLI_KINDS = [
+    ("threshold-sweep", SWEEP_INI, []),
+    ("appell", APPELL_INI, []),
+    ("sharpness-star", SHARPNESS_INI, []),  # a free star is one FFT pair and builds no stepper
+    ("sharpness-two-step", TWO_STEP_INI, []),  # the exact kernel solve builds no stepper
+    ("kernel-compare", KERNEL_INI, []),  # the FD reference is a free line, run at once
+    ("simulate-line", LINE_SIMULATE_INI, []),
+    ("reduce-tree", TREE_INI, FBLAS),  # the tree's vertex system steps
+]
+
+# run the CLI on each <id>.ini in turn; print each exit code and the scipy modules loaded after it
+CLI_RUNS = """\
 import graphlse.cli
 root = sys.argv[1]
-rc = graphlse.cli.main(["--config", root + "/exp.ini", "--out", root + "/out"])
-print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+got = {}
+for kind in sys.argv[2:]:
+    rc = graphlse.cli.main(["--config", f"{root}/{kind}.ini", "--out", f"{root}/{kind}"])
+    got[kind] = {"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}
+print(json.dumps(got))
 """
 
 
-FBLAS = ["scipy.linalg._fblas"]
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory):
+    """Every kind of CLI_KINDS run in one fresh process, in order."""
+    root = tmp_path_factory.mktemp("cli-kinds")
+    for kind, ini, _ in CLI_KINDS:
+        (root / f"{kind}.ini").write_text(ini)
+    return fresh_process(root, CLI_RUNS, *(kind for kind, _, _ in CLI_KINDS))
 
 
-@pytest.mark.parametrize(
-    "ini, scipy",
-    [
-        (SWEEP_INI, []),
-        (APPELL_INI, []),
-        (SHARPNESS_INI, []),  # a free star is one FFT pair and builds no stepper
-        (TWO_STEP_INI, []),  # the exact kernel solve builds no stepper
-        (KERNEL_INI, FBLAS),
-        (TREE_INI, FBLAS),
-        (LINE_SIMULATE_INI, FBLAS),
-    ],
-    ids=[
-        "threshold-sweep", "appell", "sharpness-star", "sharpness-two-step", "kernel-compare", "reduce-tree",
-        "simulate-line",
-    ],
-)
-def test_cli_run_loads_at_most_scipy_fblas(tmp_path, ini, scipy):
-    (tmp_path / "exp.ini").write_text(ini)
-    got = fresh_process(tmp_path, CLI_RUN)
-    assert got == {"rc": 0, "scipy": scipy}
+@pytest.mark.parametrize("kind, scipy", [(k, scipy) for k, _, scipy in CLI_KINDS], ids=[k for k, _, _ in CLI_KINDS])
+def test_cli_run_loads_at_most_scipy_fblas(cli_runs, kind, scipy):
+    assert cli_runs[kind] == {"rc": 0, "scipy": scipy}
 
 
 def test_cli_import_loads_no_multiprocessing(tmp_path):
@@ -101,22 +110,24 @@ print(json.dumps({m: m in sys.modules for m in ("multiprocessing", "concurrent.f
 
 
 def test_evolution_loads_blas_but_not_scipy_sparse(tmp_path):
-    # ztbsv comes from scipy's _fblas extension module alone: neither the
-    # scipy.linalg package nor scipy.sparse is imported
+    # a free line loads no scipy; ztbsv, bound by the first stepper (here
+    # the tree's vertex system), comes from scipy's _fblas extension module
+    # alone: neither the scipy.linalg package nor scipy.sparse is imported
     got = fresh_process(
         tmp_path,
         """\
 import numpy as np
-from graphlse import EvolutionConfig, GraphState, build_star, evolve_graph, evolve_line_sigma, line_grid
+from graphlse import EvolutionConfig, GraphState, build_regular_tree, evolve_graph, evolve_line_sigma, line_grid
 cfg = EvolutionConfig(dt=0.01)
-graph, grid = build_star(3, 10.0, 0.1)
-evolve_graph(GraphState.sample(graph, grid, lambda x: np.exp(-x**2)), 0.1, cfg)
 nodes = line_grid(10.0, 10.0, 0.1)
 evolve_line_sigma(np.exp(-nodes**2), np.ones(len(nodes) - 1), nodes, 0.1, cfg)
-print(json.dumps({m: m in sys.modules for m in ("scipy.linalg._fblas", "scipy.linalg", "scipy.sparse")}))
+line = sorted(m for m in sys.modules if m.startswith("scipy"))
+graph, grid = build_regular_tree([1.0], [2, 2], 10.0, 0.1)
+evolve_graph(GraphState.sample(graph, grid, lambda x: np.sin(np.pi * x) * np.exp(-(x**2))), 0.1, cfg)
+print(json.dumps({"line": line, **{m: m in sys.modules for m in ("scipy.linalg._fblas", "scipy.linalg", "scipy.sparse")}}))
 """,
     )
-    assert got == {"scipy.linalg._fblas": True, "scipy.linalg": False, "scipy.sparse": False}
+    assert got == {"line": [], "scipy.linalg._fblas": True, "scipy.linalg": False, "scipy.sparse": False}
 
 
 # evolve a line and a tree (vertex system); print the digests of the results and the scipy modules loaded
