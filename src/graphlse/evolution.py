@@ -56,23 +56,26 @@ evenly about the vertex, so the product of all its Cayley steps is diagonal
 in a discrete sine basis, and the run is one FFT pair per group of chains
 (``_free_modes``).  On this path the far field holds round-off of about
 eps max|u|, not exact zeros.  Other graphs, and stars with unequal rays or
-per-edge potentials, step the vertex system, which stays the oracle of the
+per-edge potentials, run on the vertex system, which stays the oracle of the
 mode system.
 
-A line (always free of potentials) takes no steps one by one either when
-it has at most ``_MAX_INTERFACES`` interfaces, the nodes where the cell's
-(sigma, dx) changes.  Each layer between two interfaces is a uniform chain,
-whose steps are diagonal in its sine basis, so the only unknowns left are
-the interface values.  The rows of A at the interfaces, with each layer row
-next to one written as its free trace plus its response to the earlier
-interface values, are a recurrence with the same coefficients at every
-step.  Its solution is one FFT convolution per run of up to ``_SEGMENT``
-steps, after which each layer takes all the run's steps at once
-(``_free_line``).  Sums of powers of each layer's step factors, a few
-matrix products, replace nsteps sweeps of the whole line, so such runs
-build no stepper and load no scipy.  Lines with more interfaces, or with
-cells whose widths vary inside a layer, step the Cayley core, which stays
-the oracle of this path.
+Lines and small free graphs take no steps one by one either.  Every edge of
+a graph is a uniform chain, and so is each layer of a line between two
+interfaces, the nodes where the cell's (sigma, dx) changes: the steps of a
+uniform chain are diagonal in its sine basis, so the only unknowns left are
+the junction values (the graph's vertices, the line's interfaces).  The rows
+of A at the junctions, with each chain row next to one written as its free
+trace plus its response to the earlier junction values, are a recurrence
+with the same coefficients at every step.  Its solution is one FFT
+convolution per run of up to ``_SEGMENT`` steps, after which each chain
+takes all the run's steps at once (``_free_chains``).  Sums of powers of
+each chain's step factors, a few matrix products, replace nsteps sweeps, so
+such runs build no stepper and load no scipy.  A line qualifies with at most
+``_MAX_INTERFACES`` interfaces (``_free_line``), a graph run with no
+potential with at most ``_MAX_INTERFACES`` vertices (``_vertex_system``).
+Lines with more interfaces or with cells whose widths vary inside a layer,
+graphs with more vertices and runs with a potential step the Cayley core,
+which stays the oracle of this path.
 
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
@@ -609,18 +612,30 @@ def _steps(u, stepper, nsteps, phase=None):
 
 
 def _vertex_system(u0: GraphState, dt: float):
-    """The vertex system of any graph: (stepper builder, packed u0, potential sampler, spread, unpacker).
+    """The vertex system of any graph: (stepper builder, packed u0, potential sampler, spread, unpacker, free run).
 
     The builder returns the system's ``_cayley_stepper``.  The sampler
-    returns one value per dof, so ``spread`` is the identity.
+    returns one value per dof, so ``spread`` is the identity.  ``free(u,
+    nsteps)`` takes a run with no potential at once; it is None for a graph
+    with more than ``_MAX_INTERFACES`` vertices.
     """
     graph, grid = u0.graph, u0.grid
     packing = _pack_graph(graph, grid)
     cells = _graph_cells(grid, packing)
-    build = lambda: _cayley_stepper(packing.n_dof, cells, dt, packing.dirichlet, len(graph.vertices))
+    nv = len(graph.vertices)
+    build = lambda: _cayley_stepper(packing.n_dof, cells, dt, packing.dirichlet, nv)
     sample = lambda f, t: _sample_potential(f, t, packing, graph, grid)
     unpack = lambda u: tuple(u[dofs].copy() for dofs in packing.edge_dofs)
-    return build, _pack_state(u0, packing), sample, lambda a: a, unpack
+
+    def free(u, nsteps):
+        """Each edge a chain of ``_free_chains``: vertex k is junction k, a ray's far end a Dirichlet end."""
+        chains = [(u[dofs], dofs[0], min(dofs[-1], nv), 1.0 / grid.h, grid.h) for dofs in packing.edge_dofs]
+        out = u.copy()
+        for dofs, vals in zip(packing.edge_dofs, _free_chains(chains, nv, dt, nsteps)):
+            out[dofs] = vals
+        return out
+
+    return build, _pack_state(u0, packing), sample, lambda a: a, unpack, free if nv <= _MAX_INTERFACES else None
 
 
 def _star_modes(u0: GraphState, static, dynamic) -> bool:
@@ -713,7 +728,8 @@ def _mode_system(u0: GraphState, dt: float):
         d[1:] += u.reshape(n_edges, n)[1:]  # adding to +0 turns -0 into +0: equal edges come out bit-equal
         return tuple(u[:n] - d.sum(axis=0) / n_edges + d)
 
-    return build, modes.ravel(), sample, spread, unpack
+    free = lambda u, nsteps: _free_modes(u.reshape(n_edges, n), h, dt, nsteps).ravel()
+    return build, modes.ravel(), sample, spread, unpack, free
 
 
 def _evolve_graph(
@@ -728,14 +744,16 @@ def _evolve_graph(
     modes) and then spread over the dofs; after the first step it multiplies
     only the window's spans.  The steps run on the star's mode system when
     ``_star_modes`` admits the run and ``vertex_path`` is False, and on the
-    vertex system otherwise.  A free run on the modes (no potential at all)
-    takes all its steps at once in a sine basis (``_free_modes``).
+    vertex system otherwise.  A free run (no potential at all) takes all its
+    steps at once in sine bases, on the modes (``_free_modes``) or on a
+    vertex system of at most ``_MAX_INTERFACES`` vertices (``_free_chains``),
+    unless ``vertex_path`` asks for the stepped vertex system.
     """
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
     graph, grid = u0.graph, u0.grid
     dt_signed = math.copysign(cfg.dt, t_final - u0.time) if t_final != u0.time else cfg.dt
     modes = not vertex_path and _star_modes(u0, static, dynamic)
-    build, u, sample_at, spread, unpack = (_mode_system if modes else _vertex_system)(u0, dt_signed)
+    build, u, sample_at, spread, unpack, free = (_mode_system if modes else _vertex_system)(u0, dt_signed)
 
     def sample(f, t):
         if isinstance(f, (int, float, complex)):
@@ -743,8 +761,8 @@ def _evolve_graph(
         return sample_at(f, t)
 
     v1 = None if static is None else sample(static, u0.time)
-    if modes and static is None and dynamic is None:
-        u = _free_modes(u.reshape(graph.n_edges, -1), grid.h, dt_signed, nsteps).ravel()
+    if static is None and dynamic is None and free is not None and not vertex_path:
+        u = free(u, nsteps)
     elif dynamic is not None:
         stepper = build()
         def phase(t):
@@ -829,13 +847,15 @@ def _cell_sigma(sigma, nodes) -> np.ndarray:
     return arr
 
 
-# A free line with more interfaces than this steps the Cayley core instead of
-# taking the whole run at once (``_free_line``), whose vertex response costs
-# about p^3 _SEGMENT^2 / 2 for p interfaces.  Measured on a 2-core x86 VM with
-# one BLAS thread, 2000 steps: on a 4001-node line the whole run took 15-30%
-# of the stepped time with 1 to 4 interfaces, 55% with 6 and 80-95% with 8;
-# on a 201-node line 78-85% with 2 and 1.4-1.5 times with 4.  c07's line has
-# 2 interfaces and the depth-2 fold of a binary tree 4.
+# A free line with more interfaces than this, or a free graph with more
+# vertices, steps the Cayley core instead of taking the whole run at once
+# (``_free_chains``), whose junction response costs about p^3 _SEGMENT^2 / 2
+# for p junctions.  Measured on a 2-core x86 VM with one BLAS thread, 2000
+# steps: on a 4001-node line the whole run took 15-30% of the stepped time
+# with 1 to 4 interfaces, 55% with 6 and 80-95% with 8; on a 201-node line
+# 78-85% with 2 and 1.4-1.5 times with 4.  c07's line has 2 interfaces, the
+# depth-2 fold of a binary tree 4, the binary tree 3 vertices and the depth-2
+# binary tree 7.
 _MAX_INTERFACES = 4
 # Steps per segment of ``_free_line``: the vertex response is computed once
 # for this many steps, and longer runs restart from the state at each end.
@@ -973,6 +993,114 @@ def _series_inverse(T: np.ndarray) -> np.ndarray:
     return back.reshape(n, p, p)[::-1]
 
 
+def _free_chains(chains, p: int, dt: float, nsteps: int) -> list[np.ndarray]:
+    """``nsteps`` Cayley steps of uniform chains joined at p junctions, with no potential, each chain in its sine basis.
+
+    ``chains`` holds (values, a, b, w, h) per chain: its samples from end a
+    to end b, both included, its coupling w = sigma / h and its spacing h.
+    An end is a junction 0..p-1, whose row of A reads i M - (dt/2) sum w over
+    the chain ends there (M = sum h / 2), or p, a Dirichlet end.  Returns the
+    chains' samples after the run.
+
+    The harmonic ramp (K ramp = 0: linear on each chain, Kirchhoff at the
+    junctions, the data at the Dirichlet ends; none without a Dirichlet end)
+    is a fixed point of the step, so the rest v is stepped with zero ends.
+    The interior rows of each chain are a ``_Layer``; a one-cell chain
+    couples its two ends directly.  The unknowns left are the junction
+    values s.  Their rows of A (u_next + u) = 2iM u, with the chain row next
+    to each written as its free trace plus its response to the earlier q =
+    s_next + s, read sum_{k <= n} R[n - k] q^k = 2iM s^n - (free traces):
+    R[0] is the junction rows of A with the chain responses at lag 0, R[r]
+    the responses at lag r.  With x^n = s^(n+1), q^n = x^n + x^(n-1), this is
+    sum_{k <= n} U[n - k] x^k = b^n with U[r] = R[r] + R[r - 1] - 2iM (r ==
+    1), the same at every step, and b^n from the free traces and s^0.  The
+    inverse Z of U (``_series_inverse``) solves a run of up to ``_SEGMENT``
+    steps as one FFT convolution, x = Z * b; each chain then takes the run's
+    steps at once (``_Layer.advance``), and a longer run restarts from there
+    with the same Z.  Like ``_free_modes``, the rows hold round-off of about
+    eps max|u| where the stepped core keeps zeros.
+    """
+    if nsteps == 0:
+        return [np.array(vals, dtype=complex) for vals, *_ in chains]
+    # the ramp's junction values: conductance w / cells on each chain, the data at the Dirichlet ends
+    G = np.zeros((p + 1, p + 1))
+    flux = np.zeros(p + 1, dtype=complex)
+    for vals, a, b, w, h in chains:
+        c = w / (len(vals) - 1)
+        for x, y, far in ((a, b, vals[-1]), (b, a, vals[0])):
+            G[x, x] += c
+            G[x, y] -= c
+            flux[x] += c * far if y == p else 0.0
+    ramp_at = np.zeros(p + 1, dtype=complex)
+    if p and any(p in (a, b) for _, a, b, _, _ in chains):
+        ramp_at[:p] = np.linalg.solve(G[:p, :p], flux[:p])
+    s = np.zeros(p + 1, dtype=complex)  # v at the junctions; entry p, the Dirichlet ends, stays 0
+    ramps, layers = [], []
+    for vals, a, b, w, h in chains:
+        t = np.arange(len(vals)) / (len(vals) - 1)
+        ramps.append((vals[0] if a == p else ramp_at[a]) * (1.0 - t) + (vals[-1] if b == p else ramp_at[b]) * t)
+        v = vals - ramps[-1]  # exactly 0 at a Dirichlet end
+        s[a], s[b] = v[0], v[-1]
+        layers.append(_Layer(v[1:-1], (dt / 2.0) * w / h) if len(vals) > 2 else None)
+    s = s[:p]
+    seg = min(nsteps, _SEGMENT) if p else nsteps
+    if p:
+        R = np.zeros((seg, p + 1, p + 1), dtype=complex)  # row and column p: the Dirichlet ends, dropped
+        mass = np.zeros(p + 1)
+        for layer, (vals, a, b, w, h) in zip(layers, chains):
+            alpha = (dt / 2.0) * w  # the entry of A between a junction and the chain row next to it
+            if layer is not None:
+                same, cross = layer.response(seg)
+                same[1:] += same[:-1].copy()  # the chain row at two successive steps, as q is
+                cross[1:] += cross[:-1].copy()
+            for x, y in ((a, b), (b, a)):
+                mass[x] += h / 2.0
+                R[0, x, x] -= alpha
+                if layer is None:  # one cell: the two ends are neighbours
+                    R[0, x, y] += alpha
+                else:
+                    R[:, x, x] += alpha * same
+                    R[:, x, y] += alpha * cross
+        mass = mass[:p]
+        R = R[:, :p, :p]
+        R[0] += np.diag(1j * mass)
+        U = R.copy()
+        U[1:] += R[:-1]
+        U[1] -= np.diag(2j * mass)
+        Zf = np.fft.fft(_series_inverse(U), 2 * seg, axis=0)
+    done = 0
+    while done < nsteps:
+        run = min(seg, nsteps - done)
+        q = None
+        if p:
+            rhs = np.zeros((run, p + 1), dtype=complex)
+            rhs[:, :p] = -(R[:run] @ s)
+            rhs[0, :p] += 2j * mass * s
+            for layer, (vals, a, b, w, h) in zip(layers, chains):
+                if layer is not None:
+                    for x, f in zip((a, b), layer.traces(run + 1)):
+                        rhs[:, x] -= (dt / 2.0) * w * (f[1:] + f[:-1])
+            rhs = np.fft.fft(rhs[:, :p], 2 * seg, axis=0)
+            x = np.fft.ifft(np.einsum("fab,fb->fa", Zf, rhs), axis=0)[:run]
+            q = np.zeros((run, p + 1), dtype=complex)  # column p: the Dirichlet ends keep q = 0
+            q[:, :p] = x
+            q[0, :p] += s
+            q[1:, :p] += x[:-1]
+            s = x[-1]
+        for layer, (vals, a, b, w, h) in zip(layers, chains):
+            if layer is not None:
+                layer.advance(run, None if q is None else q[:, [a, b]])
+        done += run
+    s = np.append(s, 0.0)
+    out = []
+    for layer, ramp, (vals, a, b, w, h) in zip(layers, ramps, chains):
+        ramp[[0, -1]] += s[[a, b]]
+        if layer is not None:
+            ramp[1:-1] += layer.values()
+        out.append(ramp)
+    return out
+
+
 def _free_line(u0: np.ndarray, cells: np.ndarray, nodes: np.ndarray, dt: float, nsteps: int) -> np.ndarray | None:
     """``nsteps`` Cayley steps of a line with no potential, layer by layer in sine bases; None if it does not qualify.
 
@@ -981,23 +1109,9 @@ def _free_line(u0: np.ndarray, cells: np.ndarray, nodes: np.ndarray, dt: float, 
     the rounding of the node coordinates, and each layer, a run of cells
     between two splits, is taken as uniform with its length over its cell
     count as spacing.  A line qualifies with at most ``_MAX_INTERFACES``
-    interfaces and no layer whose widths spread wider than that.
-
-    The harmonic ramp between the two Dirichlet values (K ramp = 0 inside) is
-    a fixed point of the step, so the rest v is stepped with zero ends.  The
-    interior rows of each layer are a ``_Layer``; the unknowns left are the
-    interface values s.  Their rows of A (u_next + u) = 2iM u, with the
-    layer row next to each written as its free trace plus its response to
-    the earlier q = s_next + s, read sum_{k <= n} R[n - k] q^k = 2iM s^n -
-    (free traces): R[0] is the interface rows of A with the layer responses
-    at lag 0, R[r] the responses at lag r.  With x^n = s^(n+1), q^n = x^n +
-    x^(n-1), this is sum_{k <= n} U[n - k] x^k = b^n with U[r] = R[r] +
-    R[r - 1] - 2iM (r == 1), the same at every step, and b^n from the free
-    traces and s^0.  The inverse Z of U (``_series_inverse``) solves a run of
-    up to ``_SEGMENT`` steps as one FFT convolution, x = Z * b; each layer
-    then takes the run's steps at once (``_Layer.advance``), and a longer run
-    restarts from there with the same Z.  Like ``_free_modes``, the rows
-    hold round-off of about eps max|u| where the stepped core keeps zeros.
+    interfaces and no layer whose widths spread wider than that.  It is the
+    path graph of ``_free_chains``: layer k runs from interface k - 1 to
+    interface k, the line's ends are its Dirichlet ends.
     """
     if nsteps == 0:
         return u0.copy()
@@ -1011,64 +1125,12 @@ def _free_line(u0: np.ndarray, cells: np.ndarray, nodes: np.ndarray, dt: float, 
         return None
     h = np.diff(nodes[ends]) / np.diff(ends)
     w = cells[ends[:-1]] / h  # each layer's coupling sigma / h
-    resist = np.concatenate([[0.0], np.cumsum(np.repeat(1.0 / w, np.diff(ends)))])
-    ramp = u0[0] + (u0[-1] - u0[0]) * (resist / resist[-1])
-    v = u0 - ramp
-    s = v[splits]
-    alpha = (dt / 2.0) * w  # the entry of A between a vertex and the layer row next to it
-    spans = list(zip(ends[:-1], ends[1:]))
-    layers = [_Layer(v[a + 1 : b], alpha[k] / h[k]) if b > a + 1 else None for k, (a, b) in enumerate(spans)]
-    seg = min(nsteps, _SEGMENT) if p else nsteps
-    if p:
-        mass = 0.5 * (h[:-1] + h[1:])
-        R = np.zeros((seg, p, p), dtype=complex)
-        at = np.arange(p)
-        R[0, at, at] = 1j * mass - (dt / 2.0) * (w[:-1] + w[1:])
-        for k, layer in enumerate(layers):
-            pairs = [(x, y) for x, y in ((k - 1, k), (k, k - 1)) if 0 <= x < p]  # (interface, the one across)
-            if layer is None:  # one cell: the two vertices are neighbours
-                if len(pairs) == 2:
-                    R[0, k - 1, k] = R[0, k, k - 1] = alpha[k]
-                continue
-            same, cross = layer.response(seg)
-            same[1:] += same[:-1].copy()  # the layer row at two successive steps, as q is
-            cross[1:] += cross[:-1].copy()
-            for x, y in pairs:
-                R[:, x, x] += alpha[k] * same
-                if 0 <= y < p:
-                    R[:, x, y] += alpha[k] * cross
-        U = R.copy()
-        U[1:] += R[:-1]
-        U[1, at, at] -= 2j * mass
-        Zf = np.fft.fft(_series_inverse(U), 2 * seg, axis=0)
-    done = 0
-    while done < nsteps:
-        run = min(seg, nsteps - done)
-        q = None
-        if p:
-            rhs = -(R[:run] @ s)
-            rhs[0] += 2j * mass * s
-            for k, layer in enumerate(layers):
-                if layer is not None:
-                    for x, f in zip((k - 1, k), layer.traces(run + 1)):
-                        if 0 <= x < p:
-                            rhs[:, x] -= alpha[k] * (f[1:] + f[:-1])
-            x = np.fft.ifft(np.einsum("fab,fb->fa", Zf, np.fft.fft(rhs, 2 * seg, axis=0)), axis=0)[:run]
-            q = np.zeros((run, p + 2), dtype=complex)  # column k + 1 is interface k; the Dirichlet ends keep q = 0
-            q[:, 1:-1] = x
-            q[0, 1:-1] += s
-            q[1:, 1:-1] += x[:-1]
-            s = x[-1]
-        for k, layer in enumerate(layers):
-            if layer is not None:
-                layer.advance(run, None if q is None else q[:, k : k + 2])
-        done += run
-    out = ramp.astype(complex)
-    for (a, b), layer in zip(spans, layers):
-        if layer is not None:
-            out[a + 1 : b] += layer.values()
-    out[splits] += s
-    out[0], out[-1] = u0[0], u0[-1]
+    spans = list(zip(ends[:-1].tolist(), ends[1:].tolist()))
+    # layer 0 starts at the Dirichlet end p, layer p ends at it
+    chains = [(u0[a : b + 1], (k - 1) % (p + 1), k, w[k], h[k]) for k, (a, b) in enumerate(spans)]
+    out = np.empty(n, dtype=complex)
+    for (a, b), vals in zip(spans, _free_chains(chains, p, dt, nsteps)):
+        out[a : b + 1] = vals
     return out
 
 

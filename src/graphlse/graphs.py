@@ -50,7 +50,7 @@ class Edge:
     index: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.length <= 0:
+        if not self.length > 0:  # NaN too
             raise ValueError(f"edge length must be positive, got {self.length}")
         if math.isinf(self.length) != (self.terminal is None):
             raise ValueError("infinite edges must have no terminal vertex, finite edges must have one")
@@ -220,6 +220,9 @@ class GraphState:
     def __post_init__(self):
         if not len(self.values) == len(self.grid.lengths) == self.graph.n_edges:
             raise ValueError("one value array and one grid length per edge required")
+        for e, L in zip(self.graph.edges, self.grid.lengths):
+            if not e.infinite and abs(L - e.length) > 1e-8 * max(1.0, L):  # a ray keeps any truncation
+                raise ValueError(f"grid length {L} differs from the length {e.length} of its finite edge")
         vals = tuple(np.asarray(v, dtype=complex) for v in self.values)
         object.__setattr__(self, "values", vals)
         for v, n in zip(vals, self.grid.counts):

@@ -11,6 +11,7 @@ import numpy as np
 from .carleman import alpha_vectors, membership_residual, sample_zcomp
 from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma, line_grid
 from .evolution import (
+    _MAX_INTERFACES,
     _cayley_stepper,
     _evolve_graph,
     _graph_cells,
@@ -94,6 +95,20 @@ def check_free_line() -> bool:
     return float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
 
 
+def check_free_graph() -> bool:
+    """A small tree's whole run at once against its stepped vertex system, with nonzero ray ends."""
+    graph, grid = build_regular_tree([1.0], [2, 2], 4.0, 0.05)
+    inner = lambda x: np.exp(-((x - 0.5) ** 2)) * (1.0 + 0.5j * x)
+    ray = lambda x: np.exp(-((x + 0.5) ** 2)) * (1.0 + 0.5j) + 0.05 * x  # inner's value at its vertex, 0.2 at the far end
+    st = GraphState.sample(graph, grid, [ray if e.infinite else inner for e in graph.edges])
+    cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
+    free = _evolve_graph(st, 0.1, cfg, None, None)
+    stepped = _evolve_graph(st, 0.1, cfg, None, None, vertex_path=True)
+    scale = max(float(np.max(np.abs(v))) for v in stepped.values)
+    err = max(float(np.max(np.abs(a - b))) for a, b in zip(free.values, stepped.values))
+    return len(graph.vertices) <= _MAX_INTERFACES and err <= 1e-12 * scale
+
+
 def check_chain_identities() -> bool:
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -161,10 +176,10 @@ def check_alpha_vectors() -> bool:
 
 
 _CHECKS = {
-    "simulate": [check_unitarity, check_windowed_core, check_star_modes, check_free_line],
+    "simulate": [check_unitarity, check_windowed_core, check_star_modes, check_free_line, check_free_graph],
     "kernel-compare": [check_chain_identities, check_wiener, check_kernel_free_limit, check_windowed_core, check_free_line],
     "sharpness": [check_unitarity, check_windowed_core, check_star_modes, check_decay_fit],
-    "reduce-tree": [check_unitarity, check_windowed_core, check_reduction_sigma, check_free_line],
+    "reduce-tree": [check_unitarity, check_windowed_core, check_reduction_sigma, check_free_line, check_free_graph],
     "carleman": [check_alpha_vectors],
     "appell": [check_appell_roundtrip],
     "threshold-sweep": [check_decay_fit],

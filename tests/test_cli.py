@@ -459,6 +459,16 @@ def test_verify_checks_free_line_for_line_kinds(tmp_path, capsys):
     assert "PASS check_free_line" in capsys.readouterr().out
 
 
+def test_verify_checks_free_graph_for_graph_kinds(tmp_path, capsys):
+    # reduce-tree's binary tree (three vertices) takes its free vertex system's whole run at once
+    for kind in ("simulate", "reduce-tree"):
+        assert _verify.check_free_graph in _verify._CHECKS[kind]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(TREE_INI)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
+    assert "PASS check_free_graph" in capsys.readouterr().out
+
+
 def test_jobs_parallel_carleman(tmp_path):
     # n_seeds = 2, so the pool gets two (N, seed) tasks; the output must not
     # depend on how they were spread

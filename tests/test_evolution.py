@@ -44,6 +44,7 @@ from graphlse.evolution import (
     _Window,
     _ztbsv,
 )
+from test_acceptance import c08_tree_state
 
 
 def gaussian(alpha=1.0, center=0.0, chirp=0.0):
@@ -1044,7 +1045,7 @@ def stepped_line(nodes, cells, u0, dt, nsteps):
 
 
 def unbuilt(*args):
-    raise AssertionError("a free line built a Cayley stepper")
+    raise AssertionError("a free line or small free graph built a Cayley stepper")
 
 
 def random_line_data(n, seed=7):
@@ -1117,3 +1118,114 @@ def test_lines_over_the_interface_cap_or_graded_step(monkeypatch):
     creeping = np.concatenate([[0.0], np.cumsum(0.05 * (1.0 + 5e-14 * np.arange(len(nodes) - 1)))]) - 5.0
     evolve_line_sigma(u0, np.ones(len(nodes) - 1), creeping, 0.1, cfg)
     assert built == [len(nodes)] * 3
+
+
+# ---------------------------------------------------------------------------
+# a small free graph's whole run against its stepped vertex system
+# ---------------------------------------------------------------------------
+
+
+def two_edge_cycle():
+    """Two vertices joined by two finite edges: a graph with no ray, so no ramp."""
+    edges = (Edge(0, 1, 1.0), Edge(1, 0, 0.75))
+    return MetricGraph((0, 1), edges), GraphGrid(0.05, (1.0, 0.75))
+
+
+FREE_GRAPHS = {
+    "binary-tree": lambda: build_regular_tree([1.0], [2, 2], 4.0, 0.05),
+    "tree-3-2": lambda: build_regular_tree([1.0], [3, 2], 4.0, 0.05),
+    "degree-1-root": lambda: build_regular_tree([1.0], [1, 1], 4.0, 0.05),
+    "one-cell-edges": lambda: build_regular_tree([0.05], [2, 2], 4.0, 0.05),
+    "uneven-star": lambda: uneven_star((4.0, 4.0, 3.5)),
+    "cycle-loop-short-edge": mixed_graph,
+    "no-ray": two_edge_cycle,
+}
+
+
+def random_graph_data(graph, grid, seed=7, time=0.0):
+    """Random complex data, continuous at the vertices, with nonzero ray ends."""
+    packing = _pack_graph(graph, grid)
+    u = np.random.default_rng(seed).normal(size=(packing.n_dof, 2)) @ [1.0, 1j]
+    assert np.all(u[packing.dirichlet] != 0)
+    return GraphState(graph, grid, tuple(u[dofs] for dofs in packing.edge_dofs), time)
+
+
+def stepped_graph(state, dt, nsteps):
+    """The oracle: nsteps steps of the stepped Cayley core on the vertex system, one array per edge."""
+    build, u, _, _, unpack, _ = evolution._vertex_system(state, dt)
+    return unpack(evolution._steps(u, build(), nsteps))
+
+
+@pytest.mark.parametrize("dt_over_h", [0.02, -0.02, 10.0])
+@pytest.mark.parametrize("case", sorted(FREE_GRAPHS))
+def test_free_graph_matches_stepped_vertex_system(monkeypatch, case, dt_over_h):
+    graph, grid = FREE_GRAPHS[case]()
+    assert len(graph.vertices) <= evolution._MAX_INTERFACES
+    state = random_graph_data(graph, grid)
+    dt = dt_over_h * grid.h
+    want = stepped_graph(state, dt, 200)
+    monkeypatch.setattr(evolution, "_cayley_stepper", unbuilt)
+    got = evolve_graph(state, 200 * dt, EvolutionConfig(dt=abs(dt), boundary_guard=None))
+    scale = max(np.max(np.abs(w)) for w in want)
+    at_vertex = {}
+    for e, edge in enumerate(graph.edges):
+        assert np.max(np.abs(got.values[e] - want[e])) <= 2e-12 * scale
+        if edge.infinite:  # the Dirichlet end keeps its data
+            assert got.values[e][-1] == state.values[e][-1]
+        for v, value in ((edge.initial, got.values[e][0]), (edge.terminal, got.values[e][-1])):
+            if v is not None:  # every edge reads one value at a vertex
+                assert at_vertex.setdefault(v, value) == value
+
+
+@pytest.mark.parametrize("extra", [1, 300])
+def test_free_graph_restarts_at_segment_ends(extra):
+    graph, grid = FREE_GRAPHS["binary-tree"]()
+    state = random_graph_data(graph, grid, seed=3)
+    nsteps, dt = evolution._SEGMENT + extra, 1e-3
+    want = stepped_graph(state, dt, nsteps)
+    got = evolve_graph(state, nsteps * dt, EvolutionConfig(dt=dt, boundary_guard=None))
+    scale = max(np.max(np.abs(w)) for w in want)
+    for e in range(graph.n_edges):
+        assert np.max(np.abs(got.values[e] - want[e])) <= 1e-11 * scale
+
+
+def test_free_graph_zero_steps_return_the_data(monkeypatch):
+    state = random_graph_data(*FREE_GRAPHS["tree-3-2"](), time=0.3)
+    monkeypatch.setattr(evolution, "_cayley_stepper", unbuilt)
+    out = evolve_graph(state, 0.3, EvolutionConfig(dt=1e-3, boundary_guard=None))
+    assert out.time == 0.3
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(out.values, state.values))
+
+
+def test_free_graph_path_takes_small_free_graphs_only(monkeypatch):
+    built = []
+
+    def spy(n_dof, cells, dt, dirichlet, nv=0):
+        built.append(nv)
+        return _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+
+    monkeypatch.setattr(evolution, "_cayley_stepper", spy)
+    cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
+    small = [FREE_GRAPHS[case]() for case in ("uneven-star", "no-ray", "binary-tree", "tree-3-2")]
+    assert [len(graph.vertices) for graph, _ in small] == list(range(1, evolution._MAX_INTERFACES + 1))
+    for graph, grid in small:
+        evolve_graph(random_graph_data(graph, grid), 0.05, cfg)
+    assert built == []
+    over = build_regular_tree([1.0], [evolution._MAX_INTERFACES, 2], 4.0, 0.05)  # one vertex over the cap
+    evolve_graph(random_graph_data(*over), 0.05, cfg)
+    tree = random_graph_data(*FREE_GRAPHS["binary-tree"]())
+    evolve_graph_potential(tree, 0.5, None, 0.05, cfg)
+    evolution._evolve_graph(tree, 0.05, cfg, None, None, vertex_path=True)
+    assert built == [evolution._MAX_INTERFACES + 1, 3, 3]
+
+
+def test_c08_tree_run_matches_stepped_vertex_system(monkeypatch):
+    # c08's tree side takes its whole run at once; the stepped vertex system is its oracle
+    state = c08_tree_state()
+    cfg = EvolutionConfig(dt=5e-4)
+    stepped = evolution._evolve_graph(state, 0.3, cfg, None, None, vertex_path=True)
+    monkeypatch.setattr(evolution, "_cayley_stepper", unbuilt)
+    free = evolve_graph(state, 0.3, cfg)
+    scale = max(np.max(np.abs(v)) for v in stepped.values)
+    for a, b in zip(free.values, stepped.values):
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale

@@ -304,3 +304,20 @@ def test_state_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         GraphState(graph, grid, (bad, np.zeros(801)))
+
+
+def test_state_refuses_a_grid_that_disagrees_with_a_finite_edge():
+    # a grid of edges 2 long on a tree whose finite edges are 1 long would
+    # sample and evolve on the wrong lengths; only folding it would fail
+    graph, grid = build_regular_tree([1.0], [2, 2], 10.0, 0.05)
+    wrong = GraphGrid(0.05, (2.0, 2.0, 10.0, 10.0, 10.0, 10.0))
+    with pytest.raises(ValueError, match="differs from the length 1.0 of its finite edge"):
+        GraphState.sample(graph, wrong, lambda x: np.exp(-(x**2)))
+    # within the grid's own rounding rule the lengths agree; a ray keeps any truncation
+    close = GraphGrid(0.05, (1.0 + 5e-9, 1.0, 7.5, 10.0, 10.0, 12.5))
+    assert GraphState.sample(graph, close, lambda x: np.exp(-(x**2))).grid is close
+
+
+def test_edge_refuses_nan_length():
+    with pytest.raises(ValueError, match="must be positive"):
+        Edge(0, 1, math.nan)

@@ -3,11 +3,12 @@
 Per kind: threshold-sweep, appell and carleman never step; a sharpness run
 on a free star is one FFT pair and on a two-step line the exact kernel
 solve; kernel-compare and simulate on a line take the free line's whole run
-at once (a layered line with few interfaces and no potential).  None of
-them builds a stepper or loads scipy.  reduce-tree steps the tree's vertex
-system with the Cayley core (its folded line takes the whole run at once)
-and loads scipy's _fblas alone.  The CLI kinds run one after another in one
-fresh process, and each test reads the scipy modules loaded after its kind.
+at once (a layered line with few interfaces and no potential), and
+reduce-tree takes the whole run at once on the binary tree's vertex system
+(three vertices) and on its folded line.  None of them builds a stepper or
+loads scipy.  A run that steps, such as a tree with a potential, loads
+scipy's _fblas alone.  The CLI kinds run one after another in one fresh
+process, and each test reads the scipy modules loaded after its kind.
 """
 import json
 import pkgutil
@@ -66,7 +67,7 @@ CLI_KINDS = [
     ("sharpness-two-step", TWO_STEP_INI, []),  # the exact kernel solve builds no stepper
     ("kernel-compare", KERNEL_INI, []),  # the FD reference is a free line, run at once
     ("simulate-line", LINE_SIMULATE_INI, []),
-    ("reduce-tree", TREE_INI, FBLAS),  # the tree's vertex system steps
+    ("reduce-tree", TREE_INI, []),  # three vertices: the tree's free vertex system runs at once
 ]
 
 # run the CLI on each <id>.ini in turn; print each exit code and the scipy modules loaded after it
@@ -111,36 +112,40 @@ print(json.dumps({m: m in sys.modules for m in ("multiprocessing", "concurrent.f
 
 def test_evolution_loads_blas_but_not_scipy_sparse(tmp_path):
     # a free line loads no scipy; ztbsv, bound by the first stepper (here
-    # the tree's vertex system), comes from scipy's _fblas extension module
-    # alone: neither the scipy.linalg package nor scipy.sparse is imported
+    # the tree's vertex system with a static potential), comes from scipy's
+    # _fblas extension module alone: neither the scipy.linalg package nor
+    # scipy.sparse is imported
     got = fresh_process(
         tmp_path,
         """\
 import numpy as np
-from graphlse import EvolutionConfig, GraphState, build_regular_tree, evolve_graph, evolve_line_sigma, line_grid
+from graphlse import EvolutionConfig, GraphState, build_regular_tree, evolve_graph_potential, evolve_line_sigma, line_grid
 cfg = EvolutionConfig(dt=0.01)
 nodes = line_grid(10.0, 10.0, 0.1)
 evolve_line_sigma(np.exp(-nodes**2), np.ones(len(nodes) - 1), nodes, 0.1, cfg)
 line = sorted(m for m in sys.modules if m.startswith("scipy"))
 graph, grid = build_regular_tree([1.0], [2, 2], 10.0, 0.1)
-evolve_graph(GraphState.sample(graph, grid, lambda x: np.sin(np.pi * x) * np.exp(-(x**2))), 0.1, cfg)
+state = GraphState.sample(graph, grid, lambda x: np.sin(np.pi * x) * np.exp(-(x**2)))
+evolve_graph_potential(state, 0.5, None, 0.1, cfg)
 print(json.dumps({"line": line, **{m: m in sys.modules for m in ("scipy.linalg._fblas", "scipy.linalg", "scipy.sparse")}}))
 """,
     )
     assert got == {"line": [], "scipy.linalg._fblas": True, "scipy.linalg": False, "scipy.sparse": False}
 
 
-# evolve a line and a tree (vertex system); print the digests of the results and the scipy modules loaded
+# evolve a line and a tree (vertex system, stepped under a static potential); print the
+# digests of the results and the scipy modules loaded
 EVOLVE_DIGESTS = """\
 import hashlib
 import numpy as np
-from graphlse import EvolutionConfig, GraphState, build_regular_tree, evolve_graph, evolve_line_sigma, line_grid
+from graphlse import EvolutionConfig, GraphState, build_regular_tree, evolve_graph_potential, evolve_line_sigma, line_grid
 cfg = EvolutionConfig(dt=0.005)
 nodes = line_grid(8.0, 8.0, 0.05)
 sigma = np.where(nodes[1:] > 1.0, 2.0, 1.0)
 line = evolve_line_sigma(np.exp(-(nodes + 1.0) ** 2 + 2j * nodes), sigma, nodes, 0.2, cfg)
 graph, grid = build_regular_tree([1.0], [2, 2], 8.0, 0.05)
-tree = evolve_graph(GraphState.sample(graph, grid, lambda x: np.sin(np.pi * x) * np.exp(-(x**2))), 0.2, cfg)
+state = GraphState.sample(graph, grid, lambda x: np.sin(np.pi * x) * np.exp(-(x**2)))
+tree = evolve_graph_potential(state, 0.5, None, 0.2, cfg)
 digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in (line, *tree.values)]
 print(json.dumps({"digests": digests, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
