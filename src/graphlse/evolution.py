@@ -49,33 +49,31 @@ Dirichlet at both ends.  The vertex row divided by N is the half-mass
 Neumann first row of the mean, so the modes are N plain chains with no
 vertex dof, and the Laplacian and the potential act on every mode as on one
 edge.  Data equal on every edge has differences exactly zero, so their
-chains stay quiet and a step sweeps one ray, not N.  A free run (no
-potential) takes no steps one by one: every mode is a uniform chain with
-constant coefficients, Dirichlet at both ends once the mean is reflected
-evenly about the vertex, so the product of all its Cayley steps is diagonal
-in a discrete sine basis, and the run is one FFT pair per group of chains
-(``_free_modes``).  On this path the far field holds round-off of about
-eps max|u|, not exact zeros.  Other graphs, and stars with unequal rays or
-per-edge potentials, run on the vertex system, which stays the oracle of the
-mode system.
+chains stay quiet and a step sweeps one ray, not N.  Other graphs, and
+stars with unequal rays or per-edge potentials, run on the vertex system,
+which stays the oracle of the mode system.
 
-Lines and small free graphs take no steps one by one either.  Every edge of
-a graph is a uniform chain, and so is each layer of a line between two
-interfaces, the nodes where the cell's (sigma, dx) changes: the steps of a
-uniform chain are diagonal in its sine basis, so the only unknowns left are
-the junction values (the graph's vertices, the line's interfaces).  The rows
-of A at the junctions, with each chain row next to one written as its free
-trace plus its response to the earlier junction values, are a recurrence
-with the same coefficients at every step.  Its solution is one FFT
-convolution per run of up to ``_SEGMENT`` steps, after which each chain
-takes all the run's steps at once (``_free_chains``).  Sums of powers of
-each chain's step factors, a few matrix products, replace nsteps sweeps, so
-such runs build no stepper and load no scipy.  A line qualifies with at most
-``_MAX_INTERFACES`` interfaces (``_free_line``), a graph run with no
-potential with at most ``_MAX_INTERFACES`` vertices (``_vertex_system``).
-Lines with more interfaces or with cells whose widths vary inside a layer,
-graphs with more vertices and runs with a potential step the Cayley core,
-which stays the oracle of this path.
+Free runs (no potential) of stars, lines and small graphs take no steps one
+by one.  Every edge of a graph is a uniform chain, and so is each layer of a
+line between two interfaces, the nodes where the cell's (sigma, dx)
+changes, and each mode of a star, Dirichlet at both ends once the mean is
+reflected evenly about the vertex.  The steps of a uniform chain are
+diagonal in its sine basis, so the only unknowns left are the junction
+values (the graph's vertices, the line's interfaces; a star's modes have
+none).  The rows of A at the junctions, with each chain row next to one
+written as its free trace plus its response to the earlier junction values,
+are a recurrence with the same coefficients at every step.  Its solution is
+one FFT convolution per run of up to ``_SEGMENT`` steps, after which each
+chain takes all the run's steps at once (``_free_chains``).  Sums of powers
+of each chain's step factors, a few matrix products, replace nsteps sweeps,
+so such runs build no stepper and load no scipy.  A star's modes qualify
+whenever ``_star_modes`` admits the run, a line with at most
+``_MAX_INTERFACES`` interfaces (``_free_line``), a graph with at most
+``_MAX_INTERFACES`` vertices (``_vertex_system``).  Lines with more
+interfaces or with cells whose widths vary inside a layer, graphs with more
+vertices and runs with a potential step the Cayley core, which stays the
+oracle of this path.  On this path the far field holds round-off of about
+eps max|u|, not exact zeros.
 
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
@@ -86,9 +84,11 @@ whose wavefront has reached the artificial boundary.
 """
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -664,39 +664,6 @@ def _mode_chains(n_edges: int, n: int, h: float):
     return n_edges * n, cells, np.sort(np.concatenate([first[1:], first + n - 1]))
 
 
-def _free_modes(modes, h: float, dt: float, nsteps: int) -> np.ndarray:
-    """``nsteps`` free Cayley steps of the mode chains (``_mode_chains``) at once, in a sine basis.
-
-    ``modes`` is the (N, n) array of ``_mode_system``.  A difference chain is
-    a uniform chain of n - 1 cells, Dirichlet at both ends, and so is the mean
-    chain reflected evenly about its vertex (the half-mass Neumann row is the
-    middle row of the reflection), with 2(n - 1) cells.  On such a chain of
-    C cells the linear ramp between its two end values is a fixed point of
-    the step (K ramp = 0 inside), and one step multiplies the sine mode
-    sin(pi j k / C) of the rest by exp(-2i arctan(dt lam_j / 2)), lam_j =
-    (4 / h^2) sin^2(pi j / 2C).  The sine transform of the interior is the
-    FFT of its odd extension, of length 2C, so the whole run is one FFT pair
-    per group of chains, and the Dirichlet rows keep their values.
-    """
-    if nsteps == 0:
-        return modes
-    n = modes.shape[1]
-    out = []
-    for w in (np.concatenate([modes[:1, :0:-1], modes[:1]], axis=1), modes[1:]):
-        cells = w.shape[1] - 1
-        ramp = w[:, :1] + (w[:, -1:] - w[:, :1]) * (np.arange(1, cells) / cells)
-        z = np.zeros((len(w), 2 * cells), dtype=complex)
-        z[:, 1:cells] = w[:, 1:-1] - ramp
-        z[:, cells + 1 :] = -z[:, cells - 1 : 0 : -1]
-        k = np.arange(2 * cells)
-        lam = (4.0 / h**2) * np.sin(np.pi * np.minimum(k, 2 * cells - k) / (2 * cells)) ** 2  # even in k, bit for bit
-        mu = np.exp(-2j * nsteps * np.arctan((dt / 2.0) * lam))
-        w = w.astype(complex)
-        w[:, 1:-1] = np.fft.ifft(mu * np.fft.fft(z), axis=1)[:, 1:cells] + ramp
-        out.append(w)
-    return np.concatenate([out[0][:, n - 1 :], out[1]])
-
-
 def _mode_system(u0: GraphState, dt: float):
     """The mode system of a star that ``_star_modes`` admits, laid out like ``_vertex_system``.
 
@@ -704,8 +671,11 @@ def _mode_system(u0: GraphState, dt: float):
     as N plain chains (``_mode_chains``, nv = 0): row 0 is the edge mean,
     whose first sample is the vertex value, and row k is u_k - u_0.  A
     potential is sampled once on the ray, and ``spread`` tiles a function of
-    it (its phase) over the chains.  A free run propagates the (N, n) modes
-    with ``_free_modes`` and builds no stepper.
+    it (its phase) over the chains.  A free run hands the modes to
+    ``_free_chains`` as uniform chains with no junction (p = 0), each
+    Dirichlet at both ends: the differences as they are, and the mean
+    reflected evenly about the vertex, whose half-mass Neumann row is the
+    middle row of the reflection; it builds no stepper.
     """
     n_edges, n, h = u0.graph.n_edges, u0.grid.counts[0], u0.grid.h
     x = u0.grid.x(0)
@@ -728,7 +698,13 @@ def _mode_system(u0: GraphState, dt: float):
         d[1:] += u.reshape(n_edges, n)[1:]  # adding to +0 turns -0 into +0: equal edges come out bit-equal
         return tuple(u[:n] - d.sum(axis=0) / n_edges + d)
 
-    free = lambda u, nsteps: _free_modes(u.reshape(n_edges, n), h, dt, nsteps).ravel()
+    def free(u, nsteps):
+        """Each mode a chain of ``_free_chains`` with no junction, the mean reflected about the vertex."""
+        modes = u.reshape(n_edges, n)
+        mean = np.concatenate([modes[0, :0:-1], modes[0]])
+        out = _free_chains([(v, 0, 0, 1.0 / h, h) for v in (mean, *modes[1:])], 0, dt, nsteps)
+        return np.concatenate([out[0][n - 1 :], *out[1:]])
+
     return build, modes.ravel(), sample, spread, unpack, free
 
 
@@ -738,16 +714,18 @@ def _evolve_graph(
     """Cayley steps wrapped in the potential's phase half-steps.
 
     ``static`` is sampled once, ``dynamic`` at every half-step; a number
-    stands for the constant potential.  Without a dynamic part the phase
-    exp(i dt/2 v) is computed once and the half-steps merge (``_steps``).
-    The phase is computed where the system samples (on the ray for the
-    modes) and then spread over the dofs; after the first step it multiplies
-    only the window's spans.  The steps run on the star's mode system when
-    ``_star_modes`` admits the run and ``vertex_path`` is False, and on the
-    vertex system otherwise.  A free run (no potential at all) takes all its
-    steps at once in sine bases, on the modes (``_free_modes``) or on a
-    vertex system of at most ``_MAX_INTERFACES`` vertices (``_free_chains``),
-    unless ``vertex_path`` asks for the stepped vertex system.
+    (any ``numbers.Number``) stands for the constant potential.  Without a
+    dynamic part the phase exp(i dt/2 v) is computed once and the half-steps
+    merge (``_steps``).  The phase is computed where the system samples (on
+    the ray for the modes) and then spread over the dofs; after the first
+    step it multiplies only the window's spans.  The steps run on the star's
+    mode system when ``_star_modes`` admits the run and ``vertex_path`` is
+    False, and on the vertex system otherwise.  A free run (no potential at
+    all) takes all its steps at once in sine bases (``_free_chains``), on the
+    modes or on a vertex system of at most ``_MAX_INTERFACES`` vertices,
+    unless ``vertex_path`` asks for the stepped vertex system.  A run of no
+    steps samples the static potential, so that its checks run, and returns
+    the data without building a stepper.
     """
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
     graph, grid = u0.graph, u0.grid
@@ -756,13 +734,15 @@ def _evolve_graph(
     build, u, sample_at, spread, unpack, free = (_mode_system if modes else _vertex_system)(u0, dt_signed)
 
     def sample(f, t):
-        if isinstance(f, (int, float, complex)):
+        if isinstance(f, numbers.Number):
             f = lambda t, x, c=f: c
         return sample_at(f, t)
 
     v1 = None if static is None else sample(static, u0.time)
-    if static is None and dynamic is None and free is not None and not vertex_path:
-        u = free(u, nsteps)
+    if nsteps == 0:
+        values = tuple(v.copy() for v in u0.values)
+    elif static is None and dynamic is None and free is not None and not vertex_path:
+        values = unpack(free(u, nsteps))
     elif dynamic is not None:
         stepper = build()
         def phase(t):
@@ -775,9 +755,10 @@ def _evolve_graph(
             u = stepper(live.scale(u, phase(t + dt_signed / 4.0)), live)
             live.scale(u, phase(t + 3.0 * dt_signed / 4.0))
             t += dt_signed
+        values = unpack(u)
     else:
-        u = _steps(u, build(), nsteps, None if v1 is None else spread(np.exp(1j * (dt_signed / 2.0) * v1)))
-    out = GraphState(graph, grid, unpack(u), u0.time + nsteps * dt_signed)
+        values = unpack(_steps(u, build(), nsteps, None if v1 is None else spread(np.exp(1j * (dt_signed / 2.0) * v1))))
+    out = GraphState(graph, grid, values, u0.time + nsteps * dt_signed)
     if cfg.boundary_guard is not None:
         pieces = []
         for eid, e in enumerate(graph.edges):
@@ -930,18 +911,30 @@ class _Layer:
     lam) / (i - g lam) = exp(-2i arctan(g lam)), beta = -g / (i - g lam) and
     lam = 4 sin^2(pi j / 2(m + 1)).  A row next to a vertex reads 2 / (m +
     1) S_1 a (with the sign at the last row), so every sum over the modes
-    splits into one over odd j and one over even j.
+    splits into one over odd j and one over even j.  The junction terms mu,
+    beta and S_1 are built on first use, so a chain that no junction reads
+    (``_free_chains`` with p = 0) builds only its phases.
     """
 
     def __init__(self, rows: np.ndarray, g: float):
         m = len(rows)
-        j = np.arange(1, m + 1)
-        lam = 4.0 * np.sin(np.pi * j / (2 * (m + 1))) ** 2
-        self.theta = np.arctan(g * lam)
-        self.mu = np.exp(-2j * self.theta)
-        self.beta = -g / (1j - g * lam)
-        self.edge = np.sin(np.pi * j / (m + 1))
+        self.g = g
+        self.lam = 4.0 * np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1))) ** 2
+        self.theta = np.arctan(g * self.lam)
         self.coef = _sine(rows)
+
+    @functools.cached_property
+    def mu(self) -> np.ndarray:
+        return np.exp(-2j * self.theta)
+
+    @functools.cached_property
+    def beta(self) -> np.ndarray:
+        return -self.g / (1j - self.g * self.lam)
+
+    @functools.cached_property
+    def edge(self) -> np.ndarray:
+        m = len(self.coef)
+        return np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
 
     def _ends(self, weights, nterms):
         """(first, last): sum_j mu_j^r (2 / (m + 1)) S_1 weights_j at the first and last row, r < nterms."""
@@ -974,7 +967,7 @@ class _Layer:
 
     def values(self) -> np.ndarray:
         """The interior rows of the current state."""
-        return (2.0 / (len(self.mu) + 1)) * _sine(self.coef)
+        return (2.0 / (len(self.coef) + 1)) * _sine(self.coef)
 
 
 def _series_inverse(T: np.ndarray) -> np.ndarray:
@@ -1017,22 +1010,23 @@ def _free_chains(chains, p: int, dt: float, nsteps: int) -> list[np.ndarray]:
     inverse Z of U (``_series_inverse``) solves a run of up to ``_SEGMENT``
     steps as one FFT convolution, x = Z * b; each chain then takes the run's
     steps at once (``_Layer.advance``), and a longer run restarts from there
-    with the same Z.  Like ``_free_modes``, the rows hold round-off of about
-    eps max|u| where the stepped core keeps zeros.
+    with the same Z.  With no junction (p = 0) there is no recurrence, and
+    each chain takes the whole run at once.  The rows hold round-off of
+    about eps max|u| where the stepped core keeps zeros.
     """
     if nsteps == 0:
         return [np.array(vals, dtype=complex) for vals, *_ in chains]
-    # the ramp's junction values: conductance w / cells on each chain, the data at the Dirichlet ends
-    G = np.zeros((p + 1, p + 1))
-    flux = np.zeros(p + 1, dtype=complex)
-    for vals, a, b, w, h in chains:
-        c = w / (len(vals) - 1)
-        for x, y, far in ((a, b, vals[-1]), (b, a, vals[0])):
-            G[x, x] += c
-            G[x, y] -= c
-            flux[x] += c * far if y == p else 0.0
     ramp_at = np.zeros(p + 1, dtype=complex)
     if p and any(p in (a, b) for _, a, b, _, _ in chains):
+        # the ramp's junction values: conductance w / cells on each chain, the data at the Dirichlet ends
+        G = np.zeros((p + 1, p + 1))
+        flux = np.zeros(p + 1, dtype=complex)
+        for vals, a, b, w, h in chains:
+            c = w / (len(vals) - 1)
+            for x, y, far in ((a, b, vals[-1]), (b, a, vals[0])):
+                G[x, x] += c
+                G[x, y] -= c
+                flux[x] += c * far if y == p else 0.0
         ramp_at[:p] = np.linalg.solve(G[:p, :p], flux[:p])
     s = np.zeros(p + 1, dtype=complex)  # v at the junctions; entry p, the Dirichlet ends, stays 0
     ramps, layers = [], []

@@ -65,8 +65,9 @@ def check_windowed_core() -> bool:
 def check_star_modes() -> bool:
     """The star's mode system against its vertex system, on different data per edge.
 
-    The free run propagates the modes in a sine basis; the run with a static
-    potential steps them with the Cayley mode stepper.
+    The free run takes the modes' whole run at once, as chains of
+    ``_free_chains`` with no junction, each in its sine basis; the run with a
+    static potential steps them with the Cayley mode stepper.
     """
     graph, grid = build_star(3, 10.0, 0.05)
     edge = lambda k: lambda x: np.exp(-(x**2)) * (1.0 + 0.3j * k * x) + k * x**2 * np.exp(-4.0 * (x - 2.0) ** 2)

@@ -955,11 +955,19 @@ def test_mode_path_steps_plain_chains(monkeypatch, star3):
     assert built == [(3 * grid.counts[0], 0), (_pack_graph(graph, grid).n_dof, 1)]
 
 
-@pytest.mark.parametrize("dt", [0.02, -0.02])
+def mode_free_run(n_edges, n, h, dt):
+    """The ``free(u, nsteps)`` of the mode system of a star with n samples a ray, spacing h."""
+    graph, grid = build_regular_tree((), (n_edges,), (n - 1) * h, h)  # build_star refuses L/h < 16
+    assert grid.counts == (n,) * n_edges
+    return evolution._mode_system(GraphState.sample(graph, grid, gaussian()), dt)[5]
+
+
+@pytest.mark.parametrize("dt", [0.02, -0.02, 1.0, -1.0])
 @pytest.mark.parametrize("n_edges, n, nsteps", [(2, 9, 40), (3, 12, 120), (4, 7, 200)])
-def test_free_modes_match_dense_cayley_power(n_edges, n, nsteps, dt):
+def test_star_free_run_matches_dense_cayley_power(n_edges, n, nsteps, dt):
     # all nsteps free steps of the mode chains at once, against the nsteps-th
-    # power of the dense Cayley step, on random data with nonzero Dirichlet values
+    # power of the dense Cayley step, on random data with nonzero Dirichlet
+    # values, at dt/h = 0.2 and 10
     h = 0.1
     n_dof, cells, dirichlet = _mode_chains(n_edges, n, h)
     mass, K = sparse_form(n_dof, cells)
@@ -971,15 +979,70 @@ def test_free_modes_match_dense_cayley_power(n_edges, n, nsteps, dt):
     u0 = rng.normal(size=n_dof) + 1j * rng.normal(size=n_dof)
     assert np.all(np.abs(u0[dirichlet]) > 0)
     want = np.linalg.matrix_power(np.linalg.solve(A, B), nsteps) @ u0
-    got = evolution._free_modes(u0.reshape(n_edges, n), h, dt, nsteps).ravel()
+    got = mode_free_run(n_edges, n, h, dt)(u0, nsteps)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     np.testing.assert_array_equal(got[dirichlet], u0[dirichlet])
 
 
-def test_free_modes_zero_steps_return_the_input():
+def test_star_free_run_zero_steps_return_the_input():
     rng = np.random.default_rng(3)
-    modes = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
-    assert evolution._free_modes(modes, 0.1, 0.02, 0).tobytes() == modes.tobytes()
+    modes = rng.normal(size=33) + 1j * rng.normal(size=33)
+    assert mode_free_run(3, 11, 0.1, 0.02)(modes, 0).tobytes() == modes.tobytes()
+
+
+def test_free_star_runs_its_modes_as_chains_with_no_junction(monkeypatch, star3):
+    # p = 0: no junction recurrence (_series_inverse), no junction response
+    # (_power_sums) and no stepper
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, asymmetric(3))
+    calls = []
+    chains = evolution._free_chains
+
+    def spy(chain_list, p, dt, nsteps):
+        calls.append((len(chain_list), p, nsteps))
+        return chains(chain_list, p, dt, nsteps)
+
+    def forbidden(*args):
+        raise AssertionError("a free star run reached junction or stepper code")
+
+    monkeypatch.setattr(evolution, "_free_chains", spy)
+    for name in ("_cayley_stepper", "_series_inverse", "_power_sums"):
+        monkeypatch.setattr(evolution, name, forbidden)
+    evolve_graph(st, 0.2, EvolutionConfig(dt=1e-3))
+    evolve_graph(st, -0.2, EvolutionConfig(dt=1e-3))
+    assert calls == [(3, 0, 200)] * 2
+
+
+@pytest.mark.parametrize("vertex_path", [False, True])
+def test_numpy_scalar_potentials_are_constants(star3, vertex_path):
+    # numpy scalars that do not subclass float or int stand for constants too
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, asymmetric(3))
+    cfg = EvolutionConfig(dt=1e-2)
+    for number, same in ((np.float32(0.5), 0.5), (np.int64(1), 1)):
+        for static, dynamic in ((number, None), (None, number)):
+            got = evolution._evolve_graph(st, 0.1, cfg, static, dynamic, vertex_path)
+            want = evolution._evolve_graph(
+                st, 0.1, cfg, same if static is not None else None, same if dynamic is not None else None, vertex_path
+            )
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.values, want.values))
+
+
+@pytest.mark.parametrize("vertex_path", [False, True])
+def test_zero_step_runs_with_a_potential_build_no_stepper(monkeypatch, star3, vertex_path):
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, asymmetric(3), time=0.3)
+    cfg = EvolutionConfig(dt=1e-3)
+    monkeypatch.setattr(evolution, "_cayley_stepper", unbuilt)
+    V1 = lambda t, x: np.cos(x) / (1 + x**2)
+    V2 = lambda t, x: (0.3 + t) * np.cos(x) + 0.5j * np.exp(-(x**2))
+    for static, dynamic in ((V1, None), (None, V2), (V1, V2)):
+        out = evolution._evolve_graph(st, 0.3, cfg, static, dynamic, vertex_path)
+        assert out.time == 0.3
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(out.values, st.values))
+    bad = lambda t, x: np.where(x > 1.0, np.nan, 0.0)  # the static potential is still sampled and checked
+    with pytest.raises(ValueError, match="NaN"):
+        evolution._evolve_graph(st, 0.3, cfg, bad, None, vertex_path)
 
 
 @pytest.mark.parametrize("t_final", [1.0, -1.0])

@@ -1,14 +1,15 @@
 """What a fresh process imports (no scipy until the first stepper, then only scipy's _fblas extension module), and the public surface.
 
 Per kind: threshold-sweep, appell and carleman never step; a sharpness run
-on a free star is one FFT pair and on a two-step line the exact kernel
-solve; kernel-compare and simulate on a line take the free line's whole run
-at once (a layered line with few interfaces and no potential), and
-reduce-tree takes the whole run at once on the binary tree's vertex system
-(three vertices) and on its folded line.  None of them builds a stepper or
-loads scipy.  A run that steps, such as a tree with a potential, loads
-scipy's _fblas alone.  The CLI kinds run one after another in one fresh
-process, and each test reads the scipy modules loaded after its kind.
+on a free star takes its modes' whole run at once in sine bases and on a
+two-step line the exact kernel solve; kernel-compare and simulate on a line
+take the free line's whole run at once (a layered line with few interfaces
+and no potential), and reduce-tree takes the whole run at once on the binary
+tree's vertex system (three vertices) and on its folded line.  None of them
+builds a stepper or loads scipy.  A run that steps, such as a tree with a
+potential, loads scipy's _fblas alone.  The CLI kinds run one after another
+in one fresh process, and each test reads the scipy modules loaded after its
+kind.
 """
 import json
 import pkgutil
@@ -63,7 +64,7 @@ FBLAS = ["scipy.linalg._fblas"]
 CLI_KINDS = [
     ("threshold-sweep", SWEEP_INI, []),
     ("appell", APPELL_INI, []),
-    ("sharpness-star", SHARPNESS_INI, []),  # a free star is one FFT pair and builds no stepper
+    ("sharpness-star", SHARPNESS_INI, []),  # a free star takes its modes' whole run at once and builds no stepper
     ("sharpness-two-step", TWO_STEP_INI, []),  # the exact kernel solve builds no stepper
     ("kernel-compare", KERNEL_INI, []),  # the FD reference is a free line, run at once
     ("simulate-line", LINE_SIMULATE_INI, []),
