@@ -9,18 +9,31 @@ mass matrix, so the Cayley step
 
     (i M - dt/2 K) u_next = (i M + dt/2 K) u
 
-conserves the trapezoid L2 norm to round-off whenever K is Hermitian.  Lines
-and graphs share one stepper, written with the single matrix
-A = i M - dt/2 K as u_next = A^{-1}(2 i M u) - u (Dirichlet rows: identity
-and 2).  Vertex dofs come first and every edge is one contiguous chain, so
-the chain block of A is tridiagonal and strictly diagonally dominant.  A is
-never formed as a matrix: its pieces come straight from the cell list (the
-three bands of the chain block, the dense vertex block and the few
-vertex-chain entries).  The chain block is factored once without pivoting,
-with its pivots 1/p folded into the row scale, so each step is one multiply
-and two banded BLAS solves, and the vertices solve a small dense Schur
-complement.  The BLAS routine is scipy's ``ztbsv``, bound when the first
-stepper is built from scipy's ``_fblas`` extension module alone
+conserves the trapezoid L2 norm to round-off whenever K is Hermitian.
+
+One chain list describes a run.  A chain (dofs, a, b, w, h) is a path of
+samples: ``dofs`` index them in the packed state from end a to end b, an
+end is a junction 0..p-1 or p (a Dirichlet end), and w = sigma / h and h
+are numbers or one value per cell.  A graph has one chain per edge
+(``_pack_graph``: vertex k is dof and junction k, a ray's far end is
+Dirichlet), a stepped line one chain with p = 0, a free line one chain per
+layer joined at its interfaces, and a star's modes N chains with no
+junction (below).  ``_chain_cells`` gives the stepper the cells of the
+Dirichlet form and the Dirichlet rows of a list, and the free path
+(``_free_chains``) gathers the same chains from the packed state and
+scatters them back.
+
+Lines and graphs share one stepper, written with the single matrix A = i M
+- dt/2 K as u_next = A^{-1}(2 i M u) - u (Dirichlet rows: identity and 2).
+The vertices come first and each chain's other samples take contiguous
+dofs, so the chain block of A is tridiagonal and strictly diagonally
+dominant.  A is never formed as a matrix: its pieces come straight from the
+cells (the three bands of the chain block, the dense vertex block and the
+few vertex-chain entries).  The chain block is factored once without
+pivoting, with its pivots 1/p folded into the row scale, so each step is
+one multiply and two banded BLAS solves, and the vertices solve a small
+dense Schur complement.  The BLAS routine is scipy's ``ztbsv``, bound when
+the first stepper is built from scipy's ``_fblas`` extension module alone
 (``_ztbsv``), so no part of the package loads the ``scipy.linalg`` package.
 
 A run sweeps each chain only on its live window, carried from step to step
@@ -42,45 +55,43 @@ rounding, and the quiet far field is neither swept nor filled with
 subnormal numbers.
 
 A star whose rays share one grid, with potentials that do not depend on the
-edge, steps the same equations in other unknowns, its modes (the reduction
-of ``reduction.star_sum``): the edge mean, whose far end is Dirichlet, and
-the differences u_k - u_0, k >= 1, which vanish at the vertex and are
-Dirichlet at both ends.  The vertex row divided by N is the half-mass
-Neumann first row of the mean, so the modes are N plain chains with no
-vertex dof, and the Laplacian and the potential act on every mode as on one
-edge.  Data equal on every edge has differences exactly zero, so their
-chains stay quiet and a step sweeps one ray, not N.  Other graphs, and
-stars with unequal rays or per-edge potentials, run on the vertex system,
-which stays the oracle of the mode system.
+edge, steps the same equations in other unknowns, its modes: the edge mean,
+whose far end is Dirichlet, and the differences u_k - u_0, k >= 1, which
+vanish at the vertex and are Dirichlet at both ends.  They are the even/odd
+split of ``reduction.star_sum`` (the sum S and u_k - S/N) in another
+normalisation.  The vertex row divided by N is the half-mass Neumann first
+row of the mean, a plain row with no vertex dof, so the Laplacian and the
+potential act on every mode as on one edge.  Data equal on every edge has
+differences exactly zero, so their chains stay quiet and a step sweeps one
+ray, not N.  Other graphs, and stars with unequal rays or per-edge
+potentials, run on the vertex system, which stays the oracle of the mode
+system.
 
 Free runs (no potential) of stars, lines and small graphs take no steps one
-by one.  Every edge of a graph is a uniform chain, and so is each layer of a
-line between two interfaces, the nodes where the cell's (sigma, dx)
-changes, and each mode of a star, Dirichlet at both ends once the mean is
-reflected evenly about the vertex.  The steps of a uniform chain are
-diagonal in its sine basis, so the only unknowns left are the junction
-values (the graph's vertices, the line's interfaces; a star's modes have
-none).  The rows of A at the junctions, with each chain row next to one
-written as its free trace plus its response to the earlier junction values,
-are a recurrence with the same coefficients at every step.  Its solution is
-one FFT convolution per run of up to ``_SEGMENT`` steps, after which each
-chain takes all the run's steps at once (``_free_chains``).  Sums of powers
-of each chain's step factors, a few matrix products, replace nsteps sweeps,
-so such runs build no stepper and load no scipy.  A star's modes qualify
-whenever ``_star_modes`` admits the run, a line with at most
-``_MAX_INTERFACES`` interfaces (``_free_line``), a graph with at most
-``_MAX_INTERFACES`` vertices (``_vertex_system``).  Lines with more
-interfaces or with cells whose widths vary inside a layer, graphs with more
-vertices and runs with a potential step the Cayley core, which stays the
+by one.  Their chains are uniform (a star's mean once reflected evenly about
+the vertex), and the steps of a uniform chain are diagonal in its sine
+basis, so the only unknowns left are the junction values.  The rows of A at
+the junctions, with each chain row next to one written as its free trace
+plus its response to the earlier junction values, are a recurrence with the
+same coefficients at every step.  Its solution is one FFT convolution per
+run of up to ``_SEGMENT`` steps, after which each chain takes all the run's
+steps at once (``_free_chains``).  Sums of powers of each chain's step
+factors, a few matrix products, replace nsteps sweeps, so such runs build
+no stepper and load no scipy.  A star's modes qualify whenever
+``_star_modes`` admits the run, a line with at most ``_MAX_INTERFACES``
+interfaces (the nodes where the cell's (sigma, dx) changes; ``_free_line``)
+and a graph with at most ``_MAX_INTERFACES`` vertices.  Other lines and
+graphs and runs with a potential step the Cayley core, which stays the
 oracle of this path.  On this path the far field holds round-off of about
 eps max|u|, not exact zeros.
 
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
-potential act as an exact gauge factor; the half-steps of a static potential
-merge into one multiply between steps.  One guard, on the share of the mass
-beyond ``boundary_guard`` of each truncated ray or line end, rejects runs
-whose wavefront has reached the artificial boundary.
+potential act as an exact gauge factor.  One loop (``_steps``) runs every
+potential, the two half-steps that meet between steps merged into one
+multiply.  One guard, on the share of the mass beyond ``boundary_guard`` of
+each truncated ray or line end, rejects runs whose wavefront has reached
+the artificial boundary.
 """
 from __future__ import annotations
 
@@ -153,31 +164,24 @@ def _n_steps(t_final: float, dt: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _GraphPacking:
-    n_dof: int
-    edge_dofs: tuple[np.ndarray, ...]  # per edge: dof index of each sample
-    dirichlet: np.ndarray
+def _pack_graph(graph: MetricGraph, grid: GraphGrid):
+    """(n_dof, chains) of the vertex system: one chain per edge, in edge order.
 
-
-def _pack_graph(graph: MetricGraph, grid: GraphGrid) -> _GraphPacking:
-    vertex_dof = {v: i for i, v in enumerate(graph.vertices)}
-    n_dof = len(graph.vertices)
-    edge_dofs = []
-    dirichlet = []
+    Vertex k is dof and junction k; each edge's other samples take the next
+    free dofs, and a ray's far end is its Dirichlet end, len(graph.vertices).
+    """
+    nv = len(graph.vertices)
+    vertex = {v: i for i, v in enumerate(graph.vertices)}
+    n_dof, chains = nv, []
     for e, n in zip(graph.edges, grid.counts):
-        dofs = np.empty(n, dtype=int)
-        dofs[0] = vertex_dof[e.initial]
-        dofs[1:-1] = np.arange(n_dof, n_dof + n - 2)
-        n_dof += n - 2
-        if e.terminal is None:
-            dofs[-1] = n_dof
-            dirichlet.append(n_dof)
-            n_dof += 1
-        else:
-            dofs[-1] = vertex_dof[e.terminal]
-        edge_dofs.append(dofs)
-    return _GraphPacking(n_dof, tuple(edge_dofs), np.asarray(dirichlet, dtype=int))
+        b = nv if e.terminal is None else vertex[e.terminal]
+        dofs = np.arange(n_dof - 1, n_dof + n - 1)  # samples 1.. take fresh dofs, a vertex end its own
+        dofs[0] = vertex[e.initial]
+        if b < nv:
+            dofs[-1] = b
+        n_dof += n - 1 - (b < nv)
+        chains.append((dofs, vertex[e.initial], b, 1.0 / grid.h, grid.h))
+    return n_dof, chains
 
 
 def _assemble(n_dof, cells, dt, dirichlet, nv):
@@ -222,20 +226,30 @@ def _assemble(n_dof, cells, dt, dirichlet, nv):
     return c, (sub, diag[nv:], sup), D, F, E
 
 
-def _graph_cells(grid: GraphGrid, packing: _GraphPacking):
-    pairs = np.concatenate([np.stack([dofs[:-1], dofs[1:]], axis=1) for dofs in packing.edge_dofs])
-    return pairs, np.full(len(pairs), 1.0 / grid.h), np.full(len(pairs), grid.h)
+def _chain_cells(chains, p: int):
+    """(cells, dirichlet) of a chain list, as ``_cayley_stepper`` reads them.
+
+    Each two neighbouring samples of a chain are one cell, with the chain's
+    w and h; the Dirichlet dofs are the chain ends marked p.  The stepper
+    takes junction k as dof k (nv = p).  An end marked None, the vertex row
+    of a star's mean, is a plain row: neither a junction nor Dirichlet.
+    """
+    cell = lambda d, x: np.broadcast_to(x, len(d) - 1)  # a chain's w or h, one value per cell
+    parts = [(np.stack([d[:-1], d[1:]], axis=1), cell(d, w), cell(d, h)) for d, _, _, w, h in chains]
+    ends = [d[k] for d, a, b, _, _ in chains for k, end in ((0, a), (-1, b)) if end == p]
+    return tuple(np.concatenate(part) for part in zip(*parts)), np.array(sorted(ends), dtype=int)
 
 
-def _scatter(packing: _GraphPacking, edge_values, tol, message: str) -> np.ndarray:
+def _scatter(packing, edge_values, tol, message: str) -> np.ndarray:
     """One complex value per dof from one array per edge, filled edge by edge.
 
     Where edges meet at a vertex, a value that differs from the one already
     there by more than ``tol(values)`` raises ValueError(``message``).
     """
-    out = np.zeros(packing.n_dof, dtype=complex)
-    filled = np.zeros(packing.n_dof, dtype=bool)
-    for dofs, vals in zip(packing.edge_dofs, edge_values):
+    n_dof, chains = packing
+    out = np.zeros(n_dof, dtype=complex)
+    filled = np.zeros(n_dof, dtype=bool)
+    for (dofs, *_), vals in zip(chains, edge_values):
         if np.any(filled[dofs] & (np.abs(out[dofs] - vals) > tol(vals))):
             raise ValueError(message)
         out[dofs] = vals
@@ -243,7 +257,7 @@ def _scatter(packing: _GraphPacking, edge_values, tol, message: str) -> np.ndarr
     return out
 
 
-def _pack_state(state: GraphState, packing: _GraphPacking) -> np.ndarray:
+def _pack_state(state: GraphState, packing) -> np.ndarray:
     scale = max(float(np.max(np.abs(v))) for v in state.values) or 1.0
     return _scatter(packing, state.values, lambda v: 1e-9 * scale, "initial data is discontinuous at a vertex")
 
@@ -411,13 +425,14 @@ class _Window:
         return u
 
 
-def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
-    """The Crank-Nicolson step u -> A^{-1}(c u) - u, factored once.
+def _cayley_stepper(n_dof, chains, nv, dt):
+    """The Crank-Nicolson step u -> A^{-1}(c u) - u of a chain list on n_dof dofs, factored once.
 
     A = iM - (dt/2)K with identity rows at the Dirichlet dofs and c = 2i mass
-    (2 on Dirichlet rows), assembled from ``cells`` by ``_assemble``: since
-    iM + (dt/2)K = 2iM - A, this is the Cayley step.  The first ``nv`` dofs
-    are graph vertices and the rest are edge chains, so T = A[nv:, nv:] is
+    (2 on Dirichlet rows), assembled by ``_assemble`` from the cells and
+    Dirichlet rows of ``chains`` (``_chain_cells``, junction marker nv):
+    since iM + (dt/2)K = 2iM - A, this is the Cayley step.  The first ``nv``
+    dofs are the junctions and the rest chain rows, so T = A[nv:, nv:] is
     tridiagonal with no coupling between chains (lines and the star's modes
     are nv = 0).  T is strictly row diagonally dominant for either sign of
     dt, |A_ii| = hypot(M_ii, dt K_ii / 2) > |dt| K_ii / 2 = sum_{j != i}
@@ -446,6 +461,7 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
     """
     ztbsv = _ztbsv()  # bound here: runs that build no stepper load no scipy
 
+    cells, dirichlet = _chain_cells(chains, nv)
     c, bands, D, F, E = _assemble(n_dof, cells, dt, dirichlet, nv)
     factors = _factor_chains(*bands)
     rp = factors[1]
@@ -549,7 +565,7 @@ def _cayley_stepper(n_dof, cells, dt, dirichlet, nv=0):
     return step
 
 
-def _sample_potential(fn, t, packing: _GraphPacking, graph, grid):
+def _sample_potential(fn, t, packing, graph, grid):
     """Sample a per-edge potential on the dof vector.
 
     A potential is a function on the graph, so per-edge callables must agree
@@ -592,50 +608,39 @@ def _guard_tail(pieces, cfg: EvolutionConfig) -> float:
 
 
 def _steps(u, stepper, nsteps, phase=None):
-    """``nsteps`` Cayley steps between static phase half-steps.
+    """``nsteps`` Cayley steps, with ``phase(k)`` multiplied in before step k and ``phase(nsteps)`` after the last.
 
-    The half-steps of consecutive steps merge: ``phase`` before the first
-    step, ``phase**2`` between steps (on the window's spans only) and
-    ``phase`` after the last.  The steps share one live window, which starts
-    from the state they are given.
+    ``phase(k)`` is the product of the potential's phase half-steps that
+    meet there: the half-step after step k - 1 and the one before step k.
+    Between steps it multiplies only the window's spans.  The steps share
+    one live window, which starts from the state they are given.
     """
     live = _Window()
     if phase is None or nsteps == 0:
         for _ in range(nsteps):
             u = stepper(u, live)
         return u
-    phase2 = phase * phase
-    u = phase * u
-    for _ in range(nsteps - 1):
-        u = live.scale(stepper(u, live), phase2)
-    return phase * stepper(u, live)
+    u = phase(0) * u
+    for k in range(1, nsteps):
+        u = live.scale(stepper(u, live), phase(k))
+    return phase(nsteps) * stepper(u, live)
 
 
 def _vertex_system(u0: GraphState, dt: float):
     """The vertex system of any graph: (stepper builder, packed u0, potential sampler, spread, unpacker, free run).
 
-    The builder returns the system's ``_cayley_stepper``.  The sampler
-    returns one value per dof, so ``spread`` is the identity.  ``free(u,
-    nsteps)`` takes a run with no potential at once; it is None for a graph
-    with more than ``_MAX_INTERFACES`` vertices.
+    The stepper and the free run (``_free_chains``, None for a graph with
+    more than ``_MAX_INTERFACES`` vertices) read one chain list.  The sampler
+    returns one value per dof, so ``spread`` is the identity.
     """
     graph, grid = u0.graph, u0.grid
     packing = _pack_graph(graph, grid)
-    cells = _graph_cells(grid, packing)
-    nv = len(graph.vertices)
-    build = lambda: _cayley_stepper(packing.n_dof, cells, dt, packing.dirichlet, nv)
+    (n_dof, chains), nv = packing, len(graph.vertices)
+    build = lambda: _cayley_stepper(n_dof, chains, nv, dt)
     sample = lambda f, t: _sample_potential(f, t, packing, graph, grid)
-    unpack = lambda u: tuple(u[dofs].copy() for dofs in packing.edge_dofs)
-
-    def free(u, nsteps):
-        """Each edge a chain of ``_free_chains``: vertex k is junction k, a ray's far end a Dirichlet end."""
-        chains = [(u[dofs], dofs[0], min(dofs[-1], nv), 1.0 / grid.h, grid.h) for dofs in packing.edge_dofs]
-        out = u.copy()
-        for dofs, vals in zip(packing.edge_dofs, _free_chains(chains, nv, dt, nsteps)):
-            out[dofs] = vals
-        return out
-
-    return build, _pack_state(u0, packing), sample, lambda a: a, unpack, free if nv <= _MAX_INTERFACES else None
+    unpack = lambda u: tuple(u[dofs] for dofs, *_ in chains)
+    free = (lambda u, nsteps: _free_chains(u, chains, nv, dt, nsteps)) if nv <= _MAX_INTERFACES else None
+    return build, _pack_state(u0, packing), sample, lambda a: a, unpack, free
 
 
 def _star_modes(u0: GraphState, static, dynamic) -> bool:
@@ -651,31 +656,18 @@ def _star_modes(u0: GraphState, static, dynamic) -> bool:
     )
 
 
-def _mode_chains(n_edges: int, n: int, h: float):
-    """(n_dof, cells, dirichlet) of the N mode chains of n samples each, spacing h.
-
-    Chain 0 is the edge mean, whose first row is the vertex (a half-mass
-    Neumann row) and whose last is Dirichlet; chains 1..N-1 are the
-    differences, Dirichlet at both ends.
-    """
-    first = np.arange(n_edges) * n
-    i = (first[:, None] + np.arange(n - 1)).ravel()
-    cells = (np.stack([i, i + 1], axis=1), np.full(len(i), 1.0 / h), np.full(len(i), h))
-    return n_edges * n, cells, np.sort(np.concatenate([first[1:], first + n - 1]))
-
-
 def _mode_system(u0: GraphState, dt: float):
     """The mode system of a star that ``_star_modes`` admits, laid out like ``_vertex_system``.
 
-    The modes are an (N, n) array on the shared ray grid, stepped flattened
-    as N plain chains (``_mode_chains``, nv = 0): row 0 is the edge mean,
-    whose first sample is the vertex value, and row k is u_k - u_0.  A
-    potential is sampled once on the ray, and ``spread`` tiles a function of
-    it (its phase) over the chains.  A free run hands the modes to
-    ``_free_chains`` as uniform chains with no junction (p = 0), each
-    Dirichlet at both ends: the differences as they are, and the mean
-    reflected evenly about the vertex, whose half-mass Neumann row is the
-    middle row of the reflection; it builds no stepper.
+    The modes are an (N, n) array on the shared ray grid, packed row by row:
+    row 0 is the edge mean, whose first sample is the vertex value, and row
+    k is u_k - u_0.  Rows 1.. are chains Dirichlet at both ends, with no
+    junction (p = 0).  The stepper's row 0 has a plain vertex row (None, the
+    half-mass Neumann row) and a Dirichlet far end.  The free run's row 0 is
+    reflected evenly about the vertex, Dirichlet at both ends with the
+    Neumann row in the middle; its right half is scattered last, so it
+    lands.  A potential is sampled once on the ray, and ``spread`` tiles a
+    function of it (its phase) over the chains.
     """
     n_edges, n, h = u0.graph.n_edges, u0.grid.counts[0], u0.grid.h
     x = u0.grid.x(0)
@@ -688,8 +680,10 @@ def _mode_system(u0: GraphState, dt: float):
     modes[1:] = vals[1:] - vals[0]
     modes[:, 0] = 0.0
     modes[0, 0] = vals[-1, 0]  # the vertex value the vertex path keeps
-    n_dof, cells, dirichlet = _mode_chains(n_edges, n, h)
-    build = lambda: _cayley_stepper(n_dof, cells, dt, dirichlet, 0)
+    ray = np.arange(n)
+    diffs = [(k * n + ray, 0, 0, 1.0 / h, h) for k in range(1, n_edges)]
+    reflected = [(np.r_[n - 1 : 0 : -1, ray], 0, 0, 1.0 / h, h), *diffs]
+    build = lambda: _cayley_stepper(n_edges * n, [(ray, None, 0, 1.0 / h, h), *diffs], 0, dt)
     sample = lambda f, t: _sample_edge(f, t, x)
     spread = lambda a: np.tile(a, n_edges)
 
@@ -698,13 +692,7 @@ def _mode_system(u0: GraphState, dt: float):
         d[1:] += u.reshape(n_edges, n)[1:]  # adding to +0 turns -0 into +0: equal edges come out bit-equal
         return tuple(u[:n] - d.sum(axis=0) / n_edges + d)
 
-    def free(u, nsteps):
-        """Each mode a chain of ``_free_chains`` with no junction, the mean reflected about the vertex."""
-        modes = u.reshape(n_edges, n)
-        mean = np.concatenate([modes[0, :0:-1], modes[0]])
-        out = _free_chains([(v, 0, 0, 1.0 / h, h) for v in (mean, *modes[1:])], 0, dt, nsteps)
-        return np.concatenate([out[0][n - 1 :], *out[1:]])
-
+    free = lambda u, nsteps: _free_chains(u, reflected, 0, dt, nsteps)
     return build, modes.ravel(), sample, spread, unpack, free
 
 
@@ -714,18 +702,18 @@ def _evolve_graph(
     """Cayley steps wrapped in the potential's phase half-steps.
 
     ``static`` is sampled once, ``dynamic`` at every half-step; a number
-    (any ``numbers.Number``) stands for the constant potential.  Without a
-    dynamic part the phase exp(i dt/2 v) is computed once and the half-steps
-    merge (``_steps``).  The phase is computed where the system samples (on
-    the ray for the modes) and then spread over the dofs; after the first
-    step it multiplies only the window's spans.  The steps run on the star's
-    mode system when ``_star_modes`` admits the run and ``vertex_path`` is
-    False, and on the vertex system otherwise.  A free run (no potential at
-    all) takes all its steps at once in sine bases (``_free_chains``), on the
-    modes or on a vertex system of at most ``_MAX_INTERFACES`` vertices,
-    unless ``vertex_path`` asks for the stepped vertex system.  A run of no
-    steps samples the static potential, so that its checks run, and returns
-    the data without building a stepper.
+    (any ``numbers.Number``) stands for the constant potential.  ``_steps``
+    multiplies in the half-steps that meet between steps as one phase: a
+    static potential's exp(i dt/2 v) and its square are computed once, a
+    dynamic potential's two half-steps are sampled and multiplied.  The
+    phase is computed where the system samples (on the ray for the modes)
+    and then spread over the dofs.  The steps run on the star's mode system
+    when ``_star_modes`` admits the run and ``vertex_path`` is False, and on
+    the vertex system otherwise.  A free run (no potential at all) takes all
+    its steps at once (the system's ``free``) unless ``vertex_path`` asks
+    for the stepped vertex system.  A run of no steps samples the static
+    potential, so that its checks run, and returns the data without
+    building a stepper.
     """
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
     graph, grid = u0.graph, u0.grid
@@ -740,24 +728,23 @@ def _evolve_graph(
 
     v1 = None if static is None else sample(static, u0.time)
     if nsteps == 0:
-        values = tuple(v.copy() for v in u0.values)
+        values = u0.values
     elif static is None and dynamic is None and free is not None and not vertex_path:
         values = unpack(free(u, nsteps))
-    elif dynamic is not None:
-        stepper = build()
-        def phase(t):
-            v = sample(dynamic, t)
-            return spread(np.exp(1j * (dt_signed / 2.0) * (v if v1 is None else v1 + v)))
-
-        t = u0.time
-        live = _Window()
-        for _ in range(nsteps):
-            u = stepper(live.scale(u, phase(t + dt_signed / 4.0)), live)
-            live.scale(u, phase(t + 3.0 * dt_signed / 4.0))
-            t += dt_signed
-        values = unpack(u)
     else:
-        values = unpack(_steps(u, build(), nsteps, None if v1 is None else spread(np.exp(1j * (dt_signed / 2.0) * v1))))
+        half = lambda v: np.exp(1j * (dt_signed / 2.0) * v)  # the phase half-step of the potential v
+        phase = None
+        if dynamic is not None:
+            at = lambda t: half(sample(dynamic, t) if v1 is None else v1 + sample(dynamic, t))
+            def phase(k):  # the half-step after step k - 1 times the one before step k
+                t = u0.time + k * dt_signed
+                before = at(t - dt_signed / 4.0) if k else 1.0
+                return spread(before * at(t + dt_signed / 4.0) if k < nsteps else before)
+        elif v1 is not None:
+            ends = spread(half(v1))
+            between = ends * ends
+            phase = lambda k: between if 0 < k < nsteps else ends
+        values = unpack(_steps(u, build(), nsteps, phase))
     out = GraphState(graph, grid, values, u0.time + nsteps * dt_signed)
     if cfg.boundary_guard is not None:
         pieces = []
@@ -986,14 +973,14 @@ def _series_inverse(T: np.ndarray) -> np.ndarray:
     return back.reshape(n, p, p)[::-1]
 
 
-def _free_chains(chains, p: int, dt: float, nsteps: int) -> list[np.ndarray]:
+def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.ndarray:
     """``nsteps`` Cayley steps of uniform chains joined at p junctions, with no potential, each chain in its sine basis.
 
-    ``chains`` holds (values, a, b, w, h) per chain: its samples from end a
-    to end b, both included, its coupling w = sigma / h and its spacing h.
-    An end is a junction 0..p-1, whose row of A reads i M - (dt/2) sum w over
-    the chain ends there (M = sum h / 2), or p, a Dirichlet end.  Returns the
-    chains' samples after the run.
+    ``chains`` is a chain list (see the module docstring) with numbers w and
+    h; a junction's row of A reads i M - (dt/2) sum w over the chain ends
+    there (M = sum h / 2).  Each chain's samples are gathered from the packed
+    state u, and a copy of u with every chain's samples after the run,
+    scattered in chain order, is returned.
 
     The harmonic ramp (K ramp = 0: linear on each chain, Kirchhoff at the
     junctions, the data at the Dirichlet ends; none without a Dirichlet end)
@@ -1014,8 +1001,11 @@ def _free_chains(chains, p: int, dt: float, nsteps: int) -> list[np.ndarray]:
     each chain takes the whole run at once.  The rows hold round-off of
     about eps max|u| where the stepped core keeps zeros.
     """
+    out = u.copy()
     if nsteps == 0:
-        return [np.array(vals, dtype=complex) for vals, *_ in chains]
+        return out
+    dofs = [c[0] for c in chains]
+    chains = [(u[d], *rest) for d, *rest in chains]  # each chain's samples, from end a to end b
     ramp_at = np.zeros(p + 1, dtype=complex)
     if p and any(p in (a, b) for _, a, b, _, _ in chains):
         # the ramp's junction values: conductance w / cells on each chain, the data at the Dirichlet ends
@@ -1086,12 +1076,11 @@ def _free_chains(chains, p: int, dt: float, nsteps: int) -> list[np.ndarray]:
                 layer.advance(run, None if q is None else q[:, [a, b]])
         done += run
     s = np.append(s, 0.0)
-    out = []
-    for layer, ramp, (vals, a, b, w, h) in zip(layers, ramps, chains):
+    for d, layer, ramp, (vals, a, b, w, h) in zip(dofs, layers, ramps, chains):
         ramp[[0, -1]] += s[[a, b]]
         if layer is not None:
             ramp[1:-1] += layer.values()
-        out.append(ramp)
+        out[d] = ramp
     return out
 
 
@@ -1109,23 +1098,18 @@ def _free_line(u0: np.ndarray, cells: np.ndarray, nodes: np.ndarray, dt: float, 
     """
     if nsteps == 0:
         return u0.copy()
-    n = len(nodes)
     dx = np.diff(nodes)
     tol = 8.0 * np.finfo(float).eps * max(abs(nodes[0]), abs(nodes[-1]))
     splits = np.flatnonzero((cells[1:] != cells[:-1]) | (np.abs(np.diff(dx)) > tol)) + 1
-    ends = np.concatenate([[0], splits, [n - 1]])
+    ends = np.concatenate([[0], splits, [len(nodes) - 1]])
     p = len(splits)  # interface k sits between layers k and k + 1
     if p > _MAX_INTERFACES or np.any(np.maximum.reduceat(dx, ends[:-1]) - np.minimum.reduceat(dx, ends[:-1]) > tol):
         return None
     h = np.diff(nodes[ends]) / np.diff(ends)
     w = cells[ends[:-1]] / h  # each layer's coupling sigma / h
-    spans = list(zip(ends[:-1].tolist(), ends[1:].tolist()))
     # layer 0 starts at the Dirichlet end p, layer p ends at it
-    chains = [(u0[a : b + 1], (k - 1) % (p + 1), k, w[k], h[k]) for k, (a, b) in enumerate(spans)]
-    out = np.empty(n, dtype=complex)
-    for (a, b), vals in zip(spans, _free_chains(chains, p, dt, nsteps)):
-        out[a : b + 1] = vals
-    return out
+    chains = [(np.arange(ends[k], ends[k + 1] + 1), (k - 1) % (p + 1), k, w[k], h[k]) for k in range(p + 1)]
+    return _free_chains(u0, chains, p, dt, nsteps)
 
 
 def evolve_line_sigma(
@@ -1161,10 +1145,8 @@ def evolve_line_sigma(
     u = _free_line(u0, cells, nodes, dt_signed, nsteps)
     if u is None:
         dx = np.diff(nodes)
-        n = len(nodes)
-        pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-        stepper = _cayley_stepper(n, (pairs, cells / dx, dx), dt_signed, np.array([0, n - 1]))
-        u = _steps(u0.copy(), stepper, nsteps)
+        line = [(np.arange(len(nodes)), 0, 0, cells / dx, dx)]  # one chain, Dirichlet at both ends
+        u = _steps(u0.copy(), _cayley_stepper(len(nodes), line, 0, dt_signed), nsteps)
     if cfg.boundary_guard is not None:
         cutL = nodes[0] * cfg.boundary_guard if nodes[0] < 0 else nodes[0]
         cutR = nodes[-1] * cfg.boundary_guard if nodes[-1] > 0 else nodes[-1]

@@ -210,7 +210,11 @@ def build_regular_tree(
 
 @dataclass(frozen=True)
 class GraphState:
-    """Complex samples of a function on the graph at one time, one array per edge."""
+    """Complex samples of a function on the graph at one time, one array per edge.
+
+    The state keeps its own read-only copy of each array, so neither the
+    caller's arrays nor a write to ``values[k]`` can change it.
+    """
 
     graph: MetricGraph
     grid: GraphGrid
@@ -223,13 +227,14 @@ class GraphState:
         for e, L in zip(self.graph.edges, self.grid.lengths):
             if not e.infinite and abs(L - e.length) > 1e-8 * max(1.0, L):  # a ray keeps any truncation
                 raise ValueError(f"grid length {L} differs from the length {e.length} of its finite edge")
-        vals = tuple(np.asarray(v, dtype=complex) for v in self.values)
+        vals = tuple(np.array(v, dtype=complex) for v in self.values)  # the state's own copies, read-only below
         object.__setattr__(self, "values", vals)
         for v, n in zip(vals, self.grid.counts):
             if v.shape != (n,):
                 raise ValueError("value array length does not match grid")
             if not np.all(np.isfinite(v.view(float))):
                 raise ValueError("state contains non-finite values")
+            v.flags.writeable = False
 
     @classmethod
     def sample(

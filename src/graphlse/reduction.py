@@ -44,9 +44,10 @@ def star_sum(state: GraphState, mode: str, component: int | None = None):
     flux at the vertex, so the extension is a free-line solution whenever the
     state is).  mode='odd': the difference u_k - S/N of component
     ``component`` (0-based), which vanishes at the vertex, extended oddly.
-    Returns (x, values).  The evolution steps a star in these modes (the
-    edge mean and the differences u_k - u_0, see ``evolution``), so that
-    data equal on every edge sweeps one ray.
+    Returns (x, values).  The evolution steps a star in another
+    normalisation of the same even/odd split, the edge mean S/N and the
+    differences u_k - u_0 (see ``evolution``), so that data equal on every
+    edge sweeps one ray.
     """
     graph = _require_star(state)
     if len(set(state.grid.counts)) != 1:

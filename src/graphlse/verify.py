@@ -13,8 +13,8 @@ from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma, line_gr
 from .evolution import (
     _MAX_INTERFACES,
     _cayley_stepper,
+    _chain_cells,
     _evolve_graph,
-    _graph_cells,
     _pack_graph,
     _pack_state,
     _star_modes,
@@ -36,11 +36,11 @@ def check_unitarity() -> bool:
 
 
 def check_windowed_core() -> bool:
-    """The windowed Cayley core against a dense Cayley step, on a localized Gaussian."""
+    """The windowed Cayley core against a dense Cayley step from the same ``_chain_cells``, on a localized Gaussian."""
     graph, grid = build_star(3, 6.65, 0.05)  # 400 dofs
     packing = _pack_graph(graph, grid)
-    pairs, weights, hs = _graph_cells(grid, packing)
-    n, nv, dt = packing.n_dof, len(graph.vertices), 1e-3
+    (n, chains), nv, dt = packing, len(graph.vertices), 1e-3
+    (pairs, weights, hs), dirichlet = _chain_cells(chains, nv)
     M = np.zeros((n, n))
     K = np.zeros((n, n))
     for (i, j), w, h in zip(pairs, weights, hs):
@@ -48,10 +48,10 @@ def check_windowed_core() -> bool:
         M[j, j] += h / 2
         K[np.ix_([i, j], [i, j])] += w * np.array([[1.0, -1.0], [-1.0, 1.0]])
     A, B = 1j * M - dt / 2 * K, 1j * M + dt / 2 * K
-    A[packing.dirichlet], B[packing.dirichlet] = 0.0, 0.0
-    A[packing.dirichlet, packing.dirichlet] = B[packing.dirichlet, packing.dirichlet] = 1.0
+    A[dirichlet], B[dirichlet] = 0.0, 0.0
+    A[dirichlet, dirichlet] = B[dirichlet, dirichlet] = 1.0
     dense = np.linalg.solve(A, B)
-    step = _cayley_stepper(n, (pairs, weights, hs), dt, packing.dirichlet, nv)
+    step = _cayley_stepper(n, chains, nv, dt)
     gauss, zero = lambda x: np.exp(-25.0 * (x - 1.5) ** 2), lambda x: np.zeros_like(x)
     u = _pack_state(GraphState.sample(graph, grid, [gauss, zero, zero]), packing)
     live = _Window()
@@ -88,10 +88,8 @@ def check_free_line() -> bool:
     nodes = line_grid(5.0, 5.0, 0.05)
     cells = PiecewiseCoefficient((1.0, 2.0, 1.0), 1.0).sigma_at(0.5 * (nodes[:-1] + nodes[1:]))
     u0 = np.exp(-((nodes + 1.0) ** 2)) * (1.0 + 0.5j * nodes) + 0.1 * (1.0 + nodes / 5.0)
-    n = len(nodes)
-    pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-    step = _cayley_stepper(n, (pairs, cells / np.diff(nodes), np.diff(nodes)), 1e-3, np.array([0, n - 1]))
-    want = _steps(u0.copy(), step, 100)
+    line = [(np.arange(len(nodes)), 0, 0, cells / np.diff(nodes), np.diff(nodes))]
+    want = _steps(u0.copy(), _cayley_stepper(len(nodes), line, 0, 1e-3), 100)
     got = evolve_line_sigma(u0, cells, nodes, 0.1, EvolutionConfig(dt=1e-3, boundary_guard=None))
     return float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
 

@@ -32,12 +32,11 @@ from graphlse import evolution
 from graphlse.evolution import (
     _assemble,
     _cayley_stepper,
+    _chain_cells,
     _chain_rows,
     _factor_chains,
-    _graph_cells,
     _guard_tail,
     _margin,
-    _mode_chains,
     _pack_graph,
     _pack_state,
     _sweep,
@@ -476,16 +475,31 @@ def superlu_stepper(n_dof, cells, dt, dirichlet):
     return lambda u: solve(B @ u)
 
 
+# A system is (n_dof, chains, nv, h): a chain list on n_dof dofs whose
+# junctions are the first nv dofs, and its smallest spacing.
+
+
 def line_system(nodes, cells):
-    n = len(nodes)
+    """The stepped line: one chain, Dirichlet at both ends."""
     dx = np.diff(nodes)
-    pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-    return n, (pairs, cells / dx, dx), np.array([0, n - 1]), 0, float(np.min(dx))
+    return len(nodes), [(np.arange(len(nodes)), 0, 0, cells / dx, dx)], 0, float(np.min(dx))
 
 
 def graph_system(graph, grid):
-    packing = _pack_graph(graph, grid)
-    return packing.n_dof, _graph_cells(grid, packing), packing.dirichlet, len(graph.vertices), grid.h
+    n_dof, chains = _pack_graph(graph, grid)
+    return n_dof, chains, len(graph.vertices), grid.h
+
+
+def star_mode_system(n_edges, n, h):
+    """The stepped mode chains of a star with n samples a ray, spacing h.
+
+    Chain 0 is the edge mean, whose first row is the vertex (a plain,
+    half-mass Neumann row) and whose last is Dirichlet; chains 1..N-1 are
+    the differences, Dirichlet at both ends.
+    """
+    ray = np.arange(n)
+    chains = [(ray, None, 0, 1.0 / h, h)] + [(k * n + ray, 0, 0, 1.0 / h, h) for k in range(1, n_edges)]
+    return n_edges * n, chains, 0, h
 
 
 def folded_tree_line():
@@ -533,11 +547,12 @@ CORE_CASES = {
 @pytest.mark.parametrize("dt_over_h", [0.02, -0.02, 10.0])
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
 def test_cayley_core_matches_superlu_oracle(case, dt_over_h):
-    n_dof, cells, dirichlet, nv, h = CORE_CASES[case]()
+    n_dof, chains, nv, h = CORE_CASES[case]()
+    cells, dirichlet = _chain_cells(chains, nv)
     dt = dt_over_h * h
     rng = np.random.default_rng(7)
     u0 = rng.normal(size=n_dof) + 1j * rng.normal(size=n_dof)
-    new, old = _cayley_stepper(n_dof, cells, dt, dirichlet, nv), superlu_stepper(n_dof, cells, dt, dirichlet)
+    new, old = _cayley_stepper(n_dof, chains, nv, dt), superlu_stepper(n_dof, cells, dt, dirichlet)
     u, v = u0, u0
     for _ in range(200):
         u, v = new(u), old(v)
@@ -570,9 +585,8 @@ def line_121_gaussian():
 
 def star_modes(graph, grid, fns):
     """The star's mode system (N plain chains, nv = 0) with data ``fns`` packed as its modes."""
-    n_dof, cells, dirichlet = _mode_chains(graph.n_edges, grid.counts[0], grid.h)
     modes = evolution._mode_system(GraphState.sample(graph, grid, fns), 1e-3)[1]
-    return (n_dof, cells, dirichlet, 0, grid.h), modes
+    return star_mode_system(graph.n_edges, grid.counts[0], grid.h), modes
 
 
 def tilted(k):
@@ -601,9 +615,10 @@ WINDOW_CASES = {
 @pytest.mark.parametrize("dt_over_h", [0.02, -0.02])
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_windowed_core_matches_superlu_oracle_on_localized_data(case, dt_over_h):
-    (n_dof, cells, dirichlet, nv, h), u0 = WINDOW_CASES[case]()
+    (n_dof, chains, nv, h), u0 = WINDOW_CASES[case]()
+    cells, dirichlet = _chain_cells(chains, nv)
     dt = dt_over_h * h
-    new, old = _cayley_stepper(n_dof, cells, dt, dirichlet, nv), superlu_stepper(n_dof, cells, dt, dirichlet)
+    new, old = _cayley_stepper(n_dof, chains, nv, dt), superlu_stepper(n_dof, cells, dt, dirichlet)
     live = _Window()
     u, v = new(u0, live), old(u0)
     assert 0 < live.rows < n_dof - nv  # the first step already swept fewer rows than this
@@ -617,13 +632,14 @@ def test_vertex_window_holds_the_rows_next_to_every_vertex(case):
     # from the first step on, every chain's m rows next to a vertex are in the
     # window, quiet chains included, so that E x_V never falls outside it
     graph, grid, fns = VERTEX_WINDOW_CASES[case]()
-    (n_dof, cells, dirichlet, nv, h), u0 = localized(graph, grid, fns)
+    (n_dof, chains, nv, h), u0 = localized(graph, grid, fns)
+    cells, dirichlet = _chain_cells(chains, nv)
     dt = 0.02 * h
     m = _margin(_factor_chains(*_assemble(n_dof, cells, dt, dirichlet, nv)[1]), dirichlet[dirichlet >= nv] - nv)
     live = _Window()
-    _cayley_stepper(n_dof, cells, dt, dirichlet, nv)(u0, live)
+    _cayley_stepper(n_dof, chains, nv, dt)(u0, live)
     assert len(live.lo) == graph.n_edges and 0 < live.rows < n_dof - nv
-    for k, dofs in enumerate(_pack_graph(graph, grid).edge_dofs):  # chain k is the chain rows of edge k
+    for k, (dofs, *_) in enumerate(chains):  # chain k is the chain rows of edge k
         rows = dofs[dofs >= nv] - nv
         for at_vertex, next_to in ((dofs[0] < nv, rows[:m]), (dofs[-1] < nv, rows[-m:])):
             if at_vertex:
@@ -636,7 +652,8 @@ def test_chain_rows_solve_each_vertex_chain_pair_once_on_its_chain(case):
     # in sorted order, on that chain's rows alone
     from scipy.linalg.blas import ztbsv
 
-    n_dof, cells, dirichlet, nv, h = CORE_CASES[case]()
+    n_dof, chains, nv, h = CORE_CASES[case]()
+    cells, dirichlet = _chain_cells(chains, nv)
     c, bands, D, F, E = _assemble(n_dof, cells, 1e-3, dirichlet, nv)
     factors = _factor_chains(*bands)
     n_rows = len(factors[1])
@@ -668,7 +685,8 @@ def test_chain_rows_solve_each_vertex_chain_pair_once_on_its_chain(case):
 @pytest.mark.parametrize("trans", [0, 1])
 def test_positional_sweep_equals_keyword_sweep(trans):
     # _sweep calls ztbsv positionally; the keyword call is the oracle, bit for bit
-    n_dof, cells, dirichlet, nv, h = CORE_CASES["tree"]()
+    n_dof, chains, nv, h = CORE_CASES["tree"]()
+    cells, dirichlet = _chain_cells(chains, nv)
     factors = _factor_chains(*_assemble(n_dof, cells, 1e-3, dirichlet, nv)[1])
     lower, rp, upper = factors
     ztbsv = _ztbsv()
@@ -701,8 +719,8 @@ def test_windowed_core_matches_superlu_oracle_with_complex_v2(monkeypatch, V2):
     cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
     narrower = []
 
-    def windowed(n_dof, cells, dt, dirichlet, nv):
-        step = _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+    def windowed(n_dof, chains, nv, dt):
+        step = _cayley_stepper(n_dof, chains, nv, dt)
 
         def spied(u, live):
             out = step(u, live)
@@ -711,7 +729,8 @@ def test_windowed_core_matches_superlu_oracle_with_complex_v2(monkeypatch, V2):
 
         return spied
 
-    def oracle(n_dof, cells, dt, dirichlet, nv):
+    def oracle(n_dof, chains, nv, dt):
+        cells, dirichlet = _chain_cells(chains, nv)
         step = superlu_stepper(n_dof, cells, dt, dirichlet)
         return lambda u, live: step(u)
 
@@ -737,7 +756,8 @@ def test_windowed_line_run_holds_no_subnormals():
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
 def test_assembled_blocks_match_sparse_form(case):
-    n_dof, cells, dirichlet, nv, h = CORE_CASES[case]()
+    n_dof, chains, nv, h = CORE_CASES[case]()
+    cells, dirichlet = _chain_cells(chains, nv)
     dt = -10.0 * h
     A = sparse_A(n_dof, cells, dt, dirichlet).toarray()
     mass, _ = sparse_form(n_dof, cells)
@@ -768,7 +788,7 @@ def fine_two_layer_line():
 
 def sharpness_star_modes():
     h = 0.0125
-    return (*_mode_chains(3, round(10.0 / h) + 1, h), 0, h)
+    return star_mode_system(3, round(10.0 / h) + 1, h)
 
 
 # (system, dt): c07's line, the two-layer line and the three-ray mode system
@@ -784,7 +804,8 @@ MARGIN_CASES = {
 @pytest.mark.parametrize("case", sorted(MARGIN_CASES))
 def test_margin_is_the_fewest_rows_whose_coupling_runs_reach_eps2(case):
     make, dt = MARGIN_CASES[case]
-    n_dof, cells, dirichlet, nv, h = make()
+    n_dof, chains, nv, h = make()
+    cells, dirichlet = _chain_cells(chains, nv)
     factors = _factor_chains(*_assemble(n_dof, cells, dt, dirichlet, nv)[1])
     lower, rp, upper = factors
     chain_dirichlet = dirichlet[dirichlet >= nv] - nv
@@ -804,8 +825,9 @@ def test_margin_is_the_fewest_rows_whose_coupling_runs_reach_eps2(case):
 
 @pytest.mark.parametrize("case", sorted(set(CORE_CASES) - {"vertices-only"}))
 def test_chain_factor_is_unit_banded_and_certified(case):
-    n_dof, cells, dirichlet, nv, h = CORE_CASES[case]()
+    n_dof, chains, nv, h = CORE_CASES[case]()
     dt = -10.0 * h
+    cells, dirichlet = _chain_cells(chains, nv)
     T = sparse_A(n_dof, cells, dt, dirichlet)[nv:, nv:]
     # the certificate: strict row diagonal dominance of every chain row
     off = np.abs(T).sum(axis=1).A1 - np.abs(T.diagonal())
@@ -836,6 +858,62 @@ def test_static_phase_merge_matches_half_steps(star3, t_final):
     scale = max(np.max(np.abs(v)) for v in halves.values)
     for e in range(3):
         assert np.max(np.abs(merged.values[e] - halves.values[e])) <= 1e-12 * scale
+
+
+def two_half_steps_a_step(state, V1, V2, t_final, cfg, system):
+    """The oracle of the merged half-steps: one sampled phase half-step on each side of every Cayley step."""
+    dt = math.copysign(cfg.dt, t_final - state.time)
+    build, u, sample, spread, unpack, _ = system(state, dt)
+    v1 = sample(V1, state.time)
+    phase = lambda t: spread(np.exp(1j * (dt / 2.0) * (v1 + sample(V2, t))))
+    stepper, live, t = build(), _Window(), state.time
+    for _ in range(round(abs(t_final - state.time) / cfg.dt)):
+        u = stepper(live.scale(u, phase(t + dt / 4.0)), live)
+        live.scale(u, phase(t + 3.0 * dt / 4.0))
+        t += dt
+    return unpack(u)
+
+
+# (graph, the system its runs with an edge-independent potential step)
+MERGE_CASES = {
+    "star3-modes": (lambda: build_star(3, 10.0, 0.05), evolution._mode_system),
+    "tree-vertex-system": (lambda: build_regular_tree([1.0], [2, 2], 6.0, 0.05), evolution._vertex_system),
+}
+
+
+@pytest.mark.parametrize("t_final", [0.2, -0.2])
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_merged_dynamic_half_steps_match_two_half_steps_a_step(case, t_final):
+    # a dynamic V2 multiplies once between steps, by its two half-steps' product
+    make, system = MERGE_CASES[case]
+    st = random_graph_data(*make())
+    # period 1 in x, so that both agree at the tree's vertices (edge ends x = 0 and 1)
+    V1 = lambda t, x: np.cos(2.0 * np.pi * x)
+    V2 = lambda t, x: (0.3 + t) * np.cos(2.0 * np.pi * x) + 0.5j * np.cos(np.pi * x) ** 2
+    assert evolution._star_modes(st, V1, V2) == (system is evolution._mode_system)
+    cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
+    got = evolve_graph_potential(st, V1, V2, t_final, cfg)
+    want = two_half_steps_a_step(st, V1, V2, t_final, cfg, system)
+    scale = max(np.max(np.abs(w)) for w in want)
+    for a, b in zip(got.values, want):
+        assert np.max(np.abs(a - b)) <= 1e-13 * scale
+
+
+def test_chain_cells_are_the_grid_cells_of_every_chain():
+    graph, grid = mixed_graph()
+    n_dof, chains = _pack_graph(graph, grid)
+    nv = len(graph.vertices)
+    assert [(a, b) for _, a, b, _, _ in chains] == [(e.initial, nv if e.infinite else e.terminal) for e in graph.edges]
+    (pairs, weights, hs), dirichlet = _chain_cells(chains, nv)
+    assert len(pairs) == sum(n - 1 for n in grid.counts)
+    np.testing.assert_array_equal(np.unique(pairs), np.arange(n_dof))  # every dof is in a cell
+    assert np.all(weights == 1.0 / grid.h) and np.all(hs == grid.h)
+    rays = [dofs[-1] for (dofs, *_), e in zip(chains, graph.edges) if e.infinite]
+    np.testing.assert_array_equal(dirichlet, sorted(rays))
+    # the mean's vertex row, marked None, is a plain row: only the far ends are Dirichlet
+    n = 9
+    _, chains, nv, _ = star_mode_system(3, n, 0.1)
+    np.testing.assert_array_equal(_chain_cells(chains, nv)[1], [n - 1, n, 2 * n - 1, 2 * n, 3 * n - 1])
 
 
 def test_guard_tail_counts_cells_inside_the_cut():
@@ -915,8 +993,8 @@ def test_symmetric_star_sweeps_only_the_mean_chain(monkeypatch, star3):
     st = GraphState.sample(graph, grid, symmetric(3))
     rows = []
 
-    def spy(n_dof, cells, dt, dirichlet, nv):
-        step = _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+    def spy(n_dof, chains, nv, dt):
+        step = _cayley_stepper(n_dof, chains, nv, dt)
 
         def spied(u, live):
             out = step(u, live)
@@ -943,16 +1021,16 @@ def test_mode_path_steps_plain_chains(monkeypatch, star3):
     st = GraphState.sample(graph, grid, asymmetric(3))
     built = []
 
-    def spy(n_dof, cells, dt, dirichlet, nv):
+    def spy(n_dof, chains, nv, dt):
         built.append((n_dof, nv))
-        return _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+        return _cayley_stepper(n_dof, chains, nv, dt)
 
     monkeypatch.setattr(evolution, "_cayley_stepper", spy)
     cfg = EvolutionConfig(dt=1e-3)
     V1 = lambda t, x: np.cos(x)  # a free run would build no stepper at all
     evolve_graph_potential(st, V1, None, 0.01, cfg)
     evolution._evolve_graph(st, 0.01, cfg, V1, None, vertex_path=True)
-    assert built == [(3 * grid.counts[0], 0), (_pack_graph(graph, grid).n_dof, 1)]
+    assert built == [(3 * grid.counts[0], 0), (_pack_graph(graph, grid)[0], 1)]
 
 
 def mode_free_run(n_edges, n, h, dt):
@@ -969,7 +1047,8 @@ def test_star_free_run_matches_dense_cayley_power(n_edges, n, nsteps, dt):
     # power of the dense Cayley step, on random data with nonzero Dirichlet
     # values, at dt/h = 0.2 and 10
     h = 0.1
-    n_dof, cells, dirichlet = _mode_chains(n_edges, n, h)
+    n_dof, chains, nv, _ = star_mode_system(n_edges, n, h)
+    cells, dirichlet = _chain_cells(chains, nv)
     mass, K = sparse_form(n_dof, cells)
     A = 1j * np.diag(mass) - (dt / 2.0) * K.toarray()
     B = 1j * np.diag(mass) + (dt / 2.0) * K.toarray()
@@ -998,9 +1077,9 @@ def test_free_star_runs_its_modes_as_chains_with_no_junction(monkeypatch, star3)
     calls = []
     chains = evolution._free_chains
 
-    def spy(chain_list, p, dt, nsteps):
-        calls.append((len(chain_list), p, nsteps))
-        return chains(chain_list, p, dt, nsteps)
+    def spy(u, chain_list, p, dt, nsteps):
+        calls.append((len(u), len(chain_list), p, nsteps))
+        return chains(u, chain_list, p, dt, nsteps)
 
     def forbidden(*args):
         raise AssertionError("a free star run reached junction or stepper code")
@@ -1010,7 +1089,7 @@ def test_free_star_runs_its_modes_as_chains_with_no_junction(monkeypatch, star3)
         monkeypatch.setattr(evolution, name, forbidden)
     evolve_graph(st, 0.2, EvolutionConfig(dt=1e-3))
     evolve_graph(st, -0.2, EvolutionConfig(dt=1e-3))
-    assert calls == [(3, 0, 200)] * 2
+    assert calls == [(3 * grid.counts[0], 3, 0, 200)] * 2
 
 
 @pytest.mark.parametrize("vertex_path", [False, True])
@@ -1103,8 +1182,8 @@ FREE_LINES = {
 
 def stepped_line(nodes, cells, u0, dt, nsteps):
     """The oracle: nsteps steps of the stepped Cayley core on the line."""
-    n_dof, system, dirichlet, nv, h = line_system(nodes, cells)
-    return evolution._steps(u0.copy(), _cayley_stepper(n_dof, system, dt, dirichlet, nv), nsteps)
+    n_dof, chains, nv, h = line_system(nodes, cells)
+    return evolution._steps(u0.copy(), _cayley_stepper(n_dof, chains, nv, dt), nsteps)
 
 
 def unbuilt(*args):
@@ -1165,9 +1244,9 @@ def test_lines_over_the_interface_cap_or_graded_step(monkeypatch):
     cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
     built = []
 
-    def spy(n_dof, cells, dt, dirichlet, nv=0):
+    def spy(n_dof, chains, nv, dt):
         built.append(n_dof)
-        return _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+        return _cayley_stepper(n_dof, chains, nv, dt)
 
     monkeypatch.setattr(evolution, "_cayley_stepper", spy)
     for p in range(evolution._MAX_INTERFACES + 1):
@@ -1207,10 +1286,10 @@ FREE_GRAPHS = {
 
 def random_graph_data(graph, grid, seed=7, time=0.0):
     """Random complex data, continuous at the vertices, with nonzero ray ends."""
-    packing = _pack_graph(graph, grid)
-    u = np.random.default_rng(seed).normal(size=(packing.n_dof, 2)) @ [1.0, 1j]
-    assert np.all(u[packing.dirichlet] != 0)
-    return GraphState(graph, grid, tuple(u[dofs] for dofs in packing.edge_dofs), time)
+    n_dof, chains = _pack_graph(graph, grid)
+    u = np.random.default_rng(seed).normal(size=(n_dof, 2)) @ [1.0, 1j]
+    assert np.all(u[_chain_cells(chains, len(graph.vertices))[1]] != 0)
+    return GraphState(graph, grid, tuple(u[dofs] for dofs, *_ in chains), time)
 
 
 def stepped_graph(state, dt, nsteps):
@@ -1263,9 +1342,9 @@ def test_free_graph_zero_steps_return_the_data(monkeypatch):
 def test_free_graph_path_takes_small_free_graphs_only(monkeypatch):
     built = []
 
-    def spy(n_dof, cells, dt, dirichlet, nv=0):
+    def spy(n_dof, chains, nv, dt):
         built.append(nv)
-        return _cayley_stepper(n_dof, cells, dt, dirichlet, nv)
+        return _cayley_stepper(n_dof, chains, nv, dt)
 
     monkeypatch.setattr(evolution, "_cayley_stepper", spy)
     cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)

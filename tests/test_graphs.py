@@ -306,6 +306,21 @@ def test_state_validation():
         GraphState(graph, grid, (bad, np.zeros(801)))
 
 
+def test_state_keeps_its_own_read_only_arrays():
+    # the state copies the caller's arrays once and marks its copies read-only,
+    # so neither a later write by the caller nor one into values[k] reaches it
+    graph, grid = build_star(3, 4.0, 0.05)
+    vals = [np.exp(-(grid.x(e) ** 2)).astype(complex) for e in range(3)]
+    want = [v.copy() for v in vals]
+    st = GraphState(graph, grid, vals)
+    vals[0][5] = 7.0
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(st.values, want))
+    with pytest.raises(ValueError, match="read-only"):
+        st.values[1][3] = np.nan
+    assert not any(v.flags.writeable for v in st.values)
+    assert all(np.isfinite(v).all() for v in st.values)
+
+
 def test_state_refuses_a_grid_that_disagrees_with_a_finite_edge():
     # a grid of edges 2 long on a tree whose finite edges are 1 long would
     # sample and evolve on the wrong lengths; only folding it would fail

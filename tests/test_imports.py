@@ -11,10 +11,13 @@ potential, loads scipy's _fblas alone.  The CLI kinds run one after another
 in one fresh process, and each test reads the scipy modules loaded after its
 kind.
 """
+import ast
 import json
 import pkgutil
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -188,3 +191,23 @@ print(json.dumps({"loaded_before": loaded, "same": ztbsv is scipy.linalg.blas.zt
 def test_star_import_names_exist(module):
     # a stale __all__ entry (a deleted function still listed) fails the star import
     exec(f"from {module} import *", {})
+
+
+def test_every_private_module_name_has_a_reference():
+    # a module-level _name in src/graphlse (function, class or assignment)
+    # that no code in src/ names apart from its own definition is dead code;
+    # names are matched as code tokens, so strings and comments do not count
+    files = sorted((SRC / "graphlse").glob("*.py"))
+    used, defined = Counter(), Counter()
+    for path in files:
+        with path.open("rb") as fh:
+            used.update(tok.string for tok in tokenize.tokenize(fh.readline) if tok.type == tokenize.NAME)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] += 1
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    assert private  # the scan found the package's private helpers
+    assert [name for name in private if used[name] <= defined[name]] == []
