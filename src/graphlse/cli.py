@@ -1,10 +1,12 @@
 """Batch experiment runner.
 
 Experiments are described by INI files (flat sections, hand-editable) and
-produce CSV artifacts with provenance headers plus an optional plotting
-script.  Exit codes: 0 success, 1 invalid configuration or missing inputs,
-2 a numerical guard tripped (overflow, wavefront reached the boundary,
-initial data not small at the ends of the kernel quadrature domain).
+produce CSV artifacts with provenance headers, next to ``plot_results.py``:
+the same matplotlib script for every run, which draws the figures whose
+CSVs are present.  Exit codes: 0 success, 1 invalid configuration or
+missing inputs, 2 a numerical guard tripped (overflow, wavefront reached
+the boundary, initial data not small at the ends of the kernel quadrature
+domain).
 
     graphlse --config exp.ini [--out DIR] [--seed N] [--jobs N] [--verify]
 
@@ -46,17 +48,6 @@ from .uncertainty import (
     sharp_example_two_step,
 )
 
-KINDS = (
-    "simulate",
-    "kernel-compare",
-    "sharpness",
-    "reduce-tree",
-    "carleman",
-    "appell",
-    "threshold-sweep",
-)
-
-
 class ConfigError(ValueError):
     pass
 
@@ -91,17 +82,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
     "appell": {"alpha": "float", "beta": "float"},
     "sweep": {"alphas": "floats", "betas": "floats", "rule": "str", "sigma_values": "floats"},
 }
-
-_REQUIRED: dict[str, list[tuple[str, str]]] = {
-    "simulate": [("time", "t_final"), ("time", "dt")],
-    "kernel-compare": [("sigma", "values"), ("time", "t_final"), ("time", "dt")],
-    "sharpness": [],  # a star needs [time] dt; the two-step line ignores it
-    "reduce-tree": [("graph", "type"), ("time", "t_final"), ("time", "dt")],
-    "carleman": [],
-    "appell": [("appell", "alpha"), ("appell", "beta")],
-    "threshold-sweep": [("sweep", "alphas"), ("sweep", "betas"), ("sweep", "rule")],
-}
-
 
 def _coerce(kind: str, raw: str, where: str):
     try:
@@ -163,7 +143,7 @@ def parse_config(text: str) -> ExperimentConfig:
         sections=sections,
         text=text,
     )
-    for sec, key in _REQUIRED[cfg.kind]:
+    for sec, key in _KIND_TABLE[cfg.kind][1]:
         cfg.require(sec, key)
     return cfg
 
@@ -223,11 +203,12 @@ def _write_summary(cfg: ExperimentConfig, out: Path, rows) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# runners (one per kind); each returns a list of written paths
+# runners (one per kind); each takes (cfg, out, jobs) and returns the written
+# paths, and only the Carleman sweep uses jobs
 # ---------------------------------------------------------------------------
 
 
-def _run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     t_final = float(cfg.require("time", "t_final"))
     ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
     if "graph" in cfg.sections:
@@ -263,7 +244,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [ck, _write_summary(cfg, out, rows)]
 
 
-def _run_kernel_compare(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     sigma = _sigma(cfg)
     t_final = float(cfg.require("time", "t_final"))
     ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
@@ -294,7 +275,7 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [cmp_path, series_path, _write_summary(cfg, out, rows)]
 
 
-def _run_sharpness(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     if "sigma" in cfg.sections:
         vals = cfg.require("sigma", "values")
         if len(vals) != 2:
@@ -343,7 +324,7 @@ def _run_sharpness(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path, prof_path]
 
 
-def _run_reduce_tree(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_reduce_tree(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     graph, grid = _build_graph(cfg)
     t_final = float(cfg.require("time", "t_final"))
     ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
@@ -388,7 +369,7 @@ def _carleman_rows(args):
     ]
 
 
-def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]:
+def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     ns = cfg.get("carleman", "n_edges", [3, 4, 5])
     n_seeds = int(cfg.get("carleman", "n_seeds", 5))
     mus = cfg.get("carleman", "mu", [0.5, 1.0, 2.0])
@@ -427,7 +408,7 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[Path]
     return [path, _write_summary(cfg, out, [("worst_margin_plus_tol", worst), ("max_quad_error_over_margin", health)])]
 
 
-def _run_appell(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_appell(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     alpha = float(cfg.require("appell", "alpha"))
     beta = float(cfg.require("appell", "beta"))
     width = 0.3
@@ -457,7 +438,7 @@ def _run_appell(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _run_threshold_sweep(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _run_threshold_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     alphas = cfg.require("sweep", "alphas")
     betas = cfg.require("sweep", "betas")
     rule = str(cfg.require("sweep", "rule"))
@@ -474,126 +455,107 @@ def _run_threshold_sweep(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "kernel-compare": _run_kernel_compare,
-    "sharpness": _run_sharpness,
-    "reduce-tree": _run_reduce_tree,
-    "appell": _run_appell,
-    "threshold-sweep": _run_threshold_sweep,
+# each kind: its runner and the (section, key) pairs its config must hold
+_KIND_TABLE = {
+    "simulate": (_run_simulate, [("time", "t_final"), ("time", "dt")]),
+    "kernel-compare": (_run_kernel_compare, [("sigma", "values"), ("time", "t_final"), ("time", "dt")]),
+    "sharpness": (_run_sharpness, []),  # a star needs [time] dt; the two-step line ignores it
+    "reduce-tree": (_run_reduce_tree, [("graph", "type"), ("time", "t_final"), ("time", "dt")]),
+    "carleman": (_run_carleman, []),
+    "appell": (_run_appell, [("appell", "alpha"), ("appell", "beta")]),
+    "threshold-sweep": (_run_threshold_sweep, [("sweep", "alphas"), ("sweep", "betas"), ("sweep", "rule")]),
 }
+KINDS = tuple(_KIND_TABLE)
 
 
 def run_config(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.kind == "carleman":
-        return _run_carleman(cfg, out_dir, jobs)
-    return _RUNNERS[cfg.kind](cfg, out_dir)
+    return _KIND_TABLE[cfg.kind][0](cfg, out_dir, jobs)
 
 
 # ---------------------------------------------------------------------------
 # plot script emission
 # ---------------------------------------------------------------------------
 
-_PLOT_TEMPLATE = '''#!/usr/bin/env python3
-"""Plot the result CSVs next to this script (generated; edit freely)."""
-import csv
+# the same script for every run: it reads the CSVs next to it when it runs
+_PLOT_SCRIPT = r'''#!/usr/bin/env python3
+"""Plot the graphlse result CSVs next to this script: each figure whose CSV is present."""
+import math
 import os
+
 import matplotlib.pyplot as plt
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-def load(name):
-    rows = []
-    with open(os.path.join(HERE, name)) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append(line.rstrip("\\n").split(","))
-    header, data = rows[0], rows[1:]
-    cols = {h: [r[i] for r in data] for i, h in enumerate(header)}
-    return cols
 
+def load(name):
+    """(meta, cols) of a CSV here: its '# key=value' lines and its columns by header; ({}, None) if absent."""
+    path = os.path.join(HERE, name)
+    if not os.path.exists(path):
+        return {}, None
+    meta, rows = {}, []
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                meta[key] = value
+            else:
+                rows.append(line.split(","))
+    return meta, {h: [r[i] for r in rows[1:]] for i, h in enumerate(rows[0])}
+
+
+def num(values):
+    return [float(v) for v in values]
+
+
+if cols := load("kernel_compare.csv")[1]:
+    x = num(cols["x"])
+    plt.figure(); plt.plot(x, num(cols["re_kernel"]), label="kernel Re")
+    plt.plot(x, num(cols["re_fd"]), "--", label="fd Re")
+    plt.legend(); plt.xlabel("x"); plt.title("transfer-matrix vs finite differences")
+    plt.figure(); plt.semilogy(x, [max(v, 1e-18) for v in num(cols["abs_err"])])
+    plt.xlabel("x"); plt.title("pointwise error")
+
+if cols := load("checkpoint.csv")[1] or load("line_state.csv")[1]:
+    plt.figure(); plt.plot(num(cols["x"]), num(cols["re_u"]), ".", ms=2); plt.xlabel("x"); plt.title("Re u")
+
+if cols := load("sharpness.csv")[1]:
+    print("sharpness:", cols)
+
+meta, cols = load("decay_profile.csv")
+if cols:
+    x2 = [v * v for v in num(cols["x"])]
+    for name, rate_key, icpt_key in (("abs_u0", "alpha_hat", "intercept0"), ("abs_u1", "beta_hat", "intercept1")):
+        pts = [(a, math.log(m)) for a, m in zip(x2, num(cols[name])) if m > 1e-13]
+        rate, icpt = float(meta[rate_key]), float(meta[icpt_key])
+        plt.figure(); plt.plot([a for a, _ in pts], [b for _, b in pts], ".", ms=2, label=name)
+        xs = sorted(a for a, _ in pts)
+        plt.plot(xs, [icpt - rate * a for a in xs], "r-", label=f"fit rate {rate:.4f}")
+        plt.xlabel("x^2"); plt.ylabel("log |u|"); plt.legend()
+
+if cols := load("margins.csv")[1]:
+    plt.figure(); plt.plot(sorted(num(cols["margin"])), "."); plt.axhline(0, color="k", lw=0.5)
+    plt.ylabel("rhs - lhs"); plt.title("Carleman margins (sorted)")
+
+if cols := load("diagram.csv")[1]:
+    x = num(cols["x"])
+    plt.figure(); plt.plot(x, num(cols["re_fold_then_evolve"]), label="fold then evolve")
+    plt.plot(x, num(cols["re_evolve_then_fold"]), "--", label="evolve then fold"); plt.legend()
+
+if cols := load("verdicts.csv")[1]:
+    print("threshold verdicts:", list(zip(cols["alpha"], cols["beta"], cols["regime"])))
+
+plt.show()
 '''
 
 
 def emit_plots(out_dir: Path) -> Path:
-    """Write a self-contained matplotlib script for the CSVs present in out_dir."""
-    csvs = sorted(p.name for p in out_dir.glob("*.csv"))
-    if not csvs:
+    """Write ``plot_results.py`` (``_PLOT_SCRIPT``) into out_dir, which must hold a result CSV."""
+    if next(out_dir.glob("*.csv"), None) is None:
         raise FileNotFoundError(f"no result CSVs in {out_dir}")
-    body = [_PLOT_TEMPLATE]
-    if "kernel_compare.csv" in csvs:
-        body.append(
-            "cols = load('kernel_compare.csv')\n"
-            "x = [float(v) for v in cols['x']]\n"
-            "plt.figure(); plt.plot(x, [float(v) for v in cols['re_kernel']], label='kernel Re')\n"
-            "plt.plot(x, [float(v) for v in cols['re_fd']], '--', label='fd Re')\n"
-            "plt.legend(); plt.xlabel('x'); plt.title('transfer-matrix vs finite differences')\n"
-            "plt.figure(); plt.semilogy(x, [max(float(v), 1e-18) for v in cols['abs_err']])\n"
-            "plt.xlabel('x'); plt.title('pointwise error')\n"
-        )
-    if "checkpoint.csv" in csvs or "line_state.csv" in csvs:
-        name = "checkpoint.csv" if "checkpoint.csv" in csvs else "line_state.csv"
-        xcol = "x"
-        body.append(
-            f"cols = load('{name}')\n"
-            f"x = [float(v) for v in cols['{xcol}']]\n"
-            "re = [float(v) for v in cols['re_u']]\n"
-            "plt.figure(); plt.plot(x, re, '.', ms=2); plt.xlabel('x'); plt.title('Re u')\n"
-        )
-    if "sharpness.csv" in csvs:
-        body.append(
-            "cols = load('sharpness.csv')\n"
-            "print('sharpness:', cols)\n"
-        )
-    if "decay_profile.csv" in csvs:
-        body.append(
-            "import math\n"
-            "meta = {}\n"
-            "with open(os.path.join(HERE, 'decay_profile.csv')) as fh:\n"
-            "    for line in fh:\n"
-            "        if line.startswith('# ') and '=' in line:\n"
-            "            k, _, v = line[2:].strip().partition('=')\n"
-            "            meta[k] = v\n"
-            "cols = load('decay_profile.csv')\n"
-            "x = [float(v) for v in cols['x']]\n"
-            "x2 = [v * v for v in x]\n"
-            "for name, rate_key, icpt_key in (('abs_u0', 'alpha_hat', 'intercept0'),\n"
-            "                                 ('abs_u1', 'beta_hat', 'intercept1')):\n"
-            "    mag = [float(v) for v in cols[name]]\n"
-            "    pts = [(a, math.log(m)) for a, m in zip(x2, mag) if m > 1e-13]\n"
-            "    plt.figure()\n"
-            "    plt.plot([p[0] for p in pts], [p[1] for p in pts], '.', ms=2, label=name)\n"
-            "    rate = float(meta[rate_key]); icpt = float(meta[icpt_key])\n"
-            "    xs = sorted(p[0] for p in pts)\n"
-            "    plt.plot(xs, [icpt - rate * a for a in xs], 'r-', label=f'fit rate {rate:.4f}')\n"
-            "    plt.xlabel('x^2'); plt.ylabel('log |u|'); plt.legend()\n"
-        )
-    if "margins.csv" in csvs:
-        body.append(
-            "cols = load('margins.csv')\n"
-            "m = [float(v) for v in cols['margin']]\n"
-            "plt.figure(); plt.plot(sorted(m), '.'); plt.axhline(0, color='k', lw=0.5)\n"
-            "plt.ylabel('rhs - lhs'); plt.title('Carleman margins (sorted)')\n"
-        )
-    if "diagram.csv" in csvs:
-        body.append(
-            "cols = load('diagram.csv')\n"
-            "x = [float(v) for v in cols['x']]\n"
-            "a = [float(v) for v in cols['re_fold_then_evolve']]\n"
-            "b = [float(v) for v in cols['re_evolve_then_fold']]\n"
-            "plt.figure(); plt.plot(x, a, label='fold then evolve')\n"
-            "plt.plot(x, b, '--', label='evolve then fold'); plt.legend()\n"
-        )
-    if "verdicts.csv" in csvs:
-        body.append(
-            "cols = load('verdicts.csv')\n"
-            "print('threshold verdicts:', list(zip(cols['alpha'], cols['beta'], cols['regime'])))\n"
-        )
-    body.append("plt.show()\n")
     path = out_dir / "plot_results.py"
-    path.write_text("\n".join(body))
+    path.write_text(_PLOT_SCRIPT)
     return path
 
 

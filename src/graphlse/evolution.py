@@ -665,9 +665,10 @@ def _mode_system(u0: GraphState, dt: float):
     junction (p = 0).  The stepper's row 0 has a plain vertex row (None, the
     half-mass Neumann row) and a Dirichlet far end.  The free run's row 0 is
     reflected evenly about the vertex, Dirichlet at both ends with the
-    Neumann row in the middle; its right half is scattered last, so it
-    lands.  A potential is sampled once on the ray, and ``spread`` tiles a
-    function of it (its phase) over the chains.
+    Neumann row in the middle; its right half is the later sample of each
+    dof, the one ``_free_chains`` writes back.  A potential is sampled once
+    on the ray, and ``spread`` tiles a function of it (its phase) over the
+    chains.
     """
     n_edges, n, h = u0.graph.n_edges, u0.grid.counts[0], u0.grid.h
     x = u0.grid.x(0)
@@ -980,7 +981,8 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
     h; a junction's row of A reads i M - (dt/2) sum w over the chain ends
     there (M = sum h / 2).  Each chain's samples are gathered from the packed
     state u, and a copy of u with every chain's samples after the run,
-    scattered in chain order, is returned.
+    scattered in chain order, is returned; a dof that one chain lists twice
+    takes its later sample.
 
     The harmonic ramp (K ramp = 0: linear on each chain, Kirchhoff at the
     junctions, the data at the Dirichlet ends; none without a Dirichlet end)
@@ -1080,7 +1082,8 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
         ramp[[0, -1]] += s[[a, b]]
         if layer is not None:
             ramp[1:-1] += layer.values()
-        out[d] = ramp
+        dof, first = np.unique(d[::-1], return_index=True)  # the later sample of a repeated dof
+        out[dof] = ramp[::-1][first]
     return out
 
 

@@ -247,8 +247,7 @@ class GraphState:
         fns = list(fn) if isinstance(fn, (list, tuple)) else [fn] * graph.n_edges
         if len(fns) != graph.n_edges:
             raise ValueError("need one sampling function per edge")
-        values = tuple(np.asarray(f(grid.x(e)), dtype=complex) for e, f in enumerate(fns))
-        return cls(graph, grid, values, time)
+        return cls(graph, grid, tuple(f(grid.x(e)) for e, f in enumerate(fns)), time)
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ _CHECKS = {
 
 def run_checks(kind: str) -> bool:
     ok = True
-    for fn in _CHECKS.get(kind, []):
+    for fn in _CHECKS[kind]:
         passed = False
         try:
             passed = bool(fn())

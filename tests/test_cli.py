@@ -1,5 +1,8 @@
 import os
 import re
+import runpy
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +425,11 @@ def test_emit_plots_missing_results(tmp_path):
         emit_plots(tmp_path)
 
 
+def test_verify_covers_exactly_the_cli_kinds():
+    assert set(_verify._CHECKS) == set(KINDS)
+    assert all(_verify._CHECKS[kind] for kind in KINDS)
+
+
 def test_verify_flag(tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(APPELL_INI)
@@ -623,8 +631,15 @@ CONTRACT_CONFIGS = {
 NUMERIC_CSVS = {"kernel_compare.csv", "line_state.csv", "diagram.csv", "decay_profile.csv"}
 
 
+class _NoOpModule(types.ModuleType):
+    """A stand-in for matplotlib (not a dependency): every attribute is a no-op callable."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
 @pytest.mark.parametrize("name", sorted(CONTRACT_CONFIGS))
-def test_output_contract(tmp_path, name):
+def test_output_contract(tmp_path, monkeypatch, name):
     assert {parse_config(text).kind for text in CONTRACT_CONFIGS.values()} == set(KINDS)
     code, out = run_main(tmp_path, CONTRACT_CONFIGS[name])
     assert code == 0
@@ -638,6 +653,18 @@ def test_output_contract(tmp_path, name):
             for row in rows:
                 for cell in row:
                     float(cell)
+    # the plot script is the same for every run, and it runs on this one's CSVs
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "any.csv").write_text("x\n")
+    script = out / "plot_results.py"
+    assert script.read_bytes() == emit_plots(other).read_bytes()
+    pyplot = _NoOpModule("matplotlib.pyplot")
+    matplotlib = _NoOpModule("matplotlib")
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    runpy.run_path(str(script), run_name="__main__")
 
 
 @pytest.mark.parametrize(

@@ -1069,6 +1069,19 @@ def test_star_free_run_zero_steps_return_the_input():
     assert mode_free_run(3, 11, 0.1, 0.02)(modes, 0).tobytes() == modes.tobytes()
 
 
+@pytest.mark.parametrize("dt", [0.02, 1.0])
+def test_free_chains_write_back_the_later_sample_of_a_repeated_dof(dt):
+    # the star mean's reflected chain lists dofs 1..n-1 twice; its run writes
+    # back the right half, bit for bit that of the same chain on distinct dofs
+    n, h = 11, 0.1
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    reflected = np.r_[n - 1 : 0 : -1, 0:n]
+    got = evolution._free_chains(u, [(reflected, 0, 0, 1.0 / h, h)], 0, dt, 50)
+    wide = evolution._free_chains(u[reflected], [(np.arange(2 * n - 1), 0, 0, 1.0 / h, h)], 0, dt, 50)
+    assert got.tobytes() == wide[n - 1 :].tobytes()
+
+
 def test_free_star_runs_its_modes_as_chains_with_no_junction(monkeypatch, star3):
     # p = 0: no junction recurrence (_series_inverse), no junction response
     # (_power_sums) and no stepper

@@ -304,6 +304,11 @@ def test_state_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         GraphState(graph, grid, (bad, np.zeros(801)))
+    # sampled values reach the same checks
+    with pytest.raises(ValueError, match="non-finite"):
+        GraphState.sample(graph, grid, lambda x: np.where(x > 1.0, np.nan, x))
+    with pytest.raises(ValueError, match="does not match grid"):
+        GraphState.sample(graph, grid, lambda x: x[:-1])
 
 
 def test_state_keeps_its_own_read_only_arrays():
