@@ -3,10 +3,10 @@
 Experiments are described by INI files (flat sections, hand-editable) and
 produce CSV artifacts with provenance headers, next to ``plot_results.py``:
 the same matplotlib script for every run, which draws the figures whose
-CSVs are present.  Exit codes: 0 success, 1 invalid configuration or
-missing inputs, 2 a numerical guard tripped (overflow, wavefront reached
-the boundary, initial data not small at the ends of the kernel quadrature
-domain).
+CSVs are present.  Exit codes: 0 success, 1 a usage error, invalid
+configuration, missing inputs or outputs that cannot be written, 2 a
+numerical guard tripped (overflow, wavefront reached the boundary, initial
+data not small at the ends of the kernel quadrature domain).
 
     graphlse --config exp.ini [--out DIR] [--seed N] [--jobs N] [--verify]
 
@@ -569,9 +569,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--config", required=True, help="experiment INI file")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+    ap.add_argument("--jobs", type=int, default=1, help="worker processes for the Carleman sweep")
     ap.add_argument("--verify", action="store_true", help="run the invariant checks for the touched modules")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage message, or the help for --help
+        return 0 if exc.code == 0 else 1
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -592,13 +595,16 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     try:
         written = run_config(cfg, out_dir, jobs=max(1, args.jobs))
+        emit_plots(out_dir)
     except (TruncationGuardError, WeightOverflowError, NormOverflowError, QuadratureDomainError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ConfigError, and inputs the library refuses
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    emit_plots(out_dir)
+    except OSError as exc:  # the output directory or a file in it cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for p in written:
         print(p)
     return 0

@@ -356,7 +356,8 @@ def _margin(factors, dirichlet) -> int:
     its Dirichlet rows.  Per factor this is one cumsum of logs and one
     search: the run i..j-1 qualifies once the log sum over it reaches
     log(1 / eps^2).  A coupling below eps^2 counts as eps^2, which decides
-    every run through it the same way.
+    every run through it the same way.  So m is at most ceil(log(eps^2) /
+    log q) for the largest coupling q.
     """
     lower, rp, upper = factors
     carried = np.abs(lower[1, :-1] * rp[:-1] / rp[1:])
@@ -826,10 +827,10 @@ def _cell_sigma(sigma, nodes) -> np.ndarray:
 # depth-2 fold of a binary tree 4, the binary tree 3 vertices and the depth-2
 # binary tree 7.
 _MAX_INTERFACES = 4
-# Steps per segment of ``_free_line``: the vertex response is computed once
+# Steps per segment of ``_free_chains``: the junction response is computed once
 # for this many steps, and longer runs restart from the state at each end.
 _SEGMENT = 1024
-# Entries (16 bytes each) of the largest array of powers that ``_free_line`` holds.
+# Entries (16 bytes each) of the largest array of powers that ``_power_blocks`` holds.
 _BLOCK = 16384
 
 

@@ -14,12 +14,14 @@ its support, so exact data is read at every lattice image and sampled data
 through its interpolant (``solve_negative_halfline``).  One list of source
 atoms per layer k (``_p_terms``) holds the terms of p_t^{1,k}: ``kernel_p1k``
 sums h_t over it, and ``eta_profile`` shifts the same atoms along the lattice
-to build eta.  The coefficient is the ``PiecewiseCoefficient`` a Wiener
-series was inverted for (``series.params``).  The right ray x >= (N-2) l is
-the left ray of the reversed coefficient under x' = (N-2) l - x, so
-``solve_line`` solves both rays of a whole line with the same convolution,
-the right one on reflected data; only first-row kernels exist, so points
-strictly between 0 and (N-2) l are refused.
+to build eta.  For two layers eta is u0(y / a_1) on y <= 0 and, on y > 0,
+(a_2 - a_1)/(a_1 + a_2) u0(-y / a_1) + 2 a_1/(a_1 + a_2) u0(y / a_2), so
+equal layers give u0(y / a).  The coefficient is the ``PiecewiseCoefficient``
+a Wiener series was inverted for (``series.params``).  The right ray
+x >= (N-2) l is the left ray of the reversed coefficient under
+x' = (N-2) l - x, so ``solve_line`` solves both rays of a whole line with
+the same convolution, the right one on reflected data; only first-row
+kernels exist, so points strictly between 0 and (N-2) l are refused.
 """
 from __future__ import annotations
 
@@ -300,9 +302,10 @@ def solve_negative_halfline(
     its support, and ``x_grid`` is uniformly spaced.  The solution is the
     single lattice convolution (k_t * eta)(a_1 x) of ``EtaProfile.convolve``
     on the linear interpolant of the samples, with the outer nodes as its
-    support and the smallest node spacing as the lattice spacing.
-    Fails when the sampled data is visibly truncated (boundary samples too
-    large for the requested accuracy).
+    support and the smallest node spacing as the lattice spacing.  The error
+    is O(h^2) from the interpolant plus O(h jump) where eta jumps, at the
+    ends of its source intervals.  Fails when the sampled data is visibly
+    truncated (boundary samples too large for the requested accuracy).
     """
     if t == 0:
         raise ValueError("representation is for t != 0")

@@ -224,6 +224,31 @@ def test_missing_config_file_exits_1(tmp_path):
     assert main(["--config", str(tmp_path / "nope.ini")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--config", "x.ini", "--bogus"], [], ["--config", "x.ini", "--seed", "x"]],
+    ids=["unknown-flag", "no-config", "bad-seed"],
+)
+def test_usage_error_exits_1_with_usage_message(capsys, argv):
+    # 2 is the exit code of a tripped numerical guard, not argparse's usage error
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: graphlse")
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: graphlse")
+
+
+def test_unwritable_output_directory_exits_1(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(SWEEP_INI)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "afile" / "x")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+
+
 def test_threshold_sweep_runs(tmp_path):
     code, out = run_main(tmp_path, SWEEP_INI)
     assert code == 0

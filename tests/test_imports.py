@@ -9,7 +9,7 @@ tree's vertex system (three vertices) and on its folded line.  None of them
 builds a stepper or loads scipy.  A run that steps, such as a tree with a
 potential, loads scipy's _fblas alone.  The CLI kinds run one after another
 in one fresh process, and each test reads the scipy modules loaded after its
-kind.
+kind; none of the runs asks for --jobs, so none loads multiprocessing.
 """
 import ast
 import json
@@ -46,25 +46,12 @@ def fresh_process(tmp_path, body: str, *args: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_carleman_cli_run_loads_no_scipy(tmp_path):
-    (tmp_path / "exp.ini").write_text(CARLEMAN_INI)
-    got = fresh_process(
-        tmp_path,
-        """\
-import graphlse, graphlse.cli
-root = sys.argv[1]
-rc = graphlse.cli.main(["--config", root + "/exp.ini", "--out", root + "/out"])
-print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
-""",
-    )
-    assert got == {"rc": 0, "scipy": []}
-
-
 FBLAS = ["scipy.linalg._fblas"]
 
 # (id, config, scipy modules loaded once that run is done), in the order one
 # process runs them: the kinds that load no scipy first
 CLI_KINDS = [
+    ("carleman", CARLEMAN_INI, []),
     ("threshold-sweep", SWEEP_INI, []),
     ("appell", APPELL_INI, []),
     ("sharpness-star", SHARPNESS_INI, []),  # a free star takes its modes' whole run at once and builds no stepper
@@ -74,7 +61,8 @@ CLI_KINDS = [
     ("reduce-tree", TREE_INI, []),  # three vertices: the tree's free vertex system runs at once
 ]
 
-# run the CLI on each <id>.ini in turn; print each exit code and the scipy modules loaded after it
+# run the CLI on each <id>.ini in turn; print each exit code and the scipy modules loaded after it,
+# then whether the process pool's modules were loaded by any of the runs
 CLI_RUNS = """\
 import graphlse.cli
 root = sys.argv[1]
@@ -82,6 +70,7 @@ got = {}
 for kind in sys.argv[2:]:
     rc = graphlse.cli.main(["--config", f"{root}/{kind}.ini", "--out", f"{root}/{kind}"])
     got[kind] = {"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}
+got["pool"] = {m: m in sys.modules for m in ("multiprocessing", "concurrent.futures.process")}
 print(json.dumps(got))
 """
 
@@ -100,18 +89,9 @@ def test_cli_run_loads_at_most_scipy_fblas(cli_runs, kind, scipy):
     assert cli_runs[kind] == {"rc": 0, "scipy": scipy}
 
 
-def test_cli_import_loads_no_multiprocessing(tmp_path):
+def test_cli_runs_load_no_multiprocessing(cli_runs):
     # the process pool is imported only when a Carleman run asks for --jobs > 1
-    (tmp_path / "exp.ini").write_text(CARLEMAN_INI)
-    got = fresh_process(
-        tmp_path,
-        """\
-import graphlse.cli
-graphlse.cli.parse_config(open(sys.argv[1] + "/exp.ini").read())
-print(json.dumps({m: m in sys.modules for m in ("multiprocessing", "concurrent.futures.process")}))
-""",
-    )
-    assert got == {"multiprocessing": False, "concurrent.futures.process": False}
+    assert cli_runs["pool"] == {"multiprocessing": False, "concurrent.futures.process": False}
 
 
 def test_evolution_loads_blas_but_not_scipy_sparse(tmp_path):
