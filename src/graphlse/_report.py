@@ -2,7 +2,10 @@
 
 Every result file starts with comment lines carrying the tool version, a hash
 of the originating configuration and a timestamp; two runs with the same
-configuration and seed differ at most in the timestamp line.
+configuration, seed and number of BLAS threads differ at most in the timestamp
+line.  The thread count is not pinned here: BLAS may split a matrix product
+(the free path's sums of powers, say) differently over another number of
+threads, and its last digits then change.
 """
 from __future__ import annotations
 

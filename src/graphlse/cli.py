@@ -469,8 +469,18 @@ KINDS = tuple(_KIND_TABLE)
 
 
 def run_config(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> list[Path]:
+    """Run cfg's kind into out_dir; a run that raises removes the directories it made while they are empty."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _KIND_TABLE[cfg.kind][0](cfg, out_dir, jobs)
+    try:
+        return _KIND_TABLE[cfg.kind][0](cfg, out_dir, jobs)
+    except BaseException:
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:  # the run wrote something there
+                break
+        raise
 
 
 # ---------------------------------------------------------------------------

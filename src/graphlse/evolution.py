@@ -77,13 +77,15 @@ same coefficients at every step.  Its solution is one FFT convolution per
 run of up to ``_SEGMENT`` steps, after which each chain takes all the run's
 steps at once (``_free_chains``).  Sums of powers of each chain's step
 factors, a few matrix products, replace nsteps sweeps, so such runs build
-no stepper and load no scipy.  A star's modes qualify whenever
-``_star_modes`` admits the run, a line with at most ``_MAX_INTERFACES``
-interfaces (the nodes where the cell's (sigma, dx) changes; ``_free_line``)
-and a graph with at most ``_MAX_INTERFACES`` vertices.  Other lines and
-graphs and runs with a potential step the Cayley core, which stays the
-oracle of this path.  On this path the far field holds round-off of about
-eps max|u|, not exact zeros.
+no stepper and load no scipy.  A run with junctions allocates one workspace
+for its blocks of powers (``_power_blocks``), which every block of every
+chain reuses, so the blocks map no fresh pages.  A star's modes qualify
+whenever ``_star_modes`` admits the run, a line with at most
+``_MAX_INTERFACES`` interfaces (the nodes where the cell's (sigma, dx)
+changes; ``_free_line``) and a graph with at most ``_MAX_INTERFACES``
+vertices.  Other lines and graphs and runs with a potential step the Cayley
+core, which stays the oracle of this path.  On this path the far field holds
+round-off of about eps max|u|, not exact zeros.
 
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
@@ -830,7 +832,9 @@ _MAX_INTERFACES = 4
 # Steps per segment of ``_free_chains``: the junction response is computed once
 # for this many steps, and longer runs restart from the state at each end.
 _SEGMENT = 1024
-# Entries (16 bytes each) of the largest array of powers that ``_power_blocks`` holds.
+# Entries (16 bytes each) of the largest array of powers that ``_power_blocks``
+# holds.  A ``_free_chains`` run with junctions allocates one workspace of
+# 3 _BLOCK entries (768 kB) for them; each block overwrites the last.
 _BLOCK = 16384
 
 
@@ -846,9 +850,9 @@ def _sine(v: np.ndarray) -> np.ndarray:
     return 0.5j * np.fft.fft(z)[1 : m + 1]
 
 
-def _powers(mu: np.ndarray, k: int) -> np.ndarray:
-    """mu^0 .. mu^(k-1), one row each, by doubling."""
-    out = np.empty((k, len(mu)), dtype=complex)
+def _powers(mu: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """mu^0 .. mu^(k-1), one row each, by doubling, in the first k len(mu) entries of out."""
+    out = out[: k * len(mu)].reshape(k, len(mu))
     out[0] = 1.0
     n = 1
     while n < k:
@@ -857,36 +861,40 @@ def _powers(mu: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _power_blocks(mu: np.ndarray, nterms: int):
-    """(cols, near, far) over blocks of columns of mu, with near[b] = mu^b and far[i] = mu^(i len(near)).
+def _power_blocks(mu: np.ndarray, nterms: int, work: np.ndarray):
+    """(cols, near, far, spare) over blocks of columns of mu, with near[b] = mu^b and far[i] = mu^(i len(near)).
 
     Power r < nterms is near[r % len(near)] * far[r // len(near)], both about
-    sqrt(nterms) rows, and neither holds more than ``_BLOCK`` entries.
+    sqrt(nterms) rows, and neither holds more than ``_BLOCK`` entries.  near,
+    far and the spare (cols, len(far)) array are views into the workspace
+    work (``3 * _BLOCK`` entries), so the next block overwrites them.
     """
     inner = math.isqrt(max(nterms - 1, 0)) + 1
     outer = -(-nterms // inner)
     size = max(1, _BLOCK // max(inner, outer))
     for j in range(0, len(mu), size):
         cols = slice(j, j + size)
-        near = _powers(mu[cols], inner)
-        yield cols, near, _powers(near[-1] * mu[cols], outer)
+        near = _powers(mu[cols], inner, work[:_BLOCK])
+        far = _powers(near[-1] * mu[cols], outer, work[_BLOCK : 2 * _BLOCK])
+        yield cols, near, far, work[2 * _BLOCK : 2 * _BLOCK + far.size].reshape(far.shape[::-1])
 
 
-def _power_sums(mu: np.ndarray, weights: np.ndarray, nterms: int) -> np.ndarray:
+def _power_sums(mu: np.ndarray, weights: np.ndarray, nterms: int, work: np.ndarray) -> np.ndarray:
     """sum_j mu_j^r weights_j for r < nterms, one matrix product per block of powers."""
     out = np.zeros(nterms, dtype=complex)
-    for cols, near, far in _power_blocks(mu, nterms):
-        out += (near @ (far.T * weights[cols, None])).T.reshape(-1)[:nterms]
+    for cols, near, far, spare in _power_blocks(mu, nterms, work):
+        out += (near @ np.multiply(far.T, weights[cols, None], out=spare)).T.reshape(-1)[:nterms]
     return out
 
 
-def _power_poly(mu: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _power_poly(mu: np.ndarray, coeffs: np.ndarray, work: np.ndarray) -> np.ndarray:
     """sum_r coeffs_r mu_j^r for every j, one matrix product per block of powers."""
     out = np.empty(len(mu), dtype=complex)
-    for cols, near, far in _power_blocks(mu, len(coeffs)):
+    for cols, near, far, spare in _power_blocks(mu, len(coeffs), work):
         padded = np.zeros(len(near) * len(far), dtype=complex)
         padded[: len(coeffs)] = coeffs
-        out[cols] = np.einsum("ji,ij->j", near.T @ padded.reshape(len(far), len(near)).T, far)
+        product = np.matmul(near.T, padded.reshape(len(far), len(near)).T, out=spare)
+        out[cols] = np.einsum("ji,ij->j", product, far)
     return out
 
 
@@ -902,12 +910,15 @@ class _Layer:
     1) S_1 a (with the sign at the last row), so every sum over the modes
     splits into one over odd j and one over even j.  The junction terms mu,
     beta and S_1 are built on first use, so a chain that no junction reads
-    (``_free_chains`` with p = 0) builds only its phases.
+    (``_free_chains`` with p = 0) builds only its phases.  work is the run's
+    workspace for blocks of powers (``_power_blocks``), None when no
+    junction reads the chain.
     """
 
-    def __init__(self, rows: np.ndarray, g: float):
+    def __init__(self, rows: np.ndarray, g: float, work: np.ndarray | None):
         m = len(rows)
         self.g = g
+        self.work = work
         self.lam = 4.0 * np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1))) ** 2
         self.theta = np.arctan(g * self.lam)
         self.coef = _sine(rows)
@@ -928,8 +939,8 @@ class _Layer:
     def _ends(self, weights, nterms):
         """(first, last): sum_j mu_j^r (2 / (m + 1)) S_1 weights_j at the first and last row, r < nterms."""
         w = (2.0 / (len(self.mu) + 1)) * self.edge * weights
-        odd = _power_sums(self.mu[0::2], w[0::2], nterms)
-        even = _power_sums(self.mu[1::2], w[1::2], nterms)
+        odd = _power_sums(self.mu[0::2], w[0::2], nterms, self.work)
+        even = _power_sums(self.mu[1::2], w[1::2], nterms, self.work)
         return odd + even, odd - even
 
     def response(self, nterms):
@@ -949,8 +960,8 @@ class _Layer:
         coef = np.exp(-2j * nsteps * self.theta) * self.coef
         if q is not None:
             kick = np.empty(len(self.mu), dtype=complex)
-            kick[0::2] = _power_poly(self.mu[0::2], q[::-1, 0] + q[::-1, 1])
-            kick[1::2] = _power_poly(self.mu[1::2], q[::-1, 0] - q[::-1, 1])
+            kick[0::2] = _power_poly(self.mu[0::2], q[::-1, 0] + q[::-1, 1], self.work)
+            kick[1::2] = _power_poly(self.mu[1::2], q[::-1, 0] - q[::-1, 1], self.work)
             coef += self.beta * self.edge * kick
         self.coef = coef
 
@@ -1022,13 +1033,14 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
                 flux[x] += c * far if y == p else 0.0
         ramp_at[:p] = np.linalg.solve(G[:p, :p], flux[:p])
     s = np.zeros(p + 1, dtype=complex)  # v at the junctions; entry p, the Dirichlet ends, stays 0
+    work = np.empty(3 * _BLOCK, dtype=complex) if p else None  # every layer's blocks of powers
     ramps, layers = [], []
     for vals, a, b, w, h in chains:
         t = np.arange(len(vals)) / (len(vals) - 1)
         ramps.append((vals[0] if a == p else ramp_at[a]) * (1.0 - t) + (vals[-1] if b == p else ramp_at[b]) * t)
         v = vals - ramps[-1]  # exactly 0 at a Dirichlet end
         s[a], s[b] = v[0], v[-1]
-        layers.append(_Layer(v[1:-1], (dt / 2.0) * w / h) if len(vals) > 2 else None)
+        layers.append(_Layer(v[1:-1], (dt / 2.0) * w / h, work) if len(vals) > 2 else None)
     s = s[:p]
     seg = min(nsteps, _SEGMENT) if p else nsteps
     if p:

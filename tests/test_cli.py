@@ -214,10 +214,17 @@ def test_parse_requires_needed_keys():
         parse_config("[experiment]\nkind = threshold-sweep\n")
 
 
-def test_malformed_config_exits_1_no_partial_outputs(tmp_path):
+def test_malformed_config_exits_1_no_partial_outputs(tmp_path, capsys):
     code, out = run_main(tmp_path, "[experiment]\nkind = dance\n")
     assert code == 1
     assert not out.exists()
+    # refused by its runner, after parsing: the directories the call made are gone again
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\nkind = carleman\n[carleman]\nn_seeds = 0\n")
+    deep = tmp_path / "a" / "b"
+    assert main(["--config", str(cfg), "--out", str(deep)]) == 1
+    assert capsys.readouterr().err.endswith("\nconfig error: [carleman] n_seeds must be at least 1\n")
+    assert not (tmp_path / "a").exists()
 
 
 def test_missing_config_file_exits_1(tmp_path):

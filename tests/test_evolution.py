@@ -1243,6 +1243,43 @@ def test_free_line_restarts_at_segment_ends(extra):
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
+# (columns, terms, blocks of columns): one column and one term; one block;
+# two blocks, the last narrow; three blocks of up to 496 columns, the last
+# narrow.  37 and 1025 terms are not inner * outer (7 * 6, 33 * 32).
+POWER_CASES = [(1, 1, 1), (7, 2, 1), (3000, 37, 2), (1000, 1025, 3)]
+
+
+@pytest.mark.parametrize("ncols, nterms, nblocks", POWER_CASES)
+def test_power_helpers_match_direct_powers(ncols, nterms, nblocks):
+    rng = np.random.default_rng(ncols + nterms)
+    mu = np.exp(1j * rng.uniform(-np.pi, np.pi, ncols))
+    weights = rng.normal(size=ncols) + 1j * rng.normal(size=ncols)
+    coeffs = rng.normal(size=nterms) + 1j * rng.normal(size=nterms)
+    # long double: a double mu ** r for r >= 100 is off by about r eps
+    direct = mu.astype(np.clongdouble)[None, :] ** np.arange(nterms)[:, None]
+    work = np.empty(3 * evolution._BLOCK, dtype=complex)
+    for call, want in (
+        (lambda: evolution._power_sums(mu, weights, nterms, work), direct @ weights),
+        (lambda: evolution._power_poly(mu, coeffs, work), coeffs @ direct),
+    ):
+        work[:] = np.nan  # a read of an entry the call did not write shows as NaN
+        want = want.astype(complex)
+        assert np.max(np.abs(call() - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("ncols, nterms, nblocks", POWER_CASES)
+def test_power_blocks_are_views_into_the_workspace(ncols, nterms, nblocks):
+    mu = np.exp(1j * np.linspace(0.1, 3.0, ncols))
+    work = np.empty(3 * evolution._BLOCK, dtype=complex)
+    widths = []
+    for cols, near, far, spare in evolution._power_blocks(mu, nterms, work):
+        widths.append(len(mu[cols]))
+        assert near.shape[1] == far.shape[1] == widths[-1] and spare.shape == far.shape[::-1]
+        assert len(near) * len(far) >= nterms
+        assert all(np.shares_memory(x, work) for x in (near, far, spare))
+    assert len(widths) == nblocks and sum(widths) == ncols
+
+
 def test_free_line_zero_steps_return_the_data():
     nodes, cells = FREE_LINES["line-121"]()
     u0 = random_line_data(len(nodes))
