@@ -36,8 +36,8 @@ dense Schur complement.  The BLAS routine is scipy's ``ztbsv``, bound when
 the first stepper is built from scipy's ``_fblas`` extension module alone
 (``_ztbsv``), so no part of the package loads the ``scipy.linalg`` package.
 
-A run sweeps each chain only on its live window, carried from step to step
-with the state.  A value is quiet below cut = eps^2 max|u|, read from the
+A run sweeps each chain only on its live window, which the stepper keeps
+from step to step.  A value is quiet below cut = eps^2 max|u|, read from the
 first state and again every m steps.  A sweep carries the value of a row on
 scaled by the product of the unit factors' couplings it passes, so the
 margin m is the fewest rows such that every run of m couplings of either
@@ -89,11 +89,11 @@ round-off of about eps max|u|, not exact zeros.
 
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
-potential act as an exact gauge factor.  One loop (``_steps``) runs every
+potential act as an exact gauge factor.  The stepper's run takes every
 potential, the two half-steps that meet between steps merged into one
-multiply.  One guard, on the share of the mass beyond ``boundary_guard`` of
-each truncated ray or line end, rejects runs whose wavefront has reached
-the artificial boundary.
+multiply on the window.  One guard, on the share of the mass beyond
+``boundary_guard`` of each truncated ray or line end, rejects runs whose
+wavefront has reached the artificial boundary.
 """
 from __future__ import annotations
 
@@ -401,35 +401,8 @@ def _chain_rows(F, nv, first, stop, solve_t):
     return tuple(np.concatenate(t) for t in (rows, cols, vals))
 
 
-class _Window:
-    """The chain rows that the Cayley steps of one run solve: [lo[k], hi[k]) of chain k.
-
-    A stepper fills an empty window from the first state it steps (``cut`` is
-    then the level below which a value is quiet, ``age`` counts the steps)
-    and afterwards only widens it, so a window travels with one run's state
-    and is never shared.  The other fields are derived from ``lo`` and ``hi``
-    each time they change; ``spans`` are the vertex rows and the hull of the
-    window, outside which the state is exactly zero.
-    """
-
-    def __init__(self):
-        self.cut = None
-        self.age = 0
-
-    @property
-    def rows(self) -> int:
-        """Number of chain rows a step solves."""
-        return sum(hi - lo for lo, hi in zip(self.lo, self.hi))
-
-    def scale(self, u, f):
-        """u *= f in place, on the spans once the window is open; returns u."""
-        for s in self.spans if self.cut is not None else (slice(None),):
-            np.multiply(u[s], f[s], out=u[s])
-        return u
-
-
 def _cayley_stepper(n_dof, chains, nv, dt):
-    """The Crank-Nicolson step u -> A^{-1}(c u) - u of a chain list on n_dof dofs, factored once.
+    """Runs of the Crank-Nicolson step u -> A^{-1}(c u) - u of a chain list on n_dof dofs, factored once.
 
     A = iM - (dt/2)K with identity rows at the Dirichlet dofs and c = 2i mass
     (2 on Dirichlet rows), assembled by ``_assemble`` from the cells and
@@ -451,16 +424,18 @@ def _cayley_stepper(n_dof, chains, nv, dt):
     gather, one multiply and a segmented sum.  The rows of E are next to a
     vertex, inside every window, so E x_V is subtracted with no mask.
 
-    The chains are solved only on the live window of the state (see the
-    module docstring), a ``_Window`` passed as ``step(u, live)`` and carried
-    from step to step by the caller; ``step(u)`` finds a fresh one from u.
-    A step on a carried window writes the next state over u and returns it
-    (a fresh window first copies u), and touches only the window's spans.
-    An edge band moves out when its l2 norm exceeds cut, which it does
-    whenever one of its values does.  Windows that touch share one sweep.
-    Every m steps cut is read again from the whole state, one scan per m
-    sweeps, so that a state damped by a complex potential keeps its window
-    growing.
+    It returns one function, ``run(u, nsteps, phase=None)``, which takes a
+    whole run and returns its final state; ``run(u, 0)`` returns u, and u is
+    never written.  ``phase(k)`` is multiplied in before step k + 1 and, as
+    ``phase(nsteps)``, after the last step: the product of a potential's
+    two phase half-steps that meet there.  The chains are solved only on the
+    live window of the state (see the module docstring), which ``run``
+    opens from u times ``phase(0)`` and keeps for the run: each step, and
+    each phase between steps, touches only the window's spans.  An edge
+    band moves out when its l2 norm exceeds cut, which it does whenever one
+    of its values does.  Windows that touch share one sweep.  Every m steps
+    cut is read again from the whole state, one scan per m sweeps, so that
+    a state damped by a complex potential keeps its window growing.
     """
     ztbsv = _ztbsv()  # bound here: runs that build no stepper load no scipy
 
@@ -492,10 +467,10 @@ def _cayley_stepper(n_dof, chains, nv, dt):
         np.add.at(W_t, (w_rows[hit], pos[w_cols[hit]]), w_vals[hit])
         s_inv = np.linalg.inv(D - W_t @ E_t)
 
-    def settle(live):
-        """Derive the sweeps, spans and edge bands from live.lo, live.hi."""
-        runs, live.edges = [], []
-        for k, (a, b) in enumerate(zip(live.lo, live.hi)):
+    def settle(lo, hi):
+        """(sweeps, spans, edge bands) of the window [lo[k], hi[k]) of each chain k; touching windows share a sweep."""
+        runs, edges = [], []
+        for k, (a, b) in enumerate(zip(lo, hi)):
             if a == b:
                 continue
             if runs and runs[-1][1] == a:
@@ -503,69 +478,68 @@ def _cayley_stepper(n_dof, chains, nv, dt):
             else:
                 runs.append([a, b])
             if a > first[k]:
-                live.edges.append((k, False, slice(nv + a, nv + min(a + m, b))))
+                edges.append((k, False, slice(nv + a, nv + min(a + m, b))))
             if b < stop[k]:
-                live.edges.append((k, True, slice(nv + max(b - m, a), nv + b)))
-        live.runs = [(nv + a, tuple(f[..., a:b] for f in factors)) for a, b in runs]
-        live.spans = [slice(0, nv)] if nv else []
+                edges.append((k, True, slice(nv + max(b - m, a), nv + b)))
+        sweeps = [(nv + a, tuple(f[..., a:b] for f in factors)) for a, b in runs]
+        spans = [slice(0, nv)] if nv else []
         if runs:
-            live.spans.append(slice(nv + runs[0][0], nv + runs[-1][1]))
+            spans.append(slice(nv + runs[0][0], nv + runs[-1][1]))
+        return sweeps, spans, edges
 
-    def open_window(u, live):
-        """Fill the empty ``live`` from u and return u, as a complex copy, set to zero outside it."""
+    def run(u, nsteps, phase=None):
+        if nsteps == 0:
+            return u
+        if phase is not None:
+            u = phase(0) * u
         mag = np.abs(u)
-        live.cut = _NEGLIGIBLE * float(np.max(mag, initial=0.0))
-        if not math.isfinite(live.cut):
+        cut = _NEGLIGIBLE * float(np.max(mag, initial=0.0))
+        if not math.isfinite(cut):
             raise ValueError("the state to evolve contains NaN or infinity")
-        hot = mag[nv:] > live.cut
+        hot = mag[nv:] > cut
         hot[E[0] - nv] = True  # the rows next to a vertex, so that E x_V never leaves the window
-        live.lo, live.hi = list(first), list(first)
+        lo, hi = list(first), list(first)
         for k, (a, b) in enumerate(zip(first, stop)):
             on = np.flatnonzero(hot[a:b])
             if len(on):
-                live.lo[k], live.hi[k] = max(a + int(on[0]) - m, a), min(a + int(on[-1]) + 1 + m, b)
-        settle(live)
-        live.x = np.zeros(n_dof, dtype=complex)  # scaled right-hand side; zero outside the spans
+                lo[k], hi[k] = max(a + int(on[0]) - m, a), min(a + int(on[-1]) + 1 + m, b)
+        sweeps, spans, edges = settle(lo, hi)
         keep = np.zeros(n_dof, dtype=bool)
         keep[:nv] = True
-        for off, run in live.runs:
-            keep[off : off + len(run[1])] = True
-        return np.where(keep, u, 0.0).astype(complex, copy=False)
-
-    def step(u, live=None):
-        if live is None:
-            live = _Window()
-        if live.cut is None:
-            u = open_window(u, live)
-        x = live.x
-        for s in live.spans:
-            np.multiply(c[s], u[s], out=x[s])
-        if nv:
-            r = x[:nv].copy()
-            r[w_hit] -= np.add.reduceat(w_vals * x[w_cols], starts)
-            xv = s_inv @ r
-            np.subtract.at(x, e_rows, e_vals * xv[e_cols])
-            x[:nv] = xv
-        for off, run in live.runs:
-            x = _sweep(ztbsv, run, x, off)
-        for s in live.spans:
-            np.subtract(x[s], u[s], out=u[s])
-        live.age += 1
-        if live.age % m == 0:  # a potential may have damped the whole state
-            live.cut = _NEGLIGIBLE * float(np.max(np.abs(u)))
-        grown = False
-        for k, outward, band in live.edges:
-            if np.vdot(u[band], u[band]).real > live.cut**2:
+        for off, sweep in sweeps:
+            keep[off : off + len(sweep[1])] = True
+        u = np.where(keep, u, 0.0).astype(complex, copy=False)
+        x = np.zeros(n_dof, dtype=complex)  # scaled right-hand side; zero outside the spans
+        for age in range(1, nsteps + 1):
+            for s in spans:
+                np.multiply(c[s], u[s], out=x[s])
+            if nv:
+                r = x[:nv].copy()
+                r[w_hit] -= np.add.reduceat(w_vals * x[w_cols], starts)
+                xv = s_inv @ r
+                np.subtract.at(x, e_rows, e_vals * xv[e_cols])
+                x[:nv] = xv
+            for off, sweep in sweeps:
+                x = _sweep(ztbsv, sweep, x, off)
+            for s in spans:
+                np.subtract(x[s], u[s], out=u[s])
+            if age % m == 0:  # a potential may have damped the whole state
+                cut = _NEGLIGIBLE * float(np.max(np.abs(u)))
+            grown = [(k, outward) for k, outward, band in edges if np.vdot(u[band], u[band]).real > cut**2]
+            for k, outward in grown:
                 if outward:
-                    live.hi[k] = min(live.hi[k] + m, stop[k])
+                    hi[k] = min(hi[k] + m, stop[k])
                 else:
-                    live.lo[k] = max(live.lo[k] - m, first[k])
-                grown = True
-        if grown:
-            settle(live)
-        return u
+                    lo[k] = max(lo[k] - m, first[k])
+            if grown:
+                sweeps, spans, edges = settle(lo, hi)
+            if phase is not None and age < nsteps:
+                f = phase(age)
+                for s in spans:
+                    np.multiply(u[s], f[s], out=u[s])
+        return u if phase is None else phase(nsteps) * u
 
-    return step
+    return run
 
 
 def _sample_potential(fn, t, packing, graph, grid):
@@ -608,25 +582,6 @@ def _guard_tail(pieces, cfg: EvolutionConfig) -> float:
             f"fraction {fraction:.3e} of the mass lies beyond {cfg.boundary_guard:.2f} of the truncated domain"
         )
     return fraction
-
-
-def _steps(u, stepper, nsteps, phase=None):
-    """``nsteps`` Cayley steps, with ``phase(k)`` multiplied in before step k and ``phase(nsteps)`` after the last.
-
-    ``phase(k)`` is the product of the potential's phase half-steps that
-    meet there: the half-step after step k - 1 and the one before step k.
-    Between steps it multiplies only the window's spans.  The steps share
-    one live window, which starts from the state they are given.
-    """
-    live = _Window()
-    if phase is None or nsteps == 0:
-        for _ in range(nsteps):
-            u = stepper(u, live)
-        return u
-    u = phase(0) * u
-    for k in range(1, nsteps):
-        u = live.scale(stepper(u, live), phase(k))
-    return phase(nsteps) * stepper(u, live)
 
 
 def _vertex_system(u0: GraphState, dt: float):
@@ -706,8 +661,9 @@ def _evolve_graph(
     """Cayley steps wrapped in the potential's phase half-steps.
 
     ``static`` is sampled once, ``dynamic`` at every half-step; a number
-    (any ``numbers.Number``) stands for the constant potential.  ``_steps``
-    multiplies in the half-steps that meet between steps as one phase: a
+    (any ``numbers.Number``) stands for the constant potential.  One call
+    of the stepper's run (``_cayley_stepper``) takes the steps, with the
+    half-steps that meet between steps multiplied in as one ``phase(k)``: a
     static potential's exp(i dt/2 v) and its square are computed once, a
     dynamic potential's two half-steps are sampled and multiplied.  The
     phase is computed where the system samples (on the ray for the modes)
@@ -748,7 +704,7 @@ def _evolve_graph(
             ends = spread(half(v1))
             between = ends * ends
             phase = lambda k: between if 0 < k < nsteps else ends
-        values = unpack(_steps(u, build(), nsteps, phase))
+        values = unpack(build()(u, nsteps, phase))
     out = GraphState(graph, grid, values, u0.time + nsteps * dt_signed)
     if cfg.boundary_guard is not None:
         pieces = []
@@ -1162,7 +1118,7 @@ def evolve_line_sigma(
     if u is None:
         dx = np.diff(nodes)
         line = [(np.arange(len(nodes)), 0, 0, cells / dx, dx)]  # one chain, Dirichlet at both ends
-        u = _steps(u0.copy(), _cayley_stepper(len(nodes), line, 0, dt_signed), nsteps)
+        u = _cayley_stepper(len(nodes), line, 0, dt_signed)(u0.copy(), nsteps)
     if cfg.boundary_guard is not None:
         cutL = nodes[0] * cfg.boundary_guard if nodes[0] < 0 else nodes[0]
         cutR = nodes[-1] * cfg.boundary_guard if nodes[-1] > 0 else nodes[-1]

@@ -7,7 +7,35 @@ import os
 # against 0.4-0.7 s in the others
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import pytest  # noqa: E402
+
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
+
+
+@pytest.fixture
+def sweep_spy(monkeypatch):
+    """The chain rows that Cayley steps sweep: one list per step of (offset, rows), one pair per ``_sweep`` call.
+
+    ``offset`` is the dof of the first row swept.  The transposed sweeps
+    that build a stepper are left out.  A run keeps one right-hand side for
+    all its steps and sweeps a step's windows in increasing offset, and
+    windows only grow, so a sweep of another vector, or at an offset not
+    above the one before, starts a step.
+    """
+    from graphlse import evolution
+
+    sweep, steps, last = evolution._sweep, [], [None, None]
+
+    def spied(tbsv, factors, x, off=0, trans=0):
+        if not trans:
+            if x is not last[0] or off <= last[1]:
+                steps.append([])
+            steps[-1].append((off, len(factors[1])))
+            last[:] = [x, off]
+        return sweep(tbsv, factors, x, off, trans)
+
+    monkeypatch.setattr(evolution, "_sweep", spied)
+    return steps
 
 
 def record_acceptance(name: str, detail: str) -> None:

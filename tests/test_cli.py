@@ -509,6 +509,17 @@ def test_verify_checks_free_graph_for_graph_kinds(tmp_path, capsys):
     assert "PASS check_free_graph" in capsys.readouterr().out
 
 
+def test_verify_checks_kernel_code_for_kernel_kinds(tmp_path, capsys):
+    # kernel-compare and sharpness's two-step family solve with kernels.solve_line and exppoly.invert_E
+    for kind in ("kernel-compare", "sharpness"):
+        assert {_verify.check_wiener, _verify.check_kernel_free_limit} <= set(_verify._CHECKS[kind])
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(TWO_STEP_INI)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
+    printed = capsys.readouterr().out
+    assert "PASS check_wiener" in printed and "PASS check_kernel_free_limit" in printed
+
+
 def test_jobs_parallel_carleman(tmp_path):
     # n_seeds = 2, so the pool gets two (N, seed) tasks; the output must not
     # depend on how they were spread

@@ -40,7 +40,6 @@ from graphlse.evolution import (
     _pack_graph,
     _pack_state,
     _sweep,
-    _Window,
     _ztbsv,
 )
 from test_acceptance import c08_tree_state
@@ -553,9 +552,9 @@ def test_cayley_core_matches_superlu_oracle(case, dt_over_h):
     rng = np.random.default_rng(7)
     u0 = rng.normal(size=n_dof) + 1j * rng.normal(size=n_dof)
     new, old = _cayley_stepper(n_dof, chains, nv, dt), superlu_stepper(n_dof, cells, dt, dirichlet)
-    u, v = u0, u0
+    u, v = new(u0, 200), u0
     for _ in range(200):
-        u, v = new(u), old(v)
+        v = old(v)
     assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
     np.testing.assert_array_equal(u[dirichlet], u0[dirichlet])
 
@@ -612,23 +611,41 @@ WINDOW_CASES = {
 }
 
 
+# Windowed runs are checked after 1, 2, 17 and all steps.
+RUN_LENGTHS = (1, 2, 17, 200)
+
+
+def swept_dofs(step, n_dof):
+    """The dofs that one step of ``sweep_spy`` swept, as a mask."""
+    swept = np.zeros(n_dof, dtype=bool)
+    for off, rows in step:
+        swept[off : off + rows] = True
+    return swept
+
+
+def swept_rows(step):
+    return sum(rows for _, rows in step)
+
+
 @pytest.mark.parametrize("dt_over_h", [0.02, -0.02])
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-def test_windowed_core_matches_superlu_oracle_on_localized_data(case, dt_over_h):
+def test_windowed_core_matches_superlu_oracle_on_localized_data(case, dt_over_h, sweep_spy):
     (n_dof, chains, nv, h), u0 = WINDOW_CASES[case]()
     cells, dirichlet = _chain_cells(chains, nv)
     dt = dt_over_h * h
     new, old = _cayley_stepper(n_dof, chains, nv, dt), superlu_stepper(n_dof, cells, dt, dirichlet)
-    live = _Window()
-    u, v = new(u0, live), old(u0)
-    assert 0 < live.rows < n_dof - nv  # the first step already swept fewer rows than this
-    for _ in range(199):
-        u, v = new(u, live), old(v)
-    assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+    v, done = u0, 0
+    for nsteps in RUN_LENGTHS:
+        for _ in range(nsteps - done):
+            v = old(v)
+        done = nsteps
+        assert np.max(np.abs(new(u0, nsteps) - v)) <= 1e-12 * np.max(np.abs(v))
+    assert len(sweep_spy) == sum(RUN_LENGTHS)
+    assert 0 < swept_rows(sweep_spy[0]) < n_dof - nv  # the first step already swept fewer rows than this
 
 
 @pytest.mark.parametrize("case", sorted(VERTEX_WINDOW_CASES))
-def test_vertex_window_holds_the_rows_next_to_every_vertex(case):
+def test_vertex_window_holds_the_rows_next_to_every_vertex(case, sweep_spy):
     # from the first step on, every chain's m rows next to a vertex are in the
     # window, quiet chains included, so that E x_V never falls outside it
     graph, grid, fns = VERTEX_WINDOW_CASES[case]()
@@ -636,14 +653,27 @@ def test_vertex_window_holds_the_rows_next_to_every_vertex(case):
     cells, dirichlet = _chain_cells(chains, nv)
     dt = 0.02 * h
     m = _margin(_factor_chains(*_assemble(n_dof, cells, dt, dirichlet, nv)[1]), dirichlet[dirichlet >= nv] - nv)
-    live = _Window()
-    _cayley_stepper(n_dof, chains, nv, dt)(u0, live)
-    assert len(live.lo) == graph.n_edges and 0 < live.rows < n_dof - nv
-    for k, (dofs, *_) in enumerate(chains):  # chain k is the chain rows of edge k
-        rows = dofs[dofs >= nv] - nv
+    _cayley_stepper(n_dof, chains, nv, dt)(u0, 1)
+    (step,) = sweep_spy
+    swept = swept_dofs(step, n_dof)
+    assert 0 < swept_rows(step) < n_dof - nv
+    for dofs, *_ in chains:  # one chain per edge
+        rows = dofs[dofs >= nv]
         for at_vertex, next_to in ((dofs[0] < nv, rows[:m]), (dofs[-1] < nv, rows[-m:])):
             if at_vertex:
-                assert live.lo[k] <= next_to[0] and next_to[-1] < live.hi[k]
+                assert np.all(swept[next_to])
+
+
+@pytest.mark.parametrize("case", ["star3-vertex-data", "tree-leaf-ray", "star3-modes-vertex-data"])
+def test_rows_outside_the_window_stay_exactly_zero(case, sweep_spy):
+    # after one step, the exact zeros of the state are the chain rows that the step did not sweep
+    (n_dof, chains, nv, h), u0 = WINDOW_CASES[case]()
+    u = _cayley_stepper(n_dof, chains, nv, 0.02 * h)(u0, 1)
+    (step,) = sweep_spy
+    swept = swept_dofs(step, n_dof)
+    swept[:nv] = True  # the vertex rows
+    assert not np.all(swept)
+    np.testing.assert_array_equal(u == 0, ~swept)
 
 
 @pytest.mark.parametrize("case", ["star3", "tree", "cycle-loop-short-edge"])
@@ -710,38 +740,35 @@ def test_positional_sweep_equals_keyword_sweep(trans):
     ],
     ids=["mixed", "absorbing"],
 )
-def test_windowed_core_matches_superlu_oracle_with_complex_v2(monkeypatch, V2):
-    # the window travels through the dynamic-potential loop: the same run with
+def test_windowed_core_matches_superlu_oracle_with_complex_v2(monkeypatch, V2, sweep_spy):
+    # the window travels through the dynamic-potential run: the same run with
     # the SuperLU step in place of the Cayley core is the oracle
     graph, grid = uneven_star((10.0, 10.0, 9.0))
     st = GraphState.sample(graph, grid, [narrow(3.0), quiet, quiet])
     assert not evolution._star_modes(st, None, V2)
     cfg = EvolutionConfig(dt=1e-3, boundary_guard=None)
-    narrower = []
-
-    def windowed(n_dof, chains, nv, dt):
-        step = _cayley_stepper(n_dof, chains, nv, dt)
-
-        def spied(u, live):
-            out = step(u, live)
-            narrower.append(live.rows < n_dof - nv)
-            return out
-
-        return spied
 
     def oracle(n_dof, chains, nv, dt):
         cells, dirichlet = _chain_cells(chains, nv)
         step = superlu_stepper(n_dof, cells, dt, dirichlet)
-        return lambda u, live: step(u)
 
-    monkeypatch.setattr(evolution, "_cayley_stepper", windowed)
-    got = evolve_graph_potential(st, None, V2, 0.2, cfg)
+        def run(u, nsteps, phase):
+            u = phase(0) * u
+            for k in range(1, nsteps + 1):
+                u = phase(k) * step(u)
+            return u
+
+        return run
+
+    got = [evolve_graph_potential(st, None, V2, nsteps * cfg.dt, cfg) for nsteps in RUN_LENGTHS]
     monkeypatch.setattr(evolution, "_cayley_stepper", oracle)
-    want = evolve_graph_potential(st, None, V2, 0.2, cfg)
-    assert len(narrower) == 200 and narrower[0]
-    scale = max(np.max(np.abs(w)) for w in want.values)
-    for e in range(3):
-        assert np.max(np.abs(got.values[e] - want.values[e])) <= 1e-12 * scale
+    want = [evolve_graph_potential(st, None, V2, nsteps * cfg.dt, cfg) for nsteps in RUN_LENGTHS]
+    for a, b in zip(got, want):
+        scale = max(np.max(np.abs(w)) for w in b.values)
+        for e in range(3):
+            assert np.max(np.abs(a.values[e] - b.values[e])) <= 1e-12 * scale
+    assert len(sweep_spy) == sum(RUN_LENGTHS)
+    assert swept_rows(sweep_spy[0]) < _pack_graph(graph, grid)[0] - len(graph.vertices)
 
 
 def test_windowed_line_run_holds_no_subnormals():
@@ -866,10 +893,10 @@ def two_half_steps_a_step(state, V1, V2, t_final, cfg, system):
     build, u, sample, spread, unpack, _ = system(state, dt)
     v1 = sample(V1, state.time)
     phase = lambda t: spread(np.exp(1j * (dt / 2.0) * (v1 + sample(V2, t))))
-    stepper, live, t = build(), _Window(), state.time
+    run, t = build(), state.time
     for _ in range(round(abs(t_final - state.time) / cfg.dt)):
-        u = stepper(live.scale(u, phase(t + dt / 4.0)), live)
-        live.scale(u, phase(t + 3.0 * dt / 4.0))
+        halves = (phase(t + dt / 4.0), phase(t + 3.0 * dt / 4.0))
+        u = run(u, 1, lambda k: halves[k])  # a run of one step: a half-step before it, one after
         t += dt
     return unpack(u)
 
@@ -988,31 +1015,21 @@ def test_star_modes_match_vertex_path(case, n_edges):
         assert all(v.tobytes() == got.values[0].tobytes() for v in got.values)
 
 
-def test_symmetric_star_sweeps_only_the_mean_chain(monkeypatch, star3):
+def test_symmetric_star_sweeps_only_the_mean_chain(monkeypatch, star3, sweep_spy):
     graph, grid = star3
     st = GraphState.sample(graph, grid, symmetric(3))
-    rows = []
-
-    def spy(n_dof, chains, nv, dt):
-        step = _cayley_stepper(n_dof, chains, nv, dt)
-
-        def spied(u, live):
-            out = step(u, live)
-            rows.append(live.rows)
-            return out
-
-        return spied
 
     def unbuilt(*args):
         raise AssertionError("a free star run built a Cayley stepper")
 
     monkeypatch.setattr(evolution, "_cayley_stepper", unbuilt)
     evolve_graph(st, 0.2, EvolutionConfig(dt=1e-3))  # the free run propagates its modes in a sine basis
-    monkeypatch.setattr(evolution, "_cayley_stepper", spy)
+    monkeypatch.setattr(evolution, "_cayley_stepper", _cayley_stepper)
     V2 = lambda t, x: 0.2 * np.cos(x) + 0.0 * t
     evolve_graph_potential(st, None, V2, 0.2, EvolutionConfig(dt=1e-3))
-    assert len(rows) == 200
-    assert 0 < max(rows) <= grid.counts[0] - 1  # rows of the mean chain (vertex row first) alone
+    assert len(sweep_spy) == 200
+    # one sweep a step, on rows of the mean chain (vertex row first) alone
+    assert all(len(step) == 1 and step[0][0] == 0 and 0 < step[0][1] <= grid.counts[0] - 1 for step in sweep_spy)
 
 
 def test_mode_path_steps_plain_chains(monkeypatch, star3):
@@ -1196,7 +1213,7 @@ FREE_LINES = {
 def stepped_line(nodes, cells, u0, dt, nsteps):
     """The oracle: nsteps steps of the stepped Cayley core on the line."""
     n_dof, chains, nv, h = line_system(nodes, cells)
-    return evolution._steps(u0.copy(), _cayley_stepper(n_dof, chains, nv, dt), nsteps)
+    return _cayley_stepper(n_dof, chains, nv, dt)(u0, nsteps)
 
 
 def unbuilt(*args):
@@ -1345,7 +1362,7 @@ def random_graph_data(graph, grid, seed=7, time=0.0):
 def stepped_graph(state, dt, nsteps):
     """The oracle: nsteps steps of the stepped Cayley core on the vertex system, one array per edge."""
     build, u, _, _, unpack, _ = evolution._vertex_system(state, dt)
-    return unpack(evolution._steps(u, build(), nsteps))
+    return unpack(build()(u, nsteps))
 
 
 @pytest.mark.parametrize("dt_over_h", [0.02, -0.02, 10.0])
