@@ -525,12 +525,14 @@ def _cayley_stepper(n_dof, chains, nv, dt):
                 np.subtract(x[s], u[s], out=u[s])
             if age % m == 0:  # a potential may have damped the whole state
                 cut = _NEGLIGIBLE * float(np.max(np.abs(u)))
-            grown = [(k, outward) for k, outward, band in edges if np.vdot(u[band], u[band]).real > cut**2]
-            for k, outward in grown:
-                if outward:
-                    hi[k] = min(hi[k] + m, stop[k])
-                else:
-                    lo[k] = max(lo[k] - m, first[k])
+            grown = False
+            for k, outward, band in edges:
+                if np.vdot(u[band], u[band]).real > cut**2:
+                    if outward:
+                        hi[k] = min(hi[k] + m, stop[k])
+                    else:
+                        lo[k] = max(lo[k] - m, first[k])
+                    grown = True
             if grown:
                 sweeps, spans, edges = settle(lo, hi)
             if phase is not None and age < nsteps:
@@ -1118,7 +1120,7 @@ def evolve_line_sigma(
     if u is None:
         dx = np.diff(nodes)
         line = [(np.arange(len(nodes)), 0, 0, cells / dx, dx)]  # one chain, Dirichlet at both ends
-        u = _cayley_stepper(len(nodes), line, 0, dt_signed)(u0.copy(), nsteps)
+        u = _cayley_stepper(len(nodes), line, 0, dt_signed)(u0, nsteps)
     if cfg.boundary_guard is not None:
         cutL = nodes[0] * cfg.boundary_guard if nodes[0] < 0 else nodes[0]
         cutR = nodes[-1] * cfg.boundary_guard if nodes[-1] > 0 else nodes[-1]
