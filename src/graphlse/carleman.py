@@ -7,8 +7,9 @@ The weighted a-priori estimate
 holds for every admissible q (continuous at the vertex with zero flux there),
 all mu, eps, R > 0, with the N weights phi^k built from cyclic shifts of one
 integer-ish direction vector per edge.  This module constructs those vectors
-exactly, draws random admissible samples with closed-form derivatives, and
-evaluates both sides by tensor trapezoid quadrature.
+exactly, draws random admissible samples (a coefficient matrix over a table of
+time envelopes and a table of space profiles, all with closed-form
+derivatives), and evaluates both sides by tensor trapezoid quadrature.
 """
 from __future__ import annotations
 
@@ -148,120 +149,82 @@ def _bump012(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return v, d1, d2
 
 
-@dataclass(frozen=True)
-class _SpaceProfile:
-    kind: str  # 'bump' (even at the center) | 'xbump' (odd factor at 0)
-    center: float
-    width: float
-
-    def eval(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s = (np.asarray(x, dtype=float) - self.center) / self.width
-        v, d1, d2 = _bump012(s)
-        if self.kind == "bump":
-            return v, d1 / self.width, d2 / self.width**2
-        if self.kind == "xbump":
-            x = np.asarray(x, dtype=float)
-            return x * v, v + x * d1 / self.width, 2.0 * d1 / self.width + x * d2 / self.width**2
-        raise ValueError(self.kind)
-
-
-@dataclass(frozen=True)
-class _TimeEnvelope:
-    center: float
-    width: float
-
-    def eval(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = (np.asarray(t, dtype=float) - self.center) / self.width
-        v, d1, _ = _bump012(s)
-        return v, d1 / self.width
-
-
-@dataclass(frozen=True)
-class _Term:
-    coeffs: tuple[complex, ...]  # one per edge
-    time: _TimeEnvelope
-    space: _SpaceProfile
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZcompSample:
-    """Random admissible family q = (q_j): smooth, compactly supported inside
-    (0,1) x (0, support_x), equal at the vertex, zero flux there.
+    """Admissible family q_j(t, x) = sum_a C_ja T_a(t) X_a(x): smooth, compactly
+    supported inside (0,1) x (0, support_x), equal at the vertex, zero flux there.
 
-    Built from a vertex profile shared by all edges (zero slope at 0), interior
-    bumps vanishing identically near 0, and one odd corrector x*bump whose
-    per-edge coefficients sum to zero; all derivatives are closed form, so the
-    quadrature of (d_t + i d_xx) q carries no differencing error.
+    Three read-only tables hold the K terms: ``coeffs`` C, shape (n_edges, K);
+    ``time`` (K, 2), each envelope's centre and width, T_a(t) = bump((t -
+    centre) / width); ``space`` (K, 3), each profile's centre, width and odd
+    flag, X_a(x) = bump((x - centre) / width), times x where the flag is 1;
+    bump is ``_bump012``'s.  ``sample_zcomp`` draws a vertex profile shared by
+    all edges (zero slope at 0), interior bumps vanishing identically near 0,
+    and one odd corrector x*bump whose per-edge coefficients sum to zero.  All
+    derivatives are closed form (``factors``), so the quadrature of
+    (d_t + i d_xx) q carries no differencing error.
     """
 
     n_edges: int
-    terms: tuple[_Term, ...]
+    coeffs: np.ndarray
+    time: np.ndarray
+    space: np.ndarray
     support_x: float
     seed: int
 
+    def __post_init__(self):
+        tables = [np.array(a, dtype=d) for a, d in ((self.coeffs, complex), (self.time, float), (self.space, float))]
+        K = len(tables[1])
+        if [table.shape for table in tables] != [(self.n_edges, K), (K, 2), (K, 3)]:
+            raise ValueError("a sample needs coeffs (n_edges, K), time (K, 2) and space (K, 3)")
+        for name, table in zip(("coeffs", "time", "space"), tables):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+
+    def factors(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(T, T', X, X', X'') of the K terms: T and T' of shape (K, nt) on t,
+        X, X' and X'' of shape (K, nx) on x."""
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        tc, tw = self.time[:, 0:1], self.time[:, 1:2]
+        T, Tp, _ = _bump012((t - tc) / tw)
+        c, w, odd = self.space[:, 0:1], self.space[:, 1:2], self.space[:, 2:3] == 1.0
+        v, d1, d2 = _bump012((x - c) / w)
+        w2 = np.float_power(w, 2)  # libm pow, as Python's w**2; w * w rounds otherwise for ~1 width in 1200
+        X = np.where(odd, x * v, v)
+        Xp = np.where(odd, v + x * d1 / w, d1 / w)
+        Xpp = np.where(odd, 2.0 * d1 / w + x * d2 / w2, d2 / w2)
+        return T, Tp / tw, X, Xp, Xpp
+
     def values(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._eval(t, x, defect=False)
+        """q on the tensor grid, shape (n_edges, nt, nx)."""
+        T, _, X, _, _ = self.factors(t, x)
+        return np.einsum("ja,atx->jtx", self.coeffs, T[:, :, None] * X[:, None, :])
 
     def defect(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(d_t + i d_xx) q on the tensor grid, shape (n_edges, nt, nx)."""
-        return self._eval(t, x, defect=True)
-
-    def _eval(self, t, x, defect: bool) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.n_edges, len(t), len(x)), dtype=complex)
-        for term in self.terms:
-            T, Tp = term.time.eval(t)
-            X, _, Xpp = term.space.eval(x)
-            if defect:
-                block = Tp[:, None] * X[None, :] + 1j * T[:, None] * Xpp[None, :]
-            else:
-                block = T[:, None] * X[None, :]
-            coeffs = np.asarray(term.coeffs, dtype=complex)
-            out += coeffs[:, None, None] * block[None, :, :]
-        return out
-
-    def edge_sums(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_j |q_j|^2, sum_j |(d_t + i d_xx) q_j|^2) on the tensor grid, shape (nt, nx) each.
-
-        q_j = sum_a C_ja T_a(t) X_a(x) is a sum of K tensor-product terms, so
-        sum_j |q_j|^2 = sum_{a,a'} Re(G)_{aa'} (T_a T_a')(t) (X_a X_a')(x) with
-        G = C^H C; the defect is the same form over the 2K terms T'_a X_a,
-        T_a X''_a with coefficients [C, iC].  No (n_edges, nt, nx) array is built.
-        """
-        (U, V), (Ud, Vd) = self.edge_factors(t, x)
-        return U.T @ V, Ud.T @ Vd
+        T, Tp, X, _, Xpp = self.factors(t, x)
+        block = Tp[:, :, None] * X[:, None, :] + 1j * T[:, :, None] * Xpp[:, None, :]
+        return np.einsum("ja,atx->jtx", self.coeffs, block)
 
     def edge_factors(self, t: np.ndarray, x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The Gram factors of ``edge_sums``: ((U, V) of the mass, (U, V) of
-        the defect), each sum being U.T @ V with U of shape (M^2, nt) and V of
-        shape (M^2, nx), M = K for the mass and 2K for the defect."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        K = len(self.terms)
-        C = np.array([term.coeffs for term in self.terms], dtype=complex).reshape(K, self.n_edges).T
-        T, Tp = np.zeros((K, len(t))), np.zeros((K, len(t)))
-        X, Xpp = np.zeros((K, len(x))), np.zeros((K, len(x)))
-        for a, term in enumerate(self.terms):
-            T[a], Tp[a] = term.time.eval(t)
-            X[a], _, Xpp[a] = term.space.eval(x)
+        """((U, V) of the mass, (U, V) of the defect): on the tensor grid,
+        sum_j |q_j|^2 = U.T @ V and sum_j |(d_t + i d_xx) q_j|^2 = Ud.T @ Vd,
+        with U of shape (M^2, nt) and V of shape (M^2, nx).
+
+        q_j = sum_a C_ja T_a(t) X_a(x), so sum_j |q_j|^2 = sum_{a,a'} Re(G)_{aa'}
+        (T_a T_a')(t) (X_a X_a')(x) with G = C^H C and M = K; the defect is the
+        same form over the M = 2K terms T'_a X_a, T_a X''_a with coefficients
+        [C, iC].  No (n_edges, nt, nx) array is built."""
+        T, Tp, X, _, Xpp = self.factors(t, x)
+        C = self.coeffs
         mass = _gram_factors(C, T, X)
         defect = _gram_factors(np.hstack([C, 1j * C]), np.vstack([Tp, T]), np.vstack([X, Xpp]))
         return mass, defect
 
     def vertex_trace(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values (n_edges, nt), x-derivatives (n_edges, nt)) at x = 0."""
-        t = np.asarray(t, dtype=float)
-        vals = np.zeros((self.n_edges, len(t)), dtype=complex)
-        ders = np.zeros((self.n_edges, len(t)), dtype=complex)
-        x0 = np.array([0.0])
-        for term in self.terms:
-            T, _ = term.time.eval(t)
-            X, Xp, _ = term.space.eval(x0)
-            coeffs = np.asarray(term.coeffs, dtype=complex)
-            vals += coeffs[:, None] * T[None, :] * X[0]
-            ders += coeffs[:, None] * T[None, :] * Xp[0]
-        return vals, ders
+        T, _, X, Xp, _ = self.factors(t, [0.0])
+        return np.einsum("ja,at,a->jt", self.coeffs, T, X[:, 0]), np.einsum("ja,at,a->jt", self.coeffs, T, Xp[:, 0])
 
 
 def _gram_factors(C: np.ndarray, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,35 +237,36 @@ def _gram_factors(C: np.ndarray, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarr
     return UU, VV
 
 
-def _draw_time(rng) -> _TimeEnvelope:
-    width = rng.uniform(0.2, 0.3)
-    center = rng.uniform(width + 0.02, 0.98 - width)
-    return _TimeEnvelope(center, width)
-
-
 def sample_zcomp(n_edges: int, seed: int, n_bumps: int = 2, x_max: float = 4.0) -> ZcompSample:
-    """Deterministic admissible sample for the given seed."""
+    """Deterministic admissible sample for the given seed, supported inside
+    (0, x_max); x_max must be at least 1.45 with interior bumps, 1.0 without."""
     if n_edges < 2:
         raise ValueError("a star needs at least 2 edges")
+    least = 1.45 if n_bumps > 0 else 1.0
+    if not least <= x_max < np.inf:
+        raise ValueError(f"x_max = {x_max} must be finite and at least {least}, the room the sample's bumps need")
     rng = np.random.default_rng(seed)
-    terms: list[_Term] = []
 
     def cnormal(size):
         return rng.normal(size=size) + 1j * rng.normal(size=size)
 
-    shared = complex(cnormal(()))
-    terms.append(
-        _Term((shared,) * n_edges, _draw_time(rng), _SpaceProfile("bump", 0.0, rng.uniform(0.6, 1.0)))
-    )
+    def envelope():
+        width = rng.uniform(0.2, 0.3)
+        return rng.uniform(width + 0.02, 0.98 - width), width
+
+    coeffs = [np.full(n_edges, complex(cnormal(())))]
+    time = [envelope()]
+    space = [(0.0, rng.uniform(0.6, 1.0), 0.0)]
     for _ in range(n_bumps):
         width = rng.uniform(0.3, 0.6)
-        center = rng.uniform(width + 0.2, x_max - width - 0.05)
-        coeffs = tuple(cnormal(n_edges))
-        terms.append(_Term(coeffs, _draw_time(rng), _SpaceProfile("bump", center, width)))
+        space.append((rng.uniform(width + 0.2, x_max - width - 0.05), width, 0.0))
+        coeffs.append(cnormal(n_edges))
+        time.append(envelope())
     corr = cnormal(n_edges)
-    corr = corr - np.mean(corr)
-    terms.append(_Term(tuple(corr), _draw_time(rng), _SpaceProfile("xbump", 0.0, rng.uniform(0.4, 0.8))))
-    return ZcompSample(n_edges, tuple(terms), float(x_max), int(seed))
+    coeffs.append(corr - np.mean(corr))
+    time.append(envelope())
+    space.append((0.0, rng.uniform(0.4, 0.8), 1.0))
+    return ZcompSample(n_edges, np.array(coeffs).T, time, space, float(x_max), int(seed))
 
 
 def membership_residual(sample: ZcompSample, t: np.ndarray | None = None) -> tuple[float, float]:
@@ -373,7 +337,7 @@ def carleman_sides(
     W = sum_b m_b e^{2 phi(b)}, with b the distinct base entries and m_b
     their multiplicities.  Both sides integrate W against the edge sums
     sum_j |q_j|^2 and sum_j |(d_t + i d_xx) q_j|^2, which come from the
-    sample's Gram form (``ZcompSample.edge_sums``).
+    sample's Gram form (``ZcompSample.edge_factors``).
 
     The edge sums and the trapezoid weights are evaluated once per call and
     shared by every weight: they form one array B of four rows per time

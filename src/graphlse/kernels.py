@@ -279,7 +279,9 @@ def eta_profile(series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
 def _check_tail(values, t: float, series: WienerSeries) -> None:
     """Raise QuadratureDomainError when the data's end samples, values[0] and
     values[-1], are not small against its peak: the solve drops the data
-    beyond them."""
+    beyond them.  Raises ValueError when a sample is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("initial data samples must be finite")
     weight_sum = sum(abs(c) for c in series.coefficients.values()) + 1.0
     scale = float(np.max(np.abs(values))) or 1.0
     tail = (abs(values[0]) + abs(values[-1])) * weight_sum / math.sqrt(4.0 * math.pi * abs(t))
@@ -305,13 +307,18 @@ def solve_negative_halfline(
     support and the smallest node spacing as the lattice spacing.  The error
     is O(h^2) from the interpolant plus O(h jump) where eta jumps, at the
     ends of its source intervals.  Fails when the sampled data is visibly
-    truncated (boundary samples too large for the requested accuracy).
+    truncated (boundary samples too large for the requested accuracy), and
+    refuses nodes that are not finite and strictly increasing.
     """
     if t == 0:
         raise ValueError("representation is for t != 0")
     nodes, values = (np.asarray(u0[0], dtype=float), np.asarray(u0[1], dtype=complex))
-    if nodes.shape != values.shape or nodes.ndim != 1:
-        raise ValueError("u0 must be (nodes, values) arrays of equal length")
+    if nodes.shape != values.shape or nodes.ndim != 1 or len(nodes) < 2:
+        raise ValueError("u0 must be (nodes, values) arrays of equal length, at least two nodes")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("u0 nodes must be finite")
+    if np.any(np.diff(nodes) <= 0):
+        raise ValueError("u0 nodes must be strictly increasing")
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid > 1e-12):
         raise ValueError("observation points must satisfy x <= 0")

@@ -12,7 +12,7 @@ from graphlse import (
     membership_residual,
     sample_zcomp,
 )
-from graphlse.carleman import ZcompSample, _bump012, _phi_peaks, _SpaceProfile, _Term, _TimeEnvelope
+from graphlse.carleman import ZcompSample, _bump012, _phi_peaks
 
 
 def test_alpha_vectors_n4():
@@ -108,12 +108,59 @@ def test_sample_membership(n, seed):
     assert flux <= 1e-12
 
 
+@pytest.mark.parametrize("n_bumps, least", [(2, 1.45), (0, 1.0)])
+def test_sample_support_floor(n_bumps, least):
+    # at the floor every seed draws a sample that vanishes at x = x_max; just
+    # below it, and at a non-finite x_max, the call is refused before any
+    # draw, whatever the seed
+    t = np.linspace(0.0, 1.0, 51)
+    for seed in range(50):
+        s = sample_zcomp(3, seed, n_bumps=n_bumps, x_max=least)
+        assert np.all(s.values(t, [least]) == 0.0)
+    for x_max in (least - 0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="x_max"):
+            for seed in range(50):
+                sample_zcomp(3, seed, n_bumps=n_bumps, x_max=x_max)
+
+
+def test_sample_tables_are_checked_and_read_only():
+    s = sample_zcomp(3, 0)
+    assert s.coeffs.shape == (3, 4) and s.time.shape == (4, 2) and s.space.shape == (4, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        s.coeffs[0, 0] = 0.0
+    with pytest.raises(ValueError, match=r"coeffs \(n_edges, K\)"):
+        ZcompSample(4, s.coeffs, s.time, s.space, s.support_x, s.seed)
+    with pytest.raises(ValueError, match=r"space \(K, 3\)"):
+        ZcompSample(3, s.coeffs, s.time, s.space[:, :2], s.support_x, s.seed)
+
+
+def test_vertex_trace_matches_values_and_finite_differences():
+    # the coefficients of no term sum to zero, so the flux sum cannot hide a
+    # wrong slope: the odd profile's x-derivative at 0 is its bump(0) = 1, and
+    # the bump centred at 0.3 has a nonzero slope at 0
+    rng = np.random.default_rng(3)
+    coeffs = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    time = [(0.5, 0.3), (0.45, 0.4), (0.55, 0.35)]
+    s = ZcompSample(3, coeffs, time, [(0.0, 0.8, 0.0), (0.3, 0.6, 0.0), (0.0, 0.6, 1.0)], 4.0, 0)
+    t = np.linspace(0.2, 0.8, 13)
+    vals, ders = s.vertex_trace(t)
+    h = 1e-5
+    np.testing.assert_allclose(vals, s.values(t, [0.0])[:, :, 0], rtol=0.0, atol=1e-14)
+    fd = (s.values(t, [h])[:, :, 0] - s.values(t, [-h])[:, :, 0]) / (2.0 * h)
+    assert np.max(np.abs(ders)) > 0.1
+    np.testing.assert_allclose(ders, fd, rtol=0.0, atol=1e-8)
+
+
+def _zero_sample(s):
+    """The sample s with no terms."""
+    return ZcompSample(s.n_edges, s.coeffs[:, :0], s.time[:0], s.space[:0], s.support_x, s.seed)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_sample_gives_zero_sides():
     # the support box is empty: every sum, the grouped eps factor's included,
     # is a sum of no terms
-    s = sample_zcomp(3, 0)
-    zero = type(s)(s.n_edges, (), s.support_x, s.seed)
+    zero = _zero_sample(sample_zcomp(3, 0))
     weights = (CarlemanWeight(1.0, 0.5, 4.0), CarlemanWeight(1.0, 0.25, 4.0), CarlemanWeight(2.0, 0.5, 2.0))
     for m in carleman_sides(zero, weights, alpha_vectors(3), nt=51, nx=101):
         assert m.lhs == 0.0 and m.rhs == 0.0 and m.quad_error == 0.0
@@ -125,10 +172,10 @@ def test_edge_sums_match_values_and_defect():
     t = np.linspace(0.0, 1.0, 101)
     x = np.linspace(0.0, 4.0, 301)
     samples = [sample_zcomp(n, seed) for n in range(2, 9) for seed in range(3)]
-    s = samples[0]
-    samples.append(type(s)(s.n_edges, (), s.support_x, s.seed))
+    samples.append(_zero_sample(samples[0]))
     for s in samples:
-        mass, defect = s.edge_sums(t, x)
+        (U, V), (Ud, Vd) = s.edge_factors(t, x)
+        mass, defect = U.T @ V, Ud.T @ Vd
         mass_ref = np.sum(np.abs(s.values(t, x)) ** 2, axis=0)
         defect_ref = np.sum(np.abs(s.defect(t, x)) ** 2, axis=0)
         assert mass.shape == defect.shape == (len(t), len(x))
@@ -158,12 +205,7 @@ def test_inequality_holds_sampled():
 
 def test_sides_scale_quadratically_in_amplitude():
     s = sample_zcomp(4, 2)
-    scaled = type(s)(
-        s.n_edges,
-        tuple(type(term)(tuple(3.0 * c for c in term.coeffs), term.time, term.space) for term in s.terms),
-        s.support_x,
-        s.seed,
-    )
+    scaled = ZcompSample(s.n_edges, 3.0 * s.coeffs, s.time, s.space, s.support_x, s.seed)
     w = CarlemanWeight(0.5, 0.25, 2.0)
     av = alpha_vectors(4)
     [m1] = carleman_sides(s, (w,), av, nt=101, nx=301)
@@ -266,11 +308,8 @@ def _covering_sample(n):
     grid; the corrector's coefficients sum to zero, as in ``sample_zcomp``."""
     rng = np.random.default_rng(n)
     corr = rng.normal(size=n) + 1j * rng.normal(size=n)
-    terms = (
-        _Term((1.0 + 0.5j,) * n, _TimeEnvelope(0.5, 0.6), _SpaceProfile("bump", 0.0, 4.5)),
-        _Term(tuple(corr - corr.mean()), _TimeEnvelope(0.45, 0.7), _SpaceProfile("xbump", 0.0, 5.0)),
-    )
-    return ZcompSample(n, terms, 4.0, seed=n)
+    coeffs = np.stack([np.full(n, 1.0 + 0.5j), corr - corr.mean()], axis=1)
+    return ZcompSample(n, coeffs, [(0.5, 0.6), (0.45, 0.7)], [(0.0, 4.5, 0.0), (0.0, 5.0, 1.0)], 4.0, seed=n)
 
 
 @pytest.mark.parametrize(
@@ -338,7 +377,7 @@ def test_overflow_off_the_support_still_raises():
     # where phi stays far below the limit, but the check runs over the whole
     # grid, so the weight is refused with the grid peak in its message
     s = sample_zcomp(3, 0)
-    s = type(s)(s.n_edges, s.terms, 12.0, s.seed)
+    s = ZcompSample(s.n_edges, s.coeffs, s.time, s.space, 12.0, s.seed)
     w = CarlemanWeight(1.0, 0.5, 2.0)
     entries, tau, x = _folded_grid(3, 12.0, 51, 201)
     assert 2.0 * _phi_peaks([w], entries, tau, x[x <= 4.0])[0] < 700.0

@@ -337,6 +337,33 @@ def test_solve_rejects_truncated_data(s121):
         solve_negative_halfline((nodes, u0), 1.0, np.array([-1.0]), s121)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda n: n[::-1], "strictly increasing"),
+        (lambda n: np.concatenate([n[:5], n[4:]]), "strictly increasing"),
+        (lambda n: np.where(np.arange(len(n)) == 7, np.nan, n), "finite"),
+        (lambda n: n[:1], "at least two nodes"),
+    ],
+    ids=["reversed", "repeated", "nan-node", "one-node"],
+)
+def test_solve_rejects_bad_nodes(s121, edit, message):
+    nodes = edit(line_grid(30.0, 30.0, 0.05))
+    with pytest.raises(ValueError, match=message):
+        solve_negative_halfline((nodes, np.exp(-np.nan_to_num(nodes) ** 2)), 1.0, np.linspace(-4.0, 0.0, 9), s121)
+
+
+def test_solves_reject_non_finite_samples(p121, s121):
+    nodes = line_grid(30.0, 30.0, 0.05)
+    u0 = np.exp(-(nodes**2)).astype(complex)
+    u0[100] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_negative_halfline((nodes, u0), 1.0, np.array([-1.0]), s121)
+    spike = lambda y: np.where(np.abs(y) < 0.01, np.inf, np.exp(-np.asarray(y) ** 2))
+    with pytest.raises(ValueError, match="finite"):
+        solve_line(spike, (-30.0, 30.0), 1.0, np.linspace(-5.0, 0.0, 101), p121, 8)
+
+
 def test_solve_rejects_positive_observation(s121):
     nodes = line_grid(30.0, 30.0, 0.05)
     with pytest.raises(ValueError, match="x <= 0"):
