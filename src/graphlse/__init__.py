@@ -52,7 +52,6 @@ from .exppoly import (
 from .kernels import (
     EtaProfile,
     QuadratureDomainError,
-    SourceAtom,
     eta_profile,
     free_kernel,
     kernel_h,

@@ -242,6 +242,8 @@ def sample_zcomp(n_edges: int, seed: int, n_bumps: int = 2, x_max: float = 4.0) 
     (0, x_max); x_max must be at least 1.45 with interior bumps, 1.0 without."""
     if n_edges < 2:
         raise ValueError("a star needs at least 2 edges")
+    if n_bumps < 0:
+        raise ValueError(f"n_bumps = {n_bumps} must be at least 0")
     least = 1.45 if n_bumps > 0 else 1.0
     if not least <= x_max < np.inf:
         raise ValueError(f"x_max = {x_max} must be finite and at least {least}, the room the sample's bumps need")

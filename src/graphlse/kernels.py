@@ -11,17 +11,18 @@ the solution is the single free convolution (k_t * eta)(a_1 x) against a
 transported source profile eta, evaluated on a uniform lattice with one FFT;
 ``EtaProfile.convolve`` samples eta from the initial data as a function with
 its support, so exact data is read at every lattice image and sampled data
-through its interpolant (``solve_negative_halfline``).  One list of source
-atoms per layer k (``_p_terms``) holds the terms of p_t^{1,k}: ``kernel_p1k``
-sums h_t over it, and ``eta_profile`` shifts the same atoms along the lattice
-to build eta.  For two layers eta is u0(y / a_1) on y <= 0 and, on y > 0,
-(a_2 - a_1)/(a_1 + a_2) u0(-y / a_1) + 2 a_1/(a_1 + a_2) u0(y / a_2), so
-equal layers give u0(y / a).  The coefficient is the ``PiecewiseCoefficient``
-a Wiener series was inverted for (``series.params``).  The right ray
-x >= (N-2) l is the left ray of the reversed coefficient under
-x' = (N-2) l - x, so ``solve_line`` solves both rays of a whole line with
-the same convolution, the right one on reflected data; only first-row
-kernels exist, so points strictly between 0 and (N-2) l are refused.
+through its interpolant (``solve_negative_halfline``).  One table of source
+atoms per layer k (``_p_terms``), a complex weight and a row (scale, shift,
+y_lo, y_hi) per atom, holds the terms of p_t^{1,k}: ``kernel_p1k`` sums h_t
+over its rows, and ``eta_profile`` shifts the rows of every layer along the
+lattice to build eta's table.  For two layers eta is u0(y / a_1) on y <= 0
+and, on y > 0, (a_2 - a_1)/(a_1 + a_2) u0(-y / a_1) + 2 a_1/(a_1 + a_2)
+u0(y / a_2), so equal layers give u0(y / a).  The coefficient is the
+``PiecewiseCoefficient`` a Wiener series was inverted for (``series.params``).
+The right ray x >= (N-2) l is the left ray of the reversed coefficient under
+x' = (N-2) l - x, so ``solve_line`` solves both rays of a whole line with the
+same convolution, the right one on reflected data; only first-row kernels
+exist, so points strictly between 0 and (N-2) l are refused.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ import numpy as np
 from .exppoly import PiecewiseCoefficient, WienerSeries, alpha_prefactor, ef_recursion, invert_E, lattice_point
 
 __all__ = [
-    "SourceAtom",
     "EtaProfile",
     "QuadratureDomainError",
     "free_kernel",
@@ -59,8 +59,8 @@ class QuadratureDomainError(ValueError):
 
 def free_kernel(t: float, z) -> np.ndarray:
     """k_t(z) with the principal square-root branch for t > 0; k_{-t} = conj(k_t)."""
-    if t == 0:
-        raise ValueError("the free kernel is singular at t = 0")
+    if t == 0 or not math.isfinite(t):
+        raise ValueError(f"the free kernel needs a finite time t != 0, not t = {t}")
     z = np.asarray(z, dtype=float)
     if t > 0:
         return np.exp(1j * z**2 / (4.0 * t)) / np.sqrt(4j * math.pi * t)
@@ -77,81 +77,40 @@ def kernel_h(t: float, x, series: WienerSeries) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SourceAtom:
-    """Affine transport of a source interval onto the convolution axis.
+def _p_terms(params: PiecewiseCoefficient, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The psi atoms of layer k as a table (weight, atoms), each on the source interval I_k.
 
-    Contributes  weight * integral_{y_lo}^{y_hi} k_t(X - (scale y + shift)) u0(y) dy
-    to the solution at X = a_1 x, and  (weight/|scale|) u0((z - shift)/scale)
-    on the image interval to the transported profile eta(z).
-    """
-
-    weight: complex
-    scale: float
-    shift: float
-    y_lo: float
-    y_hi: float
-
-    def __post_init__(self):
-        if self.scale == 0:
-            raise ValueError("atom scale must be nonzero")
-        if not self.y_lo < self.y_hi:
-            raise ValueError("empty source interval")
-
-    def z_interval(self) -> tuple[float, float]:
-        za = self.scale * self.y_lo + self.shift
-        zb = self.scale * self.y_hi + self.shift
-        return (za, zb) if za < zb else (zb, za)
-
-    def eta_values(self, u0: Callable, z) -> np.ndarray:
-        # half-open (lo, hi] so that stacked atoms define the profile once at
-        # shared endpoints (the direct copy owns y = 0, the psi part does not)
-        z = np.asarray(z, dtype=float)
-        y = (z - self.shift) / self.scale
-        lo, hi = self.z_interval()
-        mask = (z > lo) & (z <= hi)
-        out = np.zeros(z.shape, dtype=complex)
-        if np.any(mask):
-            out[mask] = (self.weight / abs(self.scale)) * np.asarray(u0(y[mask]), dtype=complex)
-        return out
-
-
-def _p_terms(params: PiecewiseCoefficient, k: int) -> list[SourceAtom]:
-    """The psi atoms of layer k, on the source interval I_k.
-
-    p_t^{1,k}(x, y) is the sum over them of weight * h_t(a_1 x - scale y - shift),
-    which ``kernel_p1k`` evaluates; ``eta_profile`` takes the atoms of every
-    layer as the psi part of eta, each image interval in z >= 0.  The k = 1
-    direct term is special: it rides on k_t instead of h_t and is added by
-    ``kernel_p1k`` (``eta_profile``'s direct atom).  One layer has no
-    junction to reflect from, so its direct term is the whole kernel and
-    there are no atoms.
+    ``weight`` is complex (n,) and ``atoms`` float (n, 4), one row
+    (scale, shift, y_lo, y_hi) per atom.  p_t^{1,k}(x, y) is the sum over the
+    rows of weight * h_t(a_1 x - scale y - shift), which ``kernel_p1k``
+    evaluates; ``eta_profile`` takes the rows of every layer as the psi part
+    of eta, each image interval in z >= 0.  The k = 1 direct term is special:
+    it rides on k_t instead of h_t and is added by ``kernel_p1k``
+    (``eta_profile``'s direct atom).  One layer has no junction to reflect
+    from, so its direct term is the whole kernel and the table has no rows.
     """
     N, a, l = params.n_layers, params.a, params.l
+    a1, (lo, hi) = a[0], params.interval(k)
     if N == 1:
-        return []
-    a1 = a[0]
-    lo, hi = params.interval(k)
-    if k == 1:
+        rows = []  # (weight, scale, shift)
+    elif k == 1:
         _, F = ef_recursion(N - 1, 1, params)
-        return [SourceAtom(-a1 * c, -a1, lattice_point(idx, params.a_mid, l), lo, hi) for idx, c in F.terms.items()]
-    w = a1 * alpha_prefactor(k, params)
-    if k == N:
-        return [SourceAtom(w, a[N - 1], l * sum(a[1 : N - 1]) - a[N - 1] * (N - 2) * l, lo, hi)]
-    E, F = ef_recursion(N - 1, k, params)
-    # layer k's right end (k-1) l, scaled by a_k, and its depth l (a_2 + ... + a_k)
-    end, depth = a[k - 1] * (k - 1) * l, l * sum(a[1:k])
-    return [
-        SourceAtom(w * c, a[k - 1], lattice_point(idx, params.a_mid, l) - (end - depth), lo, hi)
-        for idx, c in E.terms.items()
-    ] + [
-        SourceAtom(-w * c, -a[k - 1], lattice_point(idx, params.a_mid, l) + (end + depth), lo, hi)
-        for idx, c in F.terms.items()
-    ]
+        rows = [(-a1 * c, -a1, lattice_point(idx, params.a_mid, l)) for idx, c in F.terms.items()]
+    elif k == N:
+        rows = [(a1 * alpha_prefactor(k, params), a[N - 1], l * sum(a[1 : N - 1]) - a[N - 1] * (N - 2) * l)]
+    else:
+        w = a1 * alpha_prefactor(k, params)
+        E, F = ef_recursion(N - 1, k, params)
+        # layer k's right end (k-1) l, scaled by a_k, and its depth l (a_2 + ... + a_k)
+        end, depth = a[k - 1] * (k - 1) * l, l * sum(a[1:k])
+        rows = [(w * c, a[k - 1], lattice_point(idx, params.a_mid, l) - (end - depth)) for idx, c in E.terms.items()]
+        rows += [(-w * c, -a[k - 1], lattice_point(idx, params.a_mid, l) + (end + depth)) for idx, c in F.terms.items()]
+    atoms = np.array([(scale, shift, lo, hi) for _, scale, shift in rows], dtype=float).reshape(-1, 4)
+    return np.array([w for w, _, _ in rows], dtype=complex), atoms
 
 
 def kernel_p1k(k: int, t: float, x, y, series: WienerSeries) -> np.ndarray:
-    """First-row kernel p_t^{1,k}(x, y) for observation x <= 0 and source y in layer k.
+    """First-row kernel p_t^{1,k}(x, y) for finite observation points x <= 0 and source points y in layer k.
 
     The coefficient is the one ``series`` was inverted for, ``series.params``.
     """
@@ -159,51 +118,78 @@ def kernel_p1k(k: int, t: float, x, y, series: WienerSeries) -> np.ndarray:
     N = params.n_layers
     if not 1 <= k <= N:
         raise ValueError("layer index out of range")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x > 1e-12):
-        raise ValueError("first-row kernels are defined for observation points x <= 0")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(x) & (x <= 1e-12)):
+        raise ValueError("first-row kernels are defined for finite observation points x <= 0")
     lo, hi = params.interval(k)
-    if np.any(y < lo - 1e-9) or np.any(y > hi + 1e-9):
-        raise ValueError(f"source points outside layer {k} = ({lo}, {hi})")
+    if not np.all(np.isfinite(y) & (y >= lo - 1e-9) & (y <= hi + 1e-9)):
+        raise ValueError(f"source points outside layer {k} = ({lo}, {hi}) or not finite")
     a1 = params.a[0]
     out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
     if k == 1:
         out = out + a1 * free_kernel(t, a1 * x - a1 * y)
-    for atom in _p_terms(params, k):
-        out = out + atom.weight * kernel_h(t, a1 * x - atom.scale * y - atom.shift, series)
+    for w, (scale, shift, _, _) in zip(*_p_terms(params, k)):
+        out = out + w * kernel_h(t, a1 * x - scale * y - shift, series)
     return out
 
 
 def _grid_spacing(xs: np.ndarray, single: float) -> float:
-    """The spacing of the increasing uniform grid xs, or ``single`` when xs is one point."""
+    """The spacing of the increasing uniform grid xs of finite points, or ``single`` when xs is one point."""
     dx = (xs[-1] - xs[0]) / (len(xs) - 1) if len(xs) > 1 else single
-    if not dx > 0 or np.any(np.abs(np.diff(xs) - dx) > 1e-9 * dx):
-        raise ValueError("observation points must be increasing and uniformly spaced")
+    if not (0 < dx < math.inf and np.all(np.isfinite(xs))) or np.any(np.abs(np.diff(xs) - dx) > 1e-9 * dx):
+        raise ValueError("observation points must be finite, increasing and uniformly spaced")
     return dx
+
+
+def _sample(weight: complex, row, u0: Callable, z: np.ndarray) -> np.ndarray:
+    """One atom's part of eta at z: (weight/|scale|) u0((z - shift)/scale) on the
+    image (lo, hi] of its source interval, 0 elsewhere; half-open so that stacked
+    atoms define eta once at shared endpoints (the direct copy owns y = 0).  The
+    arguments are Python scalars: numpy scalars divide through a reciprocal."""
+    scale, shift, y_lo, y_hi = row
+    y = (z - shift) / scale
+    lo, hi = sorted((scale * y_lo + shift, scale * y_hi + shift))
+    mask = (z > lo) & (z <= hi)
+    out = np.zeros(z.shape, dtype=complex)
+    if np.any(mask):
+        out[mask] = (weight / abs(scale)) * np.asarray(u0(y[mask]), dtype=complex)
+    return out
 
 
 @dataclass(frozen=True)
 class EtaProfile:
     """The transported source eta with (k_t * eta)(a_1 x) equal to the solution at x <= 0.
 
-    eta agrees with u0(y / a_1) exactly on y <= 0 (the direct atom) and adds
-    positively supported psi copies shifted along the Wiener lattice.  The
-    profile stores atoms acting on u0, plus optionally u0 itself so it can be
-    evaluated pointwise.
+    Read-only tables hold eta's n atoms: ``weight`` complex (n,) and ``atoms``
+    float (n, 4) with rows (scale, shift, y_lo, y_hi).  Atom i contributes
+    weight * integral_{y_lo}^{y_hi} k_t(X - (scale y + shift)) u0(y) dy to the
+    solution at X = a_1 x.  eta agrees with u0(y / a_1) exactly on y <= 0 (the
+    direct atom) and adds positively supported psi copies shifted along the
+    Wiener lattice.  The data is not bound: ``profile(y, u0)`` reads eta at y.
     """
 
-    atoms: tuple[SourceAtom, ...]
+    weight: np.ndarray
+    atoms: np.ndarray
     front_scale: float
-    u0: Callable | None = None
 
-    def __call__(self, y) -> np.ndarray:
-        if self.u0 is None:
-            raise ValueError("profile was built without initial data bound to it")
+    def __post_init__(self):
+        weight, atoms = np.array(self.weight, dtype=complex), np.array(self.atoms, dtype=float)
+        if weight.ndim != 1 or atoms.shape != (len(weight), 4):
+            raise ValueError("an eta table needs weight of shape (n,) and atoms of shape (n, 4)")
+        if np.any(atoms[:, 0] == 0):
+            raise ValueError("atom scale must be nonzero")
+        if not np.all(atoms[:, 2] < atoms[:, 3]):
+            raise ValueError("empty source interval")
+        for name, table in (("weight", weight), ("atoms", atoms)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+
+    def __call__(self, y, u0: Callable) -> np.ndarray:
+        """eta at the points y for the initial data u0, every atom sampled where its image holds y."""
         y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape, dtype=complex)
-        for atom in self.atoms:
-            out += atom.eta_values(self.u0, y)
+        for weight, row in zip(self.weight.tolist(), self.atoms.tolist()):
+            out += _sample(weight, row, u0, y)
         return out
 
     def convolve(self, t: float, x, u0: Callable, support: tuple[float, float], spacing: float) -> np.ndarray:
@@ -213,15 +199,18 @@ class EtaProfile:
         dz = front_scale * dx / m, where dx is the spacing of x (``spacing``
         for a single point) and m = ceil(dx / spacing), so every m-th lattice
         point is an observation point.  u0 is evaluated at the transported
-        lattice points and taken as 0 outside ``support`` = (lo, hi);
-        infinite source intervals end at the support ends.  The rectangle sum
+        lattice points and taken as 0 outside ``support`` = (lo, hi); infinite
+        source intervals end at the support ends.  The rectangle sum
         dz * sum_j k_t(X - z_j) eta(z_j) is one FFT product.  Raises
-        ValueError, before any array is built, when eta's image spans more
-        than MAX_LATTICE lattice steps.
+        ValueError, before any array is built, unless ``spacing`` is positive
+        and finite and ``support`` a finite interval, and when eta's image
+        spans more than MAX_LATTICE lattice steps.
         """
         x = np.asarray(x, dtype=float)
         xs = x.ravel()
         lo, hi = support
+        if not (0 < spacing < math.inf and -math.inf < lo < hi < math.inf):
+            raise ValueError(f"spacing {spacing} must be positive and finite, and support ({lo}, {hi}) a finite interval")
         if xs.size == 0:
             raise ValueError("no observation points")
         dx = _grid_spacing(xs, spacing)
@@ -229,22 +218,21 @@ class EtaProfile:
         dz = self.front_scale * dx / m
         z0 = self.front_scale * xs[0]
 
-        spans = []  # (atom, first, last lattice index of its clipped image)
-        for atom in self.atoms:
-            y_lo, y_hi = max(atom.y_lo, lo), min(atom.y_hi, hi)
-            if y_lo < y_hi:
-                za, zb = sorted((atom.scale * y_lo + atom.shift, atom.scale * y_hi + atom.shift))
-                spans.append((atom, math.floor((za - z0) / dz), math.ceil((zb - z0) / dz)))
-        j0 = min(first for _, first, _ in spans)
-        j1 = max(last for _, _, last in spans)
+        # each row's source interval clipped to the support, and its image's first and last lattice index
+        y = np.stack([np.maximum(self.atoms[:, 2], lo), np.minimum(self.atoms[:, 3], hi)], axis=1)
+        rows = np.flatnonzero(y[:, 0] < y[:, 1])
+        z = self.atoms[rows, 0:1] * y[rows] + self.atoms[rows, 1:2]  # np.sort would page in ~0.2 MB of SIMD sort code
+        first, last = np.floor((z.min(axis=1) - z0) / dz), np.ceil((z.max(axis=1) - z0) / dz)
+        j0, j1 = int(first.min()), int(last.max())
         if j1 - j0 > MAX_LATTICE:
             raise ValueError(
                 f"eta needs {j1 - j0 + 1} lattice points, more than {MAX_LATTICE}; "
                 "the layer contrast or the Wiener order spreads the source too far"
             )
         eta = np.zeros(j1 - j0 + 1, dtype=complex)
-        for atom, first, last in spans:
-            eta[first - j0 : last - j0 + 1] += atom.eta_values(u0, z0 + dz * np.arange(first, last + 1))
+        weight, atoms = self.weight.tolist(), self.atoms.tolist()
+        for i, a, b in zip(rows.tolist(), first.astype(int).tolist(), last.astype(int).tolist()):
+            eta[a - j0 : b - j0 + 1] += _sample(weight[i], atoms[i], u0, z0 + dz * np.arange(a, b + 1))
         # output i is dz * sum_j k_t((i m - j) dz) eta_j, entry len(eta) - 1 + i m
         # of the linear convolution of eta with k_t on lags -j1 .. (len(xs) - 1) m - j0
         n_out = (len(xs) - 1) * m + 1
@@ -254,26 +242,27 @@ class EtaProfile:
         return dz * full[len(eta) - 1 : len(eta) - 1 + n_out : m].reshape(x.shape)
 
 
-def eta_profile(series: WienerSeries, u0: Callable | None = None) -> EtaProfile:
-    """Assemble eta = direct copy of u0 on layer 1 (y <= 0, or all y for one layer) plus the Wiener-shifted psi atoms.
+def eta_profile(series: WienerSeries) -> EtaProfile:
+    """Assemble eta's table: row 0 copies u0 on layer 1 (y <= 0, or all y for one layer), then the Wiener-shifted psi atoms.
 
     The coefficient is the one ``series`` was inverted for, ``series.params``.
+    Row 1 + i n_psi + j is psi row j of ``_p_terms`` (layers in order) times
+    coefficient i and shifted to its lattice point.
     """
     params = series.params
     a1 = params.a[0]
-    atoms = [SourceAtom(a1, a1, 0.0, -math.inf, params.interval(1)[1])]
+    tables = [_p_terms(params, k) for k in range(1, params.n_layers + 1)]
+    psi_weight, psi = (np.concatenate(parts) for parts in zip(*tables))
     # the changes of variables that turn every h_t integral over a layer into
     # one over (0, inf) put each psi image interval in z >= 0
-    psi = [atom for k in range(1, params.n_layers + 1) for atom in _p_terms(params, k)]
-    if any(atom.z_interval()[0] < -1e-12 for atom in psi):
+    if np.any(psi[:, 0:1] * psi[:, 2:4] + psi[:, 1:2] < -1e-12):
         raise AssertionError("psi atom spills onto the negative axis")
-    for idx, c in series.coefficients.items():
-        lattice = lattice_point(idx, params.a_mid, params.l)
-        for atom in psi:
-            atoms.append(
-                SourceAtom(c * atom.weight, atom.scale, atom.shift + lattice, atom.y_lo, atom.y_hi)
-            )
-    return EtaProfile(tuple(atoms), front_scale=a1, u0=u0)
+    coefficients = np.array(list(series.coefficients.values()))
+    lattice = np.array([lattice_point(idx, params.a_mid, params.l) for idx in series.coefficients])
+    shifted = np.tile(psi, (len(lattice), 1))
+    shifted[:, 1] = (psi[:, 1] + lattice[:, None]).ravel()
+    weight = np.concatenate([[a1], (coefficients[:, None] * psi_weight).ravel()])
+    return EtaProfile(weight, np.vstack([(a1, 0.0, -math.inf, params.interval(1)[1]), shifted]), front_scale=a1)
 
 
 def _check_tail(values, t: float, series: WienerSeries) -> None:

@@ -123,6 +123,17 @@ def test_sample_support_floor(n_bumps, least):
                 sample_zcomp(3, seed, n_bumps=n_bumps, x_max=x_max)
 
 
+@pytest.mark.parametrize("n_bumps", [-1, -3])
+def test_sample_refuses_a_negative_bump_count(monkeypatch, n_bumps):
+    # refused before any draw, not read as 0 bumps
+    def no_draws(seed):
+        raise AssertionError("drew before checking n_bumps")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="n_bumps"):
+        sample_zcomp(3, 0, n_bumps=n_bumps)
+
+
 def test_sample_tables_are_checked_and_read_only():
     s = sample_zcomp(3, 0)
     assert s.coeffs.shape == (3, 4) and s.time.shape == (4, 2) and s.space.shape == (4, 3)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from graphlse import (
+    EtaProfile,
     EvolutionConfig,
     PiecewiseCoefficient,
     QuadratureDomainError,
-    SourceAtom,
     eta_profile,
     evolve_line_sigma,
     free_kernel,
@@ -134,9 +134,9 @@ def test_p1k_domain_validation(p121, s121):
 
 def test_eta_matches_u0_on_negative_axis(p121, s121):
     u0 = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
-    eta = eta_profile(s121, u0)
+    eta = eta_profile(s121)
     y = np.linspace(-10.0, -1e-9, 401)
-    np.testing.assert_allclose(eta(y), u0(y / p121.a[0]), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(eta(y, u0), u0(y / p121.a[0]), rtol=0, atol=1e-14)
 
 
 def two_layer_eta(u0, a1, a2):
@@ -157,14 +157,14 @@ def test_eta_reduces_to_two_step_psi_for_two_layers():
     y = np.linspace(-6, 6, 501)
     for a1, a2 in TWO_LAYER_ORDERS:
         s = invert_E(PiecewiseCoefficient((a1, a2), 1.0), 8)
-        eta = eta_profile(s, u0)
-        np.testing.assert_allclose(eta(y), two_layer_eta(u0, a1, a2)(y), atol=1e-13)
+        eta = eta_profile(s)
+        np.testing.assert_allclose(eta(y, u0), two_layer_eta(u0, a1, a2)(y), atol=1e-13)
 
 
 def test_eta_refuses_a_psi_atom_on_the_negative_axis(monkeypatch, s121):
     # every psi image interval lies in z >= 0; an atom reaching below it is refused
-    spill = SourceAtom(1.0, 1.0, -0.5, 0.0, 1.0)
-    monkeypatch.setattr(kernels, "_p_terms", lambda params, k: [spill])
+    spill = (np.array([1.0 + 0j]), np.array([[1.0, -0.5, 0.0, 1.0]]))  # one row: weight, (scale, shift, y_lo, y_hi)
+    monkeypatch.setattr(kernels, "_p_terms", lambda params, k: spill)
     with pytest.raises(AssertionError, match="spills onto the negative axis"):
         eta_profile(s121)
 
@@ -176,15 +176,14 @@ def test_two_step_psi_weights_sum_to_one():
         refl, trans = (a2 - a1) / (a1 + a2), 2 * a1 / (a1 + a2)
         assert refl + trans == pytest.approx(1.0)
         u0 = lambda y: np.exp(-np.asarray(y) ** 2)
-        eta = eta_profile(s, u0)
-        np.testing.assert_allclose(eta(y), refl * u0(-y / a1) + trans * u0(y / a2), atol=1e-14)
-        np.testing.assert_allclose(eta(-y), u0(-y / a1), atol=1e-14)
+        eta = eta_profile(s)
+        np.testing.assert_allclose(eta(y, u0), refl * u0(-y / a1) + trans * u0(y / a2), atol=1e-14)
+        np.testing.assert_allclose(eta(-y, u0), u0(-y / a1), atol=1e-14)
         # a bump far from the interface: the reflected and transmitted copies
         # are apart, so eta reads each weight at its copy's peak
         bump = lambda y: np.exp(-((np.asarray(y) + 6.0) ** 2)) + np.exp(-((np.asarray(y) - 6.0) ** 2))
-        eta = eta_profile(s, bump)
-        assert eta(np.array([6.0 * a1]))[0] == pytest.approx(refl + trans * bump(6.0 * a1 / a2), abs=1e-14)
-        assert eta(np.array([6.0 * a2]))[0] == pytest.approx(trans + refl * bump(-6.0 * a2 / a1), abs=1e-14)
+        assert eta(np.array([6.0 * a1]), bump)[0] == pytest.approx(refl + trans * bump(6.0 * a1 / a2), abs=1e-14)
+        assert eta(np.array([6.0 * a2]), bump)[0] == pytest.approx(trans + refl * bump(-6.0 * a2 / a1), abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -192,7 +191,7 @@ def test_eta_equal_layers_identity(n):
     u0 = lambda y: np.exp(-((np.asarray(y) - 0.5) ** 2)) * (1 + 2j)
     s = invert_E(PiecewiseCoefficient((1.3,) * n, 1.0), 6)
     y = np.linspace(-5, 5, 201)
-    np.testing.assert_allclose(eta_profile(s, u0)(y), u0(y / 1.3), atol=1e-14)
+    np.testing.assert_allclose(eta_profile(s)(y, u0), u0(y / 1.3), atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -297,7 +296,7 @@ def test_p_route_equals_eta_route(p121, s121):
     u0f = lambda y: np.exp(-((np.asarray(y) + 2.0) ** 2) * 0.8)
     nodes = line_grid(30.0, 30.0, 0.05)
     xs = np.linspace(-12.0, 0.0, 61)
-    route_eta = eta_profile(s121, u0f).convolve(1.0, xs, interpolant(nodes, u0f(nodes)), (nodes[0], nodes[-1]), 0.05)
+    route_eta = eta_profile(s121).convolve(1.0, xs, interpolant(nodes, u0f(nodes)), (nodes[0], nodes[-1]), 0.05)
     np.testing.assert_array_equal(solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121), route_eta)
     route_p = dense_oracle(u0f, 1.0, xs, s121, h=0.01, reach=12.0)
     assert rel_l2(route_eta, route_p, xs) <= 5e-5
@@ -377,6 +376,97 @@ def test_p1k_rejects_positive_observation(p121, s121):
         kernel_p1k(1, 1.0, 0.5, -0.5, s121)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_every_kernel_path_refuses_a_non_finite_time(p121, s121, t):
+    # each path reaches free_kernel, which refuses the time instead of returning NaN
+    u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
+    nodes = line_grid(30.0, 30.0, 0.05)
+    calls = [
+        lambda: free_kernel(t, 0.5),
+        lambda: kernel_h(t, -1.0, s121),
+        lambda: kernel_p1k(1, t, -1.0, -0.5, s121),
+        lambda: kernel_p1k(2, t, -1.0, 0.5, s121),
+        lambda: eta_profile(s121).convolve(t, np.linspace(-4.0, 0.0, 9), u0f, (-30.0, 30.0), 0.05),
+        lambda: solve_negative_halfline((nodes, u0f(nodes)), t, np.linspace(-4.0, 0.0, 9), s121),
+        lambda: solve_line(u0f, (-30.0, 30.0), t, np.linspace(-4.0, 0.0, 9), p121, 8),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite time"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [-math.inf, math.nan])
+def test_solves_refuse_non_finite_observation_points(p121, s121, bad):
+    # a plain ValueError: the CLI reports a QuadratureDomainError as a numerical guard
+    u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
+    nodes = line_grid(30.0, 30.0, 0.05)
+    for call in (
+        lambda: solve_negative_halfline((nodes, u0f(nodes)), 1.0, np.array([bad]), s121),
+        lambda: solve_negative_halfline((nodes, u0f(nodes)), 1.0, np.array([bad, -1.0, 0.0]), s121),
+        lambda: solve_line(u0f, (-30.0, 30.0), 1.0, np.array([bad, 0.0]), p121, 8),
+    ):
+        with pytest.raises(ValueError, match="finite") as caught:
+            call()
+        assert not isinstance(caught.value, QuadratureDomainError)
+
+
+@pytest.mark.parametrize("bad", [-math.inf, math.nan])
+def test_p1k_refuses_non_finite_points(s121, bad):
+    with pytest.raises(ValueError, match="finite observation points"):
+        kernel_p1k(1, 1.0, bad, -0.5, s121)
+    with pytest.raises(ValueError, match="not finite"):
+        kernel_p1k(1, 1.0, -1.0, bad, s121)
+    with pytest.raises(ValueError, match="not finite"):
+        kernel_p1k(3, 1.0, -1.0, -bad, s121)
+
+
+@pytest.mark.parametrize(
+    "support, spacing",
+    [
+        ((-30.0, 30.0), 0.0),
+        ((-30.0, 30.0), -0.05),
+        ((-30.0, 30.0), math.inf),
+        ((-30.0, 30.0), math.nan),
+        ((5.0, -5.0), 0.05),
+        ((1.0, 1.0), 0.05),
+        ((-math.inf, 30.0), 0.05),
+        ((-30.0, math.nan), 0.05),
+    ],
+    ids=["spacing-zero", "spacing-negative", "spacing-inf", "spacing-nan", "support-reversed", "support-empty", "support-infinite", "support-nan"],
+)
+def test_convolve_refuses_a_bad_spacing_or_support(s121, support, spacing):
+    # one ValueError that names both arguments, for one point and for many
+    u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
+    for xs in (np.linspace(-4.0, 0.0, 9), np.array([-1.0])):
+        with pytest.raises(ValueError, match=r"spacing .* support"):
+            eta_profile(s121).convolve(1.0, xs, u0f, support, spacing)
+
+
+def test_eta_table_refuses_bad_rows_and_is_read_only():
+    weight, atoms = np.array([1.0 + 0j, 0.5j]), np.array([[1.0, 0.0, -math.inf, 0.0], [-2.0, 1.0, 0.0, 1.0]])
+    eta = EtaProfile(weight, atoms, 1.0)
+    weight[0], atoms[0, 0] = 7.0, 7.0  # the profile holds copies
+    assert eta.weight[0] == 1.0 and eta.atoms[0, 0] == 1.0
+    for table in (eta.weight, eta.atoms):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    u0f = lambda y: np.exp(-np.asarray(y) ** 2)
+    # row 1 maps (0, 1) onto (-1, 1] by z = 1 - 2 y; row 0 owns z = -1
+    np.testing.assert_array_equal(eta(np.array([-2.0, -1.0, 0.5]), u0f), [u0f(-2.0), u0f(-1.0), 0.25j * u0f(0.25)])
+    zero_scale = atoms.copy()
+    zero_scale[1, 0] = 0.0
+    with pytest.raises(ValueError, match="scale must be nonzero"):
+        EtaProfile(weight, zero_scale, 1.0)
+    for y_lo, y_hi in ((1.0, 1.0), (1.0, 0.0), (math.nan, 1.0)):
+        interval = atoms.copy()
+        interval[1, 2:] = y_lo, y_hi
+        with pytest.raises(ValueError, match="empty source interval"):
+            EtaProfile(weight, interval, 1.0)
+    for w, a in ((weight[:1], atoms), (weight, atoms[:, :3]), (weight[None, :], atoms), (weight, atoms.ravel())):
+        with pytest.raises(ValueError, match=r"weight of shape \(n,\) and atoms of shape \(n, 4\)"):
+            EtaProfile(w, a, 1.0)
+
+
 def test_solve_halfline_vs_fd_four_layers():
     # exercises the multi-index machinery beyond one middle layer
     a = (1.0, 1.6, 0.7, 1.2)
@@ -404,11 +494,11 @@ def test_eta_support_and_route_consistency_random_configs():
         u0f = lambda y: np.exp(-0.7 * (np.asarray(y) + 1.5) ** 2)
         qnodes = line_grid(24.0, 24.0, 0.1)
         xs = np.linspace(-8.0, 0.0, 17)
-        eta = eta_profile(series, u0f)
+        eta = eta_profile(series)
         route_eta = eta.convolve(1.0, xs, interpolant(qnodes, u0f(qnodes)), (qnodes[0], qnodes[-1]), 0.1)
         # breakpoints fall between the h = 0.1 nodes: the lattice path errs by
         # 1.6e-4 to 2.0e-4, the oracle at h = 0.01 by about 2e-6
         route_p = dense_oracle(u0f, 1.0, xs, series, h=0.01, reach=10.0)
         assert rel_l2(route_eta, route_p, xs) <= 5e-4
         y = np.linspace(-8.0, -1e-9, 201)
-        np.testing.assert_array_equal(eta(y), u0f(y / params.a[0]))
+        np.testing.assert_array_equal(eta(y, u0f), u0f(y / params.a[0]))
