@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _GuardError
 from .uncertainty import gamma_star
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 
-class WeightOverflowError(ArithmeticError):
+class WeightOverflowError(_GuardError, ArithmeticError):
     """exp(phi) overflows on the sample support; shrink the support or mu, R."""
 
 

@@ -12,6 +12,11 @@ data not small at the ends of the kernel quadrature domain).
 
 The default output directory comes from --out, else the config, else the
 GRAPHLSE_OUT environment variable, else ./graphlse_out.
+
+A run imports only its kind's modules.  ``import graphlse.cli`` loads numpy
+and the CSV writer and no library module; each kind's runner imports the
+modules it calls when it runs, so a Carleman sweep never loads the evolution
+or kernel code, and --verify alone loads the invariant checks.
 """
 from __future__ import annotations
 
@@ -24,29 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as _verify
+from . import _GuardError
 from ._report import config_hash, from_columns, write_csv
-from .carleman import CarlemanWeight, WeightOverflowError, alpha_vectors, carleman_sides, sample_zcomp
-from .evolution import (
-    EvolutionConfig,
-    TruncationGuardError,
-    evolve_graph,
-    evolve_line_sigma,
-    line_grid,
-    write_checkpoint,
-)
-from .exppoly import PiecewiseCoefficient, invert_E, write_series_csv
-from .graphs import GraphState, NormOverflowError, build_regular_tree, build_star, kirchhoff_residual, weighted_l2_norm
-from .kernels import QuadratureDomainError, solve_line, solve_negative_halfline
-from .reduction import averaged_sums, fold_to_line, reduction_map, write_reduction_report
-from .uncertainty import (
-    appell_transform,
-    classify_threshold,
-    fit_gaussian_decay,
-    magnitude_window,
-    sharp_example_star,
-    sharp_example_two_step,
-)
+
 
 class ConfigError(ValueError):
     pass
@@ -158,6 +143,8 @@ def _meta(cfg: ExperimentConfig) -> dict:
 
 
 def _build_graph(cfg: ExperimentConfig):
+    from .graphs import build_regular_tree, build_star
+
     gtype = cfg.require("graph", "type")
     L = float(cfg.get("graph", "length", 40.0))
     h = float(cfg.get("graph", "spacing", 0.05))
@@ -182,11 +169,15 @@ def _initial_fn(cfg: ExperimentConfig):
     return fn
 
 
-def _sigma(cfg: ExperimentConfig) -> PiecewiseCoefficient:
+def _sigma(cfg: ExperimentConfig):
+    from .exppoly import PiecewiseCoefficient
+
     return PiecewiseCoefficient(tuple(cfg.require("sigma", "values")), float(cfg.get("sigma", "spacing", 1.0)))
 
 
 def _line_nodes(cfg: ExperimentConfig, h_default: float) -> np.ndarray:
+    from .evolution import line_grid
+
     L = float(cfg.get("sigma", "length", 40.0))
     return line_grid(L, L, float(cfg.get("sigma", "grid_spacing", h_default)))
 
@@ -204,11 +195,15 @@ def _write_summary(cfg: ExperimentConfig, out: Path, rows) -> Path:
 
 # ---------------------------------------------------------------------------
 # runners (one per kind); each takes (cfg, out, jobs) and returns the written
-# paths, and only the Carleman sweep uses jobs
+# paths, and only the Carleman sweep uses jobs.  Each imports its kind's
+# modules itself, so a run loads no module that its kind does not call.
 # ---------------------------------------------------------------------------
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma, write_checkpoint
+    from .graphs import GraphState, kirchhoff_residual, weighted_l2_norm
+
     t_final = float(cfg.require("time", "t_final"))
     ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
     if "graph" in cfg.sections:
@@ -245,6 +240,10 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
 
 
 def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    from .evolution import EvolutionConfig, evolve_line_sigma
+    from .exppoly import invert_E, write_series_csv
+    from .kernels import solve_negative_halfline
+
     sigma = _sigma(cfg)
     t_final = float(cfg.require("time", "t_final"))
     ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
@@ -276,7 +275,11 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Pat
 
 
 def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    from .uncertainty import classify_threshold, fit_gaussian_decay, magnitude_window, sharp_example_star, sharp_example_two_step
+
     if "sigma" in cfg.sections:
+        from .kernels import solve_line
+
         vals = cfg.require("sigma", "values")
         if len(vals) != 2:
             raise ConfigError("two-layer sharpness needs exactly two sigma values")
@@ -291,6 +294,9 @@ def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
         gtype = cfg.get("graph", "type", "star")
         if gtype != "star":
             raise ConfigError(f"sharpness runs on a star or a two-layer line, not [graph] type = {gtype!r}")
+        from .evolution import EvolutionConfig, evolve_graph
+        from .graphs import GraphState, build_star
+
         ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
         n_edges = int(cfg.get("graph", "n_edges", 3))
         ex = sharp_example_star(float(cfg.get("initial", "alpha", 0.25)), n_edges)
@@ -325,6 +331,10 @@ def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
 
 
 def _run_reduce_tree(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma
+    from .graphs import GraphState
+    from .reduction import averaged_sums, fold_to_line, reduction_map, write_reduction_report
+
     graph, grid = _build_graph(cfg)
     t_final = float(cfg.require("time", "t_final"))
     ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
@@ -360,6 +370,8 @@ def _run_reduce_tree(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
 
 def _carleman_rows(args):
     """Margin rows for one (N, seed) sample over its whole (mu, eps, R) list."""
+    from .carleman import alpha_vectors, carleman_sides, sample_zcomp
+
     n_edges, seed, weights, nt, nx = args
     sample = sample_zcomp(n_edges, seed)
     margins = carleman_sides(sample, weights, alpha_vectors(n_edges), nt=nt, nx=nx)
@@ -370,6 +382,8 @@ def _carleman_rows(args):
 
 
 def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    from .carleman import CarlemanWeight
+
     ns = cfg.get("carleman", "n_edges", [3, 4, 5])
     n_seeds = int(cfg.get("carleman", "n_seeds", 5))
     mus = cfg.get("carleman", "mu", [0.5, 1.0, 2.0])
@@ -409,6 +423,8 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
 
 
 def _run_appell(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    from .uncertainty import appell_transform
+
     alpha = float(cfg.require("appell", "alpha"))
     beta = float(cfg.require("appell", "beta"))
     width = 0.3
@@ -439,6 +455,9 @@ def _run_appell(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
 
 
 def _run_threshold_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    from .exppoly import PiecewiseCoefficient
+    from .uncertainty import classify_threshold
+
     alphas = cfg.require("sweep", "alphas")
     betas = cfg.require("sweep", "betas")
     rule = str(cfg.require("sweep", "rule"))
@@ -599,14 +618,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg.seed = args.seed
     out_dir = Path(args.out or cfg.out or os.environ.get("GRAPHLSE_OUT", "graphlse_out"))
     if args.verify:
-        ok = _verify.run_checks(cfg.kind)
+        from .verify import run_checks
+
+        ok = run_checks(cfg.kind)
         if not ok:
             print("verification failed", file=sys.stderr)
             return 1
     try:
         written = run_config(cfg, out_dir, jobs=max(1, args.jobs))
         emit_plots(out_dir)
-    except (TruncationGuardError, WeightOverflowError, NormOverflowError, QuadratureDomainError) as exc:
+    except _GuardError as exc:  # the guard errors of the kind modules share this base
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ConfigError, and inputs the library refuses

@@ -109,6 +109,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _GuardError
 from ._report import from_columns, read_csv, write_csv
 from .exppoly import PiecewiseCoefficient
 from .graphs import GraphGrid, GraphState, MetricGraph
@@ -125,7 +126,7 @@ __all__ = [
 ]
 
 
-class TruncationGuardError(RuntimeError):
+class TruncationGuardError(_GuardError, RuntimeError):
     """The wavefront reached the guarded fraction of the truncated domain."""
 
 

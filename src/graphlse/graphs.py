@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _GuardError
+
 __all__ = [
     "Edge",
     "MetricGraph",
@@ -30,7 +32,7 @@ __all__ = [
 ]
 
 
-class NormOverflowError(ArithmeticError):
+class NormOverflowError(_GuardError, ArithmeticError):
     """Weighted norm would overflow, or is dominated by the truncation boundary."""
 
 

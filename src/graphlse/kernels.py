@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _GuardError
 from .exppoly import PiecewiseCoefficient, WienerSeries, alpha_prefactor, ef_recursion, invert_E, lattice_point
 
 __all__ = [
@@ -53,7 +54,7 @@ GUARD_TOL = 1e-6
 MAX_LATTICE = 2**24
 
 
-class QuadratureDomainError(ValueError):
+class QuadratureDomainError(_GuardError, ValueError):
     """The sampled initial data does not cover enough of the line for the target accuracy."""
 
 
@@ -180,6 +181,8 @@ class EtaProfile:
             raise ValueError("atom scale must be nonzero")
         if not np.all(atoms[:, 2] < atoms[:, 3]):
             raise ValueError("empty source interval")
+        if not 0 < self.front_scale < math.inf:
+            raise ValueError(f"front_scale {self.front_scale} must be positive and finite")
         for name, table in (("weight", weight), ("atoms", atoms)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
@@ -203,8 +206,8 @@ class EtaProfile:
         source intervals end at the support ends.  The rectangle sum
         dz * sum_j k_t(X - z_j) eta(z_j) is one FFT product.  Raises
         ValueError, before any array is built, unless ``spacing`` is positive
-        and finite and ``support`` a finite interval, and when eta's image
-        spans more than MAX_LATTICE lattice steps.
+        and finite and ``support`` a finite interval, and when the grid
+        spacing or eta's image spans more than MAX_LATTICE lattice steps.
         """
         x = np.asarray(x, dtype=float)
         xs = x.ravel()
@@ -214,6 +217,8 @@ class EtaProfile:
         if xs.size == 0:
             raise ValueError("no observation points")
         dx = _grid_spacing(xs, spacing)
+        if dx > MAX_LATTICE * spacing:
+            raise ValueError(f"spacing {spacing} splits the grid spacing {dx} into more than {MAX_LATTICE} lattice steps")
         m = math.ceil(dx / spacing - 1e-9)
         dz = self.front_scale * dx / m
         z0 = self.front_scale * xs[0]

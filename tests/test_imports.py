@@ -1,4 +1,11 @@
-"""What a fresh process imports (no scipy until the first stepper, then only scipy's _fblas extension module), and the public surface.
+"""What a fresh process imports (no kind module before a run needs it, no scipy until the first stepper, then only scipy's _fblas extension module), and the public surface.
+
+``import graphlse`` loads no submodule: each public name is imported from
+its module on first access.  ``import graphlse.cli`` adds only the CSV
+writer, and each kind's runner imports the modules it calls, so the set-up
+that perfbench times (import the package, parse a config) loads three
+graphlse modules and no scipy, and a Carleman run never loads the
+evolution, graph, kernel or reduction code.
 
 Per kind: threshold-sweep, appell and carleman never step; a sharpness run
 on a free star takes its modes' whole run at once in sine bases and on a
@@ -8,10 +15,12 @@ and no potential), and reduce-tree takes the whole run at once on the binary
 tree's vertex system (three vertices) and on its folded line.  None of them
 builds a stepper or loads scipy.  A run that steps, such as a tree with a
 potential, loads scipy's _fblas alone.  The CLI kinds run one after another
-in one fresh process, and each test reads the scipy modules loaded after its
-kind; none of the runs asks for --jobs, so none loads multiprocessing.
+in one fresh process, and each test reads the scipy and graphlse modules
+loaded after its kind; none of the runs asks for --jobs, so none loads
+multiprocessing.
 """
 import ast
+import importlib
 import json
 import pkgutil
 import subprocess
@@ -46,30 +55,38 @@ def fresh_process(tmp_path, body: str, *args: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-FBLAS = ["scipy.linalg._fblas"]
+# the graphlse modules (the package included) a fresh process holds once it
+# has imported the CLI, and with those a Carleman, threshold-sweep or appell run adds
+CLI_BASE = ["graphlse", "graphlse._report", "graphlse.cli"]
+LABS = sorted([*CLI_BASE, "graphlse.carleman", "graphlse.exppoly", "graphlse.uncertainty"])
+EVOLVE = sorted([*LABS, "graphlse.evolution", "graphlse.graphs"])
+SOLVE = sorted([*EVOLVE, "graphlse.kernels"])
 
-# (id, config, scipy modules loaded once that run is done), in the order one
-# process runs them: the kinds that load no scipy first
+# (id, config, scipy modules and graphlse modules loaded once that run is
+# done), in the order one process runs them: the kinds that load no scipy
+# first, and the graphlse sets grow as the kinds reach more modules
 CLI_KINDS = [
-    ("carleman", CARLEMAN_INI, []),
-    ("threshold-sweep", SWEEP_INI, []),
-    ("appell", APPELL_INI, []),
-    ("sharpness-star", SHARPNESS_INI, []),  # a free star takes its modes' whole run at once and builds no stepper
-    ("sharpness-two-step", TWO_STEP_INI, []),  # the exact kernel solve builds no stepper
-    ("kernel-compare", KERNEL_INI, []),  # the FD reference is a free line, run at once
-    ("simulate-line", LINE_SIMULATE_INI, []),
-    ("reduce-tree", TREE_INI, []),  # three vertices: the tree's free vertex system runs at once
+    ("carleman", CARLEMAN_INI, [], LABS),
+    ("threshold-sweep", SWEEP_INI, [], LABS),
+    ("appell", APPELL_INI, [], LABS),
+    ("sharpness-star", SHARPNESS_INI, [], EVOLVE),  # a free star takes its modes' whole run at once and builds no stepper
+    ("sharpness-two-step", TWO_STEP_INI, [], SOLVE),  # the exact kernel solve builds no stepper
+    ("kernel-compare", KERNEL_INI, [], SOLVE),  # the FD reference is a free line, run at once
+    ("simulate-line", LINE_SIMULATE_INI, [], SOLVE),
+    ("reduce-tree", TREE_INI, [], sorted([*SOLVE, "graphlse.reduction"])),  # three vertices: the tree's free vertex system runs at once
 ]
+KIND_IDS = [k for k, *_ in CLI_KINDS]
 
-# run the CLI on each <id>.ini in turn; print each exit code and the scipy modules loaded after it,
-# then whether the process pool's modules were loaded by any of the runs
+# run the CLI on each <id>.ini in turn; print each exit code and the scipy and graphlse modules
+# loaded after it, then whether the process pool's modules were loaded by any of the runs
 CLI_RUNS = """\
 import graphlse.cli
 root = sys.argv[1]
 got = {}
 for kind in sys.argv[2:]:
     rc = graphlse.cli.main(["--config", f"{root}/{kind}.ini", "--out", f"{root}/{kind}"])
-    got[kind] = {"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}
+    scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+    got[kind] = {"rc": rc, "scipy": scipy, "graphlse": sorted(m for m in sys.modules if m.split(".")[0] == "graphlse")}
 got["pool"] = {m: m in sys.modules for m in ("multiprocessing", "concurrent.futures.process")}
 print(json.dumps(got))
 """
@@ -79,14 +96,40 @@ print(json.dumps(got))
 def cli_runs(tmp_path_factory):
     """Every kind of CLI_KINDS run in one fresh process, in order."""
     root = tmp_path_factory.mktemp("cli-kinds")
-    for kind, ini, _ in CLI_KINDS:
+    for kind, ini, *_ in CLI_KINDS:
         (root / f"{kind}.ini").write_text(ini)
-    return fresh_process(root, CLI_RUNS, *(kind for kind, _, _ in CLI_KINDS))
+    return fresh_process(root, CLI_RUNS, *KIND_IDS)
 
 
-@pytest.mark.parametrize("kind, scipy", [(k, scipy) for k, _, scipy in CLI_KINDS], ids=[k for k, _, _ in CLI_KINDS])
+@pytest.mark.parametrize("kind, scipy", [(k, scipy) for k, _, scipy, _ in CLI_KINDS], ids=KIND_IDS)
 def test_cli_run_loads_at_most_scipy_fblas(cli_runs, kind, scipy):
-    assert cli_runs[kind] == {"rc": 0, "scipy": scipy}
+    assert cli_runs[kind]["rc"] == 0
+    assert cli_runs[kind]["scipy"] == scipy
+
+
+@pytest.mark.parametrize("kind, modules", [(k, mods) for k, *_, mods in CLI_KINDS], ids=KIND_IDS)
+def test_cli_run_loads_only_its_kinds_modules(cli_runs, kind, modules):
+    # cumulative: each set holds the modules of every kind run before it
+    assert cli_runs[kind]["graphlse"] == modules
+
+
+def test_setup_loads_three_graphlse_modules_and_no_scipy(tmp_path):
+    # perfbench's set-up probe: import the package, then parse and validate a config
+    (tmp_path / "carleman.ini").write_text(CARLEMAN_INI)
+    got = fresh_process(
+        tmp_path,
+        """\
+import graphlse
+bare = sorted(m for m in sys.modules if m.split(".")[0] == "graphlse")
+from graphlse.cli import parse_config
+with open(sys.argv[2]) as fh:
+    parse_config(fh.read())
+setup = sorted(m for m in sys.modules if m.split(".")[0] == "graphlse")
+print(json.dumps({"bare": bare, "setup": setup, "scipy": any(m.startswith("scipy") for m in sys.modules)}))
+""",
+        str(tmp_path / "carleman.ini"),
+    )
+    assert got == {"bare": ["graphlse"], "setup": CLI_BASE, "scipy": False}
 
 
 def test_cli_runs_load_no_multiprocessing(cli_runs):
@@ -165,6 +208,74 @@ print(json.dumps({"loaded_before": loaded, "same": ztbsv is scipy.linalg.blas.zt
 """,
     )
     assert got == {"loaded_before": False, "same": True}
+
+
+# the package's public names, in the order of graphlse.__all__, under the module of each
+PUBLIC = [
+    # graphs
+    "Edge", "GraphGrid", "GraphState", "KirchhoffResidual", "MetricGraph", "NormOverflowError",
+    "build_regular_tree", "build_star", "kirchhoff_residual", "weighted_l2_norm",
+    # evolution
+    "EvolutionConfig", "TruncationGuardError", "evolve_graph", "evolve_graph_potential", "evolve_line_sigma",
+    "line_grid", "read_checkpoint", "write_checkpoint",
+    # exppoly
+    "ExpPolynomial", "PiecewiseCoefficient", "WienerSeries", "alpha_prefactor", "chain_lower_entries",
+    "chain_product", "coefficients_C", "determinant_product", "ef_recursion", "invert_E", "transfer_matrix",
+    "write_series_csv",
+    # kernels
+    "EtaProfile", "QuadratureDomainError", "eta_profile", "free_kernel", "kernel_h", "kernel_p1k", "solve_line",
+    "solve_negative_halfline",
+    # reduction
+    "AveragedSums", "FoldedLine", "ReductionMap", "averaged_sums", "difference_Z", "fold_to_line",
+    "reduction_map", "star_sum", "write_reduction_report",
+    # uncertainty
+    "DecayFit", "ThresholdVerdict", "appell_time_map", "appell_transform", "classify_threshold",
+    "fit_gaussian_decay", "gamma_star", "sharp_example_star", "sharp_example_two_step",
+    # carleman
+    "AlphaVectors", "CarlemanMargin", "CarlemanWeight", "WeightOverflowError", "ZcompSample", "alpha_vectors",
+    "carleman_sides", "membership_residual", "sample_zcomp",
+]
+
+
+def test_package_names_resolve_to_their_modules():
+    assert graphlse.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(graphlse))
+    # each name is the object of the one module whose __all__ lists it
+    homes = {}
+    for info in pkgutil.iter_modules(graphlse.__path__):
+        module = importlib.import_module(f"graphlse.{info.name}")
+        for name in set(PUBLIC) & set(getattr(module, "__all__", ())):
+            homes.setdefault(name, []).append(module)
+    assert {name: len(homes.get(name, ())) for name in PUBLIC} == dict.fromkeys(PUBLIC, 1)
+    assert all(getattr(graphlse, name) is getattr(homes[name][0], name) for name in PUBLIC)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        graphlse.no_such_name
+
+
+def test_package_loads_a_module_on_first_use(tmp_path):
+    got = fresh_process(
+        tmp_path,
+        """\
+import graphlse
+graphlse.free_kernel
+kernel = sorted(m for m in sys.modules if m.split(".")[0] == "graphlse")
+from graphlse import evolution, verify
+print(json.dumps({"kernel": kernel, "submodules": [evolution.__name__, verify.__name__]}))
+""",
+    )
+    # kernels imports exppoly (the layer coefficient), which writes its series through _report
+    assert got == {"kernel": ["graphlse", "graphlse._report", "graphlse.exppoly", "graphlse.kernels"], "submodules": ["graphlse.evolution", "graphlse.verify"]}
+
+
+def test_guard_errors_share_one_base():
+    # the CLI maps this base to exit code 2; each error keeps the base its callers catch
+    bases = {
+        graphlse.TruncationGuardError: RuntimeError,
+        graphlse.WeightOverflowError: ArithmeticError,
+        graphlse.NormOverflowError: ArithmeticError,
+        graphlse.QuadratureDomainError: ValueError,
+    }
+    assert {cls: cls.__bases__ for cls in bases} == {cls: (graphlse._GuardError, base) for cls, base in bases.items()}
 
 
 @pytest.mark.parametrize("module", ["graphlse", *(f"graphlse.{m.name}" for m in pkgutil.iter_modules(graphlse.__path__))])

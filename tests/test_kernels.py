@@ -442,6 +442,22 @@ def test_convolve_refuses_a_bad_spacing_or_support(s121, support, spacing):
             eta_profile(s121).convolve(1.0, xs, u0f, support, spacing)
 
 
+@pytest.mark.parametrize("spacing", [1e-320, 1e-12])
+def test_convolve_refuses_a_spacing_finer_than_the_lattice_allows(s121, spacing):
+    # 1e-320 once overflowed in math.ceil(dx / spacing); both split the grid spacing 0.5 into over MAX_LATTICE steps
+    u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
+    with pytest.raises(ValueError, match=rf"spacing {spacing} .* more than {kernels.MAX_LATTICE} lattice steps"):
+        eta_profile(s121).convolve(1.0, np.linspace(-4.0, 0.0, 9), u0f, (-30.0, 30.0), spacing)
+
+
+@pytest.mark.parametrize("front_scale", [0.0, -1.0, math.nan, math.inf])
+def test_eta_table_refuses_a_front_scale_not_positive_and_finite(s121, front_scale):
+    # 0 and NaN once failed in convolve with "cannot convert float NaN to integer", -1 with numpy's broadcast error
+    eta = eta_profile(s121)
+    with pytest.raises(ValueError, match="front_scale .* positive and finite"):
+        EtaProfile(eta.weight, eta.atoms, front_scale)
+
+
 def test_eta_table_refuses_bad_rows_and_is_read_only():
     weight, atoms = np.array([1.0 + 0j, 0.5j]), np.array([[1.0, 0.0, -math.inf, 0.0], [-2.0, 1.0, 0.0, 1.0]])
     eta = EtaProfile(weight, atoms, 1.0)
