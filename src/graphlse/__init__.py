@@ -29,11 +29,11 @@ _HOME = {
         )),
         ("evolution", (
             "EvolutionConfig", "TruncationGuardError", "evolve_graph", "evolve_graph_potential",
-            "evolve_line_sigma", "line_grid", "read_checkpoint", "write_checkpoint",
+            "evolve_line_sigma", "read_checkpoint", "write_checkpoint",
         )),
         ("exppoly", (
             "ExpPolynomial", "PiecewiseCoefficient", "WienerSeries", "alpha_prefactor", "chain_lower_entries",
-            "chain_product", "coefficients_C", "determinant_product", "ef_recursion", "invert_E",
+            "chain_product", "coefficients_C", "determinant_product", "ef_recursion", "invert_E", "line_grid",
             "transfer_matrix", "write_series_csv",
         )),
         ("kernels", (

@@ -176,7 +176,7 @@ def _sigma(cfg: ExperimentConfig):
 
 
 def _line_nodes(cfg: ExperimentConfig, h_default: float) -> np.ndarray:
-    from .evolution import line_grid
+    from .exppoly import line_grid
 
     L = float(cfg.get("sigma", "length", 40.0))
     return line_grid(L, L, float(cfg.get("sigma", "grid_spacing", h_default)))
@@ -275,39 +275,32 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Pat
 
 
 def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    from .exppoly import PiecewiseCoefficient, line_grid
+    from .kernels import solve_line
     from .uncertainty import classify_threshold, fit_gaussian_decay, magnitude_window, sharp_example_star, sharp_example_two_step
 
+    # each family's data is closed-form and its u(1, .) the exact solve_line
+    # on it: one or two layers have 1/E = 1, so the Wiener order does not matter
     if "sigma" in cfg.sections:
-        from .kernels import solve_line
-
         vals = cfg.require("sigma", "values")
         if len(vals) != 2:
             raise ConfigError("two-layer sharpness needs exactly two sigma values")
         ex = sharp_example_two_step(vals[0], vals[1])
-        x = _line_nodes(cfg, 0.0125)
-        u0 = ex.u0(x)
-        # the exact solution map on the closed-form data, both rays; two
-        # layers have 1/E = 1, so the Wiener order does not matter
-        u1 = solve_line(ex.u0, (x[0], x[-1]), 1.0, x, ex.sigma, 0)
-        family, side, rule_sigma = "two-step", "-inf", ("line-sigma-i", ex.sigma)
+        x = _line_nodes(cfg, 0.0125)  # both rays
+        coefficient, mirror, family, side, rule_sigma = ex.sigma, 1, "two-step", "-inf", ("line-sigma-i", ex.sigma)
     else:
         gtype = cfg.get("graph", "type", "star")
         if gtype != "star":
             raise ConfigError(f"sharpness runs on a star or a two-layer line, not [graph] type = {gtype!r}")
-        from .evolution import EvolutionConfig, evolve_graph
-        from .graphs import GraphState, build_star
-
-        ecfg = EvolutionConfig(dt=float(cfg.require("time", "dt")))
-        n_edges = int(cfg.get("graph", "n_edges", 3))
-        ex = sharp_example_star(float(cfg.get("initial", "alpha", 0.25)), n_edges)
-        L, h = float(cfg.get("graph", "length", 40.0)), float(cfg.get("graph", "spacing", 0.0125))
-        graph, grid = build_star(n_edges, L, h)
-        state = GraphState.sample(graph, grid, ex.u0)
-        x, u0 = grid.x(0), state.values[0]
-        u1 = evolve_graph(state, 1.0, ecfg).values[0]
-        family, side, rule_sigma = "star", "+inf", ("star-free", None)
-    # solver outputs carry a dispersive noise floor well above the closed
-    # form's tail; window only where the signal dominates it
+        ex = sharp_example_star(float(cfg.get("initial", "alpha", 0.25)), int(cfg.get("graph", "n_edges", 3)))
+        # the data is even and equal on every edge, so each ray carries the free whole-line solution
+        L = float(cfg.get("graph", "length", 40.0))
+        x = line_grid(L, L, float(cfg.get("graph", "spacing", 0.0125)))
+        x = x[x >= 0]  # one ray
+        coefficient, mirror, family, side, rule_sigma = PiecewiseCoefficient((1.0,)), -1, "star", "+inf", ("star-free", None)
+    u0 = ex.u0(x)
+    # mirror = -1 solves the ray x >= 0 as its mirror image on the left ray, one convolution
+    u1 = solve_line(ex.u0, (-x[-1], x[-1]), 1.0, mirror * x[::mirror], coefficient, 0)[::mirror]
     fit0 = fit_gaussian_decay(x, u0, side=side, window=magnitude_window(x, u0, 1e-5))
     fit1 = fit_gaussian_decay(x, u1, side=side, window=magnitude_window(x, u1, 1e-5))
     verdict = classify_threshold(fit0.rate, fit1.rate, *rule_sigma)
@@ -478,7 +471,7 @@ def _run_threshold_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Pa
 _KIND_TABLE = {
     "simulate": (_run_simulate, [("time", "t_final"), ("time", "dt")]),
     "kernel-compare": (_run_kernel_compare, [("sigma", "values"), ("time", "t_final"), ("time", "dt")]),
-    "sharpness": (_run_sharpness, []),  # a star needs [time] dt; the two-step line ignores it
+    "sharpness": (_run_sharpness, []),  # both families are exact solves and ignore [time]
     "reduce-tree": (_run_reduce_tree, [("graph", "type"), ("time", "t_final"), ("time", "dt")]),
     "carleman": (_run_carleman, []),
     "appell": (_run_appell, [("appell", "alpha"), ("appell", "beta")]),

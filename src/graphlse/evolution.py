@@ -120,7 +120,6 @@ __all__ = [
     "evolve_graph",
     "evolve_graph_potential",
     "evolve_line_sigma",
-    "line_grid",
     "write_checkpoint",
     "read_checkpoint",
 ]
@@ -748,17 +747,6 @@ def evolve_graph_potential(
 # ---------------------------------------------------------------------------
 # line problems
 # ---------------------------------------------------------------------------
-
-
-def line_grid(L_left: float, L_right: float, h: float) -> np.ndarray:
-    """Uniform nodes on [-L_left, L_right] with 0 on the grid."""
-    if not all(math.isfinite(v) and v > 0 for v in (L_left, L_right, h)) or not math.isfinite(max(L_left, L_right) / h):
-        raise ValueError(f"lengths {L_left}, {L_right} and spacing {h} must be positive, finite and not overflow")
-    nl = round(L_left / h)
-    nr = round(L_right / h)
-    if abs(nl * h - L_left) > 1e-8 or abs(nr * h - L_right) > 1e-8:
-        raise ValueError("domain ends must be integer multiples of h")
-    return h * np.arange(-nl, nr + 1)
 
 
 def _cell_sigma(sigma, nodes) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 ``PiecewiseCoefficient`` is the one description of a line with N layers
 sigma = a_k^{-2}: its layout and its jump data, read both by the transfer
-matrices here and by the finite-difference solver.  The line couples left-
-and right-moving plane-wave amplitudes across each jump through a 2x2
-transfer matrix.  Products of those matrices have entries that are finite sums
+matrices here and by the finite-difference solver; ``line_grid`` gives the
+uniform nodes, 0 among them, that both solvers sample a line on.  The line
+couples left- and right-moving plane-wave amplitudes across each jump
+through a 2x2 transfer matrix.  Products of those matrices have entries
+that are finite sums
 
     sum_m  c_m  exp(+-2 i xi l (m . a_mid)),   a_mid = (a_2, ..., a_{N-1}),
 
@@ -30,6 +32,7 @@ __all__ = [
     "PiecewiseCoefficient",
     "ExpPolynomial",
     "WienerSeries",
+    "line_grid",
     "lattice_point",
     "transfer_matrix",
     "chain_product",
@@ -125,6 +128,17 @@ class PiecewiseCoefficient:
     def _check_j(self, j: int) -> None:
         if not 1 <= j <= self.n_layers - 1:
             raise ValueError(f"junction index {j} outside 1..{self.n_layers - 1}")
+
+
+def line_grid(L_left: float, L_right: float, h: float) -> np.ndarray:
+    """Uniform nodes on [-L_left, L_right] with 0 on the grid."""
+    if not all(math.isfinite(v) and v > 0 for v in (L_left, L_right, h)) or not math.isfinite(max(L_left, L_right) / h):
+        raise ValueError(f"lengths {L_left}, {L_right} and spacing {h} must be positive, finite and not overflow")
+    nl = round(L_left / h)
+    nr = round(L_right / h)
+    if abs(nl * h - L_left) > 1e-8 or abs(nr * h - L_right) > 1e-8:
+        raise ValueError("domain ends must be integer multiples of h")
+    return h * np.arange(-nl, nr + 1)
 
 
 def lattice_point(idx: tuple[int, ...], a_mid: tuple[float, ...], l: float) -> float:

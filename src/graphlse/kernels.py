@@ -142,19 +142,18 @@ def _grid_spacing(xs: np.ndarray, single: float) -> float:
     return dx
 
 
-def _sample(weight: complex, row, u0: Callable, z: np.ndarray) -> np.ndarray:
-    """One atom's part of eta at z: (weight/|scale|) u0((z - shift)/scale) on the
-    image (lo, hi] of its source interval, 0 elsewhere; half-open so that stacked
-    atoms define eta once at shared endpoints (the direct copy owns y = 0).  The
-    arguments are Python scalars: numpy scalars divide through a reciprocal."""
+def _image(row) -> tuple[float, float]:
+    """The ends lo < hi of an atom's image {scale y + shift : y_lo < y < y_hi}."""
     scale, shift, y_lo, y_hi = row
-    y = (z - shift) / scale
     lo, hi = sorted((scale * y_lo + shift, scale * y_hi + shift))
-    mask = (z > lo) & (z <= hi)
-    out = np.zeros(z.shape, dtype=complex)
-    if np.any(mask):
-        out[mask] = (weight / abs(scale)) * np.asarray(u0(y[mask]), dtype=complex)
-    return out
+    return lo, hi
+
+
+def _sample(weight: complex, row, u0: Callable, z: np.ndarray) -> np.ndarray:
+    """One atom's part of eta at points z of its image: (weight/|scale|) u0((z - shift)/scale).
+    The arguments are Python scalars: numpy scalars divide through a reciprocal."""
+    scale, shift = row[0], row[1]
+    return (weight / abs(scale)) * np.asarray(u0((z - shift) / scale), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ class EtaProfile:
     Read-only tables hold eta's n atoms: ``weight`` complex (n,) and ``atoms``
     float (n, 4) with rows (scale, shift, y_lo, y_hi).  Atom i contributes
     weight * integral_{y_lo}^{y_hi} k_t(X - (scale y + shift)) u0(y) dy to the
-    solution at X = a_1 x.  eta agrees with u0(y / a_1) exactly on y <= 0 (the
+    solution at X = a_1 x.  eta agrees with u0(y / a_1) exactly on y < 0 (the
     direct atom) and adds positively supported psi copies shifted along the
     Wiener lattice.  The data is not bound: ``profile(y, u0)`` reads eta at y.
     """
@@ -188,11 +187,20 @@ class EtaProfile:
             object.__setattr__(self, name, table)
 
     def __call__(self, y, u0: Callable) -> np.ndarray:
-        """eta at the points y for the initial data u0, every atom sampled where its image holds y."""
+        """eta at the points y for the initial data u0: each atom adds its value where its image holds y, half of it at an end.
+
+        Adjacent atoms share an end only up to rounding, so a point within
+        1e-12 (1 + |e|) of an image end e counts as on it; eta there is the
+        mean of its limits from the two sides.
+        """
         y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape, dtype=complex)
         for weight, row in zip(self.weight.tolist(), self.atoms.tolist()):
-            out += _sample(weight, row, u0, y)
+            lo, hi = _image(row)
+            half = np.isclose(y, lo, rtol=1e-12, atol=1e-12) | np.isclose(y, hi, rtol=1e-12, atol=1e-12)
+            mask = half | ((y > lo) & (y < hi))
+            if np.any(mask):
+                out[mask] += np.where(half[mask], 0.5, 1.0) * _sample(weight, row, u0, y[mask])
         return out
 
     def convolve(self, t: float, x, u0: Callable, support: tuple[float, float], spacing: float) -> np.ndarray:
@@ -203,7 +211,9 @@ class EtaProfile:
         for a single point) and m = ceil(dx / spacing), so every m-th lattice
         point is an observation point.  u0 is evaluated at the transported
         lattice points and taken as 0 outside ``support`` = (lo, hi); infinite
-        source intervals end at the support ends.  The rectangle sum
+        source intervals end at the support ends.  An atom whose image ends on
+        a lattice point, up to 1e-6 dz, adds half its value there, so eta at a
+        shared end is counted once.  The rectangle sum
         dz * sum_j k_t(X - z_j) eta(z_j) is one FFT product.  Raises
         ValueError, before any array is built, unless ``spacing`` is positive
         and finite and ``support`` a finite interval, and when the grid
@@ -227,8 +237,9 @@ class EtaProfile:
         y = np.stack([np.maximum(self.atoms[:, 2], lo), np.minimum(self.atoms[:, 3], hi)], axis=1)
         rows = np.flatnonzero(y[:, 0] < y[:, 1])
         z = self.atoms[rows, 0:1] * y[rows] + self.atoms[rows, 1:2]  # np.sort would page in ~0.2 MB of SIMD sort code
-        first, last = np.floor((z.min(axis=1) - z0) / dz), np.ceil((z.max(axis=1) - z0) / dz)
-        j0, j1 = int(first.min()), int(last.max())
+        # the lattice points in each image, its ends included up to rounding (1e-6 dz)
+        first, last = np.ceil((z.min(axis=1) - z0) / dz - 1e-6), np.floor((z.max(axis=1) - z0) / dz + 1e-6)
+        j0, j1 = int(first.min()), int(max(first.min(), last.max()))
         if j1 - j0 > MAX_LATTICE:
             raise ValueError(
                 f"eta needs {j1 - j0 + 1} lattice points, more than {MAX_LATTICE}; "
@@ -237,7 +248,15 @@ class EtaProfile:
         eta = np.zeros(j1 - j0 + 1, dtype=complex)
         weight, atoms = self.weight.tolist(), self.atoms.tolist()
         for i, a, b in zip(rows.tolist(), first.astype(int).tolist(), last.astype(int).tolist()):
-            eta[a - j0 : b - j0 + 1] += _sample(weight[i], atoms[i], u0, z0 + dz * np.arange(a, b + 1))
+            if a > b:
+                continue  # no lattice point in the clipped image
+            zs = z0 + dz * np.arange(a, b + 1)
+            part = _sample(weight[i], atoms[i], u0, zs)
+            # an image end on a lattice point: the atom sharing it adds the other half
+            z_lo, z_hi = _image(atoms[i])
+            part[0] *= 0.5 if abs(zs[0] - z_lo) <= 1e-6 * dz else 1.0
+            part[-1] *= 0.5 if abs(zs[-1] - z_hi) <= 1e-6 * dz else 1.0
+            eta[a - j0 : b - j0 + 1] += part
         # output i is dz * sum_j k_t((i m - j) dz) eta_j, entry len(eta) - 1 + i m
         # of the linear convolution of eta with k_t on lags -j1 .. (len(xs) - 1) m - j0
         n_out = (len(xs) - 1) * m + 1

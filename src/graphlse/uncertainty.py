@@ -195,7 +195,8 @@ class StarSharpness:
     """Chirped Gaussian family saturating the free-evolution threshold at t = 1.
 
     u0(x) = exp(-alpha x^2 - i x^2/4) on every edge evolves freely (the data
-    is even, so each component solves the whole-line problem) to
+    is even, so each component is the whole-line solution, which
+    ``kernels.solve_line`` gives exactly with the one-layer coefficient) to
 
         u(1, x) = exp(i x^2 / 4) exp(-x^2 / (16 alpha)) / sqrt(4 i alpha),
 
@@ -220,8 +221,8 @@ class StarSharpness:
 
 
 def sharp_example_star(alpha: float, n_edges: int = 3) -> StarSharpness:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, not {alpha}")
     if n_edges < 2:
         raise ValueError("a star needs at least 2 edges")
     return StarSharpness(float(alpha), int(n_edges))
@@ -268,8 +269,9 @@ class TwoStepSharpness:
 
 
 def sharp_example_two_step(a1: float, a2: float) -> TwoStepSharpness:
-    if a1 <= 0 or a2 <= 0:
-        raise ValueError("layer amplitudes must be positive")
+    for name, value in (("a1", a1), ("a2", a2)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"layer amplitude {name} must be positive and finite, not {value}")
     return TwoStepSharpness(float(a1), float(a2))
 
 

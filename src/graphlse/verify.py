@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .carleman import alpha_vectors, membership_residual, sample_zcomp
-from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma, line_grid
+from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma
 from .evolution import (
     _MAX_INTERFACES,
     _cayley_stepper,
@@ -19,7 +19,7 @@ from .evolution import (
     _pack_state,
     _star_modes,
 )
-from .exppoly import PiecewiseCoefficient, chain_lower_entries, chain_product, determinant_product, ef_recursion, invert_E
+from .exppoly import PiecewiseCoefficient, chain_lower_entries, chain_product, determinant_product, ef_recursion, invert_E, line_grid
 from .graphs import GraphState, build_regular_tree, build_star, weighted_l2_norm
 from .kernels import free_kernel, kernel_h
 from .reduction import reduction_map
@@ -179,7 +179,7 @@ def check_alpha_vectors() -> bool:
 _CHECKS = {
     "simulate": [check_unitarity, check_windowed_core, check_star_modes, check_free_line, check_free_graph],
     "kernel-compare": [check_chain_identities, check_wiener, check_kernel_free_limit, check_windowed_core, check_free_line],
-    "sharpness": [check_unitarity, check_windowed_core, check_star_modes, check_wiener, check_kernel_free_limit, check_decay_fit],
+    "sharpness": [check_wiener, check_kernel_free_limit, check_decay_fit],
     "reduce-tree": [check_unitarity, check_windowed_core, check_reduction_sigma, check_free_line, check_free_graph],
     "carleman": [check_alpha_vectors],
     "appell": [check_appell_roundtrip],

@@ -327,8 +327,9 @@ def test_decay_profile_meta_carries_fit_residuals(tmp_path):
     for key, u in (("residual_rms0", abs_u0), ("residual_rms1", abs_u1)):
         fit = fit_gaussian_decay(x, u, side="+inf", window=magnitude_window(x, u, 1e-5))
         assert float(meta[key]) == pytest.approx(fit.residual_rms, rel=1e-12, abs=1e-300)
-    assert float(meta["residual_rms0"]) < 1e-12  # the initial profile is an exact Gaussian
-    assert 0.0 < float(meta["residual_rms1"]) < 1e-2
+    # both profiles are exact Gaussians: the initial data, and u(1, .) solved exactly
+    assert float(meta["residual_rms0"]) < 1e-12
+    assert 0.0 < float(meta["residual_rms1"]) < 1e-11
 
 
 def test_determinism_excluding_timestamp(tmp_path):
@@ -472,7 +473,7 @@ def test_verify_flag(tmp_path, capsys):
 
 
 def test_verify_checks_windowed_core_for_evolving_kinds(tmp_path, capsys):
-    for kind in ("simulate", "sharpness", "reduce-tree", "kernel-compare"):
+    for kind in ("simulate", "reduce-tree", "kernel-compare"):
         assert _verify.check_windowed_core in _verify._CHECKS[kind]
     cfg = tmp_path / "exp.ini"
     cfg.write_text(STAR_SIMULATE_INI)
@@ -481,10 +482,9 @@ def test_verify_checks_windowed_core_for_evolving_kinds(tmp_path, capsys):
 
 
 def test_verify_checks_star_modes_for_star_kinds(tmp_path, capsys):
-    for kind in ("simulate", "sharpness"):
-        assert _verify.check_star_modes in _verify._CHECKS[kind]
+    assert _verify.check_star_modes in _verify._CHECKS["simulate"]
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(SHARPNESS_INI)
+    cfg.write_text(STAR_SIMULATE_INI)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
     assert "PASS check_star_modes" in capsys.readouterr().out
 
@@ -510,9 +510,11 @@ def test_verify_checks_free_graph_for_graph_kinds(tmp_path, capsys):
 
 
 def test_verify_checks_kernel_code_for_kernel_kinds(tmp_path, capsys):
-    # kernel-compare and sharpness's two-step family solve with kernels.solve_line and exppoly.invert_E
+    # kernel-compare and both sharpness families solve with kernels.solve_line and exppoly.invert_E;
+    # sharpness runs nothing else but the decay fit
     for kind in ("kernel-compare", "sharpness"):
         assert {_verify.check_wiener, _verify.check_kernel_free_limit} <= set(_verify._CHECKS[kind])
+    assert _verify._CHECKS["sharpness"] == [_verify.check_wiener, _verify.check_kernel_free_limit, _verify.check_decay_fit]
     cfg = tmp_path / "exp.ini"
     cfg.write_text(TWO_STEP_INI)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
@@ -634,27 +636,46 @@ def test_sharpness_two_step_is_the_exact_solution(tmp_path):
     assert abs(float(meta["beta_hat"]) - 1.0 / 16.0) <= 1e-9
 
 
-def test_sharpness_two_step_ignores_dt(tmp_path):
-    # a two-step run builds no stepper: without [time] it writes what it
+@pytest.mark.parametrize(
+    "ini, time_section",
+    [(TWO_STEP_INI, "[time]\ndt = 0.001\n"), (SHARPNESS_INI, "[time]\ndt = 0.002\n")],
+    ids=["two-step", "star"],
+)
+def test_sharpness_ignores_dt(tmp_path, ini, time_section):
+    # both families are exact solves: without [time] a run writes what it
     # writes with dt, apart from the config hash and the timestamp
     def body(path):
         return [l for l in path.read_text().splitlines() if not l.startswith(("# config_sha256=", "# timestamp="))]
 
-    without = TWO_STEP_INI.replace("[time]\ndt = 0.001\n", "")
+    without = ini.replace(time_section, "")
     assert "[time]" not in without
     (tmp_path / "dt").mkdir()
     (tmp_path / "no_dt").mkdir()
-    code_dt, out_dt = run_main(tmp_path / "dt", TWO_STEP_INI)
+    code_dt, out_dt = run_main(tmp_path / "dt", ini)
     code, out = run_main(tmp_path / "no_dt", without)
     assert code_dt == code == 0
     for name in ("sharpness.csv", "decay_profile.csv"):
         assert body(out / name) == body(out_dt / name)
 
 
-def test_sharpness_star_needs_dt(tmp_path, capsys):
-    code, out = run_main(tmp_path, SHARPNESS_INI.replace("[time]\ndt = 0.002\n", ""))
+def test_sharpness_star_is_the_exact_solution(tmp_path):
+    # each ray carries the free whole-line solution, solved exactly, so the
+    # fitted rate sits on its target 1/(16 alpha)
+    code, out = run_main(tmp_path, SHARPNESS_INI)
+    assert code == 0
+    _, columns, rows = read_csv(out / "sharpness.csv")
+    assert rows[0][columns.index("family")] == "star"
+    assert float(rows[0][columns.index("solver_vs_closed_rel_l2")]) <= 1e-10
+    meta, _, _ = read_csv(out / "decay_profile.csv")
+    assert abs(float(meta["beta_hat"]) - 1.0 / (16.0 * 0.25)) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_sharpness_refuses_non_finite_alpha(tmp_path, capsys, alpha):
+    # NaN once reached the solver and was reported as non-finite state values
+    code, out = run_main(tmp_path, SHARPNESS_INI.replace("alpha = 0.25", f"alpha = {alpha}"))
     assert code == 1
-    assert capsys.readouterr().err.strip() == "config error: missing required key [time] dt"
+    assert capsys.readouterr().err.strip() == f"config error: alpha must be positive and finite, not {alpha}"
     assert not list(out.glob("*.csv"))
 
 

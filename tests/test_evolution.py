@@ -819,7 +819,7 @@ def sharpness_star_modes():
 
 
 # (system, dt): c07's line, the two-layer line and the three-ray mode system
-# of the sharpness runs, and the tree of reduce-tree
+# on the sharpness configs' grid, and the tree of reduce-tree
 MARGIN_CASES = {
     "c07-line": (c07_line, 5e-4),
     "line-12-h0.0125": (fine_two_layer_line, 5e-4),
@@ -1157,7 +1157,7 @@ def test_zero_step_runs_with_a_potential_build_no_stepper(monkeypatch, star3, ve
 @pytest.mark.parametrize("t_final", [1.0, -1.0])
 @pytest.mark.parametrize("data", [symmetric, asymmetric])
 def test_free_star_norm_drift_at_sharpness_size(data, t_final):
-    # the sharpness star's grid and step: 3 x 3201 samples, 2000 steps; a phase
+    # the sharpness configs' star grid: 3 x 3201 samples, 2000 steps; a phase
     # factor that is not bit-even in the frequency drifts the symmetric run by 6.9e-15
     graph, grid = build_star(3, 40.0, 0.0125)
     st = GraphState.sample(graph, grid, data(3))

@@ -8,8 +8,8 @@ graphlse modules and no scipy, and a Carleman run never loads the
 evolution, graph, kernel or reduction code.
 
 Per kind: threshold-sweep, appell and carleman never step; a sharpness run
-on a free star takes its modes' whole run at once in sine bases and on a
-two-step line the exact kernel solve; kernel-compare and simulate on a line
+of either family is the exact kernel solve and loads no evolution or graph
+code; kernel-compare and simulate on a line
 take the free line's whole run at once (a layered line with few interfaces
 and no potential), and reduce-tree takes the whole run at once on the binary
 tree's vertex system (three vertices) and on its folded line.  None of them
@@ -59,8 +59,8 @@ def fresh_process(tmp_path, body: str, *args: str) -> dict:
 # has imported the CLI, and with those a Carleman, threshold-sweep or appell run adds
 CLI_BASE = ["graphlse", "graphlse._report", "graphlse.cli"]
 LABS = sorted([*CLI_BASE, "graphlse.carleman", "graphlse.exppoly", "graphlse.uncertainty"])
-EVOLVE = sorted([*LABS, "graphlse.evolution", "graphlse.graphs"])
-SOLVE = sorted([*EVOLVE, "graphlse.kernels"])
+KERNEL = sorted([*LABS, "graphlse.kernels"])
+SOLVE = sorted([*KERNEL, "graphlse.evolution", "graphlse.graphs"])
 
 # (id, config, scipy modules and graphlse modules loaded once that run is
 # done), in the order one process runs them: the kinds that load no scipy
@@ -69,8 +69,8 @@ CLI_KINDS = [
     ("carleman", CARLEMAN_INI, [], LABS),
     ("threshold-sweep", SWEEP_INI, [], LABS),
     ("appell", APPELL_INI, [], LABS),
-    ("sharpness-star", SHARPNESS_INI, [], EVOLVE),  # a free star takes its modes' whole run at once and builds no stepper
-    ("sharpness-two-step", TWO_STEP_INI, [], SOLVE),  # the exact kernel solve builds no stepper
+    ("sharpness-star", SHARPNESS_INI, [], KERNEL),  # each family is the exact kernel solve
+    ("sharpness-two-step", TWO_STEP_INI, [], KERNEL),
     ("kernel-compare", KERNEL_INI, [], SOLVE),  # the FD reference is a free line, run at once
     ("simulate-line", LINE_SIMULATE_INI, [], SOLVE),
     ("reduce-tree", TREE_INI, [], sorted([*SOLVE, "graphlse.reduction"])),  # three vertices: the tree's free vertex system runs at once
@@ -217,11 +217,11 @@ PUBLIC = [
     "build_regular_tree", "build_star", "kirchhoff_residual", "weighted_l2_norm",
     # evolution
     "EvolutionConfig", "TruncationGuardError", "evolve_graph", "evolve_graph_potential", "evolve_line_sigma",
-    "line_grid", "read_checkpoint", "write_checkpoint",
+    "read_checkpoint", "write_checkpoint",
     # exppoly
     "ExpPolynomial", "PiecewiseCoefficient", "WienerSeries", "alpha_prefactor", "chain_lower_entries",
-    "chain_product", "coefficients_C", "determinant_product", "ef_recursion", "invert_E", "transfer_matrix",
-    "write_series_csv",
+    "chain_product", "coefficients_C", "determinant_product", "ef_recursion", "invert_E", "line_grid",
+    "transfer_matrix", "write_series_csv",
     # kernels
     "EtaProfile", "QuadratureDomainError", "eta_profile", "free_kernel", "kernel_h", "kernel_p1k", "solve_line",
     "solve_negative_halfline",

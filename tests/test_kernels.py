@@ -467,8 +467,11 @@ def test_eta_table_refuses_bad_rows_and_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
     u0f = lambda y: np.exp(-np.asarray(y) ** 2)
-    # row 1 maps (0, 1) onto (-1, 1] by z = 1 - 2 y; row 0 owns z = -1
-    np.testing.assert_array_equal(eta(np.array([-2.0, -1.0, 0.5]), u0f), [u0f(-2.0), u0f(-1.0), 0.25j * u0f(0.25)])
+    # row 1 maps (0, 1) onto (-1, 1) by z = 1 - 2 y; at its end z = -1 it adds half, so eta
+    # there is the mean of its limits u0(-1) and u0(-1) + 0.25j u0(1) from the two sides
+    np.testing.assert_array_equal(
+        eta(np.array([-2.0, -1.0, 0.5]), u0f), [u0f(-2.0), u0f(-1.0) + 0.125j * u0f(1.0), 0.25j * u0f(0.25)]
+    )
     zero_scale = atoms.copy()
     zero_scale[1, 0] = 0.0
     with pytest.raises(ValueError, match="scale must be nonzero"):
@@ -481,6 +484,39 @@ def test_eta_table_refuses_bad_rows_and_is_read_only():
     for w, a in ((weight[:1], atoms), (weight, atoms[:, :3]), (weight[None, :], atoms), (weight, atoms.ravel())):
         with pytest.raises(ValueError, match=r"weight of shape \(n,\) and atoms of shape \(n, 4\)"):
             EtaProfile(w, a, 1.0)
+
+
+# a four-layer line whose eta rows share ends that differ in their last bits
+FOUR_LAYERS = PiecewiseCoefficient((1.0, 1.6, 0.7, 1.2), 0.8)
+
+
+def four_layer_data(y):
+    return np.exp(-(0.5 + 0.3j) * (np.asarray(y) - 1.0) ** 2)
+
+
+def test_solve_line_point_does_not_depend_on_the_grid_extent():
+    # a lattice point on a shared row end once counted twice or not at all, so
+    # x = 33.6 on the right ray read 1.90e-4 + 1.91e-4i on the grid of extent 36
+    # and 4.46e-4 + 7.62e-4i on those of extent 38 and 40
+    at = {}
+    for L in (36.0, 38.0, 40.0):
+        x = 1.6 + 0.02 * np.arange(round(L / 0.02) + 1)
+        at[L] = solve_line(four_layer_data, (-20.0, 22.0), 0.7, x, FOUR_LAYERS, 24)[1600]
+    for L in (38.0, 40.0):
+        assert abs(at[L] - at[36.0]) <= 1e-10 * abs(at[36.0])
+
+
+def test_eta_counts_shared_row_ends_once():
+    # at a row end shared by two rows up to rounding, eta is the mean of its
+    # limits from the two sides: rows of the reversed four-layer table at t = 0.7
+    eta = eta_profile(invert_E(PiecewiseCoefficient(FOUR_LAYERS.a[::-1], FOUR_LAYERS.l), 24))
+    z = eta.atoms[:, 0:1] * eta.atoms[:, 2:4] + eta.atoms[:, 1:2]
+    ends = np.unique(z[np.isfinite(z)])
+    shared = ends[1:][(np.diff(ends) > 0) & (np.diff(ends) < 1e-12)]
+    assert len(shared) > 100
+    u0 = lambda y: four_layer_data(1.6 - np.asarray(y))
+    below, on, above = (eta(shared + d, u0) for d in (-1e-7, 0.0, 1e-7))
+    assert np.max(np.abs(on - 0.5 * (below + above))) <= 1e-7
 
 
 def test_solve_halfline_vs_fd_four_layers():

@@ -192,6 +192,17 @@ def test_two_step_equal_layers_reduces_to_line_pair():
     np.testing.assert_allclose(ex.u0(x), np.exp(-(1 + 0.25j) * x**2), atol=1e-15)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_sharp_examples_refuse_bad_parameters(value):
+    # only "<= 0" was checked: NaN built a star family, and inf a two-step family with alpha = 1
+    with pytest.raises(ValueError, match=f"alpha must be positive and finite, not {value}"):
+        sharp_example_star(value, 3)
+    with pytest.raises(ValueError, match=f"layer amplitude a1 must be positive and finite, not {value}"):
+        sharp_example_two_step(value, 1.0)
+    with pytest.raises(ValueError, match=f"layer amplitude a2 must be positive and finite, not {value}"):
+        sharp_example_two_step(1.0, value)
+
+
 def test_two_step_rates():
     ex = sharp_example_two_step(1.0, 2.0)
     assert ex.alpha == 1.0 and ex.beta == pytest.approx(1.0 / 16.0)
