@@ -16,7 +16,7 @@ from graphlse import (
     evolve_line_sigma,
     invert_E,
     line_grid,
-    solve_negative_halfline,
+    solve_line,
 )
 
 a = (1.0, 2.0, 1.0)
@@ -38,6 +38,6 @@ nodes = line_grid(40.0, 40.0, 0.02)
 fd = evolve_line_sigma(u0(nodes), sigma, nodes, 1.0, EvolutionConfig(dt=5e-4))
 sel = (nodes >= -20.0) & (nodes <= 0.0)
 xs = nodes[sel]
-kernel = solve_negative_halfline((nodes, u0(nodes)), 1.0, xs, series)
+kernel = solve_line(u0, (nodes[0], nodes[-1]), 1.0, xs, series)
 err = np.sqrt(np.trapezoid(np.abs(kernel - fd[sel]) ** 2, xs) / np.trapezoid(np.abs(fd[sel]) ** 2, xs))
 print(f"kernel representation vs finite differences on [-20, 0]: rel L2 = {err:.2e}")

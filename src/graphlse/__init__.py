@@ -38,7 +38,7 @@ _HOME = {
         )),
         ("kernels", (
             "EtaProfile", "QuadratureDomainError", "eta_profile", "free_kernel", "kernel_h", "kernel_p1k",
-            "solve_line", "solve_negative_halfline",
+            "solve_line",
         )),
         ("reduction", (
             "AveragedSums", "FoldedLine", "ReductionMap", "averaged_sums", "difference_Z", "fold_to_line",

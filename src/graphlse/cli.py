@@ -242,7 +242,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
 def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     from .evolution import EvolutionConfig, evolve_line_sigma
     from .exppoly import invert_E, write_series_csv
-    from .kernels import solve_negative_halfline
+    from .kernels import solve_line
 
     sigma = _sigma(cfg)
     t_final = float(cfg.require("time", "t_final"))
@@ -250,12 +250,14 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Pat
     order = int(cfg.get("kernel", "order", 24))
     x_min = float(cfg.get("kernel", "x_min", -20.0))
     nodes = _line_nodes(cfg, 0.02)
-    u0 = _initial_fn(cfg)(nodes)
-    series = invert_E(sigma, order)
     sel = (nodes >= x_min) & (nodes <= 0.0)
+    if np.count_nonzero(sel) < 2:
+        raise ConfigError(f"[kernel] x_min = {x_min} leaves fewer than two grid points in [x_min, 0]")
     xs = nodes[sel]
-    u_kernel = solve_negative_halfline((nodes, u0), t_final, xs, series)
-    u_fd = evolve_line_sigma(u0, sigma, nodes, t_final, ecfg)[sel]
+    u0 = _initial_fn(cfg)
+    series = invert_E(sigma, order)
+    u_kernel = solve_line(u0, (nodes[0], nodes[-1]), t_final, xs, series)
+    u_fd = evolve_line_sigma(u0(nodes), sigma, nodes, t_final, ecfg)[sel]
     err = np.abs(u_kernel - u_fd)
     cmp_path = out / "kernel_compare.csv"
     write_csv(
@@ -275,7 +277,7 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Pat
 
 
 def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
-    from .exppoly import PiecewiseCoefficient, line_grid
+    from .exppoly import PiecewiseCoefficient, invert_E, line_grid
     from .kernels import solve_line
     from .uncertainty import classify_threshold, fit_gaussian_decay, magnitude_window, sharp_example_star, sharp_example_two_step
 
@@ -300,7 +302,7 @@ def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
         coefficient, mirror, family, side, rule_sigma = PiecewiseCoefficient((1.0,)), -1, "star", "+inf", ("star-free", None)
     u0 = ex.u0(x)
     # mirror = -1 solves the ray x >= 0 as its mirror image on the left ray, one convolution
-    u1 = solve_line(ex.u0, (-x[-1], x[-1]), 1.0, mirror * x[::mirror], coefficient, 0)[::mirror]
+    u1 = solve_line(ex.u0, (-x[-1], x[-1]), 1.0, mirror * x[::mirror], invert_E(coefficient, 0))[::mirror]
     fit0 = fit_gaussian_decay(x, u0, side=side, window=magnitude_window(x, u0, 1e-5))
     fit1 = fit_gaussian_decay(x, u1, side=side, window=magnitude_window(x, u1, 1e-5))
     verdict = classify_threshold(fit0.rate, fit1.rate, *rule_sigma)

@@ -10,19 +10,19 @@ first-row kernels p_t^{1,k} built from it.  On the leftmost layer (x <= 0)
 the solution is the single free convolution (k_t * eta)(a_1 x) against a
 transported source profile eta, evaluated on a uniform lattice with one FFT;
 ``EtaProfile.convolve`` samples eta from the initial data as a function with
-its support, so exact data is read at every lattice image and sampled data
-through its interpolant (``solve_negative_halfline``).  One table of source
-atoms per layer k (``_p_terms``), a complex weight and a row (scale, shift,
-y_lo, y_hi) per atom, holds the terms of p_t^{1,k}: ``kernel_p1k`` sums h_t
-over its rows, and ``eta_profile`` shifts the rows of every layer along the
-lattice to build eta's table.  For two layers eta is u0(y / a_1) on y <= 0
+its support, on the lattice of the observation grid's own spacing, so exact
+data is read at every lattice image and sampled data enters as its
+interpolant.  One table of source atoms per layer k (``_p_terms``), a complex
+weight and a row (scale, shift, y_lo, y_hi) per atom, holds the terms of
+p_t^{1,k}: ``kernel_p1k`` sums h_t over its rows, and ``eta_profile`` shifts
+the rows of every layer along the lattice to build eta's table.  For two layers eta is u0(y / a_1) on y <= 0
 and, on y > 0, (a_2 - a_1)/(a_1 + a_2) u0(-y / a_1) + 2 a_1/(a_1 + a_2)
 u0(y / a_2), so equal layers give u0(y / a).  The coefficient is the
 ``PiecewiseCoefficient`` a Wiener series was inverted for (``series.params``).
 The right ray x >= (N-2) l is the left ray of the reversed coefficient under
-x' = (N-2) l - x, so ``solve_line`` solves both rays of a whole line with the
-same convolution, the right one on reflected data; only first-row kernels
-exist, so points strictly between 0 and (N-2) l are refused.
+x' = (N-2) l - x, so ``solve_line``, the one solve, treats both rays of a
+whole line with the same convolution, the right one on reflected data; only
+first-row kernels exist, so points strictly between 0 and (N-2) l are refused.
 """
 from __future__ import annotations
 
@@ -42,13 +42,12 @@ __all__ = [
     "kernel_h",
     "kernel_p1k",
     "eta_profile",
-    "solve_negative_halfline",
     "solve_line",
 ]
 
 
 # largest tail estimate of the initial data, relative to its peak, that
-# solve_negative_halfline and solve_line accept
+# solve_line accepts
 GUARD_TOL = 1e-6
 # most lattice points EtaProfile.convolve samples eta on (c07 needs 2563)
 MAX_LATTICE = 2**24
@@ -134,9 +133,11 @@ def kernel_p1k(k: int, t: float, x, y, series: WienerSeries) -> np.ndarray:
     return out
 
 
-def _grid_spacing(xs: np.ndarray, single: float) -> float:
-    """The spacing of the increasing uniform grid xs of finite points, or ``single`` when xs is one point."""
-    dx = (xs[-1] - xs[0]) / (len(xs) - 1) if len(xs) > 1 else single
+def _grid_spacing(xs: np.ndarray) -> float:
+    """The spacing of the increasing uniform grid xs of at least two finite points."""
+    if len(xs) < 2:
+        raise ValueError("observation points must be a grid of at least two points")
+    dx = (xs[-1] - xs[0]) / (len(xs) - 1)
     if not (0 < dx < math.inf and np.all(np.isfinite(xs))) or np.any(np.abs(np.diff(xs) - dx) > 1e-9 * dx):
         raise ValueError("observation points must be finite, increasing and uniformly spaced")
     return dx
@@ -203,34 +204,27 @@ class EtaProfile:
                 out[mask] += np.where(half[mask], 0.5, 1.0) * _sample(weight, row, u0, y[mask])
         return out
 
-    def convolve(self, t: float, x, u0: Callable, support: tuple[float, float], spacing: float) -> np.ndarray:
+    def convolve(self, t: float, x, u0: Callable, support: tuple[float, float]) -> np.ndarray:
         """(k_t * eta)(front_scale * x) on an increasing uniform grid x, as one lattice convolution.
 
         eta is sampled once on the lattice z_j = front_scale * x[0] + j dz with
-        dz = front_scale * dx / m, where dx is the spacing of x (``spacing``
-        for a single point) and m = ceil(dx / spacing), so every m-th lattice
-        point is an observation point.  u0 is evaluated at the transported
-        lattice points and taken as 0 outside ``support`` = (lo, hi); infinite
-        source intervals end at the support ends.  An atom whose image ends on
-        a lattice point, up to 1e-6 dz, adds half its value there, so eta at a
-        shared end is counted once.  The rectangle sum
-        dz * sum_j k_t(X - z_j) eta(z_j) is one FFT product.  Raises
-        ValueError, before any array is built, unless ``spacing`` is positive
-        and finite and ``support`` a finite interval, and when the grid
-        spacing or eta's image spans more than MAX_LATTICE lattice steps.
+        dz = front_scale * dx, where dx is the spacing of x, so the
+        observation points are lattice points.  u0 is evaluated at the
+        transported lattice points and taken as 0 outside ``support`` =
+        (lo, hi); infinite source intervals end at the support ends.  An atom
+        whose image ends on a lattice point, up to 1e-6 dz, adds half its
+        value there, so eta at a shared end is counted once.  The rectangle
+        sum dz * sum_j k_t(X - z_j) eta(z_j) is one FFT product.  Raises
+        ValueError, before any array is built, unless ``support`` is a finite
+        interval and x a grid of at least two points, and when eta's image
+        spans more than MAX_LATTICE lattice steps.
         """
         x = np.asarray(x, dtype=float)
         xs = x.ravel()
         lo, hi = support
-        if not (0 < spacing < math.inf and -math.inf < lo < hi < math.inf):
-            raise ValueError(f"spacing {spacing} must be positive and finite, and support ({lo}, {hi}) a finite interval")
-        if xs.size == 0:
-            raise ValueError("no observation points")
-        dx = _grid_spacing(xs, spacing)
-        if dx > MAX_LATTICE * spacing:
-            raise ValueError(f"spacing {spacing} splits the grid spacing {dx} into more than {MAX_LATTICE} lattice steps")
-        m = math.ceil(dx / spacing - 1e-9)
-        dz = self.front_scale * dx / m
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"support ({lo}, {hi}) must be a finite interval")
+        dz = self.front_scale * _grid_spacing(xs)
         z0 = self.front_scale * xs[0]
 
         # each row's source interval clipped to the support, and its image's first and last lattice index
@@ -257,13 +251,12 @@ class EtaProfile:
             part[0] *= 0.5 if abs(zs[0] - z_lo) <= 1e-6 * dz else 1.0
             part[-1] *= 0.5 if abs(zs[-1] - z_hi) <= 1e-6 * dz else 1.0
             eta[a - j0 : b - j0 + 1] += part
-        # output i is dz * sum_j k_t((i m - j) dz) eta_j, entry len(eta) - 1 + i m
-        # of the linear convolution of eta with k_t on lags -j1 .. (len(xs) - 1) m - j0
-        n_out = (len(xs) - 1) * m + 1
-        kern = free_kernel(t, dz * np.arange(-j1, n_out - j0))
+        # output i is dz * sum_j k_t((i - j) dz) eta_j, entry len(eta) - 1 + i
+        # of the linear convolution of eta with k_t on lags -j1 .. len(xs) - 1 - j0
+        kern = free_kernel(t, dz * np.arange(-j1, len(xs) - j0))
         size = 1 << (len(kern) - 1).bit_length()
         full = np.fft.ifft(np.fft.fft(eta, size) * np.fft.fft(kern, size))
-        return dz * full[len(eta) - 1 : len(eta) - 1 + n_out : m].reshape(x.shape)
+        return dz * full[len(eta) - 1 : len(eta) - 1 + len(xs)].reshape(x.shape)
 
 
 def eta_profile(series: WienerSeries) -> EtaProfile:
@@ -304,65 +297,21 @@ def _check_tail(values, t: float, series: WienerSeries) -> None:
         )
 
 
-def solve_negative_halfline(
-    u0: tuple[np.ndarray, np.ndarray],
-    t: float,
-    x_grid: np.ndarray,
-    series: WienerSeries,
-) -> np.ndarray:
-    """Solution of the layered line problem at time t on observation points x <= 0.
-
-    The coefficient is the one ``series`` was inverted for, ``series.params``.
-    ``u0`` is (nodes, values) sampling the initial data on a grid that covers
-    its support, and ``x_grid`` is uniformly spaced.  The solution is the
-    single lattice convolution (k_t * eta)(a_1 x) of ``EtaProfile.convolve``
-    on the linear interpolant of the samples, with the outer nodes as its
-    support and the smallest node spacing as the lattice spacing.  The error
-    is O(h^2) from the interpolant plus O(h jump) where eta jumps, at the
-    ends of its source intervals.  Fails when the sampled data is visibly
-    truncated (boundary samples too large for the requested accuracy), and
-    refuses nodes that are not finite and strictly increasing.
-    """
-    if t == 0:
-        raise ValueError("representation is for t != 0")
-    nodes, values = (np.asarray(u0[0], dtype=float), np.asarray(u0[1], dtype=complex))
-    if nodes.shape != values.shape or nodes.ndim != 1 or len(nodes) < 2:
-        raise ValueError("u0 must be (nodes, values) arrays of equal length, at least two nodes")
-    if not np.all(np.isfinite(nodes)):
-        raise ValueError("u0 nodes must be finite")
-    if np.any(np.diff(nodes) <= 0):
-        raise ValueError("u0 nodes must be strictly increasing")
-    x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(x_grid > 1e-12):
-        raise ValueError("observation points must satisfy x <= 0")
-    _check_tail(values, t, series)
-
-    def interpolant(y):
-        return np.interp(y, nodes, values.real, 0.0, 0.0) + 1j * np.interp(y, nodes, values.imag, 0.0, 0.0)
-
-    return eta_profile(series).convolve(t, x_grid, interpolant, (nodes[0], nodes[-1]), float(np.min(np.diff(nodes))))
-
-
-def solve_line(
-    u0: Callable,
-    support: tuple[float, float],
-    t: float,
-    x,
-    params: PiecewiseCoefficient,
-    order: int,
-) -> np.ndarray:
+def solve_line(u0: Callable, support: tuple[float, float], t: float, x, series: WienerSeries) -> np.ndarray:
     """Solution of the layered line problem at time t on an increasing uniform grid x, from data as a function.
 
+    The coefficient is the one ``series`` was inverted for, ``series.params``.
     ``u0(y)`` is the initial data, taken as 0 outside ``support`` = (lo, hi),
-    and is evaluated at every lattice image, so no interpolant enters.  Points
-    x <= 0 are the left ray, (k_t * eta)(a_1 x) for the series of ``params``
-    inverted to ``order``.  Points x >= (N-2) l are the right ray: under
-    x' = (N-2) l - x they are the left ray of the reversed coefficient with
-    data u0((N-2) l - y), solved the same way and flipped back.  The lattice
-    spacing is the spacing of x.  Raises ValueError for a point strictly
-    inside (0, (N-2) l), where the first-row kernels do not reach, and
-    QuadratureDomainError when |u0| at the support ends is not small against
-    its peak on the support, sampled at that spacing.
+    and is read at every lattice image; sampled data is passed as its
+    interpolant.  Points x <= 0 are the left ray,
+    (k_t * eta)(a_1 x).  Points x >= (N-2) l are the right ray: under
+    x' = (N-2) l - x they are the left ray of the reversed coefficient, its
+    series inverted to ``series.order``, with data u0((N-2) l - y), solved the
+    same way and flipped back.  The lattice spacing is the spacing of x; a ray
+    of one point is solved with its grid neighbour.  Raises ValueError for a
+    point strictly inside (0, (N-2) l), where the first-row kernels do not
+    reach, and QuadratureDomainError when |u0| at the support ends is not
+    small against its peak on the support, sampled at that spacing.
     """
     if t == 0:
         raise ValueError("representation is for t != 0")
@@ -372,25 +321,27 @@ def solve_line(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("observation points must be a grid of at least two points")
-    dx = _grid_spacing(x, math.nan)
+    dx = _grid_spacing(x)
+    params = series.params
     edge = (params.n_layers - 2) * params.l
     tol = 1e-9 * max(1.0, abs(edge))
-    left = x <= tol
-    right = ~left & (x >= edge - tol)
-    if not np.all(left | right):
+    # x is increasing, so the left ray is a prefix of x and the right ray a suffix
+    n_left = int(np.count_nonzero(x <= tol))
+    n_right = int(np.count_nonzero(x[n_left:] >= edge - tol))
+    if n_left + n_right < len(x):
         raise ValueError(f"observation points strictly inside (0, {edge}) need kernels beyond the first row")
     n_support = math.ceil((hi - lo) / dx) + 1
     if n_support > MAX_LATTICE:
         raise ValueError(f"the support needs {n_support} samples at the grid spacing, more than {MAX_LATTICE}")
     values = u0(np.linspace(lo, hi, n_support))
     out = np.empty(len(x), dtype=complex)
-    if left.any():
-        series = invert_E(params, order)
+    if n_left:
         _check_tail(values, t, series)
-        out[left] = eta_profile(series).convolve(t, x[left], u0, (lo, hi), dx)
-    if right.any():
-        series = invert_E(PiecewiseCoefficient(params.a[::-1], params.l), order)
+        out[:n_left] = eta_profile(series).convolve(t, x[: max(n_left, 2)], u0, (lo, hi))[:n_left]
+    if n_right:
+        series = invert_E(PiecewiseCoefficient(params.a[::-1], params.l), series.order)
         _check_tail(values, t, series)
-        reflected = eta_profile(series).convolve(t, edge - x[right][::-1], lambda y: u0(edge - y), (edge - hi, edge - lo), dx)
-        out[right] = reflected[::-1]
+        reflected = edge - x[::-1]
+        ray = eta_profile(series).convolve(t, reflected[: max(n_right, 2)], lambda y: u0(edge - y), (edge - hi, edge - lo))
+        out[len(x) - n_right :] = ray[:n_right][::-1]
     return out

@@ -36,7 +36,7 @@ from graphlse import (
     sample_zcomp,
     sharp_example_star,
     sharp_example_two_step,
-    solve_negative_halfline,
+    solve_line,
     weighted_l2_norm,
 )
 from graphlse.uncertainty import magnitude_window
@@ -144,9 +144,8 @@ def test_c05_two_step_sharpness():
     rel_fd = rel_l2(fd, closed, nodes)
 
     series = invert_E(ex.sigma, 8)
-    quad = line_grid(40.0, 40.0, 0.005)
     xs = np.arange(-20.0, 0.0 + 1e-12, 0.0125)
-    half = solve_negative_halfline((quad, ex.u0(quad)), 1.0, xs, series)
+    half = solve_line(ex.u0, (-40.0, 40.0), 1.0, xs, series)
     rel_half = rel_l2(half, ex.u1(xs), xs)
 
     # fit windows stop where the scheme's dispersive noise floor (~1e-7 of
@@ -200,7 +199,7 @@ def test_c07_representation_cross_check():
     fd = evolve_line_sigma(u0(nodes), sigma, nodes, 1.0, EvolutionConfig(dt=5e-4))
     sel = (nodes >= -20.0) & (nodes <= 0.0)
     xs = nodes[sel]
-    kernel = solve_negative_halfline((nodes, u0(nodes)), 1.0, xs, series)
+    kernel = solve_line(u0, (nodes[0], nodes[-1]), 1.0, xs, series)
     rel = rel_l2(kernel, fd[sel], xs)
     record_acceptance("test_c07_representation_cross_check", f"(rel {rel:.2e}, {time.time()-t0:.1f}s)")
     assert rel <= 1e-2

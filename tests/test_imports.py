@@ -224,7 +224,6 @@ PUBLIC = [
     "transfer_matrix", "write_series_csv",
     # kernels
     "EtaProfile", "QuadratureDomainError", "eta_profile", "free_kernel", "kernel_h", "kernel_p1k", "solve_line",
-    "solve_negative_halfline",
     # reduction
     "AveragedSums", "FoldedLine", "ReductionMap", "averaged_sums", "difference_Z", "fold_to_line",
     "reduction_map", "star_sum", "write_reduction_report",

@@ -16,7 +16,6 @@ from graphlse import (
     kernel_p1k,
     line_grid,
     solve_line,
-    solve_negative_halfline,
 )
 from graphlse import kernels
 from graphlse.exppoly import ef_recursion
@@ -28,8 +27,8 @@ def rel_l2(u, v, x):
 
 
 def interpolant(nodes, values):
-    """The linear interpolant of the samples, 0 outside the nodes: the data
-    ``solve_negative_halfline`` hands to ``EtaProfile.convolve``."""
+    """The linear interpolant of the samples, 0 outside the nodes: sampled
+    data as the function ``EtaProfile.convolve`` and ``solve_line`` take."""
     return lambda y: np.interp(y, nodes, values.real, 0.0, 0.0) + 1j * np.interp(y, nodes, values.imag, 0.0, 0.0)
 
 
@@ -204,16 +203,17 @@ def test_right_ray_by_reflection_vs_fd(a, center, sides):
     u0 = lambda y: np.exp(-((np.asarray(y) - center) ** 2))
     nodes = line_grid(40.0, 40.0, 0.01)
     fd = evolve_line_sigma(u0(nodes), sigma, nodes, 1.0, EvolutionConfig(dt=5e-4))
-    # finer source sampling for the oscillatory convolution quadrature
-    quad = line_grid(40.0, 40.0, 0.005)
+    series = invert_E(sigma, 24)
     edge = (sigma.n_layers - 2) * sigma.l
     if "right" in sides:
         sel = (nodes >= edge) & (nodes <= edge + 12)
-        upos = solve_line(u0, (-40.0, 40.0), 1.0, nodes[sel], sigma, 24)
+        upos = solve_line(u0, (-40.0, 40.0), 1.0, nodes[sel], series)
         assert rel_l2(upos, fd[sel], nodes[sel]) <= 1e-3
     if "left" in sides:
         sel = (nodes <= 0) & (nodes >= -12)
-        uneg = solve_negative_halfline((quad, u0(quad)), 1.0, nodes[sel], invert_E(sigma, 24))
+        # the left ray on a lattice twice as fine for the oscillatory convolution quadrature
+        fine = np.linspace(-12.0, 0.0, 2 * np.count_nonzero(sel) - 1)
+        uneg = solve_line(u0, (-40.0, 40.0), 1.0, fine, series)[::2]
         assert rel_l2(uneg, fd[sel], nodes[sel]) <= 1e-3
 
 
@@ -223,7 +223,7 @@ def test_solve_line_two_step_family_is_exact(a1, a2):
     # 1e-14) against u(1, .) on both rays
     ex = sharp_example_two_step(a1, a2)
     x = line_grid(20.0, 20.0, 0.02)
-    u = solve_line(ex.u0, (x[0], x[-1]), 1.0, x, ex.sigma, 8)
+    u = solve_line(ex.u0, (x[0], x[-1]), 1.0, x, invert_E(ex.sigma, 8))
     for ray in (x <= 0, x >= 0):
         assert rel_l2(u[ray], ex.u1(x[ray]), x[ray]) <= 1e-10
 
@@ -232,22 +232,32 @@ def test_solve_line_refuses_points_between_the_rays(p121):
     # (0, l) is the middle layer of three, where no first-row kernel reaches
     u0 = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
     with pytest.raises(ValueError, match=r"strictly inside \(0, 1.0\)"):
-        solve_line(u0, (-30.0, 30.0), 1.0, line_grid(5.0, 5.0, 0.25), p121, 8)
+        solve_line(u0, (-30.0, 30.0), 1.0, line_grid(5.0, 5.0, 0.25), invert_E(p121, 8))
     # a grid that steps over the middle layer, both ends on it, is solved
-    assert np.all(np.isfinite(solve_line(u0, (-30.0, 30.0), 1.0, line_grid(5.0, 5.0, 1.0), p121, 8)))
+    assert np.all(np.isfinite(solve_line(u0, (-30.0, 30.0), 1.0, line_grid(5.0, 5.0, 1.0), invert_E(p121, 8))))
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.0, 2.0], [-2.0, -1.0, 0.0, 1.0]], ids=["left", "right"])
+def test_solve_line_solves_a_ray_of_one_point(s121, x):
+    # a ray of one point is solved with its grid neighbour, on the lattice of a longer grid that holds it
+    u0f = lambda y: np.exp(-((np.asarray(y) + 1.0) ** 2))
+    longer = np.arange(-4.0, 5.0)
+    full = solve_line(u0f, (-30.0, 30.0), 1.0, longer, s121)
+    got = solve_line(u0f, (-30.0, 30.0), 1.0, np.array(x), s121)
+    np.testing.assert_allclose(got, full[np.searchsorted(longer, x)], rtol=0, atol=1e-12 * np.max(np.abs(full)))
 
 
 def test_solve_line_refuses_a_support_beyond_the_lattice_cap(p121):
     # the guard samples the support at the grid spacing; 2e8 samples are refused before any is taken
     with pytest.raises(ValueError, match="more than"):
-        solve_line(lambda y: np.exp(-np.asarray(y) ** 2), (-1e6, 1e6), 1.0, np.linspace(-1.0, 0.0, 101), p121, 8)
+        solve_line(lambda y: np.exp(-np.asarray(y) ** 2), (-1e6, 1e6), 1.0, np.linspace(-1.0, 0.0, 101), invert_E(p121, 8))
 
 
 def test_solve_line_rejects_truncated_data(p121):
     # a Gaussian cut off at its support: the data dropped beyond the ends is not small
     u0 = lambda y: np.exp(-((np.asarray(y) + 1.0) ** 2))
     with pytest.raises(QuadratureDomainError):
-        solve_line(u0, (-2.0, 2.0), 1.0, np.linspace(-5.0, 0.0, 101), p121, 8)
+        solve_line(u0, (-2.0, 2.0), 1.0, np.linspace(-5.0, 0.0, 101), invert_E(p121, 8))
 
 
 def test_solve_constant_coefficient_matches_closed_form():
@@ -255,8 +265,9 @@ def test_solve_constant_coefficient_matches_closed_form():
     nodes = line_grid(30.0, 30.0, 0.01)
     alpha = 1.0
     u0 = np.exp(-alpha * nodes**2)
+    # sampled data on the lattice of its nodes, every 10th point kept
     xs = np.linspace(-8.0, 0.0, 81)
-    val = solve_negative_halfline((nodes, u0), 1.0, xs, s)
+    val = eta_profile(s).convolve(1.0, np.linspace(-8.0, 0.0, 801), interpolant(nodes, u0), (nodes[0], nodes[-1]))[::10]
     exact = np.exp(-alpha * xs**2 / (1 + 4j * alpha)) / np.sqrt(1 + 4j * alpha)
     assert rel_l2(val, exact, xs) <= 1e-6
 
@@ -267,7 +278,7 @@ def test_one_layer_solve_matches_closed_form():
     nodes = line_grid(30.0, 30.0, 0.02)
     xs = nodes[(nodes >= -20.0) & (nodes <= 0.0)]
     series = invert_E(PiecewiseCoefficient((a,), 1.0), 24)
-    val = solve_negative_halfline((nodes, np.exp(-((nodes + 3.0) ** 2))), 1.0, xs, series)
+    val = eta_profile(series).convolve(1.0, xs, interpolant(nodes, np.exp(-((nodes + 3.0) ** 2))), (nodes[0], nodes[-1]))
     z = 1.0 + 4j * a**-2
     assert np.max(np.abs(val - np.exp(-((xs + 3.0) ** 2) / z) / np.sqrt(z))) <= 1e-12
 
@@ -283,7 +294,7 @@ def test_solve_halfline_vs_fd_three_layers(p121, s121):
     u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
     nodes = line_grid(40.0, 40.0, 0.02)
     xs = nodes[(nodes >= -20.0) & (nodes <= 0.0)]
-    u_rep = solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121)
+    u_rep = eta_profile(s121).convolve(1.0, xs, interpolant(nodes, u0f(nodes)), (nodes[0], nodes[-1]))
     fd = evolve_line_sigma(u0f(nodes), p121, nodes, 1.0, EvolutionConfig(dt=5e-4))
     assert rel_l2(u_rep, fd[(nodes >= -20.0) & (nodes <= 0.0)], xs) <= 1e-2
 
@@ -292,12 +303,12 @@ def test_p_route_equals_eta_route(p121, s121):
     # the p_t^{1,k} layer sums (dense oracle) against the eta lattice
     # convolution; the oracle at h = 0.01 moves by 8e-6 from h = 0.02 and is
     # second order, so it is ~10x closer to the solution than the lattice
-    # path on its h = 0.05 nodes, which errs by 2.2e-5
+    # path on its h = 0.05 nodes (every 4th point of its lattice kept), which errs by 2.2e-5
     u0f = lambda y: np.exp(-((np.asarray(y) + 2.0) ** 2) * 0.8)
     nodes = line_grid(30.0, 30.0, 0.05)
     xs = np.linspace(-12.0, 0.0, 61)
-    route_eta = eta_profile(s121).convolve(1.0, xs, interpolant(nodes, u0f(nodes)), (nodes[0], nodes[-1]), 0.05)
-    np.testing.assert_array_equal(solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121), route_eta)
+    fine = np.linspace(-12.0, 0.0, 241)
+    route_eta = eta_profile(s121).convolve(1.0, fine, interpolant(nodes, u0f(nodes)), (nodes[0], nodes[-1]))[::4]
     route_p = dense_oracle(u0f, 1.0, xs, s121, h=0.01, reach=12.0)
     assert rel_l2(route_eta, route_p, xs) <= 5e-5
 
@@ -308,48 +319,44 @@ def test_lattice_path_matches_dense_oracle_c07(p121, s121):
     # observation point keeps the oracle cheap and the lattice unchanged)
     u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
     nodes = line_grid(40.0, 40.0, 0.02)
-    xs = nodes[(nodes >= -20.0) & (nodes <= 0.0)][::10]
-    lattice = solve_negative_halfline((nodes, u0f(nodes)), 1.0, xs, s121)
+    fine = nodes[(nodes >= -20.0) & (nodes <= 0.0)]
+    xs = fine[::10]
+    lattice = eta_profile(s121).convolve(1.0, fine, interpolant(nodes, u0f(nodes)), (nodes[0], nodes[-1]))[::10]
     oracle = dense_oracle(u0f, 1.0, xs, s121, h=0.02, reach=40.0)
     assert rel_l2(lattice, oracle, xs) <= 1e-6
 
 
+def test_solve_line_pins_the_interpolant_route_c07(s121):
+    # the exact data read at every lattice image against the same lattice on
+    # the linear interpolant of the h = 0.02 samples: they differ by 8.95e-9
+    # against a peak of 0.51, and the bound is 5 times that gap
+    u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
+    nodes = line_grid(40.0, 40.0, 0.02)
+    xs = nodes[(nodes >= -20.0) & (nodes <= 0.0)]
+    exact = solve_line(u0f, (nodes[0], nodes[-1]), 1.0, xs, s121)
+    sampled = eta_profile(s121).convolve(1.0, xs, interpolant(nodes, u0f(nodes)), (nodes[0], nodes[-1]))
+    assert np.max(np.abs(exact - sampled)) <= 5 * 8.95e-9
+
+
 def test_convolve_grid_rules(p121, s121):
-    # a single observation point reads the same lattice as the node grid it
-    # sits on; uneven and decreasing grids are refused
+    # the lattice is the grid's own spacing: one point, uneven and decreasing grids are refused
     u0f = lambda y: np.exp(-((np.asarray(y) + 2.0) ** 2))
     nodes = line_grid(20.0, 20.0, 0.05)
     eta = eta_profile(s121)
     xs = nodes[(nodes >= -5.0) & (nodes <= 0.0)]
     support = (nodes[0], nodes[-1])
-    full = eta.convolve(1.0, xs, u0f, support, 0.05)
-    np.testing.assert_allclose(eta.convolve(1.0, xs[[40]], u0f, support, 0.05), full[[40]], rtol=1e-12)
+    with pytest.raises(ValueError, match="at least two points"):
+        eta.convolve(1.0, xs[[40]], u0f, support)
     for bad in (np.array([-2.0, -1.0, -0.5]), xs[::-1]):
         with pytest.raises(ValueError, match="uniformly spaced"):
-            eta.convolve(1.0, bad, u0f, support, 0.05)
+            eta.convolve(1.0, bad, u0f, support)
 
 
 def test_solve_rejects_truncated_data(s121):
     nodes = line_grid(2.0, 2.0, 0.05)
     u0 = np.exp(-((nodes + 1.0) ** 2))  # visibly nonzero at the ends
     with pytest.raises(QuadratureDomainError):
-        solve_negative_halfline((nodes, u0), 1.0, np.array([-1.0]), s121)
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda n: n[::-1], "strictly increasing"),
-        (lambda n: np.concatenate([n[:5], n[4:]]), "strictly increasing"),
-        (lambda n: np.where(np.arange(len(n)) == 7, np.nan, n), "finite"),
-        (lambda n: n[:1], "at least two nodes"),
-    ],
-    ids=["reversed", "repeated", "nan-node", "one-node"],
-)
-def test_solve_rejects_bad_nodes(s121, edit, message):
-    nodes = edit(line_grid(30.0, 30.0, 0.05))
-    with pytest.raises(ValueError, match=message):
-        solve_negative_halfline((nodes, np.exp(-np.nan_to_num(nodes) ** 2)), 1.0, np.linspace(-4.0, 0.0, 9), s121)
+        solve_line(interpolant(nodes, u0), (nodes[0], nodes[-1]), 1.0, np.array([-1.0, -0.95]), s121)
 
 
 def test_solves_reject_non_finite_samples(p121, s121):
@@ -357,18 +364,19 @@ def test_solves_reject_non_finite_samples(p121, s121):
     u0 = np.exp(-(nodes**2)).astype(complex)
     u0[100] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        solve_negative_halfline((nodes, u0), 1.0, np.array([-1.0]), s121)
+        solve_line(interpolant(nodes, u0), (nodes[0], nodes[-1]), 1.0, np.linspace(-5.0, 0.0, 101), s121)
     spike = lambda y: np.where(np.abs(y) < 0.01, np.inf, np.exp(-np.asarray(y) ** 2))
     with pytest.raises(ValueError, match="finite"):
-        solve_line(spike, (-30.0, 30.0), 1.0, np.linspace(-5.0, 0.0, 101), p121, 8)
+        solve_line(spike, (-30.0, 30.0), 1.0, np.linspace(-5.0, 0.0, 101), invert_E(p121, 8))
 
 
 def test_solve_rejects_positive_observation(s121):
-    nodes = line_grid(30.0, 30.0, 0.05)
-    with pytest.raises(ValueError, match="x <= 0"):
-        solve_negative_halfline((nodes, np.exp(-nodes**2)), 1.0, np.array([1.0]), s121)
+    # on three layers x > 0 is refused up to the right ray x >= l
+    u0f = lambda y: np.exp(-np.asarray(y) ** 2)
+    with pytest.raises(ValueError, match=r"strictly inside \(0, 1.0\)"):
+        solve_line(u0f, (-30.0, 30.0), 1.0, np.array([0.25, 0.5]), s121)
     with pytest.raises(ValueError, match="t != 0"):
-        solve_negative_halfline((nodes, np.exp(-nodes**2)), 0.0, np.array([-1.0]), s121)
+        solve_line(u0f, (-30.0, 30.0), 0.0, np.array([-1.0, -0.5]), s121)
 
 
 def test_p1k_rejects_positive_observation(p121, s121):
@@ -377,18 +385,16 @@ def test_p1k_rejects_positive_observation(p121, s121):
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-def test_every_kernel_path_refuses_a_non_finite_time(p121, s121, t):
+def test_every_kernel_path_refuses_a_non_finite_time(s121, t):
     # each path reaches free_kernel, which refuses the time instead of returning NaN
     u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
-    nodes = line_grid(30.0, 30.0, 0.05)
     calls = [
         lambda: free_kernel(t, 0.5),
         lambda: kernel_h(t, -1.0, s121),
         lambda: kernel_p1k(1, t, -1.0, -0.5, s121),
         lambda: kernel_p1k(2, t, -1.0, 0.5, s121),
-        lambda: eta_profile(s121).convolve(t, np.linspace(-4.0, 0.0, 9), u0f, (-30.0, 30.0), 0.05),
-        lambda: solve_negative_halfline((nodes, u0f(nodes)), t, np.linspace(-4.0, 0.0, 9), s121),
-        lambda: solve_line(u0f, (-30.0, 30.0), t, np.linspace(-4.0, 0.0, 9), p121, 8),
+        lambda: eta_profile(s121).convolve(t, np.linspace(-4.0, 0.0, 9), u0f, (-30.0, 30.0)),
+        lambda: solve_line(u0f, (-30.0, 30.0), t, np.linspace(-4.0, 0.0, 9), s121),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="finite time"):
@@ -396,14 +402,12 @@ def test_every_kernel_path_refuses_a_non_finite_time(p121, s121, t):
 
 
 @pytest.mark.parametrize("bad", [-math.inf, math.nan])
-def test_solves_refuse_non_finite_observation_points(p121, s121, bad):
+def test_solves_refuse_non_finite_observation_points(s121, bad):
     # a plain ValueError: the CLI reports a QuadratureDomainError as a numerical guard
     u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
-    nodes = line_grid(30.0, 30.0, 0.05)
     for call in (
-        lambda: solve_negative_halfline((nodes, u0f(nodes)), 1.0, np.array([bad]), s121),
-        lambda: solve_negative_halfline((nodes, u0f(nodes)), 1.0, np.array([bad, -1.0, 0.0]), s121),
-        lambda: solve_line(u0f, (-30.0, 30.0), 1.0, np.array([bad, 0.0]), p121, 8),
+        lambda: solve_line(u0f, (-30.0, 30.0), 1.0, np.array([bad, -1.0, 0.0]), s121),
+        lambda: solve_line(u0f, (-30.0, 30.0), 1.0, np.array([bad, 0.0]), s121),
     ):
         with pytest.raises(ValueError, match="finite") as caught:
             call()
@@ -421,33 +425,15 @@ def test_p1k_refuses_non_finite_points(s121, bad):
 
 
 @pytest.mark.parametrize(
-    "support, spacing",
-    [
-        ((-30.0, 30.0), 0.0),
-        ((-30.0, 30.0), -0.05),
-        ((-30.0, 30.0), math.inf),
-        ((-30.0, 30.0), math.nan),
-        ((5.0, -5.0), 0.05),
-        ((1.0, 1.0), 0.05),
-        ((-math.inf, 30.0), 0.05),
-        ((-30.0, math.nan), 0.05),
-    ],
-    ids=["spacing-zero", "spacing-negative", "spacing-inf", "spacing-nan", "support-reversed", "support-empty", "support-infinite", "support-nan"],
+    "support",
+    [(5.0, -5.0), (1.0, 1.0), (-math.inf, 30.0), (-30.0, math.nan)],
+    ids=["support-reversed", "support-empty", "support-infinite", "support-nan"],
 )
-def test_convolve_refuses_a_bad_spacing_or_support(s121, support, spacing):
-    # one ValueError that names both arguments, for one point and for many
+def test_convolve_refuses_a_bad_spacing_or_support(s121, support):
+    # one ValueError that names the support
     u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
-    for xs in (np.linspace(-4.0, 0.0, 9), np.array([-1.0])):
-        with pytest.raises(ValueError, match=r"spacing .* support"):
-            eta_profile(s121).convolve(1.0, xs, u0f, support, spacing)
-
-
-@pytest.mark.parametrize("spacing", [1e-320, 1e-12])
-def test_convolve_refuses_a_spacing_finer_than_the_lattice_allows(s121, spacing):
-    # 1e-320 once overflowed in math.ceil(dx / spacing); both split the grid spacing 0.5 into over MAX_LATTICE steps
-    u0f = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
-    with pytest.raises(ValueError, match=rf"spacing {spacing} .* more than {kernels.MAX_LATTICE} lattice steps"):
-        eta_profile(s121).convolve(1.0, np.linspace(-4.0, 0.0, 9), u0f, (-30.0, 30.0), spacing)
+    with pytest.raises(ValueError, match=r"support .* must be a finite interval"):
+        eta_profile(s121).convolve(1.0, np.linspace(-4.0, 0.0, 9), u0f, support)
 
 
 @pytest.mark.parametrize("front_scale", [0.0, -1.0, math.nan, math.inf])
@@ -501,9 +487,19 @@ def test_solve_line_point_does_not_depend_on_the_grid_extent():
     at = {}
     for L in (36.0, 38.0, 40.0):
         x = 1.6 + 0.02 * np.arange(round(L / 0.02) + 1)
-        at[L] = solve_line(four_layer_data, (-20.0, 22.0), 0.7, x, FOUR_LAYERS, 24)[1600]
+        at[L] = solve_line(four_layer_data, (-20.0, 22.0), 0.7, x, invert_E(FOUR_LAYERS, 24))[1600]
     for L in (38.0, 40.0):
         assert abs(at[L] - at[36.0]) <= 1e-10 * abs(at[36.0])
+
+
+@pytest.mark.parametrize("order", [8, 24])
+def test_solve_line_right_ray_is_the_reversed_left_ray(order):
+    # x >= (N-2) l = 1.6 is the left ray of the reversed coefficient, inverted to the series' order, on reflected data
+    x = np.linspace(1.6, 9.6, 401)
+    right = solve_line(four_layer_data, (-20.0, 22.0), 0.7, x, invert_E(FOUR_LAYERS, order))
+    reversed_series = invert_E(PiecewiseCoefficient(FOUR_LAYERS.a[::-1], FOUR_LAYERS.l), order)
+    left = solve_line(lambda y: four_layer_data(1.6 - y), (1.6 - 22.0, 1.6 + 20.0), 0.7, (1.6 - x)[::-1], reversed_series)
+    np.testing.assert_array_equal(right, left[::-1])
 
 
 def test_eta_counts_shared_row_ends_once():
@@ -530,7 +526,8 @@ def test_solve_halfline_vs_fd_four_layers():
     fd = evolve_line_sigma(u0(nodes), sigma, nodes, 1.0, EvolutionConfig(dt=1e-3))
     xs = np.linspace(-10.0, 0.0, 41)
     quad = line_grid(16.0, 12.0, 0.02)
-    ker = solve_negative_halfline((quad, u0(quad)), 1.0, xs, series)
+    # the lattice at the grid spacing 0.25 split 13 ways, just under the node spacing
+    ker = eta_profile(series).convolve(1.0, np.linspace(-10.0, 0.0, 521), interpolant(quad, u0(quad)), (quad[0], quad[-1]))[::13]
     fd_xs = np.interp(xs, nodes, fd.real) + 1j * np.interp(xs, nodes, fd.imag)
     assert rel_l2(ker, fd_xs, xs) <= 1e-2
 
@@ -547,7 +544,7 @@ def test_eta_support_and_route_consistency_random_configs():
         qnodes = line_grid(24.0, 24.0, 0.1)
         xs = np.linspace(-8.0, 0.0, 17)
         eta = eta_profile(series)
-        route_eta = eta.convolve(1.0, xs, interpolant(qnodes, u0f(qnodes)), (qnodes[0], qnodes[-1]), 0.1)
+        route_eta = eta.convolve(1.0, np.linspace(-8.0, 0.0, 81), interpolant(qnodes, u0f(qnodes)), (qnodes[0], qnodes[-1]))[::5]
         # breakpoints fall between the h = 0.1 nodes: the lattice path errs by
         # 1.6e-4 to 2.0e-4, the oracle at h = 0.01 by about 2e-6
         route_p = dense_oracle(u0f, 1.0, xs, series, h=0.01, reach=10.0)
