@@ -13,21 +13,21 @@ data not small at the ends of the kernel quadrature domain).
 The default output directory comes from --out, else the config, else the
 GRAPHLSE_OUT environment variable, else ./graphlse_out.
 
-A run imports only its kind's modules.  ``import graphlse.cli`` loads numpy
-and the CSV writer and no library module; each kind's runner imports the
-modules it calls when it runs, so a Carleman sweep never loads the evolution
-or kernel code, and --verify alone loads the invariant checks.
+A run imports only its kind's modules.  ``import graphlse.cli`` loads the
+CSV writer and no numpy or library module, so --help, a usage error and a
+config refused at parse time never load numpy; each kind's runner imports
+numpy and the modules it calls when it runs, so a Carleman sweep never loads
+the evolution or kernel code, and --verify alone loads the invariant checks.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import _GuardError
 from ._report import config_hash, from_columns, write_csv
@@ -128,6 +128,8 @@ def parse_config(text: str) -> ExperimentConfig:
         sections=sections,
         text=text,
     )
+    if cfg.seed < 0:
+        raise ConfigError(f"[experiment] seed must be non-negative, got {cfg.seed}")
     for sec, key in _KIND_TABLE[cfg.kind][1]:
         cfg.require(sec, key)
     return cfg
@@ -158,6 +160,8 @@ def _build_graph(cfg: ExperimentConfig):
 
 
 def _initial_fn(cfg: ExperimentConfig):
+    import numpy as np
+
     kind = cfg.get("initial", "kind", "gaussian")
     alpha = float(cfg.get("initial", "alpha", 1.0))
     chirp = float(cfg.get("initial", "chirp", 0.0))
@@ -175,7 +179,7 @@ def _sigma(cfg: ExperimentConfig):
     return PiecewiseCoefficient(tuple(cfg.require("sigma", "values")), float(cfg.get("sigma", "spacing", 1.0)))
 
 
-def _line_nodes(cfg: ExperimentConfig, h_default: float) -> np.ndarray:
+def _line_nodes(cfg: ExperimentConfig, h_default: float):
     from .exppoly import line_grid
 
     L = float(cfg.get("sigma", "length", 40.0))
@@ -184,6 +188,8 @@ def _line_nodes(cfg: ExperimentConfig, h_default: float) -> np.ndarray:
 
 def _rel_l2(u, ref, x) -> float:
     """Trapezoid L2 norm of u - ref relative to that of ref."""
+    import numpy as np
+
     return float(np.sqrt(np.trapezoid(np.abs(u - ref) ** 2, x) / np.trapezoid(np.abs(ref) ** 2, x)))
 
 
@@ -195,12 +201,14 @@ def _write_summary(cfg: ExperimentConfig, out: Path, rows) -> Path:
 
 # ---------------------------------------------------------------------------
 # runners (one per kind); each takes (cfg, out, jobs) and returns the written
-# paths, and only the Carleman sweep uses jobs.  Each imports its kind's
-# modules itself, so a run loads no module that its kind does not call.
+# paths, and only the Carleman sweep uses jobs.  Each imports numpy and its
+# kind's modules itself, so a run loads no module that its kind does not call.
 # ---------------------------------------------------------------------------
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    import numpy as np
+
     from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma, write_checkpoint
     from .graphs import GraphState, kirchhoff_residual, weighted_l2_norm
 
@@ -240,6 +248,8 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
 
 
 def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    import numpy as np
+
     from .evolution import EvolutionConfig, evolve_line_sigma
     from .exppoly import invert_E, write_series_csv
     from .kernels import solve_line
@@ -277,6 +287,8 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Pat
 
 
 def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    import numpy as np
+
     from .exppoly import PiecewiseCoefficient, invert_E, line_grid
     from .kernels import solve_line
     from .uncertainty import classify_threshold, fit_gaussian_decay, magnitude_window, sharp_example_star, sharp_example_two_step
@@ -326,6 +338,8 @@ def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
 
 
 def _run_reduce_tree(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    import numpy as np
+
     from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma
     from .graphs import GraphState
     from .reduction import averaged_sums, fold_to_line, reduction_map, write_reduction_report
@@ -413,11 +427,13 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
         _meta(cfg),
     )
     worst = min(r[7] + r[8] for r in rows)
-    health = max(r[8] / r[7] if r[7] > 0 else np.inf for r in rows)
+    health = max(r[8] / r[7] if r[7] > 0 else math.inf for r in rows)
     return [path, _write_summary(cfg, out, [("worst_margin_plus_tol", worst), ("max_quad_error_over_margin", health)])]
 
 
 def _run_appell(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+    import numpy as np
+
     from .uncertainty import appell_transform
 
     alpha = float(cfg.require("appell", "alpha"))
@@ -597,6 +613,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--verify", action="store_true", help="run the invariant checks for the touched modules")
     try:
         args = ap.parse_args(argv)
+        if args.seed is not None and args.seed < 0:
+            ap.error(f"--seed must be non-negative, got {args.seed}")
     except SystemExit as exc:  # argparse has printed its usage message, or the help for --help
         return 0 if exc.code == 0 else 1
     try:

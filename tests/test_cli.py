@@ -353,6 +353,30 @@ def test_seed_override_changes_hashable_meta(tmp_path):
     assert "# seed=9" in text
 
 
+@pytest.mark.parametrize(
+    "base, change",
+    [
+        # a simulate run once took the seed and wrote "# seed=-3"
+        (STAR_SIMULATE_INI, ("kind = simulate\n", "kind = simulate\nseed = -3\n")),
+        # these once reached numpy's "expected non-negative integer", which names no key
+        (CARLEMAN_INI, ("seed = 1", "seed = -3")),
+        (TREE_INI, ("seed = 2", "seed = -3")),
+    ],
+    ids=["simulate", "carleman", "reduce-tree"],
+)
+def test_negative_seed_exits_1_naming_the_key(tmp_path, capsys, base, change):
+    out = _check_bad_input(tmp_path, capsys, base, change, 1, "config error: [experiment] seed must be non-negative, got -3")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base", [CARLEMAN_INI, TREE_INI], ids=["carleman", "reduce-tree"])
+def test_negative_seed_flag_exits_1_naming_the_flag(tmp_path, capsys, base):
+    code, out = run_main(tmp_path, base, ["--seed", "-2"])
+    assert code == 1
+    assert capsys.readouterr().err.endswith("graphlse: error: --seed must be non-negative, got -2\n")
+    assert not out.exists()
+
+
 def test_env_var_default_out(tmp_path, monkeypatch):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(SWEEP_INI)

@@ -2,9 +2,10 @@
 
 ``import graphlse`` loads no submodule: each public name is imported from
 its module on first access.  ``import graphlse.cli`` adds only the CSV
-writer, and each kind's runner imports the modules it calls, so the set-up
-that perfbench times (import the package, parse a config) loads three
-graphlse modules and no scipy, and a Carleman run never loads the
+writer and no numpy, and each kind's runner imports numpy and the modules
+it calls, so the set-up that perfbench times (import the package, parse a
+config) loads three graphlse modules and neither numpy nor scipy, nor do
+--help and a config refused at parse time; a Carleman run never loads the
 evolution, graph, kernel or reduction code.
 
 Per kind: threshold-sweep, appell and carleman never step; a sharpness run
@@ -114,22 +115,37 @@ def test_cli_run_loads_only_its_kinds_modules(cli_runs, kind, modules):
 
 
 def test_setup_loads_three_graphlse_modules_and_no_scipy(tmp_path):
-    # perfbench's set-up probe: import the package, then parse and validate a config
+    # perfbench's set-up probe: import the package, then parse and validate a
+    # config; then --help and a config refused at parse time, which load no numpy either
     (tmp_path / "carleman.ini").write_text(CARLEMAN_INI)
+    (tmp_path / "unknown-key.ini").write_text(CARLEMAN_INI.replace("[carleman]\n", "[carleman]\nfancy = yes\n"))
     got = fresh_process(
         tmp_path,
         """\
 import graphlse
 bare = sorted(m for m in sys.modules if m.split(".")[0] == "graphlse")
-from graphlse.cli import parse_config
+from graphlse.cli import main, parse_config
 with open(sys.argv[2]) as fh:
     parse_config(fh.read())
 setup = sorted(m for m in sys.modules if m.split(".")[0] == "graphlse")
-print(json.dumps({"bare": bare, "setup": setup, "scipy": any(m.startswith("scipy") for m in sys.modules)}))
+numpy = {"setup": "numpy" in sys.modules}
+rc = {"help": main(["--help"])}
+numpy["help"] = "numpy" in sys.modules
+rc["unknown-key"] = main(["--config", sys.argv[3], "--out", sys.argv[1] + "/never"])
+numpy["unknown-key"] = "numpy" in sys.modules
+print(json.dumps({"bare": bare, "setup": setup, "scipy": any(m.startswith("scipy") for m in sys.modules), "numpy": numpy, "rc": rc}))
 """,
         str(tmp_path / "carleman.ini"),
+        str(tmp_path / "unknown-key.ini"),
     )
-    assert got == {"bare": ["graphlse"], "setup": CLI_BASE, "scipy": False}
+    assert got == {
+        "bare": ["graphlse"],
+        "setup": CLI_BASE,
+        "scipy": False,
+        "numpy": {"setup": False, "help": False, "unknown-key": False},
+        "rc": {"help": 0, "unknown-key": 1},
+    }
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_runs_load_no_multiprocessing(cli_runs):
