@@ -13,11 +13,16 @@ data not small at the ends of the kernel quadrature domain).
 The default output directory comes from --out, else the config, else the
 GRAPHLSE_OUT environment variable, else ./graphlse_out.
 
+With --verify, each kind's runner holds its own run to the oracle of the
+path it took and to the acceptance tolerances (``_Checks``): it prints one
+PASS/FAIL line per check, adds ``verify_*`` rows to its summary.csv, and the
+run exits 1 after its CSVs are written if a check failed.
+
 A run imports only its kind's modules.  ``import graphlse.cli`` loads the
 CSV writer and no numpy or library module, so --help, a usage error and a
 config refused at parse time never load numpy; each kind's runner imports
-numpy and the modules it calls when it runs, so a Carleman sweep never loads
-the evolution or kernel code, and --verify alone loads the invariant checks.
+numpy and the modules it calls when it runs, so a Carleman sweep, checked
+or not, never loads the evolution or kernel code.
 """
 from __future__ import annotations
 
@@ -193,23 +198,57 @@ def _rel_l2(u, ref, x) -> float:
     return float(np.sqrt(np.trapezoid(np.abs(u - ref) ** 2, x) / np.trapezoid(np.abs(ref) ** 2, x)))
 
 
-def _write_summary(cfg: ExperimentConfig, out: Path, rows) -> Path:
+def _write_summary(cfg: ExperimentConfig, out: Path, rows, check) -> Path:
     path = out / "summary.csv"
-    write_csv(path, ["quantity", "value"], rows, _meta(cfg))
+    write_csv(path, ["quantity", "value"], [*rows, *(check.rows if check else ())], _meta(cfg))
     return path
 
 
-# ---------------------------------------------------------------------------
-# runners (one per kind); each takes (cfg, out, jobs) and returns the written
-# paths, and only the Carleman sweep uses jobs.  Each imports numpy and its
-# kind's modules itself, so a run loads no module that its kind does not call.
-# ---------------------------------------------------------------------------
+class _Checks:
+    """--verify's checks of one run, each a value against its acceptance tolerance.
+
+    A call prints one PASS/FAIL line with the value and the tolerance, and
+    keeps the value as a ``verify_<name>`` summary row; a NaN fails.
+    """
+
+    def __init__(self):
+        self.rows, self.failed = [], 0
+
+    def __call__(self, name: str, value: float, tol: float, strict: bool = False) -> None:
+        value = float(value)
+        ok = value < tol if strict else value <= tol
+        print(f"{'PASS' if ok else 'FAIL'} {name} {value:.3e} {'<' if strict else '<='} {tol:.3g}")
+        self.rows.append((f"verify_{name}", value))
+        self.failed += not ok
 
 
-def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+def _check_oracle(check, name: str, run, oracle, nsteps: float) -> None:
+    """A fast path's run (an array or a GraphState) against its stepped oracle (None: the run stepped, its own oracle).
+
+    The tolerance, max(1e-12, 1e-14 |nsteps|) of max|u|, lets the rounding
+    of both runs grow with the step count.
+    """
     import numpy as np
 
-    from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma, write_checkpoint
+    if oracle is None:
+        print(f"SKIP {name}: the run stepped the Cayley core, which is its own oracle")
+        return
+    got, want = (np.concatenate(getattr(u, "values", [u])) for u in (run, oracle))
+    check(name, np.max(np.abs(got - want)) / np.max(np.abs(want)), max(1e-12, 1e-14 * abs(nsteps)))
+
+
+# ---------------------------------------------------------------------------
+# runners (one per kind); each takes (cfg, out, jobs, check) and returns the
+# written paths, and only the Carleman sweep uses jobs.  check is None, or
+# the run's _Checks under --verify.  Each imports numpy and its kind's
+# modules itself, so a run loads no module that its kind does not call.
+# ---------------------------------------------------------------------------
+
+
+def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int, check) -> list[Path]:
+    import numpy as np
+
+    from .evolution import EvolutionConfig, _graph_oracle, _line_oracle, evolve_graph, evolve_line_sigma, write_checkpoint
     from .graphs import GraphState, kirchhoff_residual, weighted_l2_norm
 
     t_final = float(cfg.require("time", "t_final"))
@@ -235,6 +274,8 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
             ("kirchhoff_continuity_initial", res0.continuity),
             ("kirchhoff_flux_initial", res0.flux),
         ]
+        if check:
+            _check_oracle(check, "stepped_oracle", final, _graph_oracle(state, t_final, ecfg), t_final / ecfg.dt)
     else:
         sigma = _sigma(cfg)
         nodes = _line_nodes(cfg, 0.02)
@@ -244,13 +285,17 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
         write_csv(ck, ["x", "re_u", "im_u"], from_columns(nodes, u1.real, u1.imag), _meta(cfg))
         norm = lambda u: float(np.sqrt(np.trapezoid(np.abs(u) ** 2, nodes)))
         rows = [("norm_initial", norm(u0)), ("norm_final", norm(u1))]
-    return [ck, _write_summary(cfg, out, rows)]
+        if check:
+            _check_oracle(check, "stepped_oracle", u1, _line_oracle(u0, sigma, nodes, t_final, ecfg), t_final / ecfg.dt)
+    if check:
+        check("norm_drift", abs(rows[1][1] - rows[0][1]) / rows[0][1], 1e-10)
+    return [ck, _write_summary(cfg, out, rows, check)]
 
 
-def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int, check) -> list[Path]:
     import numpy as np
 
-    from .evolution import EvolutionConfig, evolve_line_sigma
+    from .evolution import EvolutionConfig, _line_oracle, evolve_line_sigma
     from .exppoly import invert_E, write_series_csv
     from .kernels import solve_line
 
@@ -267,7 +312,8 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Pat
     u0 = _initial_fn(cfg)
     series = invert_E(sigma, order)
     u_kernel = solve_line(u0, (nodes[0], nodes[-1]), t_final, xs, series)
-    u_fd = evolve_line_sigma(u0(nodes), sigma, nodes, t_final, ecfg)[sel]
+    u_fd_all = evolve_line_sigma(u0(nodes), sigma, nodes, t_final, ecfg)
+    u_fd = u_fd_all[sel]
     err = np.abs(u_kernel - u_fd)
     cmp_path = out / "kernel_compare.csv"
     write_csv(
@@ -283,10 +329,16 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Pat
         ("series_rho", series.rho),
         ("series_tail_bound", series.tail_bound),
     ]
-    return [cmp_path, series_path, _write_summary(cfg, out, rows)]
+    if check:
+        check("relative_l2_error", rows[0][1], 1e-2)
+        # c04's form: four periods 2 pi / (l max a) of the series, 2048 frequencies; 1e-12 is the rounding floor
+        xi = np.linspace(-1.0, 1.0, 2048) * 8.0 * np.pi / (sigma.l * max(sigma.a))
+        check("wiener_residual", series.residual_on(xi), min(1e-6, max(series.tail_bound, 1e-12)))
+        _check_oracle(check, "fd_stepped_oracle", u_fd_all, _line_oracle(u0(nodes), sigma, nodes, t_final, ecfg), t_final / ecfg.dt)
+    return [cmp_path, series_path, _write_summary(cfg, out, rows, check)]
 
 
-def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int, check) -> list[Path]:
     import numpy as np
 
     from .exppoly import PiecewiseCoefficient, invert_E, line_grid
@@ -318,29 +370,27 @@ def _run_sharpness(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     fit0 = fit_gaussian_decay(x, u0, side=side, window=magnitude_window(x, u0, 1e-5))
     fit1 = fit_gaussian_decay(x, u1, side=side, window=magnitude_window(x, u1, 1e-5))
     verdict = classify_threshold(fit0.rate, fit1.rate, *rule_sigma)
+    closed = _rel_l2(u1, ex.u1(x), x)
     path = out / "sharpness.csv"
     write_csv(
         path,
         ["family", "alpha_hat", "beta_hat", "product", "threshold", "regime", "solver_vs_closed_rel_l2"],
-        [(family, fit0.rate, fit1.rate, verdict.product, verdict.threshold, verdict.regime, _rel_l2(u1, ex.u1(x), x))],
+        [(family, fit0.rate, fit1.rate, verdict.product, verdict.threshold, verdict.regime, closed)],
         _meta(cfg),
     )
     prof_path = out / "decay_profile.csv"
-    meta = _meta(cfg)
-    meta["alpha_hat"] = fit0.rate
-    meta["beta_hat"] = fit1.rate
-    meta["intercept0"] = fit0.intercept
-    meta["intercept1"] = fit1.intercept
-    meta["residual_rms0"] = fit0.residual_rms
-    meta["residual_rms1"] = fit1.residual_rms
+    meta = {**_meta(cfg), "alpha_hat": fit0.rate, "beta_hat": fit1.rate, "intercept0": fit0.intercept,
+            "intercept1": fit1.intercept, "residual_rms0": fit0.residual_rms, "residual_rms1": fit1.residual_rms}
     write_csv(prof_path, ["x", "abs_u0", "abs_u1"], from_columns(x, np.abs(u0), np.abs(u1)), meta)
+    if check:
+        check("solver_vs_closed_rel_l2", closed, 1e-3)
     return [path, prof_path]
 
 
-def _run_reduce_tree(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+def _run_reduce_tree(cfg: ExperimentConfig, out: Path, jobs: int, check) -> list[Path]:
     import numpy as np
 
-    from .evolution import EvolutionConfig, evolve_graph, evolve_line_sigma
+    from .evolution import EvolutionConfig, _graph_oracle, _line_oracle, evolve_graph, evolve_line_sigma
     from .graphs import GraphState
     from .reduction import averaged_sums, fold_to_line, reduction_map, write_reduction_report
 
@@ -374,24 +424,27 @@ def _run_reduce_tree(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
         from_columns(folded0.nodes, w1.real, w1.imag, folded1.values.real, folded1.values.imag),
         _meta(cfg),
     )
-    return [rep, diag, _write_summary(cfg, out, [("diagram_rel_l2", rel)])]
+    if check:
+        check("diagram_rel_l2", rel, 2e-2)
+        _check_oracle(check, "tree_stepped_oracle", final, _graph_oracle(state, t_final, ecfg), t_final / ecfg.dt)
+        line = _line_oracle(folded0.values, folded0.cell_sigma, folded0.nodes, t_final, ecfg)
+        _check_oracle(check, "line_stepped_oracle", w1, line, t_final / ecfg.dt)
+    return [rep, diag, _write_summary(cfg, out, [("diagram_rel_l2", rel)], check)]
 
 
 def _carleman_rows(args):
-    """Margin rows for one (N, seed) sample over its whole (mu, eps, R) list."""
-    from .carleman import alpha_vectors, carleman_sides, sample_zcomp
+    """Margin rows for one (N, seed) sample over its whole (mu, eps, R) list, and the sample's membership residual when checked."""
+    from .carleman import carleman_sides, membership_residual, sample_zcomp
 
-    n_edges, seed, weights, nt, nx = args
+    n_edges, seed, weights, alphas, nt, nx, checked = args
     sample = sample_zcomp(n_edges, seed)
-    margins = carleman_sides(sample, weights, alpha_vectors(n_edges), nt=nt, nx=nx)
-    return [
-        (n_edges, seed, w.mu, w.eps, w.R, m.lhs, m.rhs, m.margin, m.quad_error)
-        for w, m in zip(weights, margins)
-    ]
+    margins = carleman_sides(sample, weights, alphas, nt=nt, nx=nx)
+    rows = [(n_edges, seed, w.mu, w.eps, w.R, m.lhs, m.rhs, m.margin, m.quad_error) for w, m in zip(weights, margins)]
+    return rows, max(membership_residual(sample)) if checked else None
 
 
-def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
-    from .carleman import CarlemanWeight
+def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int, check) -> list[Path]:
+    from .carleman import CarlemanWeight, alpha_vectors
 
     ns = cfg.get("carleman", "n_edges", [3, 4, 5])
     n_seeds = int(cfg.get("carleman", "n_seeds", 5))
@@ -408,7 +461,8 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
     base = int(cfg.seed)
     # CarlemanWeight refuses a non-positive or non-finite value before any task runs
     weights = [CarlemanWeight(float(mu), float(eps), float(R)) for mu in mus for eps in epss for R in rs]
-    tasks = [(int(N), base + s, weights, nt, nx) for N in ns for s in range(n_seeds)]
+    alphas = {N: alpha_vectors(N) for N in set(ns)}  # each family once per sweep, not once per task
+    tasks = [(int(N), base + s, weights, alphas[N], nt, nx, bool(check)) for N in ns for s in range(n_seeds)]
     # the pool forks all its workers up front, so never ask for more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -418,20 +472,18 @@ def _run_carleman(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
             per_task = list(pool.map(_carleman_rows, tasks))
     else:
         per_task = [_carleman_rows(t) for t in tasks]
-    rows = [row for task_rows in per_task for row in task_rows]
+    rows = [row for task_rows, _ in per_task for row in task_rows]
     path = out / "margins.csv"
-    write_csv(
-        path,
-        ["N", "seed", "mu", "eps", "R", "lhs", "rhs", "margin", "quad_error"],
-        rows,
-        _meta(cfg),
-    )
+    write_csv(path, ["N", "seed", "mu", "eps", "R", "lhs", "rhs", "margin", "quad_error"], rows, _meta(cfg))
     worst = min(r[7] + r[8] for r in rows)
     health = max(r[8] / r[7] if r[7] > 0 else math.inf for r in rows)
-    return [path, _write_summary(cfg, out, [("worst_margin_plus_tol", worst), ("max_quad_error_over_margin", health)])]
+    if check:
+        check("max_quad_error_over_margin", health, 1.0, strict=True)
+        check("membership_residual", max(residual for _, residual in per_task), 1e-12)
+    return [path, _write_summary(cfg, out, [("worst_margin_plus_tol", worst), ("max_quad_error_over_margin", health)], check)]
 
 
-def _run_appell(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+def _run_appell(cfg: ExperimentConfig, out: Path, jobs: int, check) -> list[Path]:
     import numpy as np
 
     from .uncertainty import appell_transform
@@ -462,10 +514,14 @@ def _run_appell(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
         [("roundtrip_max_err", rt), ("norm_identity_rel_err", norm_err), ("fixed_point_max_err", fix_err)],
         _meta(cfg),
     )
+    if check:
+        check("roundtrip_max_err", rt, 1e-10)
+        check("norm_identity_rel_err", norm_err, 1e-8)
+        check("fixed_point_max_err", fix_err, 1e-14)
     return [path]
 
 
-def _run_threshold_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Path]:
+def _run_threshold_sweep(cfg: ExperimentConfig, out: Path, jobs: int, check) -> list[Path]:
     from .exppoly import PiecewiseCoefficient
     from .uncertainty import classify_threshold
 
@@ -482,6 +538,8 @@ def _run_threshold_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> list[Pa
             rows.append((a, b, v.product, v.threshold, v.regime, v.rule))
     path = out / "verdicts.csv"
     write_csv(path, ["alpha", "beta", "product", "threshold", "regime", "rule"], rows, _meta(cfg))
+    if check:
+        print("SKIP threshold-sweep: its verdicts are closed-form arithmetic, with no numerical path to check")
     return [path]
 
 
@@ -498,12 +556,12 @@ _KIND_TABLE = {
 KINDS = tuple(_KIND_TABLE)
 
 
-def run_config(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> list[Path]:
-    """Run cfg's kind into out_dir; a run that raises removes the directories it made while they are empty."""
+def run_config(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1, check: _Checks | None = None) -> list[Path]:
+    """Run cfg's kind into out_dir, its checks into ``check``; a run that raises removes the directories it made while they are empty."""
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return _KIND_TABLE[cfg.kind][0](cfg, out_dir, jobs)
+        return _KIND_TABLE[cfg.kind][0](cfg, out_dir, jobs, check)
     except BaseException:
         for d in made:
             try:
@@ -610,7 +668,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
     ap.add_argument("--jobs", type=int, default=1, help="worker processes for the Carleman sweep")
-    ap.add_argument("--verify", action="store_true", help="run the invariant checks for the touched modules")
+    ap.add_argument("--verify", action="store_true", help="hold the run to its oracles and acceptance tolerances")
     try:
         args = ap.parse_args(argv)
         if args.seed is not None and args.seed < 0:
@@ -630,15 +688,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     out_dir = Path(args.out or cfg.out or os.environ.get("GRAPHLSE_OUT", "graphlse_out"))
-    if args.verify:
-        from .verify import run_checks
-
-        ok = run_checks(cfg.kind)
-        if not ok:
-            print("verification failed", file=sys.stderr)
-            return 1
+    check = _Checks() if args.verify else None
     try:
-        written = run_config(cfg, out_dir, jobs=max(1, args.jobs))
+        written = run_config(cfg, out_dir, jobs=max(1, args.jobs), check=check)
         emit_plots(out_dir)
     except _GuardError as exc:  # the guard errors of the kind modules share this base
         print(f"numerical guard: {exc}", file=sys.stderr)
@@ -651,6 +703,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     for p in written:
         print(p)
+    if check and check.failed:
+        print(f"verification failed: {check.failed} of {len(check.rows)} checks", file=sys.stderr)
+        return 1
     return 0
 
 

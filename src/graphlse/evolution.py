@@ -84,8 +84,9 @@ whenever ``_star_modes`` admits the run, a line with at most
 ``_MAX_INTERFACES`` interfaces (the nodes where the cell's (sigma, dx)
 changes; ``_free_line``) and a graph with at most ``_MAX_INTERFACES``
 vertices.  Other lines and graphs and runs with a potential step the Cayley
-core, which stays the oracle of this path.  On this path the far field holds
-round-off of about eps max|u|, not exact zeros.
+core, which stays the oracle of this path: ``_graph_oracle`` and
+``_line_oracle`` step it for a run that took a faster path.  On this path
+the far field holds round-off of about eps max|u|, not exact zeros.
 
 Potentials are applied as exact pointwise phase half-steps around the Cayley
 core, which keeps real potentials unitary and makes a spatially constant
@@ -717,6 +718,16 @@ def _evolve_graph(
     return out
 
 
+def _graph_oracle(u0: GraphState, t_final: float, cfg: EvolutionConfig) -> GraphState | None:
+    """The stepped vertex system's run of ``evolve_graph(u0, t_final, cfg)``, the oracle of its modes and free run.
+
+    None when ``evolve_graph`` steps the vertex system itself, which has no other oracle.
+    """
+    if not _star_modes(u0, None, None) and _vertex_system(u0, cfg.dt)[-1] is None:
+        return None
+    return _evolve_graph(u0, t_final, cfg, None, None, vertex_path=True)
+
+
 def evolve_graph(u0: GraphState, t_final: float, cfg: EvolutionConfig) -> GraphState:
     """Evolve i u_t + Laplacian_Gamma u = 0 to t_final, with no potential.
 
@@ -845,8 +856,8 @@ def _power_poly(mu: np.ndarray, coeffs: np.ndarray, work: np.ndarray) -> np.ndar
     return out
 
 
-class _Layer:
-    """The interior rows of one uniform layer in its sine basis: m rows, coupling g = (dt/2) sigma / h^2.
+class _Basis:
+    """The data-independent tables of a uniform chain: m interior rows, coupling g = (dt/2) sigma / h^2.
 
     With a = _sine(rows) and vertex values entering as q = s_next + s at
     each end, one Cayley step is a_next = mu a + beta S_1 (q_first +- q_last),
@@ -857,18 +868,16 @@ class _Layer:
     1) S_1 a (with the sign at the last row), so every sum over the modes
     splits into one over odd j and one over even j.  The junction terms mu,
     beta and S_1 are built on first use, so a chain that no junction reads
-    (``_free_chains`` with p = 0) builds only its phases.  work is the run's
-    workspace for blocks of powers (``_power_blocks``), None when no
-    junction reads the chain.
+    (``_free_chains`` with p = 0) builds only its phases.  Chains with the
+    same m and g share one basis.  work is the run's workspace for blocks of
+    powers (``_power_blocks``), None when no junction reads the chain.
     """
 
-    def __init__(self, rows: np.ndarray, g: float, work: np.ndarray | None):
-        m = len(rows)
+    def __init__(self, m: int, g: float, work: np.ndarray | None):
         self.g = g
         self.work = work
         self.lam = 4.0 * np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1))) ** 2
         self.theta = np.arctan(g * self.lam)
-        self.coef = _sine(rows)
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
@@ -880,10 +889,10 @@ class _Layer:
 
     @functools.cached_property
     def edge(self) -> np.ndarray:
-        m = len(self.coef)
+        m = len(self.lam)
         return np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
 
-    def _ends(self, weights, nterms):
+    def ends(self, weights, nterms):
         """(first, last): sum_j mu_j^r (2 / (m + 1)) S_1 weights_j at the first and last row, r < nterms."""
         w = (2.0 / (len(self.mu) + 1)) * self.edge * weights
         odd = _power_sums(self.mu[0::2], w[0::2], nterms, self.work)
@@ -896,20 +905,29 @@ class _Layer:
         (first row, last row); by symmetry, a unit q at the last vertex gives
         the same pair swapped.
         """
-        return self._ends(self.edge * self.beta, nterms)
+        return self.ends(self.edge * self.beta, nterms)
+
+
+class _Layer:
+    """The interior rows of one uniform chain in its sine basis (a ``_Basis``): their coefficients a."""
+
+    def __init__(self, basis: _Basis, rows: np.ndarray):
+        self.basis = basis
+        self.coef = _sine(rows)
 
     def traces(self, nterms):
         """The rows next to the vertices after r free steps from the current state, r < nterms: (first row, last row)."""
-        return self._ends(self.coef, nterms)
+        return self.basis.ends(self.coef, nterms)
 
     def advance(self, nsteps, q=None):
         """nsteps steps, the vertices entering as q[k] = (first, last) at step k (None: both zero)."""
-        coef = np.exp(-2j * nsteps * self.theta) * self.coef
+        b = self.basis
+        coef = np.exp(-2j * nsteps * b.theta) * self.coef
         if q is not None:
-            kick = np.empty(len(self.mu), dtype=complex)
-            kick[0::2] = _power_poly(self.mu[0::2], q[::-1, 0] + q[::-1, 1], self.work)
-            kick[1::2] = _power_poly(self.mu[1::2], q[::-1, 0] - q[::-1, 1], self.work)
-            coef += self.beta * self.edge * kick
+            kick = np.empty(len(b.mu), dtype=complex)
+            kick[0::2] = _power_poly(b.mu[0::2], q[::-1, 0] + q[::-1, 1], b.work)
+            kick[1::2] = _power_poly(b.mu[1::2], q[::-1, 0] - q[::-1, 1], b.work)
+            coef += b.beta * b.edge * kick
         self.coef = coef
 
     def values(self) -> np.ndarray:
@@ -946,8 +964,10 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
     The harmonic ramp (K ramp = 0: linear on each chain, Kirchhoff at the
     junctions, the data at the Dirichlet ends; none without a Dirichlet end)
     is a fixed point of the step, so the rest v is stepped with zero ends.
-    The interior rows of each chain are a ``_Layer``; a one-cell chain
-    couples its two ends directly.  The unknowns left are the junction
+    The interior rows of each chain are a ``_Layer``, and chains with the
+    same row count and coupling share one ``_Basis`` and its junction
+    response (a tree's equal rays, a star's difference modes); a one-cell
+    chain couples its two ends directly.  The unknowns left are the junction
     values s.  Their rows of A (u_next + u) = 2iM u, with the chain row next
     to each written as its free trace plus its response to the earlier q =
     s_next + s, read sum_{k <= n} R[n - k] q^k = 2iM s^n - (free traces):
@@ -981,24 +1001,32 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
         ramp_at[:p] = np.linalg.solve(G[:p, :p], flux[:p])
     s = np.zeros(p + 1, dtype=complex)  # v at the junctions; entry p, the Dirichlet ends, stays 0
     work = np.empty(3 * _BLOCK, dtype=complex) if p else None  # every layer's blocks of powers
+    bases = functools.cache(lambda m, g: _Basis(m, g, work))  # one per distinct (m, g)
     ramps, layers = [], []
     for vals, a, b, w, h in chains:
         t = np.arange(len(vals)) / (len(vals) - 1)
         ramps.append((vals[0] if a == p else ramp_at[a]) * (1.0 - t) + (vals[-1] if b == p else ramp_at[b]) * t)
         v = vals - ramps[-1]  # exactly 0 at a Dirichlet end
         s[a], s[b] = v[0], v[-1]
-        layers.append(_Layer(v[1:-1], (dt / 2.0) * w / h, work) if len(vals) > 2 else None)
+        layers.append(_Layer(bases(len(vals) - 2, (dt / 2.0) * w / h), v[1:-1]) if len(vals) > 2 else None)
     s = s[:p]
     seg = min(nsteps, _SEGMENT) if p else nsteps
     if p:
+
+        @functools.cache
+        def lagged(basis):
+            """basis's response, each lag summed with the one before it: the chain row at two successive steps, as q is."""
+            pair = basis.response(seg)
+            for f in pair:
+                f[1:] += f[:-1].copy()
+            return pair
+
         R = np.zeros((seg, p + 1, p + 1), dtype=complex)  # row and column p: the Dirichlet ends, dropped
         mass = np.zeros(p + 1)
         for layer, (vals, a, b, w, h) in zip(layers, chains):
             alpha = (dt / 2.0) * w  # the entry of A between a junction and the chain row next to it
             if layer is not None:
-                same, cross = layer.response(seg)
-                same[1:] += same[:-1].copy()  # the chain row at two successive steps, as q is
-                cross[1:] += cross[:-1].copy()
+                same, cross = lagged(layer.basis)
             for x, y in ((a, b), (b, a)):
                 mass[x] += h / 2.0
                 R[0, x, x] -= alpha
@@ -1047,8 +1075,8 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
     return out
 
 
-def _free_line(u0: np.ndarray, cells: np.ndarray, nodes: np.ndarray, dt: float, nsteps: int) -> np.ndarray | None:
-    """``nsteps`` Cayley steps of a line with no potential, layer by layer in sine bases; None if it does not qualify.
+def _free_line(cells: np.ndarray, nodes: np.ndarray):
+    """(chains, p) of a line's free run, layer by layer in sine bases (``_free_chains``); None if it does not qualify.
 
     The line splits at the interfaces, the nodes where the cell's (sigma, dx)
     changes.  A width counts as unchanged within 8 eps of the largest |node|,
@@ -1059,8 +1087,6 @@ def _free_line(u0: np.ndarray, cells: np.ndarray, nodes: np.ndarray, dt: float, 
     path graph of ``_free_chains``: layer k runs from interface k - 1 to
     interface k, the line's ends are its Dirichlet ends.
     """
-    if nsteps == 0:
-        return u0.copy()
     dx = np.diff(nodes)
     tol = 8.0 * np.finfo(float).eps * max(abs(nodes[0]), abs(nodes[-1]))
     splits = np.flatnonzero((cells[1:] != cells[:-1]) | (np.abs(np.diff(dx)) > tol)) + 1
@@ -1071,8 +1097,13 @@ def _free_line(u0: np.ndarray, cells: np.ndarray, nodes: np.ndarray, dt: float, 
     h = np.diff(nodes[ends]) / np.diff(ends)
     w = cells[ends[:-1]] / h  # each layer's coupling sigma / h
     # layer 0 starts at the Dirichlet end p, layer p ends at it
-    chains = [(np.arange(ends[k], ends[k + 1] + 1), (k - 1) % (p + 1), k, w[k], h[k]) for k in range(p + 1)]
-    return _free_chains(u0, chains, p, dt, nsteps)
+    return [(np.arange(ends[k], ends[k + 1] + 1), (k - 1) % (p + 1), k, w[k], h[k]) for k in range(p + 1)], p
+
+
+def _stepped_line(u0: np.ndarray, cells: np.ndarray, nodes: np.ndarray, dt: float, nsteps: int) -> np.ndarray:
+    """``nsteps`` steps of the Cayley core on the line, one chain Dirichlet at both ends."""
+    dx = np.diff(nodes)
+    return _cayley_stepper(len(nodes), [(np.arange(len(nodes)), 0, 0, cells / dx, dx)], 0, dt)(u0, nsteps)
 
 
 def evolve_line_sigma(
@@ -1104,17 +1135,28 @@ def evolve_line_sigma(
         raise ValueError("the state to evolve contains NaN or infinity")
     cells = _cell_sigma(sigma, nodes)
     nsteps = _n_steps(t_final, cfg.dt)
-    dt_signed = math.copysign(cfg.dt, t_final) if t_final != 0 else cfg.dt
-    u = _free_line(u0, cells, nodes, dt_signed, nsteps)
-    if u is None:
-        dx = np.diff(nodes)
-        line = [(np.arange(len(nodes)), 0, 0, cells / dx, dx)]  # one chain, Dirichlet at both ends
-        u = _cayley_stepper(len(nodes), line, 0, dt_signed)(u0, nsteps)
+    dt_signed = math.copysign(cfg.dt, t_final)
+    free = _free_line(cells, nodes)
+    if nsteps == 0:
+        u = u0.copy()
+    elif free:
+        u = _free_chains(u0, *free, dt_signed, nsteps)
+    else:
+        u = _stepped_line(u0, cells, nodes, dt_signed, nsteps)
     if cfg.boundary_guard is not None:
         cutL = nodes[0] * cfg.boundary_guard if nodes[0] < 0 else nodes[0]
         cutR = nodes[-1] * cfg.boundary_guard if nodes[-1] > 0 else nodes[-1]
         _guard_tail([(nodes, np.abs(u) ** 2, (nodes <= cutL) | (nodes >= cutR))], cfg)
     return u
+
+
+def _line_oracle(u0, sigma, nodes, t_final: float, cfg: EvolutionConfig) -> np.ndarray | None:
+    """The stepped core's run of ``evolve_line_sigma`` on these arguments, with no guard; None if that run steps it itself."""
+    nodes = np.asarray(nodes, dtype=float)
+    cells = _cell_sigma(sigma, nodes)
+    if _free_line(cells, nodes) is None:
+        return None
+    return _stepped_line(np.asarray(u0, dtype=complex), cells, nodes, math.copysign(cfg.dt, t_final), _n_steps(t_final, cfg.dt))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import runpy
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from graphlse import GraphState, build_regular_tree, kirchhoff_residual
-from graphlse import verify as _verify
 from graphlse._report import read_csv
 from graphlse.cli import KINDS, ConfigError, emit_plots, main, parse_config, run_config
 from graphlse.uncertainty import fit_gaussian_decay, magnitude_window
@@ -482,69 +482,184 @@ def test_emit_plots_missing_results(tmp_path):
         emit_plots(tmp_path)
 
 
-def test_verify_covers_exactly_the_cli_kinds():
-    assert set(_verify._CHECKS) == set(KINDS)
-    assert all(_verify._CHECKS[kind] for kind in KINDS)
+# ---------------------------------------------------------------------------
+# --verify: each run held to the oracle of its path and the acceptance
+# tolerances.  Each check is also shown to fail on a mutated path.
+# ---------------------------------------------------------------------------
+
+CHECK_LINE = re.compile(r"(PASS|FAIL) (\w+) (\S+) (<=?) (\S+)")
+
+DEPTH2_SIMULATE_INI = TREE_SIMULATE_INI.replace("lengths = 1.0", "lengths = 1.0, 0.5").replace("degrees = 2, 2", "degrees = 2, 2, 2")
+
+
+def run_verify(tmp_path, capsys, text):
+    """(exit code, {check: (verdict, value, tolerance)}, printed lines, output directory) of one --verify run."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    code, out = run_main(tmp_path, text, ["--verify"])
+    printed = capsys.readouterr()
+    lines = printed.out.splitlines()
+    checks = {m[2]: (m[1], float(m[3]), float(m[5])) for m in map(CHECK_LINE.fullmatch, lines) if m}
+    if code == 1:
+        assert printed.err == f"verification failed: {sum(v == 'FAIL' for v, *_ in checks.values())} of {len(checks)} checks\n"
+    return code, checks, lines, out
+
+
+def summary_rows(out):
+    return {row[0]: float(row[1]) for row in read_csv(out / "summary.csv")[2]}
+
+
+def skip_last_step(monkeypatch):
+    """Mutate the free path: every run taken at once takes one step fewer than it was asked."""
+    from graphlse import evolution
+
+    free = evolution._free_chains
+    monkeypatch.setattr(evolution, "_free_chains", lambda u, chains, p, dt, nsteps: free(u, chains, p, dt, nsteps - 1))
+
+
+def test_verify_covers_exactly_the_cli_kinds(tmp_path, capsys):
+    # every check of every contract run passes, the verify rows of a summary are
+    # the printed values, and the results are those of the run without --verify
+    checked = set()
+    for name, text in CONTRACT_CONFIGS.items():
+        code, checks, lines, out = run_verify(tmp_path / name, capsys, text)
+        assert code == 0, name
+        assert all(verdict == "PASS" for verdict, *_ in checks.values()), (name, lines)
+        assert all(CHECK_LINE.fullmatch(line) or line.startswith(("SKIP ", str(out))) for line in lines), name
+        if checks:
+            checked.add(parse_config(text).kind)
+        plain = tmp_path / name / "plain"
+        assert main(["--config", str(tmp_path / name / "exp.ini"), "--out", str(plain)]) == 0
+        capsys.readouterr()
+        for path in plain.glob("*.csv"):
+            (meta, columns, rows), (plain_meta, *plain_table) = read_csv(out / path.name), read_csv(path)
+            if path.name == "summary.csv":
+                verify = {f"verify_{k}": pytest.approx(v, rel=1e-3, abs=1e-300) for k, (_, v, _) in checks.items()}
+                assert {r[0]: float(r[1]) for r in rows if r[0].startswith("verify_")} == verify, name
+                rows = [r for r in rows if not r[0].startswith("verify_")]
+            del meta["timestamp"], plain_meta["timestamp"]
+            assert (meta, [columns, rows]) == (plain_meta, plain_table), (name, path.name)
+    assert checked == set(KINDS) - {"threshold-sweep"}
 
 
 def test_verify_flag(tmp_path, capsys):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(APPELL_INI)
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out), "--verify"]) == 0
-    captured = capsys.readouterr()
-    assert "PASS check_appell_roundtrip" in captured.out
+    code, checks, _, out = run_verify(tmp_path, capsys, APPELL_INI)
+    assert code == 0
+    assert {k: (v, t) for k, (v, _, t) in checks.items()} == {
+        "roundtrip_max_err": ("PASS", 1e-10),
+        "norm_identity_rel_err": ("PASS", 1e-8),
+        "fixed_point_max_err": ("PASS", 1e-14),
+    }
+    written = {row[0]: float(row[1]) for row in read_csv(out / "appell.csv")[2]}
+    assert {k: pytest.approx(value, rel=1e-3, abs=1e-300) for k, (_, value, _) in checks.items()} == written
 
 
-def test_verify_checks_windowed_core_for_evolving_kinds(tmp_path, capsys):
-    for kind in ("simulate", "reduce-tree", "kernel-compare"):
-        assert _verify.check_windowed_core in _verify._CHECKS[kind]
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(STAR_SIMULATE_INI)
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
-    assert "PASS check_windowed_core" in capsys.readouterr().out
+def test_verify_fails_an_appell_inverse_taken_forward(tmp_path, capsys, monkeypatch):
+    from graphlse import uncertainty
+
+    forward = uncertainty.appell_transform
+    monkeypatch.setattr(uncertainty, "appell_transform", lambda u, alpha, beta, direction="forward": forward(u, alpha, beta))
+    code, checks, _, out = run_verify(tmp_path, capsys, APPELL_INI)
+    assert code == 1 and (out / "appell.csv").exists()
+    assert [k for k, (verdict, *_) in checks.items() if verdict == "FAIL"] == ["roundtrip_max_err"]
 
 
-def test_verify_checks_star_modes_for_star_kinds(tmp_path, capsys):
-    assert _verify.check_star_modes in _verify._CHECKS["simulate"]
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(STAR_SIMULATE_INI)
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
-    assert "PASS check_star_modes" in capsys.readouterr().out
+def test_verify_checks_windowed_core_for_evolving_kinds(tmp_path, capsys, monkeypatch):
+    # a depth-2 tree has 7 vertices: its run steps the windowed Cayley core,
+    # its own oracle, so --verify holds it to the norm drift alone
+    from graphlse import evolution
+
+    code, checks, lines, _ = run_verify(tmp_path / "clean", capsys, DEPTH2_SIMULATE_INI)
+    assert code == 0 and list(checks) == ["norm_drift"]
+    assert lines[0] == "SKIP stepped_oracle: the run stepped the Cayley core, which is its own oracle"
+    skip_last_step(monkeypatch)  # not the path this run takes
+    assert run_verify(tmp_path / "free-mutated", capsys, DEPTH2_SIMULATE_INI)[0] == 0
+    stepper = evolution._cayley_stepper
+
+    def leaky(*args):
+        run = stepper(*args)
+        return lambda u, nsteps, phase=None: 1.001 * run(u, nsteps, phase)
+
+    monkeypatch.setattr(evolution, "_cayley_stepper", leaky)
+    code, checks, _, out = run_verify(tmp_path / "leaky", capsys, DEPTH2_SIMULATE_INI)
+    assert code == 1 and checks["norm_drift"][0] == "FAIL"
+    assert summary_rows(out)["verify_norm_drift"] == pytest.approx(checks["norm_drift"][1], rel=1e-3)
 
 
-def test_verify_checks_free_line_for_line_kinds(tmp_path, capsys):
-    # kernel-compare, simulate on a line and reduce-tree's folded line take the free line's whole run
-    for kind in ("simulate", "reduce-tree", "kernel-compare"):
-        assert _verify.check_free_line in _verify._CHECKS[kind]
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(KERNEL_INI)
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
-    assert "PASS check_free_line" in capsys.readouterr().out
+def test_verify_checks_star_modes_for_star_kinds(tmp_path, capsys, monkeypatch):
+    # a free star takes its modes' whole run at once; the stepped vertex system is its oracle
+    code, checks, _, _ = run_verify(tmp_path / "clean", capsys, STAR_SIMULATE_INI)
+    assert code == 0 and list(checks) == ["stepped_oracle", "norm_drift"]
+    assert checks["stepped_oracle"][2] == 1e-12  # 10 steps: the floor
+    skip_last_step(monkeypatch)
+    code, checks, _, out = run_verify(tmp_path / "mutated", capsys, STAR_SIMULATE_INI)
+    assert code == 1 and (out / "checkpoint.csv").exists()
+    assert {k: verdict for k, (verdict, *_) in checks.items()} == {"stepped_oracle": "FAIL", "norm_drift": "PASS"}
+    assert summary_rows(out)["verify_stepped_oracle"] == pytest.approx(checks["stepped_oracle"][1], rel=1e-3)
 
 
-def test_verify_checks_free_graph_for_graph_kinds(tmp_path, capsys):
-    # reduce-tree's binary tree (three vertices) takes its free vertex system's whole run at once
-    for kind in ("simulate", "reduce-tree"):
-        assert _verify.check_free_graph in _verify._CHECKS[kind]
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(TREE_INI)
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
-    assert "PASS check_free_graph" in capsys.readouterr().out
+def test_verify_checks_free_line_for_line_kinds(tmp_path, capsys, monkeypatch):
+    # kernel-compare's FD reference and simulate on a line take the free line's
+    # whole run at once; the stepped core is its oracle
+    for name, text, oracle in (("kernel", KERNEL_INI, "fd_stepped_oracle"), ("line", LINE_SIMULATE_INI, "stepped_oracle")):
+        code, checks, _, _ = run_verify(tmp_path / name, capsys, text)
+        assert code == 0 and checks[oracle][0] == "PASS"
+    assert checks["stepped_oracle"][2] == 1e-12
+    skip_last_step(monkeypatch)
+    code, checks, _, out = run_verify(tmp_path / "mutated", capsys, KERNEL_INI)
+    assert code == 1 and {"kernel_compare.csv", "wiener_series.csv", "summary.csv"} <= {p.name for p in out.iterdir()}
+    assert checks["fd_stepped_oracle"][::2] == ("FAIL", 5e-12)  # 500 steps
+    assert checks["wiener_residual"][0] == "PASS"
 
 
-def test_verify_checks_kernel_code_for_kernel_kinds(tmp_path, capsys):
-    # kernel-compare and both sharpness families solve with kernels.solve_line and exppoly.invert_E;
-    # sharpness runs nothing else but the decay fit
-    for kind in ("kernel-compare", "sharpness"):
-        assert {_verify.check_wiener, _verify.check_kernel_free_limit} <= set(_verify._CHECKS[kind])
-    assert _verify._CHECKS["sharpness"] == [_verify.check_wiener, _verify.check_kernel_free_limit, _verify.check_decay_fit]
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(TWO_STEP_INI)
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verify"]) == 0
-    printed = capsys.readouterr().out
-    assert "PASS check_wiener" in printed and "PASS check_kernel_free_limit" in printed
+def test_verify_checks_free_graph_for_graph_kinds(tmp_path, capsys, monkeypatch):
+    # reduce-tree's binary tree (three vertices) and its folded line each take their whole run at once
+    code, checks, _, _ = run_verify(tmp_path / "clean", capsys, TREE_INI)
+    assert code == 0 and list(checks) == ["diagram_rel_l2", "tree_stepped_oracle", "line_stepped_oracle"]
+    skip_last_step(monkeypatch)
+    code, checks, _, _ = run_verify(tmp_path / "mutated", capsys, TREE_INI)
+    # both sides of the diagram skip the same step, so only the oracles see it
+    assert code == 1 and {k: verdict for k, (verdict, *_) in checks.items()} == {
+        "diagram_rel_l2": "PASS",
+        "tree_stepped_oracle": "FAIL",
+        "line_stepped_oracle": "FAIL",
+    }
 
+
+def test_verify_checks_kernel_code_for_kernel_kinds(tmp_path, capsys, monkeypatch):
+    # both sharpness families against their closed forms, kernel-compare's series against its Wiener residual
+    from graphlse import exppoly, kernels
+
+    for name, text in (("star", SHARPNESS_INI), ("two-step", TWO_STEP_INI)):
+        code, checks, _, _ = run_verify(tmp_path / name, capsys, text)
+        assert code == 0 and list(checks) == ["solver_vs_closed_rel_l2"]
+    solve, invert = kernels.solve_line, exppoly.invert_E
+    monkeypatch.setattr(kernels, "solve_line", lambda *args: 1.01 * solve(*args))
+    code, checks, _, out = run_verify(tmp_path / "mutated", capsys, TWO_STEP_INI)
+    assert code == 1 and checks["solver_vs_closed_rel_l2"][0] == "FAIL" and (out / "sharpness.csv").exists()
+    monkeypatch.setattr(kernels, "solve_line", solve)
+    monkeypatch.setattr(exppoly, "invert_E", lambda params, K: dataclasses.replace(invert(params, K), poly=1.001 * invert(params, K).poly))
+    code, checks, _, _ = run_verify(tmp_path / "series", capsys, KERNEL_INI)
+    assert code == 1 and checks["wiener_residual"][0] == "FAIL"
+
+
+def test_verify_checks_carleman_samples_and_margins(tmp_path, capsys, monkeypatch):
+    from graphlse import carleman
+
+    code, checks, _, out = run_verify(tmp_path / "clean", capsys, CARLEMAN_INI)
+    assert code == 0 and list(checks) == ["max_quad_error_over_margin", "membership_residual"]
+    assert checks["max_quad_error_over_margin"][1] == pytest.approx(summary_rows(out)["max_quad_error_over_margin"], rel=1e-3)
+    sample = carleman.sample_zcomp
+
+    def unbalanced(n_edges, seed):
+        """The sample with a corrector whose per-edge coefficients no longer sum to zero: flux at the vertex."""
+        s = sample(n_edges, seed)
+        coeffs = s.coeffs.copy()
+        coeffs[0, -1] += 0.1
+        return dataclasses.replace(s, coeffs=coeffs)
+
+    monkeypatch.setattr(carleman, "sample_zcomp", unbalanced)
+    code, checks, _, out = run_verify(tmp_path / "mutated", capsys, CARLEMAN_INI)
+    assert code == 1 and checks["membership_residual"][0] == "FAIL" and (out / "margins.csv").exists()
 
 def test_jobs_parallel_carleman(tmp_path):
     # n_seeds = 2, so the pool gets two (N, seed) tasks; the output must not

@@ -21,11 +21,13 @@ from graphlse import (
     evolve_graph_potential,
     evolve_line_sigma,
     fold_to_line,
+    invert_E,
     kirchhoff_residual,
     line_grid,
     read_checkpoint,
     reduction_map,
     weighted_l2_norm,
+    solve_line,
     write_checkpoint,
 )
 from graphlse import evolution
@@ -1438,3 +1440,60 @@ def test_c08_tree_run_matches_stepped_vertex_system(monkeypatch):
     scale = max(np.max(np.abs(v)) for v in stepped.values)
     for a, b in zip(free.values, stepped.values):
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+
+def test_equal_chains_share_one_basis_and_junction_response(monkeypatch):
+    # the binary tree's four rays share one junction response and its two
+    # finite edges another; a free 5-star's four difference modes share one
+    # basis, its reflected mean has its own
+    calls = {"bases": 0, "responses": 0}
+    init, response = evolution._Basis.__init__, evolution._Basis.response
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(evolution._Basis, "__init__", counted("bases", init))
+    monkeypatch.setattr(evolution._Basis, "response", counted("responses", response))
+    evolve_graph(c08_tree_state(), 0.3, EvolutionConfig(dt=5e-4))
+    assert calls == {"bases": 2, "responses": 2}
+    graph, grid = build_star(5, 10.0, 0.05)
+    data = [lambda x, k=k: np.exp(-(x**2)) + k * x**2 * np.exp(-((x - 2.0) ** 2)) for k in range(5)]
+    evolve_graph(GraphState.sample(graph, grid, data), 0.1, EvolutionConfig(dt=1e-3))
+    assert calls == {"bases": 4, "responses": 2}
+
+
+# the errors of a free 3-star at h = 0.04, 0.02 and 0.01 (dt = h / 20, t = 1)
+# against its exact solution, as a share of max|u|
+STAR_EXACT_ERRORS = {0.04: 1.245e-3, 0.02: 3.113e-4, 0.01: 7.783e-5}
+
+
+def test_free_star_converges_onto_its_exact_modes():
+    """A 3-star with different data on each edge against the exact solution of its modes at t = 1.
+
+    The data is exp(-x^2) + a_k x^2 exp(-(x - 3)^2) on edge k.  The edge mean,
+    reflected evenly about the vertex, and the differences u_k - u_0,
+    reflected oddly, are free whole-line problems, each solved exactly by
+    ``solve_line`` with the one-layer coefficient (1/E = 1); edge k is the
+    mean plus (a_k - mean a) times the odd solution.  The run converges onto
+    it at O(h^2).
+    """
+    a = np.array([1.0, -0.7 + 0.4j, 0.3j])
+    bump = lambda x: np.asarray(x) ** 2 * np.exp(-((np.asarray(x) - 3.0) ** 2))
+    series = invert_E(PiecewiseCoefficient((1.0,)), 0)
+    errors = []
+    for h, pinned in STAR_EXACT_ERRORS.items():
+        graph, grid = build_star(3, 40.0, h)
+        state = GraphState.sample(graph, grid, [lambda x, ak=ak: np.exp(-np.asarray(x) ** 2) + ak * bump(x) for ak in a])
+        out = evolve_graph(state, 1.0, EvolutionConfig(dt=h / 20))
+        left = -grid.x(0)[::-1]  # the ray's mirror image: the line's left ray, one convolution
+        even = solve_line(lambda y: np.exp(-np.asarray(y) ** 2) + a.mean() * bump(np.abs(y)), (-40.0, 40.0), 1.0, left, series)
+        odd = -solve_line(lambda y: np.sign(y) * bump(np.abs(y)), (-40.0, 40.0), 1.0, left, series)
+        exact = [even[::-1] + (ak - a.mean()) * odd[::-1] for ak in a]
+        scale = max(np.max(np.abs(e)) for e in exact)
+        errors.append(max(np.max(np.abs(u - e)) for u, e in zip(out.values, exact)) / scale)
+        assert errors[-1] <= 1.1 * pinned, h
+    assert all(3.9 <= coarse / fine <= 4.1 for coarse, fine in zip(errors, errors[1:]))

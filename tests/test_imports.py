@@ -5,8 +5,9 @@ its module on first access.  ``import graphlse.cli`` adds only the CSV
 writer and no numpy, and each kind's runner imports numpy and the modules
 it calls, so the set-up that perfbench times (import the package, parse a
 config) loads three graphlse modules and neither numpy nor scipy, nor do
---help and a config refused at parse time; a Carleman run never loads the
-evolution, graph, kernel or reduction code.
+--help and a config refused at parse time; a Carleman run, checked
+(--verify) or not, never loads the evolution, graph, kernel or reduction
+code.
 
 Per kind: threshold-sweep, appell and carleman never step; a sharpness run
 of either family is the exact kernel solve and loads no evolution or graph
@@ -148,6 +149,30 @@ print(json.dumps({"bare": bare, "setup": setup, "scipy": any(m.startswith("scipy
     assert not (tmp_path / "never").exists()
 
 
+def test_verified_carleman_run_loads_only_its_kinds_modules(tmp_path):
+    # --verify's checks live in the runners, so a checked Carleman run loads what an unchecked one does
+    (tmp_path / "carleman.ini").write_text(CARLEMAN_INI)
+    got = fresh_process(
+        tmp_path,
+        """\
+import contextlib, io
+import graphlse.cli
+with contextlib.redirect_stdout(io.StringIO()) as printed:
+    rc = graphlse.cli.main(["--config", sys.argv[2], "--out", sys.argv[1] + "/out", "--verify"])
+checks = [line.split()[:2] for line in printed.getvalue().splitlines() if line.startswith(("PASS", "FAIL"))]
+graphlse = sorted(m for m in sys.modules if m.split(".")[0] == "graphlse")
+print(json.dumps({"rc": rc, "checks": checks, "graphlse": graphlse, "scipy": any(m.startswith("scipy") for m in sys.modules)}))
+""",
+        str(tmp_path / "carleman.ini"),
+    )
+    assert got == {
+        "rc": 0,
+        "checks": [["PASS", "max_quad_error_over_margin"], ["PASS", "membership_residual"]],
+        "graphlse": LABS,
+        "scipy": False,
+    }
+
+
 def test_cli_runs_load_no_multiprocessing(cli_runs):
     # the process pool is imported only when a Carleman run asks for --jobs > 1
     assert cli_runs["pool"] == {"multiprocessing": False, "concurrent.futures.process": False}
@@ -274,12 +299,12 @@ def test_package_loads_a_module_on_first_use(tmp_path):
 import graphlse
 graphlse.free_kernel
 kernel = sorted(m for m in sys.modules if m.split(".")[0] == "graphlse")
-from graphlse import evolution, verify
-print(json.dumps({"kernel": kernel, "submodules": [evolution.__name__, verify.__name__]}))
+from graphlse import evolution, reduction
+print(json.dumps({"kernel": kernel, "submodules": [evolution.__name__, reduction.__name__]}))
 """,
     )
     # kernels imports exppoly (the layer coefficient), which writes its series through _report
-    assert got == {"kernel": ["graphlse", "graphlse._report", "graphlse.exppoly", "graphlse.kernels"], "submodules": ["graphlse.evolution", "graphlse.verify"]}
+    assert got == {"kernel": ["graphlse", "graphlse._report", "graphlse.exppoly", "graphlse.kernels"], "submodules": ["graphlse.evolution", "graphlse.reduction"]}
 
 
 def test_guard_errors_share_one_base():

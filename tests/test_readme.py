@@ -2,11 +2,14 @@
 
 Each test reads one statement of the README (the kind table, the section
 keys, the file formats, the INI examples, the quick tour, the demo list,
-the sigma convention and the docstrings the numerical conventions name) and
-compares it with what the code does.  The CSVs are those of one run of each
-``CONTRACT_CONFIGS`` entry, the configs of ``test_output_contract``.
+the sigma convention, the --verify checks and the docstrings the numerical
+conventions name) and compares it with what the code does.  The CSVs are
+those of one run of each ``CONTRACT_CONFIGS`` entry, the configs of
+``test_output_contract``, and the checks those of one --verify run of each.
 """
+import contextlib
 import importlib
+import io
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +18,7 @@ import pytest
 
 from graphlse import cli
 from graphlse._report import read_csv
-from test_cli import CONTRACT_CONFIGS
+from test_cli import CHECK_LINE, CONTRACT_CONFIGS
 
 ROOT = Path(__file__).resolve().parents[1]
 # the meta lines every result CSV carries, before and after its own
@@ -166,3 +169,36 @@ def test_numerical_conventions_name_documented_objects():
             for part in attr.split(".") if attr else ():
                 obj = getattr(obj, part)
             assert (obj.__doc__ or "").strip(), name
+
+
+@pytest.fixture(scope="module")
+def verified(tmp_path_factory):
+    """(config, printed check lines, summary rows) of one --verify run of each contract config."""
+    out = {}
+    for name, text in CONTRACT_CONFIGS.items():
+        root = tmp_path_factory.mktemp(f"verify-{name}")
+        (root / "exp.ini").write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert cli.main(["--config", str(root / "exp.ini"), "--out", str(root / "out"), "--verify"]) == 0
+        checks = [m.groups() for m in map(CHECK_LINE.fullmatch, printed.getvalue().splitlines()) if m]
+        summary = root / "out" / "summary.csv"
+        out[name] = (cli.parse_config(text), checks, {r[0]: float(r[1]) for r in read_csv(summary)[2]} if summary.exists() else {})
+    return out
+
+
+def test_verify_table_is_the_checks_the_runs_print(verified):
+    listed = {}
+    for kind, check, passes, _ in table("Command line", ("kind", "check", "passes when", "compares")):
+        op, bound = re.fullmatch(r"`value (<=?) (.+)`", passes).groups()
+        listed.setdefault(spans(kind)[0], []).append((spans(check)[0], op, bound))
+    checked = set()
+    for cfg, checks, summary in verified.values():
+        want = listed.get(cfg.kind, [])
+        assert [(name, op) for _, name, _, op, _ in checks] == [(name, op) for name, op, _ in want], cfg.kind
+        if checks:
+            checked.add(cfg.kind)
+        nsteps = cfg.get("time", "t_final", 0.0) / cfg.get("time", "dt", 1.0)
+        scope = {"max": max, "min": min, "nsteps": nsteps, "tail_bound": summary.get("series_tail_bound")}
+        for (_, name, _, _, tol), (_, _, bound) in zip(checks, want):
+            assert float(tol) == pytest.approx(eval(bound, scope), rel=5e-3), (cfg.kind, name)
+    assert set(listed) == checked
