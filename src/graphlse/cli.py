@@ -1,17 +1,19 @@
 """Batch experiment runner.
 
-Experiments are described by INI files (flat sections, hand-editable) and
-produce CSV artifacts with provenance headers, next to ``plot_results.py``:
-the same matplotlib script for every run, which draws the figures whose
-CSVs are present.  Exit codes: 0 success, 1 a usage error, invalid
-configuration, missing inputs or outputs that cannot be written, 2 a
-numerical guard tripped (overflow, wavefront reached the boundary, initial
-data not small at the ends of the kernel quadrature domain).
+Experiments are described by INI files (flat sections, hand-editable).  A
+run writes its result CSVs, each with a provenance header, and nothing else,
+and prints their paths.  Exit codes: 0 success, 1 a usage error (a negative
+--seed or a --jobs below 1 among them), a config file that cannot be read or
+is not UTF-8 text, invalid configuration, missing inputs or outputs that
+cannot be written, 2 a numerical guard tripped (overflow, wavefront reached
+the boundary, initial data not small at the ends of the kernel quadrature
+domain).
 
     graphlse --config exp.ini [--out DIR] [--seed N] [--jobs N] [--verify]
 
 The default output directory comes from --out, else the config, else the
-GRAPHLSE_OUT environment variable, else ./graphlse_out.
+GRAPHLSE_OUT environment variable, else ./graphlse_out; an empty value of
+any of the three counts as unset.
 
 With --verify, each kind's runner holds its own run to the oracle of the
 path it took and to the acceptance tolerances (``_Checks``): it prints one
@@ -572,92 +574,6 @@ def run_config(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1, check: _Chec
 
 
 # ---------------------------------------------------------------------------
-# plot script emission
-# ---------------------------------------------------------------------------
-
-# the same script for every run: it reads the CSVs next to it when it runs
-_PLOT_SCRIPT = r'''#!/usr/bin/env python3
-"""Plot the graphlse result CSVs next to this script: each figure whose CSV is present."""
-import math
-import os
-
-import matplotlib.pyplot as plt
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-
-
-def load(name):
-    """(meta, cols) of a CSV here: its '# key=value' lines and its columns by header; ({}, None) if absent."""
-    path = os.path.join(HERE, name)
-    if not os.path.exists(path):
-        return {}, None
-    meta, rows = {}, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key] = value
-            else:
-                rows.append(line.split(","))
-    return meta, {h: [r[i] for r in rows[1:]] for i, h in enumerate(rows[0])}
-
-
-def num(values):
-    return [float(v) for v in values]
-
-
-if cols := load("kernel_compare.csv")[1]:
-    x = num(cols["x"])
-    plt.figure(); plt.plot(x, num(cols["re_kernel"]), label="kernel Re")
-    plt.plot(x, num(cols["re_fd"]), "--", label="fd Re")
-    plt.legend(); plt.xlabel("x"); plt.title("transfer-matrix vs finite differences")
-    plt.figure(); plt.semilogy(x, [max(v, 1e-18) for v in num(cols["abs_err"])])
-    plt.xlabel("x"); plt.title("pointwise error")
-
-if cols := load("checkpoint.csv")[1] or load("line_state.csv")[1]:
-    plt.figure(); plt.plot(num(cols["x"]), num(cols["re_u"]), ".", ms=2); plt.xlabel("x"); plt.title("Re u")
-
-if cols := load("sharpness.csv")[1]:
-    print("sharpness:", cols)
-
-meta, cols = load("decay_profile.csv")
-if cols:
-    x2 = [v * v for v in num(cols["x"])]
-    for name, rate_key, icpt_key in (("abs_u0", "alpha_hat", "intercept0"), ("abs_u1", "beta_hat", "intercept1")):
-        pts = [(a, math.log(m)) for a, m in zip(x2, num(cols[name])) if m > 1e-13]
-        rate, icpt = float(meta[rate_key]), float(meta[icpt_key])
-        plt.figure(); plt.plot([a for a, _ in pts], [b for _, b in pts], ".", ms=2, label=name)
-        xs = sorted(a for a, _ in pts)
-        plt.plot(xs, [icpt - rate * a for a in xs], "r-", label=f"fit rate {rate:.4f}")
-        plt.xlabel("x^2"); plt.ylabel("log |u|"); plt.legend()
-
-if cols := load("margins.csv")[1]:
-    plt.figure(); plt.plot(sorted(num(cols["margin"])), "."); plt.axhline(0, color="k", lw=0.5)
-    plt.ylabel("rhs - lhs"); plt.title("Carleman margins (sorted)")
-
-if cols := load("diagram.csv")[1]:
-    x = num(cols["x"])
-    plt.figure(); plt.plot(x, num(cols["re_fold_then_evolve"]), label="fold then evolve")
-    plt.plot(x, num(cols["re_evolve_then_fold"]), "--", label="evolve then fold"); plt.legend()
-
-if cols := load("verdicts.csv")[1]:
-    print("threshold verdicts:", list(zip(cols["alpha"], cols["beta"], cols["regime"])))
-
-plt.show()
-'''
-
-
-def emit_plots(out_dir: Path) -> Path:
-    """Write ``plot_results.py`` (``_PLOT_SCRIPT``) into out_dir, which must hold a result CSV."""
-    if next(out_dir.glob("*.csv"), None) is None:
-        raise FileNotFoundError(f"no result CSVs in {out_dir}")
-    path = out_dir / "plot_results.py"
-    path.write_text(_PLOT_SCRIPT)
-    return path
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -673,12 +589,17 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
         if args.seed is not None and args.seed < 0:
             ap.error(f"--seed must be non-negative, got {args.seed}")
+        if args.jobs < 1:
+            ap.error(f"--jobs must be at least 1, got {args.jobs}")
     except SystemExit as exc:  # argparse has printed its usage message, or the help for --help
         return 0 if exc.code == 0 else 1
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.config} is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     try:
         cfg = parse_config(text)
@@ -687,11 +608,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.seed is not None:
         cfg.seed = args.seed
-    out_dir = Path(args.out or cfg.out or os.environ.get("GRAPHLSE_OUT", "graphlse_out"))
+    out_dir = Path(args.out or cfg.out or os.environ.get("GRAPHLSE_OUT") or "graphlse_out")
     check = _Checks() if args.verify else None
     try:
-        written = run_config(cfg, out_dir, jobs=max(1, args.jobs), check=check)
-        emit_plots(out_dir)
+        written = run_config(cfg, out_dir, jobs=args.jobs, check=check)
     except _GuardError as exc:  # the guard errors of the kind modules share this base
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2
