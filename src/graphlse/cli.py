@@ -583,7 +583,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--config", required=True, help="experiment INI file")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes for the Carleman sweep")
+    ap.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for the Carleman sweep; above 1, pin BLAS to one thread "
+        "(OPENBLAS_NUM_THREADS=1), or each worker inherits its thread pool and the sweep runs slower than with 1",
+    )
     ap.add_argument("--verify", action="store_true", help="hold the run to its oracles and acceptance tolerances")
     try:
         args = ap.parse_args(argv)

@@ -73,13 +73,20 @@ the vertex), and the steps of a uniform chain are diagonal in its sine
 basis, so the only unknowns left are the junction values.  The rows of A at
 the junctions, with each chain row next to one written as its free trace
 plus its response to the earlier junction values, are a recurrence with the
-same coefficients at every step.  Its solution is one FFT convolution per
-run of up to ``_SEGMENT`` steps, after which each chain takes all the run's
-steps at once (``_free_chains``).  Sums of powers of each chain's step
-factors, a few matrix products, replace nsteps sweeps, so such runs build
-no stepper and load no scipy.  A run with junctions allocates one workspace
-for its blocks of powers (``_power_blocks``), which every block of every
-chain reuses, so the blocks map no fresh pages.  A star's modes qualify
+same coefficients at every step.  Its inverse series comes once per run
+from a relaxed divide and conquer (``_series_inverse``: products with the
+first leaf's inverse, and FFT products between halves), and its solution
+is one FFT convolution per run of up to ``_SEGMENT`` steps, after which
+each chain takes all the run's steps at once (``_free_chains``).  Sums of
+powers of each chain's step factors, a few matrix products, replace nsteps
+sweeps, so such runs build no stepper and load no scipy.  Chains with the
+same row count and coupling share one basis, and one pass over its blocks
+of powers (``_Basis.sweep``) per segment end serves them all: the first
+gives the junction response and the first traces, each later one advances
+every chain on the basis and takes its next traces.  A run with junctions
+allocates one workspace for its blocks of powers (``_power_blocks``),
+which every block of every pass reuses, so the blocks map no fresh pages
+and no table outlives its block.  A star's modes qualify
 whenever ``_star_modes`` admits the run, a line with at most
 ``_MAX_INTERFACES`` interfaces (the nodes where the cell's (sigma, dx)
 changes; ``_free_line``) and a graph with at most ``_MAX_INTERFACES``
@@ -779,17 +786,22 @@ def _cell_sigma(sigma, nodes) -> np.ndarray:
 
 # A free line with more interfaces than this, or a free graph with more
 # vertices, steps the Cayley core instead of taking the whole run at once
-# (``_free_chains``), whose junction response costs about p^3 _SEGMENT^2 / 2
-# for p junctions.  Measured on a 2-core x86 VM with one BLAS thread, 2000
-# steps: on a 4001-node line the whole run took 15-30% of the stepped time
-# with 1 to 4 interfaces, 55% with 6 and 80-95% with 8; on a 201-node line
-# 78-85% with 2 and 1.4-1.5 times with 4.  c07's line has 2 interfaces, the
-# depth-2 fold of a binary tree 4, the binary tree 3 vertices and the depth-2
-# binary tree 7.
+# (``_free_chains``).  Measured on a 2-core x86 VM with one BLAS thread, 2000
+# steps at dt = 5e-4: on a 201-node line the whole run took 45% of the
+# stepped time with 2 interfaces, 80% with 4, 1.8 times with 6 and 2.2 with
+# 8; on a 4001-node line 14%, 20%, 25% and 40%.  The cap stays 4 until the
+# free path's round-off at large dt/h is settled.  c07's line has 2
+# interfaces, the depth-2 fold of a binary tree 4, the binary tree 3
+# vertices and the depth-2 binary tree 7.
 _MAX_INTERFACES = 4
 # Steps per segment of ``_free_chains``: the junction response is computed once
 # for this many steps, and longer runs restart from the state at each end.
 _SEGMENT = 1024
+# Most terms per leaf of ``_series_inverse``'s divide and conquer: the first
+# leaf comes term by term from the recurrence, every leaf from one product
+# with its (p leaf)^2 block Toeplitz matrix, and the pulls between halves
+# from FFT products.  64 was as fast on c07 and c08 and held 0.2 MB more.
+_LEAF = 32
 # Entries (16 bytes each) of the largest array of powers that ``_power_blocks``
 # holds.  A ``_free_chains`` run with junctions allocates one workspace of
 # 3 _BLOCK entries (768 kB) for them; each block overwrites the last.
@@ -837,23 +849,17 @@ def _power_blocks(mu: np.ndarray, nterms: int, work: np.ndarray):
         yield cols, near, far, work[2 * _BLOCK : 2 * _BLOCK + far.size].reshape(far.shape[::-1])
 
 
-def _power_sums(mu: np.ndarray, weights: np.ndarray, nterms: int, work: np.ndarray) -> np.ndarray:
-    """sum_j mu_j^r weights_j for r < nterms, one matrix product per block of powers."""
-    out = np.zeros(nterms, dtype=complex)
-    for cols, near, far, spare in _power_blocks(mu, nterms, work):
-        out += (near @ np.multiply(far.T, weights[cols, None], out=spare)).T.reshape(-1)[:nterms]
-    return out
+def _power_sums(near: np.ndarray, far: np.ndarray, spare: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j mu_j^r weights_j over one block's columns j (``_power_blocks``), r < len(near) len(far): one matrix product."""
+    return (near @ np.multiply(far.T, weights[:, None], out=spare)).T.reshape(-1)
 
 
-def _power_poly(mu: np.ndarray, coeffs: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """sum_r coeffs_r mu_j^r for every j, one matrix product per block of powers."""
-    out = np.empty(len(mu), dtype=complex)
-    for cols, near, far, spare in _power_blocks(mu, len(coeffs), work):
-        padded = np.zeros(len(near) * len(far), dtype=complex)
-        padded[: len(coeffs)] = coeffs
-        product = np.matmul(near.T, padded.reshape(len(far), len(near)).T, out=spare)
-        out[cols] = np.einsum("ji,ij->j", product, far)
-    return out
+def _power_poly(near: np.ndarray, far: np.ndarray, spare: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_r coeffs_r mu_j^r for one block's columns j (``_power_blocks``), len(coeffs) <= len(near) len(far): one matrix product."""
+    padded = np.zeros(len(near) * len(far), dtype=complex)
+    padded[: len(coeffs)] = coeffs
+    product = np.matmul(near.T, padded.reshape(len(far), len(near)).T, out=spare)
+    return np.einsum("ji,ij->j", product, far)
 
 
 class _Basis:
@@ -869,8 +875,9 @@ class _Basis:
     splits into one over odd j and one over even j.  The junction terms mu,
     beta and S_1 are built on first use, so a chain that no junction reads
     (``_free_chains`` with p = 0) builds only its phases.  Chains with the
-    same m and g share one basis.  work is the run's workspace for blocks of
-    powers (``_power_blocks``), None when no junction reads the chain.
+    same m and g share one basis, and one ``sweep`` serves them all.  work is
+    the run's workspace for blocks of powers (``_power_blocks``), None when
+    no junction reads the chain.
     """
 
     def __init__(self, m: int, g: float, work: np.ndarray | None):
@@ -892,43 +899,59 @@ class _Basis:
         m = len(self.lam)
         return np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
 
-    def ends(self, weights, nterms):
-        """(first, last): sum_j mu_j^r (2 / (m + 1)) S_1 weights_j at the first and last row, r < nterms."""
-        w = (2.0 / (len(self.mu) + 1)) * self.edge * weights
-        odd = _power_sums(self.mu[0::2], w[0::2], nterms, self.work)
-        even = _power_sums(self.mu[1::2], w[1::2], nterms, self.work)
-        return odd + even, odd - even
+    def sweep(self, layers, nterms, q=None):
+        """One ``_power_blocks`` pass per parity of j for the layers on this basis: their traces, and the response on the first pass.
 
-    def response(self, nterms):
-        """The rows next to the vertices r free steps after the step a unit q enters at the first vertex, r < nterms.
-
-        (first row, last row); by symmetry, a unit q at the last vertex gives
-        the same pair swapped.
+        With q, the (run, p + 1) junction values of a run, each layer first
+        takes the run's steps, its vertices entering as q[k, ends] at step k:
+        the free phases (``_Layer.advance``), then per block the kick sum_r
+        q[run - 1 - r] mu^r.  Each layer's ``traces`` become its rows next to
+        the vertices after r free steps from its state, r < nterms: (first
+        row, last row).  Without q (the run's first pass) it returns the same
+        pair for the rows r free steps after the step a unit q enters at the
+        first vertex, the junction response; by symmetry a unit q at the last
+        vertex gives it swapped.
         """
-        return self.ends(self.edge * self.beta, nterms)
+        run, polys = 0, ([], [])
+        if q is not None:
+            run = len(q)
+            for layer in layers:
+                layer.advance(run)
+            polys = [[q[::-1, a] + sign * q[::-1, b] for a, b in (layer.ends for layer in layers)] for sign in (1.0, -1.0)]
+        read = (2.0 / (len(self.mu) + 1)) * self.edge  # a row next to a vertex reads read . a
+        kick = self.beta * self.edge
+        sums = np.zeros((len(layers) + (q is None), 2, nterms), dtype=complex)  # (weight, parity, r)
+        for parity in (0, 1):
+            for cols, near, far, spare in _power_blocks(self.mu[parity::2], max(nterms, run), self.work):
+                at = slice(parity + 2 * cols.start, parity + 2 * cols.stop, 2)
+                for layer, coeffs in zip(layers, polys[parity]):
+                    layer.coef[at] += kick[at] * _power_poly(near, far, spare, coeffs)
+                if nterms:
+                    weights = [layer.coef[at] for layer in layers] + ([kick[at]] if q is None else [])
+                    for out, w in zip(sums[:, parity], weights):
+                        out += _power_sums(near, far, spare, read[at] * w)[:nterms]
+        for layer, (odd, even) in zip(layers, sums):
+            layer.traces = (odd + even, odd - even)
+        if q is None:
+            return sums[-1, 0] + sums[-1, 1], sums[-1, 0] - sums[-1, 1]
 
 
 class _Layer:
-    """The interior rows of one uniform chain in its sine basis (a ``_Basis``): their coefficients a."""
+    """The interior rows of one uniform chain in its sine basis (a ``_Basis``): their coefficients a.
 
-    def __init__(self, basis: _Basis, rows: np.ndarray):
+    ends are the chain's ends (a, b), and traces its rows next to them over
+    the next run's free steps, as the last ``_Basis.sweep`` left them.
+    """
+
+    def __init__(self, basis: _Basis, rows: np.ndarray, ends: tuple[int, int]):
         self.basis = basis
         self.coef = _sine(rows)
+        self.ends = ends
+        self.traces = None
 
-    def traces(self, nterms):
-        """The rows next to the vertices after r free steps from the current state, r < nterms: (first row, last row)."""
-        return self.basis.ends(self.coef, nterms)
-
-    def advance(self, nsteps, q=None):
-        """nsteps steps, the vertices entering as q[k] = (first, last) at step k (None: both zero)."""
-        b = self.basis
-        coef = np.exp(-2j * nsteps * b.theta) * self.coef
-        if q is not None:
-            kick = np.empty(len(b.mu), dtype=complex)
-            kick[0::2] = _power_poly(b.mu[0::2], q[::-1, 0] + q[::-1, 1], b.work)
-            kick[1::2] = _power_poly(b.mu[1::2], q[::-1, 0] - q[::-1, 1], b.work)
-            coef += b.beta * b.edge * kick
-        self.coef = coef
+    def advance(self, nsteps):
+        """nsteps free steps, the vertices held at zero; ``_Basis.sweep`` adds what they send."""
+        self.coef = np.exp(-2j * nsteps * self.basis.theta) * self.coef
 
     def values(self) -> np.ndarray:
         """The interior rows of the current state."""
@@ -936,19 +959,68 @@ class _Layer:
 
 
 def _series_inverse(T: np.ndarray) -> np.ndarray:
-    """Z with sum_{k <= r} T[k] Z[r - k] = (r == 0) I for r < len(T), term by term.
+    """Z with sum_{k <= r} T[k] Z[r - k] = (r == 0) I for r < len(T), by relaxed divide and conquer.
 
-    One (p, r p) @ (r p, p) product per term: unlike a Newton iteration on
-    FFT products, it stays within rounding of the recurrence it inverts.
+    With S[k] = -T[0]^{-1} T[k] the terms obey Z[r] = sum_{1 <= k <= r} S[k]
+    Z[r - k] from Z[0] = T[0]^{-1}, and so do the terms of Y = (I - S)^{-1}
+    from Y[0] = I.  The n terms, padded to leaf 2^d with leaf at most
+    ``_LEAF``, are halved down to leaves (van der Hoeven's relaxed division).
+    The first leaf terms of Y come from the recurrence, one (p, k p) @ (k p,
+    p) product per term, and they solve every leaf: a leaf whose earlier
+    halves sent it the sums c[r] has Z[r] = sum_j Y[r - j] c[j], one product
+    with the leaf's block Toeplitz matrix of Y.  A finished half's pull on the
+    next half, sum_j S[r - j] Z[j] over its terms j, is one cyclic FFT product
+    of twice its length (the wrap reaches only the half's own lags), and each
+    length's spectrum of S is taken once.  That is about p^3 (leaf^2 / 2 + n
+    leaf + n log2(n / leaf)) multiply-adds in a few dozen products, against
+    p^3 n^2 / 2 in n small products term by term.  Every term is still the
+    recurrence's, from terms already solved: an FFT product only adds a sum
+    of them, within about eps log n of its largest entry, and is never fed
+    back into itself as a Newton iteration's products are.  So where the
+    terms decay the result stays within rounding of the term-by-term
+    recurrence; where they do not (four interfaces at dt/h = 10) the two
+    part by 1.4e-13 of max|Z| over 1024 terms, each within 2e-13 of a long
+    double recurrence.
     """
     n, p = T.shape[:2]
+    depth = max(0, math.ceil(math.log2(n / _LEAF)))
+    leaf = -(-n // (1 << depth))
+    size = leaf << depth  # S is zero past n, so the padded terms change none below n
     head = -np.linalg.inv(T[0])
-    scaled = head @ T.transpose(1, 0, 2).reshape(p, n * p)  # -T[0]^{-1} T[k] in columns k p .. (k + 1) p
-    back = np.zeros((n * p, p), dtype=complex)  # Z[k] in rows (n - 1 - k) p ..
-    back[(n - 1) * p :] = -head
-    for r in range(1, n):
-        back[(n - 1 - r) * p : (n - r) * p] = scaled[:, p : (r + 1) * p] @ back[(n - r) * p :]
-    return back.reshape(n, p, p)[::-1]
+    S = np.zeros((p, p, size), dtype=complex)  # the series axis last, as the FFTs read it
+    S[:, :, 1:n] = (head @ T[1:]).transpose(1, 2, 0)
+    # Y[r] in rows (leaf - 1 - r) p .., term by term
+    flat = S[:, :, :leaf].transpose(0, 2, 1).reshape(p, leaf * p)
+    back = np.zeros((leaf * p, p), dtype=complex)
+    back[(leaf - 1) * p :] = np.eye(p)
+    for r in range(1, leaf):
+        back[(leaf - 1 - r) * p : (leaf - r) * p] = flat[:, p : (r + 1) * p] @ back[(leaf - r) * p :]
+    # the leaf's block Toeplitz matrix, rows (a, i) and columns (b, j) holding Y[i - j][a, b] for i >= j
+    toeplitz = np.zeros((leaf * p, leaf * p), dtype=complex)
+    blocks = toeplitz.reshape(p, leaf, p, leaf)
+    for lag in range(leaf):
+        i = np.arange(lag, leaf)
+        blocks[:, i, :, i - lag] = back[(leaf - 1 - lag) * p : (leaf - lag) * p]
+    Z = np.zeros((p, p, size), dtype=complex)
+    Z[:, :, 0] = -head
+    spectra = {}
+
+    def solve(lo, hi):
+        if hi - lo == leaf:
+            sent = Z[:, :, lo:hi].transpose(0, 2, 1).reshape(leaf * p, p)
+            Z[:, :, lo:hi] = (toeplitz @ sent).reshape(p, leaf, p).transpose(0, 2, 1)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        if mid < n:
+            if hi - lo not in spectra:
+                spectra[hi - lo] = np.fft.fft(S[:, :, : hi - lo])
+            pull = np.einsum("abf,bcf->acf", spectra[hi - lo], np.fft.fft(Z[:, :, lo:mid], hi - lo))
+            Z[:, :, mid:hi] += np.fft.ifft(pull)[:, :, mid - lo :]
+            solve(mid, hi)
+
+    solve(0, size)
+    return Z[:, :, :n].transpose(2, 0, 1)
 
 
 def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.ndarray:
@@ -965,8 +1037,9 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
     junctions, the data at the Dirichlet ends; none without a Dirichlet end)
     is a fixed point of the step, so the rest v is stepped with zero ends.
     The interior rows of each chain are a ``_Layer``, and chains with the
-    same row count and coupling share one ``_Basis`` and its junction
-    response (a tree's equal rays, a star's difference modes); a one-cell
+    same row count and coupling share one ``_Basis``, its junction response
+    and its passes over blocks of powers (a tree's equal rays, a star's
+    difference modes); a one-cell
     chain couples its two ends directly.  The unknowns left are the junction
     values s.  Their rows of A (u_next + u) = 2iM u, with the chain row next
     to each written as its free trace plus its response to the earlier q =
@@ -977,7 +1050,7 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
     1), the same at every step, and b^n from the free traces and s^0.  The
     inverse Z of U (``_series_inverse``) solves a run of up to ``_SEGMENT``
     steps as one FFT convolution, x = Z * b; each chain then takes the run's
-    steps at once (``_Layer.advance``), and a longer run restarts from there
+    steps at once (``_Basis.sweep``), and a longer run restarts from there
     with the same Z.  With no junction (p = 0) there is no recurrence, and
     each chain takes the whole run at once.  The rows hold round-off of
     about eps max|u| where the stepped core keeps zeros.
@@ -1008,25 +1081,30 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
         ramps.append((vals[0] if a == p else ramp_at[a]) * (1.0 - t) + (vals[-1] if b == p else ramp_at[b]) * t)
         v = vals - ramps[-1]  # exactly 0 at a Dirichlet end
         s[a], s[b] = v[0], v[-1]
-        layers.append(_Layer(bases(len(vals) - 2, (dt / 2.0) * w / h), v[1:-1]) if len(vals) > 2 else None)
+        layers.append(_Layer(bases(len(vals) - 2, (dt / 2.0) * w / h), v[1:-1], (a, b)) if len(vals) > 2 else None)
     s = s[:p]
-    seg = min(nsteps, _SEGMENT) if p else nsteps
-    if p:
-
-        @functools.cache
-        def lagged(basis):
-            """basis's response, each lag summed with the one before it: the chain row at two successive steps, as q is."""
-            pair = basis.response(seg)
-            for f in pair:
-                f[1:] += f[:-1].copy()
-            return pair
-
+    if not p:  # no recurrence: each chain takes the whole run at once
+        for layer in layers:
+            if layer is not None:
+                layer.advance(nsteps)
+    else:
+        seg = min(nsteps, _SEGMENT)
+        groups = {}  # the layers on each basis
+        for layer in layers:
+            if layer is not None:
+                groups.setdefault(layer.basis, []).append(layer)
+        # one pass per basis: its layers' first traces and its junction response,
+        # each lag summed with the one before it (the chain row at two
+        # successive steps, as q is)
+        lagged = {}
+        for basis, members in groups.items():
+            lagged[basis] = [np.concatenate([f[:1], f[1:seg] + f[: seg - 1]]) for f in basis.sweep(members, seg + 1)]
         R = np.zeros((seg, p + 1, p + 1), dtype=complex)  # row and column p: the Dirichlet ends, dropped
         mass = np.zeros(p + 1)
         for layer, (vals, a, b, w, h) in zip(layers, chains):
             alpha = (dt / 2.0) * w  # the entry of A between a junction and the chain row next to it
             if layer is not None:
-                same, cross = lagged(layer.basis)
+                same, cross = lagged[layer.basis]
             for x, y in ((a, b), (b, a)):
                 mass[x] += h / 2.0
                 R[0, x, x] -= alpha
@@ -1042,18 +1120,15 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
         U[1:] += R[:-1]
         U[1] -= np.diag(2j * mass)
         Zf = np.fft.fft(_series_inverse(U), 2 * seg, axis=0)
-    done = 0
-    while done < nsteps:
-        run = min(seg, nsteps - done)
-        q = None
-        if p:
+        done = 0
+        while done < nsteps:
+            run = min(seg, nsteps - done)
             rhs = np.zeros((run, p + 1), dtype=complex)
             rhs[:, :p] = -(R[:run] @ s)
             rhs[0, :p] += 2j * mass * s
             for layer, (vals, a, b, w, h) in zip(layers, chains):
-                if layer is not None:
-                    for x, f in zip((a, b), layer.traces(run + 1)):
-                        rhs[:, x] -= (dt / 2.0) * w * (f[1:] + f[:-1])
+                for x, f in zip((a, b), layer.traces if layer is not None else ()):
+                    rhs[:, x] -= (dt / 2.0) * w * (f[1 : run + 1] + f[:run])
             rhs = np.fft.fft(rhs[:, :p], 2 * seg, axis=0)
             x = np.fft.ifft(np.einsum("fab,fb->fa", Zf, rhs), axis=0)[:run]
             q = np.zeros((run, p + 1), dtype=complex)  # column p: the Dirichlet ends keep q = 0
@@ -1061,10 +1136,11 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
             q[0, :p] += s
             q[1:, :p] += x[:-1]
             s = x[-1]
-        for layer, (vals, a, b, w, h) in zip(layers, chains):
-            if layer is not None:
-                layer.advance(run, None if q is None else q[:, [a, b]])
-        done += run
+            done += run
+            # one pass per basis: its layers take the run's steps and their next traces
+            after = min(seg, nsteps - done)
+            for basis, members in groups.items():
+                basis.sweep(members, after + 1 if after else 0, q)
     s = np.append(s, 0.0)
     for d, layer, ramp, (vals, a, b, w, h) in zip(dofs, layers, ramps, chains):
         ramp[[0, -1]] += s[[a, b]]

@@ -1262,6 +1262,73 @@ def test_free_line_restarts_at_segment_ends(extra):
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
+def term_by_term_inverse(T):
+    """Z with sum_{k <= r} T[k] Z[r - k] = (r == 0) I, one term at a time: the oracle of ``_series_inverse``."""
+    n, p = T.shape[:2]
+    head = -np.linalg.inv(T[0])
+    scaled = head @ T.transpose(1, 0, 2).reshape(p, n * p)  # -T[0]^{-1} T[k] in columns k p .. (k + 1) p
+    back = np.zeros((n * p, p), dtype=complex)  # Z[k] in rows (n - 1 - k) p ..
+    back[(n - 1) * p :] = -head
+    for r in range(1, n):
+        back[(n - 1 - r) * p : (n - r) * p] = scaled[:, p : (r + 1) * p] @ back[(n - r) * p :]
+    return back.reshape(n, p, p)[::-1]
+
+
+def four_interface_run(nsteps):
+    # short-layers has 4 interfaces; dt/h = 10
+    nodes, cells = short_layers()
+    dt = 10.0 * float(np.min(np.diff(nodes)))
+    cfg = EvolutionConfig(dt=dt, boundary_guard=None)
+    return lambda: evolve_line_sigma(random_line_data(len(nodes)), cells, nodes, nsteps * dt, cfg)
+
+
+def c07_line_run():
+    nodes = line_grid(40.0, 40.0, 0.02)
+    u0 = np.exp(-((nodes + 3.0) ** 2)).astype(complex)
+    evolve_line_sigma(u0, line_cells(nodes, (1.0, 2.0, 1.0)), nodes, 1.0, EvolutionConfig(dt=5e-4))
+
+
+# run, and the (terms, junctions) of the series its free path inverts: 300
+# terms are 16 leaves of 19 padded to 304, 20 terms fewer than one leaf.  The
+# four-interface series does not decay, and its two inverses part as it
+# grows: 1.4e-13 of max|Z| over 1024 terms, where the term-by-term one is
+# 1.2e-13 from a long double recurrence and the relaxed one 1.9e-13;
+# test_free_line_keeps_its_error_over_2000_steps_at_dt_over_h_10 holds that
+# run end to end.
+JUNCTION_SERIES = {
+    "c07": (c07_line_run, (1024, 2)),
+    "c08-tree": (lambda: evolve_graph(c08_tree_state(), 0.3, EvolutionConfig(dt=5e-4)), (600, 3)),
+    "four-interfaces": (four_interface_run(400), (400, 4)),
+    "below-one-leaf": (four_interface_run(20), (20, 4)),
+    "padded": (four_interface_run(300), (300, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JUNCTION_SERIES))
+def test_series_inverse_matches_the_term_by_term_recurrence(monkeypatch, case):
+    run, (n, p) = JUNCTION_SERIES[case]
+    seen = []
+    inverse = evolution._series_inverse
+    monkeypatch.setattr(evolution, "_series_inverse", lambda T: seen.append(T) or inverse(T))
+    run()
+    assert len(seen) == 1 and seen[0].shape == (n, p, p)
+    want = term_by_term_inverse(seen[0])
+    got = inverse(seen[0])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_free_line_keeps_its_error_over_2000_steps_at_dt_over_h_10(monkeypatch):
+    # the stepped core is the oracle of the four-interface run whose junction series has 1024 terms
+    nodes, cells = short_layers()
+    dt = 10.0 * float(np.min(np.diff(nodes)))
+    u0 = random_line_data(len(nodes))
+    want = stepped_line(nodes, cells, u0, dt, 2000)
+    monkeypatch.setattr(evolution, "_cayley_stepper", unbuilt)
+    got = four_interface_run(2000)()
+    assert np.max(np.abs(got - want)) <= 6e-12 * np.max(np.abs(want))  # reads 3.5e-12
+
+
 # (columns, terms, blocks of columns): one column and one term; one block;
 # two blocks, the last narrow; three blocks of up to 496 columns, the last
 # narrow.  37 and 1025 terms are not inner * outer (7 * 6, 33 * 32).
@@ -1277,9 +1344,10 @@ def test_power_helpers_match_direct_powers(ncols, nterms, nblocks):
     # long double: a double mu ** r for r >= 100 is off by about r eps
     direct = mu.astype(np.clongdouble)[None, :] ** np.arange(nterms)[:, None]
     work = np.empty(3 * evolution._BLOCK, dtype=complex)
+    blocks = lambda: evolution._power_blocks(mu, nterms, work)
     for call, want in (
-        (lambda: evolution._power_sums(mu, weights, nterms, work), direct @ weights),
-        (lambda: evolution._power_poly(mu, coeffs, work), coeffs @ direct),
+        (lambda: sum(evolution._power_sums(*table, weights[cols])[:nterms] for cols, *table in blocks()), direct @ weights),
+        (lambda: np.concatenate([evolution._power_poly(*table, coeffs) for _, *table in blocks()]), coeffs @ direct),
     ):
         work[:] = np.nan  # a read of an entry the call did not write shows as NaN
         want = want.astype(complex)
@@ -1446,24 +1514,29 @@ def test_equal_chains_share_one_basis_and_junction_response(monkeypatch):
     # the binary tree's four rays share one junction response and its two
     # finite edges another; a free 5-star's four difference modes share one
     # basis, its reflected mean has its own
-    calls = {"bases": 0, "responses": 0}
-    init, response = evolution._Basis.__init__, evolution._Basis.response
+    calls = {"bases": 0, "responses": 0, "tables": 0}
+    init, sweep, blocks = evolution._Basis.__init__, evolution._Basis.sweep, evolution._power_blocks
 
-    def counted(name, fn):
+    def counted(name, fn, counts=lambda result: True):
         def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+            result = fn(*args)
+            calls[name] += counts(result)
+            return result
 
         return wrapper
 
     monkeypatch.setattr(evolution._Basis, "__init__", counted("bases", init))
-    monkeypatch.setattr(evolution._Basis, "response", counted("responses", response))
+    monkeypatch.setattr(evolution._Basis, "sweep", counted("responses", sweep, lambda result: result is not None))
+    monkeypatch.setattr(evolution, "_power_blocks", counted("tables", blocks))
     evolve_graph(c08_tree_state(), 0.3, EvolutionConfig(dt=5e-4))
-    assert calls == {"bases": 2, "responses": 2}
+    # 600 steps, one segment: a pass over the blocks of powers of each basis
+    # and parity for the response and first traces, and one for the segment's
+    # advance, 2 * 2 * 2, where a pass per chain would take 6 * 2 * 2 + 2 * 2
+    assert calls == {"bases": 2, "responses": 2, "tables": 8}
     graph, grid = build_star(5, 10.0, 0.05)
     data = [lambda x, k=k: np.exp(-(x**2)) + k * x**2 * np.exp(-((x - 2.0) ** 2)) for k in range(5)]
     evolve_graph(GraphState.sample(graph, grid, data), 0.1, EvolutionConfig(dt=1e-3))
-    assert calls == {"bases": 4, "responses": 2}
+    assert calls == {"bases": 4, "responses": 2, "tables": 8}
 
 
 # the errors of a free 3-star at h = 0.04, 0.02 and 0.01 (dt = h / 20, t = 1)

@@ -551,3 +551,68 @@ def test_eta_support_and_route_consistency_random_configs():
         assert rel_l2(route_eta, route_p, xs) <= 5e-4
         y = np.linspace(-8.0, -1e-9, 201)
         np.testing.assert_array_equal(eta(y, u0f), u0f(y / params.a[0]))
+
+
+def per_atom_convolve(eta, t, x, u0, support):
+    """(k_t * eta)(front_scale x) with u0 read once per atom and the lattice sum taken directly: the oracle of convolve."""
+    dz = eta.front_scale * (x[-1] - x[0]) / (len(x) - 1)
+    z0 = eta.front_scale * x[0]
+    parts = []
+    for w, (scale, shift, y_lo, y_hi) in zip(eta.weight, eta.atoms):
+        ends = sorted((scale * y_lo + shift, scale * y_hi + shift))
+        lo, hi = sorted((scale * max(y_lo, support[0]) + shift, scale * min(y_hi, support[1]) + shift))
+        j = np.arange(math.ceil((lo - z0) / dz - 1e-6), math.floor((hi - z0) / dz + 1e-6) + 1)
+        if len(j):
+            vals = (w / abs(scale)) * np.asarray(u0((z0 + dz * j - shift) / scale), dtype=complex)
+            vals[0] *= 0.5 if abs(z0 + dz * j[0] - ends[0]) <= 1e-6 * dz else 1.0
+            vals[-1] *= 0.5 if abs(z0 + dz * j[-1] - ends[1]) <= 1e-6 * dz else 1.0
+            parts.append((j, vals))
+    j = np.concatenate([j for j, _ in parts])
+    samples = np.zeros(j.max() - j.min() + 1, dtype=complex)
+    for k, vals in parts:
+        samples[k - j.min()] += vals
+    # output i is dz sum_j k_t((i - j) dz) eta_j over lags i - j from -j.max() on
+    kern = free_kernel(t, dz * np.arange(-j.max(), len(x) - j.min()))
+    return dz * np.convolve(samples, kern)[j.max() - j.min() : j.max() - j.min() + len(x)]
+
+
+def c07_left_ray():
+    nodes = line_grid(40.0, 40.0, 0.02)
+    return (nodes[0], nodes[-1]), nodes[(nodes >= -20.0) & (nodes <= 0.0)]
+
+
+def test_eta_reads_u0_once_per_source_row_c07(s121):
+    # c07's 86 atoms lie on 5 source rows (scale, y_lo, y_hi), the direct row
+    # and 4 psi rows, and on each the shifts differ by whole lattice steps:
+    # convolve reads u0 once per row, and solve_line once more for its tail check
+    eta = eta_profile(s121)
+    assert len(eta.atoms) == 86 and len({(s, lo, hi) for s, _, lo, hi in eta.atoms.tolist()}) == 5
+    support, xs = c07_left_ray()
+    calls = []
+
+    def u0(y):
+        calls.append(len(y))
+        return np.exp(-((np.asarray(y) + 3.0) ** 2))
+
+    solve_line(u0, support, 1.0, xs, s121)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("case", ["c07-left", "four-layers-right"])
+def test_convolve_equals_the_per_atom_sum(s121, case):
+    if case == "c07-left":
+        eta, (support, x) = eta_profile(s121), c07_left_ray()
+        u0 = lambda y: np.exp(-((np.asarray(y) + 3.0) ** 2))
+    else:
+        # the right ray at dx = 0.02 is the left ray of the reversed coefficient,
+        # whose lattice offsets 2 l a_j / (a_4 dx) are 106.67 and 46.67 steps:
+        # no atom's shift is a whole number of steps from every other's on its row
+        a, l = FOUR_LAYERS.a[::-1], FOUR_LAYERS.l
+        offsets = 2 * l * np.array(a[1:3]) / (a[0] * 0.02)
+        assert np.all(np.abs(offsets - np.round(offsets)) > 0.3)
+        eta = eta_profile(invert_E(PiecewiseCoefficient(a, l), 24))
+        support, x = (1.6 - 22.0, 1.6 + 20.0), np.linspace(-20.0, 0.0, 1001)
+        u0 = lambda y: four_layer_data(1.6 - np.asarray(y))
+    got = eta.convolve(1.0, x, u0, support)
+    want = per_atom_convolve(eta, 1.0, x, u0, support)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
