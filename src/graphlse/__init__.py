@@ -29,7 +29,7 @@ _HOME = {
         )),
         ("evolution", (
             "EvolutionConfig", "TruncationGuardError", "evolve_graph", "evolve_graph_potential",
-            "evolve_line_sigma", "read_checkpoint", "write_checkpoint",
+            "evolve_line_sigma", "write_checkpoint",
         )),
         ("exppoly", (
             "ExpPolynomial", "PiecewiseCoefficient", "WienerSeries", "alpha_prefactor", "chain_lower_entries",

@@ -175,6 +175,11 @@ def _initial_fn(cfg: ExperimentConfig):
     center = float(cfg.get("initial", "center", 0.0))
     if kind != "gaussian":
         raise ConfigError(f"unknown initial data kind {kind!r}")
+    for key, value in (("alpha", alpha), ("chirp", chirp), ("center", center)):
+        if not math.isfinite(value):
+            raise ConfigError(f"[initial] {key} must be finite, got {value}")
+    if alpha <= 0:
+        raise ConfigError(f"[initial] alpha must be positive, got {alpha}")
     def fn(x):
         return np.exp(-(alpha + 1j * chirp) * (np.asarray(x) - center) ** 2)
     return fn

@@ -13,15 +13,17 @@ conserves the trapezoid L2 norm to round-off whenever K is Hermitian.
 
 One chain list describes a run.  A chain (dofs, a, b, w, h) is a path of
 samples: ``dofs`` index them in the packed state from end a to end b, an
-end is a junction 0..p-1 or p (a Dirichlet end), and w = sigma / h and h
-are numbers or one value per cell.  A graph has one chain per edge
+end is a junction 0..p-1, p (a Dirichlet end) or, as a chain's first end,
+None (a Neumann end: a plain half-mass row), and w = sigma / h and h are
+numbers or one value per cell.  A graph has one chain per edge
 (``_pack_graph``: vertex k is dof and junction k, a ray's far end is
 Dirichlet), a stepped line one chain with p = 0, a free line one chain per
 layer joined at its interfaces, and a star's modes N chains with no
 junction (below).  ``_chain_cells`` gives the stepper the cells of the
 Dirichlet form and the Dirichlet rows of a list, and the free path
 (``_free_chains``) gathers the same chains from the packed state and
-scatters them back.
+scatters them back.  A graph run hands its system's one chain list to
+whichever of the two takes it.
 
 Lines and graphs share one stepper, written with the single matrix A = i M
 - dt/2 K as u_next = A^{-1}(2 i M u) - u (Dirichlet rows: identity and 2).
@@ -60,17 +62,18 @@ whose far end is Dirichlet, and the differences u_k - u_0, k >= 1, which
 vanish at the vertex and are Dirichlet at both ends.  They are the even/odd
 split of ``reduction.star_sum`` (the sum S and u_k - S/N) in another
 normalisation.  The vertex row divided by N is the half-mass Neumann first
-row of the mean, a plain row with no vertex dof, so the Laplacian and the
-potential act on every mode as on one edge.  Data equal on every edge has
-differences exactly zero, so their chains stay quiet and a step sweeps one
-ray, not N.  Other graphs, and stars with unequal rays or per-edge
-potentials, run on the vertex system, which stays the oracle of the mode
-system.
+row of the mean, its end marked None: a plain row with no vertex dof, so the
+Laplacian and the potential act on every mode as on one edge.  Data equal on
+every edge has differences exactly zero, so their chains stay quiet and a
+step sweeps one ray, not N.  Other graphs, and stars with unequal rays or
+per-edge potentials, run on the vertex system, which stays the oracle of the
+mode system.
 
 Free runs (no potential) of stars, lines and small graphs take no steps one
-by one.  Their chains are uniform (a star's mean once reflected evenly about
-the vertex), and the steps of a uniform chain are diagonal in its sine
-basis, so the only unknowns left are the junction values.  The rows of A at
+by one.  Their chains are uniform (a chain with a Neumann end reflected
+evenly about it, so a star's mean runs on twice its ray), and the steps of
+a uniform chain are diagonal in its sine basis, so the only unknowns left
+are the junction values.  The rows of A at
 the junctions, with each chain row next to one written as its free trace
 plus its response to the earlier junction values, are a recurrence with the
 same coefficients at every step.  Its inverse series comes once per run
@@ -118,7 +121,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _GuardError
-from ._report import from_columns, read_csv, write_csv
+from ._report import from_columns, write_csv
 from .exppoly import PiecewiseCoefficient
 from .graphs import GraphGrid, GraphState, MetricGraph
 
@@ -129,7 +132,6 @@ __all__ = [
     "evolve_graph_potential",
     "evolve_line_sigma",
     "write_checkpoint",
-    "read_checkpoint",
 ]
 
 
@@ -164,7 +166,7 @@ def _n_steps(t_final: float, dt: float) -> int:
     if not (math.isfinite(dt) and dt > 0 and math.isfinite(abs(t_final) / dt)):
         raise ValueError(f"t_final = {t_final} and dt = {dt} must be finite, with dt > 0")
     n = abs(t_final) / dt
-    if abs(n - round(n)) > 1e-9 * max(1.0, n):
+    if abs(n - round(n)) > 1e-9 * n:  # relative, so that a nonzero t_final never rounds to no step
         raise ValueError(f"|t_final| = {abs(t_final)} is not an integer multiple of dt = {dt}")
     return int(round(n))
 
@@ -241,8 +243,10 @@ def _chain_cells(chains, p: int):
 
     Each two neighbouring samples of a chain are one cell, with the chain's
     w and h; the Dirichlet dofs are the chain ends marked p.  The stepper
-    takes junction k as dof k (nv = p).  An end marked None, the vertex row
-    of a star's mean, is a plain row: neither a junction nor Dirichlet.
+    takes junction k as dof k (nv = p).  An end marked None, a Neumann end
+    such as the vertex row of a star's mean, is a plain half-mass row:
+    neither a junction nor Dirichlet.  ``_free_chains`` reads the same
+    marker by reflecting the chain about that end.
     """
     cell = lambda d, x: np.broadcast_to(x, len(d) - 1)  # a chain's w or h, one value per cell
     parts = [(np.stack([d[:-1], d[1:]], axis=1), cell(d, w), cell(d, h)) for d, _, _, w, h in chains]
@@ -594,21 +598,18 @@ def _guard_tail(pieces, cfg: EvolutionConfig) -> float:
     return fraction
 
 
-def _vertex_system(u0: GraphState, dt: float):
-    """The vertex system of any graph: (stepper builder, packed u0, potential sampler, spread, unpacker, free run).
+def _vertex_system(u0: GraphState):
+    """The vertex system of any graph: (n_dof, chains, p, packed u0, potential sampler, spread, unpacker).
 
-    The stepper and the free run (``_free_chains``, None for a graph with
-    more than ``_MAX_INTERFACES`` vertices) read one chain list.  The sampler
-    returns one value per dof, so ``spread`` is the identity.
+    Its chain list is the graph's (``_pack_graph``), junction k vertex k.
+    The sampler returns one value per dof, so ``spread`` is the identity.
     """
     graph, grid = u0.graph, u0.grid
     packing = _pack_graph(graph, grid)
-    (n_dof, chains), nv = packing, len(graph.vertices)
-    build = lambda: _cayley_stepper(n_dof, chains, nv, dt)
+    n_dof, chains = packing
     sample = lambda f, t: _sample_potential(f, t, packing, graph, grid)
     unpack = lambda u: tuple(u[dofs] for dofs, *_ in chains)
-    free = (lambda u, nsteps: _free_chains(u, chains, nv, dt, nsteps)) if nv <= _MAX_INTERFACES else None
-    return build, _pack_state(u0, packing), sample, lambda a: a, unpack, free
+    return n_dof, chains, len(graph.vertices), _pack_state(u0, packing), sample, lambda a: a, unpack
 
 
 def _star_modes(u0: GraphState, static, dynamic) -> bool:
@@ -624,35 +625,29 @@ def _star_modes(u0: GraphState, static, dynamic) -> bool:
     )
 
 
-def _mode_system(u0: GraphState, dt: float):
+def _mode_system(u0: GraphState):
     """The mode system of a star that ``_star_modes`` admits, laid out like ``_vertex_system``.
 
     The modes are an (N, n) array on the shared ray grid, packed row by row:
     row 0 is the edge mean, whose first sample is the vertex value, and row
-    k is u_k - u_0.  Rows 1.. are chains Dirichlet at both ends, with no
-    junction (p = 0).  The stepper's row 0 has a plain vertex row (None, the
-    half-mass Neumann row) and a Dirichlet far end.  The free run's row 0 is
-    reflected evenly about the vertex, Dirichlet at both ends with the
-    Neumann row in the middle; its right half is the later sample of each
-    dof, the one ``_free_chains`` writes back.  A potential is sampled once
-    on the ray, and ``spread`` tiles a function of it (its phase) over the
-    chains.
+    k is u_k - u_0.  Row 0 is a chain whose vertex end is None (the
+    half-mass Neumann row, ``_chain_cells``) and whose far end is Dirichlet;
+    rows 1.. are chains Dirichlet at both ends.  No chain has a junction (p
+    = 0).  The vertex value and the continuity check are the vertex
+    system's (``_pack_state``).  A potential is sampled once on the ray, and
+    ``spread`` tiles a function of it (its phase) over the chains.
     """
     n_edges, n, h = u0.graph.n_edges, u0.grid.counts[0], u0.grid.h
     x = u0.grid.x(0)
+    vertex = _pack_state(u0, _pack_graph(u0.graph, u0.grid))[0]
     vals = np.stack(u0.values)
-    # the vertex path's continuity check: each edge against the one before it
-    if np.any(np.abs(np.diff(vals[:, 0])) > 1e-9 * (float(np.max(np.abs(vals))) or 1.0)):
-        raise ValueError("initial data is discontinuous at a vertex")
     modes = np.empty_like(vals)
     modes[0] = np.mean(vals, axis=0)
     modes[1:] = vals[1:] - vals[0]
     modes[:, 0] = 0.0
-    modes[0, 0] = vals[-1, 0]  # the vertex value the vertex path keeps
+    modes[0, 0] = vertex
     ray = np.arange(n)
-    diffs = [(k * n + ray, 0, 0, 1.0 / h, h) for k in range(1, n_edges)]
-    reflected = [(np.r_[n - 1 : 0 : -1, ray], 0, 0, 1.0 / h, h), *diffs]
-    build = lambda: _cayley_stepper(n_edges * n, [(ray, None, 0, 1.0 / h, h), *diffs], 0, dt)
+    chains = [(ray, None, 0, 1.0 / h, h), *((k * n + ray, 0, 0, 1.0 / h, h) for k in range(1, n_edges))]
     sample = lambda f, t: _sample_edge(f, t, x)
     spread = lambda a: np.tile(a, n_edges)
 
@@ -661,8 +656,7 @@ def _mode_system(u0: GraphState, dt: float):
         d[1:] += u.reshape(n_edges, n)[1:]  # adding to +0 turns -0 into +0: equal edges come out bit-equal
         return tuple(u[:n] - d.sum(axis=0) / n_edges + d)
 
-    free = lambda u, nsteps: _free_chains(u, reflected, 0, dt, nsteps)
-    return build, modes.ravel(), sample, spread, unpack, free
+    return n_edges * n, chains, 0, modes.ravel(), sample, spread, unpack
 
 
 def _evolve_graph(
@@ -679,17 +673,18 @@ def _evolve_graph(
     phase is computed where the system samples (on the ray for the modes)
     and then spread over the dofs.  The steps run on the star's mode system
     when ``_star_modes`` admits the run and ``vertex_path`` is False, and on
-    the vertex system otherwise.  A free run (no potential at all) takes all
-    its steps at once (the system's ``free``) unless ``vertex_path`` asks
-    for the stepped vertex system.  A run of no steps samples the static
-    potential, so that its checks run, and returns the data without
-    building a stepper.
+    the vertex system otherwise.  Both systems give one chain list, which
+    ``_free_chains`` or the stepper takes.  A free run (no potential at all)
+    with at most ``_MAX_INTERFACES`` junctions takes all its steps at once
+    (``_free_chains``) unless ``vertex_path`` asks for the stepped vertex
+    system.  A run of no steps samples the static potential, so that its
+    checks run, and returns the data without building a stepper.
     """
     nsteps = _n_steps(t_final - u0.time, cfg.dt)
     graph, grid = u0.graph, u0.grid
     dt_signed = math.copysign(cfg.dt, t_final - u0.time) if t_final != u0.time else cfg.dt
     modes = not vertex_path and _star_modes(u0, static, dynamic)
-    build, u, sample_at, spread, unpack, free = (_mode_system if modes else _vertex_system)(u0, dt_signed)
+    n_dof, chains, p, u, sample_at, spread, unpack = (_mode_system if modes else _vertex_system)(u0)
 
     def sample(f, t):
         if isinstance(f, numbers.Number):
@@ -699,8 +694,8 @@ def _evolve_graph(
     v1 = None if static is None else sample(static, u0.time)
     if nsteps == 0:
         values = u0.values
-    elif static is None and dynamic is None and free is not None and not vertex_path:
-        values = unpack(free(u, nsteps))
+    elif static is None and dynamic is None and p <= _MAX_INTERFACES and not vertex_path:
+        values = unpack(_free_chains(u, chains, p, dt_signed, nsteps))
     else:
         half = lambda v: np.exp(1j * (dt_signed / 2.0) * v)  # the phase half-step of the potential v
         phase = None
@@ -714,7 +709,7 @@ def _evolve_graph(
             ends = spread(half(v1))
             between = ends * ends
             phase = lambda k: between if 0 < k < nsteps else ends
-        values = unpack(build()(u, nsteps, phase))
+        values = unpack(_cayley_stepper(n_dof, chains, p, dt_signed)(u, nsteps, phase))
     out = GraphState(graph, grid, values, u0.time + nsteps * dt_signed)
     if cfg.boundary_guard is not None:
         pieces = []
@@ -730,7 +725,7 @@ def _graph_oracle(u0: GraphState, t_final: float, cfg: EvolutionConfig) -> Graph
 
     None when ``evolve_graph`` steps the vertex system itself, which has no other oracle.
     """
-    if not _star_modes(u0, None, None) and _vertex_system(u0, cfg.dt)[-1] is None:
+    if not _star_modes(u0, None, None) and len(u0.graph.vertices) > _MAX_INTERFACES:
         return None
     return _evolve_graph(u0, t_final, cfg, None, None, vertex_path=True)
 
@@ -1028,10 +1023,15 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
 
     ``chains`` is a chain list (see the module docstring) with numbers w and
     h; a junction's row of A reads i M - (dt/2) sum w over the chain ends
-    there (M = sum h / 2).  Each chain's samples are gathered from the packed
+    there (M = sum h / 2).  A chain (d, None, b, w, h), whose first end is
+    Neumann, runs reflected evenly about that end, as (d reversed without
+    its first sample, then d) from b to b: its middle row is twice the
+    half-mass row that ``_chain_cells`` makes of the end, so the even data
+    takes the same steps.  Each chain's samples are gathered from the packed
     state u, and a copy of u with every chain's samples after the run,
     scattered in chain order, is returned; a dof that one chain lists twice
-    takes its later sample.
+    takes its later sample, so a reflected chain writes back its original
+    half.
 
     The harmonic ramp (K ramp = 0: linear on each chain, Kirchhoff at the
     junctions, the data at the Dirichlet ends; none without a Dirichlet end)
@@ -1058,6 +1058,7 @@ def _free_chains(u: np.ndarray, chains, p: int, dt: float, nsteps: int) -> np.nd
     out = u.copy()
     if nsteps == 0:
         return out
+    chains = [(np.r_[d[:0:-1], d], b, b, w, h) if a is None else (d, a, b, w, h) for d, a, b, w, h in chains]
     dofs = [c[0] for c in chains]
     chains = [(u[d], *rest) for d, *rest in chains]  # each chain's samples, from end a to end b
     ramp_at = np.zeros(p + 1, dtype=complex)
@@ -1258,19 +1259,3 @@ def write_checkpoint(state: GraphState, path, cfg: EvolutionConfig | None = None
     u = np.concatenate(state.values)
     write_csv(path, ["edge_id", "x", "re_u", "im_u"], from_columns(edge_id, x, u.real, u.imag), header)
 
-
-def read_checkpoint(path) -> tuple[dict, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Inverse of write_checkpoint; returns ({t, h, dt, L}, {edge_id: (x, u)})."""
-    meta, cols, rows = read_csv(path)
-    if cols != ["edge_id", "x", "re_u", "im_u"]:
-        raise ValueError("unexpected checkpoint columns")
-    try:
-        times = {key: float(meta[key]) for key in ("t", "h", "dt", "L")}
-    except KeyError as exc:
-        raise ValueError(f"checkpoint lacks meta line {exc}") from exc
-    data = np.array(rows, dtype=float).reshape(-1, 4)
-    out = {}
-    for eid in np.unique(data[:, 0]).astype(int):
-        sel = data[:, 0] == eid
-        out[int(eid)] = (data[sel, 1], data[sel, 2] + 1j * data[sel, 3])
-    return times, out

@@ -174,10 +174,6 @@ class ExpPolynomial:
             out += c * np.exp(self.sign * 1j * xi * lattice_point(idx, self.a_mid, self.l))
         return out
 
-    @property
-    def coefficient_sum(self) -> complex:
-        return complex(sum(self.terms.values()))
-
     def conj(self) -> "ExpPolynomial":
         return ExpPolynomial(
             {k: complex(v).conjugate() for k, v in self.terms.items()}, -self.sign, self.a_mid, self.l

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import write_csv
-from .graphs import GraphState, MetricGraph, _nested_indices, edge_derivative_at_end, edge_derivative_at_start
+from .graphs import GraphState, MetricGraph, _nested_indices
 
 __all__ = [
     "AveragedSums",
@@ -96,12 +96,6 @@ class AveragedSums:
 
     def global_x(self, generation: int) -> np.ndarray:
         return self.breakpoints[generation - 1] + self.grids[generation - 1]
-
-    def jump_ratio(self, k: int, h: float) -> complex:
-        """Discrete Z_x(a_k-) / Z_x(a_k+) of the root average, k = 1..n."""
-        left = edge_derivative_at_end(self.root[k - 1], h)
-        right = edge_derivative_at_start(self.root[k], h)
-        return left / right
 
 
 def averaged_sums(state: GraphState) -> AveragedSums:

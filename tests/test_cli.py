@@ -949,6 +949,17 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         (TREE_SIMULATE_INI, ("lengths = 1.0", "lengths = 0.1")),
         # sharpness once ran a star whatever the graph type
         (SHARPNESS_INI, ("type = star", "type = regular_tree")),
+        # a non-finite or non-positive Gaussian once ran and wrote NaN or blown-up errors, exiting 0
+        (KERNEL_INI, ("center = -3.0", "center = inf")),
+        (KERNEL_INI, ("center = -3.0", "center = nan")),
+        (KERNEL_INI, ("alpha = 1.0", "alpha = inf")),
+        (STAR_SIMULATE_INI, ("alpha = 1.0", "alpha = nan")),
+        (STAR_SIMULATE_INI, ("alpha = 1.0", "alpha = 0.0")),
+        (LINE_SIMULATE_INI, ("alpha = 1.0", "alpha = -1.0")),
+        (STAR_SIMULATE_INI, ("alpha = 1.0", "alpha = 1.0\nchirp = inf")),
+        # a nonzero t_final that rounds to no step once wrote the data as the final state
+        (STAR_SIMULATE_INI, ("dt = 0.01", "dt = 1e300")),
+        (STAR_SIMULATE_INI, ("t_final = 0.1", "t_final = 1e-300")),
     ],
     ids=[
         "dt-inf",
@@ -975,6 +986,15 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         "appell-alpha-inf",
         "tree-edge-under-5-samples",
         "sharpness-not-a-star",
+        "kernel-center-inf",
+        "kernel-center-nan",
+        "kernel-alpha-inf",
+        "star-alpha-nan",
+        "star-alpha-zero",
+        "line-alpha-negative",
+        "star-chirp-inf",
+        "star-dt-rounds-to-no-step",
+        "star-t-final-rounds-to-no-step",
     ],
 )
 def test_simulate_non_finite_time_exit_codes(tmp_path, capsys, base, change):

@@ -24,13 +24,13 @@ from graphlse import (
     invert_E,
     kirchhoff_residual,
     line_grid,
-    read_checkpoint,
     reduction_map,
     weighted_l2_norm,
     solve_line,
     write_checkpoint,
 )
 from graphlse import evolution
+from graphlse._report import read_csv
 from graphlse.evolution import (
     _assemble,
     _cayley_stepper,
@@ -137,6 +137,20 @@ def test_dt_must_divide_t_final(star3):
     st = GraphState.sample(graph, grid, gaussian())
     with pytest.raises(ValueError, match="integer multiple"):
         evolve_graph(st, 0.35, EvolutionConfig(dt=0.1))
+
+
+@pytest.mark.parametrize("t_final, dt", [(0.1, 1e300), (1e-300, 0.005)])
+def test_nonzero_t_final_that_rounds_to_no_step_rejected(star3, t_final, dt):
+    # the tolerance is relative: such a run once returned its data as the final state
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, gaussian())
+    with pytest.raises(ValueError, match="integer multiple"):
+        evolve_graph(st, t_final, EvolutionConfig(dt=dt))
+    nodes = line_grid(8.0, 8.0, 0.05)
+    with pytest.raises(ValueError, match="integer multiple"):
+        evolve_line_sigma(np.exp(-(nodes**2)), np.ones(len(nodes) - 1), nodes, t_final, EvolutionConfig(dt=dt))
+    out = evolve_graph(st, 0.0, EvolutionConfig(dt=dt))  # t_final = 0 still returns the data
+    assert out.time == 0.0 and all(a.tobytes() == b.tobytes() for a, b in zip(out.values, st.values))
 
 
 @pytest.mark.parametrize("t_final", [math.inf, -math.inf, math.nan])
@@ -387,15 +401,17 @@ def test_checkpoint_roundtrip(tmp_path, star3):
     out = evolve_graph(st, 0.1, cfg)
     path = tmp_path / "ck.csv"
     write_checkpoint(out, path, cfg)
-    meta, data = read_checkpoint(path)
-    assert meta["t"] == pytest.approx(0.1)
-    assert meta["dt"] == pytest.approx(1e-2)
-    assert meta["h"] == pytest.approx(0.05)
-    assert meta["L"] == pytest.approx(40.0)
-    assert set(data) == {0, 1, 2}
-    x0, u0 = data[0]
-    np.testing.assert_allclose(x0, grid.x(0))
-    np.testing.assert_allclose(u0, out.values[0], atol=1e-15)
+    meta, cols, rows = read_csv(path)
+    assert cols == ["edge_id", "x", "re_u", "im_u"]
+    assert float(meta["t"]) == pytest.approx(0.1)
+    assert float(meta["dt"]) == pytest.approx(1e-2)
+    assert float(meta["h"]) == pytest.approx(0.05)
+    assert float(meta["L"]) == pytest.approx(40.0)
+    data = np.array(rows, dtype=float)
+    np.testing.assert_array_equal(np.unique(data[:, 0]), [0, 1, 2])
+    edge0 = data[data[:, 0] == 0]
+    np.testing.assert_allclose(edge0[:, 1], grid.x(0))
+    np.testing.assert_allclose(edge0[:, 2] + 1j * edge0[:, 3], out.values[0], atol=1e-15)
 
 
 def test_checkpoint_L_is_the_ray_truncation(tmp_path):
@@ -403,13 +419,13 @@ def test_checkpoint_L_is_the_ray_truncation(tmp_path):
     graph, grid = build_regular_tree([50.0], [2, 2], 30.0, 0.5)
     path = tmp_path / "ck.csv"
     write_checkpoint(GraphState.sample(graph, grid, gaussian()), path)
-    meta, _ = read_checkpoint(path)
-    assert meta["L"] == 30.0
-    assert math.isnan(meta["dt"])
+    meta = read_csv(path)[0]
+    assert float(meta["L"]) == 30.0
+    assert math.isnan(float(meta["dt"]))
     # a graph without rays has no truncation length
     segment = MetricGraph((0, 1), (Edge(0, 1, 2.0),)), GraphGrid(0.5, (2.0,))
     write_checkpoint(GraphState.sample(*segment, gaussian()), path)
-    assert math.isnan(read_checkpoint(path)[0]["L"])
+    assert math.isnan(float(read_csv(path)[0]["L"]))
 
 
 def test_complex_potential_norm_drift_bounded(star3):
@@ -586,7 +602,7 @@ def line_121_gaussian():
 
 def star_modes(graph, grid, fns):
     """The star's mode system (N plain chains, nv = 0) with data ``fns`` packed as its modes."""
-    modes = evolution._mode_system(GraphState.sample(graph, grid, fns), 1e-3)[1]
+    modes = evolution._mode_system(GraphState.sample(graph, grid, fns))[3]
     return star_mode_system(graph.n_edges, grid.counts[0], grid.h), modes
 
 
@@ -892,10 +908,10 @@ def test_static_phase_merge_matches_half_steps(star3, t_final):
 def two_half_steps_a_step(state, V1, V2, t_final, cfg, system):
     """The oracle of the merged half-steps: one sampled phase half-step on each side of every Cayley step."""
     dt = math.copysign(cfg.dt, t_final - state.time)
-    build, u, sample, spread, unpack, _ = system(state, dt)
+    n_dof, chains, p, u, sample, spread, unpack = system(state)
     v1 = sample(V1, state.time)
     phase = lambda t: spread(np.exp(1j * (dt / 2.0) * (v1 + sample(V2, t))))
-    run, t = build(), state.time
+    run, t = _cayley_stepper(n_dof, chains, p, dt), state.time
     for _ in range(round(abs(t_final - state.time) / cfg.dt)):
         halves = (phase(t + dt / 4.0), phase(t + 3.0 * dt / 4.0))
         u = run(u, 1, lambda k: halves[k])  # a run of one step: a half-step before it, one after
@@ -1053,10 +1069,11 @@ def test_mode_path_steps_plain_chains(monkeypatch, star3):
 
 
 def mode_free_run(n_edges, n, h, dt):
-    """The ``free(u, nsteps)`` of the mode system of a star with n samples a ray, spacing h."""
+    """The free run ``(u, nsteps)`` of the mode chains of a star with n samples a ray, spacing h."""
     graph, grid = build_regular_tree((), (n_edges,), (n - 1) * h, h)  # build_star refuses L/h < 16
     assert grid.counts == (n,) * n_edges
-    return evolution._mode_system(GraphState.sample(graph, grid, gaussian()), dt)[5]
+    _, chains, p, *_ = evolution._mode_system(GraphState.sample(graph, grid, gaussian()))
+    return lambda u, nsteps: evolution._free_chains(u, chains, p, dt, nsteps)
 
 
 @pytest.mark.parametrize("dt", [0.02, -0.02, 1.0, -1.0])
@@ -1099,6 +1116,62 @@ def test_free_chains_write_back_the_later_sample_of_a_repeated_dof(dt):
     got = evolution._free_chains(u, [(reflected, 0, 0, 1.0 / h, h)], 0, dt, 50)
     wide = evolution._free_chains(u[reflected], [(np.arange(2 * n - 1), 0, 0, 1.0 / h, h)], 0, dt, 50)
     assert got.tobytes() == wide[n - 1 :].tobytes()
+
+
+@pytest.mark.parametrize("dt", [0.02, 1.0])
+def test_free_chains_reflect_a_neumann_end(dt):
+    # a first end marked None runs bit for bit as the chain reflected by hand about it
+    n, h = 11, 0.1
+    rng = np.random.default_rng(9)
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    ray = np.arange(n)
+    got = evolution._free_chains(u, [(ray, None, 0, 1.0 / h, h)], 0, dt, 50)
+    want = evolution._free_chains(u, [(np.r_[n - 1 : 0 : -1, ray], 0, 0, 1.0 / h, h)], 0, dt, 50)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_free_and_stepped_star_runs_take_one_chain_list(monkeypatch, star3):
+    # a free star's _free_chains and a potential star's stepper get the same
+    # chains from _mode_system: dofs, ends, w and h
+    graph, grid = star3
+    st = GraphState.sample(graph, grid, asymmetric(3))
+    got = {}
+    free, stepper = evolution._free_chains, evolution._cayley_stepper
+
+    def free_spy(u, chains, p, dt, nsteps):
+        got["free"] = (len(u), chains, p)
+        return free(u, chains, p, dt, nsteps)
+
+    def stepper_spy(n_dof, chains, nv, dt):
+        got["stepped"] = (n_dof, chains, nv)
+        return stepper(n_dof, chains, nv, dt)
+
+    monkeypatch.setattr(evolution, "_free_chains", free_spy)
+    monkeypatch.setattr(evolution, "_cayley_stepper", stepper_spy)
+    cfg = EvolutionConfig(dt=1e-3)
+    evolve_graph(st, 0.01, cfg)
+    evolve_graph_potential(st, lambda t, x: np.cos(x), None, 0.01, cfg)
+    (n_free, free_chains, p_free), (n_stepped, stepped_chains, p_stepped) = got["free"], got["stepped"]
+    assert n_free == n_stepped == 3 * grid.counts[0] and p_free == p_stepped == 0
+    assert len(free_chains) == len(stepped_chains) == 3
+    for (d, a, b, w, h), (e, c, f, v, k) in zip(free_chains, stepped_chains):
+        np.testing.assert_array_equal(d, e)
+        assert (a, b, w, h) == (c, f, v, k)
+    assert [(a, b) for _, a, b, _, _ in free_chains] == [(None, 0), (0, 0), (0, 0)]
+
+
+def test_graph_oracle_over_the_cap_packs_no_state(monkeypatch):
+    # a tree with more vertices than the free path takes steps itself: no oracle,
+    # decided from its vertex count alone
+    graph, grid = build_regular_tree([1.0], [evolution._MAX_INTERFACES, 2], 4.0, 0.05)
+    assert len(graph.vertices) > evolution._MAX_INTERFACES
+    state = random_graph_data(graph, grid)
+
+    def packed(*args):
+        raise AssertionError("_graph_oracle packed the state")
+
+    monkeypatch.setattr(evolution, "_pack_state", packed)
+    assert evolution._graph_oracle(state, 0.05, EvolutionConfig(dt=1e-3)) is None
 
 
 def test_free_star_runs_its_modes_as_chains_with_no_junction(monkeypatch, star3):
@@ -1431,8 +1504,8 @@ def random_graph_data(graph, grid, seed=7, time=0.0):
 
 def stepped_graph(state, dt, nsteps):
     """The oracle: nsteps steps of the stepped Cayley core on the vertex system, one array per edge."""
-    build, u, _, _, unpack, _ = evolution._vertex_system(state, dt)
-    return unpack(build()(u, nsteps))
+    n_dof, chains, nv, u, _, _, unpack = evolution._vertex_system(state)
+    return unpack(_cayley_stepper(n_dof, chains, nv, dt)(u, nsteps))
 
 
 @pytest.mark.parametrize("dt_over_h", [0.02, -0.02, 10.0])

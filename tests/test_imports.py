@@ -258,7 +258,7 @@ PUBLIC = [
     "build_regular_tree", "build_star", "kirchhoff_residual", "weighted_l2_norm",
     # evolution
     "EvolutionConfig", "TruncationGuardError", "evolve_graph", "evolve_graph_potential", "evolve_line_sigma",
-    "read_checkpoint", "write_checkpoint",
+    "write_checkpoint",
     # exppoly
     "ExpPolynomial", "PiecewiseCoefficient", "WienerSeries", "alpha_prefactor", "chain_lower_entries",
     "chain_product", "coefficients_C", "determinant_product", "ef_recursion", "invert_E", "line_grid",
