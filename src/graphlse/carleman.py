@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _GuardError
-from .uncertainty import gamma_star
 
 __all__ = [
     "AlphaVectors",
@@ -72,27 +71,7 @@ def alpha_vectors(n_edges: int) -> AlphaVectors:
     for _ in range(n_edges):
         vectors.append(row)
         row = row[-1:] + row[:-1]
-    out = AlphaVectors(n_edges, tuple(vectors))
-    _assert_invariants(out)
-    return out
-
-
-def _assert_invariants(av: AlphaVectors) -> None:
-    N = av.n_edges
-    for row in av.vectors:
-        if sum(row) != 0:
-            raise AssertionError("vector does not sum to zero")
-    for j in range(N):
-        if sum(av.vectors[k][j] for k in range(N)) != 0:
-            raise AssertionError("component column does not sum to zero")
-    sq = [sum(av.vectors[k][j] ** 2 for k in range(N)) for j in range(N)]
-    if len(set(sq)) != 1:
-        raise AssertionError("sum of squares depends on the edge")
-    mags = [abs(v) for row in av.vectors for v in row]
-    if min(mags) < 1:
-        raise AssertionError("entry magnitude below 1")
-    if Fraction(max(mags)) != Fraction(2 * gamma_star(N)).limit_denominator(10**6):
-        raise AssertionError("largest magnitude is not twice the critical exponent")
+    return AlphaVectors(n_edges, tuple(vectors))
 
 
 @dataclass(frozen=True)

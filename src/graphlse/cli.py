@@ -79,15 +79,19 @@ def _coerce(kind: str, raw: str, where: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
         if kind == "ints":
             return [int(v.strip()) for v in raw.split(",") if v.strip()]
-        if kind == "floats":
-            return [float(v.strip()) for v in raw.split(",") if v.strip()]
-        return raw.strip()
+        if kind == "float":
+            values = [float(raw)]
+        elif kind == "floats":
+            values = [float(v.strip()) for v in raw.split(",") if v.strip()]
+        else:
+            return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"bad value for {where}: {raw!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{where} must be finite, got {raw.strip()}")
+    return values[0] if kind == "float" else values
 
 
 @dataclass
@@ -166,7 +170,8 @@ def _build_graph(cfg: ExperimentConfig):
     raise ConfigError(f"unknown graph type {gtype!r}")
 
 
-def _initial_fn(cfg: ExperimentConfig):
+def _initial_fn(cfg: ExperimentConfig, nodes=None):
+    """The [initial] Gaussian; given the grid ``nodes``, data that is zero at all of them is refused."""
     import numpy as np
 
     kind = cfg.get("initial", "kind", "gaussian")
@@ -175,11 +180,13 @@ def _initial_fn(cfg: ExperimentConfig):
     center = float(cfg.get("initial", "center", 0.0))
     if kind != "gaussian":
         raise ConfigError(f"unknown initial data kind {kind!r}")
-    for key, value in (("alpha", alpha), ("chirp", chirp), ("center", center)):
-        if not math.isfinite(value):
-            raise ConfigError(f"[initial] {key} must be finite, got {value}")
     if alpha <= 0:
         raise ConfigError(f"[initial] alpha must be positive, got {alpha}")
+    if nodes is not None:
+        # |u0| = exp(-alpha (x - center)^2) peaks at the node nearest the centre; a float gap overflows without a warning
+        gap = float(np.min(np.abs(nodes - center)))
+        if math.exp(-alpha * gap * gap) == 0.0:
+            raise ConfigError(f"[initial] data with alpha = {alpha} and center = {center} is zero at every grid node")
     def fn(x):
         return np.exp(-(alpha + 1j * chirp) * (np.asarray(x) - center) ** 2)
     return fn
@@ -316,7 +323,7 @@ def _run_kernel_compare(cfg: ExperimentConfig, out: Path, jobs: int, check) -> l
     if np.count_nonzero(sel) < 2:
         raise ConfigError(f"[kernel] x_min = {x_min} leaves fewer than two grid points in [x_min, 0]")
     xs = nodes[sel]
-    u0 = _initial_fn(cfg)
+    u0 = _initial_fn(cfg, nodes)
     series = invert_E(sigma, order)
     u_kernel = solve_line(u0, (nodes[0], nodes[-1]), t_final, xs, series)
     u_fd_all = evolve_line_sigma(u0(nodes), sigma, nodes, t_final, ecfg)

@@ -14,9 +14,10 @@ with integer multi-indices m, which this module manipulates exactly: the
 E / F recursion that generates the entries, the scattering coefficients built
 from them, and the Wiener-algebra inversion of the denominator entry
 E_{N-1,1} whose coefficients define the layered propagation kernel.  The
-inversion is a truncated Neumann series; its contraction ratio is certified
-from the determinant identity |E_{j,1}|^2 - |F_{j,1}|^2 = prod_{m<=j}
-(1 - gamma_m^2) and needs no frequency sampling.
+inversion solves E S = 1 weight by weight up to a truncation weight; the
+contraction ratio of its tail is certified from the determinant identity
+|E_{j,1}|^2 - |F_{j,1}|^2 = prod_{m<=j} (1 - gamma_m^2) and needs no
+frequency sampling.
 """
 from __future__ import annotations
 
@@ -173,11 +174,6 @@ class ExpPolynomial:
         for idx, c in self.terms.items():
             out += c * np.exp(self.sign * 1j * xi * lattice_point(idx, self.a_mid, self.l))
         return out
-
-    def conj(self) -> "ExpPolynomial":
-        return ExpPolynomial(
-            {k: complex(v).conjugate() for k, v in self.terms.items()}, -self.sign, self.a_mid, self.l
-        )
 
     def __add__(self, other: "ExpPolynomial") -> "ExpPolynomial":
         self._compatible(other)
@@ -392,12 +388,14 @@ class WienerSeries:
 def invert_E(params: PiecewiseCoefficient, K: int) -> WienerSeries:
     """Wiener inversion of E_{N-1,1}, truncated at total multi-index weight K.
 
-    E = 1 + P where every term of P has weight >= 1, so the weight-<=K part of
-    1/E is the Neumann iterate S <- prune_K(1 - P S), K times from S = 1; all
-    indices stay >= 0 and all coefficients real.  The contraction ratio is
-    certified without sampling frequencies: the phases are unimodular, so
-    |E_{j,1}| <= ||E_{j,1}||_1, and |E_{j,1}|^2 - |F_{j,1}|^2 = D_j =
-    prod_{m<=j} (1 - gamma_m^2) gives
+    E = 1 + P where every term of P has weight >= 1, so E S = 1 gives
+    S_0 = 1 and S_w = -sum_j P_j S_{w-|j|}: one pass in increasing weight
+    computes each coefficient once, from terms already final, and gives the
+    K-fold Neumann iterate S <- prune_K(1 - P S) bit for bit.  All indices
+    stay >= 0, all coefficients are real, and the terms come in order of
+    weight.  The contraction ratio is certified without sampling
+    frequencies: the phases are unimodular, so |E_{j,1}| <= ||E_{j,1}||_1,
+    and |E_{j,1}|^2 - |F_{j,1}|^2 = D_j = prod_{m<=j} (1 - gamma_m^2) gives
 
         |F_{j,1}/E_{j,1}| <= rho = max_j sqrt(1 - D_j / ||E_{j,1}||_1^2) < 1,
 
@@ -418,17 +416,19 @@ def invert_E(params: PiecewiseCoefficient, K: int) -> WienerSeries:
             "the Wiener contraction bound rho rounds to 1 in double precision"
         )
 
-    one = ExpPolynomial({_zero_index(params): 1.0}, +1, params.a_mid, params.l)
-
-    def prune_K(p: ExpPolynomial) -> ExpPolynomial:
-        return ExpPolynomial({i: c for i, c in p.terms.items() if sum(i) <= K}, p.sign, p.a_mid, p.l)
-
-    P = _top_E(params) + (-1.0) * one
-    S = one
-    for _ in range(K):
-        S = prune_K(one + (-1.0) * (P * S))
-    tail = rho ** (K + 1) / (1.0 - rho)
-    return WienerSeries(poly=S, order=K, rho=rho, tail_bound=tail, params=params)
+    zero = _zero_index(params)
+    P = [(j, sum(j), c) for j, c in _top_E(params).terms.items() if j != zero]
+    levels = [_prune({zero: 1.0})]  # the kept terms of each weight
+    for w in range(1, K + 1):
+        level: dict[tuple[int, ...], complex] = {}
+        for j, wj, c in P:
+            if wj <= w:
+                for i, s in levels[w - wj].items():
+                    key = tuple(a + b for a, b in zip(j, i))
+                    level[key] = level.get(key, 0.0) - c * s
+        levels.append(_prune(level))
+    poly = ExpPolynomial({i: s for level in levels for i, s in level.items()}, +1, params.a_mid, params.l)
+    return WienerSeries(poly=poly, order=K, rho=rho, tail_bound=rho ** (K + 1) / (1.0 - rho), params=params)
 
 
 def write_series_csv(series: WienerSeries, path, meta: dict | None = None) -> None:

@@ -1,4 +1,4 @@
-"""Shared test plumbing: one BLAS thread, and per-criterion pass/fail lines for the acceptance suite."""
+"""Shared test plumbing: one BLAS thread, fixed hypothesis examples, and per-criterion pass/fail lines for the acceptance suite."""
 import os
 
 # OpenBLAS reads this when numpy loads, and neither pytest nor hypothesis
@@ -8,6 +8,12 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+# every run draws the same examples and writes no example database, so a
+# property test fails only on a change to the code it tests
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 

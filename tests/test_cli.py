@@ -832,10 +832,10 @@ def test_sharpness_star_is_the_exact_solution(tmp_path):
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
 def test_sharpness_refuses_non_finite_alpha(tmp_path, capsys, alpha):
-    # NaN once reached the solver and was reported as non-finite state values
+    # NaN once reached the solver and was reported as non-finite state values; it is now refused at parse time
     code, out = run_main(tmp_path, SHARPNESS_INI.replace("alpha = 0.25", f"alpha = {alpha}"))
     assert code == 1
-    assert capsys.readouterr().err.strip() == f"config error: alpha must be positive and finite, not {alpha}"
+    assert capsys.readouterr().err.strip() == f"config error: [initial] alpha must be finite, got {alpha}"
     assert not list(out.glob("*.csv"))
 
 
@@ -960,6 +960,10 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         # a nonzero t_final that rounds to no step once wrote the data as the final state
         (STAR_SIMULATE_INI, ("dt = 0.01", "dt = 1e300")),
         (STAR_SIMULATE_INI, ("t_final = 0.1", "t_final = 1e-300")),
+        # sharpness ignores [time], and once ran with dt = nan and exited 0
+        (SHARPNESS_INI, ("dt = 0.002", "dt = nan")),
+        # a Gaussian centred so far off that it is zero at every node once wrote relative_l2_error,nan
+        (KERNEL_INI, ("center = -3.0", "center = 1e300")),
     ],
     ids=[
         "dt-inf",
@@ -995,6 +999,8 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         "star-chirp-inf",
         "star-dt-rounds-to-no-step",
         "star-t-final-rounds-to-no-step",
+        "sharpness-dt-nan",
+        "kernel-data-zero-on-grid",
     ],
 )
 def test_simulate_non_finite_time_exit_codes(tmp_path, capsys, base, change):

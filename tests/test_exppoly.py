@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphlse import (
     ExpPolynomial,
@@ -18,6 +18,7 @@ from graphlse import (
     write_series_csv,
 )
 from graphlse._report import read_csv
+from graphlse.exppoly import _top_E
 
 configs = st.tuples(
     st.lists(st.floats(0.3, 3.0), min_size=2, max_size=6),
@@ -165,7 +166,6 @@ def test_exppoly_algebra():
     p = PiecewiseCoefficient((1.0, 2.0, 0.5, 1.0), 1.0)
     E, F = ef_recursion(3, 1, p)
     xi = np.linspace(-3, 3, 11)
-    np.testing.assert_allclose(E.conj()(xi), np.conj(E(xi)), atol=1e-15)
     np.testing.assert_allclose((E * E)(xi), E(xi) ** 2, atol=1e-13)
     np.testing.assert_allclose((E + E)(xi), 2 * E(xi), atol=1e-14)
     assert sum(E.terms.values()) == pytest.approx(complex(E(0.0)))
@@ -268,6 +268,56 @@ def _level_oracle(params, K):
             series = series + term
         inv = prune(inv * series)
     return inv
+
+
+def _neumann_oracle(params, K):
+    """1/E_{N-1,1} by K Neumann passes S <- prune_K(1 - P S) from S = 1, with P = E_{N-1,1} - 1."""
+    one = ExpPolynomial({(0,) * max(params.n_layers - 2, 0): 1.0}, +1, params.a_mid, params.l)
+
+    def prune_K(p):
+        return ExpPolynomial({i: c for i, c in p.terms.items() if sum(i) <= K}, p.sign, p.a_mid, p.l)
+
+    P = _top_E(params) + (-1.0) * one
+    S = one
+    for _ in range(K):
+        S = prune_K(one + (-1.0) * (P * S))
+    return S
+
+
+def _bits(poly):
+    # repr of the complex value, so a signed zero counts
+    return {idx: repr(complex(c)) for idx, c in poly.terms.items()}
+
+
+# six layers stop at K = 12: at K = 24 they hold about 13,000 terms and the
+# oracle takes seconds; the depth-2 fold covers six layers at K = 24
+layered = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n), st.floats(0.2, 2.0), st.integers(0, 24 if n < 6 else 12)
+    )
+)
+
+
+@given(layered)
+@example(((1.0, 2.0, 4.0, 4.0, 2.0, 1.0), 0.25, 24))  # the depth-2 tree fold
+@settings(max_examples=30, deadline=None)
+def test_invert_is_the_neumann_series_bit_for_bit(cfg):
+    a, l, K = cfg
+    p = PiecewiseCoefficient(a, l)
+    got, want = _bits(invert_E(p, K).poly), _bits(_neumann_oracle(p, K))
+    assert got == want
+    if p.n_layers <= 3:  # one middle layer: the same order too, so every sum over the series keeps its bits
+        assert list(got) == list(want)
+
+
+@given(st.lists(st.floats(0.3, 3.0), min_size=1, max_size=7), st.floats(0.2, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_top_E_is_one_plus_terms_of_positive_weight(a, l):
+    # the weight-by-weight solve in invert_E rests on this
+    p = PiecewiseCoefficient(a, l)
+    terms = dict(_top_E(p).terms)
+    assert terms.pop((0,) * max(p.n_layers - 2, 0)) == 1.0
+    assert all(sum(idx) >= 1 for idx in terms)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

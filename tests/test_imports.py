@@ -6,8 +6,7 @@ writer and no numpy, and each kind's runner imports numpy and the modules
 it calls, so the set-up that perfbench times (import the package, parse a
 config) loads three graphlse modules and neither numpy nor scipy, nor do
 --help and a config refused at parse time; a Carleman run, checked
-(--verify) or not, never loads the evolution, graph, kernel or reduction
-code.
+(--verify) or not, adds graphlse.carleman alone.
 
 Per kind: threshold-sweep, appell and carleman never step; a sharpness run
 of either family is the exact kernel solve and loads no evolution or graph
@@ -58,9 +57,10 @@ def fresh_process(tmp_path, body: str, *args: str) -> dict:
 
 
 # the graphlse modules (the package included) a fresh process holds once it
-# has imported the CLI, and with those a Carleman, threshold-sweep or appell run adds
+# has imported the CLI, with those a Carleman run, and then a threshold-sweep or appell run
 CLI_BASE = ["graphlse", "graphlse._report", "graphlse.cli"]
-LABS = sorted([*CLI_BASE, "graphlse.carleman", "graphlse.exppoly", "graphlse.uncertainty"])
+CARLEMAN = sorted([*CLI_BASE, "graphlse.carleman"])
+LABS = sorted([*CARLEMAN, "graphlse.exppoly", "graphlse.uncertainty"])
 KERNEL = sorted([*LABS, "graphlse.kernels"])
 SOLVE = sorted([*KERNEL, "graphlse.evolution", "graphlse.graphs"])
 
@@ -68,7 +68,7 @@ SOLVE = sorted([*KERNEL, "graphlse.evolution", "graphlse.graphs"])
 # done), in the order one process runs them: the kinds that load no scipy
 # first, and the graphlse sets grow as the kinds reach more modules
 CLI_KINDS = [
-    ("carleman", CARLEMAN_INI, [], LABS),
+    ("carleman", CARLEMAN_INI, [], CARLEMAN),
     ("threshold-sweep", SWEEP_INI, [], LABS),
     ("appell", APPELL_INI, [], LABS),
     ("sharpness-star", SHARPNESS_INI, [], KERNEL),  # each family is the exact kernel solve
@@ -168,7 +168,7 @@ print(json.dumps({"rc": rc, "checks": checks, "graphlse": graphlse, "scipy": any
     assert got == {
         "rc": 0,
         "checks": [["PASS", "max_quad_error_over_margin"], ["PASS", "membership_residual"]],
-        "graphlse": LABS,
+        "graphlse": CARLEMAN,
         "scipy": False,
     }
 
