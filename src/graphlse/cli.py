@@ -170,8 +170,8 @@ def _build_graph(cfg: ExperimentConfig):
     raise ConfigError(f"unknown graph type {gtype!r}")
 
 
-def _initial_fn(cfg: ExperimentConfig, nodes=None):
-    """The [initial] Gaussian; given the grid ``nodes``, data that is zero at all of them is refused."""
+def _initial_fn(cfg: ExperimentConfig, nodes):
+    """The [initial] Gaussian; data whose square is zero at every grid node in ``nodes`` is refused."""
     import numpy as np
 
     kind = cfg.get("initial", "kind", "gaussian")
@@ -182,11 +182,10 @@ def _initial_fn(cfg: ExperimentConfig, nodes=None):
         raise ConfigError(f"unknown initial data kind {kind!r}")
     if alpha <= 0:
         raise ConfigError(f"[initial] alpha must be positive, got {alpha}")
-    if nodes is not None:
-        # |u0| = exp(-alpha (x - center)^2) peaks at the node nearest the centre; a float gap overflows without a warning
-        gap = float(np.min(np.abs(nodes - center)))
-        if math.exp(-alpha * gap * gap) == 0.0:
-            raise ConfigError(f"[initial] data with alpha = {alpha} and center = {center} is zero at every grid node")
+    # |u0|^2 = exp(-2 alpha (x - center)^2) peaks at the node nearest the centre; a float gap overflows without a warning
+    gap = float(np.min(np.abs(nodes - center)))
+    if math.exp(-2.0 * alpha * gap * gap) == 0.0:
+        raise ConfigError(f"[initial] data with alpha = {alpha} and center = {center} has |u0|^2 = 0 at every grid node")
     def fn(x):
         return np.exp(-(alpha + 1j * chirp) * (np.asarray(x) - center) ** 2)
     return fn
@@ -273,8 +272,9 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int, check) -> list[Pa
             raise ConfigError(f"an edge has {min(grid.counts)} samples; the Kirchhoff residual needs at least 5")
         # the Gaussian is a function of the distance from the root (a star's centre)
         offsets = np.cumsum([0.0, *graph.generation_lengths])
-        fn = _initial_fn(cfg)
-        state = GraphState.sample(graph, grid, [lambda x, o=offsets[e.generation - 1]: fn(x + o) for e in graph.edges])
+        shifts = [offsets[e.generation - 1] for e in graph.edges]
+        fn = _initial_fn(cfg, np.concatenate([grid.x(e) + o for e, o in enumerate(shifts)]))
+        state = GraphState.sample(graph, grid, [lambda x, o=o: fn(x + o) for o in shifts])
         final = evolve_graph(state, t_final, ecfg)
         res, res0 = kirchhoff_residual(final), kirchhoff_residual(state)
         ck = out / "checkpoint.csv"
@@ -293,7 +293,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, jobs: int, check) -> list[Pa
     else:
         sigma = _sigma(cfg)
         nodes = _line_nodes(cfg, 0.02)
-        u0 = _initial_fn(cfg)(nodes)
+        u0 = _initial_fn(cfg, nodes)(nodes)
         u1 = evolve_line_sigma(u0, sigma, nodes, t_final, ecfg)
         ck = out / "line_state.csv"
         write_csv(ck, ["x", "re_u", "im_u"], from_columns(nodes, u1.real, u1.imag), _meta(cfg))

@@ -964,6 +964,12 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         (SHARPNESS_INI, ("dt = 0.002", "dt = nan")),
         # a Gaussian centred so far off that it is zero at every node once wrote relative_l2_error,nan
         (KERNEL_INI, ("center = -3.0", "center = 1e300")),
+        # data whose square underflows at every node: kernel-compare wrote relative_l2_error,nan (the peak
+        # node holds exp(-687)), and simulate wrote norm_initial,0.0 and, at center = 1e300, numpy warnings
+        (KERNEL_INI, ("alpha = 1.0\ncenter = -3.0", "alpha = 1.1e6\ncenter = -2.975")),
+        (LINE_SIMULATE_INI, ("alpha = 1.0", "alpha = 1.0\ncenter = 60")),
+        (LINE_SIMULATE_INI, ("alpha = 1.0", "alpha = 1.0\ncenter = 1e300")),
+        (STAR_SIMULATE_INI, ("alpha = 1.0", "alpha = 1.0\ncenter = 1e300")),
     ],
     ids=[
         "dt-inf",
@@ -1001,6 +1007,10 @@ def test_carleman_bad_inputs_exit_codes(tmp_path, capsys, change, code, message)
         "star-t-final-rounds-to-no-step",
         "sharpness-dt-nan",
         "kernel-data-zero-on-grid",
+        "kernel-square-underflows",
+        "line-data-off-the-grid",
+        "line-center-1e300",
+        "star-center-1e300",
     ],
 )
 def test_simulate_non_finite_time_exit_codes(tmp_path, capsys, base, change):

@@ -68,3 +68,28 @@ def test_from_columns_text_equals_per_value_path(tmp_path):
     write_csv(by_value, ["edge_id", "x", "re_u", "im_u"], zip(*cols))
     write_csv(by_column, ["edge_id", "x", "re_u", "im_u"], from_columns(*cols))
     assert data_lines(by_value) == data_lines(by_column) == want
+
+
+def test_from_columns_floats_are_repr_byte_for_byte():
+    # the oracle is repr of tolist, value by value; the cases are where shortest-digit algorithms differ
+    rng = np.random.default_rng(2005_06204)
+    patterns = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)  # every sign, exponent, nan and inf
+    pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    fixed = [
+        np.arange(1, 1000, dtype=np.uint64).view(np.float64),  # the subnormals of the smallest mantissas
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        pow10,
+        np.nextafter(pow10, 0.0),
+        np.nextafter(pow10, np.inf),
+        np.arange(2**53 - 64, 2**53 + 64).astype(np.float64),
+        np.nextafter(np.arange(2**52, 2**52 + 64, dtype=np.float64), 0.0),
+    ]
+    switch = np.array([1e16, 9999999999999998.0, 1e-4, 1e-5])  # where repr's fixed and exponent forms meet
+    x = np.concatenate([patterns, *fixed, switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf)])
+    x = np.concatenate([x, -x[len(patterns):], [0.0, -0.0, math.nan, math.inf, -math.inf]])
+    assert list(from_columns(x)) == [repr(v) for v in x.tolist()]
+    # tables of 3000 rows cross the 4096-value blocks, with float32 and int columns among the float64 ones
+    n = 3000
+    cols = (x[:n], x[n : 2 * n], x[-n:], rng.standard_normal(n).astype(np.float32), rng.integers(-(2**62), 2**62, n))
+    for table in (cols[:3], cols[3:], cols[4:] + cols[:2], cols[:1] + cols[4:] + cols[1:4]):
+        assert list(from_columns(*table)) == [",".join(map(format_value, row)) for row in zip(*(c.tolist() for c in table))]
